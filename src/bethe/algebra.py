@@ -15,6 +15,15 @@ of two generators as a normal-ordered correction; two rules are provided:
 Elements are sparse dicts {monomial tuple: rational}; monomials of an
 element under a commuting rule are always non-decreasing tuples of
 generators.
+
+Coefficient types.  Rule-level structure constants (raw_bracket,
+bracket_terms, mono_times_gen, mono_times_mono) are plain Python ints:
+brackets are +-1 and normal ordering only adds and multiplies them.  Every
+coefficient stored in an AlgebraElement is of type Q, so no int reaches an
+element or a report.  The public constructor coerces its input through Q
+and drops zeros; results of +, unary - and * are built by the trusted
+constructor `_from_terms`, which takes a dict that already holds only
+nonzero Q values and stores it as is.
 """
 from __future__ import annotations
 
@@ -43,25 +52,25 @@ class CommutationRule:
         return (level, row, col)
 
     def element(self, row: int, col: int, level: int = 1) -> "AlgebraElement":
-        return AlgebraElement(self, {(self.gen(row, col, level),): ONE})
+        return _from_terms(self, {(self.gen(row, col, level),): ONE})
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {(): ONE})
+        return _from_terms(self, {(): ONE})
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
+        return _from_terms(self, {})
 
     # -- rule-specific data -------------------------------------------------
 
     def raw_bracket(self, a: tuple, b: tuple):
-        """[a, b] as a list of (coefficient, word) with words possibly
+        """[a, b] as a list of (int coefficient, word) with words possibly
         unordered; scalar delta factors already folded."""
         raise NotImplementedError
 
     # -- normal ordering ----------------------------------------------------
 
     def bracket_terms(self, a: tuple, b: tuple) -> dict:
-        """Normal form of the commutator [a, b] as {monomial: coeff}."""
+        """Normal form of the commutator [a, b] as {monomial: int}."""
         key = (a, b)
         hit = self._bracket_cache.get(key)
         if hit is not None:
@@ -69,7 +78,7 @@ class CommutationRule:
         acc: dict = {}
         for coeff, word in self.raw_bracket(a, b):
             for m, c in self.order_word(word).items():
-                v = acc.get(m, ZERO) + coeff * c
+                v = acc.get(m, 0) + coeff * c
                 if v:
                     acc[m] = v
                 elif m in acc:
@@ -79,9 +88,10 @@ class CommutationRule:
         return acc
 
     def mono_times_gen(self, m: tuple, g: tuple) -> dict:
-        """Normal form of (normal monomial m) * (generator g)."""
+        """Normal form of (normal monomial m) * (generator g), int
+        coefficients."""
         if not self.orders or not m or m[-1] <= g:
-            return {m + (g,): ONE}
+            return {m + (g,): 1}
         key = (m, g)
         hit = self._mtg_cache.get(key)
         if hit is not None:
@@ -91,14 +101,14 @@ class CommutationRule:
         # m*g = (head*g)*a + head*[a, g]
         for m1, c1 in self.mono_times_gen(head, g).items():
             for m2, c2 in self.mono_times_gen(m1, a).items():
-                v = acc.get(m2, ZERO) + c1 * c2
+                v = acc.get(m2, 0) + c1 * c2
                 if v:
                     acc[m2] = v
                 elif m2 in acc:
                     del acc[m2]
         for mb, cb in self.bracket_terms(a, g).items():
             for m2, c2 in self.mono_times_mono(head, mb).items():
-                v = acc.get(m2, ZERO) + cb * c2
+                v = acc.get(m2, 0) + cb * c2
                 if v:
                     acc[m2] = v
                 elif m2 in acc:
@@ -107,12 +117,20 @@ class CommutationRule:
         return acc
 
     def mono_times_mono(self, m1: tuple, m2: tuple) -> dict:
-        acc = {m1: ONE}
+        """Normal form of m1 * m2 with int coefficients, for a normal m1.
+
+        When m2 is normal too and the seam m1[-1] <= m2[0] is ordered, the
+        concatenation is already normal.  An empty m1 takes the general
+        path, because order_word passes arbitrary words as m2.
+        """
+        if not self.orders or not m2 or (m1 and m1[-1] <= m2[0]):
+            return {m1 + m2: 1}
+        acc = {m1: 1}
         for g in m2:
             nxt: dict = {}
             for m, c in acc.items():
                 for mm, cc in self.mono_times_gen(m, g).items():
-                    v = nxt.get(mm, ZERO) + c * cc
+                    v = nxt.get(mm, 0) + c * cc
                     if v:
                         nxt[mm] = v
                     elif mm in nxt:
@@ -131,8 +149,8 @@ class YangianRule(CommutationRule):
         (p, i, j), (q, k, l) = a, b
         out = []
         for r in range(1, min(p, q) + 1):
-            out += self._pair(k, j, r - 1, i, l, p + q - r, ONE)
-            out += self._pair(k, j, p + q - r, i, l, r - 1, -ONE)
+            out += self._pair(k, j, r - 1, i, l, p + q - r, 1)
+            out += self._pair(k, j, p + q - r, i, l, r - 1, -1)
         return out
 
     def _pair(self, k, j, s, i, l, t, sign):
@@ -158,9 +176,9 @@ class GlRule(CommutationRule):
         (_, i, j), (_, k, l) = a, b
         out = []
         if j == k:
-            out.append((ONE, ((1, i, l),)))
+            out.append((1, ((1, i, l),)))
         if l == i:
-            out.append((-ONE, ((1, k, j),)))
+            out.append((-1, ((1, k, j),)))
         return out
 
 
@@ -195,17 +213,21 @@ class AlgebraElement:
         self._check(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            v = acc.get(m, ZERO) + c
-            if v:
-                acc[m] = v
-            elif m in acc:
-                del acc[m]
-        return AlgebraElement(self.rule, acc)
+            v = acc.get(m)
+            if v is None:
+                acc[m] = c
+            else:
+                v += c
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
+        return _from_terms(self.rule, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.rule, {m: -c for m, c in self.terms.items()})
+        return _from_terms(self.rule, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, AlgebraElement) else -Q(other))
@@ -215,8 +237,9 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
-            c = Q(other)
-            return AlgebraElement(self.rule, {m: v * c for m, v in self.terms.items()})
+            c = other if type(other) is Q else Q(other)
+            terms = {m: v * c for m, v in self.terms.items()} if c else {}
+            return _from_terms(self.rule, terms)
         self._check(other)
         rule = self.rule
         acc: dict = {}
@@ -224,12 +247,17 @@ class AlgebraElement:
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for m, c in rule.mono_times_mono(m1, m2).items():
-                    v = acc.get(m, ZERO) + c12 * c
-                    if v:
-                        acc[m] = v
-                    elif m in acc:
-                        del acc[m]
-        return AlgebraElement(rule, acc)
+                    t = c12 if c == 1 else c12 * c
+                    v = acc.get(m)
+                    if v is None:
+                        acc[m] = t
+                    else:
+                        v += t
+                        if v:
+                            acc[m] = v
+                        else:
+                            del acc[m]
+        return _from_terms(rule, acc)
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -251,6 +279,14 @@ class AlgebraElement:
             word = "*".join(f"g[{r},{i},{j}]" for (r, i, j) in m) or "1"
             bits.append(f"({self.terms[m]})*{word}")
         return " + ".join(bits)
+
+
+def _from_terms(rule: CommutationRule, terms: dict) -> AlgebraElement:
+    """Trusted constructor: `terms` holds only nonzero Q coefficients."""
+    out = AlgebraElement.__new__(AlgebraElement)
+    out.rule = rule
+    out.terms = terms
+    return out
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -14,9 +14,9 @@ from .algebra import AlgebraElement, GlRule, commutator, symbol
 from .evalmap import pi_apply, rho_apply, verify_image_commutativity
 from .indices import IndexSet, ZMatrix
 from .poisson import (CurrentPoint, PoissonContext, PoissonPoly, bethe_poly,
-                      certified_jacobian_rank, classical_det_poly,
-                      jacobian_rank, poisson_bracket, poisson_rank_at,
-                      principal_nilpotent, restrict_to_slice, upper_slice)
+                      certified_jacobian_rank, jacobian_rank, poisson_bracket,
+                      poisson_rank_at, principal_nilpotent, restrict_to_slice,
+                      upper_slice)
 from .rationals import Q
 from .twisted import (TwistedContext, reflection_residual,
                       symmetry_residual_free, twisted_bethe_series)

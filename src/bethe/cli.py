@@ -10,23 +10,19 @@ Two subcommands:
   configuration reproduces the file byte for byte.
 
 The default output directory is taken from the BETHE_OUTPUT_DIR
-environment variable (falling back to the working directory).  Independent
-sub-checks are dispatched through a thread pool sized by --jobs (default:
-machine parallelism); results are re-sorted before emission so the
-schedule never affects the artifact.
+environment variable (falling back to the working directory).  Sub-checks
+run in order in one thread, and detail rows are sorted before emission.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .algebra import YangianRule, serialize_element
-from .indices import IndexSet, ZMatrix, parse_z_spec
+from .indices import IndexSet, parse_z_spec
 from .poisson import PoissonContext, bethe_poly
-from .rationals import Q
 from .reports import (Report, Timer, dump_json, output_dir, serialize_poly,
                       series_table)
 from .tensor import (h_k_orientation, verify_antisymmetrizers,
@@ -70,7 +66,6 @@ class RunConfig:
         self.budget = args.budget
         self.k = args.k
         self.seed = args.seed
-        self.jobs = args.jobs or (os.cpu_count() or 1)
         self.format = args.format
         self.z_symmetry = args.z_symmetry
         self.z_spec = args.Z or self._default_z()
@@ -104,27 +99,12 @@ class RunConfig:
             "budget": self.budget,
             "k": self.k,
             "seed": self.seed,
-            "jobs": self.jobs,
             "version": __version__,
         }
 
 
 class UsageError(Exception):
     pass
-
-
-def _pool_run(tasks: list, jobs: int) -> list:
-    """Run independent detail-producing callables, concatenating results
-    in task order."""
-    if jobs <= 1 or len(tasks) <= 1:
-        chunks = [t() for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            chunks = list(ex.map(lambda t: t(), tasks))
-    out = []
-    for c in chunks:
-        out.extend(c)
-    return out
 
 
 # -- check dispatch -------------------------------------------------------------
@@ -135,23 +115,23 @@ def run_check(cfg: RunConfig, name: str) -> list:
     D = cfg.D
 
     if name == "rtt":
-        tasks = [lambda: verify_r_identities(iset)]
+        details = verify_r_identities(iset)
         if iset.kind == "plain":
-            tasks.append(lambda: verify_yang_baxter(iset))
-            tasks.append(lambda: verify_rtt(YangianRule(iset), D))
+            details += verify_yang_baxter(iset)
+            details += verify_rtt(YangianRule(iset), D)
         else:
             ctx = cfg.twisted_ctx()
-            tasks.append(lambda: verify_mixed_yang_baxter(iset))
-            tasks.append(lambda: verify_mixed_rtt(ctx, D))
-            tasks.append(lambda: verify_rtt(ctx.yang_rule, D))
-        return _pool_run(tasks, cfg.jobs)
+            details += verify_mixed_yang_baxter(iset)
+            details += verify_mixed_rtt(ctx, D)
+            details += verify_rtt(ctx.yang_rule, D)
+        return details
 
     if name == "fusion":
         rule = YangianRule(iset)
-        tasks = [lambda: verify_antisymmetrizers(iset)]
-        tasks += [(lambda kk: lambda: verify_fusion(rule, kk, D))(k)
-                  for k in range(2, iset.N + 1)]
-        return _pool_run(tasks, cfg.jobs)
+        details = verify_antisymmetrizers(iset)
+        for k in range(2, iset.N + 1):
+            details += verify_fusion(rule, k, D)
+        return details
 
     if name == "bethe-commute":
         return verify_bethe_commutativity(cfg.z, YangianRule(iset),
@@ -181,9 +161,7 @@ def run_check(cfg: RunConfig, name: str) -> list:
         details = list(verify_twisted_hat_identity(ctx, cfg.z, D))
         for k in range(1, iset.N + 1):
             c, ok = resolve_prop36_scalar(ctx, cfg.z, k, D)
-            shown = list(c.coeffs) if c is not None else None
-            details.append(
-                (f"trace-form scalar k={k}: {shown}", ok))
+            details.append((f"trace-form scalar k={k}: {list(c.coeffs)}", ok))
         zr = resolve_z_rmatrix_scalar(ctx, cfg.z)
         details.append((f"exchange scalar c(u) = {zr[0]}*u + {zr[1]}"
                         if zr else "exchange scalar unresolved",
@@ -202,13 +180,11 @@ def run_check(cfg: RunConfig, name: str) -> list:
             PoissonContext(pkind, iset, cfg.M), cfg.seed)
 
     if name == "symbol-hom":
-        tasks = []
+        details = []
         if iset.kind == "plain":
-            tasks.append(lambda: certify.verify_symbol_homomorphy(
-                iset, cfg.M, cfg.seed))
-        tasks.append(lambda: certify.verify_laplace_consistency(
-            iset, cfg.z, cfg.M))
-        return _pool_run(tasks, cfg.jobs)
+            details += certify.verify_symbol_homomorphy(iset, cfg.M, cfg.seed)
+        details += certify.verify_laplace_consistency(iset, cfg.z, cfg.M)
+        return details
 
     if name == "jacobian":
         pkind = "plain" if iset.kind == "plain" else "twisted"
@@ -309,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k", type=int, default=None,
                         help="restrict to one series index k")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="work-pool size (default: machine parallelism)")
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--out", default=None,
                         help="output path (default: BETHE_OUTPUT_DIR or cwd)")

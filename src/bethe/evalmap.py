@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraElement, GlRule, commutator
 from .indices import IndexSet
-from .rationals import ONE, Q, ZERO
+from .rationals import Q, ZERO
 
 
 def pi_apply(a: AlgebraElement, gl_rule: GlRule) -> AlgebraElement:

@@ -654,12 +654,3 @@ def certified_jacobian_rank(fs: list, coords, context: PoissonContext,
         if best >= expected:
             break
     return best, best_seed
-
-
-def nonzero_coefficients(polys: list) -> list:
-    """Drop constants and zeros; the usual prefilter for rank certificates."""
-    out = []
-    for p in polys:
-        if not p.is_zero() and set(p.terms) != {()}:
-            out.append(p)
-    return out

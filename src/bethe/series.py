@@ -239,10 +239,6 @@ def _poly_mul(a, b):
     return out
 
 
-def expand_rational(f: RationalFactor, D: int) -> TruncatedSeries:
-    return f.expand(D)
-
-
 INF_CAP = 10 ** 9  # "exact" accuracy for polynomial data
 
 

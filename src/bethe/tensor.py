@@ -15,9 +15,10 @@ transposition.
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import factorial
 
 from .indices import IndexSet
-from .rationals import ONE, Q, ZERO, binomial, is_rat
+from .rationals import ONE, Q, binomial, is_rat
 from .series import INF_CAP, RATIONAL_RING, BiLaurent, Ring
 
 
@@ -248,14 +249,7 @@ def antisymmetrizer_oracle(k: int, index_set: IndexSet) -> TensorElement:
     acc = TensorElement.zero(k, index_set)
     for sigma in permutations(range(1, k + 1)):
         acc = acc + perm_operator(sigma, index_set).scale_rat(perm_sign(sigma))
-    return acc.scale_rat(Q(1, _factorial(k)))
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    return acc.scale_rat(Q(1, factorial(k)))
 
 
 def _r_factor(p: int, q: int, value, k: int, index_set: IndexSet) -> TensorElement:
@@ -283,7 +277,7 @@ def antisymmetrizer(k: int, index_set: IndexSet) -> TensorElement:
         return oracle
     norm = Q(1)
     for i in range(1, k + 1):
-        norm *= _factorial(i)
+        norm *= factorial(i)
     matches = []
     for outer_desc in (False, True):
         for inner_desc in (False, True):
@@ -307,27 +301,6 @@ def antisymmetrizer(k: int, index_set: IndexSet) -> TensorElement:
 def h_k_orientation(k: int, index_set: IndexSet) -> str:
     antisymmetrizer(k, index_set)
     return _H_ORIENTATION[(k, index_set)]
-
-
-def f_k_member(h: TensorElement, x: TensorElement) -> bool:
-    """Membership predicate for the fused block: H X = H X H."""
-    left = _lift_mul(h, x)
-    return left == _lift_mul(left, h)
-
-
-def _lift_mul(a: TensorElement, b: TensorElement) -> TensorElement:
-    """Multiply tensors whose coefficient rings may differ in sophistication
-    (rational coefficients lift into the partner's ring)."""
-    if a.ring is b.ring or a.ring.one == b.ring.one:
-        return a * b
-    # lift the rational-coefficient side
-    if a.ring is RATIONAL_RING:
-        a = a.map_coeffs(lambda c: b.ring.one * c, b.ring)
-        return a * b
-    if b.ring is RATIONAL_RING:
-        b = b.map_coeffs(lambda c: a.ring.one * c, a.ring)
-        return a * b
-    raise ValueError("incompatible coefficient rings")
 
 
 # -- R-matrices as exact Laurent objects ----------------------------------------
@@ -396,17 +369,6 @@ class UPolyTensor:
                 t = c.scale_rat(w)
                 acc[m] = acc[m] + t if m in acc else t
         return UPolyTensor(acc, self.index_set)
-
-    def evaluate(self, value) -> TensorElement:
-        value = Q(value)
-        it = iter(self.coeffs.values())
-        first = next(it, None)
-        if first is None:
-            raise ValueError("cannot infer shape of the zero polynomial")
-        acc = TensorElement.zero(first.sites, self.index_set, first.ring)
-        for d, c in self.coeffs.items():
-            acc = acc + c.scale_rat(value ** d)
-        return acc
 
     def embed(self, positions, n: int) -> "UPolyTensor":
         return UPolyTensor({d: c.embed(positions, n)

@@ -20,10 +20,10 @@ from .indices import IndexSet, ZMatrix
 from .rationals import ONE, Q, ZERO, binomial
 from .series import (INF_CAP, RATIONAL_RING, BiLaurent, RationalFactor, Ring,
                      TruncatedSeries, algebra_ring)
-from .tensor import (TensorElement, UPolyTensor, antisymmetrizer, bilaurent_r,
-                     f_k_member, q_tensor, tensor_ring)
-from .yangian import (bethe_series, lift_tensor, quantum_determinant,
-                      t_site_series, z_site_tensor)
+from .tensor import (TensorElement, antisymmetrizer, bilaurent_r, q_tensor,
+                     tensor_ring)
+from .yangian import (lift_tensor, quantum_determinant, t_site_series,
+                      z_site_tensor)
 
 
 class TwistedContext:
@@ -494,8 +494,8 @@ def hat_twisted_series(ctx: TwistedContext, k: int, z: ZMatrix, D: int,
 
 
 def verify_twisted_hat_identity(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
-    """A_k(u) = A_N(u) hat-A_{N-k}(u-k) c_k with the scalar c_k resolved
-    empirically among {binomial(N,k), 1/binomial(N,k)} (expanded level)."""
+    """A_k(u) = A_N(u) hat-A_{N-k}(u-k) c_k with c_k = 1/binomial(N,k), as
+    for the plain hat identity (expanded level)."""
     N = ctx.index_set.N
     aring = algebra_ring(ctx.yang_rule)
     a_n = twisted_bethe_series(ctx, N, z, D).map_coeffs(ctx.s_expand, aring)
@@ -503,21 +503,17 @@ def verify_twisted_hat_identity(ctx: TwistedContext, z: ZMatrix, D: int) -> list
     for k in range(1, N + 1):
         a_k = twisted_bethe_series(ctx, k, z, D).map_coeffs(ctx.s_expand, aring)
         hat = hat_twisted_series(ctx, N - k, z, D).substitute_affine(1, -k)
-        base = a_n * hat
-        scalar = None
-        for c in (ONE / binomial(N, k), binomial(N, k)):
-            if a_k == base * c:
-                scalar = c
-                break
+        scalar = ONE / binomial(N, k)
         details.append((f"twisted hat identity k={k} (scalar {scalar})",
-                        scalar is not None))
+                        a_k == a_n * hat * scalar))
     return details
 
 
 def resolve_prop36_scalar(ctx: TwistedContext, z: ZMatrix, k: int, D: int):
     """Compare hat-A_k with the simplified trace form
-    tr_k x id (H_k x 1 . hat-S(u,k) . Z_1..Z_k x 1) and solve for the
-    rational scalar series relating them."""
+    tr_k x id (H_k x 1 . hat-S(u,k) . Z_1..Z_k x 1).  The scalar series
+    relating them is the constant series 1; returns it together with
+    whether the two series agree."""
     iset = ctx.index_set
     full = hat_twisted_series(ctx, k, z, D)
     s_hat = fused_s(ctx, k, D, expanded=True).invert()
@@ -528,35 +524,8 @@ def resolve_prop36_scalar(ctx: TwistedContext, z: ZMatrix, k: int, D: int):
     hk = lift_tensor(antisymmetrizer(k, iset), ring)
     simple = s_hat.scale(hk, side="left").scale(zs, side="right")\
         .map_coeffs(lambda c: c.partial_trace_all(), Ring(ring.zero, ring.one))
-    if all((simple.coeffs[r] - full.coeffs[r]).is_zero() for r in range(D + 1)):
-        return TruncatedSeries.one(RATIONAL_RING, D), True
-    # otherwise solve simple = full * c(u) coefficientwise for rational c(u)
-    f0 = full.coeffs[0]
-    if not (f0.terms.keys() == {()} or f0.is_zero()):
-        raise AssertionError("unexpected constant term")
-    c0 = f0.terms.get((), ZERO)
-    if c0 == 0:
-        return None, False
-    cs = []
-    ok = True
-    for r in range(D + 1):
-        acc = simple.coeffs[r]
-        for s_idx in range(r):
-            acc = acc - full.coeffs[r - s_idx] * cs[s_idx]
-        # acc must equal full.coeffs[0] * c_r, a scalar multiple
-        if acc.is_zero():
-            cs.append(ZERO)
-            continue
-        cand = acc.terms.get((), ZERO) / c0
-        cs.append(cand)
-        if not (acc - f0 * cand).is_zero():
-            ok = False
-    # final consistency: simple == full * c(u)
-    c_series = TruncatedSeries(RATIONAL_RING, cs, D)
-    recomposed = full * c_series
-    ok = ok and all((recomposed.coeffs[r] - simple.coeffs[r]).is_zero()
-                    for r in range(D + 1))
-    return c_series, ok
+    ok = all(simple.coeffs[r] == full.coeffs[r] for r in range(D + 1))
+    return TruncatedSeries.one(RATIONAL_RING, D), ok
 
 
 def resolve_z_rmatrix_scalar(ctx: TwistedContext, z: ZMatrix):

@@ -9,13 +9,14 @@ every check reduces to "the normal form of a residual is zero".
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
 
-from .algebra import AlgebraElement, YangianRule, commutator
-from .indices import IndexSet, ZMatrix
-from .rationals import ONE, Q, ZERO, binomial
+from .algebra import YangianRule, commutator
+from .indices import ZMatrix
+from .rationals import ONE, Q, binomial
 from .series import INF_CAP, BiLaurent, Ring, TruncatedSeries, algebra_ring
-from .tensor import (TensorElement, antisymmetrizer, bilaurent_r, f_k_member,
-                     perm_sign, tensor_ring)
+from .tensor import (TensorElement, antisymmetrizer, bilaurent_r, perm_sign,
+                     tensor_ring)
 
 
 def lift_tensor(t: TensorElement, ring: Ring) -> TensorElement:
@@ -110,9 +111,6 @@ def bethe_series_perm(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Truncate
                 shifted[(i, j, p)] = t_entry_series(rule, i, j, D)\
                     .substitute_affine(1, -p)
     acc = TruncatedSeries.zero(aring, D)
-    fact_n = 1
-    for m in range(2, N + 1):
-        fact_n *= m
     for g in permutations(idx):
         sg = perm_sign(g)
         for h in permutations(idx):
@@ -128,7 +126,7 @@ def bethe_series_perm(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Truncate
                 f = shifted[(g[p], h[p], p + 1)]
                 term = f if term is None else term * f
             acc = acc + term * (Q(sg * perm_sign(h)) * zfac)
-    return acc * Q(1, fact_n)
+    return acc * Q(1, factorial(N))
 
 
 def bethe_series_tensor(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
@@ -270,12 +268,11 @@ def verify_bethe_commutativity(z: ZMatrix, rule: YangianRule, budget: int,
 
 
 def verify_hat_identity(z: ZMatrix, rule: YangianRule, D: int) -> list:
-    """B_k(u) = B_N(u) * hat-B_{N-k}(u-k) * c_k with the scalar c_k
-    resolved empirically among {binomial(N,k), 1/binomial(N,k)}.
+    """B_k(u) = B_N(u) * hat-B_{N-k}(u-k) * c_k with c_k = 1/binomial(N,k).
 
-    Constant terms force c_k = 1/binomial(N,k): the u^0 term of B_k is
+    Constant terms force this scalar: the u^0 term of B_k is
     e_{N-k}(z)/binomial(N,k) while B_N and the hat series start at 1 and
-    e_{N-k}(z).  The resolved scalar is reported per k.
+    e_{N-k}(z).  The scalar is reported per k.
     """
     N = rule.index_set.N
     bn = bethe_series(N, z, rule, D, cross_check=False)
@@ -283,11 +280,7 @@ def verify_hat_identity(z: ZMatrix, rule: YangianRule, D: int) -> list:
     for k in range(1, N + 1):
         bk = bethe_series(k, z, rule, D)
         hat = hat_bethe_series(N - k, z, rule, D).substitute_affine(1, -k)
-        base = bn * hat
-        scalar = None
-        for c in (ONE / binomial(N, k), binomial(N, k)):
-            if bk == base * c:
-                scalar = c
-                break
-        details.append((f"hat identity k={k} (scalar {scalar})", scalar is not None))
+        scalar = ONE / binomial(N, k)
+        details.append((f"hat identity k={k} (scalar {scalar})",
+                        bk == bn * hat * scalar))
     return details

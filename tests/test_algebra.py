@@ -2,8 +2,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from bethe.algebra import (FreeRule, GlRule, YangianRule, commutator,
-                           deserialize_element, filtration_degree,
+from bethe.algebra import (AlgebraElement, FreeRule, GlRule, YangianRule,
+                           commutator, deserialize_element, filtration_degree,
                            monomial_degree, normal_order, serialize_element,
                            symbol)
 from bethe.indices import IndexSet
@@ -16,6 +16,15 @@ GL = GlRule(IndexSet.plain(3))
 gen_strategy = st.tuples(st.integers(1, 2), st.integers(1, 2),
                          st.integers(1, 2))
 word_strategy = st.lists(gen_strategy, min_size=0, max_size=5)
+
+gl_gen_strategy = st.tuples(st.just(1), st.integers(1, 3), st.integers(1, 3))
+# (rule, word strategy) pairs for the two ordering rules; Yangian words stay
+# short because the normal_order reference is exponential in word length
+ORDERING = [
+    (RULE, st.lists(gen_strategy, max_size=3)),
+    (GL, st.lists(gl_gen_strategy, max_size=4)),
+]
+Q_TYPE = type(Q(1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,3 +113,64 @@ def test_symbol_drops_lower_degree_and_rejects_higher():
         pass
     else:
         raise AssertionError("expected a degree-overflow error")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_of_normal_forms_is_normal_form_of_concatenation(data):
+    for rule, words in ORDERING:
+        w1, w2 = data.draw(words), data.draw(words)
+        assert normal_order(w1, rule) * normal_order(w2, rule) == \
+            normal_order(w1 + w2, rule)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ordered_seam_matches_general_path(data):
+    # mono_times_mono(m1, m2) on normal monomials, including the ordered
+    # seam m1[-1] <= m2[0], against ordering the concatenated word
+    for rule, words in ORDERING:
+        m1 = tuple(sorted(data.draw(words)))
+        m2 = tuple(sorted(data.draw(words)))
+        assert rule.mono_times_mono(m1, m2) == rule.order_word(m1 + m2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_order_word_from_empty_prefix_sorts(data):
+    for rule, words in ORDERING:
+        word = tuple(data.draw(words))
+        out = rule.order_word(word)
+        for m, c in out.items():
+            assert list(m) == sorted(m)
+            assert type(c) is int
+        assert AlgebraElement(rule, out) == normal_order(word, rule)
+
+
+def _element(rule, data, words):
+    terms = data.draw(st.dictionaries(words.map(tuple), st.integers(-3, 3),
+                                      max_size=3))
+    return sum((normal_order(w, rule, coeff=Q(c)) for w, c in terms.items()),
+               rule.zero())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(-3, 3))
+def test_coefficients_stay_rational(data, k):
+    for rule, words in ORDERING:
+        a, b = _element(rule, data, words), _element(rule, data, words)
+        for r in (a + b, a - b, -a, a * b, a * k, k * a, a + k, k - a,
+                  a * Q(k, 2)):
+            assert all(type(c) is Q_TYPE for c in r.terms.values())
+        assert all(type(c) is Q_TYPE
+                   for c in AlgebraElement(rule, {(): k}).terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(gen_strategy, max_size=4), st.lists(gen_strategy, max_size=4),
+       st.integers(1, 5), st.integers(-5, -1))
+def test_free_products_concatenate(w1, w2, c1, c2):
+    free = FreeRule(IndexSet.plain(2))
+    a = AlgebraElement(free, {tuple(w1): c1})
+    b = AlgebraElement(free, {tuple(w2): c2})
+    assert (a * b).terms == {tuple(w1 + w2): Q(c1 * c2)}

@@ -1,5 +1,6 @@
 import pytest
 
+from bethe import twisted
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import ONE, Q
 from bethe.twisted import (TwistedContext, hat_twisted_series,
@@ -84,11 +85,36 @@ def test_twisted_hat_identity_small():
 
 def test_prop36_scalar_resolution():
     c, ok = resolve_prop36_scalar(SP2, Z_SP, 1, 2)
-    assert ok and c is not None
+    assert ok and list(c.coeffs) == [Q(1), Q(0), Q(0)]
     pair = resolve_z_rmatrix_scalar(SP2, Z_SP)
     assert pair is not None
     a, b = pair
     assert a == 1  # leading term: the identity needs the factor u
+
+
+def _scaled_hat(monkeypatch, factor):
+    monkeypatch.setattr(twisted, "hat_twisted_series",
+                        lambda *a: hat_twisted_series(*a) * factor)
+
+
+@pytest.mark.parametrize("factor", [Q(2), Q(1, 4)])
+def test_twisted_hat_identity_negative_control(monkeypatch, factor):
+    # 1/4 = 1/binomial(2,1)**2 is the factor that the scalar binomial(2,1)
+    # would absorb at k=1, had it been accepted besides 1/binomial(2,1)
+    _scaled_hat(monkeypatch, factor)
+    rows = verify_twisted_hat_identity(SP2, Z_SP, 2)
+    assert [item for item, _ in rows] == [
+        "twisted hat identity k=1 (scalar 1/2)",
+        "twisted hat identity k=2 (scalar 1)"]
+    assert not any(ok for _, ok in rows)
+
+
+def test_prop36_scalar_negative_control(monkeypatch):
+    # hat-A_k doubled: the trace form is hat-A_k times 1/2, not times 1
+    _scaled_hat(monkeypatch, Q(2))
+    c, ok = resolve_prop36_scalar(SP2, Z_SP, 1, 2)
+    assert not ok
+    assert list(c.coeffs) == [Q(1), Q(0), Q(0)]
 
 
 def test_twisted_constant_terms():

@@ -1,3 +1,6 @@
+import pytest
+
+from bethe import yangian
 from bethe.algebra import YangianRule, commutator
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import ONE, Q
@@ -93,6 +96,20 @@ def test_hat_identity_scalar_is_reciprocal_binomial():
     rows = verify_hat_identity(z, YangianRule(iset), 3)
     _all_ok(rows)
     assert "scalar 1/2" in rows[0][0]
+
+
+@pytest.mark.parametrize("factor", [Q(2), Q(1, 4)])
+def test_hat_identity_negative_control(monkeypatch, factor):
+    # 1/4 = 1/binomial(2,1)**2 is the factor that the scalar binomial(2,1)
+    # would absorb at k=1, had it been accepted besides 1/binomial(2,1)
+    iset = IndexSet.plain(2)
+    z = parse_z_spec("diag:1,2", iset)
+    monkeypatch.setattr(yangian, "hat_bethe_series",
+                        lambda *a: hat_bethe_series(*a) * factor)
+    rows = verify_hat_identity(z, YangianRule(iset), 2)
+    assert [item for item, _ in rows] == ["hat identity k=1 (scalar 1/2)",
+                                          "hat identity k=2 (scalar 1)"]
+    assert not any(ok for _, ok in rows)
 
 
 def test_hat_series_starts_at_elementary_symmetric():
