@@ -13,7 +13,7 @@ from bethe.certify import (expected_jacobian_rank, expected_poisson_rank,
                            verify_classical_slice_rank, verify_jacobian_rank,
                            verify_poisson_rank)
 from bethe.indices import IndexSet, parse_z_spec
-from bethe.poisson import PoissonContext, bethe_poly, poisson_bracket
+from bethe.poisson import PoissonContext, bethe_family, poisson_bracket
 
 
 def show(rows):
@@ -27,7 +27,8 @@ def main():
     z = parse_z_spec("diag:1,2", iset)
 
     print("Determinant-expansion family for gl_2, M = 1:")
-    fam = [p for k in (1, 2) for p in bethe_poly(k, z, ctx) if not p.is_zero()]
+    fam = [p for table in bethe_family(ctx, z).values() for p in table
+           if not p.is_zero()]
     for p in fam:
         print(f"  {p}")
     residual = max(len(poisson_bracket(a, b).terms)
@@ -39,7 +40,8 @@ def main():
         i = IndexSet.plain(N)
         c = PoissonContext("plain", i, M)
         zz = parse_z_spec("diag:" + ",".join(str(j) for j in range(1, N + 1)), i)
-        show(verify_jacobian_rank(c, zz, expected_jacobian_rank(c)))
+        show(verify_jacobian_rank(c, bethe_family(c, zz),
+                                  expected_jacobian_rank(c)))
 
     print("\nPoisson-structure ranks at the base point (twisted):")
     for form, N, M in [("sp", 2, 3), ("so", 3, 3), ("so", 4, 2)]:

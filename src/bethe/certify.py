@@ -13,7 +13,7 @@ import random
 from .algebra import AlgebraElement, GlRule, commutator, symbol
 from .evalmap import pi_apply, rho_apply, verify_image_commutativity
 from .indices import IndexSet, ZMatrix
-from .poisson import (CurrentPoint, PoissonContext, PoissonPoly, bethe_poly,
+from .poisson import (CurrentPoint, PoissonContext, PoissonPoly, bethe_family,
                       certified_jacobian_rank, jacobian_rank, poisson_bracket,
                       poisson_rank_at, principal_nilpotent, restrict_to_slice,
                       upper_slice)
@@ -148,9 +148,10 @@ def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix, M: int,
         ctx = TwistedContext(index_set)
         mk = lambda k: twisted_bethe_series(ctx, k, z, D, expanded=False)
     zero = PoissonPoly.constant(context, 0)
+    family = bethe_family(context, z)
     for k in range(1, N + 1):
         series = mk(k)
-        table = bethe_poly(k, z, context)
+        table = family[k]
         for r in range(0, D + 1):
             lhs = symbol(series.coeffs[r], r, context)
             rhs = table[r] if r < len(table) else zero
@@ -158,19 +159,17 @@ def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix, M: int,
     return details
 
 
-def bethe_family_polys(context: PoissonContext, z: ZMatrix) -> list:
-    """All determinant-expansion coefficients, flattened over k and r."""
-    out = []
-    for k in range(1, context.index_set.N + 1):
-        out.extend(bethe_poly(k, z, context))
-    return out
+def bethe_family_polys(family: dict) -> list:
+    """All coefficients of a bethe_family, flattened over k and r."""
+    return [p for table in family.values() for p in table]
 
 
-def verify_jacobian_rank(context: PoissonContext, z: ZMatrix, expected: int,
+def verify_jacobian_rank(context: PoissonContext, family: dict, expected: int,
                          seed: int = 0) -> list:
-    """Jacobian of the family at a certified seeded point has the expected
-    rank (= the dimension of the certification slice)."""
-    fs = bethe_family_polys(context, z)
+    """Jacobian of the family (from bethe_family) at a certified seeded
+    point has the expected rank (= the dimension of the certification
+    slice)."""
+    fs = bethe_family_polys(family)
     rank, used = certified_jacobian_rank(fs, context.variables(), context,
                                          seed=seed, expected=expected)
     return [(f"jacobian rank {rank} (expected {expected}, seed {used})",
@@ -192,12 +191,12 @@ def verify_poisson_rank(context: PoissonContext, expected: int) -> list:
              rank == expected)]
 
 
-def verify_twisted_parity(context: PoissonContext, z: ZMatrix) -> list:
-    """a_k^(r) = 0 exactly when N - k + r is odd."""
+def verify_twisted_parity(context: PoissonContext, family: dict) -> list:
+    """a_k^(r) = 0 exactly when N - k + r is odd, for the members of a
+    bethe_family."""
     N = context.index_set.N
     details = []
-    for k in range(1, N + 1):
-        table = bethe_poly(k, z, context)
+    for k, table in family.items():
         ok = all(p.is_zero() for r, p in enumerate(table)
                  if (N - k + r) % 2 == 1)
         details.append((f"parity zeros k={k}", ok))
@@ -210,7 +209,7 @@ def verify_classical_slice_rank(n: int, z: ZMatrix, seed: int = 7) -> list:
     equals the slice dimension n^2)."""
     iset = IndexSet.signed(2 * n, "so")
     context = PoissonContext("twisted", iset, 1)
-    fs = bethe_family_polys(context, z)
+    fs = bethe_family_polys(bethe_family(context, z))
     sl = upper_slice(context, variant="lemma45")
     rest = [restrict_to_slice(f, sl) for f in fs]
     expected = n * n

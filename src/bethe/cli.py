@@ -3,11 +3,14 @@
 Two subcommands:
 
 * ``verify <check>`` runs one verification suite and writes a JSON (or
-  text) report; exit status 0 on pass, 1 on any failed detail row, 2 on
-  usage errors.
+  text) report; exit status 0 on pass, 1 on any failed detail row.
 * ``compute <object>`` builds a coefficient table (series coefficients in
   exact rationals) and writes it as JSON; rerunning with the same
   configuration reproduces the file byte for byte.
+
+Both exit with status 2 on usage errors and 3 on internal errors: a failed
+internal guard (such as the degree and parity guards of the determinant
+expansion) or any other unexpected exception.  Errors go to stderr.
 
 The default output directory is taken from the BETHE_OUTPUT_DIR
 environment variable (falling back to the working directory).  Sub-checks
@@ -22,7 +25,7 @@ import sys
 from . import __version__
 from .algebra import YangianRule, serialize_element
 from .indices import IndexSet, parse_z_spec
-from .poisson import PoissonContext, bethe_poly
+from .poisson import PoissonContext, bethe_family
 from .reports import (Report, Timer, dump_json, output_dir, serialize_poly,
                       series_table)
 from .tensor import (h_k_orientation, verify_antisymmetrizers,
@@ -87,6 +90,11 @@ class RunConfig:
         if self.index_set.kind != "signed":
             raise UsageError("this check needs kind so or sp")
         return TwistedContext(self.index_set)
+
+    def poisson_ctx(self) -> PoissonContext:
+        """Plain context for kind gl, twisted for so/sp, at level M."""
+        kind = "plain" if self.index_set.kind == "plain" else "twisted"
+        return PoissonContext(kind, self.index_set, self.M)
 
     def params(self) -> dict:
         return {
@@ -175,9 +183,7 @@ def run_check(cfg: RunConfig, name: str) -> list:
         return certify.verify_pi_rho_image_commutativity(iset, cfg.z, D)
 
     if name == "poisson-jacobi":
-        pkind = "plain" if iset.kind == "plain" else "twisted"
-        return certify.verify_poisson_jacobi(
-            PoissonContext(pkind, iset, cfg.M), cfg.seed)
+        return certify.verify_poisson_jacobi(cfg.poisson_ctx(), cfg.seed)
 
     if name == "symbol-hom":
         details = []
@@ -187,18 +193,17 @@ def run_check(cfg: RunConfig, name: str) -> list:
         return details
 
     if name == "jacobian":
-        pkind = "plain" if iset.kind == "plain" else "twisted"
-        context = PoissonContext(pkind, iset, cfg.M)
+        context = cfg.poisson_ctx()
+        family = bethe_family(context, cfg.z)
         details = certify.verify_jacobian_rank(
-            context, cfg.z, certify.expected_jacobian_rank(context),
+            context, family, certify.expected_jacobian_rank(context),
             seed=cfg.seed)
-        if pkind == "twisted":
-            details += certify.verify_twisted_parity(context, cfg.z)
+        if context.kind == "twisted":
+            details += certify.verify_twisted_parity(context, family)
         return details
 
     if name == "poisson-rank":
-        pkind = "plain" if iset.kind == "plain" else "twisted"
-        context = PoissonContext(pkind, iset, cfg.M)
+        context = cfg.poisson_ctx()
         return certify.verify_poisson_rank(
             context, certify.expected_poisson_rank(context))
 
@@ -243,10 +248,10 @@ def run_compute(cfg: RunConfig, name: str) -> dict:
         return series_table(config, rows)
 
     if name == "poisson-bethe":
-        pkind = "plain" if iset.kind == "plain" else "twisted"
-        context = PoissonContext(pkind, iset, cfg.M)
-        rows = [(k, [serialize_poly(p) for p in bethe_poly(k, cfg.z, context)])
-                for k in ks]
+        if not all(1 <= k <= iset.N for k in ks):
+            raise UsageError("k out of range")
+        family = bethe_family(cfg.poisson_ctx(), cfg.z)
+        rows = [(k, [serialize_poly(p) for p in family[k]]) for k in ks]
         return series_table(config, rows)
 
     raise UsageError(f"unknown object {name!r}")
@@ -300,8 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def conventions(cfg: RunConfig) -> dict:
+    # The orientation is read off H_3 (H_N for N < 3).  For N >= 3, S_3
+    # acts faithfully on V^{(x)3} (Schur-Weyl), so the matching arrow
+    # orientations do not depend on N and N = 3 gives the same answer.
+    iset = cfg.index_set if cfg.index_set.N <= 3 else IndexSet.plain(3)
     try:
-        hk = h_k_orientation(min(cfg.index_set.N, 3), cfg.index_set)
+        hk = h_k_orientation(iset.N, iset)
     except Exception:
         hk = "unresolved"
     return {"h_k_orientation": hk, "s_uk_orientation": "outer=asc,inner=asc"}
@@ -344,6 +353,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except Exception as e:
+        import traceback  # only this path needs it; loading it slows start-up
+
+        traceback.print_exc()
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,13 +12,15 @@ triples as the noncommutative generators.  Two contexts exist:
   polynomial is kept in a fixed fundamental-domain normal form, and the
   bracket carries the extra eps-twisted sum with the (-1)^{p+r-1} factor.
 
-Rank computations are exact over the rationals (symbolic partial
-derivatives, Gaussian elimination); random points come from a seeded
-generator so every certificate is reproducible.
+Rank computations are exact over the rationals (partial derivatives
+evaluated in one gradient pass per polynomial, Bareiss fraction-free
+elimination on integer rows); random points come from a seeded generator
+so every certificate is reproducible.
 """
 from __future__ import annotations
 
 import random
+from math import lcm
 
 from .indices import IndexSet, ZMatrix
 from .rationals import ONE, Q, ZERO, binomial
@@ -297,6 +299,34 @@ class PoissonPoly:
             acc += t
         return acc
 
+    def gradient(self, coords, point) -> list:
+        """[df/dv at the point for v in coords] in one pass over the
+        monomials: each factor's partial is the product of the other
+        factors, read off prefix and suffix products of the point values.
+        Coordinates reduce as in `derivative`; `point` is as in
+        `evaluate`.  The coefficients are scaled to integers and integral
+        point values (all random points are) are taken as ints, so the
+        products run on Python ints; one division per entry restores the
+        exact value."""
+        get = point.value if isinstance(point, CurrentPoint) else point.__getitem__
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        acc: dict = {}
+        for m, c in self.terms.items():
+            vals = [x.numerator if x.denominator == 1 else x
+                    for x in map(get, m)]
+            suffix = [1]
+            for x in reversed(vals[1:]):
+                suffix.append(x * suffix[-1])
+            pre = c.numerator * (den // c.denominator)
+            for v, x, post in zip(m, vals, reversed(suffix)):
+                acc[v] = acc.get(v, 0) + pre * post
+                pre = pre * x
+        out = []
+        for v in coords:
+            red = self.context.reduce_var(v)
+            out.append(ZERO if red is None else Q(acc.get(red[1], 0)) / den)
+        return out
+
     def substitute(self, assignments: dict) -> "PoissonPoly":
         """Replace the listed variables by rational values."""
         acc = PoissonPoly(self.context, {})
@@ -402,82 +432,112 @@ class CurrentPoint:
 def det_poly(context: PoissonContext, z: ZMatrix) -> dict:
     """Coefficients of det(u^M + V(u) + Z v) as {(deg_u, deg_v): poly},
     with V(u) the matrix of degree-staggered coordinate polynomials
-    v_ij^(1) u^{M-1} + ... + v_ij^(M)."""
-    from itertools import permutations
+    v_ij^(1) u^{M-1} + ... + v_ij^(M).
 
-    from .tensor import perm_sign
+    Column-by-column Laplace expansion, memoized over the set of rows
+    already used: `layer[mask]` is the signed sum over all placements of
+    the rows in `mask` into the first popcount(mask) columns, as
+    {(deg_u, deg_v): {monomial: coeff}}.  Placing row i after the rows in
+    `mask` contributes (-1)^popcount(mask >> (i+1)).  This visits
+    N 2^(N-1) (mask, row) pairs instead of N! products of N entries.
 
+    Z v is expanded as (L Z)(v / L), L the lcm of the denominators of Z,
+    so every coefficient is a Python int until the v^b ones are divided
+    by L^b at the end."""
     iset = context.index_set
     if not z.index_set.same(iset):
         raise ValueError("Z lives on a different index set")
     idx = iset.indices()
     M = context.M
+    zq = {(i, j): Q(z.entry(i, j)) for i in idx for j in idx}
+    L = lcm(*(x.denominator for x in zq.values()))
 
-    # entry (i, j) as {(deg_u, deg_v): PoissonPoly}
-    entry = {}
-    for i in idx:
-        for j in idx:
-            e: dict = {}
-            if i == j:
-                e[(M, 0)] = PoissonPoly.constant(context, ONE)
-            zij = z.entry(i, j)
-            if zij:
-                e[(0, 1)] = PoissonPoly.constant(context, zij)
-            for r in range(1, M + 1):
-                p = PoissonPoly.variable(context, r, i, j)
-                key = (M - r, 0)
-                e[key] = e.get(key, PoissonPoly(context, {})) + p
-            entry[(i, j)] = e
+    # entry (i, j) as [((deg_u, deg_v), int coeff, variable or None)], the
+    # variable already reduced to the fundamental domain
+    def entry(i, j):
+        e = []
+        if i == j:
+            e.append(((M, 0), 1, None))
+        zij = zq[(i, j)]
+        if zij:
+            e.append(((0, 1), zij.numerator * (L // zij.denominator), None))
+        for r in range(1, M + 1):
+            red = context.reduce_var((r, i, j))
+            if red is not None:
+                e.append(((M - r, 0), red[0], red[1]))
+        return e
 
-    acc: dict = {}
-    for g in permutations(idx):
-        sgn = perm_sign(g)
-        prod = {(0, 0): PoissonPoly.constant(context, Q(sgn))}
-        for pos, j in enumerate(idx):
-            e = entry[(g[pos], j)]
-            nxt: dict = {}
-            for (a1, b1), p1 in prod.items():
-                if p1.is_zero():
+    rows = [[entry(i, j) for j in idx] for i in idx]
+    layer = {0: {(0, 0): {(): 1}}}
+    for col in range(len(idx)):
+        nxt: dict = {}
+        for mask, polys in layer.items():
+            for i, row in enumerate(rows):
+                if mask >> i & 1 or not row[col]:
                     continue
-                for (a2, b2), p2 in e.items():
-                    k = (a1 + a2, b1 + b2)
-                    cur = nxt.get(k)
-                    nxt[k] = p1 * p2 if cur is None else cur + p1 * p2
-            prod = nxt
-        for k, p in prod.items():
-            cur = acc.get(k)
-            acc[k] = p if cur is None else cur + p
-    return {k: p for k, p in acc.items() if not p.is_zero()}
+                odd = bin(mask >> (i + 1)).count("1") & 1
+                tgt = nxt.setdefault(mask | 1 << i, {})
+                for (a2, b2), c2, w in row[col]:
+                    if odd:
+                        c2 = -c2
+                    for (a1, b1), terms in polys.items():
+                        acc = tgt.setdefault((a1 + a2, b1 + b2), {})
+                        for m, c1 in terms.items():
+                            if w is not None:
+                                m = tuple(sorted(m + (w,)))
+                            v = acc.get(m)
+                            v = c1 * c2 if v is None else v + c1 * c2
+                            if v:
+                                acc[m] = v
+                            else:
+                                del acc[m]
+        layer = nxt
+    out = {}
+    for (du, dv), terms in layer.get((1 << len(idx)) - 1, {}).items():
+        if terms:
+            p = PoissonPoly.__new__(PoissonPoly)
+            p.context = context
+            p.terms = {m: Q(c, L ** dv) for m, c in terms.items()}
+            out[(du, dv)] = p
+    return out
+
+
+def bethe_family(context: PoissonContext, z: ZMatrix) -> dict:
+    """The determinant family from one expansion: {k: [c^(0), ..., c^(kM)]}
+    for k = 1..N, where c^(r) is the coefficient of u^{kM-r} v^{N-k}
+    divided by binomial(N,k)."""
+    full = det_poly(context, z)
+    N = context.index_set.N
+    M = context.M
+    zero = PoissonPoly(context, {})
+    family = {}
+    for k in range(1, N + 1):
+        inv = ONE / binomial(N, k)
+        out = [full.get((k * M - r, N - k), zero) * inv
+               for r in range(0, k * M + 1)]
+        # nothing of the v^{N-k} slice may fall outside degrees 0..kM
+        for (du, dv) in full:
+            if dv == N - k and not (0 <= k * M - du <= k * M):
+                raise AssertionError(
+                    "unexpected degree in determinant expansion")
+        if context.kind == "twisted":
+            for r, p in enumerate(out):
+                if (N - k + r) % 2 != 0 and not p.is_zero():
+                    raise AssertionError(
+                        f"parity violation: coefficient {r} of the "
+                        f"degree-{k} member should vanish")
+        family[k] = out
+    return family
 
 
 def bethe_poly(k: int, z: ZMatrix, context: PoissonContext) -> list:
     """Coefficient list [c^(0), ..., c^(kM)] of the degree-k member of the
     determinant family: the coefficient of v^{N-k} divided by binomial(N,k),
-    read off in descending powers of u from u^{kM}."""
-    iset = context.index_set
-    N = iset.N
-    if not (1 <= k <= N):
+    read off in descending powers of u from u^{kM}.  Callers that need
+    several k should take them from one bethe_family."""
+    if not (1 <= k <= context.index_set.N):
         raise ValueError("k out of range")
-    M = context.M
-    full = det_poly(context, z)
-    inv = ONE / binomial(N, k)
-    out = []
-    for r in range(0, k * M + 1):
-        p = full.get((k * M - r, N - k))
-        if p is None:
-            p = PoissonPoly(context, {})
-        out.append(p * inv)
-    # nothing of the v^{N-k} slice may fall outside degrees 0..kM
-    for (du, dv) in full:
-        if dv == N - k and not (0 <= k * M - du <= k * M):
-            raise AssertionError("unexpected degree in determinant expansion")
-    if context.kind == "twisted":
-        for r, p in enumerate(out):
-            if (N - k + r) % 2 != 0 and not p.is_zero():
-                raise AssertionError(
-                    f"parity violation: coefficient {r} of the degree-{k} "
-                    "member should vanish")
-    return out
+    return bethe_family(context, z)[k]
 
 
 def classical_det_poly(z: ZMatrix, index_set: IndexSet) -> dict:
@@ -586,38 +646,62 @@ def restrict_to_slice(p: PoissonPoly, s: Slice) -> PoissonPoly:
 
 
 def matrix_rank(rows: list) -> int:
-    """Exact rank of a rational matrix (list of row lists)."""
-    mat = [list(r) for r in rows]
-    rank = 0
+    """Exact rank of a rational matrix (list of row lists), by Bareiss
+    fraction-free elimination on integer rows.
+
+    Each row is first cleared of denominators.  After the k-th pivot d,
+    every entry right of the pivot columns is a (k+1)-minor of the
+    integer matrix, so the update (p x - a y) / d divides exactly and
+    entries grow only like minors (Bareiss 1968, Math. Comp. 22).  A row
+    with a zero in the pivot column would only be rescaled by p / d; that
+    factor telescopes over consecutive pivots, so such rows are left as
+    they are and stamped with the pivot they were last exact for, and
+    are rescaled once by (current d) / stamp when next needed."""
+    mat = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (den // x.denominator) for x in row])
     ncols = len(mat[0]) if mat else 0
-    col = 0
+    stamp = [1] * len(mat)
+    d = 1
+    rank = 0
     for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                piv = r
-                break
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = ONE / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        stamp[rank], stamp[piv] = stamp[piv], stamp[rank]
+        pivot = _bareiss_sync(mat, stamp, rank, col, d)
+        p = pivot[col]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col]:
+                row = _bareiss_sync(mat, stamp, r, col, d)
+                a = row[col]
+                mat[r] = row[:col + 1] + [(p * x - a * y) // d for x, y in
+                                          zip(row[col + 1:], pivot[col + 1:])]
+                stamp[r] = p
+        d = p
         rank += 1
         if rank == len(mat):
             break
     return rank
 
 
+def _bareiss_sync(mat: list, stamp: list, r: int, col: int, d: int) -> list:
+    """Bring row r (exact for pivot stamp[r]) up to the current pivot d,
+    from column `col` on; entries before it are never read again."""
+    s = stamp[r]
+    if s != d:
+        row = mat[r]
+        mat[r] = row[:col] + [x * d // s for x in row[col:]]
+        stamp[r] = d
+    return mat[r]
+
+
 def jacobian_rank(fs: list, coords, values) -> int:
     """Rank of [df_a/dv_b] evaluated at the point."""
     coords = list(coords)
-    rows = []
-    for f in fs:
-        rows.append([f.derivative(v).evaluate(values) for v in coords])
+    rows = [f.gradient(coords, values) for f in fs]
     if not rows:
         return 0
     return matrix_rank(rows)

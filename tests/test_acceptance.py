@@ -20,7 +20,7 @@ from bethe.certify import (expected_jacobian_rank, expected_poisson_rank,
                            verify_symbol_homomorphy, verify_twisted_parity)
 from bethe.cli import main
 from bethe.indices import IndexSet, parse_z_spec
-from bethe.poisson import PoissonContext
+from bethe.poisson import PoissonContext, bethe_family
 from bethe.rationals import Q
 from bethe.tensor import (verify_antisymmetrizers, verify_mixed_yang_baxter,
                           verify_r_identities, verify_yang_baxter)
@@ -186,7 +186,7 @@ def test_criterion_19_plain_jacobian_rank():
         ctx = PoissonContext("plain", iset, M)
         expected = expected_jacobian_rank(ctx)
         assert expected == M * N * (N + 1) // 2
-        _all_ok(verify_jacobian_rank(ctx, z, expected))
+        _all_ok(verify_jacobian_rank(ctx, bethe_family(ctx, z), expected))
 
 
 def test_criterion_20_plain_poisson_rank():
@@ -206,7 +206,8 @@ TWISTED_RANK_CASES = [(SO3, Z_SO, 1), (SO3, Z_SO, 3),
 def test_criterion_21_twisted_jacobian_rank():
     for tctx, z, M in TWISTED_RANK_CASES:
         ctx = PoissonContext("twisted", tctx.index_set, M)
-        _all_ok(verify_jacobian_rank(ctx, z, expected_jacobian_rank(ctx)))
+        _all_ok(verify_jacobian_rank(ctx, bethe_family(ctx, z),
+                                     expected_jacobian_rank(ctx)))
 
 
 def test_criterion_22_twisted_poisson_rank():
@@ -218,7 +219,7 @@ def test_criterion_22_twisted_poisson_rank():
 def test_criterion_23_twisted_parity():
     for tctx, z in ((SP2, Z_SP), (SO3, Z_SO), (SO4, Z_SO4)):
         ctx = PoissonContext("twisted", tctx.index_set, 2)
-        _all_ok(verify_twisted_parity(ctx, z))
+        _all_ok(verify_twisted_parity(ctx, bethe_family(ctx, z)))
 
 
 def test_criterion_24_classical_even_orthogonal_slice():

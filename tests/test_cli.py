@@ -87,3 +87,93 @@ def test_report_failure_exit_one(tmp_path, monkeypatch):
 def test_odd_orthogonal_flag(tmp_path):
     assert main(["verify", "twisted-symmetry", "--kind", "so", "--n", "1",
                  "--odd", "--D", "2"]) == 0
+
+
+def test_internal_error_exit_three(monkeypatch, capsys):
+    import bethe.cli as cli
+
+    def boom(cfg, name):
+        raise AssertionError("guard tripped")
+
+    monkeypatch.setattr(cli, "run_check", boom)
+    assert main(["verify", "rtt", "--kind", "gl", "--N", "2"]) == 3
+    assert "internal error: AssertionError: guard tripped" in \
+        capsys.readouterr().err
+
+
+def test_determinant_guard_is_an_internal_error(monkeypatch, capsys):
+    import bethe.poisson as poisson
+
+    real = poisson.det_poly
+
+    def stray_degree(context, z):
+        full = real(context, z)
+        full[(99, 0)] = poisson.PoissonPoly.constant(context, 1)
+        return full
+
+    monkeypatch.setattr(poisson, "det_poly", stray_degree)
+    assert main(["compute", "poisson-bethe", "--kind", "gl", "--N", "2"]) == 3
+    assert "unexpected degree" in capsys.readouterr().err
+
+
+def test_poisson_bethe_k_out_of_range_is_usage_error():
+    assert main(["compute", "poisson-bethe", "--kind", "gl", "--N", "2",
+                 "--k", "3"]) == 2
+
+
+# -- planted defects: every Poisson check must be able to fail ----------------
+
+
+@pytest.mark.parametrize("algebra", [["--kind", "gl", "--N", "2"],
+                                     ["--kind", "sp", "--n", "1"]])
+def test_jacobian_fails_without_last_family_polynomial(monkeypatch, algebra):
+    import bethe.cli as cli
+
+    args = ["verify", "jacobian", *algebra, "--M", "1"]
+    assert main(args) == 0
+    real = cli.bethe_family
+
+    def short_family(context, z):
+        family = real(context, z)
+        family[max(family)] = family[max(family)][:-1]
+        return family
+
+    monkeypatch.setattr(cli, "bethe_family", short_family)
+    assert main(args) == 1
+
+
+def test_poisson_rank_fails_at_a_non_regular_base_point(monkeypatch):
+    import bethe.certify as certify
+
+    args = ["verify", "poisson-rank", "--kind", "sp", "--n", "1", "--M", "1"]
+    assert main(args) == 0
+    real = certify.principal_nilpotent
+
+    def without_middle_term(index_set, variant="section4"):
+        ent = real(index_set, variant)
+        del ent[(1, -1)]
+        return ent
+
+    monkeypatch.setattr(certify, "principal_nilpotent", without_middle_term)
+    assert main(args) == 1
+
+
+def test_classical_so2n_fails_for_non_generic_z():
+    args = ["verify", "classical-so2n", "--kind", "so", "--n", "2"]
+    assert main(args + ["--Z", "diag:1,2"]) == 0
+    assert main(args + ["--Z", "diag:1,1"]) == 1
+
+
+def test_poisson_jacobi_fails_for_a_symmetric_bracket(monkeypatch):
+    from bethe.poisson import PoissonContext
+
+    args = ["verify", "poisson-jacobi", "--kind", "gl", "--N", "2"]
+    assert main(args) == 0
+    real = PoissonContext.gen_bracket
+
+    def sign_flipped(self, a, b):
+        br = real(self, a, b)
+        return -br if a > b else br
+
+    monkeypatch.setattr(PoissonContext, "gen_bracket", sign_flipped)
+    assert main(args) == 1

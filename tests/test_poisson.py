@@ -1,17 +1,21 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bethe.certify import (expected_jacobian_rank, expected_poisson_rank,
                            verify_laplace_consistency, verify_poisson_jacobi,
                            verify_symbol_homomorphy)
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.poisson import (CurrentPoint, PoissonContext, PoissonPoly,
-                           bethe_poly, classical_det_poly, jacobian_rank,
-                           matrix_rank, poisson_bracket, poisson_rank_at,
+                           bethe_family, bethe_poly, classical_det_poly,
+                           det_poly, jacobian_rank, matrix_rank,
+                           poisson_bracket, poisson_rank_at,
                            principal_nilpotent, restrict_to_slice,
                            upper_slice)
-from bethe.rationals import Q
+from bethe.rationals import ONE, Q
+from bethe.tensor import perm_sign
 
 
 def _all_ok(rows):
@@ -162,3 +166,140 @@ def test_classical_det_poly_shape():
     z = parse_z_spec("diag:1,2", iset, "prime_skew")
     coeffs = classical_det_poly(z, iset)
     assert isinstance(coeffs, dict) and coeffs
+
+
+# -- reference implementations -------------------------------------------------
+
+
+def gauss_jordan_rank(rows: list) -> int:
+    """Rank by Gauss-Jordan elimination over the rationals (the former
+    matrix_rank), kept as an oracle for the fraction-free one."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, len(mat)):
+            if mat[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = ONE / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def permutation_det_poly(context: PoissonContext, z) -> dict:
+    """det(u^M + V(u) + Z v) as a sum over all N! permutations of the
+    products of N entries (the former det_poly), as {key: terms}."""
+    idx = context.index_set.indices()
+    M = context.M
+    entry = {}
+    for i in idx:
+        for j in idx:
+            e: dict = {}
+            if i == j:
+                e[(M, 0)] = PoissonPoly.constant(context, ONE)
+            if z.entry(i, j):
+                e[(0, 1)] = PoissonPoly.constant(context, z.entry(i, j))
+            for r in range(1, M + 1):
+                key = (M - r, 0)
+                e[key] = e.get(key, PoissonPoly(context, {})) + \
+                    PoissonPoly.variable(context, r, i, j)
+            entry[(i, j)] = e
+    acc: dict = {}
+    for g in permutations(idx):
+        prod = {(0, 0): PoissonPoly.constant(context, Q(perm_sign(g)))}
+        for pos, j in enumerate(idx):
+            nxt: dict = {}
+            for (a1, b1), p1 in prod.items():
+                for (a2, b2), p2 in entry[(g[pos], j)].items():
+                    k = (a1 + a2, b1 + b2)
+                    nxt[k] = nxt.get(k, PoissonPoly(context, {})) + p1 * p2
+            prod = nxt
+        for k, p in prod.items():
+            acc[k] = acc.get(k, PoissonPoly(context, {})) + p
+    return {k: p.terms for k, p in acc.items() if not p.is_zero()}
+
+
+DET_CASES = {"gl2": (IndexSet.plain(2), "diag:1,2"),
+             "gl3": (IndexSet.plain(3), "diag:1,2,4"),
+             "gl4": (IndexSet.plain(4), "diag:1,-2,3,5/2"),
+             "so3": (IndexSet.signed(3, "so"), "diag:3/2"),
+             "sp2": (IndexSet.signed(2, "sp"), "diag:2"),
+             "so4": (IndexSet.signed(4, "so"), "diag:1,3"),
+             "sp4": (IndexSet.signed(4, "sp"), "diag:1/2,-2/3")}
+
+
+@pytest.mark.parametrize("iset,spec", DET_CASES.values(), ids=DET_CASES)
+def test_minor_expansion_matches_permutation_sum(iset, spec):
+    tag = None if iset.kind == "plain" else "prime_skew"
+    z = parse_z_spec(spec, iset, tag)
+    kind = "plain" if iset.kind == "plain" else "twisted"
+    for M in (1, 2, 3):
+        ctx = PoissonContext(kind, iset, M)
+        got = {k: p.terms for k, p in det_poly(ctx, z).items()}
+        assert got == permutation_det_poly(ctx, z)
+
+
+def test_family_members_equal_bethe_poly():
+    iset = IndexSet.signed(3, "so")
+    ctx = PoissonContext("twisted", iset, 2)
+    z = parse_z_spec("diag:2", iset, "prime_skew")
+    family = bethe_family(ctx, z)
+    assert list(family) == [1, 2, 3]
+    for k, table in family.items():
+        assert table == bethe_poly(k, z, ctx)
+        assert len(table) == k * ctx.M + 1
+
+
+def test_gradient_matches_derivatives():
+    iset = IndexSet.signed(4, "sp")
+    ctx = PoissonContext("twisted", iset, 3)
+    z = parse_z_spec("diag:1,3", iset, "prime_skew")
+    rng = random.Random(5)
+    # an integral point and one with fractional values
+    points = [CurrentPoint.random(ctx, seed=4),
+              {v: Q(rng.randint(-9, 9), rng.randint(1, 4))
+               for v in ctx.variables()}]
+    # every grid coordinate, including eps-partners and forced zeros
+    coords = [(r, i, j) for r in (1, 2, 3) for i in iset.indices()
+              for j in iset.indices()]
+    for table in bethe_family(ctx, z).values():
+        for f in table:
+            for pt in points:
+                assert f.gradient(coords, pt) == \
+                    [f.derivative(v).evaluate(pt) for v in coords]
+
+
+rational = st.builds(Q, st.integers(-4, 4), st.integers(1, 5))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Random rational matrices; half of them are products A B through a
+    narrow inner dimension, so they are rank-deficient."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    sparse = st.one_of(st.just(Q(0)), rational)
+    if draw(st.booleans()):
+        return [[draw(sparse) for _ in range(cols)] for _ in range(rows)]
+    inner = draw(st.integers(0, 4))
+    a = [[draw(sparse) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(sparse) for _ in range(cols)] for _ in range(inner)]
+    return [[sum((a[i][t] * b[t][j] for t in range(inner)), Q(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_fraction_free_rank_matches_gauss_jordan(rows):
+    assert matrix_rank(rows) == gauss_jordan_rank(rows)

@@ -75,5 +75,15 @@ def test_orientation_string_is_reported():
     assert "outer=" in s and "inner=" in s
 
 
+def test_h3_orientation_does_not_depend_on_the_index_set():
+    # S_3 acts faithfully on V^{(x)3} once N >= 3, so the CLI may read the
+    # orientation off the smallest such space
+    ref = h_k_orientation(3, IndexSet.plain(3))
+    for iset in (IndexSet.plain(4), IndexSet.plain(5),
+                 IndexSet.signed(5, "so"), IndexSet.signed(6, "so"),
+                 IndexSet.signed(4, "sp")):
+        assert h_k_orientation(3, iset) == ref
+
+
 def test_antisymmetrizer_suite():
     _all_ok(verify_antisymmetrizers(IndexSet.plain(4)))
