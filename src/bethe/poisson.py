@@ -502,10 +502,15 @@ def det_poly(context: PoissonContext, z: ZMatrix) -> dict:
     return out
 
 
-def bethe_family(context: PoissonContext, z: ZMatrix) -> dict:
+def bethe_family(context: PoissonContext, z: ZMatrix, *,
+                 parity_guard: bool = True) -> dict:
     """The determinant family from one expansion: {k: [c^(0), ..., c^(kM)]}
     for k = 1..N, where c^(r) is the coefficient of u^{kM-r} v^{N-k}
-    divided by binomial(N,k)."""
+    divided by binomial(N,k).
+
+    In the twisted case c^(r) vanishes when N - k + r is odd; a nonzero one
+    raises, unless parity_guard is off for a caller that reports the
+    parity zeros itself (certify.verify_twisted_parity)."""
     full = det_poly(context, z)
     N = context.index_set.N
     M = context.M
@@ -520,7 +525,7 @@ def bethe_family(context: PoissonContext, z: ZMatrix) -> dict:
             if dv == N - k and not (0 <= k * M - du <= k * M):
                 raise AssertionError(
                     "unexpected degree in determinant expansion")
-        if context.kind == "twisted":
+        if parity_guard and context.kind == "twisted":
             for r, p in enumerate(out):
                 if (N - k + r) % 2 != 0 and not p.is_zero():
                     raise AssertionError(

@@ -316,6 +316,12 @@ class BiLaurent:
     def __rmul__(self, other):
         return self * other
 
+    def swap(self) -> "BiLaurent":
+        """The same expression with u and v exchanged."""
+        return BiLaurent(self.ring,
+                         {(b, a): c for (a, b), c in self.entries.items()},
+                         self.cap_v, self.cap_u)
+
     def is_zero(self) -> bool:
         return not self.entries
 

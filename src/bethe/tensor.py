@@ -11,15 +11,30 @@ and its one-sided prime transpose variant, antisymmetrizers (with the
 ordered-product construction certified against the permutation-sum
 definition), site embeddings, partial traces and per-site prime
 transposition.
+
+Every commuting family is a trace tr(H . X(u) . F(u)) of an
+algebra-valued block X(u) between rational factors: an antisymmetrizer H,
+normalized R-matrix factors and Z sites.  Since the trace is cyclic and
+rationals commute with every coefficient, this equals tr(h(u) X(u)) with
+h(u) = F(u) H multiplied out over Q.  `trace_against(h, x)` contracts
+sum_ab h_ab x_ba without forming the product h x, and `trace_series` is
+its series form.  When X acts as the identity on some sites, tracing
+those sites out of h first shrinks the block to the sites it lives on.
+When X is a product of site factors, the last one is moved onto the
+rational side, so the trace reads only the entries of the last product
+that it needs.  `series_to_bilaurent` lifts a one-site series to a
+bivariate object on several sites, for the matrix-form relation checks.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import permutations, product
 from math import factorial
+from operator import mul
 
 from .indices import IndexSet
 from .rationals import ONE, Q, binomial, is_rat
-from .series import INF_CAP, RATIONAL_RING, BiLaurent, Ring
+from .series import INF_CAP, RATIONAL_RING, BiLaurent, Ring, TruncatedSeries
 
 
 class TensorElement:
@@ -208,6 +223,67 @@ class TensorElement:
 def tensor_ring(sites: int, index_set: IndexSet, coeff_ring: Ring = RATIONAL_RING) -> Ring:
     return Ring(TensorElement.zero(sites, index_set, coeff_ring),
                 TensorElement.identity(sites, index_set, coeff_ring))
+
+
+# -- trace contraction ------------------------------------------------------------
+
+
+def trace_against(h: TensorElement, x: TensorElement):
+    """sum_ab x_ba h_ab, without forming a product of tensors.  For a
+    rational h this is tr(h x); when h = y g with g rational it is
+    tr(g x y), since every x_ba stays on the left of h_ab."""
+    h._compat(x)
+    acc = x.ring.zero
+    xs = x.entries
+    for (a, b), c in h.entries.items():
+        v = xs.get((b, a))
+        if v is not None:
+            acc = acc + v * c
+    return acc
+
+
+def trace_series(h, *factors: TruncatedSeries) -> TruncatedSeries:
+    """tr(h(u) x_1(u) ... x_m(u)) coefficientwise, for a rational tensor h
+    (constant in u) or a series h(u) of rational tensors, and tensor series
+    x_i(u) on the same sites.
+
+    The last factor is multiplied onto the rational side first,
+    g(u) = x_m(u) h(u), which takes scalar multiplications only; the
+    product x_1..x_{m-1} is then contracted against g, so of its last
+    product only the entries the trace reads are formed."""
+    *head, x = factors
+    if isinstance(h, TensorElement):
+        h = TruncatedSeries.constant(tensor_ring(h.sites, h.index_set), h,
+                                     x.trunc)
+    if head:
+        h = x * h
+        x = reduce(mul, head)
+    ring = x.ring.one.ring
+    D = min(h.trunc, x.trunc)
+    out = []
+    for s in range(D + 1):
+        acc = ring.zero
+        for r in range(s + 1):
+            hr = h.coeffs[s - r]
+            if hr.entries:
+                acc = acc + trace_against(hr, x.coeffs[r])
+        out.append(acc)
+    return TruncatedSeries(ring, out, D)
+
+
+def series_to_bilaurent(series: TruncatedSeries, site: int, var: str,
+                        sites: int) -> BiLaurent:
+    """A series of one-site tensors, placed on `site` of `sites` sites, as a
+    bivariate object in u (var "u") or v (var "v"), trusted to the
+    series' own truncation in that variable."""
+    D = series.trunc
+    ring = tensor_ring(sites, series.ring.one.index_set, series.ring.one.ring)
+    ent = {}
+    for r, c in enumerate(series.coeffs):
+        ent[(-r, 0) if var == "u" else (0, -r)] = c.embed((site,), sites)
+    return BiLaurent(ring, ent,
+                     D if var == "u" else INF_CAP,
+                     D if var == "v" else INF_CAP)
 
 
 # -- permutations and antisymmetrizers -----------------------------------------

@@ -15,20 +15,38 @@ generators, and the Sklyanin-determinant checks.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
+
 from .algebra import AlgebraElement, FreeRule, YangianRule, commutator
 from .indices import IndexSet, ZMatrix
 from .rationals import ONE, Q, ZERO, binomial
-from .series import (INF_CAP, RATIONAL_RING, BiLaurent, RationalFactor, Ring,
+from .series import (INF_CAP, RATIONAL_RING, BiLaurent, RationalFactor,
                      TruncatedSeries, algebra_ring)
 from .tensor import (TensorElement, antisymmetrizer, bilaurent_r, q_tensor,
-                     tensor_ring)
-from .yangian import (lift_tensor, quantum_determinant, t_site_series,
-                      z_site_tensor)
+                     series_to_bilaurent, tensor_ring, trace_series)
+from .yangian import (commutator_table, lift_tensor, quantum_determinant,
+                      t_site_series, z_product, z_site_tensor)
 
 
 class TwistedContext:
     """Bundles the signed index set with the two generator carriers and the
-    sign conventions (upper sign = orthogonal, lower = symplectic)."""
+    sign conventions (upper sign = orthogonal, lower = symplectic).
+
+    Besides the generator expansions it keeps two memos that one check asks
+    for more than once, both keyed by the truncation D and the carrier
+    (expanded or formal) so that calls at several orders never mix:
+
+    * `inverse_fused_s(k, D, expanded)`: the inverse series of the fused
+      block S(u,k), shared by the hat series and the prop-3.6 trace form;
+    * `s_pair(a, b, c, d, D, expanded)`: the bivariate product
+      S_ab(u) S_cd(v), which the reflection residuals over all index
+      tuples share (S_ab(v) S_cd(u) is the same product with u and v
+      exchanged).  Equal monomials and coefficients of the kept products
+      are stored once, which keeps the memo small.
+
+    The forward block fused_s is not kept: each check builds it once.
+    """
 
     def __init__(self, index_set: IndexSet):
         if index_set.kind != "signed":
@@ -40,6 +58,9 @@ class TwistedContext:
         self.upper = index_set.form == "so"
         self._expand_cache: dict = {}
         self._s_series: dict = {}
+        self._inverse_fused: dict = {}
+        self._s_pairs: dict = {}
+        self._s_pair_pool: dict = {}
 
     def s_gen(self, i: int, j: int, r: int) -> AlgebraElement:
         """The formal generator S_ij^(r) as a one-word element."""
@@ -82,6 +103,36 @@ class TwistedContext:
                 term = term * self.expand_gen(g)
             acc = acc + term * c
         return acc
+
+    # -- memos -----------------------------------------------------------------
+
+    def inverse_fused_s(self, k: int, D: int, expanded: bool) -> TruncatedSeries:
+        """fused_s(self, k, D, expanded).invert(), computed once per key."""
+        key = (k, D, expanded)
+        hit = self._inverse_fused.get(key)
+        if hit is None:
+            hit = self._inverse_fused[key] = \
+                fused_s(self, k, D, expanded=expanded).invert()
+        return hit
+
+    def s_pair(self, a: int, b: int, c: int, d: int, D: int,
+               expanded: bool) -> BiLaurent:
+        """The bivariate product S_ab(u) S_cd(v), computed once per key;
+        S_ab(v) S_cd(u) is its swap()."""
+        key = (a, b, c, d, D, expanded)
+        hit = self._s_pairs.get(key)
+        if hit is None:
+            hit = _s_bilaurent_entry(self, a, b, "u", D, expanded) \
+                * _s_bilaurent_entry(self, c, d, "v", D, expanded)
+            # The kept products repeat a few hundred monomials and a few
+            # dozen coefficients over thousands of terms; their fresh
+            # elements are rebuilt to share one object per value.
+            pool = self._s_pair_pool
+            for e in hit.entries.values():
+                e.terms = {pool.setdefault(m, m): pool.setdefault(v, v)
+                           for m, v in e.terms.items()}
+            self._s_pairs[key] = hit
+        return hit
 
 
 # -- symmetry relation ---------------------------------------------------------------
@@ -145,25 +196,28 @@ def reflection_residual(ctx: TwistedContext, i: int, j: int, k: int, l: int,
       - e_{i,-j}(S_{k,-i}(u)S_{-j,l}(v) - S_{k,-i}(v)S_{-j,l}(u)).
     """
     iset = ctx.index_set
-    rule = ctx.yang_rule if expanded else ctx.s_rule
-    ring = algebra_ring(rule)
 
-    def S(a, b, var):
-        return _s_bilaurent_entry(ctx, a, b, var, D, expanded)
+    def SS(a, b, var, c, d):
+        # S_ab(var) S_cd(the other variable)
+        pair = ctx.s_pair(a, b, c, d, D, expanded)
+        return pair if var == "u" else pair.swap()
 
-    def mono(eu, ev, c=ONE):
-        return BiLaurent(ring, {(eu, ev): ring.one * c}, INF_CAP, INF_CAP)
+    def poly(terms):
+        # a rational multiplier, {(deg u, deg v): coefficient}; scalars are
+        # central, so it acts from the right without being lifted
+        return BiLaurent(RATIONAL_RING, {e: Q(c) for e, c in terms.items()},
+                         INF_CAP, INF_CAP)
 
-    u2v2 = mono(2, 0) - mono(0, 2)
-    upv = mono(1, 0) + mono(0, 1)
-    umv = mono(1, 0) - mono(0, 1)
-    lhs = u2v2 * (S(i, j, "u") * S(k, l, "v") - S(k, l, "v") * S(i, j, "u"))
-    t1 = upv * (S(k, j, "u") * S(i, l, "v") - S(k, j, "v") * S(i, l, "u"))
-    t2 = umv * (S(i, -k, "u") * S(-j, l, "v") * iset.eps(k, -j)
-                - S(k, -i, "v") * S(-l, j, "u") * iset.eps(i, -l))
-    t3 = (S(k, -i, "u") * S(-j, l, "v")
-          - S(k, -i, "v") * S(-j, l, "u")) * iset.eps(i, -j)
-    return lhs - t1 + t2 - t3
+    u2v2 = poly({(2, 0): 1, (0, 2): -1})
+    upv = poly({(1, 0): 1, (0, 1): 1})
+    umv = poly({(1, 0): 1, (0, 1): -1})
+    # folded term by term, so only one term is alive besides the sum
+    res = (SS(i, j, "u", k, l) - SS(k, l, "v", i, j)) * u2v2
+    res = res - (SS(k, j, "u", i, l) - SS(k, j, "v", i, l)) * upv
+    res = res + (SS(i, -k, "u", -j, l) * iset.eps(k, -j)
+                 - SS(k, -i, "v", -l, j) * iset.eps(i, -l)) * umv
+    return res - (SS(k, -i, "u", -j, l)
+                  - SS(k, -i, "v", -j, l)) * iset.eps(i, -j)
 
 
 def verify_reflection(ctx: TwistedContext, D: int, total_order: int) -> list:
@@ -187,22 +241,10 @@ def verify_reflection_matrix_form(ctx: TwistedContext, D: int) -> list:
     """Matrix form R(u-v) S_1(u) R~(-u-v) S_2(v) = S_2(v) R~(-u-v) S_1(u)
     R(u-v), with expanded coefficients."""
     iset = ctx.index_set
-    rule = ctx.yang_rule
-    aring = algebra_ring(rule)
-    ring2 = tensor_ring(2, iset, aring)
-    s1_site = ctx.s_series_expanded(D)
-
-    def s_bil(site, var):
-        ent = {}
-        for r in range(D + 1):
-            c = s1_site.coeffs[r].embed((site,), 2)
-            ent[(-r, 0) if var == "u" else (0, -r)] = c
-        return BiLaurent(ring2, ent,
-                         D if var == "u" else INF_CAP,
-                         D if var == "v" else INF_CAP)
-
-    s1 = s_bil(1, "u")
-    s2 = s_bil(2, "v")
+    aring = algebra_ring(ctx.yang_rule)
+    s = ctx.s_series_expanded(D)
+    s1 = series_to_bilaurent(s, 1, "u", 2)
+    s2 = series_to_bilaurent(s, 2, "v", 2)
     r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset, aring)
     rt = bilaurent_r("twisted", (1, 2), -1, -1, 0, 2, iset, aring)
     res = r * s1 * rt * s2 - s2 * rt * s1 * r
@@ -218,23 +260,11 @@ def verify_mixed_rtt(ctx: TwistedContext, D: int) -> list:
     """T~_1(u) R~(u-v) T_2(v) = T_2(v) R~(u-v) T~_1(u)."""
     iset = ctx.index_set
     rule = ctx.yang_rule
-    aring = algebra_ring(rule)
-    ring2 = tensor_ring(2, iset, aring)
     t = t_site_series(rule, 1, 1, D)
     t_tilde = t.map_coeffs(lambda c: c.site_prime(1))
-
-    def bil(series, site, var):
-        ent = {}
-        for r in range(D + 1):
-            ent[(-r, 0) if var == "u" else (0, -r)] = \
-                series.coeffs[r].embed((site,), 2)
-        return BiLaurent(ring2, ent,
-                         D if var == "u" else INF_CAP,
-                         D if var == "v" else INF_CAP)
-
-    tt1 = bil(t_tilde, 1, "u")
-    t2 = bil(t, 2, "v")
-    rt = bilaurent_r("twisted", (1, 2), 1, -1, 0, 2, iset, aring)
+    tt1 = series_to_bilaurent(t_tilde, 1, "u", 2)
+    t2 = series_to_bilaurent(t, 2, "v", 2)
+    rt = bilaurent_r("twisted", (1, 2), 1, -1, 0, 2, iset, algebra_ring(rule))
     res = tt1 * rt * t2 - t2 * rt * tt1
     details = []
     for ru in range(res.cap_u + 1):
@@ -247,15 +277,14 @@ def verify_mixed_rtt(ctx: TwistedContext, D: int) -> list:
 # -- fused elements -----------------------------------------------------------------------
 
 
-def _g_factor(p: int, q: int, sites: int, iset: IndexSet, ring: Ring,
+def _g_factor(p: int, q: int, sites: int, iset: IndexSet,
               D: int) -> TruncatedSeries:
-    """R~_pq(p+q-2u)/(p+q-2u) = id - Q_pq / (p+q-2u), as an exact series."""
+    """R~_pq(p+q-2u)/(p+q-2u) = id - Q_pq / (p+q-2u), as an exact series of
+    rational tensors.  Blocks with algebra coefficients multiply it from
+    the left, so it is never lifted."""
     scalars = RationalFactor([1], [p + q, -2]).expand(D)
-    qpq = q_tensor(iset)
-    if ring is not RATIONAL_RING:
-        qpq = lift_tensor(qpq, ring)
-    qpq = qpq.embed((p, q), sites)
-    tring = tensor_ring(sites, iset, ring)
+    qpq = q_tensor(iset).embed((p, q), sites)
+    tring = tensor_ring(sites, iset)
     coeffs = [tring.one]
     for r in range(1, D + 1):
         coeffs.append(-qpq.scale_rat(scalars.coeffs[r]))
@@ -266,40 +295,44 @@ def _ordered(items, desc: bool):
     return list(reversed(items)) if desc else list(items)
 
 
-def fused_s(ctx: TwistedContext, k: int, D: int, expanded: bool = False,
-            orientation: tuple = ("asc", "asc"), sites: int | None = None) -> TruncatedSeries:
-    """S(u,k) with the omega(u) normalization folded into the R-matrix
-    factors, on `sites` tensor sites (default k), occupying sites 1..k."""
+def fused_s_factors(ctx: TwistedContext, k: int, D: int, expanded: bool = False,
+                    orientation: tuple = ("asc", "asc")) -> list:
+    """The ordered factors of S(u,k) on sites 1..k: for each site p, the
+    series S_p(u-p) followed by its normalized R-matrix factors."""
     iset = ctx.index_set
-    sites = sites or k
+    tring = tensor_ring(k, iset, algebra_ring(
+        ctx.yang_rule if expanded else ctx.s_rule))
     if expanded:
-        ring = algebra_ring(ctx.yang_rule)
-        site_series = lambda p: ctx.s_series_expanded(D)\
-            .map_coeffs(lambda c: c.embed((p,), sites),
-                        tensor_ring(sites, iset, ring))
+        def site_series(p):
+            return ctx.s_series_expanded(D)\
+                .map_coeffs(lambda c: c.embed((p,), k), tring)
     else:
-        ring = algebra_ring(ctx.s_rule)
         idx = iset.indices()
 
         def site_series(p):
-            tring = tensor_ring(sites, iset, ring)
             coeffs = [tring.one]
             for r in range(1, D + 1):
                 ent = {((i,), (j,)): ctx.s_gen(i, j, r) for i in idx for j in idx}
-                coeffs.append(TensorElement(1, iset, ring, ent).embed((p,), sites))
+                coeffs.append(TensorElement(1, iset, tring.one.ring, ent)
+                              .embed((p,), k))
             return TruncatedSeries(tring, coeffs, D)
 
     outer_desc = orientation[0] == "desc"
     inner_desc = orientation[1] == "desc"
-    acc = None
+    factors = []
     for p in _ordered(range(1, k + 1), outer_desc):
         block = site_series(p).substitute_affine(1, -p)
         for q in _ordered(range(p + 1, k + 1), inner_desc):
-            block = block * _g_factor(p, q, sites, iset, ring, D)
-        acc = block if acc is None else acc * block
-    if acc is None:
-        acc = TruncatedSeries.one(tensor_ring(sites, iset, ring), D)
-    return acc
+            block = block * _g_factor(p, q, k, iset, D)
+        factors.append(block)
+    return factors
+
+
+def fused_s(ctx: TwistedContext, k: int, D: int, expanded: bool = False,
+            orientation: tuple = ("asc", "asc")) -> TruncatedSeries:
+    """S(u,k) on sites 1..k, k >= 1, with the omega(u) normalization folded
+    into the R-matrix factors: the product of fused_s_factors."""
+    return reduce(mul, fused_s_factors(ctx, k, D, expanded, orientation))
 
 
 def fused_z(ctx: TwistedContext, z: ZMatrix, k: int, D: int,
@@ -316,7 +349,7 @@ def fused_z(ctx: TwistedContext, z: ZMatrix, k: int, D: int,
         block = TruncatedSeries.constant(
             tring, z_site_tensor(z, p, k, RATIONAL_RING), D)
         for q in _ordered(range(p + 1, k + 1), inner_desc):
-            block = block * _g_factor(p, q, k, iset, RATIONAL_RING, D)
+            block = block * _g_factor(p, q, k, iset, D)
         acc = block if acc is None else acc * block
     if acc is None:
         acc = TruncatedSeries.one(tring, D)
@@ -369,28 +402,29 @@ def twisted_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix, D: int,
                          expanded: bool = False) -> TruncatedSeries:
     """A_k(u): trace of H_N times the fused S block on sites 1..k, the
     connecting normalized R-matrix factors, and the fused Z block on sites
-    k+1..N shifted by N/2 - k."""
+    k+1..N shifted by N/2 - k.
+
+    The rational side h(u) = (R-factors . Z block)(u) H_N is multiplied
+    out first and sites k+1..N, where the S block is the identity, are
+    traced out of it; one contraction against the factors of S(u,k)
+    remains."""
     iset = ctx.index_set
     N = iset.N
     if not (1 <= k <= N):
         raise ValueError("k out of range")
-    s_part = fused_s(ctx, k, D, expanded=expanded, sites=N)
-    ring = s_part.ring.one.ring
-    acc = s_part
+    h = TruncatedSeries.one(tensor_ring(N, iset), D)
     for p in range(1, k + 1):
         for q in range(k + 1, N + 1):
-            acc = acc * _g_factor(p, q, N, iset, ring, D)
+            h = h * _g_factor(p, q, N, iset, D)
     if k < N:
+        rest = tuple(range(k + 1, N + 1))
         zloc = fused_z(ctx, z, N - k, D).substitute_affine(1, Q(N, 2) - k)
-        big_ring = tensor_ring(N, iset, ring)
-        zbig = zloc.map_coeffs(
-            lambda c: lift_tensor(c.embed(tuple(range(k + 1, N + 1)), N), ring),
-            big_ring)
-        acc = acc * zbig
-    hn = lift_tensor(antisymmetrizer(N, iset), ring)
-    acc = acc.scale(hn, side="left")
-    coeff_ring = Ring(ring.zero, ring.one)
-    return acc.map_coeffs(lambda c: c.partial_trace_all(), coeff_ring)
+        h = h * zloc.map_coeffs(lambda c: c.embed(rest, N), h.ring)
+    hn = antisymmetrizer(N, iset)
+    h = h.map_coeffs(lambda c: c * hn)
+    if k < N:
+        h = h.map_coeffs(lambda c: c.partial_trace(rest), tensor_ring(k, iset))
+    return trace_series(h, *fused_s_factors(ctx, k, D, expanded))
 
 
 def theta_series(ctx: TwistedContext, D: int) -> TruncatedSeries:
@@ -454,21 +488,10 @@ def verify_twisted_commutativity(ctx: TwistedContext, z: ZMatrix, budget: int,
         D = budget - 1
     N = ctx.index_set.N
     aring = algebra_ring(ctx.yang_rule)
-    series = {}
-    for k in range(1, N + 1):
-        series[k] = twisted_bethe_series(ctx, k, z, D)\
-            .map_coeffs(ctx.s_expand, aring)
-    details = []
-    for k in range(1, N + 1):
-        for l in range(k, N + 1):
-            for r in range(1, D + 1):
-                for s in range(1, D + 1):
-                    if r + s > budget or (k == l and s <= r):
-                        continue
-                    res = commutator(series[k].coeffs[r], series[l].coeffs[s])
-                    details.append(
-                        (f"[A_{k} coeff {r}, A_{l} coeff {s}]", res.is_zero()))
-    return details
+    series = {k: twisted_bethe_series(ctx, k, z, D).map_coeffs(ctx.s_expand,
+                                                              aring)
+              for k in range(1, N + 1)}
+    return commutator_table(series, "A", budget, D)
 
 
 # -- inverse-series generators -------------------------------------------------------------
@@ -476,21 +499,17 @@ def verify_twisted_commutativity(ctx: TwistedContext, z: ZMatrix, budget: int,
 
 def hat_twisted_series(ctx: TwistedContext, k: int, z: ZMatrix, D: int,
                        expanded: bool = True) -> TruncatedSeries:
-    """hat-A_k(u) = tr_k x id (H_k x 1 . hat-S(u,k) . Z(u+N/2, k) x 1)."""
+    """hat-A_k(u) = tr_k x id (H_k x 1 . hat-S(u,k) . Z(u+N/2, k) x 1),
+    contracted as tr(Z(u+N/2, k) H_k . hat-S(u,k))."""
     iset = ctx.index_set
     N = iset.N
     if k == 0:
         ring = algebra_ring(ctx.yang_rule if expanded else ctx.s_rule)
         return TruncatedSeries.one(ring, D)
-    s_hat = fused_s(ctx, k, D, expanded=expanded).invert()
-    ring = s_hat.ring.one.ring
-    zz = fused_z(ctx, z, k, D).substitute_affine(1, Q(N, 2))
-    big_ring = s_hat.ring
-    zlift = zz.map_coeffs(lambda c: lift_tensor(c, ring), big_ring)
-    acc = s_hat * zlift
-    hk = lift_tensor(antisymmetrizer(k, iset), ring)
-    acc = acc.scale(hk, side="left")
-    return acc.map_coeffs(lambda c: c.partial_trace_all(), Ring(ring.zero, ring.one))
+    hk = antisymmetrizer(k, iset)
+    h = fused_z(ctx, z, k, D).substitute_affine(1, Q(N, 2))\
+        .map_coeffs(lambda c: c * hk)
+    return trace_series(h, ctx.inverse_fused_s(k, D, expanded))
 
 
 def verify_twisted_hat_identity(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
@@ -501,7 +520,8 @@ def verify_twisted_hat_identity(ctx: TwistedContext, z: ZMatrix, D: int) -> list
     a_n = twisted_bethe_series(ctx, N, z, D).map_coeffs(ctx.s_expand, aring)
     details = []
     for k in range(1, N + 1):
-        a_k = twisted_bethe_series(ctx, k, z, D).map_coeffs(ctx.s_expand, aring)
+        a_k = a_n if k == N else \
+            twisted_bethe_series(ctx, k, z, D).map_coeffs(ctx.s_expand, aring)
         hat = hat_twisted_series(ctx, N - k, z, D).substitute_affine(1, -k)
         scalar = ONE / binomial(N, k)
         details.append((f"twisted hat identity k={k} (scalar {scalar})",
@@ -514,16 +534,9 @@ def resolve_prop36_scalar(ctx: TwistedContext, z: ZMatrix, k: int, D: int):
     tr_k x id (H_k x 1 . hat-S(u,k) . Z_1..Z_k x 1).  The scalar series
     relating them is the constant series 1; returns it together with
     whether the two series agree."""
-    iset = ctx.index_set
     full = hat_twisted_series(ctx, k, z, D)
-    s_hat = fused_s(ctx, k, D, expanded=True).invert()
-    ring = s_hat.ring.one.ring
-    zs = TensorElement.identity(k, iset, ring)
-    for p in range(1, k + 1):
-        zs = zs * z_site_tensor(z, p, k, ring)
-    hk = lift_tensor(antisymmetrizer(k, iset), ring)
-    simple = s_hat.scale(hk, side="left").scale(zs, side="right")\
-        .map_coeffs(lambda c: c.partial_trace_all(), Ring(ring.zero, ring.one))
+    h = z_product(z, range(1, k + 1), k) * antisymmetrizer(k, ctx.index_set)
+    simple = trace_series(h, ctx.inverse_fused_s(k, D, True))
     ok = all(simple.coeffs[r] == full.coeffs[r] for r in range(D + 1))
     return TruncatedSeries.one(RATIONAL_RING, D), ok
 

@@ -8,15 +8,17 @@ every check reduces to "the normal form of a residual is zero".
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import permutations
 from math import factorial
+from operator import mul
 
 from .algebra import YangianRule, commutator
 from .indices import ZMatrix
 from .rationals import ONE, Q, binomial
-from .series import INF_CAP, BiLaurent, Ring, TruncatedSeries, algebra_ring
+from .series import RATIONAL_RING, Ring, TruncatedSeries, algebra_ring
 from .tensor import (TensorElement, antisymmetrizer, bilaurent_r, perm_sign,
-                     tensor_ring)
+                     series_to_bilaurent, tensor_ring, trace_series)
 
 
 def lift_tensor(t: TensorElement, ring: Ring) -> TensorElement:
@@ -57,21 +59,15 @@ def t_site_series(rule: YangianRule, sites: int, pos: int, D: int,
     return s.map_coeffs(lambda c: c.embed((pos,), sites), big_ring)
 
 
-def t_product_series(rule: YangianRule, sites: int, k: int, D: int,
-                     hat: bool = False, descending: bool = False) -> TruncatedSeries:
-    """Ordered product of the site factors T_p(u-p), p = 1..k (or the hat
-    factors, optionally in descending site order)."""
+def t_factors(rule: YangianRule, sites: int, k: int, D: int,
+              hat: bool = False, descending: bool = False) -> list:
+    """The site factors T_p(u-p), p = 1..k (or the hat factors, optionally
+    in descending site order)."""
     ps = list(range(1, k + 1))
     if descending:
         ps.reverse()
-    acc = None
-    for p in ps:
-        f = t_site_series(rule, sites, p, D, hat=hat).substitute_affine(1, -p)
-        acc = f if acc is None else acc * f
-    if acc is None:
-        acc = TruncatedSeries.one(
-            tensor_ring(sites, rule.index_set, algebra_ring(rule)), D)
-    return acc
+    return [t_site_series(rule, sites, p, D, hat=hat).substitute_affine(1, -p)
+            for p in ps]
 
 
 def z_site_tensor(z: ZMatrix, pos: int, sites: int, ring: Ring) -> TensorElement:
@@ -79,6 +75,14 @@ def z_site_tensor(z: ZMatrix, pos: int, sites: int, ring: Ring) -> TensorElement
                              {((i,), (j,)): ring.one * v
                               for (i, j), v in z.entries.items()})
     return one_site.embed((pos,), sites)
+
+
+def z_product(z: ZMatrix, positions, sites: int) -> TensorElement:
+    """The rational product of Z on the given sites, in ascending order."""
+    acc = TensorElement.identity(sites, z.index_set)
+    for p in positions:
+        acc = acc * z_site_tensor(z, p, sites, RATIONAL_RING)
+    return acc
 
 
 # -- Bethe series ----------------------------------------------------------------
@@ -130,17 +134,15 @@ def bethe_series_perm(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Truncate
 
 
 def bethe_series_tensor(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
+    """tr(H_N . T_1(u-1)..T_k(u-k) . Z_{k+1}..Z_N) as one contraction: the
+    T block acts on sites 1..k only, so sites k+1..N are traced out of the
+    rational side Z_{k+1}..Z_N H_N first."""
     iset = rule.index_set
     N = iset.N
-    aring = algebra_ring(rule)
-    big_ring = tensor_ring(N, iset, aring)
-    hn = lift_tensor(antisymmetrizer(N, iset), aring)
-    prod_series = t_product_series(rule, N, k, D)
-    zs = TensorElement.identity(N, iset, aring)
-    for p in range(k + 1, N + 1):
-        zs = zs * z_site_tensor(z, p, N, aring)
-    x = prod_series.scale(hn, side="left").scale(zs, side="right")
-    return x.map_coeffs(lambda c: c.partial_trace_all(), aring)
+    h = z_product(z, range(k + 1, N + 1), N) * antisymmetrizer(N, iset)
+    if k < N:
+        h = h.partial_trace(range(k + 1, N + 1))
+    return trace_series(h, *t_factors(rule, k, k, D))
 
 
 def quantum_determinant(rule: YangianRule, D: int) -> TruncatedSeries:
@@ -162,16 +164,11 @@ def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Truncated
     """The inverse-series generators: trace of H_k times the descending
     product of inverse factors times Z_1..Z_k."""
     iset = rule.index_set
-    aring = algebra_ring(rule)
     if k == 0:
-        return TruncatedSeries.one(aring, D)
-    hk = lift_tensor(antisymmetrizer(k, iset), aring)
-    prod_series = t_product_series(rule, k, k, D, hat=True, descending=True)
-    zs = TensorElement.identity(k, iset, aring)
-    for p in range(1, k + 1):
-        zs = zs * z_site_tensor(z, p, k, aring)
-    x = prod_series.scale(hk, side="left").scale(zs, side="right")
-    return x.map_coeffs(lambda c: c.partial_trace_all(), aring)
+        return TruncatedSeries.one(algebra_ring(rule), D)
+    h = z_product(z, range(1, k + 1), k) * antisymmetrizer(k, iset)
+    return trace_series(h, *t_factors(rule, k, k, D, hat=True,
+                                      descending=True))
 
 
 # -- verification suites -----------------------------------------------------------
@@ -180,28 +177,10 @@ def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Truncated
 def verify_rtt(rule: YangianRule, D: int) -> list:
     """Residuals of R(u-v) T_1(u) T_2(v) - T_2(v) T_1(u) R(u-v)."""
     iset = rule.index_set
-    aring = algebra_ring(rule)
-    ring2 = tensor_ring(2, iset, aring)
-    idx = iset.indices()
-
-    def t_bil(site, var):
-        ent = {}
-        for r in range(0, D + 1):
-            if r == 0:
-                c = TensorElement.identity(2, iset, aring)
-            else:
-                c = TensorElement(1, iset, aring,
-                                  {((i,), (j,)): rule.element(i, j, r)
-                                   for i in idx for j in idx}).embed((site,), 2)
-            key = (-r, 0) if var == "u" else (0, -r)
-            ent[key] = c
-        cap_u = D if var == "u" else INF_CAP
-        cap_v = D if var == "v" else INF_CAP
-        return BiLaurent(ring2, ent, cap_u, cap_v)
-
-    t1 = t_bil(1, "u")
-    t2 = t_bil(2, "v")
-    r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset, aring)
+    t = t_site_series(rule, 1, 1, D)
+    t1 = series_to_bilaurent(t, 1, "u", 2)
+    t2 = series_to_bilaurent(t, 2, "v", 2)
+    r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset, algebra_ring(rule))
     res = r * t1 * t2 - t2 * t1 * r
     details = []
     bad = {k for k in res.entries}
@@ -218,8 +197,8 @@ def verify_fusion(rule: YangianRule, k: int, D: int) -> list:
     iset = rule.index_set
     aring = algebra_ring(rule)
     hk = lift_tensor(antisymmetrizer(k, iset), aring)
-    fwd = t_product_series(rule, k, k, D)
-    bwd = t_product_series(rule, k, k, D, descending=True)
+    fwd = reduce(mul, t_factors(rule, k, k, D))
+    bwd = reduce(mul, t_factors(rule, k, k, D, descending=True))
     lhs = fwd.scale(hk, side="left")
     rhs = bwd.scale(hk, side="right")
     details = []
@@ -248,12 +227,11 @@ def verify_centrality(rule: YangianRule, D: int, max_level: int) -> list:
     return details
 
 
-def verify_bethe_commutativity(z: ZMatrix, rule: YangianRule, budget: int,
-                               D: int | None = None) -> list:
-    if D is None:
-        D = budget - 1
-    N = rule.index_set.N
-    series = {k: bethe_series(k, z, rule, D) for k in range(1, N + 1)}
+def commutator_table(series: dict, letter: str, budget: int, D: int) -> list:
+    """Rows [X_k coeff r, X_l coeff s] = 0 for the family
+    {k: X_k(u), k = 1..N}, k <= l, orders 1..D with r + s <= budget (r < s
+    when k = l); X is the row letter."""
+    N = len(series)
     details = []
     for k in range(1, N + 1):
         for l in range(k, N + 1):
@@ -263,8 +241,18 @@ def verify_bethe_commutativity(z: ZMatrix, rule: YangianRule, budget: int,
                         continue
                     res = commutator(series[k].coeffs[r], series[l].coeffs[s])
                     details.append(
-                        (f"[B_{k} coeff {r}, B_{l} coeff {s}]", res.is_zero()))
+                        (f"[{letter}_{k} coeff {r}, {letter}_{l} coeff {s}]",
+                         res.is_zero()))
     return details
+
+
+def verify_bethe_commutativity(z: ZMatrix, rule: YangianRule, budget: int,
+                               D: int | None = None) -> list:
+    if D is None:
+        D = budget - 1
+    N = rule.index_set.N
+    series = {k: bethe_series(k, z, rule, D) for k in range(1, N + 1)}
+    return commutator_table(series, "B", budget, D)
 
 
 def verify_hat_identity(z: ZMatrix, rule: YangianRule, D: int) -> list:

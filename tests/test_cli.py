@@ -133,8 +133,8 @@ def test_jacobian_fails_without_last_family_polynomial(monkeypatch, algebra):
     assert main(args) == 0
     real = cli.bethe_family
 
-    def short_family(context, z):
-        family = real(context, z)
+    def short_family(context, z, **kwargs):
+        family = real(context, z, **kwargs)
         family[max(family)] = family[max(family)][:-1]
         return family
 
@@ -176,4 +176,66 @@ def test_poisson_jacobi_fails_for_a_symmetric_bracket(monkeypatch):
         return -br if a > b else br
 
     monkeypatch.setattr(PoissonContext, "gen_bracket", sign_flipped)
+    assert main(args) == 1
+
+
+def test_jacobian_reports_a_parity_violation(monkeypatch, tmp_path):
+    import bethe.poisson as poisson
+
+    args = ["verify", "jacobian", "--kind", "sp", "--n", "1", "--M", "1"]
+    assert main(args) == 0
+    real = poisson.det_poly
+
+    def odd_coefficient(context, z):
+        # sp2, M=1: c^(0) of the k=1 member (u^1 v^1) must vanish
+        full = real(context, z)
+        full[(1, 1)] = poisson.PoissonPoly.constant(context, 1)
+        return full
+
+    monkeypatch.setattr(poisson, "det_poly", odd_coefficient)
+    assert main(args) == 1
+    rows = json.loads((tmp_path / "jacobian.json").read_text())["details"]
+    assert {"item": "parity zeros k=1", "residual_zero": False} in rows
+    # the other callers keep the guard
+    assert main(["compute", "poisson-bethe", "--kind", "sp", "--n", "1",
+                 "--M", "1"]) == 3
+
+
+# -- planted defects in the twisted paths --------------------------------------
+
+
+def _double_s11_level2(monkeypatch):
+    """Expand S_{1,1}^(2) to twice its value.  Patched on the class before
+    any context exists, since contexts memoize what they derive from it."""
+    from bethe import twisted
+
+    real = twisted.TwistedContext.expand_gen
+
+    def doubled(self, g):
+        out = real(self, g)
+        return out * 2 if g == (2, 1, 1) else out
+
+    monkeypatch.setattr(twisted.TwistedContext, "expand_gen", doubled)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "twisted-reflection", "--kind", "sp", "--n", "1", "--D", "3"],
+    ["verify", "sklyanin", "--kind", "so", "--n", "1", "--odd", "--D", "2"],
+    ["verify", "twisted-commute", "--kind", "so", "--n", "1", "--odd",
+     "--budget", "4"],
+])
+def test_twisted_checks_fail_for_a_wrong_expansion(monkeypatch, args):
+    assert main(args) == 0
+    _double_s11_level2(monkeypatch)
+    assert main(args) == 1
+
+
+def test_sklyanin_fails_without_theta(monkeypatch):
+    from bethe import twisted
+    from bethe.series import RATIONAL_RING, TruncatedSeries
+
+    args = ["verify", "sklyanin", "--kind", "sp", "--n", "1", "--D", "2"]
+    assert main(args) == 0
+    monkeypatch.setattr(twisted, "theta_series",
+                        lambda ctx, D: TruncatedSeries.one(RATIONAL_RING, D))
     assert main(args) == 1

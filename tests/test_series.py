@@ -71,3 +71,15 @@ def test_bilaurent_window_semantics():
     assert prod.cap_u == 1
     assert prod.entries == {(-1, 0): ONE}
     assert (x - x).is_zero()
+
+
+def test_bilaurent_swap_exchanges_the_variables():
+    from bethe.series import INF_CAP
+
+    x = BiLaurent(RATIONAL_RING, {(-1, 0): ONE, (0, 2): Q(3), (-2, -1): Q(5)},
+                  1, INF_CAP)
+    y = x.swap()
+    # (-2, -1) lies outside x's window; the swapped window is (INF, 1)
+    assert y.entries == {(0, -1): ONE, (2, 0): Q(3)}
+    assert (y.cap_u, y.cap_v) == (INF_CAP, 1)
+    assert y.swap().entries == x.entries

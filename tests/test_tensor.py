@@ -1,12 +1,19 @@
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bethe.algebra import YangianRule
 from bethe.indices import IndexSet
 from bethe.rationals import Q, binomial
+from bethe.series import RATIONAL_RING, TruncatedSeries, algebra_ring
 from bethe.tensor import (TensorElement, antisymmetrizer,
                           antisymmetrizer_oracle, flip, h_k_orientation,
-                          perm_operator, perm_sign, q_tensor,
+                          perm_operator, perm_sign, q_tensor, tensor_ring,
+                          trace_against, trace_series,
                           verify_antisymmetrizers, verify_mixed_yang_baxter,
                           verify_r_identities, verify_yang_baxter, yang_r)
+from bethe.yangian import lift_tensor
 
 
 def _all_ok(rows):
@@ -87,3 +94,85 @@ def test_h3_orientation_does_not_depend_on_the_index_set():
 
 def test_antisymmetrizer_suite():
     _all_ok(verify_antisymmetrizers(IndexSet.plain(4)))
+
+
+# -- trace contraction -----------------------------------------------------------
+
+PLAIN2 = IndexSet.plain(2)
+YANG2 = YangianRule(PLAIN2)
+rational = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _keys(sites):
+    multi = list(product(PLAIN2.indices(), repeat=sites))
+    return [(r, c) for r in multi for c in multi]
+
+
+@st.composite
+def rational_tensor(draw, sites):
+    ent = draw(st.dictionaries(st.sampled_from(_keys(sites)), rational,
+                               max_size=6))
+    return TensorElement(sites, PLAIN2, RATIONAL_RING, ent)
+
+
+@st.composite
+def algebra_tensor(draw, sites):
+    def element():
+        terms = draw(st.lists(st.tuples(
+            rational, st.sampled_from(PLAIN2.indices()),
+            st.sampled_from(PLAIN2.indices()), st.integers(1, 2)),
+            max_size=2))
+        acc = YANG2.zero() + draw(rational)
+        for c, i, j, r in terms:
+            acc = acc + YANG2.element(i, j, r) * c
+        return acc
+    keys = draw(st.lists(st.sampled_from(_keys(sites)), max_size=5,
+                         unique=True))
+    return TensorElement(sites, PLAIN2, algebra_ring(YANG2),
+                         {k: element() for k in keys})
+
+
+def _series(draw, tensors, sites, ring, D):
+    return TruncatedSeries(tensor_ring(sites, PLAIN2, ring),
+                           [draw(tensors(sites)) for _ in range(D + 1)], D)
+
+
+def _old_trace(hk, factors, f):
+    """The construction the contraction replaced: tr(H . X(u) . F(u)) from
+    the full algebra-valued products, X the product of the factors."""
+    x = factors[0]
+    for y in factors[1:]:
+        x = x * y
+    ring = x.ring.one.ring
+    lifted_f = f.map_coeffs(lambda c: lift_tensor(c, ring), x.ring)
+    return (x * lifted_f).scale(lift_tensor(hk, ring), side="left")\
+        .map_coeffs(lambda c: c.partial_trace_all(), ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), sites=st.integers(1, 2), D=st.integers(0, 2),
+       m=st.integers(1, 3), algebra=st.booleans())
+def test_trace_series_matches_the_full_product(data, sites, D, m, algebra):
+    draw = data.draw
+    tensors = algebra_tensor if algebra else rational_tensor
+    ring = algebra_ring(YANG2) if algebra else RATIONAL_RING
+    factors = [_series(draw, tensors, sites, ring, D) for _ in range(m)]
+    f = _series(draw, rational_tensor, sites, RATIONAL_RING, D)
+    hk = draw(rational_tensor(sites))
+    got = trace_series(f.map_coeffs(lambda c: c * hk), *factors)
+    assert got == _old_trace(hk, factors, f)
+    # a constant rational side takes the tensor form
+    const = TruncatedSeries.constant(f.ring, f.coeffs[0], D)
+    assert trace_series(f.coeffs[0] * hk, *factors) == \
+        _old_trace(hk, factors, const)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), algebra=st.booleans())
+def test_identity_sites_trace_out_of_the_rational_side(data, algebra):
+    # x = x' (x) 1 on site 2: tr(h x) = tr(tr_2(h) x')
+    draw = data.draw
+    h = draw(rational_tensor(2))
+    x1 = draw(algebra_tensor(1) if algebra else rational_tensor(1))
+    assert trace_against(h.partial_trace([2]), x1) == \
+        trace_against(h, x1.embed((1,), 2))

@@ -3,8 +3,8 @@ import pytest
 from bethe import twisted
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import ONE, Q
-from bethe.twisted import (TwistedContext, hat_twisted_series,
-                           resolve_prop36_scalar, resolve_z_rmatrix_scalar,
+from bethe.twisted import (TwistedContext, fused_s, hat_twisted_series,
+                           reflection_residual, resolve_prop36_scalar, resolve_z_rmatrix_scalar,
                            theta_series, twisted_bethe_series,
                            verify_fused_determinant, verify_fused_membership,
                            verify_fused_z_membership, verify_mixed_rtt,
@@ -124,3 +124,40 @@ def test_twisted_constant_terms():
     assert a2.coeffs[0] == SP2.s_rule.one()
     h0 = hat_twisted_series(SP2, 0, Z_SP, 1)
     assert h0.coeffs[0] == SP2.yang_rule.one()
+
+
+# -- memos on the context --------------------------------------------------------
+
+
+@pytest.mark.parametrize("iset", [IndexSet.signed(2, "sp"),
+                                  IndexSet.signed(3, "so")])
+def test_inverse_fused_memo_equals_a_fresh_inverse(iset):
+    ctx = TwistedContext(iset)
+    for D in (1, 2):
+        for expanded in (True, False):
+            for k in range(1, iset.N + 1):
+                inv = ctx.inverse_fused_s(k, D, expanded)
+                fresh = fused_s(ctx, k, D, expanded=expanded).invert()
+                assert inv.trunc == D and inv == fresh
+                assert ctx.inverse_fused_s(k, D, expanded) is inv
+
+
+def _same_bilaurent(a, b):
+    # the two contexts own distinct rule objects, so compare the terms
+    return ({k: v.terms for k, v in a.entries.items()}
+            == {k: v.terms for k, v in b.entries.items()}
+            and (a.cap_u, a.cap_v) == (b.cap_u, b.cap_v))
+
+
+def test_reflection_residual_on_a_reused_context():
+    # the pair memo must key on D and on the carrier: a reused context
+    # gives what a fresh one gives at every order and carrier
+    iset = IndexSet.signed(2, "sp")
+    reused = TwistedContext(iset)
+    for expanded in (True, False):
+        for D in (2, 3):
+            for ijkl in [(1, -1, 1, 1), (-1, 1, 1, -1)]:
+                got = reflection_residual(reused, *ijkl, D, expanded=expanded)
+                want = reflection_residual(TwistedContext(iset), *ijkl, D,
+                                           expanded=expanded)
+                assert _same_bilaurent(got, want)
