@@ -64,7 +64,7 @@ def pi_bethe_images(index_set: IndexSet, z: ZMatrix, D: int) -> list:
     gl = GlRule(index_set)
     out = []
     for k in range(1, index_set.N + 1):
-        b = bethe_series(k, z, rule, D, cross_check=False)
+        b = bethe_series(k, z, rule, D)
         for r in range(1, D + 1):
             out.append(pi_apply(b.coeffs[r], gl))
     return out
@@ -76,7 +76,7 @@ def rho_bethe_images(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
     gl = GlRule(ctx.index_set)
     out = []
     for k in range(1, ctx.index_set.N + 1):
-        a = twisted_bethe_series(ctx, k, z, D, expanded=False)
+        a = twisted_bethe_series(ctx, k, z, D)
         for r in range(1, D + 1):
             out.append(rho_apply(a.coeffs[r], gl))
     return out
@@ -142,11 +142,11 @@ def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix, M: int,
     if index_set.kind == "plain":
         context = PoissonContext("plain", index_set, M)
         rule = YangianRule(index_set)
-        mk = lambda k: bethe_series(k, z, rule, D, cross_check=False)
+        mk = lambda k: bethe_series(k, z, rule, D)
     else:
         context = PoissonContext("twisted", index_set, M)
         ctx = TwistedContext(index_set)
-        mk = lambda k: twisted_bethe_series(ctx, k, z, D, expanded=False)
+        mk = lambda k: twisted_bethe_series(ctx, k, z, D)
     zero = PoissonPoly.constant(context, 0)
     family = bethe_family(context, z)
     for k in range(1, N + 1):

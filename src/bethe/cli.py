@@ -246,7 +246,7 @@ def run_compute(cfg: RunConfig, name: str) -> dict:
         ctx = cfg.twisted_ctx()
         rows = []
         for k in ks:
-            a = twisted_bethe_series(ctx, k, cfg.z, D, expanded=False)
+            a = twisted_bethe_series(ctx, k, cfg.z, D)
             rows.append((k, [serialize_element(c) for c in a.coeffs]))
         return series_table(config, rows)
 

@@ -608,11 +608,10 @@ class Slice:
     """Affine slice: base point plus the span of the listed free
     coordinates; every other coordinate is frozen at the base value."""
 
-    __slots__ = ("kind", "context", "base", "free")
+    __slots__ = ("context", "base", "free")
 
-    def __init__(self, kind: str, context: PoissonContext,
-                 base: CurrentPoint, free: tuple):
-        self.kind = kind
+    def __init__(self, context: PoissonContext, base: CurrentPoint,
+                 free: tuple):
         self.context = context
         self.base = base
         self.free = free
@@ -626,19 +625,14 @@ class Slice:
 def upper_slice(context: PoissonContext, variant: str = "section4") -> Slice:
     """The Borel-directed slice through the top-level nilpotent: free
     coordinates are the upper-triangular ones at every level."""
-    if variant == "lemma45":
-        kind = "s2n"
-    elif context.kind == "twisted":
-        if context.M % 2 != required_parity(context.index_set):
-            raise ValueError("truncation level parity incompatible with "
-                             "the base nilpotent")
-        kind = "s"
-    else:
-        kind = "t"
+    if (variant != "lemma45" and context.kind == "twisted"
+            and context.M % 2 != required_parity(context.index_set)):
+        raise ValueError("truncation level parity incompatible with "
+                         "the base nilpotent")
     E = principal_nilpotent(context.index_set, variant)
     base = CurrentPoint.from_level_matrix(context, context.M, E)
     free = tuple(v for v in context.variables() if v[1] <= v[2])
-    return Slice(kind, context, base, free)
+    return Slice(context, base, free)
 
 
 def restrict_to_slice(p: PoissonPoly, s: Slice) -> PoissonPoly:

@@ -25,10 +25,6 @@ def is_rat(x) -> bool:
     return isinstance(x, _FRACTION_TYPES)
 
 
-def rat(p, q=1):
-    return Q(p, q)
-
-
 def binomial(n: int, k: int):
     if k < 0 or k > n:
         return ZERO

@@ -70,11 +70,6 @@ class TruncatedSeries:
 
     # -- basics --------------------------------------------------------------
 
-    def truncate(self, D: int) -> "TruncatedSeries":
-        if D > self.trunc:
-            raise ValueError("cannot extend accuracy by truncation")
-        return TruncatedSeries(self.ring, self.coeffs[: D + 1], D)
-
     def map_coeffs(self, f, ring: Ring | None = None) -> "TruncatedSeries":
         return TruncatedSeries(ring or self.ring,
                                [f(c) for c in self.coeffs], self.trunc)
@@ -197,19 +192,6 @@ class RationalFactor:
         self.num = tuple(num)
         self.den = tuple(den)
 
-    @staticmethod
-    def one() -> "RationalFactor":
-        return RationalFactor([1], [1])
-
-    @staticmethod
-    def linear_inverse(c0, c1) -> "RationalFactor":
-        """1/(c0 + c1*u)."""
-        return RationalFactor([1], [c0, c1])
-
-    def __mul__(self, other: "RationalFactor") -> "RationalFactor":
-        return RationalFactor(_poly_mul(self.num, other.num),
-                              _poly_mul(self.den, other.den))
-
     def expand(self, D: int) -> TruncatedSeries:
         """Exact Taylor expansion at u = infinity to order D."""
         e = len(self.den) - 1
@@ -229,14 +211,6 @@ class RationalFactor:
                 acc = acc - q[r] * t[s - r]
             t.append(acc / q[0])
         return TruncatedSeries(RATIONAL_RING, t, D)
-
-
-def _poly_mul(a, b):
-    out = [ZERO] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 INF_CAP = 10 ** 9  # "exact" accuracy for polynomial data

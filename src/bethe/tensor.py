@@ -6,11 +6,15 @@ rationals, algebra elements, formal S-words), and the tensor spaces
 themselves are wrapped as Rings so that TruncatedSeries and BiLaurent can
 carry tensor coefficients.
 
-Provides matrix units, permutation operators, the R-matrices R(u) = u - P
-and its one-sided prime transpose variant, antisymmetrizers (with the
+Provides permutation operators, antisymmetrizers (with the
 ordered-product construction certified against the permutation-sum
 definition), site embeddings, partial traces and per-site prime
-transposition.
+transposition.  The R-matrices R(u) = u - P and its twisted companion
+R~(u) = u - Q, Q the one-sided prime transpose of P, have one form:
+`bilaurent_r` gives R_pq at any affine argument in (u, v) as an exact
+BiLaurent over the tensor ring, and every R-matrix identity (unitarity,
+Yang-Baxter, the mixed exchanges, RTT and reflection) is a product of
+such objects.
 
 Every commuting family is a trace tr(H . X(u) . F(u)) of an
 algebra-valued block X(u) between rational factors: an antisymmetrizer H,
@@ -33,7 +37,7 @@ from math import factorial
 from operator import mul
 
 from .indices import IndexSet
-from .rationals import ONE, Q, binomial, is_rat
+from .rationals import Q, binomial, is_rat
 from .series import INF_CAP, RATIONAL_RING, BiLaurent, Ring, TruncatedSeries
 
 
@@ -57,17 +61,6 @@ class TensorElement:
         idx = index_set.indices()
         ent = {(c, c): ring.one for c in product(idx, repeat=sites)}
         return TensorElement(sites, index_set, ring, ent)
-
-    @staticmethod
-    def unit(i, j, index_set, ring=RATIONAL_RING) -> "TensorElement":
-        """Single-site matrix unit E_ij."""
-        index_set.check(i)
-        index_set.check(j)
-        return TensorElement(1, index_set, ring, {((i,), (j,)): ring.one})
-
-    @staticmethod
-    def scalar(value, sites, index_set, ring=RATIONAL_RING) -> "TensorElement":
-        return TensorElement.identity(sites, index_set, ring).scale_rat(value)
 
     # -- basics ----------------------------------------------------------------
 
@@ -382,90 +375,6 @@ def h_k_orientation(k: int, index_set: IndexSet) -> str:
 # -- R-matrices as exact Laurent objects ----------------------------------------
 
 
-def yang_r(index_set: IndexSet) -> "UPolyTensor":
-    """R(u) = u*id - P on two sites."""
-    return UPolyTensor({1: TensorElement.identity(2, index_set),
-                        0: -flip(index_set)}, index_set)
-
-
-def r_tilde(index_set: IndexSet) -> "UPolyTensor":
-    """The twisted companion u*id - Q, Q the one-sided prime transpose of P."""
-    if index_set.kind != "signed":
-        raise ValueError("the twisted R-matrix needs a signed index set")
-    return UPolyTensor({1: TensorElement.identity(2, index_set),
-                        0: -q_tensor(index_set)}, index_set)
-
-
-class UPolyTensor:
-    """Polynomial in u with TensorElement coefficients (exact)."""
-
-    __slots__ = ("coeffs", "index_set")
-
-    def __init__(self, coeffs: dict, index_set: IndexSet):
-        self.coeffs = {d: c for d, c in coeffs.items() if not c.is_zero()}
-        self.index_set = index_set
-
-    def sites(self) -> int:
-        for c in self.coeffs.values():
-            return c.sites
-        return 0
-
-    def __add__(self, other):
-        acc = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            acc[d] = acc.get(d, TensorElement.zero(c.sites, self.index_set, c.ring)) + c
-        return UPolyTensor(acc, self.index_set)
-
-    def __neg__(self):
-        return UPolyTensor({d: -c for d, c in self.coeffs.items()}, self.index_set)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, UPolyTensor):
-            return UPolyTensor({d: c.scale_rat(other)
-                                for d, c in self.coeffs.items()}, self.index_set)
-        acc: dict = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                v = c1 * c2
-                acc[d] = acc[d] + v if d in acc else v
-        return UPolyTensor(acc, self.index_set)
-
-    def substitute(self, a, b) -> "UPolyTensor":
-        """u -> a*u + b, exact polynomial substitution."""
-        a = Q(a)
-        b = Q(b)
-        acc: dict = {}
-        for d, c in self.coeffs.items():
-            for m in range(d + 1):
-                w = binomial(d, m) * a ** m * b ** (d - m)
-                t = c.scale_rat(w)
-                acc[m] = acc[m] + t if m in acc else t
-        return UPolyTensor(acc, self.index_set)
-
-    def embed(self, positions, n: int) -> "UPolyTensor":
-        return UPolyTensor({d: c.embed(positions, n)
-                            for d, c in self.coeffs.items()}, self.index_set)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, UPolyTensor):
-            return NotImplemented
-        return (self - other).is_zero()
-
-
-def upoly_scalar(coeffs: dict, sites: int, index_set: IndexSet) -> UPolyTensor:
-    """Scalar polynomial (rational coefficients) times the identity tensor."""
-    return UPolyTensor(
-        {d: TensorElement.scalar(c, sites, index_set) for d, c in coeffs.items()},
-        index_set)
-
-
 def bilaurent_r(kind: str, pq: tuple, coef_u: int, coef_v: int, const,
                 sites: int, index_set: IndexSet, ring: Ring) -> BiLaurent:
     """R_pq or its twisted companion at argument coef_u*u + coef_v*v + const,
@@ -491,18 +400,26 @@ def bilaurent_r(kind: str, pq: tuple, coef_u: int, coef_v: int, const,
 def verify_r_identities(index_set: IndexSet) -> list:
     """R(u) R(-u) = (1 - u^2) id, and for signed sets additionally the
     twisted companion R~(u) R~(N - u) = (N u - u^2) id."""
-    details = []
-    r = yang_r(index_set)
-    target = upoly_scalar({0: ONE, 2: -ONE}, 2, index_set)
-    details.append((f"R(u)R(-u) = (1-u^2) id, N={index_set.N}",
-                    r * r.substitute(-1, 0) == target))
+    N = index_set.N
+
+    def R(kind, coef_u, const):
+        return bilaurent_r(kind, (1, 2), coef_u, 0, const, 2, index_set,
+                           RATIONAL_RING)
+
+    def scalar(coeffs):
+        # sum_d c_d u^d times the identity on two sites
+        ident = TensorElement.identity(2, index_set)
+        return BiLaurent(tensor_ring(2, index_set),
+                         {(d, 0): ident.scale_rat(c) for d, c in coeffs.items()},
+                         INF_CAP, INF_CAP)
+
+    details = [(f"R(u)R(-u) = (1-u^2) id, N={N}",
+                R("plain", 1, 0) * R("plain", -1, 0) == scalar({0: 1, 2: -1}))]
     if index_set.kind == "signed":
-        rt = r_tilde(index_set)
-        n = Q(index_set.N)
-        t2 = upoly_scalar({1: n, 2: -ONE}, 2, index_set)
         details.append(
-            (f"R~(u)R~(N-u) = (Nu-u^2) id, {index_set.form}_{index_set.N}",
-             rt * rt.substitute(-1, index_set.N) == t2))
+            (f"R~(u)R~(N-u) = (Nu-u^2) id, {index_set.form}_{N}",
+             R("twisted", 1, 0) * R("twisted", -1, N)
+             == scalar({1: N, 2: -1})))
     return details
 
 

@@ -12,6 +12,11 @@ Built on top: the symmetry and reflection relation suites, the fused
 elements S(u,k) and Z(u,k) with their scalar normalization folded into the
 R-matrix factors, the commuting series A_k(u), the inverse-series
 generators, and the Sklyanin-determinant checks.
+
+A_k(u) is built once, on the formal carrier (`twisted_bethe_series`); the
+checks that need the defining relations read it through
+`expanded_bethe_series`.  The hat series and the fused block `fused_s`
+live on the expanded carrier only.
 """
 from __future__ import annotations
 
@@ -20,13 +25,14 @@ from operator import mul
 
 from .algebra import AlgebraElement, FreeRule, YangianRule, commutator
 from .indices import IndexSet, ZMatrix
-from .rationals import ONE, Q, ZERO, binomial
+from .rationals import Q, ZERO
 from .series import (INF_CAP, RATIONAL_RING, BiLaurent, RationalFactor,
                      TruncatedSeries, algebra_ring)
 from .tensor import (TensorElement, antisymmetrizer, bilaurent_r, q_tensor,
                      series_to_bilaurent, tensor_ring, trace_series)
-from .yangian import (commutator_table, lift_tensor, quantum_determinant,
-                      t_site_series, z_product, z_site_tensor)
+from .yangian import (commutator_table, hat_identity_rows, lift_tensor,
+                      membership_rows, quantum_determinant, t_site_series,
+                      window_rows, z_product, z_site_tensor)
 
 
 class TwistedContext:
@@ -34,14 +40,15 @@ class TwistedContext:
     sign conventions (upper sign = orthogonal, lower = symplectic).
 
     Besides the generator expansions it keeps two memos that one check asks
-    for more than once, both keyed by the truncation D and the carrier
-    (expanded or formal) so that calls at several orders never mix:
+    for more than once, both keyed by the truncation D so that calls at
+    several orders never mix:
 
-    * `inverse_fused_s(k, D, expanded)`: the inverse series of the fused
-      block S(u,k), shared by the hat series and the prop-3.6 trace form;
+    * `inverse_fused_s(k, D)`: the inverse series of the fused block
+      S(u,k) on the expanded carrier, shared by the hat series and the
+      prop-3.6 trace form, which only exist at the expanded level;
     * `s_pair(a, b, c, d, D, expanded)`: the bivariate product
-      S_ab(u) S_cd(v), which the reflection residuals over all index
-      tuples share (S_ab(v) S_cd(u) is the same product with u and v
+      S_ab(u) S_cd(v) on either carrier, keyed by the carrier too, which
+      the reflection residuals over all index tuples share (S_ab(v) S_cd(u) is the same product with u and v
       exchanged).  Equal monomials and coefficients of the kept products
       are stored once, which keeps the memo small.
 
@@ -106,13 +113,12 @@ class TwistedContext:
 
     # -- memos -----------------------------------------------------------------
 
-    def inverse_fused_s(self, k: int, D: int, expanded: bool) -> TruncatedSeries:
-        """fused_s(self, k, D, expanded).invert(), computed once per key."""
-        key = (k, D, expanded)
+    def inverse_fused_s(self, k: int, D: int) -> TruncatedSeries:
+        """fused_s(self, k, D).invert(), computed once per key."""
+        key = (k, D)
         hit = self._inverse_fused.get(key)
         if hit is None:
-            hit = self._inverse_fused[key] = \
-                fused_s(self, k, D, expanded=expanded).invert()
+            hit = self._inverse_fused[key] = fused_s(self, k, D).invert()
         return hit
 
     def s_pair(self, a: int, b: int, c: int, d: int, D: int,
@@ -247,13 +253,8 @@ def verify_reflection_matrix_form(ctx: TwistedContext, D: int) -> list:
     s2 = series_to_bilaurent(s, 2, "v", 2)
     r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset, aring)
     rt = bilaurent_r("twisted", (1, 2), -1, -1, 0, 2, iset, aring)
-    res = r * s1 * rt * s2 - s2 * rt * s1 * r
-    details = []
-    for ru in range(res.cap_u + 1):
-        for rv in range(res.cap_v + 1):
-            details.append((f"matrix reflection u^{-ru} v^{-rv}",
-                            (-ru, -rv) not in res.entries))
-    return details
+    return window_rows("matrix reflection",
+                       r * s1 * rt * s2 - s2 * rt * s1 * r)
 
 
 def verify_mixed_rtt(ctx: TwistedContext, D: int) -> list:
@@ -265,13 +266,7 @@ def verify_mixed_rtt(ctx: TwistedContext, D: int) -> list:
     tt1 = series_to_bilaurent(t_tilde, 1, "u", 2)
     t2 = series_to_bilaurent(t, 2, "v", 2)
     rt = bilaurent_r("twisted", (1, 2), 1, -1, 0, 2, iset, algebra_ring(rule))
-    res = tt1 * rt * t2 - t2 * rt * tt1
-    details = []
-    for ru in range(res.cap_u + 1):
-        for rv in range(res.cap_v + 1):
-            details.append((f"mixed relation u^{-ru} v^{-rv}",
-                            (-ru, -rv) not in res.entries))
-    return details
+    return window_rows("mixed relation", tt1 * rt * t2 - t2 * rt * tt1)
 
 
 # -- fused elements -----------------------------------------------------------------------
@@ -291,12 +286,21 @@ def _g_factor(p: int, q: int, sites: int, iset: IndexSet,
     return TruncatedSeries(tring, coeffs, D)
 
 
-def _ordered(items, desc: bool):
-    return list(reversed(items)) if desc else list(items)
+def _fused_factors(site_block, k: int, iset: IndexSet, D: int) -> list:
+    """The ordered factors of a fused block on sites 1..k: for p = 1..k,
+    site_block(p) followed by its normalized R-matrix factors
+    R~_pq/(p+q-2u), q = p+1..k."""
+    factors = []
+    for p in range(1, k + 1):
+        block = site_block(p)
+        for q in range(p + 1, k + 1):
+            block = block * _g_factor(p, q, k, iset, D)
+        factors.append(block)
+    return factors
 
 
-def fused_s_factors(ctx: TwistedContext, k: int, D: int, expanded: bool = False,
-                    orientation: tuple = ("asc", "asc")) -> list:
+def fused_s_factors(ctx: TwistedContext, k: int, D: int,
+                    expanded: bool = False) -> list:
     """The ordered factors of S(u,k) on sites 1..k: for each site p, the
     series S_p(u-p) followed by its normalized R-matrix factors."""
     iset = ctx.index_set
@@ -317,43 +321,27 @@ def fused_s_factors(ctx: TwistedContext, k: int, D: int, expanded: bool = False,
                               .embed((p,), k))
             return TruncatedSeries(tring, coeffs, D)
 
-    outer_desc = orientation[0] == "desc"
-    inner_desc = orientation[1] == "desc"
-    factors = []
-    for p in _ordered(range(1, k + 1), outer_desc):
-        block = site_series(p).substitute_affine(1, -p)
-        for q in _ordered(range(p + 1, k + 1), inner_desc):
-            block = block * _g_factor(p, q, k, iset, D)
-        factors.append(block)
-    return factors
+    return _fused_factors(lambda p: site_series(p).substitute_affine(1, -p),
+                          k, iset, D)
 
 
-def fused_s(ctx: TwistedContext, k: int, D: int, expanded: bool = False,
-            orientation: tuple = ("asc", "asc")) -> TruncatedSeries:
-    """S(u,k) on sites 1..k, k >= 1, with the omega(u) normalization folded
-    into the R-matrix factors: the product of fused_s_factors."""
-    return reduce(mul, fused_s_factors(ctx, k, D, expanded, orientation))
+def fused_s(ctx: TwistedContext, k: int, D: int) -> TruncatedSeries:
+    """S(u,k) on sites 1..k, k >= 1, with expanded coefficients and the
+    omega(u) normalization folded into the R-matrix factors: the product
+    of fused_s_factors."""
+    return reduce(mul, fused_s_factors(ctx, k, D, expanded=True))
 
 
-def fused_z(ctx: TwistedContext, z: ZMatrix, k: int, D: int,
-            orientation: tuple = ("asc", "asc")) -> TruncatedSeries:
-    """Z(u,k): ordered product of Z_p and normalized R-matrix factors."""
+def fused_z(ctx: TwistedContext, z: ZMatrix, k: int, D: int) -> TruncatedSeries:
+    """Z(u,k), k >= 1: ordered product of Z_p and normalized R-matrix
+    factors."""
     if z.symmetry_tag is None:
         raise ValueError("the fused parameter element needs a symmetry tag")
     iset = ctx.index_set
-    tring = tensor_ring(k, iset) if k else tensor_ring(0, iset)
-    outer_desc = orientation[0] == "desc"
-    inner_desc = orientation[1] == "desc"
-    acc = None
-    for p in _ordered(range(1, k + 1), outer_desc):
-        block = TruncatedSeries.constant(
-            tring, z_site_tensor(z, p, k, RATIONAL_RING), D)
-        for q in _ordered(range(p + 1, k + 1), inner_desc):
-            block = block * _g_factor(p, q, k, iset, D)
-        acc = block if acc is None else acc * block
-    if acc is None:
-        acc = TruncatedSeries.one(tring, D)
-    return acc
+    tring = tensor_ring(k, iset)
+    return reduce(mul, _fused_factors(
+        lambda p: TruncatedSeries.constant(tring, z_site_tensor(z, p, k), D),
+        k, iset, D))
 
 
 def verify_z_exchange(ctx: TwistedContext, z: ZMatrix) -> list:
@@ -361,8 +349,8 @@ def verify_z_exchange(ctx: TwistedContext, z: ZMatrix) -> list:
     Z_2 R~(-u-v) Z_1 R(u-v)."""
     iset = ctx.index_set
     ring2 = tensor_ring(2, iset)
-    z1 = BiLaurent.constant(ring2, z_site_tensor(z, 1, 2, RATIONAL_RING))
-    z2 = BiLaurent.constant(ring2, z_site_tensor(z, 2, 2, RATIONAL_RING))
+    z1 = BiLaurent.constant(ring2, z_site_tensor(z, 1, 2))
+    z2 = BiLaurent.constant(ring2, z_site_tensor(z, 2, 2))
     r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset, RATIONAL_RING)
     rt = bilaurent_r("twisted", (1, 2), -1, -1, 0, 2, iset, RATIONAL_RING)
     res = r * z1 * rt * z2 - z2 * rt * z1 * r
@@ -373,36 +361,25 @@ def verify_fused_membership(ctx: TwistedContext, k: int, D: int) -> list:
     """The fused element satisfies H X = H X H coefficientwise.  This uses
     the reflection relation, so it only holds after expansion into the
     ambient algebra."""
-    iset = ctx.index_set
-    hk = antisymmetrizer(k, iset)
-    s = fused_s(ctx, k, D, expanded=True)
-    hk_s = lift_tensor(hk, s.ring.one.ring)
-    details = []
-    for r in range(D + 1):
-        x = s.coeffs[r]
-        details.append((f"S(u,{k}) membership u^{-r}",
-                        hk_s * x == hk_s * x * hk_s))
-    return details
+    s = fused_s(ctx, k, D)
+    hk = lift_tensor(antisymmetrizer(k, ctx.index_set), s.ring.one.ring)
+    return membership_rows(f"S(u,{k}) membership", hk, s)
 
 
 def verify_fused_z_membership(ctx: TwistedContext, z: ZMatrix, k: int, D: int) -> list:
-    hk = antisymmetrizer(k, ctx.index_set)
-    zz = fused_z(ctx, z, k, D)
-    details = []
-    for r in range(D + 1):
-        x = zz.coeffs[r]
-        details.append((f"Z(u,{k}) membership u^{-r}", hk * x == hk * x * hk))
-    return details
+    return membership_rows(f"Z(u,{k}) membership",
+                           antisymmetrizer(k, ctx.index_set),
+                           fused_z(ctx, z, k, D))
 
 
 # -- the commuting series ----------------------------------------------------------------
 
 
-def twisted_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix, D: int,
-                         expanded: bool = False) -> TruncatedSeries:
-    """A_k(u): trace of H_N times the fused S block on sites 1..k, the
-    connecting normalized R-matrix factors, and the fused Z block on sites
-    k+1..N shifted by N/2 - k.
+def twisted_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
+                         D: int) -> TruncatedSeries:
+    """A_k(u) on the formal S-word carrier: trace of H_N times the fused S
+    block on sites 1..k, the connecting normalized R-matrix factors, and
+    the fused Z block on sites k+1..N shifted by N/2 - k.
 
     The rational side h(u) = (R-factors . Z block)(u) H_N is multiplied
     out first and sites k+1..N, where the S block is the identity, are
@@ -424,7 +401,14 @@ def twisted_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix, D: int,
     h = h.map_coeffs(lambda c: c * hn)
     if k < N:
         h = h.map_coeffs(lambda c: c.partial_trace(rest), tensor_ring(k, iset))
-    return trace_series(h, *fused_s_factors(ctx, k, D, expanded))
+    return trace_series(h, *fused_s_factors(ctx, k, D))
+
+
+def expanded_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
+                          D: int) -> TruncatedSeries:
+    """A_k(u) with its coefficients expanded into the ambient algebra."""
+    return twisted_bethe_series(ctx, k, z, D).map_coeffs(
+        ctx.s_expand, algebra_ring(ctx.yang_rule))
 
 
 def theta_series(ctx: TwistedContext, D: int) -> TruncatedSeries:
@@ -442,8 +426,7 @@ def verify_sklyanin(ctx: TwistedContext, z: ZMatrix, D: int,
     coefficients."""
     iset = ctx.index_set
     N = iset.N
-    a_n = twisted_bethe_series(ctx, N, z, D)
-    a_exp = a_n.map_coeffs(ctx.s_expand, algebra_ring(ctx.yang_rule))
+    a_exp = expanded_bethe_series(ctx, N, z, D)
     lhs = a_exp * theta_series(ctx, D)
     qd = quantum_determinant(ctx.yang_rule, D)
     rhs = qd * qd.substitute_affine(-1, N + 1)
@@ -468,11 +451,10 @@ def verify_fused_determinant(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
     defining relations, so it is checked on expanded coefficients)."""
     iset = ctx.index_set
     N = iset.N
-    s = fused_s(ctx, N, D, expanded=True)
+    s = fused_s(ctx, N, D)
     ring = s.ring.one.ring
     hn = lift_tensor(antisymmetrizer(N, iset), ring)
-    a_n = twisted_bethe_series(ctx, N, z, D)\
-        .map_coeffs(ctx.s_expand, algebra_ring(ctx.yang_rule))
+    a_n = expanded_bethe_series(ctx, N, z, D)
     details = []
     for r in range(D + 1):
         lhs = hn * s.coeffs[r]
@@ -487,46 +469,35 @@ def verify_twisted_commutativity(ctx: TwistedContext, z: ZMatrix, budget: int,
     if D is None:
         D = budget - 1
     N = ctx.index_set.N
-    aring = algebra_ring(ctx.yang_rule)
-    series = {k: twisted_bethe_series(ctx, k, z, D).map_coeffs(ctx.s_expand,
-                                                              aring)
-              for k in range(1, N + 1)}
+    series = {k: expanded_bethe_series(ctx, k, z, D) for k in range(1, N + 1)}
     return commutator_table(series, "A", budget, D)
 
 
 # -- inverse-series generators -------------------------------------------------------------
 
 
-def hat_twisted_series(ctx: TwistedContext, k: int, z: ZMatrix, D: int,
-                       expanded: bool = True) -> TruncatedSeries:
+def hat_twisted_series(ctx: TwistedContext, k: int, z: ZMatrix,
+                       D: int) -> TruncatedSeries:
     """hat-A_k(u) = tr_k x id (H_k x 1 . hat-S(u,k) . Z(u+N/2, k) x 1),
-    contracted as tr(Z(u+N/2, k) H_k . hat-S(u,k))."""
+    contracted as tr(Z(u+N/2, k) H_k . hat-S(u,k)), with expanded
+    coefficients."""
     iset = ctx.index_set
     N = iset.N
     if k == 0:
-        ring = algebra_ring(ctx.yang_rule if expanded else ctx.s_rule)
-        return TruncatedSeries.one(ring, D)
+        return TruncatedSeries.one(algebra_ring(ctx.yang_rule), D)
     hk = antisymmetrizer(k, iset)
     h = fused_z(ctx, z, k, D).substitute_affine(1, Q(N, 2))\
         .map_coeffs(lambda c: c * hk)
-    return trace_series(h, ctx.inverse_fused_s(k, D, expanded))
+    return trace_series(h, ctx.inverse_fused_s(k, D))
 
 
 def verify_twisted_hat_identity(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
-    """A_k(u) = A_N(u) hat-A_{N-k}(u-k) c_k with c_k = 1/binomial(N,k), as
-    for the plain hat identity (expanded level)."""
-    N = ctx.index_set.N
-    aring = algebra_ring(ctx.yang_rule)
-    a_n = twisted_bethe_series(ctx, N, z, D).map_coeffs(ctx.s_expand, aring)
-    details = []
-    for k in range(1, N + 1):
-        a_k = a_n if k == N else \
-            twisted_bethe_series(ctx, k, z, D).map_coeffs(ctx.s_expand, aring)
-        hat = hat_twisted_series(ctx, N - k, z, D).substitute_affine(1, -k)
-        scalar = ONE / binomial(N, k)
-        details.append((f"twisted hat identity k={k} (scalar {scalar})",
-                        a_k == a_n * hat * scalar))
-    return details
+    """A_k(u) = A_N(u) hat-A_{N-k}(u-k) / binomial(N,k), k = 1..N, as for
+    the plain hat identity (expanded level)."""
+    return hat_identity_rows(
+        "twisted hat identity", ctx.index_set.N,
+        lambda k: expanded_bethe_series(ctx, k, z, D),
+        lambda k: hat_twisted_series(ctx, k, z, D))
 
 
 def resolve_prop36_scalar(ctx: TwistedContext, z: ZMatrix, k: int, D: int):
@@ -536,7 +507,7 @@ def resolve_prop36_scalar(ctx: TwistedContext, z: ZMatrix, k: int, D: int):
     whether the two series agree."""
     full = hat_twisted_series(ctx, k, z, D)
     h = z_product(z, range(1, k + 1), k) * antisymmetrizer(k, ctx.index_set)
-    simple = trace_series(h, ctx.inverse_fused_s(k, D, True))
+    simple = trace_series(h, ctx.inverse_fused_s(k, D))
     ok = all(simple.coeffs[r] == full.coeffs[r] for r in range(D + 1))
     return TruncatedSeries.one(RATIONAL_RING, D), ok
 
@@ -546,8 +517,8 @@ def resolve_z_rmatrix_scalar(ctx: TwistedContext, z: ZMatrix):
     Z_1 R~(u) Z_2 H_2 = c(u) Z_1 Z_2 H_2 for sign-matched Z."""
     iset = ctx.index_set
     h2 = antisymmetrizer(2, iset)
-    z1 = z_site_tensor(z, 1, 2, RATIONAL_RING)
-    z2 = z_site_tensor(z, 2, 2, RATIONAL_RING)
+    z1 = z_site_tensor(z, 1, 2)
+    z2 = z_site_tensor(z, 2, 2)
     base = z1 * z2 * h2
     qq = q_tensor(iset)
     lhs1 = z1 * z2 * h2                      # u-coefficient of Z1 R~(u) Z2 H2

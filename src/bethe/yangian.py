@@ -5,6 +5,12 @@ hat-series identity).
 
 All series coefficients are exact algebra elements in PBW normal form, so
 every check reduces to "the normal form of a residual is zero".
+
+B_k(u) has one run-time construction, the permutation sum
+`bethe_series`; the tensor-trace form `bethe_series_tensor` is its
+independent reference.  The row builders for one identity type each
+(`window_rows`, `membership_rows`, `commutator_table`,
+`hat_identity_rows`) serve the twisted layer too.
 """
 from __future__ import annotations
 
@@ -16,7 +22,8 @@ from operator import mul
 from .algebra import YangianRule, commutator
 from .indices import ZMatrix
 from .rationals import ONE, Q, binomial
-from .series import RATIONAL_RING, Ring, TruncatedSeries, algebra_ring
+from .series import (RATIONAL_RING, BiLaurent, Ring, TruncatedSeries,
+                     algebra_ring)
 from .tensor import (TensorElement, antisymmetrizer, bilaurent_r, perm_sign,
                      series_to_bilaurent, tensor_ring, trace_series)
 
@@ -32,12 +39,6 @@ def t_entry_series(rule: YangianRule, i: int, j: int, D: int) -> TruncatedSeries
     coeffs = [aring.one if i == j else aring.zero]
     coeffs += [rule.element(i, j, r) for r in range(1, D + 1)]
     return TruncatedSeries(aring, coeffs, D)
-
-
-def t_matrix(rule: YangianRule, D: int) -> dict:
-    """All entries of the generating matrix as a dict (i, j) -> series."""
-    idx = rule.index_set.indices()
-    return {(i, j): t_entry_series(rule, i, j, D) for i in idx for j in idx}
 
 
 def t_site_series(rule: YangianRule, sites: int, pos: int, D: int,
@@ -70,9 +71,10 @@ def t_factors(rule: YangianRule, sites: int, k: int, D: int,
             for p in ps]
 
 
-def z_site_tensor(z: ZMatrix, pos: int, sites: int, ring: Ring) -> TensorElement:
-    one_site = TensorElement(1, z.index_set, ring,
-                             {((i,), (j,)): ring.one * v
+def z_site_tensor(z: ZMatrix, pos: int, sites: int) -> TensorElement:
+    """Z on site `pos` of `sites` sites, a rational tensor."""
+    one_site = TensorElement(1, z.index_set, RATIONAL_RING,
+                             {((i,), (j,)): v
                               for (i, j), v in z.entries.items()})
     return one_site.embed((pos,), sites)
 
@@ -81,31 +83,26 @@ def z_product(z: ZMatrix, positions, sites: int) -> TensorElement:
     """The rational product of Z on the given sites, in ascending order."""
     acc = TensorElement.identity(sites, z.index_set)
     for p in positions:
-        acc = acc * z_site_tensor(z, p, sites, RATIONAL_RING)
+        acc = acc * z_site_tensor(z, p, sites)
     return acc
 
 
 # -- Bethe series ----------------------------------------------------------------
 
 
-def bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int,
-                 cross_check: bool = True) -> TruncatedSeries:
-    """B_k(u) via the double permutation sum; optionally cross-checked
-    against the independent tensor-trace construction."""
-    if not (1 <= k <= rule.index_set.N):
-        raise ValueError("k out of range")
-    b = bethe_series_perm(k, z, rule, D)
-    if cross_check:
-        b2 = bethe_series_tensor(k, z, rule, D)
-        if b != b2:
-            raise AssertionError(
-                "permutation-sum and tensor-trace constructions disagree")
-    return b
+def bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
+    """B_k(u) via the double permutation sum
 
+        (1/N!) sum_{g,h} sgn(g) sgn(h) T_{g1 h1}(u-1)..T_{gk hk}(u-k)
+                         z_{g(k+1) h(k+1)}..z_{gN hN}.
 
-def bethe_series_perm(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
+    This is the one construction used at run time.  The tensor-trace form
+    `bethe_series_tensor` builds the same series independently and serves
+    as its reference in the tests."""
     iset = rule.index_set
     N = iset.N
+    if not (1 <= k <= N):
+        raise ValueError("k out of range")
     idx = iset.indices()
     aring = algebra_ring(rule)
     shifted = {}
@@ -174,6 +171,20 @@ def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Truncated
 # -- verification suites -----------------------------------------------------------
 
 
+def window_rows(label: str, res: BiLaurent) -> list:
+    """One row "label u^-r v^-s" per coefficient of a bivariate residual
+    in its trusted window r <= cap_u, s <= cap_v: zero or not."""
+    return [(f"{label} u^{-ru} v^{-rv}", (-ru, -rv) not in res.entries)
+            for ru in range(res.cap_u + 1) for rv in range(res.cap_v + 1)]
+
+
+def membership_rows(label: str, h: TensorElement, x: TruncatedSeries) -> list:
+    """One row "label u^-r" per coefficient X of the block series x: does
+    H X = H X H hold?  `h` carries the coefficient ring of x."""
+    return [(f"{label} u^{-r}", h * c == h * c * h)
+            for r, c in enumerate(x.coeffs)]
+
+
 def verify_rtt(rule: YangianRule, D: int) -> list:
     """Residuals of R(u-v) T_1(u) T_2(v) - T_2(v) T_1(u) R(u-v)."""
     iset = rule.index_set
@@ -181,14 +192,7 @@ def verify_rtt(rule: YangianRule, D: int) -> list:
     t1 = series_to_bilaurent(t, 1, "u", 2)
     t2 = series_to_bilaurent(t, 2, "v", 2)
     r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset, algebra_ring(rule))
-    res = r * t1 * t2 - t2 * t1 * r
-    details = []
-    bad = {k for k in res.entries}
-    for ru in range(0, res.cap_u + 1):
-        for rv in range(0, res.cap_v + 1):
-            details.append((f"coefficient u^{-ru} v^{-rv}",
-                            (-ru, -rv) not in bad))
-    return details
+    return window_rows("coefficient", r * t1 * t2 - t2 * t1 * r)
 
 
 def verify_fusion(rule: YangianRule, k: int, D: int) -> list:
@@ -201,15 +205,9 @@ def verify_fusion(rule: YangianRule, k: int, D: int) -> list:
     bwd = reduce(mul, t_factors(rule, k, k, D, descending=True))
     lhs = fwd.scale(hk, side="left")
     rhs = bwd.scale(hk, side="right")
-    details = []
-    for r in range(D + 1):
-        details.append((f"fusion coefficient u^{-r}",
-                        lhs.coeffs[r] == rhs.coeffs[r]))
-    for r in range(D + 1):
-        x = fwd.coeffs[r]
-        details.append((f"membership coefficient u^{-r}",
-                        hk * x == hk * x * hk))
-    return details
+    details = [(f"fusion coefficient u^{-r}", lhs.coeffs[r] == rhs.coeffs[r])
+               for r in range(D + 1)]
+    return details + membership_rows("membership coefficient", hk, fwd)
 
 
 def verify_centrality(rule: YangianRule, D: int, max_level: int) -> list:
@@ -255,20 +253,29 @@ def verify_bethe_commutativity(z: ZMatrix, rule: YangianRule, budget: int,
     return commutator_table(series, "B", budget, D)
 
 
-def verify_hat_identity(z: ZMatrix, rule: YangianRule, D: int) -> list:
-    """B_k(u) = B_N(u) * hat-B_{N-k}(u-k) * c_k with c_k = 1/binomial(N,k).
+def hat_identity_rows(label: str, N: int, family, hat) -> list:
+    """Rows X_k(u) = X_N(u) * hat-X_{N-k}(u-k) * c_k, k = 1..N, with
+    c_k = 1/binomial(N,k); `family(k)` builds X_k and `hat(k)` builds
+    hat-X_k.  X_N is built once and serves as X_k at k = N.
 
-    Constant terms force this scalar: the u^0 term of B_k is
-    e_{N-k}(z)/binomial(N,k) while B_N and the hat series start at 1 and
+    Constant terms force this scalar: the u^0 term of X_k is
+    e_{N-k}(z)/binomial(N,k) while X_N and the hat series start at 1 and
     e_{N-k}(z).  The scalar is reported per k.
     """
-    N = rule.index_set.N
-    bn = bethe_series(N, z, rule, D, cross_check=False)
+    x_n = family(N)
     details = []
     for k in range(1, N + 1):
-        bk = bethe_series(k, z, rule, D)
-        hat = hat_bethe_series(N - k, z, rule, D).substitute_affine(1, -k)
+        x_k = x_n if k == N else family(k)
+        shifted = hat(N - k).substitute_affine(1, -k)
         scalar = ONE / binomial(N, k)
-        details.append((f"hat identity k={k} (scalar {scalar})",
-                        bk == bn * hat * scalar))
+        details.append((f"{label} k={k} (scalar {scalar})",
+                        x_k == x_n * shifted * scalar))
     return details
+
+
+def verify_hat_identity(z: ZMatrix, rule: YangianRule, D: int) -> list:
+    """B_k(u) = B_N(u) * hat-B_{N-k}(u-k) / binomial(N,k), k = 1..N."""
+    return hat_identity_rows(
+        "hat identity", rule.index_set.N,
+        lambda k: bethe_series(k, z, rule, D),
+        lambda k: hat_bethe_series(k, z, rule, D))

@@ -29,7 +29,7 @@ from bethe.twisted import (TwistedContext, resolve_prop36_scalar,
                            verify_sklyanin, verify_symmetry,
                            verify_twisted_commutativity,
                            verify_twisted_hat_identity)
-from bethe.yangian import (bethe_series_perm, bethe_series_tensor,
+from bethe.yangian import (bethe_series, bethe_series_tensor,
                            verify_bethe_commutativity, verify_centrality,
                            verify_fusion, verify_hat_identity, verify_rtt)
 
@@ -112,7 +112,7 @@ def test_criterion_09_dual_path_equality():
         iset, z = _plain_z(N)
         rule = YangianRule(iset)
         for k in range(1, N + 1):
-            assert bethe_series_perm(k, z, rule, D) == \
+            assert bethe_series(k, z, rule, D) == \
                 bethe_series_tensor(k, z, rule, D)
 
 

@@ -201,6 +201,53 @@ def test_jacobian_reports_a_parity_violation(monkeypatch, tmp_path):
                  "--M", "1"]) == 3
 
 
+# -- planted defects in the plain Yangian checks -----------------------------------
+
+
+def test_bethe_commute_fails_for_a_perturbed_z(monkeypatch):
+    from bethe import yangian
+    from bethe.indices import ZMatrix
+
+    args = ["verify", "bethe-commute", "--kind", "gl", "--N", "3",
+            "--budget", "3"]
+    assert main(args) == 0
+    real = yangian.bethe_series
+
+    def b1_off_family(k, z, rule, D):
+        # B_1 from a Z with one more entry: no longer in the family of B_2
+        if k == 1:
+            z = ZMatrix(z.index_set, {**z.entries, (1, 2): 1})
+        return real(k, z, rule, D)
+
+    monkeypatch.setattr(yangian, "bethe_series", b1_off_family)
+    assert main(args) == 1
+
+
+def test_centrality_fails_for_the_permanent(monkeypatch):
+    from bethe import yangian
+
+    args = ["verify", "centrality", "--kind", "gl", "--N", "2", "--D", "2"]
+    assert main(args) == 0
+    # every sign +1: the quantum permanent, which is not central
+    monkeypatch.setattr(yangian, "perm_sign", lambda sigma: 1)
+    assert main(args) == 1
+
+
+def test_fusion_fails_for_a_doubled_site_spacing(monkeypatch):
+    from bethe import yangian
+
+    args = ["verify", "fusion", "--kind", "gl", "--N", "2", "--D", "2"]
+    assert main(args) == 0
+    real = yangian.t_site_series
+
+    def doubled_spacing(rule, sites, pos, D, hat=False):
+        # T_p(u - 2p) in place of T_p(u - p): R(2) is not a multiple of H_2
+        return real(rule, sites, pos, D, hat).substitute_affine(1, -pos)
+
+    monkeypatch.setattr(yangian, "t_site_series", doubled_spacing)
+    assert main(args) == 1
+
+
 # -- planted defects in the twisted paths --------------------------------------
 
 
@@ -223,6 +270,8 @@ def _double_s11_level2(monkeypatch):
     ["verify", "sklyanin", "--kind", "so", "--n", "1", "--odd", "--D", "2"],
     ["verify", "twisted-commute", "--kind", "so", "--n", "1", "--odd",
      "--budget", "4"],
+    ["verify", "twisted-symmetry", "--kind", "so", "--n", "1", "--odd",
+     "--D", "3"],
 ])
 def test_twisted_checks_fail_for_a_wrong_expansion(monkeypatch, args):
     assert main(args) == 0

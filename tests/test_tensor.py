@@ -12,7 +12,7 @@ from bethe.tensor import (TensorElement, antisymmetrizer,
                           perm_operator, perm_sign, q_tensor, tensor_ring,
                           trace_against, trace_series,
                           verify_antisymmetrizers, verify_mixed_yang_baxter,
-                          verify_r_identities, verify_yang_baxter, yang_r)
+                          verify_r_identities, verify_yang_baxter)
 from bethe.yangian import lift_tensor
 
 
@@ -45,6 +45,20 @@ def test_r_identities_all_sizes():
         _all_ok(verify_r_identities(IndexSet.plain(N)))
     for form, N in (("so", 3), ("so", 4), ("sp", 2), ("sp", 4)):
         _all_ok(verify_r_identities(IndexSet.signed(N, form)))
+
+
+def test_r_identities_fail_for_wrong_r_matrices(monkeypatch):
+    from bethe import tensor
+
+    so3 = IndexSet.signed(3, "so")
+    real_q, real_flip = tensor.q_tensor, tensor.flip
+    # R~(u) = u + Q: (u + Q)(N - u + Q) = (Nu - u^2) + 2N Q
+    monkeypatch.setattr(tensor, "q_tensor", lambda *a: -real_q(*a))
+    rows = verify_r_identities(so3)
+    assert [ok for _, ok in rows] == [True, False]
+    # R(u) = u - 2P: (u - 2P)(-u - 2P) = (4 - u^2) id
+    monkeypatch.setattr(tensor, "flip", lambda *a: real_flip(*a).scale_rat(2))
+    assert not any(ok for _, ok in verify_r_identities(IndexSet.plain(2)))
 
 
 def test_yang_baxter():

@@ -1,11 +1,13 @@
+import json
+
 import pytest
 
 from bethe import yangian
 from bethe.algebra import YangianRule, commutator
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import ONE, Q
-from bethe.yangian import (bethe_series, bethe_series_perm,
-                           bethe_series_tensor, hat_bethe_series,
+from bethe.yangian import (bethe_series, bethe_series_tensor,
+                           hat_bethe_series,
                            quantum_determinant, t_entry_series,
                            verify_bethe_commutativity, verify_centrality,
                            verify_fusion, verify_hat_identity, verify_rtt)
@@ -63,14 +65,24 @@ def test_centrality_small():
     _all_ok(verify_centrality(YangianRule(IndexSet.plain(2)), 2, 2))
 
 
-def test_dual_path_constructions_agree():
-    iset = IndexSet.plain(2)
-    rule = YangianRule(iset)
-    z = parse_z_spec("diag:1,2", iset)
-    for k in (1, 2):
-        a = bethe_series_perm(k, z, rule, 2)
-        b = bethe_series_tensor(k, z, rule, 2)
-        assert a == b
+def test_dual_path_constructions_agree(tmp_path):
+    # a diagonal Z, and dense ones whose off-diagonal entries reach the
+    # index pairs a diagonal Z never weights
+    dense = {2: [[1, 1, "1"], [1, 2, "1/2"], [2, 1, "-3"], [2, 2, "2"]],
+             3: [[1, 1, "1"], [1, 2, "2"], [1, 3, "-1/3"], [2, 1, "1/2"],
+                 [2, 2, "-1"], [3, 1, "3"], [3, 2, "1"], [3, 3, "5/2"]]}
+    cases = [(2, 2, "diag:1,2")]
+    for N, D in ((2, 4), (3, 3)):
+        path = tmp_path / f"z{N}.json"
+        path.write_text(json.dumps(dense[N]))
+        cases.append((N, D, f"json:{path}"))
+    for N, D, spec in cases:
+        iset = IndexSet.plain(N)
+        rule = YangianRule(iset)
+        z = parse_z_spec(spec, iset)
+        for k in range(1, N + 1):
+            assert bethe_series(k, z, rule, D) == \
+                bethe_series_tensor(k, z, rule, D), (spec, k)
 
 
 def test_bethe_constant_terms():
