@@ -21,14 +21,16 @@ bracket_terms, mono_times_gen, mono_times_mono) are plain Python ints:
 brackets are +-1 and normal ordering only adds and multiplies them.  Every
 coefficient stored in an AlgebraElement is of type Q, so no int reaches an
 element or a report.  The public constructor coerces its input through Q
-and drops zeros; results of +, unary - and * are built by the trusted
-constructor `_from_terms`, which takes a dict that already holds only
-nonzero Q values and stores it as is.
+and drops zeros; results of +, -, * and `element_sum` are built by the
+trusted constructor `_from_terms`, which takes a dict that already holds
+only nonzero Q values and stores it as is.  All of them, and the rule-level
+products, sum their terms with `rationals.accumulate`; a product of
+nonzero ints or rationals is nonzero, so every value it is passed is.
 """
 from __future__ import annotations
 
 from .indices import IndexSet
-from .rationals import ONE, Q, ZERO
+from .rationals import ONE, Q, ZERO, accumulate
 
 
 class CommutationRule:
@@ -75,14 +77,9 @@ class CommutationRule:
         hit = self._bracket_cache.get(key)
         if hit is not None:
             return hit
-        acc: dict = {}
-        for coeff, word in self.raw_bracket(a, b):
-            for m, c in self.order_word(word).items():
-                v = acc.get(m, 0) + coeff * c
-                if v:
-                    acc[m] = v
-                elif m in acc:
-                    del acc[m]
+        acc = accumulate({}, [(m, coeff * c)
+                              for coeff, word in self.raw_bracket(a, b)
+                              for m, c in self.order_word(word).items()])
         self._bracket_cache[key] = acc
         self._bracket_cache[(b, a)] = {m: -c for m, c in acc.items()}
         return acc
@@ -97,22 +94,14 @@ class CommutationRule:
         if hit is not None:
             return hit
         head, a = m[:-1], m[-1]
-        acc: dict = {}
         # m*g = (head*g)*a + head*[a, g]
-        for m1, c1 in self.mono_times_gen(head, g).items():
-            for m2, c2 in self.mono_times_gen(m1, a).items():
-                v = acc.get(m2, 0) + c1 * c2
-                if v:
-                    acc[m2] = v
-                elif m2 in acc:
-                    del acc[m2]
-        for mb, cb in self.bracket_terms(a, g).items():
-            for m2, c2 in self.mono_times_mono(head, mb).items():
-                v = acc.get(m2, 0) + cb * c2
-                if v:
-                    acc[m2] = v
-                elif m2 in acc:
-                    del acc[m2]
+        mtg = self.mono_times_gen
+        acc = accumulate({}, [(m2, c1 * c2)
+                              for m1, c1 in mtg(head, g).items()
+                              for m2, c2 in mtg(m1, a).items()])
+        accumulate(acc, [(m2, cb * c2)
+                         for mb, cb in self.bracket_terms(a, g).items()
+                         for m2, c2 in self.mono_times_mono(head, mb).items()])
         self._mtg_cache[key] = acc
         return acc
 
@@ -125,17 +114,11 @@ class CommutationRule:
         """
         if not self.orders or not m2 or (m1 and m1[-1] <= m2[0]):
             return {m1 + m2: 1}
-        acc = {m1: 1}
-        for g in m2:
-            nxt: dict = {}
-            for m, c in acc.items():
-                for mm, cc in self.mono_times_gen(m, g).items():
-                    v = nxt.get(mm, 0) + c * cc
-                    if v:
-                        nxt[mm] = v
-                    elif mm in nxt:
-                        del nxt[mm]
-            acc = nxt
+        mtg = self.mono_times_gen
+        acc = mtg(m1, m2[0])
+        for g in m2[1:]:
+            acc = accumulate({}, [(mm, c * cc) for m, c in acc.items()
+                                  for mm, cc in mtg(m, g).items()])
         return acc
 
     def order_word(self, word: tuple) -> dict:
@@ -203,26 +186,20 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check(self, other):
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _coerce(self, other) -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return AlgebraElement(self.rule, {(): Q(other)})
         if self.rule is not other.rule:
             raise ValueError("elements under different commutation rules")
+        return other
 
     def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            other = AlgebraElement(self.rule, {(): Q(other)})
-        self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            v = acc.get(m)
-            if v is None:
-                acc[m] = c
-            else:
-                v += c
-                if v:
-                    acc[m] = v
-                else:
-                    del acc[m]
-        return _from_terms(self.rule, acc)
+        other = self._coerce(other)
+        return _from_terms(self.rule,
+                           accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -230,7 +207,9 @@ class AlgebraElement:
         return _from_terms(self.rule, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, AlgebraElement) else -Q(other))
+        other = self._coerce(other)
+        return _from_terms(self.rule, accumulate(
+            dict(self.terms), ((m, -c) for m, c in other.terms.items())))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -240,24 +219,14 @@ class AlgebraElement:
             c = other if type(other) is Q else Q(other)
             terms = {m: v * c for m, v in self.terms.items()} if c else {}
             return _from_terms(self.rule, terms)
-        self._check(other)
-        rule = self.rule
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for m, c in rule.mono_times_mono(m1, m2).items():
-                    t = c12 if c == 1 else c12 * c
-                    v = acc.get(m)
-                    if v is None:
-                        acc[m] = t
-                    else:
-                        v += t
-                        if v:
-                            acc[m] = v
-                        else:
-                            del acc[m]
-        return _from_terms(rule, acc)
+        other = self._coerce(other)
+        mtm = self.rule.mono_times_mono
+        return _from_terms(self.rule, accumulate({}, [
+            (m, c12 if c == 1 else c12 * c)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+            for c12 in (c1 * c2,)
+            for m, c in mtm(m1, m2).items()]))
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -287,6 +256,15 @@ def _from_terms(rule: CommutationRule, terms: dict) -> AlgebraElement:
     out.rule = rule
     out.terms = terms
     return out
+
+
+def element_sum(rule: CommutationRule, elements) -> AlgebraElement:
+    """The sum of elements under `rule`, accumulated into one term dict
+    rather than a running sum that copies it once per summand."""
+    acc: dict = {}
+    for e in elements:
+        accumulate(acc, e.terms.items())
+    return _from_terms(rule, acc)
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -367,15 +345,11 @@ def symbol(a: AlgebraElement, d: int, context=None):
 
     if context is None:
         context = PoissonContext("plain", a.rule.index_set, max(d, 1))
-    terms = {}
-    for m, c in a.terms.items():
-        deg = monomial_degree(m)
-        if deg > d:
-            raise ValueError("filtration degree exceeds the requested grade")
-        if deg == d:
-            key = tuple(sorted(m))
-            terms[key] = terms.get(key, ZERO) + c
-    return PoissonPoly(context, terms)
+    if any(monomial_degree(m) > d for m in a.terms):
+        raise ValueError("filtration degree exceeds the requested grade")
+    return PoissonPoly(context, accumulate({}, (
+        (tuple(sorted(m)), c) for m, c in a.terms.items()
+        if monomial_degree(m) == d)))
 
 
 def serialize_element(a: AlgebraElement) -> dict:

@@ -34,10 +34,10 @@ from .tensor import (h_k_orientation, verify_antisymmetrizers,
                      verify_mixed_yang_baxter, verify_r_identities,
                      verify_yang_baxter)
 from .twisted import (TwistedContext, resolve_prop36_scalar,
-                      resolve_z_rmatrix_scalar, twisted_bethe_series,
-                      verify_mixed_rtt, verify_reflection, verify_sklyanin,
-                      verify_symmetry, verify_twisted_commutativity,
-                      verify_twisted_hat_identity)
+                      twisted_bethe_series, verify_mixed_rtt,
+                      verify_reflection, verify_sklyanin, verify_symmetry,
+                      verify_twisted_commutativity,
+                      verify_twisted_hat_identity, verify_z_rmatrix_scalar)
 from .yangian import (bethe_series, quantum_determinant, verify_bethe_commutativity,
                       verify_centrality, verify_fusion, verify_hat_identity,
                       verify_rtt)
@@ -66,7 +66,9 @@ class RunConfig:
             N = args.N if args.N is not None else (
                 2 * args.n + (1 if self.kind == "so" and args.odd else 0))
             self.index_set = IndexSet.signed(N, self.kind)
-        self.D = args.D
+        # the commutator suites truncate at budget - 1, whatever --D says
+        self.D = (args.budget - 1 if getattr(args, "check", None)
+                  in ("bethe-commute", "twisted-commute") else args.D)
         self.M = args.M
         self.budget = args.budget
         self.k = args.k
@@ -172,11 +174,7 @@ def run_check(cfg: RunConfig, name: str) -> list:
         for k in range(1, iset.N + 1):
             c, ok = resolve_prop36_scalar(ctx, cfg.z, k, D)
             details.append((f"trace-form scalar k={k}: {list(c.coeffs)}", ok))
-        zr = resolve_z_rmatrix_scalar(ctx, cfg.z)
-        details.append((f"exchange scalar c(u) = {zr[0]}*u + {zr[1]}"
-                        if zr else "exchange scalar unresolved",
-                        zr is not None))
-        return details
+        return details + verify_z_rmatrix_scalar(ctx, cfg.z)
 
     if name == "rho-hom":
         return certify.verify_rho_homomorphy(cfg.twisted_ctx(), D)
@@ -312,11 +310,8 @@ def conventions(cfg: RunConfig) -> dict:
     # acts faithfully on V^{(x)3} (Schur-Weyl), so the matching arrow
     # orientations do not depend on N and N = 3 gives the same answer.
     iset = cfg.index_set if cfg.index_set.N <= 3 else IndexSet.plain(3)
-    try:
-        hk = h_k_orientation(iset.N, iset)
-    except Exception:
-        hk = "unresolved"
-    return {"h_k_orientation": hk, "s_uk_orientation": "outer=asc,inner=asc"}
+    return {"h_k_orientation": h_k_orientation(iset.N, iset),
+            "s_uk_orientation": "outer=asc,inner=asc"}
 
 
 def main(argv=None) -> int:

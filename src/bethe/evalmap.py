@@ -11,22 +11,20 @@ its elements live inside the ambient enveloping algebra after F-expansion.
 """
 from __future__ import annotations
 
-from .algebra import AlgebraElement, GlRule, commutator
+from functools import reduce
+from operator import mul
+
+from .algebra import AlgebraElement, GlRule, commutator, element_sum
 from .indices import IndexSet
-from .rationals import Q, ZERO
+from .rationals import Q, accumulate
 
 
 def pi_apply(a: AlgebraElement, gl_rule: GlRule) -> AlgebraElement:
     """Evaluation: T_ij^(1) -> E_ij, higher levels -> 0, then normal-order."""
-    acc = gl_rule.zero()
-    for word, c in a.terms.items():
-        if any(g[0] >= 2 for g in word):
-            continue
-        term = gl_rule.one()
-        for (_, i, j) in word:
-            term = term * gl_rule.element(i, j)
-        acc = acc + term * c
-    return acc
+    return element_sum(gl_rule, (
+        reduce(mul, (gl_rule.element(i, j) for (_, i, j) in word),
+               gl_rule.one()) * c
+        for word, c in a.terms.items() if all(g[0] == 1 for g in word)))
 
 
 def f_element(gl_rule: GlRule, i: int, j: int) -> AlgebraElement:
@@ -42,15 +40,15 @@ def rho_apply(w: AlgebraElement, gl_rule: GlRule) -> AlgebraElement:
     if iset.kind != "signed":
         raise ValueError("rho needs a signed index set with a declared form")
     half = Q(-1, 2) if iset.form == "so" else Q(1, 2)
-    acc = gl_rule.zero()
-    for word, c in w.terms.items():
+
+    def image(word, scal):
         term = gl_rule.one()
-        scal = c
         for (r, i, j) in word:
             term = term * f_element(gl_rule, i, j)
             scal = scal * half ** (r - 1)
-        acc = acc + term * scal
-    return acc
+        return term * scal
+
+    return element_sum(gl_rule, (image(*t) for t in w.terms.items()))
 
 
 def defining_rep(e: AlgebraElement, index_set: IndexSet) -> dict:
@@ -58,34 +56,25 @@ def defining_rep(e: AlgebraElement, index_set: IndexSet) -> dict:
 
     Returns a sparse dict {(i, j): value}."""
     idx = index_set.indices()
-    acc: dict = {}
-    for word, c in e.terms.items():
-        # product of matrix units: E_{i1 j1} ... E_{ik jk}
+
+    def units(word):
+        # the product of matrix units E_{i1 j1} ... E_{ik jk}
         if not word:
-            for i in idx:
-                acc[(i, i)] = acc.get((i, i), ZERO) + c
-            continue
-        alive = True
-        for (g, h) in zip(word, word[1:]):
-            if g[2] != h[1]:
-                alive = False
-                break
-        if not alive:
-            continue
-        key = (word[0][1], word[-1][2])
-        acc[key] = acc.get(key, ZERO) + c
-    return {k: v for k, v in acc.items() if v}
+            return [(i, i) for i in idx]
+        if all(g[2] == h[1] for g, h in zip(word, word[1:])):
+            return [(word[0][1], word[-1][2])]
+        return []
+
+    return accumulate({}, ((k, c) for word, c in e.terms.items()
+                           for k in units(word)))
 
 
 def mat_mul(a: dict, b: dict) -> dict:
-    acc: dict = {}
     by_row: dict = {}
     for (i, j), v in b.items():
         by_row.setdefault(i, []).append((j, v))
-    for (i, m), v1 in a.items():
-        for j, v2 in by_row.get(m, ()):
-            acc[(i, j)] = acc.get((i, j), ZERO) + v1 * v2
-    return {k: v for k, v in acc.items() if v}
+    return accumulate({}, (((i, j), v1 * v2) for (i, m), v1 in a.items()
+                           for j, v2 in by_row.get(m, ())))
 
 
 def verify_image_commutativity(elements: list, gl_rule: GlRule) -> list:

@@ -23,7 +23,7 @@ import random
 from math import lcm
 
 from .indices import IndexSet, ZMatrix
-from .rationals import ONE, Q, ZERO, binomial
+from .rationals import ONE, Q, ZERO, accumulate, binomial
 
 
 class PoissonContext:
@@ -111,8 +111,7 @@ class PoissonContext:
                 word = ((s1,) + v1,)
             else:
                 word = ((s1,) + v1, (s2,) + w1)
-            word = tuple(sorted(word))
-            terms[word] = terms.get(word, ZERO) + c
+            accumulate(terms, ((tuple(sorted(word)), c),))
 
         lo = max(1, p + q - self.M)
         hi = min(p, q)
@@ -137,31 +136,7 @@ class PoissonPoly:
 
     def __init__(self, context: PoissonContext, terms: dict):
         self.context = context
-        acc: dict = {}
-        for mono, c in terms.items():
-            c = Q(c)
-            if not c:
-                continue
-            out = []
-            dead = False
-            for v in mono:
-                red = context.reduce_var(v)
-                if red is None:
-                    dead = True
-                    break
-                s, w = red
-                if s != 1:
-                    c = c * s
-                out.append(w)
-            if dead:
-                continue
-            key = tuple(sorted(out))
-            v = acc.get(key, ZERO) + c
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
-        self.terms = acc
+        self.terms = accumulate({}, _reduced_terms(context, terms))
 
     # -- constructors -------------------------------------------------------
 
@@ -180,9 +155,15 @@ class PoissonPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check(self, other):
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _coerce(self, other) -> "PoissonPoly":
+        if not isinstance(other, PoissonPoly):
+            return PoissonPoly.constant(self.context, other)
         if self.context != other.context:
             raise ValueError("polynomials from different contexts")
+        return other
 
     def __eq__(self, other):
         if isinstance(other, PoissonPoly):
@@ -193,33 +174,19 @@ class PoissonPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        if not isinstance(other, PoissonPoly):
-            other = PoissonPoly.constant(self.context, other)
-        self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            v = acc.get(m, ZERO) + c
-            if v:
-                acc[m] = v
-            elif m in acc:
-                del acc[m]
-        out = PoissonPoly.__new__(PoissonPoly)
-        out.context = self.context
-        out.terms = acc
-        return out
+        other = self._coerce(other)
+        return _poly(self.context,
+                     accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = PoissonPoly.__new__(PoissonPoly)
-        out.context = self.context
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _poly(self.context, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, PoissonPoly):
-            other = PoissonPoly.constant(self.context, other)
-        return self + (-other)
+        other = self._coerce(other)
+        return _poly(self.context, accumulate(
+            dict(self.terms), ((m, -c) for m, c in other.terms.items())))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -227,24 +194,13 @@ class PoissonPoly:
     def __mul__(self, other):
         if not isinstance(other, PoissonPoly):
             c = Q(other)
-            out = PoissonPoly.__new__(PoissonPoly)
-            out.context = self.context
-            out.terms = {m: v * c for m, v in self.terms.items()} if c else {}
-            return out
-        self._check(other)
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                v = acc.get(m, ZERO) + c1 * c2
-                if v:
-                    acc[m] = v
-                elif m in acc:
-                    del acc[m]
-        out = PoissonPoly.__new__(PoissonPoly)
-        out.context = self.context
-        out.terms = acc
-        return out
+            return _poly(self.context,
+                         {m: v * c for m, v in self.terms.items()} if c else {})
+        other = self._coerce(other)
+        return _poly(self.context, accumulate({}, (
+            (tuple(sorted(m1 + m2)), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items())))
 
     __rmul__ = __mul__
 
@@ -265,25 +221,16 @@ class PoissonPoly:
     def derivative(self, v: tuple) -> "PoissonPoly":
         red = self.context.reduce_var(v)
         if red is None:
-            return PoissonPoly(self.context, {})
+            return _poly(self.context, {})
         _, v = red
-        acc: dict = {}
-        for m, c in self.terms.items():
-            k = m.count(v)
-            if not k:
-                continue
-            rest = list(m)
-            rest.remove(v)
-            key = tuple(rest)
-            val = acc.get(key, ZERO) + c * k
-            if val:
-                acc[key] = val
-            elif key in acc:
-                del acc[key]
-        out = PoissonPoly.__new__(PoissonPoly)
-        out.context = self.context
-        out.terms = acc
-        return out
+
+        def drop_one(m):
+            i = m.index(v)
+            return m[:i] + m[i + 1:]
+
+        return _poly(self.context, accumulate({}, (
+            (drop_one(m), c * k) for m, c in self.terms.items()
+            for k in (m.count(v),) if k)))
 
     def evaluate(self, values) -> "Q":
         """Value at a point; `values` is a CurrentPoint or a plain dict
@@ -329,20 +276,49 @@ class PoissonPoly:
 
     def substitute(self, assignments: dict) -> "PoissonPoly":
         """Replace the listed variables by rational values."""
-        acc = PoissonPoly(self.context, {})
-        for m, c in self.terms.items():
-            coeff = c
+
+        def substituted(m, coeff):
             keep = []
             for v in m:
                 if v in assignments:
                     coeff = coeff * Q(assignments[v])
                     if not coeff:
-                        break
+                        return ()
                 else:
                     keep.append(v)
-            if coeff:
-                acc = acc + PoissonPoly(self.context, {tuple(keep): coeff})
-        return acc
+            return ((tuple(keep), coeff),)
+
+        return _poly(self.context, accumulate({}, (
+            t for m, c in self.terms.items() for t in substituted(m, c))))
+
+
+def _poly(context: PoissonContext, terms: dict) -> PoissonPoly:
+    """Trusted constructor: `terms` holds only nonzero Q coefficients on
+    sorted fundamental-domain monomials."""
+    out = PoissonPoly.__new__(PoissonPoly)
+    out.context = context
+    out.terms = terms
+    return out
+
+
+def _reduced_terms(context: PoissonContext, terms: dict):
+    """(sorted fundamental-domain monomial, nonzero Q) for every term that
+    survives the context's reduction."""
+    for mono, c in terms.items():
+        c = Q(c)
+        if not c:
+            continue
+        out = []
+        for v in mono:
+            red = context.reduce_var(v)
+            if red is None:
+                break
+            s, w = red
+            if s != 1:
+                c = c * s
+            out.append(w)
+        else:
+            yield tuple(sorted(out)), c
 
 
 def poisson_bracket(f: PoissonPoly, g: PoissonPoly) -> PoissonPoly:
@@ -350,20 +326,19 @@ def poisson_bracket(f: PoissonPoly, g: PoissonPoly) -> PoissonPoly:
     if f.context != g.context:
         raise ValueError("polynomials from different contexts")
     ctx = f.context
-    acc = PoissonPoly(ctx, {})
+    acc: dict = {}
     for a in sorted(f.variables_used()):
         df = f.derivative(a)
-        if df.is_zero():
+        if not df:
             continue
         for b in sorted(g.variables_used()):
             dg = g.derivative(b)
-            if dg.is_zero():
+            if not dg:
                 continue
             br = ctx.gen_bracket(a, b)
-            if br.is_zero():
-                continue
-            acc = acc + df * dg * br
-    return acc
+            if br:
+                accumulate(acc, (df * dg * br).terms.items())
+    return _poly(ctx, acc)
 
 
 # -- points ---------------------------------------------------------------------
@@ -481,25 +456,14 @@ def det_poly(context: PoissonContext, z: ZMatrix) -> dict:
                     if odd:
                         c2 = -c2
                     for (a1, b1), terms in polys.items():
-                        acc = tgt.setdefault((a1 + a2, b1 + b2), {})
-                        for m, c1 in terms.items():
-                            if w is not None:
-                                m = tuple(sorted(m + (w,)))
-                            v = acc.get(m)
-                            v = c1 * c2 if v is None else v + c1 * c2
-                            if v:
-                                acc[m] = v
-                            else:
-                                del acc[m]
+                        accumulate(tgt.setdefault((a1 + a2, b1 + b2), {}), (
+                            (m if w is None else tuple(sorted(m + (w,))),
+                             c1 * c2) for m, c1 in terms.items()))
         layer = nxt
-    out = {}
-    for (du, dv), terms in layer.get((1 << len(idx)) - 1, {}).items():
-        if terms:
-            p = PoissonPoly.__new__(PoissonPoly)
-            p.context = context
-            p.terms = {m: Q(c, L ** dv) for m, c in terms.items()}
-            out[(du, dv)] = p
-    return out
+    return {(du, dv): _poly(context, {m: Q(c, L ** dv)
+                                      for m, c in terms.items()})
+            for (du, dv), terms in layer.get((1 << len(idx)) - 1, {}).items()
+            if terms}
 
 
 def bethe_family(context: PoissonContext, z: ZMatrix, *,

@@ -15,18 +15,19 @@ Also provided:
 """
 from __future__ import annotations
 
-from .rationals import ONE, Q, ZERO, binomial
+from .rationals import ONE, Q, ZERO, accumulate, binomial
 
 
 class Ring:
+    """The zero and one of a coefficient ring.  It has no zero test: a
+    coefficient is zero exactly when it is false, as rationals are and as
+    every element type of the package defines __bool__."""
+
     __slots__ = ("zero", "one")
 
     def __init__(self, zero, one):
         self.zero = zero
         self.one = one
-
-    def is_zero(self, x) -> bool:
-        return x == self.zero
 
 
 RATIONAL_RING = Ring(ZERO, ONE)
@@ -75,7 +76,7 @@ class TruncatedSeries:
                                [f(c) for c in self.coeffs], self.trunc)
 
     def is_zero(self) -> bool:
-        return all(self.ring.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -95,7 +96,10 @@ class TruncatedSeries:
             [a + b for a, b in zip(self.coeffs, other.coeffs)], D)
 
     def __sub__(self, other):
-        return self + (-other)
+        D = min(self.trunc, other.trunc)
+        return TruncatedSeries(
+            self.ring,
+            [a - b for a, b in zip(self.coeffs, other.coeffs)], D)
 
     def __neg__(self):
         return TruncatedSeries(self.ring, [-c for c in self.coeffs], self.trunc)
@@ -108,11 +112,11 @@ class TruncatedSeries:
         zero = self.ring.zero
         out = [zero] * (D + 1)
         for r, a in enumerate(self.coeffs[: D + 1]):
-            if self.ring.is_zero(a):
+            if not a:
                 continue
             for s in range(D + 1 - r):
                 b = other.coeffs[s]
-                if not self.ring.is_zero(b):
+                if b:
                     out[r + s] = out[r + s] + a * b
         return TruncatedSeries(self.ring, out, D)
 
@@ -139,7 +143,7 @@ class TruncatedSeries:
         out = [self.coeffs[0]] + [self.ring.zero] * self.trunc
         for r in range(1, self.trunc + 1):
             c = self.coeffs[r]
-            if self.ring.is_zero(c):
+            if not c:
                 continue
             base = (ONE / a) ** r
             for s in range(r, self.trunc + 1):
@@ -229,7 +233,7 @@ class BiLaurent:
         self.ring = ring
         self.entries = {
             k: v for k, v in entries.items()
-            if k[0] >= -cap_u and k[1] >= -cap_v and not ring.is_zero(v)
+            if k[0] >= -cap_u and k[1] >= -cap_v and v
         }
         self.cap_u = cap_u
         self.cap_v = cap_v
@@ -244,23 +248,21 @@ class BiLaurent:
         return (max(a for a, _ in self.entries), max(b for _, b in self.entries))
 
     def __add__(self, other: "BiLaurent") -> "BiLaurent":
-        cap_u = min(self.cap_u, other.cap_u)
-        cap_v = min(self.cap_v, other.cap_v)
-        acc = dict(self.entries)
-        for k, v in other.entries.items():
-            w = acc.get(k, self.ring.zero) + v
-            if self.ring.is_zero(w):
-                acc.pop(k, None)
-            else:
-                acc[k] = w
-        return BiLaurent(self.ring, acc, cap_u, cap_v)
+        return BiLaurent(self.ring,
+                         accumulate(dict(self.entries), other.entries.items()),
+                         min(self.cap_u, other.cap_u),
+                         min(self.cap_v, other.cap_v))
 
     def __neg__(self):
         return BiLaurent(self.ring, {k: -v for k, v in self.entries.items()},
                          self.cap_u, self.cap_v)
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "BiLaurent") -> "BiLaurent":
+        return BiLaurent(self.ring,
+                         accumulate(dict(self.entries),
+                                    ((k, -v) for k, v in other.entries.items())),
+                         min(self.cap_u, other.cap_u),
+                         min(self.cap_v, other.cap_v))
 
     def __mul__(self, other) -> "BiLaurent":
         if not isinstance(other, BiLaurent):
@@ -274,17 +276,13 @@ class BiLaurent:
         du_o, dv_o = other.max_deg()
         cap_u = min(self.cap_u - du_o, other.cap_u - du_s)
         cap_v = min(self.cap_v - dv_o, other.cap_v - dv_s)
-        acc: dict = {}
-        for (a1, b1), v1 in self.entries.items():
-            for (a2, b2), v2 in other.entries.items():
-                k = (a1 + a2, b1 + b2)
-                if k[0] < -cap_u or k[1] < -cap_v:
-                    continue
-                w = acc.get(k, self.ring.zero) + v1 * v2
-                if self.ring.is_zero(w):
-                    acc.pop(k, None)
-                else:
-                    acc[k] = w
+        # a product of nonzero tensors may vanish; the constructor drops it
+        acc = accumulate({}, (
+            ((a, b), v1 * v2)
+            for (a1, b1), v1 in self.entries.items()
+            for (a2, b2), v2 in other.entries.items()
+            for a, b in ((a1 + a2, b1 + b2),)
+            if a >= -cap_u and b >= -cap_v))
         return BiLaurent(self.ring, acc, cap_u, cap_v)
 
     def __rmul__(self, other):
@@ -298,6 +296,9 @@ class BiLaurent:
 
     def is_zero(self) -> bool:
         return not self.entries
+
+    def __bool__(self) -> bool:
+        return bool(self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, BiLaurent):

@@ -36,8 +36,9 @@ from itertools import permutations, product
 from math import factorial
 from operator import mul
 
+from .algebra import AlgebraElement, element_sum
 from .indices import IndexSet
-from .rationals import Q, binomial, is_rat
+from .rationals import Q, accumulate, binomial, is_rat
 from .series import INF_CAP, RATIONAL_RING, BiLaurent, Ring, TruncatedSeries
 
 
@@ -48,7 +49,7 @@ class TensorElement:
         self.sites = sites
         self.index_set = index_set
         self.ring = ring
-        self.entries = {k: v for k, v in entries.items() if not ring.is_zero(v)}
+        self.entries = {k: v for k, v in entries.items() if v}
 
     # -- constructors ---------------------------------------------------------
 
@@ -70,21 +71,17 @@ class TensorElement:
 
     def __add__(self, other):
         self._compat(other)
-        acc = dict(self.entries)
-        for k, v in other.entries.items():
-            w = acc.get(k, self.ring.zero) + v
-            if self.ring.is_zero(w):
-                acc.pop(k, None)
-            else:
-                acc[k] = w
-        return TensorElement(self.sites, self.index_set, self.ring, acc)
+        return TensorElement(self.sites, self.index_set, self.ring, accumulate(
+            dict(self.entries), other.entries.items()))
 
     def __neg__(self):
         return TensorElement(self.sites, self.index_set, self.ring,
                              {k: -v for k, v in self.entries.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._compat(other)
+        return TensorElement(self.sites, self.index_set, self.ring, accumulate(
+            dict(self.entries), ((k, -v) for k, v in other.entries.items())))
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
@@ -93,15 +90,10 @@ class TensorElement:
         by_row: dict = {}
         for (r, c), v in other.entries.items():
             by_row.setdefault(r, []).append((c, v))
-        acc: dict = {}
-        for (r, m), v1 in self.entries.items():
-            for c, v2 in by_row.get(m, ()):
-                k = (r, c)
-                w = acc.get(k, self.ring.zero) + v1 * v2
-                if self.ring.is_zero(w):
-                    acc.pop(k, None)
-                else:
-                    acc[k] = w
+        # the constructor drops products of coefficients that vanish
+        acc = accumulate({}, (((r, c), v1 * v2)
+                              for (r, m), v1 in self.entries.items()
+                              for c, v2 in by_row.get(m, ())))
         return TensorElement(self.sites, self.index_set, self.ring, acc)
 
     def __rmul__(self, other):
@@ -134,6 +126,9 @@ class TensorElement:
 
     def is_zero(self) -> bool:
         return not self.entries
+
+    def __bool__(self) -> bool:
+        return bool(self.entries)
 
     def __repr__(self):
         return f"TensorElement(sites={self.sites}, nnz={len(self.entries)})"
@@ -173,43 +168,27 @@ class TensorElement:
         """Trace out the given 1-based sites, keeping the rest."""
         traced = sorted(set(traced))
         keep = [s for s in range(1, self.sites + 1) if s not in traced]
-        acc: dict = {}
-        for (r, c), v in self.entries.items():
-            if any(r[s - 1] != c[s - 1] for s in traced):
-                continue
-            k = (tuple(r[s - 1] for s in keep), tuple(c[s - 1] for s in keep))
-            w = acc.get(k, self.ring.zero) + v
-            if self.ring.is_zero(w):
-                acc.pop(k, None)
-            else:
-                acc[k] = w
+        acc = accumulate({}, (
+            ((tuple(r[s - 1] for s in keep), tuple(c[s - 1] for s in keep)), v)
+            for (r, c), v in self.entries.items()
+            if all(r[s - 1] == c[s - 1] for s in traced)))
         return TensorElement(len(keep), self.index_set, self.ring, acc)
 
     def partial_trace_all(self):
         """Full trace over all tensor sites; returns a ring element."""
-        acc = self.ring.zero
-        for (r, c), v in self.entries.items():
-            if r == c:
-                acc = acc + v
-        return acc
+        return _ring_sum(self.ring,
+                         [v for (r, c), v in self.entries.items() if r == c])
 
     def site_prime(self, s: int) -> "TensorElement":
         """Prime transposition on site s: E_ab -> eps_ab E_{-b,-a}."""
         iset = self.index_set
         if iset.kind != "signed":
             raise ValueError("prime transposition needs a signed index set")
-        acc: dict = {}
-        for (r, c), v in self.entries.items():
-            a, b = r[s - 1], c[s - 1]
-            e = iset.eps(a, b)
-            row = r[: s - 1] + (-b,) + r[s:]
-            col = c[: s - 1] + (-a,) + c[s:]
-            k = (row, col)
-            w = acc.get(k, self.ring.zero) + (v if e == 1 else -v)
-            if self.ring.is_zero(w):
-                acc.pop(k, None)
-            else:
-                acc[k] = w
+        acc = accumulate({}, (
+            ((r[: s - 1] + (-b,) + r[s:], c[: s - 1] + (-a,) + c[s:]),
+             v if iset.eps(a, b) == 1 else -v)
+            for (r, c), v in self.entries.items()
+            for a, b in ((r[s - 1], c[s - 1]),)))
         return TensorElement(self.sites, self.index_set, self.ring, acc)
 
 
@@ -221,18 +200,26 @@ def tensor_ring(sites: int, index_set: IndexSet, coeff_ring: Ring = RATIONAL_RIN
 # -- trace contraction ------------------------------------------------------------
 
 
+def _trace_parts(h: TensorElement, x: TensorElement) -> list:
+    """The products x_ba h_ab that tr(h x) sums."""
+    h._compat(x)
+    xs = x.entries
+    return [xs[(b, a)] * c for (a, b), c in h.entries.items() if (b, a) in xs]
+
+
+def _ring_sum(ring: Ring, parts: list):
+    """sum(parts) in `ring`; algebra elements accumulate into one term
+    dict."""
+    if isinstance(ring.zero, AlgebraElement):
+        return element_sum(ring.zero.rule, parts)
+    return sum(parts, ring.zero)
+
+
 def trace_against(h: TensorElement, x: TensorElement):
     """sum_ab x_ba h_ab, without forming a product of tensors.  For a
     rational h this is tr(h x); when h = y g with g rational it is
     tr(g x y), since every x_ba stays on the left of h_ab."""
-    h._compat(x)
-    acc = x.ring.zero
-    xs = x.entries
-    for (a, b), c in h.entries.items():
-        v = xs.get((b, a))
-        if v is not None:
-            acc = acc + v * c
-    return acc
+    return _ring_sum(x.ring, _trace_parts(h, x))
 
 
 def trace_series(h, *factors: TruncatedSeries) -> TruncatedSeries:
@@ -253,14 +240,9 @@ def trace_series(h, *factors: TruncatedSeries) -> TruncatedSeries:
         x = reduce(mul, head)
     ring = x.ring.one.ring
     D = min(h.trunc, x.trunc)
-    out = []
-    for s in range(D + 1):
-        acc = ring.zero
-        for r in range(s + 1):
-            hr = h.coeffs[s - r]
-            if hr.entries:
-                acc = acc + trace_against(hr, x.coeffs[r])
-        out.append(acc)
+    out = [_ring_sum(ring, [p for r in range(s + 1)
+                            for p in _trace_parts(h.coeffs[s - r], x.coeffs[r])])
+           for s in range(D + 1)]
     return TruncatedSeries(ring, out, D)
 
 

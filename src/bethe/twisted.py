@@ -23,9 +23,10 @@ from __future__ import annotations
 from functools import reduce
 from operator import mul
 
-from .algebra import AlgebraElement, FreeRule, YangianRule, commutator
+from .algebra import (AlgebraElement, FreeRule, YangianRule, commutator,
+                      element_sum)
 from .indices import IndexSet, ZMatrix
-from .rationals import Q, ZERO
+from .rationals import Q
 from .series import (INF_CAP, RATIONAL_RING, BiLaurent, RationalFactor,
                      TruncatedSeries, algebra_ring)
 from .tensor import (TensorElement, antisymmetrizer, bilaurent_r, q_tensor,
@@ -103,13 +104,10 @@ class TwistedContext:
     def s_expand(self, w: AlgebraElement) -> AlgebraElement:
         """Substitute every S generator by its quadratic ambient expression
         and normal-order the result."""
-        acc = self.yang_rule.zero()
-        for word, c in w.terms.items():
-            term = self.yang_rule.one()
-            for g in word:
-                term = term * self.expand_gen(g)
-            acc = acc + term * c
-        return acc
+        rule = self.yang_rule
+        return element_sum(rule, (
+            reduce(mul, map(self.expand_gen, word), rule.one()) * c
+            for word, c in w.terms.items()))
 
     # -- memos -----------------------------------------------------------------
 
@@ -464,10 +462,11 @@ def verify_fused_determinant(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
     return details
 
 
-def verify_twisted_commutativity(ctx: TwistedContext, z: ZMatrix, budget: int,
-                                 D: int | None = None) -> list:
-    if D is None:
-        D = budget - 1
+def verify_twisted_commutativity(ctx: TwistedContext, z: ZMatrix,
+                                 budget: int) -> list:
+    """Rows [A_k coeff r, A_l coeff s] = 0 with r + s <= budget, from series
+    truncated at D = budget - 1."""
+    D = budget - 1
     N = ctx.index_set.N
     series = {k: expanded_bethe_series(ctx, k, z, D) for k in range(1, N + 1)}
     return commutator_table(series, "A", budget, D)
@@ -512,29 +511,11 @@ def resolve_prop36_scalar(ctx: TwistedContext, z: ZMatrix, k: int, D: int):
     return TruncatedSeries.one(RATIONAL_RING, D), ok
 
 
-def resolve_z_rmatrix_scalar(ctx: TwistedContext, z: ZMatrix):
-    """Determine the scalar polynomial c(u) with
-    Z_1 R~(u) Z_2 H_2 = c(u) Z_1 Z_2 H_2 for sign-matched Z."""
+def verify_z_rmatrix_scalar(ctx: TwistedContext, z: ZMatrix) -> list:
+    """The prop-3.6 exchange Z_1 R~(u) Z_2 H_2 = c(u) Z_1 Z_2 H_2 for
+    sign-matched Z, at the fixed scalar c(u) = u.  As R~(u) = u - Q, it
+    holds exactly when Z_1 Q Z_2 H_2 = 0."""
     iset = ctx.index_set
-    h2 = antisymmetrizer(2, iset)
-    z1 = z_site_tensor(z, 1, 2)
-    z2 = z_site_tensor(z, 2, 2)
-    base = z1 * z2 * h2
-    qq = q_tensor(iset)
-    lhs1 = z1 * z2 * h2                      # u-coefficient of Z1 R~(u) Z2 H2
-    lhs0 = -(z1 * (qq * (z2 * h2)))          # constant coefficient
-    # match lhs = (a u + b) base
-    def match(t):
-        if base.is_zero():
-            return None
-        for key, val in base.entries.items():
-            ref = t.entries.get(key, ZERO)
-            c = ref / val
-            if t == base.scale_rat(c):
-                return c
-            return None
-    a = match(lhs1)
-    b = match(lhs0)
-    if a is None or b is None:
-        return None
-    return (a, b)  # c(u) = a*u + b
+    z2h2 = z_site_tensor(z, 2, 2) * antisymmetrizer(2, iset)
+    res = z_site_tensor(z, 1, 2) * (q_tensor(iset) * z2h2)
+    return [("exchange scalar c(u) = 1*u + 0", not res)]

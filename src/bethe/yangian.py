@@ -244,10 +244,11 @@ def commutator_table(series: dict, letter: str, budget: int, D: int) -> list:
     return details
 
 
-def verify_bethe_commutativity(z: ZMatrix, rule: YangianRule, budget: int,
-                               D: int | None = None) -> list:
-    if D is None:
-        D = budget - 1
+def verify_bethe_commutativity(z: ZMatrix, rule: YangianRule,
+                               budget: int) -> list:
+    """Rows [B_k coeff r, B_l coeff s] = 0 with r + s <= budget, from series
+    truncated at D = budget - 1."""
+    D = budget - 1
     N = rule.index_set.N
     series = {k: bethe_series(k, z, rule, D) for k in range(1, N + 1)}
     return commutator_table(series, "B", budget, D)

@@ -116,6 +116,29 @@ def test_determinant_guard_is_an_internal_error(monkeypatch, capsys):
     assert "unexpected degree" in capsys.readouterr().err
 
 
+def test_conventions_guard_is_an_internal_error(monkeypatch, capsys):
+    import bethe.cli as cli
+
+    def no_orientation(k, index_set):
+        raise AssertionError("no arrow orientation reproduces the projector")
+
+    monkeypatch.setattr(cli, "h_k_orientation", no_orientation)
+    assert main(["verify", "rtt", "--kind", "gl", "--N", "2"]) == 3
+    assert "no arrow orientation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, D", [
+    (["bethe-commute", "--kind", "gl", "--N", "2", "--budget", "3"], 2),
+    (["twisted-commute", "--kind", "so", "--n", "1", "--odd",
+      "--budget", "2"], 1),
+])
+def test_commute_reports_the_effective_truncation(tmp_path, args, D):
+    # the suites truncate at budget - 1, whatever --D (default 3) says
+    assert main(["verify", *args, "--D", "5"]) == 0
+    data = json.loads((tmp_path / f"{args[0]}.json").read_text())
+    assert data["params"]["D"] == D
+
+
 def test_poisson_bethe_k_out_of_range_is_usage_error():
     assert main(["compute", "poisson-bethe", "--kind", "gl", "--N", "2",
                  "--k", "3"]) == 2
@@ -176,6 +199,21 @@ def test_poisson_jacobi_fails_for_a_symmetric_bracket(monkeypatch):
         return -br if a > b else br
 
     monkeypatch.setattr(PoissonContext, "gen_bracket", sign_flipped)
+    assert main(args) == 1
+
+
+def test_symbol_hom_fails_for_a_doubled_bracket(monkeypatch):
+    from bethe.poisson import PoissonContext
+
+    args = ["verify", "symbol-hom", "--kind", "gl", "--N", "2"]
+    assert main(args) == 0
+    real = PoissonContext.gen_bracket
+
+    def doubled(self, a, b):
+        br = real(self, a, b)
+        return br * 2 if a < b else br
+
+    monkeypatch.setattr(PoissonContext, "gen_bracket", doubled)
     assert main(args) == 1
 
 
@@ -287,4 +325,30 @@ def test_sklyanin_fails_without_theta(monkeypatch):
     assert main(args) == 0
     monkeypatch.setattr(twisted, "theta_series",
                         lambda ctx, D: TruncatedSeries.one(RATIONAL_RING, D))
+    assert main(args) == 1
+
+
+def test_prop36_fails_for_the_flip_in_the_exchange(monkeypatch, tmp_path):
+    # R~(u) = u - P in place of u - Q: Z_1 P Z_2 H_2 is not zero
+    from bethe import tensor, twisted
+
+    args = ["verify", "prop36", "--kind", "sp", "--n", "1", "--D", "2"]
+    row = {"item": "exchange scalar c(u) = 1*u + 0", "residual_zero": True}
+    assert main(args) == 0
+    assert row in json.loads((tmp_path / "prop36.json").read_text())["details"]
+    monkeypatch.setattr(twisted, "q_tensor", tensor.flip)
+    assert main(args) == 1
+    rows = json.loads((tmp_path / "prop36.json").read_text())["details"]
+    assert {**row, "residual_zero": False} in rows
+
+
+def test_rho_hom_fails_without_the_eps_partner(monkeypatch):
+    from bethe import evalmap
+
+    args = ["verify", "rho-hom", "--kind", "so", "--n", "1", "--odd",
+            "--D", "2"]
+    assert main(args) == 0
+    # F_ij = E_ij alone: rho no longer factors through the symmetry relation
+    monkeypatch.setattr(evalmap, "f_element",
+                        lambda gl_rule, i, j: gl_rule.element(i, j))
     assert main(args) == 1

@@ -4,14 +4,15 @@ from bethe import twisted
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import ONE, Q
 from bethe.twisted import (TwistedContext, fused_s, hat_twisted_series,
-                           reflection_residual, resolve_prop36_scalar, resolve_z_rmatrix_scalar,
+                           reflection_residual, resolve_prop36_scalar,
                            theta_series, twisted_bethe_series,
                            verify_fused_determinant, verify_fused_membership,
                            verify_fused_z_membership, verify_mixed_rtt,
                            verify_reflection, verify_reflection_matrix_form,
                            verify_sklyanin, verify_symmetry,
                            verify_twisted_commutativity,
-                           verify_twisted_hat_identity, verify_z_exchange)
+                           verify_twisted_hat_identity, verify_z_exchange,
+                           verify_z_rmatrix_scalar)
 
 SP2 = TwistedContext(IndexSet.signed(2, "sp"))
 SO3 = TwistedContext(IndexSet.signed(3, "so"))
@@ -86,10 +87,9 @@ def test_twisted_hat_identity_small():
 def test_prop36_scalar_resolution():
     c, ok = resolve_prop36_scalar(SP2, Z_SP, 1, 2)
     assert ok and list(c.coeffs) == [Q(1), Q(0), Q(0)]
-    pair = resolve_z_rmatrix_scalar(SP2, Z_SP)
-    assert pair is not None
-    a, b = pair
-    assert a == 1  # leading term: the identity needs the factor u
+    # the exchange holds at the fixed scalar c(u) = u
+    assert verify_z_rmatrix_scalar(SP2, Z_SP) == [
+        ("exchange scalar c(u) = 1*u + 0", True)]
 
 
 def _scaled_hat(monkeypatch, factor):
