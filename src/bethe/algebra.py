@@ -19,18 +19,20 @@ generators.
 Coefficient types.  Rule-level structure constants (raw_bracket,
 bracket_terms, mono_times_gen, mono_times_mono) are plain Python ints:
 brackets are +-1 and normal ordering only adds and multiplies them.  Every
-coefficient stored in an AlgebraElement is of type Q, so no int reaches an
-element or a report.  The public constructor coerces its input through Q
-and drops zeros; results of +, -, * and `element_sum` are built by the
-trusted constructor `_from_terms`, which takes a dict that already holds
-only nonzero Q values and stores it as is.  All of them, and the rule-level
-products, sum their terms with `rationals.accumulate`; a product of
-nonzero ints or rationals is nonzero, so every value it is passed is.
+coefficient stored in an AlgebraElement is an exact scalar in the
+canonical form of `rationals`: an int when integral, a Q otherwise, so
+products of integral coefficients run on ints.  The public constructor
+coerces its input through `rat` and drops zeros; results of +, -, * and
+`element_sum` are built by the trusted constructor `_from_terms`, which
+takes a dict that already holds only nonzero canonical values and stores
+it as is.  All of them, and the rule-level products, sum their terms with
+`rationals.accumulate`, which stores an integral Q as an int; a product of
+nonzero scalars is nonzero, so every value it is passed is.
 """
 from __future__ import annotations
 
 from .indices import IndexSet
-from .rationals import ONE, Q, ZERO, accumulate
+from .rationals import ONE, accumulate, rat
 
 
 class CommutationRule:
@@ -181,7 +183,7 @@ class AlgebraElement:
 
     def __init__(self, rule: CommutationRule, terms: dict):
         self.rule = rule
-        self.terms = {m: Q(c) for m, c in terms.items() if c}
+        self.terms = {m: rat(c) for m, c in terms.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -191,7 +193,7 @@ class AlgebraElement:
 
     def _coerce(self, other) -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
-            return AlgebraElement(self.rule, {(): Q(other)})
+            return AlgebraElement(self.rule, {(): other})
         if self.rule is not other.rule:
             raise ValueError("elements under different commutation rules")
         return other
@@ -216,16 +218,20 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
-            c = other if type(other) is Q else Q(other)
-            terms = {m: v * c for m, v in self.terms.items()} if c else {}
-            return _from_terms(self.rule, terms)
+            c = rat(other)
+            if c == 1:
+                return self  # elements are values: none is changed in place
+            return _from_terms(self.rule, accumulate(
+                {}, ((m, v * c) for m, v in self.terms.items())) if c else {})
         other = self._coerce(other)
         mtm = self.rule.mono_times_mono
+        # c1 * c2 is folded to an int when integral, so that the products
+        # with the int structure constants stay on ints
         return _from_terms(self.rule, accumulate({}, [
             (m, c12 if c == 1 else c12 * c)
             for m1, c1 in self.terms.items()
             for m2, c2 in other.terms.items()
-            for c12 in (c1 * c2,)
+            for c12 in (rat(c1 * c2),)
             for m, c in mtm(m1, m2).items()]))
 
     def __rmul__(self, other):
@@ -235,7 +241,7 @@ class AlgebraElement:
     def __eq__(self, other):
         if isinstance(other, AlgebraElement):
             return self.rule is other.rule and self.terms == other.terms
-        return self.terms == ({(): Q(other)} if other else {})
+        return self.terms == ({(): rat(other)} if other else {})
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -251,7 +257,8 @@ class AlgebraElement:
 
 
 def _from_terms(rule: CommutationRule, terms: dict) -> AlgebraElement:
-    """Trusted constructor: `terms` holds only nonzero Q coefficients."""
+    """Trusted constructor: `terms` holds only nonzero canonical
+    coefficients."""
     out = AlgebraElement.__new__(AlgebraElement)
     out.rule = rule
     out.terms = terms
@@ -307,17 +314,13 @@ def normal_order(word, rule: CommutationRule, coeff=ONE, strategy: str = "left",
     word = tuple(word)
     for g in word:
         rule.gen(g[1], g[2], g[0])  # validates indices and level
-    pending = [(Q(coeff), word)]
+    pending = [(rat(coeff), word)]
     done: dict = {}
     while pending:
         c, w = pending.pop()
         spots = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
         if not spots:
-            v = done.get(w, ZERO) + c
-            if v:
-                done[w] = v
-            elif w in done:
-                del done[w]
+            accumulate(done, ((w, c),))
             continue
         pos = spots[0] if strategy == "left" else spots[-1]
         a, b = w[pos], w[pos + 1]

@@ -17,7 +17,6 @@ from .poisson import (CurrentPoint, PoissonContext, PoissonPoly, bethe_family,
                       certified_jacobian_rank, jacobian_rank, poisson_bracket,
                       poisson_rank_at, principal_nilpotent, restrict_to_slice,
                       upper_slice)
-from .rationals import Q
 from .twisted import (TwistedContext, reflection_residual,
                       symmetry_residual_free, twisted_bethe_series)
 from .yangian import bethe_series
@@ -104,7 +103,7 @@ def _random_quadratic(rule, rng, max_level: int) -> AlgebraElement:
                       rng.randint(1, max_level))
     g2 = rule.element(rng.choice(idx), rng.choice(idx),
                       rng.randint(1, max_level))
-    return g1 * g2 * Q(rng.randint(1, 5))
+    return g1 * g2 * rng.randint(1, 5)
 
 
 def verify_symbol_homomorphy(index_set: IndexSet, M: int, seed: int,
@@ -216,7 +215,7 @@ def verify_classical_slice_rank(n: int, z: ZMatrix, seed: int = 7) -> list:
     rng = random.Random(seed)
     rank = 0
     for _ in range(5):
-        vals = {v: Q(rng.randint(1, 9)) for v in sl.free}
+        vals = {v: rng.randint(1, 9) for v in sl.free}
         rank = max(rank, jacobian_rank(rest, sl.free, vals))
         if rank == expected:
             break

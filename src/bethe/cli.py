@@ -8,9 +8,14 @@ Two subcommands:
   exact rationals) and writes it as JSON; rerunning with the same
   configuration reproduces the file byte for byte.
 
-Both exit with status 2 on usage errors and 3 on internal errors: a failed
-internal guard (such as the degree and parity guards of the determinant
-expansion) or any other unexpected exception.  Errors go to stderr.
+Both exit with status 2 on usage errors and 3 on internal errors.  A usage
+error is bad outside input: an unknown check, a missing or out-of-range
+flag, a malformed or unreadable --Z, or an output path that cannot be
+written.  `RunConfig` turns every such input into a `UsageError` before
+any computation starts.  An internal error is a failed internal guard
+(such as the degree and parity guards of the determinant expansion) or
+any other exception raised by a computation, a `ValueError` included.
+Errors go to stderr.
 ``verify jacobian`` reports the parity zeros as detail rows instead, so a
 parity violation there exits 1.
 
@@ -52,23 +57,37 @@ OBJECTS = ("bethe", "qdet", "twisted-bethe", "poisson-bethe")
 
 
 class RunConfig:
-    """Validated run parameters shared by both subcommands."""
+    """Validated run parameters shared by both subcommands.  Every check of
+    outside input happens here and raises `UsageError`."""
 
     def __init__(self, args):
         self.kind = args.kind
         if self.kind == "gl":
             if args.N is None:
                 raise UsageError("--N is required for kind gl")
-            self.index_set = IndexSet.plain(args.N)
+            N = args.N
         else:
             if args.n is None and args.N is None:
                 raise UsageError("--n (or --N) is required for kind so/sp")
             N = args.N if args.N is not None else (
                 2 * args.n + (1 if self.kind == "so" and args.odd else 0))
-            self.index_set = IndexSet.signed(N, self.kind)
+        if N < 1:
+            raise UsageError("the matrix size must be at least 1")
+        try:
+            self.index_set = (IndexSet.plain(N) if self.kind == "gl"
+                              else IndexSet.signed(N, self.kind))
+        except ValueError as e:
+            raise UsageError(str(e)) from None
         # the commutator suites truncate at budget - 1, whatever --D says
         self.D = (args.budget - 1 if getattr(args, "check", None)
                   in ("bethe-commute", "twisted-commute") else args.D)
+        if self.D < 0:
+            raise UsageError("the truncation order must be >= 0 (--D, or "
+                             "--budget - 1 for the commutator suites)")
+        if args.M < 1:
+            raise UsageError("--M must be >= 1")
+        if args.k and not 1 <= args.k <= N:
+            raise UsageError("k out of range")
         self.M = args.M
         self.budget = args.budget
         self.k = args.k
@@ -80,7 +99,10 @@ class RunConfig:
         if self.kind != "gl":
             tag = ("prime_symmetric" if self.z_symmetry == "symmetric"
                    else "prime_skew")
-        self.z = parse_z_spec(self.z_spec, self.index_set, tag)
+        try:
+            self.z = parse_z_spec(self.z_spec, self.index_set, tag)
+        except (ValueError, TypeError, ZeroDivisionError) as e:
+            raise UsageError(f"--Z {self.z_spec}: {e}") from None
         self.out = args.out
 
     def _default_z(self) -> str:
@@ -120,6 +142,13 @@ class UsageError(Exception):
 
 
 # -- check dispatch -------------------------------------------------------------
+
+
+def scalar_list_label(xs) -> str:
+    """Exact scalars as "[Fraction(p, q), ...]", the text of the prop-3.6
+    scalar rows, written the same for ints and for every backend."""
+    return "[" + ", ".join(f"Fraction({x.numerator}, {x.denominator})"
+                           for x in xs) + "]"
 
 
 def run_check(cfg: RunConfig, name: str) -> list:
@@ -173,7 +202,8 @@ def run_check(cfg: RunConfig, name: str) -> list:
         details = list(verify_twisted_hat_identity(ctx, cfg.z, D))
         for k in range(1, iset.N + 1):
             c, ok = resolve_prop36_scalar(ctx, cfg.z, k, D)
-            details.append((f"trace-form scalar k={k}: {list(c.coeffs)}", ok))
+            details.append((f"trace-form scalar k={k}: "
+                            f"{scalar_list_label(c.coeffs)}", ok))
         return details + verify_z_rmatrix_scalar(ctx, cfg.z)
 
     if name == "rho-hom":
@@ -249,8 +279,6 @@ def run_compute(cfg: RunConfig, name: str) -> dict:
         return series_table(config, rows)
 
     if name == "poisson-bethe":
-        if not all(1 <= k <= iset.N for k in ks):
-            raise UsageError("k out of range")
         family = bethe_family(cfg.poisson_ctx(), cfg.z)
         rows = [(k, [serialize_poly(p) for p in family[k]]) for k in ks]
         return series_table(config, rows)
@@ -348,7 +376,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except (ValueError, OSError) as e:
+    except OSError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except Exception as e:

@@ -16,7 +16,7 @@ from operator import mul
 
 from .algebra import AlgebraElement, GlRule, commutator, element_sum
 from .indices import IndexSet
-from .rationals import Q, accumulate
+from .rationals import accumulate, rat
 
 
 def pi_apply(a: AlgebraElement, gl_rule: GlRule) -> AlgebraElement:
@@ -30,7 +30,7 @@ def pi_apply(a: AlgebraElement, gl_rule: GlRule) -> AlgebraElement:
 def f_element(gl_rule: GlRule, i: int, j: int) -> AlgebraElement:
     """F_ij = E_ij - eps_ij E_{-j,-i} inside the ambient enveloping algebra."""
     iset = gl_rule.index_set
-    return gl_rule.element(i, j) - gl_rule.element(-j, -i) * Q(iset.eps(i, j))
+    return gl_rule.element(i, j) - gl_rule.element(-j, -i) * iset.eps(i, j)
 
 
 def rho_apply(w: AlgebraElement, gl_rule: GlRule) -> AlgebraElement:
@@ -39,7 +39,7 @@ def rho_apply(w: AlgebraElement, gl_rule: GlRule) -> AlgebraElement:
     iset = gl_rule.index_set
     if iset.kind != "signed":
         raise ValueError("rho needs a signed index set with a declared form")
-    half = Q(-1, 2) if iset.form == "so" else Q(1, 2)
+    half = rat(-1, 2) if iset.form == "so" else rat(1, 2)
 
     def image(word, scal):
         term = gl_rule.one()

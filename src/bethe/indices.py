@@ -12,7 +12,7 @@ integer comparison gives the canonical order in both conventions.
 """
 from __future__ import annotations
 
-from .rationals import Q, ZERO, parse_rat
+from .rationals import parse_rat, rat
 
 
 class IndexSet:
@@ -98,7 +98,8 @@ class ZMatrix:
 
     def __init__(self, index_set: IndexSet, entries: dict, symmetry_tag=None):
         self.index_set = index_set
-        self.entries = {k: Q(v) for k, v in entries.items() if Q(v) != 0}
+        self.entries = {k: c for k, v in entries.items()
+                        for c in (rat(v),) if c}
         self.symmetry_tag = symmetry_tag
         if symmetry_tag is not None:
             self._check_tag()
@@ -135,7 +136,7 @@ class ZMatrix:
         )
 
     def entry(self, i: int, j: int):
-        return self.entries.get((i, j), ZERO)
+        return self.entries.get((i, j), 0)
 
 
 def parse_z_spec(spec: str, index_set: IndexSet, symmetry_tag=None) -> ZMatrix:
@@ -163,7 +164,7 @@ def parse_z_spec(spec: str, index_set: IndexSet, symmetry_tag=None) -> ZMatrix:
             mid = [vals[0]] if index_set.N % 2 else []
         else:
             neg = [-v for v in reversed(vals)]
-            mid = [Q(0)] if index_set.N % 2 else []
+            mid = [0] if index_set.N % 2 else []
         return ZMatrix.diagonal(index_set, neg + mid + vals, symmetry_tag)
     if spec.startswith("json:"):
         import json

@@ -23,7 +23,7 @@ import random
 from math import lcm
 
 from .indices import IndexSet, ZMatrix
-from .rationals import ONE, Q, ZERO, accumulate, binomial
+from .rationals import ONE, accumulate, binomial, div, rat
 
 
 class PoissonContext:
@@ -120,7 +120,7 @@ class PoissonContext:
             put(p + q - r, (k, j), r - 1, (i, l), -ONE)
             if self.kind == "twisted":
                 eps = self.index_set.eps
-                sgn = Q((-1) ** (p + r - 1))
+                sgn = (-1) ** (p + r - 1)
                 put(r - 1, (i, -k), p + q - r, (-j, l), sgn * eps(k, -j))
                 put(p + q - r, (k, -i), r - 1, (-l, j), -sgn * eps(i, -l))
         res = PoissonPoly(self, terms)
@@ -168,7 +168,7 @@ class PoissonPoly:
     def __eq__(self, other):
         if isinstance(other, PoissonPoly):
             return self.context == other.context and self.terms == other.terms
-        return self.terms == ({(): Q(other)} if other else {})
+        return self.terms == ({(): rat(other)} if other else {})
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -193,9 +193,9 @@ class PoissonPoly:
 
     def __mul__(self, other):
         if not isinstance(other, PoissonPoly):
-            c = Q(other)
-            return _poly(self.context,
-                         {m: v * c for m, v in self.terms.items()} if c else {})
+            c = rat(other)
+            return _poly(self.context, accumulate(
+                {}, ((m, v * c) for m, v in self.terms.items())) if c else {})
         other = self._coerce(other)
         return _poly(self.context, accumulate({}, (
             (tuple(sorted(m1 + m2)), c1 * c2)
@@ -232,11 +232,11 @@ class PoissonPoly:
             (drop_one(m), c * k) for m, c in self.terms.items()
             for k in (m.count(v),) if k)))
 
-    def evaluate(self, values) -> "Q":
+    def evaluate(self, values):
         """Value at a point; `values` is a CurrentPoint or a plain dict
         keyed by variable triples."""
         get = values.value if isinstance(values, CurrentPoint) else values.__getitem__
-        acc = ZERO
+        acc = 0
         for m, c in self.terms.items():
             t = c
             for v in m:
@@ -244,23 +244,22 @@ class PoissonPoly:
                 if not t:
                     break
             acc += t
-        return acc
+        return rat(acc)
 
     def gradient(self, coords, point) -> list:
         """[df/dv at the point for v in coords] in one pass over the
         monomials: each factor's partial is the product of the other
         factors, read off prefix and suffix products of the point values.
         Coordinates reduce as in `derivative`; `point` is as in
-        `evaluate`.  The coefficients are scaled to integers and integral
-        point values (all random points are) are taken as ints, so the
-        products run on Python ints; one division per entry restores the
-        exact value."""
+        `evaluate`.  The coefficients are scaled to integers, and integral
+        point values are ints in canonical form (all random points are),
+        so the products run on Python ints; one division per entry
+        restores the exact value."""
         get = point.value if isinstance(point, CurrentPoint) else point.__getitem__
         den = lcm(*(c.denominator for c in self.terms.values()))
         acc: dict = {}
         for m, c in self.terms.items():
-            vals = [x.numerator if x.denominator == 1 else x
-                    for x in map(get, m)]
+            vals = list(map(get, m))
             suffix = [1]
             for x in reversed(vals[1:]):
                 suffix.append(x * suffix[-1])
@@ -271,7 +270,7 @@ class PoissonPoly:
         out = []
         for v in coords:
             red = self.context.reduce_var(v)
-            out.append(ZERO if red is None else Q(acc.get(red[1], 0)) / den)
+            out.append(0 if red is None else div(acc.get(red[1], 0), den))
         return out
 
     def substitute(self, assignments: dict) -> "PoissonPoly":
@@ -281,7 +280,7 @@ class PoissonPoly:
             keep = []
             for v in m:
                 if v in assignments:
-                    coeff = coeff * Q(assignments[v])
+                    coeff = coeff * rat(assignments[v])
                     if not coeff:
                         return ()
                 else:
@@ -293,8 +292,8 @@ class PoissonPoly:
 
 
 def _poly(context: PoissonContext, terms: dict) -> PoissonPoly:
-    """Trusted constructor: `terms` holds only nonzero Q coefficients on
-    sorted fundamental-domain monomials."""
+    """Trusted constructor: `terms` holds only nonzero canonical
+    coefficients on sorted fundamental-domain monomials."""
     out = PoissonPoly.__new__(PoissonPoly)
     out.context = context
     out.terms = terms
@@ -302,10 +301,10 @@ def _poly(context: PoissonContext, terms: dict) -> PoissonPoly:
 
 
 def _reduced_terms(context: PoissonContext, terms: dict):
-    """(sorted fundamental-domain monomial, nonzero Q) for every term that
-    survives the context's reduction."""
+    """(sorted fundamental-domain monomial, nonzero canonical coefficient)
+    for every term that survives the context's reduction."""
     for mono, c in terms.items():
-        c = Q(c)
+        c = rat(c)
         if not c:
             continue
         out = []
@@ -360,12 +359,12 @@ class CurrentPoint:
                     v = (r, i, j)
                     red = context.reduce_var(v)
                     if red is None:
-                        val = ZERO
+                        val = 0
                     else:
                         s, w = red
-                        val = Q(values.get(w, ZERO)) * s
+                        val = rat(values.get(w, 0)) * s
                     given = values.get(v)
-                    if given is not None and Q(given) != val:
+                    if given is not None and rat(given) != val:
                         raise ValueError(
                             f"value at {v} violates the context symmetry")
                     full[v] = val
@@ -374,7 +373,7 @@ class CurrentPoint:
     def value(self, v: tuple):
         r, i, j = v
         if r > self.context.M:
-            return ZERO
+            return 0
         return self.values[v]
 
     @staticmethod
@@ -397,7 +396,7 @@ class CurrentPoint:
             x = 0
             while x == 0:
                 x = rng.randint(-bound, bound)
-            vals[v] = Q(x)
+            vals[v] = x
         return CurrentPoint(context, vals)
 
 
@@ -424,7 +423,7 @@ def det_poly(context: PoissonContext, z: ZMatrix) -> dict:
         raise ValueError("Z lives on a different index set")
     idx = iset.indices()
     M = context.M
-    zq = {(i, j): Q(z.entry(i, j)) for i in idx for j in idx}
+    zq = {(i, j): z.entry(i, j) for i in idx for j in idx}
     L = lcm(*(x.denominator for x in zq.values()))
 
     # entry (i, j) as [((deg_u, deg_v), int coeff, variable or None)], the
@@ -460,7 +459,7 @@ def det_poly(context: PoissonContext, z: ZMatrix) -> dict:
                             (m if w is None else tuple(sorted(m + (w,))),
                              c1 * c2) for m, c1 in terms.items()))
         layer = nxt
-    return {(du, dv): _poly(context, {m: Q(c, L ** dv)
+    return {(du, dv): _poly(context, {m: rat(c, L ** dv)
                                       for m, c in terms.items()})
             for (du, dv), terms in layer.get((1 << len(idx)) - 1, {}).items()
             if terms}
@@ -481,7 +480,7 @@ def bethe_family(context: PoissonContext, z: ZMatrix, *,
     zero = PoissonPoly(context, {})
     family = {}
     for k in range(1, N + 1):
-        inv = ONE / binomial(N, k)
+        inv = div(1, binomial(N, k))
         out = [full.get((k * M - r, N - k), zero) * inv
                for r in range(0, k * M + 1)]
         # nothing of the v^{N-k} slice may fall outside degrees 0..kM

@@ -1,9 +1,12 @@
 """Truncated formal series in u^-1 over an arbitrary coefficient ring.
 
-The ring is a tiny adapter carrying the zero and one elements; all
-arithmetic goes through the coefficients' own operators (+, -, *), and
-right-multiplication by exact rationals is assumed to work on every
-coefficient type (it does for rationals, algebra elements and tensors).
+The ring is a tiny adapter carrying the zero and one elements and the
+sum of many elements; all other arithmetic goes through the coefficients'
+own operators (+, -, *), and right-multiplication by exact rationals is
+assumed to work on every coefficient type (it does for rationals, algebra
+elements and tensors).  A product coefficient, and every other sum over
+ring elements, is formed by one `Ring.sum` of all its terms rather than
+by a running sum that copies the partial result once per term.
 
 Also provided:
 
@@ -15,26 +18,53 @@ Also provided:
 """
 from __future__ import annotations
 
-from .rationals import ONE, Q, ZERO, accumulate, binomial
+from .algebra import element_sum
+from .rationals import accumulate, binomial, div, rat
 
 
 class Ring:
-    """The zero and one of a coefficient ring.  It has no zero test: a
+    """The zero and one of a coefficient ring, and `sum(parts)`, the sum of
+    a list of its elements formed in one pass.  It has no zero test: a
     coefficient is zero exactly when it is false, as rationals are and as
     every element type of the package defines __bool__."""
 
-    __slots__ = ("zero", "one")
+    __slots__ = ("zero", "one", "sum")
 
-    def __init__(self, zero, one):
+    def __init__(self, zero, one, sum):
         self.zero = zero
         self.one = one
+        self.sum = sum
 
 
-RATIONAL_RING = Ring(ZERO, ONE)
+RATIONAL_RING = Ring(0, 1, lambda parts: rat(sum(parts)))
 
 
 def algebra_ring(rule) -> Ring:
-    return Ring(rule.zero(), rule.one())
+    """Algebra elements under `rule`, summed into one term dict."""
+    return Ring(rule.zero(), rule.one(),
+                lambda parts: element_sum(rule, parts))
+
+
+def sum_terms(ring: Ring, items) -> dict:
+    """{key: sum of its values} over (key, value) pairs with values in
+    `ring`, zero sums dropped.  Rationals accumulate in place; ring
+    elements are collected per key and summed once by `ring.sum`, so no
+    element is copied per summand."""
+    if ring is RATIONAL_RING:
+        return accumulate({}, items)
+    groups: dict = {}
+    for k, v in items:
+        group = groups.get(k)
+        if group is None:
+            groups[k] = [v]
+        else:
+            group.append(v)
+    out = {}
+    for k, vs in groups.items():
+        v = vs[0] if len(vs) == 1 else ring.sum(vs)
+        if v:
+            out[k] = v
+    return out
 
 
 class TruncatedSeries:
@@ -50,6 +80,8 @@ class TruncatedSeries:
         if trunc < 0:
             raise ValueError("truncation order must be >= 0")
         coeffs = list(coeffs)[: trunc + 1]
+        if ring is RATIONAL_RING:
+            coeffs = [rat(c) for c in coeffs]
         coeffs += [ring.zero] * (trunc + 1 - len(coeffs))
         self.ring = ring
         self.coeffs = tuple(coeffs)
@@ -106,23 +138,18 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            c = Q(other)
+            c = rat(other)
             return self.map_coeffs(lambda x: x * c)
         D = min(self.trunc, other.trunc)
-        zero = self.ring.zero
-        out = [zero] * (D + 1)
-        for r, a in enumerate(self.coeffs[: D + 1]):
-            if not a:
-                continue
-            for s in range(D + 1 - r):
-                b = other.coeffs[s]
-                if b:
-                    out[r + s] = out[r + s] + a * b
-        return TruncatedSeries(self.ring, out, D)
+        a, b = self.coeffs, other.coeffs
+        return TruncatedSeries(self.ring, [
+            self.ring.sum([a[r] * b[s - r] for r in range(s + 1)
+                           if a[r] and b[s - r]])
+            for s in range(D + 1)], D)
 
     def __rmul__(self, other):
         # rational scalars only; they commute with every coefficient ring
-        c = Q(other)
+        c = rat(other)
         return self.map_coeffs(lambda x: x * c)
 
     def scale(self, elem, side: str = "left") -> "TruncatedSeries":
@@ -135,22 +162,17 @@ class TruncatedSeries:
 
     def substitute_affine(self, a, b) -> "TruncatedSeries":
         """Re-expand s(a*u + b) in u^-1; exact per coefficient."""
-        a = Q(a)
-        b = Q(b)
-        if a == 0:
+        if not a:
             raise ValueError("affine substitution needs a != 0")
-        ratio = b / a
-        out = [self.coeffs[0]] + [self.ring.zero] * self.trunc
-        for r in range(1, self.trunc + 1):
-            c = self.coeffs[r]
-            if not c:
-                continue
-            base = (ONE / a) ** r
-            for s in range(r, self.trunc + 1):
-                m = s - r
-                w = base * (-ratio) ** m * binomial(s - 1, m)
-                out[s] = out[s] + c * w
-        return TruncatedSeries(self.ring, out, self.trunc)
+        inv = div(1, a)
+        shift = -div(b, a)
+        # u^-r becomes sum_{s >= r} a^-r (-b/a)^(s-r) C(s-1, s-r) u^-s
+        c = self.coeffs
+        return TruncatedSeries(self.ring, [c[0]] + [
+            self.ring.sum([c[r] * (inv ** r * shift ** (s - r)
+                                   * binomial(s - 1, s - r))
+                           for r in range(1, s + 1) if c[r]])
+            for s in range(1, self.trunc + 1)], self.trunc)
 
     def invert(self) -> "TruncatedSeries":
         """Series inverse; the constant term must be the ring unit or an
@@ -161,15 +183,13 @@ class TruncatedSeries:
             inv0 = None
         else:
             try:
-                inv0 = ONE / Q(c0)
+                inv0 = div(1, c0)
             except (TypeError, ZeroDivisionError):
                 raise ValueError("singular leading term: cannot invert")
         t = [ring.one if inv0 is None else ring.one * inv0]
         for s in range(1, self.trunc + 1):
-            acc = ring.zero
-            for r in range(1, s + 1):
-                acc = acc + self.coeffs[r] * t[s - r]
-            acc = -acc
+            acc = -ring.sum([self.coeffs[r] * t[s - r]
+                             for r in range(1, s + 1) if self.coeffs[r]])
             t.append(acc if inv0 is None else acc * inv0)
         return TruncatedSeries(ring, t, self.trunc)
 
@@ -183,8 +203,8 @@ class RationalFactor:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        num = [Q(c) for c in num]
-        den = [Q(c) for c in den]
+        num = [rat(c) for c in num]
+        den = [rat(c) for c in den]
         while num and num[-1] == 0:
             num.pop()
         while den and den[-1] == 0:
@@ -200,20 +220,18 @@ class RationalFactor:
         """Exact Taylor expansion at u = infinity to order D."""
         e = len(self.den) - 1
         # rewrite in w = 1/u:  num/u^e over den/u^e
-        p = [ZERO] * (D + 1)
+        p = [0] * (D + 1)
         for i, c in enumerate(self.num):
             if e - i <= D:
                 p[e - i] = c
-        q = [ZERO] * (D + 1)
+        q = [0] * (D + 1)
         for i, c in enumerate(self.den):
             if e - i <= D:
                 q[e - i] = c
-        t = [p[0] / q[0]]
+        t = [div(p[0], q[0])]
         for s in range(1, D + 1):
-            acc = p[s]
-            for r in range(1, s + 1):
-                acc = acc - q[r] * t[s - r]
-            t.append(acc / q[0])
+            t.append(div(p[s] - sum(q[r] * t[s - r] for r in range(1, s + 1)),
+                         q[0]))
         return TruncatedSeries(RATIONAL_RING, t, D)
 
 
@@ -232,7 +250,8 @@ class BiLaurent:
     def __init__(self, ring: Ring, entries: dict, cap_u: int, cap_v: int):
         self.ring = ring
         self.entries = {
-            k: v for k, v in entries.items()
+            k: rat(v) if ring is RATIONAL_RING else v
+            for k, v in entries.items()
             if k[0] >= -cap_u and k[1] >= -cap_v and v
         }
         self.cap_u = cap_u
@@ -266,7 +285,7 @@ class BiLaurent:
 
     def __mul__(self, other) -> "BiLaurent":
         if not isinstance(other, BiLaurent):
-            c = Q(other)
+            c = rat(other)
             return BiLaurent(self.ring,
                              {k: v * c for k, v in self.entries.items()},
                              self.cap_u, self.cap_v)
@@ -276,8 +295,8 @@ class BiLaurent:
         du_o, dv_o = other.max_deg()
         cap_u = min(self.cap_u - du_o, other.cap_u - du_s)
         cap_v = min(self.cap_v - dv_o, other.cap_v - dv_s)
-        # a product of nonzero tensors may vanish; the constructor drops it
-        acc = accumulate({}, (
+        # a product of nonzero tensors may vanish; sum_terms drops it
+        acc = sum_terms(self.ring, (
             ((a, b), v1 * v2)
             for (a1, b1), v1 in self.entries.items()
             for (a2, b2), v2 in other.entries.items()

@@ -36,10 +36,10 @@ from itertools import permutations, product
 from math import factorial
 from operator import mul
 
-from .algebra import AlgebraElement, element_sum
 from .indices import IndexSet
-from .rationals import Q, accumulate, binomial, is_rat
-from .series import INF_CAP, RATIONAL_RING, BiLaurent, Ring, TruncatedSeries
+from .rationals import accumulate, binomial, div, is_rat, rat
+from .series import (INF_CAP, RATIONAL_RING, BiLaurent, Ring, TruncatedSeries,
+                     sum_terms)
 
 
 class TensorElement:
@@ -49,7 +49,10 @@ class TensorElement:
         self.sites = sites
         self.index_set = index_set
         self.ring = ring
-        self.entries = {k: v for k, v in entries.items() if v}
+        if ring is RATIONAL_RING:
+            self.entries = {k: rat(v) for k, v in entries.items() if v}
+        else:
+            self.entries = {k: v for k, v in entries.items() if v}
 
     # -- constructors ---------------------------------------------------------
 
@@ -90,10 +93,10 @@ class TensorElement:
         by_row: dict = {}
         for (r, c), v in other.entries.items():
             by_row.setdefault(r, []).append((c, v))
-        # the constructor drops products of coefficients that vanish
-        acc = accumulate({}, (((r, c), v1 * v2)
-                              for (r, m), v1 in self.entries.items()
-                              for c, v2 in by_row.get(m, ())))
+        # sum_terms drops products of coefficients that vanish
+        acc = sum_terms(self.ring, (((r, c), v1 * v2)
+                                    for (r, m), v1 in self.entries.items()
+                                    for c, v2 in by_row.get(m, ())))
         return TensorElement(self.sites, self.index_set, self.ring, acc)
 
     def __rmul__(self, other):
@@ -101,7 +104,7 @@ class TensorElement:
         return self.scale_coeff(other, side="left")
 
     def scale_rat(self, c) -> "TensorElement":
-        c = Q(c)
+        c = rat(c)
         return TensorElement(self.sites, self.index_set, self.ring,
                              {k: v * c for k, v in self.entries.items()})
 
@@ -168,7 +171,7 @@ class TensorElement:
         """Trace out the given 1-based sites, keeping the rest."""
         traced = sorted(set(traced))
         keep = [s for s in range(1, self.sites + 1) if s not in traced]
-        acc = accumulate({}, (
+        acc = sum_terms(self.ring, (
             ((tuple(r[s - 1] for s in keep), tuple(c[s - 1] for s in keep)), v)
             for (r, c), v in self.entries.items()
             if all(r[s - 1] == c[s - 1] for s in traced)))
@@ -176,8 +179,8 @@ class TensorElement:
 
     def partial_trace_all(self):
         """Full trace over all tensor sites; returns a ring element."""
-        return _ring_sum(self.ring,
-                         [v for (r, c), v in self.entries.items() if r == c])
+        return self.ring.sum([v for (r, c), v in self.entries.items()
+                              if r == c])
 
     def site_prime(self, s: int) -> "TensorElement":
         """Prime transposition on site s: E_ab -> eps_ab E_{-b,-a}."""
@@ -193,8 +196,14 @@ class TensorElement:
 
 
 def tensor_ring(sites: int, index_set: IndexSet, coeff_ring: Ring = RATIONAL_RING) -> Ring:
+    """Tensors on `sites` sites over `coeff_ring`, summed entrywise with
+    one `coeff_ring.sum` per entry."""
+    def total(parts):
+        return TensorElement(sites, index_set, coeff_ring, sum_terms(
+            coeff_ring, (kv for p in parts for kv in p.entries.items())))
+
     return Ring(TensorElement.zero(sites, index_set, coeff_ring),
-                TensorElement.identity(sites, index_set, coeff_ring))
+                TensorElement.identity(sites, index_set, coeff_ring), total)
 
 
 # -- trace contraction ------------------------------------------------------------
@@ -207,19 +216,11 @@ def _trace_parts(h: TensorElement, x: TensorElement) -> list:
     return [xs[(b, a)] * c for (a, b), c in h.entries.items() if (b, a) in xs]
 
 
-def _ring_sum(ring: Ring, parts: list):
-    """sum(parts) in `ring`; algebra elements accumulate into one term
-    dict."""
-    if isinstance(ring.zero, AlgebraElement):
-        return element_sum(ring.zero.rule, parts)
-    return sum(parts, ring.zero)
-
-
 def trace_against(h: TensorElement, x: TensorElement):
     """sum_ab x_ba h_ab, without forming a product of tensors.  For a
     rational h this is tr(h x); when h = y g with g rational it is
     tr(g x y), since every x_ba stays on the left of h_ab."""
-    return _ring_sum(x.ring, _trace_parts(h, x))
+    return x.ring.sum(_trace_parts(h, x))
 
 
 def trace_series(h, *factors: TruncatedSeries) -> TruncatedSeries:
@@ -240,8 +241,8 @@ def trace_series(h, *factors: TruncatedSeries) -> TruncatedSeries:
         x = reduce(mul, head)
     ring = x.ring.one.ring
     D = min(h.trunc, x.trunc)
-    out = [_ring_sum(ring, [p for r in range(s + 1)
-                            for p in _trace_parts(h.coeffs[s - r], x.coeffs[r])])
+    out = [ring.sum([p for r in range(s + 1)
+                     for p in _trace_parts(h.coeffs[s - r], x.coeffs[r])])
            for s in range(D + 1)]
     return TruncatedSeries(ring, out, D)
 
@@ -300,7 +301,7 @@ def antisymmetrizer_oracle(k: int, index_set: IndexSet) -> TensorElement:
     acc = TensorElement.zero(k, index_set)
     for sigma in permutations(range(1, k + 1)):
         acc = acc + perm_operator(sigma, index_set).scale_rat(perm_sign(sigma))
-    return acc.scale_rat(Q(1, factorial(k)))
+    return acc.scale_rat(rat(1, factorial(k)))
 
 
 def _r_factor(p: int, q: int, value, k: int, index_set: IndexSet) -> TensorElement:
@@ -326,7 +327,7 @@ def antisymmetrizer(k: int, index_set: IndexSet) -> TensorElement:
         _H_CACHE[key] = oracle
         _H_ORIENTATION[key] = "trivial"
         return oracle
-    norm = Q(1)
+    norm = 1
     for i in range(1, k + 1):
         norm *= factorial(i)
     matches = []
@@ -337,8 +338,8 @@ def antisymmetrizer(k: int, index_set: IndexSet) -> TensorElement:
             for p in (reversed(ps) if outer_desc else ps):
                 qs = range(p + 1, k + 1)
                 for q in (reversed(qs) if inner_desc else qs):
-                    prod_elem = prod_elem * _r_factor(p, q, Q(q - p), k, index_set)
-            cand = prod_elem.scale_rat(1 / norm)
+                    prod_elem = prod_elem * _r_factor(p, q, q - p, k, index_set)
+            cand = prod_elem.scale_rat(div(1, norm))
             if cand == oracle:
                 matches.append(("desc" if outer_desc else "asc",
                                 "desc" if inner_desc else "asc"))

@@ -26,7 +26,7 @@ from operator import mul
 from .algebra import (AlgebraElement, FreeRule, YangianRule, commutator,
                       element_sum)
 from .indices import IndexSet, ZMatrix
-from .rationals import Q
+from .rationals import rat
 from .series import (INF_CAP, RATIONAL_RING, BiLaurent, RationalFactor,
                      TruncatedSeries, algebra_ring)
 from .tensor import (TensorElement, antisymmetrizer, bilaurent_r, q_tensor,
@@ -84,7 +84,7 @@ class TwistedContext:
             return hit
         t = t_site_series(self.yang_rule, 1, 1, D)
         t_tilde = t.map_coeffs(lambda c: c.site_prime(1))
-        coeffs = [c.scale_rat(Q(-1) ** r) for r, c in enumerate(t_tilde.coeffs)]
+        coeffs = [c.scale_rat((-1) ** r) for r, c in enumerate(t_tilde.coeffs)]
         t_tilde_minus = TruncatedSeries(t_tilde.ring, coeffs, D)
         s = t * t_tilde_minus
         self._s_series[D] = s
@@ -146,10 +146,10 @@ def symmetry_residual_free(ctx: TwistedContext, i: int, j: int, r: int) -> Algeb
     """Order-r coefficient residual of the symmetry relation, as a formal
     S-element: S_ij^(r) - eps_ij (-1)^r S_{-j,-i}^(r) +- S_ij^(r-1)[r even]."""
     eps = ctx.index_set.eps(i, j)
-    res = ctx.s_gen(i, j, r) - ctx.s_gen(-j, -i, r) * (eps * Q(-1) ** r)
+    res = ctx.s_gen(i, j, r) - ctx.s_gen(-j, -i, r) * (eps * (-1) ** r)
     if r % 2 == 0:
         # right-hand side is -+ S_ij^(r-1); the upper sign (so) gives minus
-        rhs_sign = Q(-1) if ctx.upper else Q(1)
+        rhs_sign = -1 if ctx.upper else 1
         res = res - ctx.s_gen(i, j, r - 1) * rhs_sign
     return res
 
@@ -209,7 +209,7 @@ def reflection_residual(ctx: TwistedContext, i: int, j: int, k: int, l: int,
     def poly(terms):
         # a rational multiplier, {(deg u, deg v): coefficient}; scalars are
         # central, so it acts from the right without being lifted
-        return BiLaurent(RATIONAL_RING, {e: Q(c) for e, c in terms.items()},
+        return BiLaurent(RATIONAL_RING, terms,
                          INF_CAP, INF_CAP)
 
     u2v2 = poly({(2, 0): 1, (0, 2): -1})
@@ -393,7 +393,7 @@ def twisted_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
             h = h * _g_factor(p, q, N, iset, D)
     if k < N:
         rest = tuple(range(k + 1, N + 1))
-        zloc = fused_z(ctx, z, N - k, D).substitute_affine(1, Q(N, 2) - k)
+        zloc = fused_z(ctx, z, N - k, D).substitute_affine(1, rat(N, 2) - k)
         h = h * zloc.map_coeffs(lambda c: c.embed(rest, N), h.ring)
     hn = antisymmetrizer(N, iset)
     h = h.map_coeffs(lambda c: c * hn)
@@ -485,7 +485,7 @@ def hat_twisted_series(ctx: TwistedContext, k: int, z: ZMatrix,
     if k == 0:
         return TruncatedSeries.one(algebra_ring(ctx.yang_rule), D)
     hk = antisymmetrizer(k, iset)
-    h = fused_z(ctx, z, k, D).substitute_affine(1, Q(N, 2))\
+    h = fused_z(ctx, z, k, D).substitute_affine(1, rat(N, 2))\
         .map_coeffs(lambda c: c * hk)
     return trace_series(h, ctx.inverse_fused_s(k, D))
 

@@ -21,7 +21,7 @@ from operator import mul
 
 from .algebra import YangianRule, commutator
 from .indices import ZMatrix
-from .rationals import ONE, Q, binomial
+from .rationals import ONE, binomial, div, rat
 from .series import (RATIONAL_RING, BiLaurent, Ring, TruncatedSeries,
                      algebra_ring)
 from .tensor import (TensorElement, antisymmetrizer, bilaurent_r, perm_sign,
@@ -126,8 +126,8 @@ def bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeri
             for p in range(k):
                 f = shifted[(g[p], h[p], p + 1)]
                 term = f if term is None else term * f
-            acc = acc + term * (Q(sg * perm_sign(h)) * zfac)
-    return acc * Q(1, factorial(N))
+            acc = acc + term * (sg * perm_sign(h) * zfac)
+    return acc * rat(1, factorial(N))
 
 
 def bethe_series_tensor(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
@@ -153,7 +153,7 @@ def quantum_determinant(rule: YangianRule, D: int) -> TruncatedSeries:
         for p, col in enumerate(idx):
             f = t_entry_series(rule, g[p], col, D).substitute_affine(1, -(p + 1))
             term = f if term is None else term * f
-        acc = acc + term * Q(perm_sign(g))
+        acc = acc + term * perm_sign(g)
     return acc
 
 
@@ -268,7 +268,7 @@ def hat_identity_rows(label: str, N: int, family, hat) -> list:
     for k in range(1, N + 1):
         x_k = x_n if k == N else family(k)
         shifted = hat(N - k).substitute_affine(1, -k)
-        scalar = ONE / binomial(N, k)
+        scalar = div(1, binomial(N, k))
         details.append((f"{label} k={k} (scalar {scalar})",
                         x_k == x_n * shifted * scalar))
     return details

@@ -150,20 +150,28 @@ def test_order_word_from_empty_prefix_sorts(data):
 def _element(rule, data, words):
     terms = data.draw(st.dictionaries(words.map(tuple), st.integers(-3, 3),
                                       max_size=3))
-    return sum((normal_order(w, rule, coeff=Q(c)) for w, c in terms.items()),
+    return sum((normal_order(w, rule, coeff=Q(c, 2)) for w, c in terms.items()),
                rule.zero())
+
+
+def _canonical(c):
+    # an int when integral, a Q only with a denominator > 1
+    return type(c) is int or (type(c) is Q_TYPE and c.denominator > 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.integers(-3, 3))
 def test_coefficients_stay_rational(data, k):
+    # every stored coefficient is canonical; halves make integral products
+    # such as (1/2) * 2 arise
     for rule, words in ORDERING:
         a, b = _element(rule, data, words), _element(rule, data, words)
         for r in (a + b, a - b, -a, a * b, a * k, k * a, a + k, k - a,
-                  a * Q(k, 2)):
-            assert all(type(c) is Q_TYPE for c in r.terms.values())
-        assert all(type(c) is Q_TYPE
-                   for c in AlgebraElement(rule, {(): k}).terms.values())
+                  a * Q(k, 2), a * Q(k, 2) * 2, a * Q(1, 2) + a * Q(1, 2)):
+            assert all(_canonical(c) for c in r.terms.values())
+        for c in (k, Q(k), Q(k, 2)):
+            assert all(_canonical(v) for v in
+                       AlgebraElement(rule, {(): c}).terms.values())
 
 
 @settings(max_examples=60, deadline=None)

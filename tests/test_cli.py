@@ -32,6 +32,48 @@ def test_usage_errors_exit_two():
     assert main(["verify", "classical-so2n", "--kind", "sp", "--n", "1"]) == 2
 
 
+@pytest.mark.parametrize("z", ["diag:1,x", "diag:1/0", "diag:1,2,3",
+                               "diag:", "nonsense"])
+def test_malformed_z_is_a_usage_error(z, capsys):
+    assert main(["verify", "rtt", "--kind", "gl", "--N", "2", "--Z", z]) == 2
+    assert capsys.readouterr().err.startswith("error: --Z")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kind", "sp", "--N", "3"],                 # odd symplectic size
+    ["--kind", "gl", "--N", "0"],
+    ["--kind", "gl", "--N", "2", "--D", "-1"],
+    ["--kind", "gl", "--N", "2", "--M", "0"],
+])
+def test_out_of_range_flags_are_usage_errors(flags):
+    assert main(["verify", "rtt", *flags]) == 2
+
+
+def test_a_value_error_inside_a_computation_is_internal(monkeypatch, capsys):
+    import bethe.cli as cli
+
+    def broken(ctx, z, D):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(cli, "verify_sklyanin", broken)
+    assert main(["verify", "sklyanin", "--kind", "so", "--n", "1", "--odd",
+                 "--D", "1"]) == 3
+    assert "internal error: ValueError: planted" in capsys.readouterr().err
+
+
+def test_prop36_labels_are_the_same_for_every_scalar_type():
+    from fractions import Fraction
+
+    from bethe.cli import scalar_list_label
+
+    text = "[Fraction(1, 1), Fraction(0, 1), Fraction(-3, 2)]"
+    assert scalar_list_label([1, 0, Fraction(-3, 2)]) == text
+    assert scalar_list_label([Fraction(1), Fraction(0),
+                              Fraction(-3, 2)]) == text
+    assert scalar_list_label([Fraction(2, 2), Fraction(0, 5),
+                              Fraction(-6, 4)]) == text
+
+
 def test_reports_are_byte_identical(tmp_path):
     args = ["verify", "jacobian", "--kind", "gl", "--N", "2", "--M", "1"]
     assert main(args + ["--out", str(tmp_path / "a.json")]) == 0

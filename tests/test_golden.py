@@ -4,9 +4,9 @@ Every `verify` check and every `compute` object runs once at small
 parameters under BETHE_DETERMINISTIC=1, and its report (without the
 `params` block) or coefficient table (without the `config` block) must
 equal the copy stored in tests/golden/.  The run parameters are left out
-because they are not results of the computation.  The copies were recorded
-with the Fraction backend: the prop36 row labels print Fraction reprs, so
-they hold for that backend only.
+because they are not results of the computation.  The prop36 row labels
+spell their scalars as "Fraction(p, q)" whatever the rational backend, so
+the copies hold for every backend.
 
 To re-record the stored copies after a change that alters outputs on
 purpose, run from the repository root:
