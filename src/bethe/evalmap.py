@@ -40,13 +40,12 @@ def rho_apply(w: AlgebraElement, gl_rule: GlRule) -> AlgebraElement:
     if iset.kind != "signed":
         raise ValueError("rho needs a signed index set with a declared form")
     half = rat(-1, 2) if iset.form == "so" else rat(1, 2)
+    idx = iset.indices()
+    f = {(i, j): f_element(gl_rule, i, j) for i in idx for j in idx}
 
     def image(word, scal):
-        term = gl_rule.one()
-        for (r, i, j) in word:
-            term = term * f_element(gl_rule, i, j)
-            scal = scal * half ** (r - 1)
-        return term * scal
+        term = reduce(mul, (f[(i, j)] for (_, i, j) in word), gl_rule.one())
+        return term * (scal * half ** sum(r - 1 for (r, _, _) in word))
 
     return element_sum(gl_rule, (image(*t) for t in w.terms.items()))
 

@@ -16,7 +16,7 @@ from .rationals import parse_rat, rat
 
 
 class IndexSet:
-    __slots__ = ("kind", "N", "form")
+    __slots__ = ("kind", "N", "form", "_indices")
 
     def __init__(self, kind: str, N: int, form: str | None = None):
         if kind not in ("plain", "signed"):
@@ -31,6 +31,9 @@ class IndexSet:
         self.kind = kind
         self.N = N
         self.form = form
+        self._indices = (tuple(range(1, N + 1)) if kind == "plain" else
+                         tuple(i for i in range(-(N // 2), N // 2 + 1)
+                               if i or N % 2))
 
     @staticmethod
     def plain(N: int) -> "IndexSet":
@@ -45,15 +48,10 @@ class IndexSet:
         return self.N // 2
 
     def indices(self) -> tuple[int, ...]:
-        if self.kind == "plain":
-            return tuple(range(1, self.N + 1))
-        n = self.n
-        neg = tuple(range(-n, 0))
-        pos = tuple(range(1, n + 1))
-        return neg + ((0,) if self.N % 2 else ()) + pos
+        return self._indices
 
     def __contains__(self, i: int) -> bool:
-        return i in self.indices()
+        return i in self._indices
 
     def check(self, i: int) -> None:
         if i not in self:

@@ -26,17 +26,19 @@ class Ring:
     """The zero and one of a coefficient ring, and `sum(parts)`, the sum of
     a list of its elements formed in one pass.  It has no zero test: a
     coefficient is zero exactly when it is false, as rationals are and as
-    every element type of the package defines __bool__."""
+    every element type of the package defines __bool__.  `rational` marks
+    the rationals and the tensors over them."""
 
-    __slots__ = ("zero", "one", "sum")
+    __slots__ = ("zero", "one", "sum", "rational")
 
-    def __init__(self, zero, one, sum):
+    def __init__(self, zero, one, sum, rational=False):
         self.zero = zero
         self.one = one
         self.sum = sum
+        self.rational = rational
 
 
-RATIONAL_RING = Ring(0, 1, lambda parts: rat(sum(parts)))
+RATIONAL_RING = Ring(0, 1, lambda parts: rat(sum(parts)), rational=True)
 
 
 def algebra_ring(rule) -> Ring:
@@ -152,12 +154,6 @@ class TruncatedSeries:
         c = rat(other)
         return self.map_coeffs(lambda x: x * c)
 
-    def scale(self, elem, side: str = "left") -> "TruncatedSeries":
-        """Multiply every coefficient by a fixed ring element."""
-        if side == "left":
-            return self.map_coeffs(lambda x: elem * x)
-        return self.map_coeffs(lambda x: x * elem)
-
     # -- the two workhorses ---------------------------------------------------
 
     def substitute_affine(self, a, b) -> "TruncatedSeries":
@@ -242,7 +238,8 @@ class BiLaurent:
     """Bivariate Laurent expression sum c_{ab} u^a v^b with finitely many
     positive powers, trusted for u-exponents >= -cap_u and v-exponents
     >= -cap_v.  Entries below a cap are dropped silently, so equality and
-    zero-tests only ever speak about the trusted window.
+    zero-tests only ever speak about the trusted window.  A product with
+    one rational operand lives in the ring of the other.
     """
 
     __slots__ = ("ring", "entries", "cap_u", "cap_v")
@@ -295,14 +292,15 @@ class BiLaurent:
         du_o, dv_o = other.max_deg()
         cap_u = min(self.cap_u - du_o, other.cap_u - du_s)
         cap_v = min(self.cap_v - dv_o, other.cap_v - dv_s)
+        ring = other.ring if self.ring.rational else self.ring
         # a product of nonzero tensors may vanish; sum_terms drops it
-        acc = sum_terms(self.ring, (
+        acc = sum_terms(ring, (
             ((a, b), v1 * v2)
             for (a1, b1), v1 in self.entries.items()
             for (a2, b2), v2 in other.entries.items()
             for a, b in ((a1 + a2, b1 + b2),)
             if a >= -cap_u and b >= -cap_v))
-        return BiLaurent(self.ring, acc, cap_u, cap_v)
+        return BiLaurent(ring, acc, cap_u, cap_v)
 
     def __rmul__(self, other):
         return self * other

@@ -4,17 +4,20 @@ Entries are keyed by paired multi-indices ((a_1..a_n), (b_1..b_n)); no
 dense array is ever materialized.  Coefficients live in any Ring (exact
 rationals, algebra elements, formal S-words), and the tensor spaces
 themselves are wrapped as Rings so that TruncatedSeries and BiLaurent can
-carry tensor coefficients.
+carry tensor coefficients.  A rational tensor multiplies a ring-valued one
+from either side, and the product lives in the ring of the ring-valued
+operand: no rational tensor is lifted into an algebra ring.
 
-Provides permutation operators, antisymmetrizers (with the
-ordered-product construction certified against the permutation-sum
-definition), site embeddings, partial traces and per-site prime
-transposition.  The R-matrices R(u) = u - P and its twisted companion
-R~(u) = u - Q, Q the one-sided prime transpose of P, have one form:
-`bilaurent_r` gives R_pq at any affine argument in (u, v) as an exact
-BiLaurent over the tensor ring, and every R-matrix identity (unitarity,
-Yang-Baxter, the mixed exchanges, RTT and reflection) is a product of
-such objects.
+Provides permutation operators, the antisymmetrizer, site embeddings,
+partial traces and per-site prime transposition.  The antisymmetrizer is
+built in closed form as the integral A_k = k! H_k, and identities with
+H_k are checked on A_k; only `h_k_orientation` forms the ordered
+R-matrix product, to report its arrow orientations.  The R-matrices
+R(u) = u - P and its twisted companion R~(u) = u - Q, Q the one-sided
+prime transpose of P, have one form: `bilaurent_r` gives R_pq at any
+affine argument in (u, v) as an exact BiLaurent over the rational tensors,
+and every R-matrix identity (unitarity, Yang-Baxter, the mixed exchanges,
+RTT and reflection) is a product of such objects.
 
 Every commuting family is a trace tr(H . X(u) . F(u)) of an
 algebra-valued block X(u) between rational factors: an antisymmetrizer H,
@@ -33,11 +36,11 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 from .indices import IndexSet
-from .rationals import accumulate, binomial, div, is_rat, rat
+from .rationals import accumulate, binomial, is_rat, rat
 from .series import (INF_CAP, RATIONAL_RING, BiLaurent, Ring, TruncatedSeries,
                      sum_terms)
 
@@ -90,14 +93,16 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return self.scale_coeff(other, side="right")
         self._compat(other)
+        # a rational factor takes the ring of its partner, from either side
+        ring = other.ring if self.ring.rational else self.ring
         by_row: dict = {}
         for (r, c), v in other.entries.items():
             by_row.setdefault(r, []).append((c, v))
         # sum_terms drops products of coefficients that vanish
-        acc = sum_terms(self.ring, (((r, c), v1 * v2)
-                                    for (r, m), v1 in self.entries.items()
-                                    for c, v2 in by_row.get(m, ())))
-        return TensorElement(self.sites, self.index_set, self.ring, acc)
+        acc = sum_terms(ring, (((r, c), v1 * v2)
+                               for (r, m), v1 in self.entries.items()
+                               for c, v2 in by_row.get(m, ())))
+        return TensorElement(self.sites, self.index_set, ring, acc)
 
     def __rmul__(self, other):
         # rationals and ring elements acting from the left
@@ -203,7 +208,8 @@ def tensor_ring(sites: int, index_set: IndexSet, coeff_ring: Ring = RATIONAL_RIN
             coeff_ring, (kv for p in parts for kv in p.entries.items())))
 
     return Ring(TensorElement.zero(sites, index_set, coeff_ring),
-                TensorElement.identity(sites, index_set, coeff_ring), total)
+                TensorElement.identity(sites, index_set, coeff_ring), total,
+                coeff_ring.rational)
 
 
 # -- trace contraction ------------------------------------------------------------
@@ -274,7 +280,7 @@ def perm_sign(sigma) -> int:
     return s
 
 
-def perm_operator(sigma, index_set: IndexSet, ring: Ring = RATIONAL_RING) -> TensorElement:
+def perm_operator(sigma, index_set: IndexSet) -> TensorElement:
     """P_sigma moving the content of site i to site sigma(i) (1-based images)."""
     k = len(sigma)
     idx = index_set.indices()
@@ -283,17 +289,17 @@ def perm_operator(sigma, index_set: IndexSet, ring: Ring = RATIONAL_RING) -> Ten
         rows = [0] * k
         for i, a in enumerate(cols):
             rows[sigma[i] - 1] = a
-        ent[(tuple(rows), cols)] = ring.one
-    return TensorElement(k, index_set, ring, ent)
+        ent[(tuple(rows), cols)] = 1
+    return TensorElement(k, index_set, RATIONAL_RING, ent)
 
 
-def flip(index_set: IndexSet, ring: Ring = RATIONAL_RING) -> TensorElement:
-    return perm_operator((2, 1), index_set, ring)
+def flip(index_set: IndexSet) -> TensorElement:
+    return perm_operator((2, 1), index_set)
 
 
-def q_tensor(index_set: IndexSet, ring: Ring = RATIONAL_RING) -> TensorElement:
+def q_tensor(index_set: IndexSet) -> TensorElement:
     """The one-sided prime transpose of the flip: sum eps_ij E_{-j,-i} x E_ji."""
-    return flip(index_set, ring).site_prime(1)
+    return flip(index_set).site_prime(1)
 
 
 def antisymmetrizer_oracle(k: int, index_set: IndexSet) -> TensorElement:
@@ -304,69 +310,78 @@ def antisymmetrizer_oracle(k: int, index_set: IndexSet) -> TensorElement:
     return acc.scale_rat(rat(1, factorial(k)))
 
 
+_A_CACHE: dict = {}
+_H_CACHE: dict = {}
+_H_ORIENTATION: dict = {}
+
+
+def alternator(k: int, index_set: IndexSet) -> TensorElement:
+    """A_k = sum_sigma sgn(sigma) P_sigma = k! H_k, an integral tensor, in
+    closed form: its entry at (sigma.b, b) is sgn(sigma) for every column b
+    with distinct entries, and its columns with a repeated entry vanish."""
+    key = (k, index_set)
+    hit = _A_CACHE.get(key)
+    if hit is None:
+        signs = [(p, perm_sign(p)) for p in permutations(range(k))]
+        hit = _A_CACHE[key] = TensorElement(k, index_set, RATIONAL_RING, {
+            (tuple(b[i] for i in p), b): s
+            for b in permutations(index_set.indices(), k) for p, s in signs})
+    return hit
+
+
+def antisymmetrizer(k: int, index_set: IndexSet) -> TensorElement:
+    """H_k = A_k / k!, the projector that the trace forms of the commuting
+    families use; every identity with H_k is checked on A_k instead."""
+    key = (k, index_set)
+    hit = _H_CACHE.get(key)
+    if hit is None:
+        hit = _H_CACHE[key] = alternator(k, index_set).scale_rat(
+            rat(1, factorial(k)))
+    return hit
+
+
 def _r_factor(p: int, q: int, value, k: int, index_set: IndexSet) -> TensorElement:
     """R_pq evaluated at a rational point: value*id - P_pq, on k sites."""
     idp = TensorElement.identity(k, index_set).scale_rat(value)
     return idp - flip(index_set).embed((p, q), k)
 
 
-_H_CACHE: dict = {}
-_H_ORIENTATION: dict = {}
-
-
-def antisymmetrizer(k: int, index_set: IndexSet) -> TensorElement:
-    """H_k via the ordered R-matrix product, certified against the
-    permutation-sum expression; the matching arrow orientation is cached
-    (see h_k_orientation)."""
+def h_k_orientation(k: int, index_set: IndexSet) -> str:
+    """The arrow orientations in which the ordered product of the R_pq(q-p),
+    p < q, equals 1! 2! ... k! H_k = 1! ... (k-1)! A_k, computed once per
+    key: "outer=..,inner=.." joined by ";", or "trivial" at k = 1."""
+    if k == 1:
+        return "trivial"
     key = (k, index_set)
-    hit = _H_CACHE.get(key)
+    hit = _H_ORIENTATION.get(key)
     if hit is not None:
         return hit
-    oracle = antisymmetrizer_oracle(k, index_set)
-    if k == 1:
-        _H_CACHE[key] = oracle
-        _H_ORIENTATION[key] = "trivial"
-        return oracle
-    norm = 1
-    for i in range(1, k + 1):
-        norm *= factorial(i)
+    target = alternator(k, index_set).scale_rat(prod(map(factorial, range(k))))
+    order = {"asc": iter, "desc": reversed}
     matches = []
-    for outer_desc in (False, True):
-        for inner_desc in (False, True):
-            prod_elem = TensorElement.identity(k, index_set)
-            ps = range(1, k)
-            for p in (reversed(ps) if outer_desc else ps):
-                qs = range(p + 1, k + 1)
-                for q in (reversed(qs) if inner_desc else qs):
-                    prod_elem = prod_elem * _r_factor(p, q, q - p, k, index_set)
-            cand = prod_elem.scale_rat(div(1, norm))
-            if cand == oracle:
-                matches.append(("desc" if outer_desc else "asc",
-                                "desc" if inner_desc else "asc"))
+    for outer, inner in product(order, order):
+        x = TensorElement.identity(k, index_set)
+        for p in order[outer](range(1, k)):
+            for q in order[inner](range(p + 1, k + 1)):
+                x = x * _r_factor(p, q, q - p, k, index_set)
+        if x == target:
+            matches.append(f"outer={outer},inner={inner}")
     if not matches:
         raise AssertionError("no arrow orientation reproduces the projector")
-    _H_CACHE[key] = oracle
-    _H_ORIENTATION[key] = ";".join(f"outer={o},inner={i}" for o, i in matches)
-    return oracle
-
-
-def h_k_orientation(k: int, index_set: IndexSet) -> str:
-    antisymmetrizer(k, index_set)
-    return _H_ORIENTATION[(k, index_set)]
+    hit = _H_ORIENTATION[key] = ";".join(matches)
+    return hit
 
 
 # -- R-matrices as exact Laurent objects ----------------------------------------
 
 
 def bilaurent_r(kind: str, pq: tuple, coef_u: int, coef_v: int, const,
-                sites: int, index_set: IndexSet, ring: Ring) -> BiLaurent:
+                sites: int, index_set: IndexSet) -> BiLaurent:
     """R_pq or its twisted companion at argument coef_u*u + coef_v*v + const,
-    as an exact BiLaurent over the tensor ring on the given sites."""
+    as an exact BiLaurent over the rational tensors on the given sites."""
     base = flip(index_set) if kind == "plain" else q_tensor(index_set)
-    if ring is not RATIONAL_RING:
-        base = base.map_coeffs(lambda c: ring.one * c, ring)
     pmat = base.embed(pq, sites)
-    ident = TensorElement.identity(sites, index_set, ring)
+    ident = TensorElement.identity(sites, index_set)
     ent: dict = {}
     if coef_u:
         ent[(1, 0)] = ident.scale_rat(coef_u)
@@ -375,7 +390,7 @@ def bilaurent_r(kind: str, pq: tuple, coef_u: int, coef_v: int, const,
     c0 = ident.scale_rat(const) - pmat
     if not c0.is_zero():
         ent[(0, 0)] = c0
-    return BiLaurent(tensor_ring(sites, index_set, ring), ent, INF_CAP, INF_CAP)
+    return BiLaurent(tensor_ring(sites, index_set), ent, INF_CAP, INF_CAP)
 
 # -- R-matrix identity suites -----------------------------------------------------
 
@@ -386,8 +401,7 @@ def verify_r_identities(index_set: IndexSet) -> list:
     N = index_set.N
 
     def R(kind, coef_u, const):
-        return bilaurent_r(kind, (1, 2), coef_u, 0, const, 2, index_set,
-                           RATIONAL_RING)
+        return bilaurent_r(kind, (1, 2), coef_u, 0, const, 2, index_set)
 
     def scalar(coeffs):
         # sum_d c_d u^d times the identity on two sites
@@ -408,10 +422,9 @@ def verify_r_identities(index_set: IndexSet) -> list:
 
 def verify_yang_baxter(index_set: IndexSet) -> list:
     """R_12(u) R_13(u+v) R_23(v) = R_23(v) R_13(u+v) R_12(u), exact."""
-    ring = RATIONAL_RING
-    r12 = bilaurent_r("plain", (1, 2), 1, 0, 0, 3, index_set, ring)
-    r13 = bilaurent_r("plain", (1, 3), 1, 1, 0, 3, index_set, ring)
-    r23 = bilaurent_r("plain", (2, 3), 0, 1, 0, 3, index_set, ring)
+    r12 = bilaurent_r("plain", (1, 2), 1, 0, 0, 3, index_set)
+    r13 = bilaurent_r("plain", (1, 3), 1, 1, 0, 3, index_set)
+    r23 = bilaurent_r("plain", (2, 3), 0, 1, 0, 3, index_set)
     res = r12 * r13 * r23 - r23 * r13 * r12
     return [(f"Yang-Baxter N={index_set.N}", res.is_zero())]
 
@@ -421,13 +434,12 @@ def verify_mixed_yang_baxter(index_set: IndexSet) -> list:
     companion R~, exact bivariate polynomial identities."""
     if index_set.kind != "signed":
         raise ValueError("the mixed identities need a signed index set")
-    ring = RATIONAL_RING
 
     def R(pq, cu, cv):
-        return bilaurent_r("plain", pq, cu, cv, 0, 3, index_set, ring)
+        return bilaurent_r("plain", pq, cu, cv, 0, 3, index_set)
 
     def Rt(pq, cu, cv):
-        return bilaurent_r("twisted", pq, cu, cv, 0, 3, index_set, ring)
+        return bilaurent_r("twisted", pq, cu, cv, 0, 3, index_set)
 
     tag = f"{index_set.form}_{index_set.N}"
     cases = [
@@ -446,16 +458,18 @@ def verify_mixed_yang_baxter(index_set: IndexSet) -> list:
 
 
 def verify_antisymmetrizers(index_set: IndexSet, k_max: int | None = None) -> list:
-    """H_k is an idempotent with trace binomial(N,k), equal to the ordered
-    R-matrix product in the certified arrow orientation."""
+    """H_k is an idempotent with trace binomial(N,k), checked as
+    A_k^2 = k! A_k and tr A_k = k! binomial(N,k), and the ordered R-matrix
+    product in the reported arrow orientations (h_k_orientation)."""
     N = index_set.N
     k_max = k_max or N
     details = []
     for k in range(1, k_max + 1):
-        h = antisymmetrizer(k, index_set)
-        details.append((f"H_{k} idempotent (N={N})", h * h == h))
-        tr = h.partial_trace_all()
-        details.append((f"trace H_{k} = C({N},{k})", tr == binomial(N, k)))
+        a = alternator(k, index_set)
+        f = factorial(k)
+        details.append((f"H_{k} idempotent (N={N})", a * a == a.scale_rat(f)))
+        details.append((f"trace H_{k} = C({N},{k})",
+                        a.partial_trace_all() == f * binomial(N, k)))
         details.append((f"H_{k} orientation: {h_k_orientation(k, index_set)}",
                         True))
     return details

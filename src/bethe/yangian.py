@@ -22,15 +22,9 @@ from operator import mul
 from .algebra import YangianRule, commutator
 from .indices import ZMatrix
 from .rationals import ONE, binomial, div, rat
-from .series import (RATIONAL_RING, BiLaurent, Ring, TruncatedSeries,
-                     algebra_ring)
-from .tensor import (TensorElement, antisymmetrizer, bilaurent_r, perm_sign,
-                     series_to_bilaurent, tensor_ring, trace_series)
-
-
-def lift_tensor(t: TensorElement, ring: Ring) -> TensorElement:
-    """Promote rational tensor coefficients into a richer ring."""
-    return t.map_coeffs(lambda c: ring.one * c, ring)
+from .series import RATIONAL_RING, BiLaurent, TruncatedSeries, algebra_ring
+from .tensor import (TensorElement, alternator, antisymmetrizer, bilaurent_r,
+                     perm_sign, series_to_bilaurent, tensor_ring, trace_series)
 
 
 def t_entry_series(rule: YangianRule, i: int, j: int, D: int) -> TruncatedSeries:
@@ -178,11 +172,12 @@ def window_rows(label: str, res: BiLaurent) -> list:
             for ru in range(res.cap_u + 1) for rv in range(res.cap_v + 1)]
 
 
-def membership_rows(label: str, h: TensorElement, x: TruncatedSeries) -> list:
+def membership_rows(label: str, a: TensorElement, x: TruncatedSeries) -> list:
     """One row "label u^-r" per coefficient X of the block series x: does
-    H X = H X H hold?  `h` carries the coefficient ring of x."""
-    return [(f"{label} u^{-r}", h * c == h * c * h)
-            for r, c in enumerate(x.coeffs)]
+    H X = H X H hold?  It is checked as k! A X = A X A, `a` = A_k = k! H_k."""
+    f = factorial(a.sites)
+    return [(f"{label} u^{-r}", ax.scale_rat(f) == ax * a)
+            for r, c in enumerate(x.coeffs) for ax in (a * c,)]
 
 
 def verify_rtt(rule: YangianRule, D: int) -> list:
@@ -191,23 +186,21 @@ def verify_rtt(rule: YangianRule, D: int) -> list:
     t = t_site_series(rule, 1, 1, D)
     t1 = series_to_bilaurent(t, 1, "u", 2)
     t2 = series_to_bilaurent(t, 2, "v", 2)
-    r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset, algebra_ring(rule))
+    r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset)
     return window_rows("coefficient", r * t1 * t2 - t2 * t1 * r)
 
 
 def verify_fusion(rule: YangianRule, k: int, D: int) -> list:
     """H_k (T_1..T_k) = (T_k..T_1) H_k, plus the fused-block membership
-    predicate H X = H X H, coefficientwise."""
-    iset = rule.index_set
-    aring = algebra_ring(rule)
-    hk = lift_tensor(antisymmetrizer(k, iset), aring)
-    fwd = reduce(mul, t_factors(rule, k, k, D))
-    bwd = reduce(mul, t_factors(rule, k, k, D, descending=True))
-    lhs = fwd.scale(hk, side="left")
-    rhs = bwd.scale(hk, side="right")
+    predicate H X = H X H, coefficientwise, on A_k = k! H_k."""
+    a = alternator(k, rule.index_set)
+    factors = t_factors(rule, k, k, D)
+    fwd = reduce(mul, factors)
+    lhs = fwd.map_coeffs(lambda x: a * x)
+    rhs = reduce(mul, reversed(factors)).map_coeffs(lambda x: x * a)
     details = [(f"fusion coefficient u^{-r}", lhs.coeffs[r] == rhs.coeffs[r])
                for r in range(D + 1)]
-    return details + membership_rows("membership coefficient", hk, fwd)
+    return details + membership_rows("membership coefficient", a, fwd)
 
 
 def verify_centrality(rule: YangianRule, D: int, max_level: int) -> list:

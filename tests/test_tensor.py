@@ -1,19 +1,19 @@
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bethe.algebra import YangianRule
+from bethe.algebra import FreeRule, YangianRule
 from bethe.indices import IndexSet
 from bethe.rationals import Q, binomial
-from bethe.series import RATIONAL_RING, TruncatedSeries, algebra_ring
-from bethe.tensor import (TensorElement, antisymmetrizer,
+from bethe.series import RATIONAL_RING, BiLaurent, TruncatedSeries, algebra_ring
+from bethe.tensor import (TensorElement, alternator, antisymmetrizer,
                           antisymmetrizer_oracle, flip, h_k_orientation,
                           perm_operator, perm_sign, q_tensor, tensor_ring,
                           trace_against, trace_series,
                           verify_antisymmetrizers, verify_mixed_yang_baxter,
                           verify_r_identities, verify_yang_baxter)
-from bethe.yangian import lift_tensor
 
 
 def _all_ok(rows):
@@ -110,10 +110,47 @@ def test_antisymmetrizer_suite():
     _all_ok(verify_antisymmetrizers(IndexSet.plain(4)))
 
 
+SMALL_SETS = ([IndexSet.plain(N) for N in (1, 2, 3, 4)]
+              + [IndexSet.signed(N, "so") for N in (1, 2, 3, 4)]
+              + [IndexSet.signed(N, "sp") for N in (2, 4)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), iset=st.sampled_from(SMALL_SETS))
+def test_closed_form_alternator_is_k_factorial_times_the_oracle(data, iset):
+    k = data.draw(st.integers(1, iset.N))
+    a = alternator(k, iset)
+    assert a == antisymmetrizer_oracle(k, iset).scale_rat(factorial(k))
+    assert all(type(v) is int for v in a.entries.values())
+    assert antisymmetrizer(k, iset) == antisymmetrizer_oracle(k, iset)
+
+
+def test_building_h_k_runs_no_orientation_search(monkeypatch):
+    from bethe import tensor
+
+    def no_search(*args):
+        raise AssertionError("the ordered R-matrix product was formed")
+
+    monkeypatch.setattr(tensor, "_r_factor", no_search)
+    for cache in ("_A_CACHE", "_H_CACHE", "_H_ORIENTATION"):
+        monkeypatch.setattr(tensor, cache, {})
+    for iset in (IndexSet.plain(3), IndexSet.signed(5, "so"),
+                 IndexSet.signed(4, "sp")):
+        for k in range(1, iset.N + 1):
+            # k! entries in each of the N!/(N-k)! distinct-entry columns
+            nnz = factorial(iset.N) // factorial(iset.N - k) * factorial(k)
+            assert len(antisymmetrizer(k, iset).entries) == nnz
+            assert len(alternator(k, iset).entries) == nnz
+    # only the orientation search forms the product
+    with pytest.raises(AssertionError, match="R-matrix product"):
+        h_k_orientation(2, IndexSet.plain(3))
+
+
 # -- trace contraction -----------------------------------------------------------
 
 PLAIN2 = IndexSet.plain(2)
 YANG2 = YangianRule(PLAIN2)
+FREE2 = FreeRule(PLAIN2)
 rational = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
 
 
@@ -130,20 +167,62 @@ def rational_tensor(draw, sites):
 
 
 @st.composite
-def algebra_tensor(draw, sites):
+def algebra_tensor(draw, sites, rule=YANG2):
     def element():
         terms = draw(st.lists(st.tuples(
             rational, st.sampled_from(PLAIN2.indices()),
             st.sampled_from(PLAIN2.indices()), st.integers(1, 2)),
             max_size=2))
-        acc = YANG2.zero() + draw(rational)
+        acc = rule.zero() + draw(rational)
         for c, i, j, r in terms:
-            acc = acc + YANG2.element(i, j, r) * c
+            acc = acc + rule.element(i, j, r) * c
         return acc
     keys = draw(st.lists(st.sampled_from(_keys(sites)), max_size=5,
                          unique=True))
-    return TensorElement(sites, PLAIN2, algebra_ring(YANG2),
+    return TensorElement(sites, PLAIN2, algebra_ring(rule),
                          {k: element() for k in keys})
+
+
+def lift_tensor(t, ring):
+    """Rational tensor coefficients promoted into a richer ring: the
+    reference for products that mix a rational and a ring-valued operand."""
+    return t.map_coeffs(lambda c: ring.one * c, ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), sites=st.integers(1, 2),
+       rule=st.sampled_from((YANG2, FREE2)))
+def test_rational_tensors_multiply_ring_tensors_without_lifting(
+        data, sites, rule):
+    g = data.draw(rational_tensor(sites))
+    x = data.draw(algebra_tensor(sites, rule))
+    lifted = lift_tensor(g, x.ring)
+    for got, ref in ((g * x, lifted * x), (x * g, x * lifted)):
+        assert got == ref
+        assert got.ring is x.ring
+
+
+@st.composite
+def bilaurent(draw, tensors, coeff_ring):
+    keys = st.tuples(st.integers(-2, 1), st.integers(-2, 1))
+    return BiLaurent(tensor_ring(2, PLAIN2, coeff_ring),
+                     draw(st.dictionaries(keys, tensors, max_size=3)),
+                     draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rule=st.sampled_from((YANG2, FREE2)))
+def test_rational_bilaurents_multiply_ring_bilaurents_without_lifting(
+        data, rule):
+    aring = algebra_ring(rule)
+    g = data.draw(bilaurent(rational_tensor(2), RATIONAL_RING))
+    x = data.draw(bilaurent(algebra_tensor(2, rule), aring))
+    lifted = BiLaurent(x.ring, {key: lift_tensor(c, aring)
+                                for key, c in g.entries.items()},
+                       g.cap_u, g.cap_v)
+    for got, ref in ((g * x, lifted * x), (x * g, x * lifted)):
+        assert got == ref
+        assert got.ring is x.ring
 
 
 def _series(draw, tensors, sites, ring, D):
@@ -159,7 +238,8 @@ def _old_trace(hk, factors, f):
         x = x * y
     ring = x.ring.one.ring
     lifted_f = f.map_coeffs(lambda c: lift_tensor(c, ring), x.ring)
-    return (x * lifted_f).scale(lift_tensor(hk, ring), side="left")\
+    lifted_h = lift_tensor(hk, ring)
+    return (x * lifted_f).map_coeffs(lambda c: lifted_h * c)\
         .map_coeffs(lambda c: c.partial_trace_all(), ring)
 
 

@@ -47,6 +47,27 @@ def test_fusion():
     _all_ok(verify_fusion(rule, 2, 2))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_membership_rows_controls(k):
+    # P_12 H = -H = H P_12 H: the flip passes, E_11 (x) E_22 fails, with
+    # rational coefficients and with an algebra coefficient T_11^(1)
+    from bethe.series import RATIONAL_RING, TruncatedSeries, algebra_ring
+    from bethe.tensor import TensorElement, alternator, flip, tensor_ring
+
+    iset = IndexSet.plain(3)
+    rule = YangianRule(iset)
+    aring = algebra_ring(rule)
+    t11 = rule.element(1, 1, 1)
+    unit = TensorElement(2, iset, RATIONAL_RING, {((1, 2), (1, 2)): 1})
+    for x, ok in ((flip(iset), True), (unit, False)):
+        x = x.embed((1, 2), k)
+        for coeff in (x, x.map_coeffs(lambda c: t11 * c, aring)):
+            block = TruncatedSeries.constant(
+                tensor_ring(k, iset, coeff.ring), coeff, 0)
+            assert yangian.membership_rows("X", alternator(k, iset),
+                                           block) == [("X u^0", ok)]
+
+
 def test_quantum_determinant_low_coefficients():
     rule = YangianRule(IndexSet.plain(2))
     qd = quantum_determinant(rule, 3)
