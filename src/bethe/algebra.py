@@ -32,7 +32,7 @@ nonzero scalars is nonzero, so every value it is passed is.
 from __future__ import annotations
 
 from .indices import IndexSet
-from .rationals import ONE, accumulate, rat
+from .rationals import ONE, accumulate, is_rat, rat
 
 
 class CommutationRule:
@@ -218,6 +218,8 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
+            if not is_rat(other):
+                return NotImplemented  # a tensor scales itself by an element
             c = rat(other)
             if c == 1:
                 return self  # elements are values: none is changed in place

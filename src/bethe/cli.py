@@ -38,8 +38,8 @@ from .reports import (Report, Timer, dump_json, output_dir, serialize_poly,
 from .tensor import (h_k_orientation, verify_antisymmetrizers,
                      verify_mixed_yang_baxter, verify_r_identities,
                      verify_yang_baxter)
-from .twisted import (TwistedContext, resolve_prop36_scalar,
-                      twisted_bethe_series, verify_mixed_rtt,
+from .twisted import (TwistedContext, twisted_bethe_series,
+                      verify_mixed_rtt, verify_prop36_trace_form,
                       verify_reflection, verify_sklyanin, verify_symmetry,
                       verify_twisted_commutativity,
                       verify_twisted_hat_identity, verify_z_rmatrix_scalar)
@@ -200,10 +200,11 @@ def run_check(cfg: RunConfig, name: str) -> list:
     if name == "prop36":
         ctx = cfg.twisted_ctx()
         details = list(verify_twisted_hat_identity(ctx, cfg.z, D))
+        # the scalar relating the two forms is the constant series 1
+        one = scalar_list_label([1] + [0] * D)
         for k in range(1, iset.N + 1):
-            c, ok = resolve_prop36_scalar(ctx, cfg.z, k, D)
-            details.append((f"trace-form scalar k={k}: "
-                            f"{scalar_list_label(c.coeffs)}", ok))
+            details.append((f"trace-form scalar k={k}: {one}",
+                            verify_prop36_trace_form(ctx, cfg.z, k, D)))
         return details + verify_z_rmatrix_scalar(ctx, cfg.z)
 
     if name == "rho-hom":

@@ -42,7 +42,7 @@ from operator import mul
 from .indices import IndexSet
 from .rationals import accumulate, binomial, is_rat, rat
 from .series import (INF_CAP, RATIONAL_RING, BiLaurent, Ring, TruncatedSeries,
-                     sum_terms)
+                     algebra_ring, sum_terms)
 
 
 class TensorElement:
@@ -114,14 +114,17 @@ class TensorElement:
                              {k: v * c for k, v in self.entries.items()})
 
     def scale_coeff(self, x, side: str = "right") -> "TensorElement":
-        """Multiply every entry by a fixed coefficient-ring element."""
+        """Multiply every entry by a fixed coefficient-ring element; a
+        rational tensor scaled by an algebra element lands in the algebra
+        ring."""
         if is_rat(x):
             return self.scale_rat(x)
         if side == "left":
             ent = {k: x * v for k, v in self.entries.items()}
         else:
             ent = {k: v * x for k, v in self.entries.items()}
-        return TensorElement(self.sites, self.index_set, self.ring, ent)
+        ring = algebra_ring(x.rule) if self.ring.rational else self.ring
+        return TensorElement(self.sites, self.index_set, ring, ent)
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):

@@ -6,22 +6,23 @@ hat-series identity).
 All series coefficients are exact algebra elements in PBW normal form, so
 every check reduces to "the normal form of a residual is zero".
 
-B_k(u) has one run-time construction, the permutation sum
-`bethe_series`; the tensor-trace form `bethe_series_tensor` is its
-independent reference.  The row builders for one identity type each
-(`window_rows`, `membership_rows`, `commutator_table`,
-`hat_identity_rows`) serve the twisted layer too.
+One kernel, `quantum_minor`, builds the quantum minors of T(u): B_k(u)
+sums them weighted by complementary minors of Z, and the quantum
+determinant is the minor on all N indices.  `bethe_series_tensor` is the
+independent reference for B_k.  The row builders for one identity type
+each (`window_rows`, `membership_rows`, `commutator_table`,
+`centrality_rows`, `hat_identity_rows`) serve the twisted layer too.
 """
 from __future__ import annotations
 
 from functools import reduce
-from itertools import permutations
-from math import factorial
+from itertools import combinations, permutations
+from math import factorial, prod
 from operator import mul
 
 from .algebra import YangianRule, commutator
 from .indices import ZMatrix
-from .rationals import ONE, binomial, div, rat
+from .rationals import binomial, div
 from .series import RATIONAL_RING, BiLaurent, TruncatedSeries, algebra_ring
 from .tensor import (TensorElement, alternator, antisymmetrizer, bilaurent_r,
                      perm_sign, series_to_bilaurent, tensor_ring, trace_series)
@@ -84,44 +85,59 @@ def z_product(z: ZMatrix, positions, sites: int) -> TensorElement:
 # -- Bethe series ----------------------------------------------------------------
 
 
+def quantum_minor(rule: YangianRule, rows, cols, D: int,
+                  shifted: dict) -> TruncatedSeries:
+    """The quantum minor of T(u) on rows I and columns J,
+
+        t^I_J(u) = sum_{s in S_k} sgn(s) T_{I_s1 J_1}(u-1)..T_{I_sk J_k}(u-k),
+
+    antisymmetric in I and in J.  `shifted` memoizes T_ab(u-p) by
+    (a, b, p) across the minors of one family."""
+    acc = TruncatedSeries.zero(algebra_ring(rule), D)
+    for sigma in permutations(range(len(rows))):
+        term = None
+        for p, (s, b) in enumerate(zip(sigma, cols), 1):
+            key = (rows[s], b, p)
+            if key not in shifted:
+                shifted[key] = t_entry_series(rule, rows[s], b, D)\
+                    .substitute_affine(1, -p)
+            term = shifted[key] if term is None else term * shifted[key]
+        acc = acc + term * perm_sign(sigma)
+    return acc
+
+
 def bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
-    """B_k(u) via the double permutation sum
+    """B_k(u) as Z-weighted quantum minors,
 
-        (1/N!) sum_{g,h} sgn(g) sgn(h) T_{g1 h1}(u-1)..T_{gk hk}(u-k)
-                         z_{g(k+1) h(k+1)}..z_{gN hN}.
+        C(N,k)^-1 sum_{I,J} sgn(I I') sgn(J J') det Z_{I'J'} t^I_J(u),
 
-    This is the one construction used at run time.  The tensor-trace form
-    `bethe_series_tensor` builds the same series independently and serves
-    as its reference in the tests."""
+    over ascending k-tuples I, J with ascending complements I', J'; det is
+    a Leibniz sum, and a minor whose Z cofactor is zero is skipped (a
+    diagonal Z keeps only I = J).  This is the defining double sum
+    (1/N!) sum_{g,h in S_N} sgn(g) sgn(h) T_{g1 h1}(u-1)..T_{gk hk}(u-k)
+    z_{g(k+1) h(k+1)}..z_{gN hN} collapsed: t^I_J is antisymmetric in J as
+    well as in I, so the orderings of I and J sum to k! t^I_J and those of
+    I' and J' to (N-k)! det Z_{I'J'}, and k!(N-k)!/N! = 1/C(N,k).  This is
+    the one construction used at run time; `bethe_series_tensor` is its
+    independent reference in the tests."""
     iset = rule.index_set
     N = iset.N
     if not (1 <= k <= N):
         raise ValueError("k out of range")
     idx = iset.indices()
-    aring = algebra_ring(rule)
     shifted = {}
-    for p in range(1, k + 1):
-        for i in idx:
-            for j in idx:
-                shifted[(i, j, p)] = t_entry_series(rule, i, j, D)\
-                    .substitute_affine(1, -p)
-    acc = TruncatedSeries.zero(aring, D)
-    for g in permutations(idx):
-        sg = perm_sign(g)
-        for h in permutations(idx):
-            zfac = ONE
-            for p in range(k, N):
-                zfac *= z.entry(g[p], h[p])
-                if zfac == 0:
-                    break
-            if zfac == 0:
-                continue
-            term = None
-            for p in range(k):
-                f = shifted[(g[p], h[p], p + 1)]
-                term = f if term is None else term * f
-            acc = acc + term * (sg * perm_sign(h) * zfac)
-    return acc * rat(1, factorial(N))
+    acc = TruncatedSeries.zero(algebra_ring(rule), D)
+    for rows in combinations(idx, k):
+        rows_c = tuple(i for i in idx if i not in rows)
+        for cols in combinations(idx, k):
+            cols_c = tuple(j for j in idx if j not in cols)
+            zdet = sum(perm_sign(s) * prod(map(z.entry, rows_c, s))
+                       for s in permutations(cols_c))
+            if zdet:
+                sign = perm_sign(rows + rows_c) * perm_sign(cols + cols_c)
+                acc = acc + quantum_minor(rule, rows, cols, D, shifted) \
+                    * (sign * zdet)
+    return acc * div(1, binomial(N, k))
 
 
 def bethe_series_tensor(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
@@ -137,18 +153,10 @@ def bethe_series_tensor(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Trunca
 
 
 def quantum_determinant(rule: YangianRule, D: int) -> TruncatedSeries:
-    """B_N(u) as the sign-alternating ordered product over permutations."""
-    iset = rule.index_set
-    idx = iset.indices()
-    aring = algebra_ring(rule)
-    acc = TruncatedSeries.zero(aring, D)
-    for g in permutations(idx):
-        term = None
-        for p, col in enumerate(idx):
-            f = t_entry_series(rule, g[p], col, D).substitute_affine(1, -(p + 1))
-            term = f if term is None else term * f
-        acc = acc + term * perm_sign(g)
-    return acc
+    """The quantum determinant t^{1..N}_{1..N}(u), which is B_N(u) for
+    every Z."""
+    idx = rule.index_set.indices()
+    return quantum_minor(rule, idx, idx, D, {})
 
 
 def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
@@ -203,19 +211,20 @@ def verify_fusion(rule: YangianRule, k: int, D: int) -> list:
     return details + membership_rows("membership coefficient", a, fwd)
 
 
+def centrality_rows(label: str, x: TruncatedSeries, gen_label: str, gen,
+                    idx, levels: int) -> list:
+    """Rows [label coeff r, gen_label(i,j)^(s)] = 0: every coefficient
+    r >= 1 of x commutes with the generators gen(s, i, j), s <= levels."""
+    return [(f"[{label} coeff {r}, {gen_label}({i},{j})^({s})]",
+             commutator(x.coeffs[r], gen(s, i, j)).is_zero())
+            for r in range(1, x.trunc + 1) for s in range(1, levels + 1)
+            for i in idx for j in idx]
+
+
 def verify_centrality(rule: YangianRule, D: int, max_level: int) -> list:
-    qdet = quantum_determinant(rule, D)
-    idx = rule.index_set.indices()
-    details = []
-    for r in range(1, D + 1):
-        c = qdet.coeffs[r]
-        for s in range(1, max_level + 1):
-            for i in idx:
-                for j in idx:
-                    res = commutator(c, rule.element(i, j, s))
-                    details.append(
-                        (f"[qdet coeff {r}, gen({i},{j})^({s})]", res.is_zero()))
-    return details
+    return centrality_rows("qdet", quantum_determinant(rule, D), "gen",
+                           lambda s, i, j: rule.element(i, j, s),
+                           rule.index_set.indices(), max_level)
 
 
 def commutator_table(series: dict, letter: str, budget: int, D: int) -> list:

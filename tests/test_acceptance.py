@@ -21,10 +21,9 @@ from bethe.certify import (expected_jacobian_rank, expected_poisson_rank,
 from bethe.cli import main
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.poisson import PoissonContext, bethe_family
-from bethe.rationals import Q
 from bethe.tensor import (verify_antisymmetrizers, verify_mixed_yang_baxter,
                           verify_r_identities, verify_yang_baxter)
-from bethe.twisted import (TwistedContext, resolve_prop36_scalar,
+from bethe.twisted import (TwistedContext, verify_prop36_trace_form,
                            verify_reflection, verify_sklyanin,
                            verify_symmetry, verify_twisted_commutativity,
                            verify_twisted_hat_identity,
@@ -139,13 +138,11 @@ def test_criterion_13_sklyanin_determinant_and_centrality():
 def test_criterion_14_hat_family_trace_form():
     _all_ok(verify_twisted_hat_identity(SP2, Z_SP, 3))
     _all_ok(verify_twisted_hat_identity(SO3, Z_SO_SYM, 3))
-    # record the resolved scalar: it is the constant series 1 in all cases
+    # the trace form holds at the fixed scalar, the constant series 1
     for ctx, z in ((SP2, Z_SP), (SO3, Z_SO_SYM)):
         for k in range(1, ctx.index_set.N + 1):
-            scalar, ok = resolve_prop36_scalar(ctx, z, k, 3)
-            assert ok, (ctx.index_set.form, k)
-            assert scalar.coeffs[0] == Q(1)
-            assert all(c == 0 for c in scalar.coeffs[1:])
+            assert verify_prop36_trace_form(ctx, z, k, 3), \
+                (ctx.index_set.form, k)
         # the exchange identity carries one factor of u
         _all_ok(verify_z_rmatrix_scalar(ctx, z))
 

@@ -62,6 +62,12 @@ CASES = {
                               "--n", "2"],
     "compute-bethe": ["compute", "bethe", "--kind", "gl", "--N", "3",
                       "--D", "2"],
+    "compute-bethe-dense": ["compute", "bethe", "--kind", "gl", "--N", "3",
+                            "--Z", "json:" + os.path.join(GOLDEN_DIR,
+                                                          "z-gl3-dense.json"),
+                            "--D", "2"],
+    "compute-bethe-gl4": ["compute", "bethe", "--kind", "gl", "--N", "4",
+                          "--D", "2"],
     "compute-qdet": ["compute", "qdet", "--kind", "gl", "--N", "3",
                      "--D", "3"],
     "compute-twisted-bethe": ["compute", "twisted-bethe", "--kind", "so",

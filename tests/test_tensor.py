@@ -167,20 +167,23 @@ def rational_tensor(draw, sites):
 
 
 @st.composite
+def algebra_element(draw, rule=YANG2):
+    terms = draw(st.lists(st.tuples(
+        rational, st.sampled_from(PLAIN2.indices()),
+        st.sampled_from(PLAIN2.indices()), st.integers(1, 2)),
+        max_size=2))
+    acc = rule.zero() + draw(rational)
+    for c, i, j, r in terms:
+        acc = acc + rule.element(i, j, r) * c
+    return acc
+
+
+@st.composite
 def algebra_tensor(draw, sites, rule=YANG2):
-    def element():
-        terms = draw(st.lists(st.tuples(
-            rational, st.sampled_from(PLAIN2.indices()),
-            st.sampled_from(PLAIN2.indices()), st.integers(1, 2)),
-            max_size=2))
-        acc = rule.zero() + draw(rational)
-        for c, i, j, r in terms:
-            acc = acc + rule.element(i, j, r) * c
-        return acc
     keys = draw(st.lists(st.sampled_from(_keys(sites)), max_size=5,
                          unique=True))
     return TensorElement(sites, PLAIN2, algebra_ring(rule),
-                         {k: element() for k in keys})
+                         {k: draw(algebra_element(rule)) for k in keys})
 
 
 def lift_tensor(t, ring):
@@ -200,6 +203,22 @@ def test_rational_tensors_multiply_ring_tensors_without_lifting(
     for got, ref in ((g * x, lifted * x), (x * g, x * lifted)):
         assert got == ref
         assert got.ring is x.ring
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), sites=st.integers(1, 2),
+       rule=st.sampled_from((YANG2, FREE2)))
+def test_rational_tensors_scale_by_algebra_elements_from_either_side(
+        data, sites, rule):
+    g = data.draw(rational_tensor(sites))
+    a = data.draw(algebra_element(rule))
+    aring = algebra_ring(rule)
+    for got, ref in ((a * g, g.map_coeffs(lambda c: a * c, aring)),
+                     (g * a, g.map_coeffs(lambda c: c * a, aring))):
+        assert got == ref
+        assert not got.ring.rational and got.ring.one == rule.one()
+    with pytest.raises(TypeError):
+        a * 0.5
 
 
 @st.composite

@@ -4,11 +4,10 @@ from bethe import twisted
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import ONE, Q
 from bethe.twisted import (TwistedContext, fused_s, hat_twisted_series,
-                           reflection_residual, resolve_prop36_scalar,
-                           theta_series, twisted_bethe_series,
+                           reflection_residual, theta_series, twisted_bethe_series,
                            verify_fused_determinant, verify_fused_membership,
                            verify_fused_z_membership, verify_mixed_rtt,
-                           verify_reflection, verify_reflection_matrix_form,
+                           verify_prop36_trace_form, verify_reflection, verify_reflection_matrix_form,
                            verify_sklyanin, verify_symmetry,
                            verify_twisted_commutativity,
                            verify_twisted_hat_identity, verify_z_exchange,
@@ -85,8 +84,8 @@ def test_twisted_hat_identity_small():
 
 
 def test_prop36_scalar_resolution():
-    c, ok = resolve_prop36_scalar(SP2, Z_SP, 1, 2)
-    assert ok and list(c.coeffs) == [Q(1), Q(0), Q(0)]
+    # the trace form equals hat-A_k at the fixed scalar series 1
+    assert verify_prop36_trace_form(SP2, Z_SP, 1, 2) is True
     # the exchange holds at the fixed scalar c(u) = u
     assert verify_z_rmatrix_scalar(SP2, Z_SP) == [
         ("exchange scalar c(u) = 1*u + 0", True)]
@@ -112,9 +111,7 @@ def test_twisted_hat_identity_negative_control(monkeypatch, factor):
 def test_prop36_scalar_negative_control(monkeypatch):
     # hat-A_k doubled: the trace form is hat-A_k times 1/2, not times 1
     _scaled_hat(monkeypatch, Q(2))
-    c, ok = resolve_prop36_scalar(SP2, Z_SP, 1, 2)
-    assert not ok
-    assert list(c.coeffs) == [Q(1), Q(0), Q(0)]
+    assert verify_prop36_trace_form(SP2, Z_SP, 1, 2) is False
 
 
 def test_twisted_constant_terms():

@@ -8,7 +8,8 @@ from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import ONE, Q
 from bethe.yangian import (bethe_series, bethe_series_tensor,
                            hat_bethe_series,
-                           quantum_determinant, t_entry_series,
+                           quantum_determinant, quantum_minor,
+                           t_entry_series,
                            verify_bethe_commutativity, verify_centrality,
                            verify_fusion, verify_hat_identity, verify_rtt)
 
@@ -86,24 +87,70 @@ def test_centrality_small():
     _all_ok(verify_centrality(YangianRule(IndexSet.plain(2)), 2, 2))
 
 
+# dense Z whose off-diagonal entries reach the index pairs a diagonal Z
+# never weights
+DENSE_Z = {
+    2: [[1, 1, "1"], [1, 2, "1/2"], [2, 1, "-3"], [2, 2, "2"]],
+    3: [[1, 1, "1"], [1, 2, "2"], [1, 3, "-1/3"], [2, 1, "1/2"],
+        [2, 2, "-1"], [3, 1, "3"], [3, 2, "1"], [3, 3, "5/2"]],
+    4: [[1, 1, "2"], [1, 2, "1"], [1, 3, "-1"], [2, 1, "1/2"], [2, 2, "3"],
+        [2, 4, "1"], [3, 1, "-1"], [3, 3, "1"], [3, 4, "2"], [4, 2, "2"],
+        [4, 3, "1"], [4, 4, "-3/2"]],
+}
+# rank 1, Z = u v^T: every minor of size 2 or more vanishes
+RANK1_Z = [[i, j, str(Q(a) * Q(b))]
+           for i, a in enumerate((1, -2, 3), 1)
+           for j, b in enumerate((2, Q(1, 2), -1), 1)]
+
+
+def _json_z(tmp_path, name, entries, iset):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(entries))
+    return parse_z_spec(f"json:{path}", iset)
+
+
 def test_dual_path_constructions_agree(tmp_path):
-    # a diagonal Z, and dense ones whose off-diagonal entries reach the
-    # index pairs a diagonal Z never weights
-    dense = {2: [[1, 1, "1"], [1, 2, "1/2"], [2, 1, "-3"], [2, 2, "2"]],
-             3: [[1, 1, "1"], [1, 2, "2"], [1, 3, "-1/3"], [2, 1, "1/2"],
-                 [2, 2, "-1"], [3, 1, "3"], [3, 2, "1"], [3, 3, "5/2"]]}
-    cases = [(2, 2, "diag:1,2")]
-    for N, D in ((2, 4), (3, 3)):
-        path = tmp_path / f"z{N}.json"
-        path.write_text(json.dumps(dense[N]))
-        cases.append((N, D, f"json:{path}"))
-    for N, D, spec in cases:
+    # diagonal Z, whose cofactors vanish off I = J (with a repeated and
+    # with a zero eigenvalue, which also zeroes cofactors on I = J); dense
+    # Z; and a rank-1 Z, whose cofactors of size 2 or more all vanish
+    cases = [(2, 2, "diag:1,2"), (3, 2, "diag:1,1,2"), (3, 2, "diag:0,1,2")]
+    for N, D in ((2, 4), (3, 3), (4, 2)):
+        cases.append((N, D, _json_z(tmp_path, f"z{N}", DENSE_Z[N],
+                                    IndexSet.plain(N))))
+    cases.append((3, 2, _json_z(tmp_path, "rank1", RANK1_Z,
+                                IndexSet.plain(3))))
+    for N, D, z in cases:
         iset = IndexSet.plain(N)
         rule = YangianRule(iset)
-        z = parse_z_spec(spec, iset)
+        if isinstance(z, str):
+            z = parse_z_spec(z, iset)
         for k in range(1, N + 1):
             assert bethe_series(k, z, rule, D) == \
-                bethe_series_tensor(k, z, rule, D), (spec, k)
+                bethe_series_tensor(k, z, rule, D), (N, z.entries, k)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_quantum_determinant_is_the_top_bethe_series(N, tmp_path):
+    iset = IndexSet.plain(N)
+    rule = YangianRule(iset)
+    D = 3 if N < 4 else 2
+    qd = quantum_determinant(rule, D)
+    diag = parse_z_spec("diag:" + ",".join(str(2 * i - 3)
+                                           for i in range(1, N + 1)), iset)
+    for z in (diag, _json_z(tmp_path, "dense", DENSE_Z[N], iset)):
+        assert bethe_series(N, z, rule, D) == qd
+
+
+def test_quantum_minor_alternates_in_the_columns():
+    rule = YangianRule(IndexSet.plain(3))
+    shifted = {}
+    minor = lambda rows, cols: quantum_minor(rule, rows, cols, 3, shifted)
+    for rows in ((1, 2), (2, 3), (1, 2, 3)):
+        cols = rows[::-1] if len(rows) == 2 else (1, 3, 2)
+        assert not minor(rows, rows).is_zero()
+        assert minor(rows, cols) == -minor(rows, rows)
+    assert minor((1, 2), (3, 3)).is_zero()
+    assert minor((1, 2, 3), (2, 1, 2)).is_zero()
 
 
 def test_bethe_constant_terms():
