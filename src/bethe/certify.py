@@ -17,7 +17,7 @@ from .poisson import (CurrentPoint, PoissonContext, PoissonPoly, bethe_family,
                       certified_jacobian_rank, jacobian_rank, poisson_bracket,
                       poisson_rank_at, principal_nilpotent, restrict_to_slice,
                       upper_slice)
-from .twisted import (TwistedContext, reflection_residual,
+from .twisted import (TwistedContext, reflection_rows,
                       symmetry_residual_free, twisted_bethe_series)
 from .yangian import bethe_series
 
@@ -37,21 +37,8 @@ def verify_rho_homomorphy(ctx: TwistedContext, D: int) -> list:
                 details.append(
                     (f"rho of symmetry residual i={i} j={j} order {r}",
                      res.is_zero()))
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                for l in idx:
-                    bil = reflection_residual(ctx, i, j, k, l, D,
-                                              expanded=False)
-                    ok = True
-                    for (eu, ev), c in bil.entries.items():
-                        if -(eu + ev) > D:
-                            continue
-                        if not rho_apply(c, gl).is_zero():
-                            ok = False
-                    details.append(
-                        (f"rho of reflection residual ({i},{j},{k},{l})", ok))
-    return details
+    return details + reflection_rows("rho of reflection residual", ctx, D,
+                                     D, lambda c: rho_apply(c, gl))
 
 
 def pi_bethe_images(index_set: IndexSet, z: ZMatrix, D: int) -> list:

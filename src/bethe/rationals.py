@@ -77,7 +77,15 @@ def format_rat(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rat(s: str):
+def parse_rat(s):
+    """An exact scalar from "p/q" or "n" text, or from a JSON integer.
+    Floats and booleans are refused: a float is not exact, and a boolean
+    would read as 0 or 1."""
+    if type(s) is int:
+        return s
+    if not isinstance(s, str):
+        raise ValueError(f"expected an integer or a \"p/q\" string, "
+                         f"not {s!r}")
     if "/" in s:
         p, q = s.split("/")
         return rat(int(p), int(q))

@@ -13,20 +13,30 @@ elements S(u,k) and Z(u,k) with their scalar normalization folded into the
 R-matrix factors, the commuting series A_k(u), the inverse-series
 generators, and the Sklyanin-determinant checks.
 
-A_k(u) is built once, on the formal carrier (`twisted_bethe_series`); the
-checks that need the defining relations read it through
-`expanded_bethe_series`.  The hat series and the fused block `fused_s`
-live on the expanded carrier only.
+Objects are built on the formal carrier and read through `s_expand`
+where a check needs the defining relations; `s_expand` is an algebra map,
+and every expanded generator comes from `expand_gen`.
+
+* The reflection relation is one matrix-form residual
+  R(u-v) S_1(u) R~(-u-v) S_2(v) - S_2(v) R~(-u-v) S_1(u) R(u-v) of the
+  one-site series `s_series` (`reflection_residual`).  `verify_reflection`
+  reads its entries through `s_expand`, the rho check through `rho_apply`.
+* A_k(u) is built by `twisted_bethe_series` and read through
+  `expanded_bethe_series`.
+* The hat series and the fused block `fused_s` live on the expanded
+  carrier only; `fused_s` takes its site series from `s_series` mapped
+  through `s_expand`.
 """
 from __future__ import annotations
 
 from functools import reduce
+from itertools import product
 from operator import mul
 
 from .algebra import AlgebraElement, FreeRule, YangianRule, element_sum
 from .indices import IndexSet, ZMatrix
 from .rationals import rat
-from .series import (INF_CAP, RATIONAL_RING, BiLaurent, RationalFactor,
+from .series import (RATIONAL_RING, BiLaurent, RationalFactor,
                      TruncatedSeries, algebra_ring)
 from .tensor import (TensorElement, alternator, antisymmetrizer, bilaurent_r,
                      q_tensor, series_to_bilaurent, tensor_ring, trace_series)
@@ -39,18 +49,12 @@ class TwistedContext:
     """Bundles the signed index set with the two generator carriers and the
     sign conventions (upper sign = orthogonal, lower = symplectic).
 
-    Besides the generator expansions it keeps two memos that one check asks
-    for more than once, both keyed by the truncation D so that calls at
-    several orders never mix:
-
-    * `inverse_fused_s(k, D)`: the inverse series of the fused block
-      S(u,k) on the expanded carrier, shared by the hat series and the
-      prop-3.6 trace form, which only exist at the expanded level;
-    * `s_pair(a, b, c, d, D, expanded)`: the bivariate product
-      S_ab(u) S_cd(v) on either carrier, keyed by the carrier too, which
-      the reflection residuals over all index tuples share (S_ab(v) S_cd(u) is the same product with u and v
-      exchanged).  Equal monomials and coefficients of the kept products
-      are stored once, which keeps the memo small.
+    Besides the generator expansions, memoized per generator and per
+    truncation D, it keeps one memo that one check asks for more than
+    once: `inverse_fused_s(k, D)`, the inverse series of the fused block
+    S(u,k) on the expanded carrier, shared by the hat series and the
+    prop-3.6 trace form, which only exist at the expanded level.  It is
+    keyed by D too, so calls at several orders never mix.
 
     The forward block fused_s is not kept: each check builds it once.
     """
@@ -66,18 +70,28 @@ class TwistedContext:
         self._expand_cache: dict = {}
         self._s_series: dict = {}
         self._inverse_fused: dict = {}
-        self._s_pairs: dict = {}
-        self._s_pair_pool: dict = {}
 
     def s_gen(self, i: int, j: int, r: int) -> AlgebraElement:
         """The formal generator S_ij^(r) as a one-word element."""
         return self.s_rule.element(i, j, r)
 
+    def s_series(self, D: int) -> TruncatedSeries:
+        """S(u) on the formal carrier: the one-site tensor series whose
+        order-r coefficient has the entries S_ij^(r)."""
+        idx = self.index_set.indices()
+        tring = tensor_ring(1, self.index_set, algebra_ring(self.s_rule))
+        return TruncatedSeries(tring, [tring.one] + [
+            TensorElement(1, self.index_set, tring.one.ring,
+                          {((i,), (j,)): self.s_gen(i, j, r)
+                           for i in idx for j in idx})
+            for r in range(1, D + 1)], D)
+
     # -- expansion into the ambient algebra --------------------------------------
 
     def s_series_expanded(self, D: int) -> TruncatedSeries:
         """S(u) = T(u) T~(-u) as a single-site tensor series with
-        normal-ordered ambient coefficients."""
+        normal-ordered ambient coefficients: the source of `expand_gen`,
+        through which every expanded S generator is read."""
         hit = self._s_series.get(D)
         if hit is not None:
             return hit
@@ -118,25 +132,6 @@ class TwistedContext:
             hit = self._inverse_fused[key] = fused_s(self, k, D).invert()
         return hit
 
-    def s_pair(self, a: int, b: int, c: int, d: int, D: int,
-               expanded: bool) -> BiLaurent:
-        """The bivariate product S_ab(u) S_cd(v), computed once per key;
-        S_ab(v) S_cd(u) is its swap()."""
-        key = (a, b, c, d, D, expanded)
-        hit = self._s_pairs.get(key)
-        if hit is None:
-            hit = _s_bilaurent_entry(self, a, b, "u", D, expanded) \
-                * _s_bilaurent_entry(self, c, d, "v", D, expanded)
-            # The kept products repeat a few hundred monomials and a few
-            # dozen coefficients over thousands of terms; their fresh
-            # elements are rebuilt to share one object per value.
-            pool = self._s_pair_pool
-            for e in hit.entries.values():
-                e.terms = {pool.setdefault(m, m): pool.setdefault(v, v)
-                           for m, v in e.terms.items()}
-            self._s_pairs[key] = hit
-        return hit
-
 
 # -- symmetry relation ---------------------------------------------------------------
 
@@ -167,90 +162,48 @@ def verify_symmetry(ctx: TwistedContext, D: int) -> list:
 # -- reflection relation ----------------------------------------------------------------
 
 
-def _s_bilaurent_entry(ctx: TwistedContext, i: int, j: int, var: str, D: int,
-                       expanded: bool) -> BiLaurent:
-    """S_ij(u) (or of v) as a bivariate object with scalar algebra
-    coefficients, expanded or formal."""
-    if expanded:
-        rule = ctx.yang_rule
-        coeff = lambda r: ctx.expand_gen((r, i, j))
-    else:
-        rule = ctx.s_rule
-        coeff = lambda r: ctx.s_gen(i, j, r)
-    ring = algebra_ring(rule)
-    ent = {}
-    if i == j:
-        ent[(0, 0)] = ring.one
-    for r in range(1, D + 1):
-        key = (-r, 0) if var == "u" else (0, -r)
-        ent[key] = coeff(r)
-    cap_u = D if var == "u" else INF_CAP
-    cap_v = D if var == "v" else INF_CAP
-    return BiLaurent(ring, ent, cap_u, cap_v)
+def _reflection_form(x1: BiLaurent, x2: BiLaurent, iset: IndexSet) -> BiLaurent:
+    """R(u-v) X_1 R~(-u-v) X_2 - X_2 R~(-u-v) X_1 R(u-v) on two sites."""
+    r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset)
+    rt = bilaurent_r("twisted", (1, 2), -1, -1, 0, 2, iset)
+    return r * x1 * rt * x2 - x2 * rt * x1 * r
 
 
-def reflection_residual(ctx: TwistedContext, i: int, j: int, k: int, l: int,
-                        D: int, expanded: bool = True) -> BiLaurent:
-    """Componentwise reflection-relation residual for indices (i,j,k,l):
+def reflection_residual(ctx: TwistedContext, D: int) -> BiLaurent:
+    """R(u-v) S_1(u) R~(-u-v) S_2(v) - S_2(v) R~(-u-v) S_1(u) R(u-v) on the
+    formal S-word carrier.  Its entry ((i,k),(j,l)) is minus the
+    componentwise residual
 
     (u^2-v^2)[S_ij(u), S_kl(v)]
       - (u+v)(S_kj(u)S_il(v) - S_kj(v)S_il(u))
       + (u-v)(e_{k,-j} S_{i,-k}(u)S_{-j,l}(v) - e_{i,-l} S_{k,-i}(v)S_{-l,j}(u))
       - e_{i,-j}(S_{k,-i}(u)S_{-j,l}(v) - S_{k,-i}(v)S_{-j,l}(u)).
     """
-    iset = ctx.index_set
-
-    def SS(a, b, var, c, d):
-        # S_ab(var) S_cd(the other variable)
-        pair = ctx.s_pair(a, b, c, d, D, expanded)
-        return pair if var == "u" else pair.swap()
-
-    def poly(terms):
-        # a rational multiplier, {(deg u, deg v): coefficient}; scalars are
-        # central, so it acts from the right without being lifted
-        return BiLaurent(RATIONAL_RING, terms,
-                         INF_CAP, INF_CAP)
-
-    u2v2 = poly({(2, 0): 1, (0, 2): -1})
-    upv = poly({(1, 0): 1, (0, 1): 1})
-    umv = poly({(1, 0): 1, (0, 1): -1})
-    # folded term by term, so only one term is alive besides the sum
-    res = (SS(i, j, "u", k, l) - SS(k, l, "v", i, j)) * u2v2
-    res = res - (SS(k, j, "u", i, l) - SS(k, j, "v", i, l)) * upv
-    res = res + (SS(i, -k, "u", -j, l) * iset.eps(k, -j)
-                 - SS(k, -i, "v", -l, j) * iset.eps(i, -l)) * umv
-    return res - (SS(k, -i, "u", -j, l)
-                  - SS(k, -i, "v", -j, l)) * iset.eps(i, -j)
+    s = ctx.s_series(D)
+    return _reflection_form(series_to_bilaurent(s, 1, "u", 2),
+                            series_to_bilaurent(s, 2, "v", 2), ctx.index_set)
 
 
-def verify_reflection(ctx: TwistedContext, D: int, total_order: int) -> list:
-    """Componentwise reflection relation, all indices, coefficients of
-    u^-r v^-s with r+s <= total_order."""
-    idx = ctx.index_set.indices()
+def reflection_rows(label: str, ctx: TwistedContext, D: int,
+                    total_order: int, image) -> list:
+    """One row "label (i,j,k,l)" per index tuple: does the algebra map
+    `image` kill entry ((i,k),(j,l)) of the reflection residual at every
+    u^-r v^-s with r+s <= total_order?"""
+    window = [c for (eu, ev), c in reflection_residual(ctx, D).entries.items()
+              if -(eu + ev) <= total_order]
     details = []
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                for l in idx:
-                    res = reflection_residual(ctx, i, j, k, l, D)
-                    bad = [key for key in res.entries
-                           if -(key[0] + key[1]) <= total_order]
-                    details.append(
-                        (f"reflection ({i},{j},{k},{l})", not bad))
+    for i, j, k, l in product(ctx.index_set.indices(), repeat=4):
+        key = ((i, k), (j, l))
+        details.append((f"{label} ({i},{j},{k},{l})", not any(
+            image(c.entries[key]) for c in window if key in c.entries)))
     return details
 
 
-def verify_reflection_matrix_form(ctx: TwistedContext, D: int) -> list:
-    """Matrix form R(u-v) S_1(u) R~(-u-v) S_2(v) = S_2(v) R~(-u-v) S_1(u)
-    R(u-v), with expanded coefficients."""
-    iset = ctx.index_set
-    s = ctx.s_series_expanded(D)
-    s1 = series_to_bilaurent(s, 1, "u", 2)
-    s2 = series_to_bilaurent(s, 2, "v", 2)
-    r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset)
-    rt = bilaurent_r("twisted", (1, 2), -1, -1, 0, 2, iset)
-    return window_rows("matrix reflection",
-                       r * s1 * rt * s2 - s2 * rt * s1 * r)
+def verify_reflection(ctx: TwistedContext, D: int, total_order: int) -> list:
+    """The reflection relation, one row per index tuple (i,j,k,l), read
+    from the matrix-form residual through `s_expand` at the coefficients
+    of u^-r v^-s with r+s <= total_order."""
+    return reflection_rows("reflection", ctx, D, total_order, ctx.s_expand)
 
 
 def verify_mixed_rtt(ctx: TwistedContext, D: int) -> list:
@@ -300,25 +253,15 @@ def fused_s_factors(ctx: TwistedContext, k: int, D: int,
     """The ordered factors of S(u,k) on sites 1..k: for each site p, the
     series S_p(u-p) followed by its normalized R-matrix factors."""
     iset = ctx.index_set
-    tring = tensor_ring(k, iset, algebra_ring(
-        ctx.yang_rule if expanded else ctx.s_rule))
+    s = ctx.s_series(D)
     if expanded:
-        def site_series(p):
-            return ctx.s_series_expanded(D)\
-                .map_coeffs(lambda c: c.embed((p,), k), tring)
-    else:
-        idx = iset.indices()
-
-        def site_series(p):
-            coeffs = [tring.one]
-            for r in range(1, D + 1):
-                ent = {((i,), (j,)): ctx.s_gen(i, j, r) for i in idx for j in idx}
-                coeffs.append(TensorElement(1, iset, tring.one.ring, ent)
-                              .embed((p,), k))
-            return TruncatedSeries(tring, coeffs, D)
-
-    return _fused_factors(lambda p: site_series(p).substitute_affine(1, -p),
-                          k, iset, D)
+        ring = algebra_ring(ctx.yang_rule)
+        s = s.map_coeffs(lambda c: c.map_coeffs(ctx.s_expand, ring),
+                         tensor_ring(1, iset, ring))
+    tring = tensor_ring(k, iset, s.ring.one.ring)
+    return _fused_factors(
+        lambda p: s.map_coeffs(lambda c: c.embed((p,), k), tring)
+        .substitute_affine(1, -p), k, iset, D)
 
 
 def fused_s(ctx: TwistedContext, k: int, D: int) -> TruncatedSeries:
@@ -345,11 +288,9 @@ def verify_z_exchange(ctx: TwistedContext, z: ZMatrix) -> list:
     Z_2 R~(-u-v) Z_1 R(u-v)."""
     iset = ctx.index_set
     ring2 = tensor_ring(2, iset)
-    z1 = BiLaurent.constant(ring2, z_site_tensor(z, 1, 2))
-    z2 = BiLaurent.constant(ring2, z_site_tensor(z, 2, 2))
-    r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset)
-    rt = bilaurent_r("twisted", (1, 2), -1, -1, 0, 2, iset)
-    res = r * z1 * rt * z2 - z2 * rt * z1 * r
+    res = _reflection_form(BiLaurent.constant(ring2, z_site_tensor(z, 1, 2)),
+                           BiLaurent.constant(ring2, z_site_tensor(z, 2, 2)),
+                           iset)
     return [("exchange identity", res.is_zero())]
 
 

@@ -39,6 +39,34 @@ def test_malformed_z_is_a_usage_error(z, capsys):
     assert capsys.readouterr().err.startswith("error: --Z")
 
 
+def _json_z(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return f"json:{path}"
+
+
+def test_json_z_takes_integers_and_fraction_strings(tmp_path):
+    # the file format is [[i, j, value], ...]; a value is a JSON integer
+    # or a "p/q" string, and the file gives the table of the same diagonal
+    args = ["compute", "bethe", "--kind", "gl", "--N", "2", "--k", "1",
+            "--D", "1"]
+    z = _json_z(tmp_path, "z.json", [[1, 1, 2], [2, 2, "3/2"]])
+    assert main(args + ["--Z", z, "--out", str(tmp_path / "a.json")]) == 0
+    assert main(args + ["--Z", "diag:2,3/2",
+                        "--out", str(tmp_path / "b.json")]) == 0
+    tables = [json.loads((tmp_path / f).read_text())
+              for f in ("a.json", "b.json")]
+    assert tables[0]["series"] == tables[1]["series"]
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+def test_json_z_refuses_floats_and_booleans(tmp_path, capsys, value):
+    z = _json_z(tmp_path, "z.json", [[1, 1, value], [2, 2, 2]])
+    assert main(["verify", "rtt", "--kind", "gl", "--N", "2", "--Z", z]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --Z") and "p/q" in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--kind", "sp", "--N", "3"],                 # odd symplectic size
     ["--kind", "gl", "--N", "0"],
@@ -384,13 +412,17 @@ def test_prop36_fails_for_the_flip_in_the_exchange(monkeypatch, tmp_path):
     assert {**row, "residual_zero": False} in rows
 
 
-def test_rho_hom_fails_without_the_eps_partner(monkeypatch):
+def test_rho_hom_fails_without_the_eps_partner(monkeypatch, tmp_path):
     from bethe import evalmap
 
     args = ["verify", "rho-hom", "--kind", "so", "--n", "1", "--odd",
             "--D", "2"]
     assert main(args) == 0
-    # F_ij = E_ij alone: rho no longer factors through the symmetry relation
+    # F_ij = E_ij alone: rho no longer factors through the symmetry
+    # relation, nor through the reflection relation
     monkeypatch.setattr(evalmap, "f_element",
                         lambda gl_rule, i, j: gl_rule.element(i, j))
     assert main(args) == 1
+    rows = json.loads((tmp_path / "rho-hom.json").read_text())["details"]
+    assert any(row["item"].startswith("rho of reflection residual")
+               and not row["residual_zero"] for row in rows)

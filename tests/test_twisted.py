@@ -1,13 +1,16 @@
+from itertools import product
+
 import pytest
 
 from bethe import twisted
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import ONE, Q
+from bethe.series import INF_CAP, RATIONAL_RING, BiLaurent, algebra_ring
 from bethe.twisted import (TwistedContext, fused_s, hat_twisted_series,
                            reflection_residual, theta_series, twisted_bethe_series,
                            verify_fused_determinant, verify_fused_membership,
                            verify_fused_z_membership, verify_mixed_rtt,
-                           verify_prop36_trace_form, verify_reflection, verify_reflection_matrix_form,
+                           verify_prop36_trace_form, verify_reflection,
                            verify_sklyanin, verify_symmetry,
                            verify_twisted_commutativity,
                            verify_twisted_hat_identity, verify_z_exchange,
@@ -48,7 +51,8 @@ def test_reflection_relation_componentwise():
 
 
 def test_reflection_matrix_form_and_mixed_rtt():
-    _all_ok(verify_reflection_matrix_form(SP2, 2))
+    # total order 8 covers the whole trusted window r, s <= D - 2 = 2
+    _all_ok(verify_reflection(SP2, 4, 8))
     _all_ok(verify_mixed_rtt(SP2, 2))
     _all_ok(verify_mixed_rtt(SO3, 2))
 
@@ -138,22 +142,114 @@ def test_inverse_fused_memo_equals_a_fresh_inverse(iset):
             assert ctx.inverse_fused_s(k, D) is inv
 
 
-def _same_bilaurent(a, b):
-    # the two contexts own distinct rule objects, so compare the terms
-    return ({k: v.terms for k, v in a.entries.items()}
-            == {k: v.terms for k, v in b.entries.items()}
-            and (a.cap_u, a.cap_v) == (b.cap_u, b.cap_v))
+def _terms(res):
+    # the entries of a residual with tensor coefficients, as plain term
+    # dicts: two contexts own distinct rule objects
+    return {key: {e: v.terms for e, v in t.entries.items()}
+            for key, t in res.entries.items()}
 
 
 def test_reflection_residual_on_a_reused_context():
-    # the pair memo must key on D and on the carrier: a reused context
-    # gives what a fresh one gives at every order and carrier
+    # the D-keyed memos of S(u) and of the expanded generators must not
+    # leak across orders: a reused context gives what a fresh one gives,
+    # on the formal carrier and after s_expand
     iset = IndexSet.signed(2, "sp")
     reused = TwistedContext(iset)
-    for expanded in (True, False):
-        for D in (2, 3):
-            for ijkl in [(1, -1, 1, 1), (-1, 1, 1, -1)]:
-                got = reflection_residual(reused, *ijkl, D, expanded=expanded)
-                want = reflection_residual(TwistedContext(iset), *ijkl, D,
-                                           expanded=expanded)
-                assert _same_bilaurent(got, want)
+    for D in (2, 3):
+        fresh = TwistedContext(iset)
+        got = reflection_residual(reused, D)
+        want = reflection_residual(fresh, D)
+        assert _terms(got) == _terms(want)
+        assert (got.cap_u, got.cap_v) == (want.cap_u, want.cap_v) \
+            == (D - 2, D - 2)
+        for key, t in got.entries.items():
+            assert ({e: reused.s_expand(v).terms for e, v in t.entries.items()}
+                    == {e: fresh.s_expand(v).terms
+                        for e, v in want.entries[key].entries.items()})
+
+
+# -- the componentwise reflection relation, as the oracle of the entry map ------
+
+
+def _s_entry(gen, rule, i, j, var, D):
+    """S_ij(u) (var "u") or S_ij(v) as a bivariate object with scalar
+    algebra coefficients gen(r, i, j), trusted to order D in its variable."""
+    ring = algebra_ring(rule)
+    ent = {(0, 0): ring.one} if i == j else {}
+    for r in range(1, D + 1):
+        ent[(-r, 0) if var == "u" else (0, -r)] = gen(r, i, j)
+    return BiLaurent(ring, ent, D if var == "u" else INF_CAP,
+                     D if var == "v" else INF_CAP)
+
+
+def _componentwise_residual(iset, gen, rule, i, j, k, l, D):
+    """(u^2-v^2)[S_ij(u), S_kl(v)]
+      - (u+v)(S_kj(u)S_il(v) - S_kj(v)S_il(u))
+      + (u-v)(e_{k,-j} S_{i,-k}(u)S_{-j,l}(v) - e_{i,-l} S_{k,-i}(v)S_{-l,j}(u))
+      - e_{i,-j}(S_{k,-i}(u)S_{-j,l}(v) - S_{k,-i}(v)S_{-j,l}(u))."""
+    def SS(a, b, var, c, d):
+        # S_ab(var) S_cd(the other variable)
+        other = "v" if var == "u" else "u"
+        return (_s_entry(gen, rule, a, b, var, D)
+                * _s_entry(gen, rule, c, d, other, D))
+
+    def poly(terms):
+        return BiLaurent(RATIONAL_RING, terms, INF_CAP, INF_CAP)
+
+    u2v2 = poly({(2, 0): 1, (0, 2): -1})
+    upv = poly({(1, 0): 1, (0, 1): 1})
+    umv = poly({(1, 0): 1, (0, 1): -1})
+    res = (SS(i, j, "u", k, l) - SS(k, l, "v", i, j)) * u2v2
+    res = res - (SS(k, j, "u", i, l) - SS(k, j, "v", i, l)) * upv
+    res = res + (SS(i, -k, "u", -j, l) * iset.eps(k, -j)
+                 - SS(k, -i, "v", -l, j) * iset.eps(i, -l)) * umv
+    return res - (SS(k, -i, "u", -j, l)
+                  - SS(k, -i, "v", -j, l)) * iset.eps(i, -j)
+
+
+@pytest.mark.parametrize("iset, D", [(IndexSet.signed(2, "sp"), 3),
+                                     (IndexSet.signed(3, "so"), 3),
+                                     (IndexSet.signed(4, "sp"), 2)])
+@pytest.mark.parametrize("carrier", ["formal", "expanded"])
+def test_reflection_entry_is_minus_the_componentwise_residual(iset, D,
+                                                              carrier):
+    ctx = TwistedContext(iset)
+    if carrier == "formal":
+        rule, image = ctx.s_rule, lambda c: c
+        gen = lambda r, i, j: ctx.s_gen(i, j, r)
+    else:
+        rule, image = ctx.yang_rule, ctx.s_expand
+        gen = lambda r, i, j: ctx.expand_gen((r, i, j))
+    res = reflection_residual(ctx, D)
+    # total order 2D covers the whole trusted window
+    rows = dict(twisted.reflection_rows("r", ctx, D, 2 * D, image))
+    nonzero = False
+    for i, j, k, l in product(iset.indices(), repeat=4):
+        want = _componentwise_residual(iset, gen, rule, i, j, k, l, D)
+        nonzero = nonzero or bool(want)
+        assert rows[f"r ({i},{j},{k},{l})"] == (not want)
+        key = ((i, k), (j, l))
+        got = {e: -image(t.entries[key]) for e, t in res.entries.items()
+               if key in t.entries}
+        assert {e: v.terms for e, v in got.items() if v} \
+            == {e: v.terms for e, v in want.entries.items()}, (i, j, k, l)
+        assert (res.cap_u, res.cap_v) == (want.cap_u, want.cap_v)
+    # the relation holds only after expansion
+    assert nonzero == (carrier == "formal")
+
+
+def test_reflection_rows_read_entry_ik_jl():
+    # a zero test cannot tell entry ((i,k),(j,l)) from ((i,k),(l,j)): the
+    # formal residual vanishes symmetrically in j and l.  A probe for the
+    # one word S_11^(1) S_{-1,-1}^(1) can.
+    iset = SP2.index_set
+    word = ((1, 1, 1), (1, -1, -1))
+    rows = twisted.reflection_rows("r", SP2, 3, 6, lambda c: word in c.terms)
+    want = {}
+    for i, j, k, l in product(iset.indices(), repeat=4):
+        res = _componentwise_residual(iset, lambda r, a, b: SP2.s_gen(a, b, r),
+                                      SP2.s_rule, i, j, k, l, 3)
+        want[f"r ({i},{j},{k},{l})"] = not any(
+            word in c.terms for c in res.entries.values())
+    assert dict(rows) == want
+    assert not all(want.values())
