@@ -144,9 +144,10 @@ class TruncatedSeries:
             return self.map_coeffs(lambda x: x * c)
         D = min(self.trunc, other.trunc)
         a, b = self.coeffs, other.coeffs
+        one = other.ring.one  # a factor that is this very object is skipped
         return TruncatedSeries(self.ring, [
-            self.ring.sum([a[r] * b[s - r] for r in range(s + 1)
-                           if a[r] and b[s - r]])
+            self.ring.sum([x if y is one else x * y for r in range(s + 1)
+                           for x, y in ((a[r], b[s - r]),) if x and y])
             for s in range(D + 1)], D)
 
     def __rmul__(self, other):

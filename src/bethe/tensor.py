@@ -23,21 +23,19 @@ Every commuting family is a trace tr(H . X(u) . F(u)) of an
 algebra-valued block X(u) between rational factors: an antisymmetrizer H,
 normalized R-matrix factors and Z sites.  Since the trace is cyclic and
 rationals commute with every coefficient, this equals tr(h(u) X(u)) with
-h(u) = F(u) H multiplied out over Q.  `trace_against(h, x)` contracts
-sum_ab h_ab x_ba without forming the product h x, and `trace_series` is
-its series form.  When X acts as the identity on some sites, tracing
-those sites out of h first shrinks the block to the sites it lives on.
-When X is a product of site factors, the last one is moved onto the
-rational side, so the trace reads only the entries of the last product
-that it needs.  `series_to_bilaurent` lifts a one-site series to a
-bivariate object on several sites, for the matrix-form relation checks.
+h(u) = F(u) H multiplied out over Q.  X(u) is a product of steps: one-site
+letter series (S, its inverse, T or its inverse) on their sites, and
+rational factors between them.  `trace_words` is the one contraction: it
+expands the product into words of letters with rational weights, so the
+block X(u) is never formed.  When X acts as the identity on some sites,
+tracing those sites out of h first shrinks the walk to the sites it lives
+on.  `series_to_bilaurent` lifts a one-site series to a bivariate object
+on several sites, for the matrix-form relation checks.
 """
 from __future__ import annotations
 
-from functools import reduce
 from itertools import permutations, product
 from math import factorial, prod
-from operator import mul
 
 from .indices import IndexSet
 from .rationals import accumulate, binomial, is_rat, rat
@@ -205,8 +203,11 @@ class TensorElement:
 
 def tensor_ring(sites: int, index_set: IndexSet, coeff_ring: Ring = RATIONAL_RING) -> Ring:
     """Tensors on `sites` sites over `coeff_ring`, summed entrywise with
-    one `coeff_ring.sum` per entry."""
+    one `coeff_ring.sum` per entry; tensors are values, so a sum of one
+    part is that part."""
     def total(parts):
+        if len(parts) == 1:
+            return parts[0]
         return TensorElement(sites, index_set, coeff_ring, sum_terms(
             coeff_ring, (kv for p in parts for kv in p.entries.items())))
 
@@ -218,42 +219,78 @@ def tensor_ring(sites: int, index_set: IndexSet, coeff_ring: Ring = RATIONAL_RIN
 # -- trace contraction ------------------------------------------------------------
 
 
-def _trace_parts(h: TensorElement, x: TensorElement) -> list:
-    """The products x_ba h_ab that tr(h x) sums."""
-    h._compat(x)
-    xs = x.entries
-    return [xs[(b, a)] * c for (a, b), c in h.entries.items() if (b, a) in xs]
+def trace_words(h, steps, ring: Ring, D: int) -> TruncatedSeries:
+    """tr(h(u) Y_1(u) ... Y_m(u)) through order D, over `ring`.
 
+    h is a rational tensor on k sites, or a series of them.  A step Y is
+    either a series of rational tensors on the k sites, or a letter site
+    (p, L): a one-site series L over `ring` with L_0 = 1, placed on site p.
+    Every series is trusted through order D.
 
-def trace_against(h: TensorElement, x: TensorElement):
-    """sum_ab x_ba h_ab, without forming a product of tensors.  For a
-    rational h this is tr(h x); when h = y g with g rational it is
-    tr(g x y), since every x_ba stays on the left of h_ab."""
-    return x.ring.sum(_trace_parts(h, x))
-
-
-def trace_series(h, *factors: TruncatedSeries) -> TruncatedSeries:
-    """tr(h(u) x_1(u) ... x_m(u)) coefficientwise, for a rational tensor h
-    (constant in u) or a series h(u) of rational tensors, and tensor series
-    x_i(u) on the same sites.
-
-    The last factor is multiplied onto the rational side first,
-    g(u) = x_m(u) h(u), which takes scalar multiplications only; the
-    product x_1..x_{m-1} is then contracted against g, so of its last
-    product only the entries the trace reads are formed."""
-    *head, x = factors
+    With L = 1 + sum_ab E_ab L~_ab(u), the product expands into words: a
+    word picks, at each letter site, the identity or one leg E_ab, and
+    its weight W(u) = tr(h Y'_1 ... Y'_m), with Y' the rational step or
+    the chosen leg, is a rational series.  Since rationals are central,
+    the trace is sum_words W(u) L~_1(u) ... L~_j(u), the letters in the
+    order of the steps.  The walk keeps one weight per word, keyed by its
+    letters (step index, a, b), and tracks it only to order D minus the
+    word length, since each letter L~ starts at order 1.  No tensor with
+    ring coefficients is formed: the letters' series multiply once per
+    word, along a prefix memo."""
     if isinstance(h, TensorElement):
-        h = TruncatedSeries.constant(tensor_ring(h.sites, h.index_set), h,
-                                     x.trunc)
-    if head:
-        h = x * h
-        x = reduce(mul, head)
-    ring = x.ring.one.ring
-    D = min(h.trunc, x.trunc)
-    out = [ring.sum([p for r in range(s + 1)
-                     for p in _trace_parts(h.coeffs[s - r], x.coeffs[r])])
-           for s in range(D + 1)]
-    return TruncatedSeries(ring, out, D)
+        h = TruncatedSeries.constant(tensor_ring(h.sites, h.index_set), h, D)
+    tring = h.ring
+    sites, iset = tring.one.sites, tring.one.index_set
+    branches = {(): h}
+    letters = {}
+    for i, step in enumerate(steps):
+        if isinstance(step, TruncatedSeries):
+            branches = {w: y for w, x in branches.items()
+                        for y in (x * step,) if not y.is_zero()}
+            continue
+        p, site = step
+        if site.coeffs[0] != TensorElement.identity(1, iset, ring):
+            raise ValueError("a letter site needs the constant term 1")
+        opened = []
+        for a, b in product(iset.indices(), repeat=2):
+            tail = TruncatedSeries(ring, [ring.zero] + [
+                c.entries.get(((a,), (b,)), ring.zero)
+                for c in site.coeffs[1:D + 1]], D)
+            if not tail.is_zero():
+                letters[(i, a, b)] = tail
+                opened.append((a, b))
+        grown = dict(branches)
+        for w, x in branches.items():
+            # x . E_ab on site p moves column a of site p to column b
+            legs = [{} for _ in range(x.trunc)]
+            for r, leg in enumerate(legs):
+                for (row, col), v in x.coeffs[r].entries.items():
+                    leg.setdefault(col[p - 1], []).append((row, col, v))
+            for a, b in opened:
+                coeffs = [TensorElement(sites, iset, RATIONAL_RING, {
+                    (row, col[:p - 1] + (b,) + col[p:]): v
+                    for row, col, v in leg.get(a, ())}) for leg in legs]
+                if any(coeffs):
+                    grown[w + ((i, a, b),)] = TruncatedSeries(
+                        tring, coeffs, x.trunc - 1)
+        branches = grown
+    prefix = {(): TruncatedSeries.one(ring, D)}
+
+    def word_series(w):
+        hit = prefix.get(w)
+        if hit is None:
+            hit = prefix[w] = word_series(w[:-1]) * letters[w[-1]]
+        return hit
+
+    parts = [[] for _ in range(D + 1)]
+    for w, x in branches.items():
+        weight = [c.partial_trace_all() for c in x.coeffs]
+        word = word_series(w).coeffs
+        for s in range(D + 1):
+            parts[s] += [word[s - r] * weight[r]
+                         for r in range(min(s, x.trunc) + 1)
+                         if weight[r] and word[s - r]]
+    return TruncatedSeries(ring, [ring.sum(ps) for ps in parts], D)
 
 
 def series_to_bilaurent(series: TruncatedSeries, site: int, var: str,

@@ -9,9 +9,9 @@ The twisted generators S_ij^(r) are carried in two forms:
   the carrier for all abstract-algebra identities.
 
 Built on top: the symmetry and reflection relation suites, the fused
-elements S(u,k) and Z(u,k) with their scalar normalization folded into the
-R-matrix factors, the commuting series A_k(u), the inverse-series
-generators, and the Sklyanin-determinant checks.
+element Z(u,k) with its scalar normalization folded into the R-matrix
+factors, the commuting series A_k(u), the inverse-series generators, and
+the Sklyanin-determinant checks.
 
 Objects are built on the formal carrier and read through `s_expand`
 where a check needs the defining relations; `s_expand` is an algebra map,
@@ -21,11 +21,15 @@ and every expanded generator comes from `expand_gen`.
   R(u-v) S_1(u) R~(-u-v) S_2(v) - S_2(v) R~(-u-v) S_1(u) R(u-v) of the
   one-site series `s_series` (`reflection_residual`).  `verify_reflection`
   reads its entries through `s_expand`, the rho check through `rho_apply`.
-* A_k(u) is built by `twisted_bethe_series` and read through
+* A_k(u) is built by `twisted_bethe_series`, one `trace_words` walk over
+  the steps of the fused block S(u,k) (`fused_steps`): the formal letter
+  sites S(u-p) between rational R-matrix factors.  It is read through
   `expanded_bethe_series`.
-* The hat series and the fused block `fused_s` live on the expanded
-  carrier only; `fused_s` takes its site series from `s_series` mapped
-  through `s_expand`.
+* The hat series and the prop-3.6 trace form live on the expanded carrier
+  only: `hat_trace` walks the same steps reversed and inverted, with the
+  letter sites hat-S(u-p), hat-S the inverse of the expanded one-site
+  S(u).  No block on two or more sites with algebra coefficients is
+  formed.
 """
 from __future__ import annotations
 
@@ -39,24 +43,19 @@ from .rationals import rat
 from .series import (RATIONAL_RING, BiLaurent, RationalFactor,
                      TruncatedSeries, algebra_ring)
 from .tensor import (TensorElement, alternator, antisymmetrizer, bilaurent_r,
-                     q_tensor, series_to_bilaurent, tensor_ring, trace_series)
+                     q_tensor, series_to_bilaurent, tensor_ring, trace_words)
 from .yangian import (centrality_rows, commutator_table, hat_identity_rows,
-                      membership_rows, quantum_determinant, t_site_series,
-                      window_rows, z_product, z_site_tensor)
+                      quantum_determinant, t_site_series, window_rows,
+                      z_product, z_site_tensor)
 
 
 class TwistedContext:
     """Bundles the signed index set with the two generator carriers and the
     sign conventions (upper sign = orthogonal, lower = symplectic).
 
-    Besides the generator expansions, memoized per generator and per
-    truncation D, it keeps one memo that one check asks for more than
-    once: `inverse_fused_s(k, D)`, the inverse series of the fused block
-    S(u,k) on the expanded carrier, shared by the hat series and the
-    prop-3.6 trace form, which only exist at the expanded level.  It is
-    keyed by D too, so calls at several orders never mix.
-
-    The forward block fused_s is not kept: each check builds it once.
+    It memoizes the expanded one-site series S(u) per truncation D and
+    each expanded generator read from it; multi-site blocks are never
+    built or kept.
     """
 
     def __init__(self, index_set: IndexSet):
@@ -69,7 +68,6 @@ class TwistedContext:
         self.upper = index_set.form == "so"
         self._expand_cache: dict = {}
         self._s_series: dict = {}
-        self._inverse_fused: dict = {}
 
     def s_gen(self, i: int, j: int, r: int) -> AlgebraElement:
         """The formal generator S_ij^(r) as a one-word element."""
@@ -121,16 +119,6 @@ class TwistedContext:
         return element_sum(rule, (
             reduce(mul, map(self.expand_gen, word), rule.one()) * c
             for word, c in w.terms.items()))
-
-    # -- memos -----------------------------------------------------------------
-
-    def inverse_fused_s(self, k: int, D: int) -> TruncatedSeries:
-        """fused_s(self, k, D).invert(), computed once per key."""
-        key = (k, D)
-        hit = self._inverse_fused.get(key)
-        if hit is None:
-            hit = self._inverse_fused[key] = fused_s(self, k, D).invert()
-        return hit
 
 
 # -- symmetry relation ---------------------------------------------------------------
@@ -224,8 +212,7 @@ def verify_mixed_rtt(ctx: TwistedContext, D: int) -> list:
 def _g_factor(p: int, q: int, sites: int, iset: IndexSet,
               D: int) -> TruncatedSeries:
     """R~_pq(p+q-2u)/(p+q-2u) = id - Q_pq / (p+q-2u), as an exact series of
-    rational tensors.  Blocks with algebra coefficients multiply it from
-    the left, so it is never lifted."""
+    rational tensors: a rational step of the fused block, never lifted."""
     scalars = RationalFactor([1], [p + q, -2]).expand(D)
     qpq = q_tensor(iset).embed((p, q), sites)
     tring = tensor_ring(sites, iset)
@@ -235,40 +222,13 @@ def _g_factor(p: int, q: int, sites: int, iset: IndexSet,
     return TruncatedSeries(tring, coeffs, D)
 
 
-def _fused_factors(site_block, k: int, iset: IndexSet, D: int) -> list:
+def fused_steps(site, k: int, iset: IndexSet, D: int) -> list:
     """The ordered factors of a fused block on sites 1..k: for p = 1..k,
-    site_block(p) followed by its normalized R-matrix factors
-    R~_pq/(p+q-2u), q = p+1..k."""
-    factors = []
-    for p in range(1, k + 1):
-        block = site_block(p)
-        for q in range(p + 1, k + 1):
-            block = block * _g_factor(p, q, k, iset, D)
-        factors.append(block)
-    return factors
-
-
-def fused_s_factors(ctx: TwistedContext, k: int, D: int,
-                    expanded: bool = False) -> list:
-    """The ordered factors of S(u,k) on sites 1..k: for each site p, the
-    series S_p(u-p) followed by its normalized R-matrix factors."""
-    iset = ctx.index_set
-    s = ctx.s_series(D)
-    if expanded:
-        ring = algebra_ring(ctx.yang_rule)
-        s = s.map_coeffs(lambda c: c.map_coeffs(ctx.s_expand, ring),
-                         tensor_ring(1, iset, ring))
-    tring = tensor_ring(k, iset, s.ring.one.ring)
-    return _fused_factors(
-        lambda p: s.map_coeffs(lambda c: c.embed((p,), k), tring)
-        .substitute_affine(1, -p), k, iset, D)
-
-
-def fused_s(ctx: TwistedContext, k: int, D: int) -> TruncatedSeries:
-    """S(u,k) on sites 1..k, k >= 1, with expanded coefficients and the
-    omega(u) normalization folded into the R-matrix factors: the product
-    of fused_s_factors."""
-    return reduce(mul, fused_s_factors(ctx, k, D, expanded=True))
+    site(p) followed by its normalized R-matrix factors R~_pq/(p+q-2u),
+    q = p+1..k."""
+    return [f for p in range(1, k + 1)
+            for f in (site(p), *(_g_factor(p, q, k, iset, D)
+                                 for q in range(p + 1, k + 1)))]
 
 
 def fused_z(ctx: TwistedContext, z: ZMatrix, k: int, D: int) -> TruncatedSeries:
@@ -278,7 +238,7 @@ def fused_z(ctx: TwistedContext, z: ZMatrix, k: int, D: int) -> TruncatedSeries:
         raise ValueError("the fused parameter element needs a symmetry tag")
     iset = ctx.index_set
     tring = tensor_ring(k, iset)
-    return reduce(mul, _fused_factors(
+    return reduce(mul, fused_steps(
         lambda p: TruncatedSeries.constant(tring, z_site_tensor(z, p, k), D),
         k, iset, D))
 
@@ -294,20 +254,6 @@ def verify_z_exchange(ctx: TwistedContext, z: ZMatrix) -> list:
     return [("exchange identity", res.is_zero())]
 
 
-def verify_fused_membership(ctx: TwistedContext, k: int, D: int) -> list:
-    """The fused element satisfies H X = H X H coefficientwise.  This uses
-    the reflection relation, so it only holds after expansion into the
-    ambient algebra."""
-    return membership_rows(f"S(u,{k}) membership",
-                           alternator(k, ctx.index_set), fused_s(ctx, k, D))
-
-
-def verify_fused_z_membership(ctx: TwistedContext, z: ZMatrix, k: int, D: int) -> list:
-    return membership_rows(f"Z(u,{k}) membership",
-                           alternator(k, ctx.index_set),
-                           fused_z(ctx, z, k, D))
-
-
 # -- the commuting series ----------------------------------------------------------------
 
 
@@ -319,8 +265,8 @@ def twisted_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
 
     The rational side h(u) = (R-factors . Z block)(u) H_N is multiplied
     out first and sites k+1..N, where the S block is the identity, are
-    traced out of it; one contraction against the factors of S(u,k)
-    remains."""
+    traced out of it.  `trace_words` then walks the steps of S(u,k): the
+    letter sites S(u-p) and the rational R-matrix factors."""
     iset = ctx.index_set
     N = iset.N
     if not (1 <= k <= N):
@@ -337,7 +283,9 @@ def twisted_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
     h = h.map_coeffs(lambda c: c * hn)
     if k < N:
         h = h.map_coeffs(lambda c: c.partial_trace(rest), tensor_ring(k, iset))
-    return trace_series(h, *fused_s_factors(ctx, k, D))
+    s = ctx.s_series(D)
+    steps = fused_steps(lambda p: (p, s.substitute_affine(1, -p)), k, iset, D)
+    return trace_words(h, steps, algebra_ring(ctx.s_rule), D)
 
 
 def expanded_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
@@ -373,18 +321,6 @@ def verify_sklyanin(ctx: TwistedContext, z: ZMatrix, D: int,
         iset.indices(), central_levels)
 
 
-def verify_fused_determinant(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
-    """H_N x 1 . S(u,N) = H_N x A_N(u), coefficientwise (this relies on the
-    defining relations, so it is checked on expanded coefficients), as
-    A_N S(u,N) = A_N x A_N(u) with A_N = N! H_N."""
-    N = ctx.index_set.N
-    s = fused_s(ctx, N, D)
-    alt = alternator(N, ctx.index_set)
-    a_n = expanded_bethe_series(ctx, N, z, D)
-    return [(f"fused determinant u^{-r}", alt * s.coeffs[r] == a_r * alt)
-            for r, a_r in enumerate(a_n.coeffs)]
-
-
 def verify_twisted_commutativity(ctx: TwistedContext, z: ZMatrix,
                                  budget: int) -> list:
     """Rows [A_k coeff r, A_l coeff s] = 0 with r + s <= budget, from series
@@ -398,11 +334,23 @@ def verify_twisted_commutativity(ctx: TwistedContext, z: ZMatrix,
 # -- inverse-series generators -------------------------------------------------------------
 
 
+def hat_trace(ctx: TwistedContext, k: int, h, D: int) -> TruncatedSeries:
+    """tr(h(u) . hat-S(u,k)) with expanded coefficients, hat-S(u,k) the
+    inverse series of S(u,k).  As (X_1 ... X_m)^-1 = X_m^-1 ... X_1^-1
+    over the steps of S(u,k), each R-matrix factor is inverted over Q and
+    each site S(u-p) becomes hat-S(u-p), with hat-S = S^-1 on one site."""
+    s_hat = ctx.s_series_expanded(D).invert()
+    steps = fused_steps(lambda p: (p, s_hat.substitute_affine(1, -p)), k,
+                        ctx.index_set, D)
+    return trace_words(h, [f if isinstance(f, tuple) else f.invert()
+                           for f in reversed(steps)],
+                       algebra_ring(ctx.yang_rule), D)
+
+
 def hat_twisted_series(ctx: TwistedContext, k: int, z: ZMatrix,
                        D: int) -> TruncatedSeries:
     """hat-A_k(u) = tr_k x id (H_k x 1 . hat-S(u,k) . Z(u+N/2, k) x 1),
-    contracted as tr(Z(u+N/2, k) H_k . hat-S(u,k)), with expanded
-    coefficients."""
+    contracted as tr(Z(u+N/2, k) H_k . hat-S(u,k)) by `hat_trace`."""
     iset = ctx.index_set
     N = iset.N
     if k == 0:
@@ -410,7 +358,7 @@ def hat_twisted_series(ctx: TwistedContext, k: int, z: ZMatrix,
     hk = antisymmetrizer(k, iset)
     h = fused_z(ctx, z, k, D).substitute_affine(1, rat(N, 2))\
         .map_coeffs(lambda c: c * hk)
-    return trace_series(h, ctx.inverse_fused_s(k, D))
+    return hat_trace(ctx, k, h, D)
 
 
 def verify_twisted_hat_identity(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
@@ -429,7 +377,7 @@ def verify_prop36_trace_form(ctx: TwistedContext, z: ZMatrix, k: int,
     scalar series relating the two is the constant series 1."""
     full = hat_twisted_series(ctx, k, z, D)
     h = z_product(z, range(1, k + 1), k) * antisymmetrizer(k, ctx.index_set)
-    return trace_series(h, ctx.inverse_fused_s(k, D)) == full
+    return hat_trace(ctx, k, h, D) == full
 
 
 def verify_z_rmatrix_scalar(ctx: TwistedContext, z: ZMatrix) -> list:

@@ -9,8 +9,10 @@ every check reduces to "the normal form of a residual is zero".
 One kernel, `quantum_minor`, builds the quantum minors of T(u): B_k(u)
 sums them weighted by complementary minors of Z, and the quantum
 determinant is the minor on all N indices.  `bethe_series_tensor` is the
-independent reference for B_k.  The row builders for one identity type
-each (`window_rows`, `membership_rows`, `commutator_table`,
+independent reference for B_k, and `hat_bethe_series` gives the
+inverse-series generators hat-B_k; both are `tensor.trace_words` walks
+over one-site letter series, T(u) and T(u)^-1.  The row builders for one
+identity type each (`window_rows`, `membership_rows`, `commutator_table`,
 `centrality_rows`, `hat_identity_rows`) serve the twisted layer too.
 """
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .indices import ZMatrix
 from .rationals import binomial, div
 from .series import RATIONAL_RING, BiLaurent, TruncatedSeries, algebra_ring
 from .tensor import (TensorElement, alternator, antisymmetrizer, bilaurent_r,
-                     perm_sign, series_to_bilaurent, tensor_ring, trace_series)
+                     perm_sign, series_to_bilaurent, tensor_ring, trace_words)
 
 
 def t_entry_series(rule: YangianRule, i: int, j: int, D: int) -> TruncatedSeries:
@@ -36,10 +38,10 @@ def t_entry_series(rule: YangianRule, i: int, j: int, D: int) -> TruncatedSeries
     return TruncatedSeries(aring, coeffs, D)
 
 
-def t_site_series(rule: YangianRule, sites: int, pos: int, D: int,
-                  hat: bool = False) -> TruncatedSeries:
-    """T(u) (or its inverse series) as a series of tensors living on one
-    site of a larger tensor space, identity on the other sites."""
+def t_site_series(rule: YangianRule, sites: int, pos: int,
+                  D: int) -> TruncatedSeries:
+    """T(u) as a series of tensors living on one site of a larger tensor
+    space, identity on the other sites."""
     iset = rule.index_set
     aring = algebra_ring(rule)
     one_site_ring = tensor_ring(1, iset, aring)
@@ -49,21 +51,14 @@ def t_site_series(rule: YangianRule, sites: int, pos: int, D: int,
         ent = {((i,), (j,)): rule.element(i, j, r) for i in idx for j in idx}
         coeffs.append(TensorElement(1, iset, aring, ent))
     s = TruncatedSeries(one_site_ring, coeffs, D)
-    if hat:
-        s = s.invert()
     big_ring = tensor_ring(sites, iset, aring)
     return s.map_coeffs(lambda c: c.embed((pos,), sites), big_ring)
 
 
-def t_factors(rule: YangianRule, sites: int, k: int, D: int,
-              hat: bool = False, descending: bool = False) -> list:
-    """The site factors T_p(u-p), p = 1..k (or the hat factors, optionally
-    in descending site order)."""
-    ps = list(range(1, k + 1))
-    if descending:
-        ps.reverse()
-    return [t_site_series(rule, sites, p, D, hat=hat).substitute_affine(1, -p)
-            for p in ps]
+def t_factors(rule: YangianRule, sites: int, k: int, D: int) -> list:
+    """The site factors T_p(u-p), p = 1..k."""
+    return [t_site_series(rule, sites, p, D).substitute_affine(1, -p)
+            for p in range(1, k + 1)]
 
 
 def z_site_tensor(z: ZMatrix, pos: int, sites: int) -> TensorElement:
@@ -141,15 +136,18 @@ def bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeri
 
 
 def bethe_series_tensor(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
-    """tr(H_N . T_1(u-1)..T_k(u-k) . Z_{k+1}..Z_N) as one contraction: the
-    T block acts on sites 1..k only, so sites k+1..N are traced out of the
-    rational side Z_{k+1}..Z_N H_N first."""
+    """tr(H_N . T_1(u-1)..T_k(u-k) . Z_{k+1}..Z_N) as one `trace_words`
+    walk over the letter sites T(u-p): the T block acts on sites 1..k
+    only, so sites k+1..N are traced out of the rational side
+    Z_{k+1}..Z_N H_N first."""
     iset = rule.index_set
     N = iset.N
     h = z_product(z, range(k + 1, N + 1), N) * antisymmetrizer(N, iset)
     if k < N:
         h = h.partial_trace(range(k + 1, N + 1))
-    return trace_series(h, *t_factors(rule, k, k, D))
+    t = t_site_series(rule, 1, 1, D)
+    return trace_words(h, [(p, t.substitute_affine(1, -p))
+                           for p in range(1, k + 1)], algebra_ring(rule), D)
 
 
 def quantum_determinant(rule: YangianRule, D: int) -> TruncatedSeries:
@@ -161,13 +159,15 @@ def quantum_determinant(rule: YangianRule, D: int) -> TruncatedSeries:
 
 def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
     """The inverse-series generators: trace of H_k times the descending
-    product of inverse factors times Z_1..Z_k."""
+    product of the inverse factors hat-T_p(u-p), p = k..1, times
+    Z_1..Z_k, one `trace_words` walk with hat-T = T^-1 on one site."""
     iset = rule.index_set
     if k == 0:
         return TruncatedSeries.one(algebra_ring(rule), D)
     h = z_product(z, range(1, k + 1), k) * antisymmetrizer(k, iset)
-    return trace_series(h, *t_factors(rule, k, k, D, hat=True,
-                                      descending=True))
+    t_hat = t_site_series(rule, 1, 1, D).invert()
+    return trace_words(h, [(p, t_hat.substitute_affine(1, -p))
+                           for p in range(k, 0, -1)], algebra_ring(rule), D)
 
 
 # -- verification suites -----------------------------------------------------------

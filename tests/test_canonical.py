@@ -16,7 +16,7 @@ from bethe.algebra import AlgebraElement, YangianRule
 from bethe.indices import IndexSet
 from bethe.rationals import Q, rat
 from bethe.series import RATIONAL_RING, TruncatedSeries, algebra_ring
-from bethe.tensor import TensorElement, tensor_ring, trace_against, trace_series
+from bethe.tensor import TensorElement, tensor_ring, trace_words
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "bethe")
@@ -152,7 +152,10 @@ def test_tensors_built_from_q_agree_with_canonical(dx, dy, dg, dh):
     check(g * h, g_ * h_)
     check(g - h, g_ - h_)
     check(g.scale_rat(Q(2, 2)), g_.scale_rat(1))
-    check(trace_against(g, x), trace_against(g_, x_))
+    # tr(g (1 + x u^-1)) through order 1: the one-letter words read x
+    sites = tensor_ring(1, PLAIN2, ARING)
+    check(*(trace_words(gg, [(1, TruncatedSeries(sites, [sites.one, xx], 1))],
+                        ARING, 1) for gg, xx in ((g, x), (g_, x_))))
     check(g.partial_trace_all(), g_.partial_trace_all())
     check(x.partial_trace_all(), x_.partial_trace_all())
 
@@ -190,4 +193,5 @@ def test_series_built_from_q_agree_with_canonical(dr, dt, dg, shift):
           t_.substitute_affine(1, canonical(shift)))
     check(r.substitute_affine(raw((2, 1)), raw(shift)),
           r_.substitute_affine(2, canonical(shift)))
-    check(trace_series(g, t), trace_series(g_, t_))
+    check(trace_words(g, [(1, t), g], ARING, D),
+          trace_words(g_, [(1, t_), g_], ARING, D))

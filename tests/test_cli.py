@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import textwrap
 
 import pytest
 
@@ -348,9 +350,9 @@ def test_fusion_fails_for_a_doubled_site_spacing(monkeypatch):
     assert main(args) == 0
     real = yangian.t_site_series
 
-    def doubled_spacing(rule, sites, pos, D, hat=False):
+    def doubled_spacing(rule, sites, pos, D):
         # T_p(u - 2p) in place of T_p(u - p): R(2) is not a multiple of H_2
-        return real(rule, sites, pos, D, hat).substitute_affine(1, -pos)
+        return real(rule, sites, pos, D).substitute_affine(1, -pos)
 
     monkeypatch.setattr(yangian, "t_site_series", doubled_spacing)
     assert main(args) == 1
@@ -426,3 +428,81 @@ def test_rho_hom_fails_without_the_eps_partner(monkeypatch, tmp_path):
     rows = json.loads((tmp_path / "rho-hom.json").read_text())["details"]
     assert any(row["item"].startswith("rho of reflection residual")
                and not row["residual_zero"] for row in rows)
+
+
+# -- the word transfer behind every trace form -----------------------------------
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "twisted-bethe", "--kind", "so", "--n", "1", "--odd",
+     "--D", "2"],
+    ["verify", "prop36", "--kind", "sp", "--n", "1", "--D", "2"],
+    ["verify", "hat-identity", "--kind", "gl", "--N", "3", "--D", "2"],
+    ["verify", "sklyanin", "--kind", "so", "--n", "1", "--odd", "--D", "2"],
+    ["verify", "twisted-commute", "--kind", "so", "--n", "1", "--odd",
+     "--budget", "3"],
+    ["verify", "fusion", "--kind", "gl", "--N", "2", "--D", "1"],
+])
+def test_trace_forms_build_no_algebra_valued_block(monkeypatch, args):
+    # no tensor on two or more sites with algebra coefficients is formed;
+    # fusion builds its blocks on purpose and shows that the guard sees one
+    from bethe.tensor import TensorElement
+
+    real = TensorElement.__init__
+    blocks = []
+
+    def watched(self, sites, index_set, ring, entries):
+        if sites >= 2 and not ring.rational:
+            blocks.append(sites)
+        real(self, sites, index_set, ring, entries)
+
+    monkeypatch.setattr(TensorElement, "__init__", watched)
+    assert main(args) == 0
+    assert bool(blocks) == (args[1] == "fusion")
+
+
+def _plant_in_trace_words(monkeypatch, old, new):
+    """Rebuild `trace_words` from its source with `old` replaced by `new`,
+    and install it wherever the families call it."""
+    from bethe import tensor, twisted, yangian
+
+    source = textwrap.dedent(inspect.getsource(tensor.trace_words))
+    assert source.count(old) == 1, old
+    scope = dict(vars(tensor))
+    exec(compile(source.replace(old, new), tensor.__file__, "exec"), scope)
+    for module in (tensor, twisted, yangian):
+        monkeypatch.setattr(module, "trace_words", scope["trace_words"])
+
+
+PROP36_SP2 = ["verify", "prop36", "--kind", "sp", "--n", "1", "--D", "3"]
+SKLYANIN_SO3 = ["verify", "sklyanin", "--kind", "so", "--n", "1", "--odd",
+                "--D", "2"]
+
+
+@pytest.mark.parametrize("old, new", [
+    # the identity part of every letter site is lost
+    pytest.param("grown = dict(branches)", "grown = {}",
+                 id="dropped-pass-branch"),
+    # E_ab of site p moves the column of site p + 1 (of site 1 from the last)
+    pytest.param("col[:p - 1] + (b,) + col[p:]",
+                 "col[:p % len(col)] + (b,) + col[p % len(col) + 1:]",
+                 id="leg-on-the-wrong-site"),
+])
+def test_trace_words_faults_fail_the_trace_forms(monkeypatch, old, new):
+    assert main(PROP36_SP2) == 0 and main(SKLYANIN_SO3) == 0
+    _plant_in_trace_words(monkeypatch, old, new)
+    assert (main(PROP36_SP2), main(SKLYANIN_SO3)) == (1, 1)
+
+
+def test_reversed_words_change_the_formal_table(monkeypatch, tmp_path):
+    # Letters multiplied in reverse order leave every family unchanged
+    # once expanded into the Yangian, so no verify check can see this
+    # fault; the formal S-words of A_k can, from order 3 on.
+    args = ["compute", "twisted-bethe", "--kind", "so", "--n", "1", "--odd",
+            "--D", "3", "--out"]
+    assert main(args + [str(tmp_path / "good.json")]) == 0
+    _plant_in_trace_words(monkeypatch, "word_series(w[:-1]) * letters[w[-1]]",
+                          "letters[w[-1]] * word_series(w[:-1])")
+    assert main(args + [str(tmp_path / "bad.json")]) == 0
+    assert (tmp_path / "good.json").read_text() != \
+        (tmp_path / "bad.json").read_text()

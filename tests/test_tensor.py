@@ -11,7 +11,7 @@ from bethe.series import RATIONAL_RING, BiLaurent, TruncatedSeries, algebra_ring
 from bethe.tensor import (TensorElement, alternator, antisymmetrizer,
                           antisymmetrizer_oracle, flip, h_k_orientation,
                           perm_operator, perm_sign, q_tensor, tensor_ring,
-                          trace_against, trace_series,
+                          trace_words,
                           verify_antisymmetrizers, verify_mixed_yang_baxter,
                           verify_r_identities, verify_yang_baxter)
 
@@ -249,43 +249,75 @@ def _series(draw, tensors, sites, ring, D):
                            [draw(tensors(sites)) for _ in range(D + 1)], D)
 
 
-def _old_trace(hk, factors, f):
-    """The construction the contraction replaced: tr(H . X(u) . F(u)) from
-    the full algebra-valued products, X the product of the factors."""
-    x = factors[0]
-    for y in factors[1:]:
+def _letter_site(draw, rule, D):
+    """A one-site series 1 + L_1 u^-1 + ... over Fraction (rule None) or
+    over the algebra of `rule`."""
+    ring = algebra_ring(rule) if rule else RATIONAL_RING
+    sites = tensor_ring(1, PLAIN2, ring)
+    draw_one = (lambda: draw(algebra_tensor(1, rule))) if rule else \
+        (lambda: draw(rational_tensor(1)))
+    return TruncatedSeries(sites, [sites.one] + [draw_one()
+                                                 for _ in range(D)], D)
+
+
+def _full_trace(h, steps, ring, sites, D):
+    """tr(h . Y_1 ... Y_m) from the full product of the steps on all sites,
+    every rational tensor lifted into the letters' ring: the reference
+    for `trace_words`."""
+    tring = tensor_ring(sites, PLAIN2, ring)
+    x = TruncatedSeries.one(tring, D)
+    for step in steps:
+        if isinstance(step, tuple):
+            p, site = step
+            y = site.map_coeffs(lambda c: c.embed((p,), sites), tring)
+        else:
+            y = step.map_coeffs(lambda c: lift_tensor(c, ring), tring)
         x = x * y
-    ring = x.ring.one.ring
-    lifted_f = f.map_coeffs(lambda c: lift_tensor(c, ring), x.ring)
-    lifted_h = lift_tensor(hk, ring)
-    return (x * lifted_f).map_coeffs(lambda c: lifted_h * c)\
-        .map_coeffs(lambda c: c.partial_trace_all(), ring)
+    h = h.map_coeffs(lambda c: lift_tensor(c, ring), tring)
+    return (h * x).map_coeffs(lambda c: c.partial_trace_all(), ring)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), sites=st.integers(1, 2), D=st.integers(0, 2),
-       m=st.integers(1, 3), algebra=st.booleans())
-def test_trace_series_matches_the_full_product(data, sites, D, m, algebra):
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), sites=st.integers(1, 3), D=st.integers(0, 2),
+       rule=st.sampled_from((None, FREE2, YANG2)))
+def test_trace_words_matches_the_full_product(data, sites, D, rule):
+    # letter sites on distinct sites in any order, rational steps between
+    # them; h a series of rational tensors or a constant one
     draw = data.draw
-    tensors = algebra_tensor if algebra else rational_tensor
-    ring = algebra_ring(YANG2) if algebra else RATIONAL_RING
-    factors = [_series(draw, tensors, sites, ring, D) for _ in range(m)]
-    f = _series(draw, rational_tensor, sites, RATIONAL_RING, D)
-    hk = draw(rational_tensor(sites))
-    got = trace_series(f.map_coeffs(lambda c: c * hk), *factors)
-    assert got == _old_trace(hk, factors, f)
-    # a constant rational side takes the tensor form
-    const = TruncatedSeries.constant(f.ring, f.coeffs[0], D)
-    assert trace_series(f.coeffs[0] * hk, *factors) == \
-        _old_trace(hk, factors, const)
+    ring = algebra_ring(rule) if rule else RATIONAL_RING
+    order = draw(st.permutations(range(1, sites + 1)))
+    order = order[:draw(st.integers(1, sites))]
+    steps = []
+    for p in order:
+        steps += [_series(draw, rational_tensor, sites, RATIONAL_RING, D)
+                  for _ in range(draw(st.integers(0, 1)))]
+        steps.append((p, _letter_site(draw, rule, D)))
+    if draw(st.booleans()):
+        steps.append(_series(draw, rational_tensor, sites, RATIONAL_RING, D))
+    h = _series(draw, rational_tensor, sites, RATIONAL_RING, D)
+    assert trace_words(h, steps, ring, D) == \
+        _full_trace(h, steps, ring, sites, D)
+    const = TruncatedSeries.constant(h.ring, h.coeffs[0], D)
+    assert trace_words(h.coeffs[0], steps, ring, D) == \
+        _full_trace(const, steps, ring, sites, D)
+
+
+def test_trace_words_needs_letters_that_start_at_one():
+    sites = tensor_ring(1, PLAIN2)
+    twice = TruncatedSeries(sites, [sites.one.scale_rat(2)], 0)
+    with pytest.raises(ValueError):
+        trace_words(sites.one, [(1, twice)], RATIONAL_RING, 0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), algebra=st.booleans())
 def test_identity_sites_trace_out_of_the_rational_side(data, algebra):
-    # x = x' (x) 1 on site 2: tr(h x) = tr(tr_2(h) x')
+    # a letter site on site 1 of 2 is the identity on site 2:
+    # tr(h L_1) = tr(tr_2(h) L)
     draw = data.draw
     h = draw(rational_tensor(2))
-    x1 = draw(algebra_tensor(1) if algebra else rational_tensor(1))
-    assert trace_against(h.partial_trace([2]), x1) == \
-        trace_against(h, x1.embed((1,), 2))
+    rule = YANG2 if algebra else None
+    ring = algebra_ring(rule) if algebra else RATIONAL_RING
+    site = _letter_site(draw, rule, 2)
+    assert trace_words(h.partial_trace([2]), [(1, site)], ring, 2) == \
+        trace_words(h, [(1, site)], ring, 2)

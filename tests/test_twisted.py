@@ -1,20 +1,26 @@
+from functools import reduce
 from itertools import product
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bethe import twisted
-from bethe.indices import IndexSet, parse_z_spec
+from bethe.indices import IndexSet, ZMatrix, parse_z_spec
 from bethe.rationals import ONE, Q
-from bethe.series import INF_CAP, RATIONAL_RING, BiLaurent, algebra_ring
-from bethe.twisted import (TwistedContext, fused_s, hat_twisted_series,
-                           reflection_residual, theta_series, twisted_bethe_series,
-                           verify_fused_determinant, verify_fused_membership,
-                           verify_fused_z_membership, verify_mixed_rtt,
+from bethe.series import (INF_CAP, RATIONAL_RING, BiLaurent, TruncatedSeries,
+                          algebra_ring)
+from bethe.tensor import alternator, antisymmetrizer, tensor_ring
+from bethe.twisted import (TwistedContext, expanded_bethe_series, fused_steps,
+                           fused_z, hat_trace, hat_twisted_series,
+                           reflection_residual, theta_series,
+                           twisted_bethe_series, verify_mixed_rtt,
                            verify_prop36_trace_form, verify_reflection,
                            verify_sklyanin, verify_symmetry,
                            verify_twisted_commutativity,
                            verify_twisted_hat_identity, verify_z_exchange,
                            verify_z_rmatrix_scalar)
+from bethe.yangian import membership_rows, z_product
 
 SP2 = TwistedContext(IndexSet.signed(2, "sp"))
 SO3 = TwistedContext(IndexSet.signed(3, "so"))
@@ -25,6 +31,66 @@ Z_SO = parse_z_spec("diag:1", SO3.index_set, "prime_skew")
 def _all_ok(rows):
     bad = [item for item, ok in rows if not ok]
     assert not bad, bad
+
+
+# -- the fused block S(u,k) as one tensor: the oracle of the word transfer ------
+
+
+def fused_s(ctx, k, D, expanded=True):
+    """S(u,k) on sites 1..k, k >= 1, as one block with algebra
+    coefficients, the omega(u) normalization folded into the R-matrix
+    factors: the product of the steps that `trace_words` walks, site p
+    carrying S(u-p) on the formal carrier or mapped through s_expand."""
+    iset = ctx.index_set
+    s = ctx.s_series(D)
+    if expanded:
+        ring = algebra_ring(ctx.yang_rule)
+        s = s.map_coeffs(lambda c: c.map_coeffs(ctx.s_expand, ring),
+                         tensor_ring(1, iset, ring))
+    tring = tensor_ring(k, iset, s.ring.one.ring)
+    return reduce(mul, fused_steps(
+        lambda p: s.map_coeffs(lambda c: c.embed((p,), k), tring)
+        .substitute_affine(1, -p), k, iset, D))
+
+
+def block_trace(h, x):
+    """tr(h(u) x(u)) = sum_ab h_ab(u) x_ba(u) for a rational tensor or
+    series h and a block series x."""
+    if not isinstance(h, TruncatedSeries):
+        h = TruncatedSeries.constant(tensor_ring(h.sites, h.index_set), h,
+                                     x.trunc)
+    ring = algebra_ring(x.ring.one.ring.one.rule)
+    return TruncatedSeries(ring, [ring.sum([
+        x.coeffs[r].entries[(b, a)] * c for r in range(s + 1)
+        for (a, b), c in h.coeffs[s - r].entries.items()
+        if (b, a) in x.coeffs[r].entries]) for s in range(x.trunc + 1)],
+        x.trunc)
+
+
+def verify_fused_membership(ctx, k, D):
+    """The fused element satisfies H X = H X H coefficientwise.  This uses
+    the reflection relation, so it only holds after expansion into the
+    ambient algebra."""
+    return membership_rows(f"S(u,{k}) membership",
+                           alternator(k, ctx.index_set), fused_s(ctx, k, D))
+
+
+def verify_fused_z_membership(ctx, z, k, D):
+    return membership_rows(f"Z(u,{k}) membership",
+                           alternator(k, ctx.index_set),
+                           fused_z(ctx, z, k, D))
+
+
+def verify_fused_determinant(ctx, z, D):
+    """H_N x 1 . S(u,N) = H_N x A_N(u), coefficientwise (this relies on the
+    defining relations, so it is checked on expanded coefficients), as
+    A_N S(u,N) = A_N x A_N(u) with A_N = N! H_N."""
+    N = ctx.index_set.N
+    s = fused_s(ctx, N, D)
+    alt = alternator(N, ctx.index_set)
+    a_n = expanded_bethe_series(ctx, N, z, D)
+    return [(f"fused determinant u^{-r}", alt * s.coeffs[r] == a_r * alt)
+            for r, a_r in enumerate(a_n.coeffs)]
 
 
 def test_context_requires_signed_set():
@@ -127,19 +193,92 @@ def test_twisted_constant_terms():
     assert h0.coeffs[0] == SP2.yang_rule.one()
 
 
-# -- memos on the context --------------------------------------------------------
+# -- the word transfer against the fused block ---------------------------------
+
+TRANSFER_CASES = [("sp", 2, "skew", 2), ("so", 3, "skew", 2),
+                  ("so", 3, "symmetric", 2), ("sp", 4, "skew", 2)]
 
 
-@pytest.mark.parametrize("iset", [IndexSet.signed(2, "sp"),
-                                  IndexSet.signed(3, "so")])
-def test_inverse_fused_memo_equals_a_fresh_inverse(iset):
-    ctx = TwistedContext(iset)
-    for D in (1, 2):
-        for k in range(1, iset.N + 1):
-            inv = ctx.inverse_fused_s(k, D)
-            fresh = fused_s(ctx, k, D).invert()
-            assert inv.trunc == D and inv == fresh
-            assert ctx.inverse_fused_s(k, D) is inv
+def _case(form, N, symmetry):
+    ctx = TwistedContext(IndexSet.signed(N, form))
+    spec = "diag:" + ",".join(str(i) for i in range(1, N // 2 + 1))
+    return ctx, parse_z_spec(spec, ctx.index_set, f"prime_{symmetry}")
+
+
+def _check_a_k(ctx, z, D):
+    """A_k, k = 1..N, is the same free-algebra element, term for term, as
+    the trace of its rational side against the formal block S(u,k)."""
+    sides = []
+    real = twisted.trace_words
+
+    def recorded(h, *rest):
+        sides.append(h)
+        return real(h, *rest)
+
+    twisted.trace_words = recorded
+    try:
+        for k in range(1, ctx.index_set.N + 1):
+            got = twisted_bethe_series(ctx, k, z, D)
+            want = block_trace(sides[-1], fused_s(ctx, k, D, expanded=False))
+            assert got.trunc == D
+            assert [c.terms for c in got.coeffs] == \
+                [c.terms for c in want.coeffs], k
+    finally:
+        twisted.trace_words = real
+
+
+def _check_hat(ctx, z, D):
+    """hat-A_k and the prop-3.6 form, k = 1..N, against the inverse series
+    of the expanded block S(u,k)."""
+    half = Q(ctx.index_set.N, 2)
+    for k in range(1, ctx.index_set.N + 1):
+        inverse = fused_s(ctx, k, D).invert()
+        hk = antisymmetrizer(k, ctx.index_set)
+        full = fused_z(ctx, z, k, D).substitute_affine(1, half)\
+            .map_coeffs(lambda c: c * hk)
+        short = z_product(z, range(1, k + 1), k) * hk
+        assert hat_twisted_series(ctx, k, z, D) == block_trace(full, inverse)
+        assert hat_trace(ctx, k, short, D) == block_trace(short, inverse)
+
+
+@pytest.mark.parametrize("form, N, symmetry, D", TRANSFER_CASES)
+def test_a_k_is_the_trace_against_the_fused_block(form, N, symmetry, D):
+    _check_a_k(*_case(form, N, symmetry), D)
+
+
+@pytest.mark.parametrize("form, N, symmetry, D", TRANSFER_CASES)
+def test_hat_families_are_traces_against_the_inverse_block(form, N,
+                                                           symmetry, D):
+    # sp4 runs at D = 1, where the inverse of the four-site block stays
+    # cheap
+    _check_hat(*_case(form, N, symmetry), 1 if N == 4 else D)
+
+
+@st.composite
+def sign_matched_z(draw, iset, symmetry):
+    """A general Z with Z' = Z or Z' = -Z: M + M' or M - M' for a sparse
+    rational M, where M'_ij = eps_{-j,-i} M_{-j,-i}."""
+    idx = iset.indices()
+    m = draw(st.dictionaries(
+        st.tuples(st.sampled_from(idx), st.sampled_from(idx)),
+        st.builds(Q, st.integers(-3, 3), st.integers(1, 3)), max_size=4))
+    sign = 1 if symmetry == "symmetric" else -1
+    z = dict(m)
+    for (i, j), v in m.items():
+        z[(-j, -i)] = z.get((-j, -i), 0) + sign * iset.eps(i, j) * v
+    return ZMatrix(iset, z, f"prime_{symmetry}")
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), case=st.sampled_from(
+    [("sp", 2, "skew"), ("sp", 2, "symmetric"), ("so", 3, "skew"),
+     ("so", 3, "symmetric")]), D=st.integers(1, 2))
+def test_trace_forms_match_the_blocks_for_a_general_z(data, case, D):
+    form, N, symmetry = case
+    ctx = TwistedContext(IndexSet.signed(N, form))
+    z = data.draw(sign_matched_z(ctx.index_set, symmetry))
+    _check_a_k(ctx, z, D)
+    _check_hat(ctx, z, D)
 
 
 def _terms(res):

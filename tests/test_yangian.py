@@ -1,4 +1,7 @@
 import json
+import os
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -6,10 +9,12 @@ from bethe import yangian
 from bethe.algebra import YangianRule, commutator
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import ONE, Q
+from bethe.series import TruncatedSeries, algebra_ring
+from bethe.tensor import antisymmetrizer
 from bethe.yangian import (bethe_series, bethe_series_tensor,
                            hat_bethe_series,
                            quantum_determinant, quantum_minor,
-                           t_entry_series,
+                           t_entry_series, t_site_series, z_product,
                            verify_bethe_commutativity, verify_centrality,
                            verify_fusion, verify_hat_identity, verify_rtt)
 
@@ -198,3 +203,40 @@ def test_hat_series_starts_at_elementary_symmetric():
     z = parse_z_spec("diag:1,2", iset)
     h1 = hat_bethe_series(1, z, rule, 1)
     assert h1.coeffs[0] == rule.one() * Q(3)  # e_1(z) = 1 + 2
+
+
+GOLDEN_Z = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                        "z-gl3-dense.json")
+
+
+def _descending_hat_trace(k, z, rule, D):
+    """tr(Z_1..Z_k H_k . hat-T_k(u-k) .. hat-T_1(u-1)) from the full
+    product of the k-site inverse factors: the construction that the word
+    transfer of `hat_bethe_series` replaced."""
+    iset = rule.index_set
+    x = reduce(mul, [t_site_series(rule, k, p, D).invert()
+                     .substitute_affine(1, -p) for p in range(k, 0, -1)])
+    h = z_product(z, range(1, k + 1), k) * antisymmetrizer(k, iset)
+    ring = algebra_ring(rule)
+    return TruncatedSeries(ring, [ring.sum([
+        c.entries[(b, a)] * v for (a, b), v in h.entries.items()
+        if (b, a) in c.entries]) for c in x.coeffs], D)
+
+
+@pytest.mark.parametrize("N, D", [(2, 3), (3, 3), (4, 2)])
+def test_hat_series_is_the_descending_product_trace(N, D, tmp_path):
+    iset = IndexSet.plain(N)
+    rule = YangianRule(iset)
+    # the k-site oracle is slow at N = 4, where only the dense Z runs
+    zs = [_json_z(tmp_path, "dense", DENSE_Z[N], iset)]
+    if N < 4:
+        zs.append(parse_z_spec("diag:" + ",".join(
+            str(2 * i - 3) for i in range(1, N + 1)), iset))
+    if N == 3:
+        zs.append(parse_z_spec(f"json:{GOLDEN_Z}", iset))
+    for z in zs:
+        for k in range(1, N + 1):
+            got = hat_bethe_series(k, z, rule, D)
+            assert got == _descending_hat_trace(k, z, rule, D), \
+                (N, z.entries, k)
+            assert got.trunc == D
