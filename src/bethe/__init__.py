@@ -1,20 +1,10 @@
 """Exact symbolic constructions of commuting Bethe-type families for the
 Yangian of gl_N and its orthogonal/symplectic twisted analogues, with
 verification suites for the defining relations and the classical
-(Poisson) degenerations."""
+(Poisson) degenerations.
 
-from .algebra import (AlgebraElement, FreeRule, GlRule, YangianRule,
-                      commutator, deserialize_element, filtration_degree,
-                      normal_order, serialize_element, symbol)
-from .indices import IndexSet, ZMatrix, parse_z_spec
-from .poisson import (CurrentPoint, PoissonContext, PoissonPoly, bethe_family,
-                      bethe_poly, classical_det_poly, jacobian_rank,
-                      poisson_bracket, poisson_rank_at, principal_nilpotent,
-                      restrict_to_slice, upper_slice)
-from .rationals import Q
-from .series import TruncatedSeries
-from .twisted import TwistedContext, twisted_bethe_series
-from .yangian import bethe_series, hat_bethe_series, quantum_determinant
+The names below are loaded on first access (PEP 562), so `import bethe`
+and the `bethe` command import only the modules they use."""
 
 __version__ = "0.1.0"
 
@@ -27,4 +17,37 @@ __all__ = [
     "normal_order", "parse_z_spec", "poisson_bracket", "poisson_rank_at",
     "principal_nilpotent", "quantum_determinant", "restrict_to_slice",
     "serialize_element", "symbol", "twisted_bethe_series", "upper_slice",
+    "verify_bethe_commutativity", "verify_sklyanin",
 ]
+
+# exported name -> the submodule that defines it
+_SOURCES = {
+    **dict.fromkeys(("AlgebraElement", "FreeRule", "GlRule", "YangianRule",
+                     "commutator", "deserialize_element", "filtration_degree",
+                     "normal_order", "serialize_element", "symbol"),
+                    "algebra"),
+    **dict.fromkeys(("IndexSet", "ZMatrix", "parse_z_spec"), "indices"),
+    **dict.fromkeys(("CurrentPoint", "PoissonContext", "PoissonPoly",
+                     "bethe_family", "bethe_poly", "classical_det_poly",
+                     "jacobian_rank", "poisson_bracket", "poisson_rank_at",
+                     "principal_nilpotent", "restrict_to_slice",
+                     "upper_slice"), "poisson"),
+    "Q": "rationals",
+    "TruncatedSeries": "series",
+    **dict.fromkeys(("TwistedContext", "twisted_bethe_series",
+                     "verify_sklyanin"), "twisted"),
+    **dict.fromkeys(("bethe_series", "hat_bethe_series",
+                     "quantum_determinant", "verify_bethe_commutativity"),
+                    "yangian"),
+}
+
+
+def __getattr__(name):
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -5,27 +5,30 @@ certificates for the shift-of-argument families.
 
 Every suite returns a list of (item, bool) detail rows, matching the other
 verify_* functions; the CLI wraps these into reports.
+
+The module top imports the Poisson side only.  The suites that reach the
+algebras (`algebra`, `evalmap`, `twisted`, `yangian`) import them inside,
+so the Poisson checks load none of them.
 """
 from __future__ import annotations
 
 import random
 
-from .algebra import AlgebraElement, GlRule, commutator, symbol
-from .evalmap import pi_apply, rho_apply, verify_image_commutativity
 from .indices import IndexSet, ZMatrix
 from .poisson import (CurrentPoint, PoissonContext, PoissonPoly, bethe_family,
                       certified_jacobian_rank, jacobian_rank, poisson_bracket,
                       poisson_rank_at, principal_nilpotent, restrict_to_slice,
                       upper_slice)
-from .twisted import (TwistedContext, reflection_rows,
-                      symmetry_residual_free, twisted_bethe_series)
-from .yangian import bethe_series
 
 
-def verify_rho_homomorphy(ctx: TwistedContext, D: int) -> list:
+def verify_rho_homomorphy(ctx, D: int) -> list:
     """The enveloping-algebra substitution kills the symmetry and
-    reflection residual families (it therefore factors through the
-    defining relations)."""
+    reflection residual families of the `TwistedContext` ctx (it therefore
+    factors through the defining relations)."""
+    from .algebra import GlRule
+    from .evalmap import rho_apply
+    from .twisted import reflection_rows, symmetry_residual_free
+
     iset = ctx.index_set
     gl = GlRule(iset)
     idx = iset.indices()
@@ -44,7 +47,9 @@ def verify_rho_homomorphy(ctx: TwistedContext, D: int) -> list:
 def pi_bethe_images(index_set: IndexSet, z: ZMatrix, D: int) -> list:
     """Enveloping-algebra images of the B_k coefficients, all k, levels
     1..D, as one flat list."""
-    from .algebra import YangianRule
+    from .algebra import GlRule, YangianRule
+    from .evalmap import pi_apply
+    from .yangian import bethe_series
 
     rule = YangianRule(index_set)
     gl = GlRule(index_set)
@@ -56,9 +61,14 @@ def pi_bethe_images(index_set: IndexSet, z: ZMatrix, D: int) -> list:
     return out
 
 
-def rho_bethe_images(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
+def rho_bethe_images(ctx, z: ZMatrix, D: int) -> list:
     """Enveloping-algebra images of the A_k coefficients (computed on the
-    formal S-word carrier), all k, orders 1..D."""
+    formal S-word carrier of the `TwistedContext` ctx), all k, orders
+    1..D."""
+    from .algebra import GlRule
+    from .evalmap import rho_apply
+    from .twisted import twisted_bethe_series
+
     gl = GlRule(ctx.index_set)
     out = []
     for k in range(1, ctx.index_set.N + 1):
@@ -84,7 +94,7 @@ def verify_poisson_jacobi(context: PoissonContext, seed: int,
     return details
 
 
-def _random_quadratic(rule, rng, max_level: int) -> AlgebraElement:
+def _random_quadratic(rule, rng, max_level: int):
     idx = rule.index_set.indices()
     g1 = rule.element(rng.choice(idx), rng.choice(idx),
                       rng.randint(1, max_level))
@@ -97,7 +107,7 @@ def verify_symbol_homomorphy(index_set: IndexSet, M: int, seed: int,
                              pairs: int = 50, max_level: int = 3) -> list:
     """symbol([X, Y]) = {symbol X, symbol Y} for seeded random pairs of
     quadratic elements, in the degree (deg X + deg Y - 1) component."""
-    from .algebra import YangianRule, filtration_degree
+    from .algebra import YangianRule, commutator, filtration_degree, symbol
 
     rule = YangianRule(index_set)
     context = PoissonContext("plain", index_set, M)
@@ -119,17 +129,21 @@ def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix, M: int,
     """Graded symbols of the series coefficients equal the determinant-
     expansion polynomials, coefficient by coefficient (plain or twisted
     per the index set)."""
-    from .algebra import YangianRule
+    from .algebra import YangianRule, symbol
 
     N = index_set.N
     if D is None:
         D = N * M
     details = []
     if index_set.kind == "plain":
+        from .yangian import bethe_series
+
         context = PoissonContext("plain", index_set, M)
         rule = YangianRule(index_set)
         mk = lambda k: bethe_series(k, z, rule, D)
     else:
+        from .twisted import TwistedContext, twisted_bethe_series
+
         context = PoissonContext("twisted", index_set, M)
         ctx = TwistedContext(index_set)
         mk = lambda k: twisted_bethe_series(ctx, k, z, D)
@@ -214,11 +228,16 @@ def verify_pi_rho_image_commutativity(index_set: IndexSet, z: ZMatrix,
                                       D: int) -> list:
     """Pairwise commutativity of the enveloping-algebra images, in the
     algebra and in the defining representation."""
+    from .algebra import GlRule
+    from .evalmap import verify_image_commutativity
+
     gl = GlRule(index_set)
     if index_set.kind == "plain":
         elems = pi_bethe_images(index_set, z, D)
         tag = "pi image"
     else:
+        from .twisted import TwistedContext
+
         elems = rho_bethe_images(TwistedContext(index_set), z, D)
         tag = "rho image"
     rows = verify_image_commutativity(elems, gl)

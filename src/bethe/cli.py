@@ -22,6 +22,10 @@ parity violation there exits 1.
 The default output directory is taken from the BETHE_OUTPUT_DIR
 environment variable (falling back to the working directory).  Sub-checks
 run in order in one thread, and detail rows are sorted before emission.
+
+Start-up loads only what a run uses: ``--help`` and the usage errors the
+argument parser catches (such as an unknown check) load only `bethe.cli`,
+and each check or object imports only the modules it runs.
 """
 from __future__ import annotations
 
@@ -30,23 +34,6 @@ import os
 import sys
 
 from . import __version__
-from .algebra import YangianRule, serialize_element
-from .indices import IndexSet, parse_z_spec
-from .poisson import PoissonContext, bethe_family
-from .reports import (Report, Timer, dump_json, output_dir, serialize_poly,
-                      series_table)
-from .tensor import (h_k_orientation, verify_antisymmetrizers,
-                     verify_mixed_yang_baxter, verify_r_identities,
-                     verify_yang_baxter)
-from .twisted import (TwistedContext, twisted_bethe_series,
-                      verify_mixed_rtt, verify_prop36_trace_form,
-                      verify_reflection, verify_sklyanin, verify_symmetry,
-                      verify_twisted_commutativity,
-                      verify_twisted_hat_identity, verify_z_rmatrix_scalar)
-from .yangian import (bethe_series, quantum_determinant, verify_bethe_commutativity,
-                      verify_centrality, verify_fusion, verify_hat_identity,
-                      verify_rtt)
-from . import certify
 
 CHECKS = ("rtt", "fusion", "bethe-commute", "centrality", "hat-identity",
           "twisted-symmetry", "twisted-reflection", "twisted-commute",
@@ -61,6 +48,8 @@ class RunConfig:
     outside input happens here and raises `UsageError`."""
 
     def __init__(self, args):
+        from .indices import IndexSet, parse_z_spec
+
         self.kind = args.kind
         if self.kind == "gl":
             if args.N is None:
@@ -112,13 +101,19 @@ class RunConfig:
             vals = range(1, self.index_set.n + 1)
         return "diag:" + ",".join(str(v) for v in vals)
 
-    def twisted_ctx(self) -> TwistedContext:
+    def twisted_ctx(self):
+        """The `TwistedContext` of the index set (kind so/sp only)."""
         if self.index_set.kind != "signed":
             raise UsageError("this check needs kind so or sp")
+        from .twisted import TwistedContext
+
         return TwistedContext(self.index_set)
 
-    def poisson_ctx(self) -> PoissonContext:
-        """Plain context for kind gl, twisted for so/sp, at level M."""
+    def poisson_ctx(self):
+        """The `PoissonContext`: plain for kind gl, twisted for so/sp, at
+        level M."""
+        from .poisson import PoissonContext
+
         kind = "plain" if self.index_set.kind == "plain" else "twisted"
         return PoissonContext(kind, self.index_set, self.M)
 
@@ -152,15 +147,26 @@ def scalar_list_label(xs) -> str:
 
 
 def run_check(cfg: RunConfig, name: str) -> list:
+    """The detail rows of check `name`.  Each branch imports the modules
+    it runs, so a check loads no other part of the package."""
     iset = cfg.index_set
     D = cfg.D
 
     if name == "rtt":
+        from .tensor import verify_r_identities
+        from .yangian import verify_rtt
+
         details = verify_r_identities(iset)
         if iset.kind == "plain":
+            from .algebra import YangianRule
+            from .tensor import verify_yang_baxter
+
             details += verify_yang_baxter(iset)
             details += verify_rtt(YangianRule(iset), D)
         else:
+            from .tensor import verify_mixed_yang_baxter
+            from .twisted import verify_mixed_rtt
+
             ctx = cfg.twisted_ctx()
             details += verify_mixed_yang_baxter(iset)
             details += verify_mixed_rtt(ctx, D)
@@ -168,6 +174,10 @@ def run_check(cfg: RunConfig, name: str) -> list:
         return details
 
     if name == "fusion":
+        from .algebra import YangianRule
+        from .tensor import verify_antisymmetrizers
+        from .yangian import verify_fusion
+
         rule = YangianRule(iset)
         details = verify_antisymmetrizers(iset)
         for k in range(2, iset.N + 1):
@@ -175,75 +185,103 @@ def run_check(cfg: RunConfig, name: str) -> list:
         return details
 
     if name == "bethe-commute":
+        from .algebra import YangianRule
+        from .yangian import verify_bethe_commutativity
+
         return verify_bethe_commutativity(cfg.z, YangianRule(iset),
                                           cfg.budget)
 
     if name == "centrality":
+        from .algebra import YangianRule
+        from .yangian import verify_centrality
+
         return verify_centrality(YangianRule(iset), D, max_level=D)
 
     if name == "hat-identity":
+        from .algebra import YangianRule
+        from .yangian import verify_hat_identity
+
         return verify_hat_identity(cfg.z, YangianRule(iset), D)
 
     if name == "twisted-symmetry":
+        from .twisted import verify_symmetry
+
         return verify_symmetry(cfg.twisted_ctx(), D)
 
     if name == "twisted-reflection":
+        from .twisted import verify_reflection
+
         return verify_reflection(cfg.twisted_ctx(), D, total_order=D)
 
     if name == "twisted-commute":
+        from .twisted import verify_twisted_commutativity
+
         return verify_twisted_commutativity(cfg.twisted_ctx(), cfg.z,
                                             cfg.budget)
 
     if name == "sklyanin":
+        from .twisted import verify_sklyanin
+
         return verify_sklyanin(cfg.twisted_ctx(), cfg.z, D)
 
     if name == "prop36":
-        ctx = cfg.twisted_ctx()
-        details = list(verify_twisted_hat_identity(ctx, cfg.z, D))
+        from .twisted import verify_prop36
+
         # the scalar relating the two forms is the constant series 1
-        one = scalar_list_label([1] + [0] * D)
-        for k in range(1, iset.N + 1):
-            details.append((f"trace-form scalar k={k}: {one}",
-                            verify_prop36_trace_form(ctx, cfg.z, k, D)))
-        return details + verify_z_rmatrix_scalar(ctx, cfg.z)
+        return verify_prop36(cfg.twisted_ctx(), cfg.z, D,
+                             scalar_list_label([1] + [0] * D))
 
     if name == "rho-hom":
-        return certify.verify_rho_homomorphy(cfg.twisted_ctx(), D)
+        from .certify import verify_rho_homomorphy
+
+        return verify_rho_homomorphy(cfg.twisted_ctx(), D)
 
     if name == "image-commute":
-        return certify.verify_pi_rho_image_commutativity(iset, cfg.z, D)
+        from .certify import verify_pi_rho_image_commutativity
+
+        return verify_pi_rho_image_commutativity(iset, cfg.z, D)
 
     if name == "poisson-jacobi":
-        return certify.verify_poisson_jacobi(cfg.poisson_ctx(), cfg.seed)
+        from .certify import verify_poisson_jacobi
+
+        return verify_poisson_jacobi(cfg.poisson_ctx(), cfg.seed)
 
     if name == "symbol-hom":
+        from .certify import (verify_laplace_consistency,
+                              verify_symbol_homomorphy)
+
         details = []
         if iset.kind == "plain":
-            details += certify.verify_symbol_homomorphy(iset, cfg.M, cfg.seed)
-        details += certify.verify_laplace_consistency(iset, cfg.z, cfg.M)
+            details += verify_symbol_homomorphy(iset, cfg.M, cfg.seed)
+        details += verify_laplace_consistency(iset, cfg.z, cfg.M)
         return details
 
     if name == "jacobian":
+        from .certify import (expected_jacobian_rank, verify_jacobian_rank,
+                              verify_twisted_parity)
+        from .poisson import bethe_family
+
         context = cfg.poisson_ctx()
         # the parity zeros are reported as rows below, not raised
         family = bethe_family(context, cfg.z, parity_guard=False)
-        details = certify.verify_jacobian_rank(
-            context, family, certify.expected_jacobian_rank(context),
-            seed=cfg.seed)
+        details = verify_jacobian_rank(
+            context, family, expected_jacobian_rank(context), seed=cfg.seed)
         if context.kind == "twisted":
-            details += certify.verify_twisted_parity(context, family)
+            details += verify_twisted_parity(context, family)
         return details
 
     if name == "poisson-rank":
+        from .certify import expected_poisson_rank, verify_poisson_rank
+
         context = cfg.poisson_ctx()
-        return certify.verify_poisson_rank(
-            context, certify.expected_poisson_rank(context))
+        return verify_poisson_rank(context, expected_poisson_rank(context))
 
     if name == "classical-so2n":
         if iset.kind != "signed" or iset.form != "so" or iset.N % 2:
             raise UsageError("classical-so2n needs kind so with even N")
-        return certify.verify_classical_slice_rank(iset.n, cfg.z,
-                                                   seed=cfg.seed)
+        from .certify import verify_classical_slice_rank
+
+        return verify_classical_slice_rank(iset.n, cfg.z, seed=cfg.seed)
 
     raise UsageError(f"unknown check {name!r}")
 
@@ -252,6 +290,10 @@ def run_check(cfg: RunConfig, name: str) -> list:
 
 
 def run_compute(cfg: RunConfig, name: str) -> dict:
+    """The coefficient table of object `name`; like `run_check`, each
+    branch imports only what it runs."""
+    from .reports import serialize_poly, series_table
+
     iset = cfg.index_set
     D = cfg.D
     ks = [cfg.k] if cfg.k else list(range(1, iset.N + 1))
@@ -259,6 +301,9 @@ def run_compute(cfg: RunConfig, name: str) -> dict:
     config["object"] = name
 
     if name == "bethe":
+        from .algebra import YangianRule, serialize_element
+        from .yangian import bethe_series
+
         rule = YangianRule(iset)
         rows = [(k, [serialize_element(c)
                      for c in bethe_series(k, cfg.z, rule, D).coeffs])
@@ -266,12 +311,18 @@ def run_compute(cfg: RunConfig, name: str) -> dict:
         return series_table(config, rows)
 
     if name == "qdet":
+        from .algebra import YangianRule, serialize_element
+        from .yangian import quantum_determinant
+
         rule = YangianRule(iset)
         qd = quantum_determinant(rule, D)
         return series_table(config,
                             [(iset.N, [serialize_element(c) for c in qd.coeffs])])
 
     if name == "twisted-bethe":
+        from .algebra import serialize_element
+        from .twisted import twisted_bethe_series
+
         ctx = cfg.twisted_ctx()
         rows = []
         for k in ks:
@@ -280,6 +331,8 @@ def run_compute(cfg: RunConfig, name: str) -> dict:
         return series_table(config, rows)
 
     if name == "poisson-bethe":
+        from .poisson import bethe_family
+
         family = bethe_family(cfg.poisson_ctx(), cfg.z)
         rows = [(k, [serialize_poly(p) for p in family[k]]) for k in ks]
         return series_table(config, rows)
@@ -335,6 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def conventions(cfg: RunConfig) -> dict:
+    from .indices import IndexSet
+    from .tensor import h_k_orientation
+
     # The orientation is read off H_3 (H_N for N < 3).  For N >= 3, S_3
     # acts faithfully on V^{(x)3} (Schur-Weyl), so the matching arrow
     # orientations do not depend on N and N = 3 gives the same answer.
@@ -350,6 +406,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        from .reports import Report, Timer, dump_json, output_dir
+
         cfg = RunConfig(args)
         if args.command == "verify":
             with Timer() as tm:

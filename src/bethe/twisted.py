@@ -53,9 +53,9 @@ class TwistedContext:
     """Bundles the signed index set with the two generator carriers and the
     sign conventions (upper sign = orthogonal, lower = symplectic).
 
-    It memoizes the expanded one-site series S(u) per truncation D and
-    each expanded generator read from it; multi-site blocks are never
-    built or kept.
+    It memoizes the expanded one-site series S(u) and its inverse hat-S(u)
+    per truncation D, and each expanded generator read from S(u);
+    multi-site blocks are never built or kept.
     """
 
     def __init__(self, index_set: IndexSet):
@@ -68,6 +68,7 @@ class TwistedContext:
         self.upper = index_set.form == "so"
         self._expand_cache: dict = {}
         self._s_series: dict = {}
+        self._s_hat: dict = {}
 
     def s_gen(self, i: int, j: int, r: int) -> AlgebraElement:
         """The formal generator S_ij^(r) as a one-word element."""
@@ -100,6 +101,13 @@ class TwistedContext:
         s = t * t_tilde_minus
         self._s_series[D] = s
         return s
+
+    def s_hat_expanded(self, D: int) -> TruncatedSeries:
+        """hat-S(u) = S(u)^-1 on one site, with expanded coefficients."""
+        hit = self._s_hat.get(D)
+        if hit is None:
+            hit = self._s_hat[D] = self.s_series_expanded(D).invert()
+        return hit
 
     def expand_gen(self, g: tuple) -> AlgebraElement:
         """Normal-ordered ambient form of one S generator (r, i, j)."""
@@ -339,7 +347,7 @@ def hat_trace(ctx: TwistedContext, k: int, h, D: int) -> TruncatedSeries:
     inverse series of S(u,k).  As (X_1 ... X_m)^-1 = X_m^-1 ... X_1^-1
     over the steps of S(u,k), each R-matrix factor is inverted over Q and
     each site S(u-p) becomes hat-S(u-p), with hat-S = S^-1 on one site."""
-    s_hat = ctx.s_series_expanded(D).invert()
+    s_hat = ctx.s_hat_expanded(D)
     steps = fused_steps(lambda p: (p, s_hat.substitute_affine(1, -p)), k,
                         ctx.index_set, D)
     return trace_words(h, [f if isinstance(f, tuple) else f.invert()
@@ -370,14 +378,43 @@ def verify_twisted_hat_identity(ctx: TwistedContext, z: ZMatrix, D: int) -> list
         lambda k: hat_twisted_series(ctx, k, z, D))
 
 
+def prop36_trace_form(ctx: TwistedContext, z: ZMatrix, k: int,
+                      D: int) -> TruncatedSeries:
+    """The simplified trace form tr_k x id (H_k x 1 . hat-S(u,k) .
+    Z_1..Z_k x 1) through order D."""
+    h = z_product(z, range(1, k + 1), k) * antisymmetrizer(k, ctx.index_set)
+    return hat_trace(ctx, k, h, D)
+
+
 def verify_prop36_trace_form(ctx: TwistedContext, z: ZMatrix, k: int,
                              D: int) -> bool:
-    """Does hat-A_k equal the simplified trace form
-    tr_k x id (H_k x 1 . hat-S(u,k) . Z_1..Z_k x 1) through order D?  The
+    """Does hat-A_k equal the simplified trace form through order D?  The
     scalar series relating the two is the constant series 1."""
     full = hat_twisted_series(ctx, k, z, D)
-    h = z_product(z, range(1, k + 1), k) * antisymmetrizer(k, ctx.index_set)
-    return hat_trace(ctx, k, h, D) == full
+    return prop36_trace_form(ctx, z, k, D) == full
+
+
+def verify_prop36(ctx: TwistedContext, z: ZMatrix, D: int,
+                  one_label: str) -> list:
+    """The rows of proposition 3.6: the twisted hat identity, the trace
+    form of hat-A_k for k = 1..N at the scalar series 1 (spelled
+    `one_label` in the rows), and the exchange scalar.  Each hat-A_k is
+    built once and serves both the identity and the trace form."""
+    hats = {}
+
+    def hat(k):
+        if k not in hats:
+            hats[k] = hat_twisted_series(ctx, k, z, D)
+        return hats[k]
+
+    N = ctx.index_set.N
+    details = hat_identity_rows(
+        "twisted hat identity", N,
+        lambda k: expanded_bethe_series(ctx, k, z, D), hat)
+    for k in range(1, N + 1):
+        details.append((f"trace-form scalar k={k}: {one_label}",
+                        prop36_trace_form(ctx, z, k, D) == hat(k)))
+    return details + verify_z_rmatrix_scalar(ctx, z)
 
 
 def verify_z_rmatrix_scalar(ctx: TwistedContext, z: ZMatrix) -> list:

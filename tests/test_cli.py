@@ -80,12 +80,12 @@ def test_out_of_range_flags_are_usage_errors(flags):
 
 
 def test_a_value_error_inside_a_computation_is_internal(monkeypatch, capsys):
-    import bethe.cli as cli
+    import bethe.twisted as twisted
 
     def broken(ctx, z, D):
         raise ValueError("planted")
 
-    monkeypatch.setattr(cli, "verify_sklyanin", broken)
+    monkeypatch.setattr(twisted, "verify_sklyanin", broken)
     assert main(["verify", "sklyanin", "--kind", "so", "--n", "1", "--odd",
                  "--D", "1"]) == 3
     assert "internal error: ValueError: planted" in capsys.readouterr().err
@@ -189,12 +189,12 @@ def test_determinant_guard_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_conventions_guard_is_an_internal_error(monkeypatch, capsys):
-    import bethe.cli as cli
+    import bethe.tensor as tensor
 
     def no_orientation(k, index_set):
         raise AssertionError("no arrow orientation reproduces the projector")
 
-    monkeypatch.setattr(cli, "h_k_orientation", no_orientation)
+    monkeypatch.setattr(tensor, "h_k_orientation", no_orientation)
     assert main(["verify", "rtt", "--kind", "gl", "--N", "2"]) == 3
     assert "no arrow orientation" in capsys.readouterr().err
 
@@ -222,18 +222,18 @@ def test_poisson_bethe_k_out_of_range_is_usage_error():
 @pytest.mark.parametrize("algebra", [["--kind", "gl", "--N", "2"],
                                      ["--kind", "sp", "--n", "1"]])
 def test_jacobian_fails_without_last_family_polynomial(monkeypatch, algebra):
-    import bethe.cli as cli
+    import bethe.poisson as poisson
 
     args = ["verify", "jacobian", *algebra, "--M", "1"]
     assert main(args) == 0
-    real = cli.bethe_family
+    real = poisson.bethe_family
 
     def short_family(context, z, **kwargs):
         family = real(context, z, **kwargs)
         family[max(family)] = family[max(family)][:-1]
         return family
 
-    monkeypatch.setattr(cli, "bethe_family", short_family)
+    monkeypatch.setattr(poisson, "bethe_family", short_family)
     assert main(args) == 1
 
 

@@ -72,6 +72,10 @@ CASES = {
                      "--D", "3"],
     "compute-twisted-bethe": ["compute", "twisted-bethe", "--kind", "so",
                               "--n", "1", "--odd", "--D", "2"],
+    # at D = 3 the formal so3 table depends on the order in which
+    # `trace_words` multiplies the letters of a word; at D = 2 it does not
+    "compute-twisted-bethe-d3": ["compute", "twisted-bethe", "--kind", "so",
+                                 "--n", "1", "--odd", "--D", "3"],
     "compute-poisson-bethe": ["compute", "poisson-bethe", "--kind", "sp",
                               "--n", "1", "--M", "1"],
 }

@@ -15,7 +15,8 @@ from bethe.twisted import (TwistedContext, expanded_bethe_series, fused_steps,
                            fused_z, hat_trace, hat_twisted_series,
                            reflection_residual, theta_series,
                            twisted_bethe_series, verify_mixed_rtt,
-                           verify_prop36_trace_form, verify_reflection,
+                           verify_prop36, verify_prop36_trace_form,
+                           verify_reflection,
                            verify_sklyanin, verify_symmetry,
                            verify_twisted_commutativity,
                            verify_twisted_hat_identity, verify_z_exchange,
@@ -176,6 +177,23 @@ def test_twisted_hat_identity_negative_control(monkeypatch, factor):
         "twisted hat identity k=1 (scalar 1/2)",
         "twisted hat identity k=2 (scalar 1)"]
     assert not any(ok for _, ok in rows)
+
+
+def test_prop36_builds_each_hat_series_once(monkeypatch):
+    built = []
+
+    def counted(ctx, k, z, D):
+        built.append(k)
+        return hat_twisted_series(ctx, k, z, D)
+
+    monkeypatch.setattr(twisted, "hat_twisted_series", counted)
+    ctx = TwistedContext(SP2.index_set)
+    rows = verify_prop36(ctx, Z_SP, 2, "one")
+    _all_ok(rows)
+    assert "trace-form scalar k=2: one" in [item for item, _ in rows]
+    assert sorted(built) == [0, 1, 2]
+    # hat-S(u) is inverted once per truncation and kept on the context
+    assert ctx.s_hat_expanded(2) is ctx.s_hat_expanded(2)
 
 
 def test_prop36_scalar_negative_control(monkeypatch):
