@@ -16,6 +16,11 @@ Elements are sparse dicts {monomial tuple: rational}; monomials of an
 element under a commuting rule are always non-decreasing tuples of
 generators.
 
+`WordMap` is the one algebra map from words into a rule's elements, given
+the image of each letter; it forms every distinct word's image once.  The
+expansion of formal S-words into the Yangian and the evaluation maps pi
+and rho are word maps.
+
 Coefficient types.  Rule-level structure constants (raw_bracket,
 bracket_terms, mono_times_gen, mono_times_mono) are plain Python ints:
 brackets are +-1 and normal ordering only adds and multiplies them.  Every
@@ -274,6 +279,34 @@ def element_sum(rule: CommutationRule, elements) -> AlgebraElement:
     for e in elements:
         accumulate(acc, e.terms.items())
     return _from_terms(rule, acc)
+
+
+class WordMap:
+    """The algebra map into elements under `rule` that sends a generator g
+    to letter(g): a word goes to the product of its letters' images, an
+    element to the sum of its words' images.
+
+    Each word's image is formed once and kept: the image of its longest
+    proper prefix times the image of its last letter.  A one-letter word's
+    image is its letter's, not one times it, which would normal-order it
+    again."""
+
+    def __init__(self, rule: CommutationRule, letter):
+        self.rule = rule
+        self.letter = letter
+        self._images: dict = {(): rule.one()}
+
+    def word(self, w: tuple) -> AlgebraElement:
+        hit = self._images.get(w)
+        if hit is None:
+            hit = self._images[w] = (
+                self.letter(w[0]) if len(w) == 1
+                else self.word(w[:-1]) * self.word(w[-1:]))
+        return hit
+
+    def __call__(self, a: AlgebraElement) -> AlgebraElement:
+        return element_sum(self.rule, (self.word(w) * c
+                                       for w, c in a.terms.items()))
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -16,9 +16,9 @@ import random
 
 from .indices import IndexSet, ZMatrix
 from .poisson import (CurrentPoint, PoissonContext, PoissonPoly, bethe_family,
-                      certified_jacobian_rank, jacobian_rank, poisson_bracket,
-                      poisson_rank_at, principal_nilpotent, restrict_to_slice,
-                      upper_slice)
+                      bracket_matrix, certified_jacobian_rank, jacobian_rank,
+                      matrix_rank, poisson_bracket, principal_nilpotent,
+                      restrict_to_slice, upper_slice)
 
 
 def verify_rho_homomorphy(ctx, D: int) -> list:
@@ -26,38 +26,38 @@ def verify_rho_homomorphy(ctx, D: int) -> list:
     reflection residual families of the `TwistedContext` ctx (it therefore
     factors through the defining relations)."""
     from .algebra import GlRule
-    from .evalmap import rho_apply
+    from .evalmap import rho_map
     from .twisted import reflection_rows, symmetry_residual_free
 
     iset = ctx.index_set
-    gl = GlRule(iset)
+    rho = rho_map(GlRule(iset))
     idx = iset.indices()
     details = []
     for r in range(1, D + 1):
         for i in idx:
             for j in idx:
-                res = rho_apply(symmetry_residual_free(ctx, i, j, r), gl)
+                res = rho(symmetry_residual_free(ctx, i, j, r))
                 details.append(
                     (f"rho of symmetry residual i={i} j={j} order {r}",
                      res.is_zero()))
     return details + reflection_rows("rho of reflection residual", ctx, D,
-                                     D, lambda c: rho_apply(c, gl))
+                                     D, rho)
 
 
 def pi_bethe_images(index_set: IndexSet, z: ZMatrix, D: int) -> list:
     """Enveloping-algebra images of the B_k coefficients, all k, levels
     1..D, as one flat list."""
     from .algebra import GlRule, YangianRule
-    from .evalmap import pi_apply
+    from .evalmap import pi_map
     from .yangian import bethe_series
 
     rule = YangianRule(index_set)
-    gl = GlRule(index_set)
+    pi = pi_map(GlRule(index_set))
     out = []
     for k in range(1, index_set.N + 1):
         b = bethe_series(k, z, rule, D)
         for r in range(1, D + 1):
-            out.append(pi_apply(b.coeffs[r], gl))
+            out.append(pi(b.coeffs[r]))
     return out
 
 
@@ -66,15 +66,15 @@ def rho_bethe_images(ctx, z: ZMatrix, D: int) -> list:
     formal S-word carrier of the `TwistedContext` ctx), all k, orders
     1..D."""
     from .algebra import GlRule
-    from .evalmap import rho_apply
+    from .evalmap import rho_map
     from .twisted import twisted_bethe_series
 
-    gl = GlRule(ctx.index_set)
+    rho = rho_map(GlRule(ctx.index_set))
     out = []
     for k in range(1, ctx.index_set.N + 1):
         a = twisted_bethe_series(ctx, k, z, D)
         for r in range(1, D + 1):
-            out.append(rho_apply(a.coeffs[r], gl))
+            out.append(rho(a.coeffs[r]))
     return out
 
 
@@ -179,16 +179,19 @@ def verify_jacobian_rank(context: PoissonContext, family: dict, expected: int,
 def verify_poisson_rank(context: PoissonContext, expected: int) -> list:
     """Rank of the bracket at the principal-nilpotent base point placed at
     the top level equals the expected value (twice the slice codimension
-    invariant)."""
+    invariant), and the bracket matrix there is antisymmetric."""
     iset = context.index_set
     if iset.kind == "plain":
         mat = {(i + 1, i): 1 for i in range(1, iset.N)}
     else:
         mat = principal_nilpotent(iset, variant="section4")
     pt = CurrentPoint.from_level_matrix(context, context.M, mat)
-    rank = poisson_rank_at(pt, context)
+    rows = bracket_matrix(pt, context)
+    rank = matrix_rank(rows)
+    antisymmetric = all(x == -y for row, col in zip(rows, zip(*rows))
+                        for x, y in zip(row, col))
     return [(f"bracket rank {rank} at base point (expected {expected})",
-             rank == expected)]
+             rank == expected and antisymmetric)]
 
 
 def verify_twisted_parity(context: PoissonContext, family: dict) -> list:

@@ -3,7 +3,8 @@
 Two subcommands:
 
 * ``verify <check>`` runs one verification suite and writes a JSON (or
-  text) report; exit status 0 on pass, 1 on any failed detail row.
+  text) report; exit status 0 on pass, 1 on any failed detail row or
+  when the check produced no rows, having nothing to read.
 * ``compute <object>`` builds a coefficient table (series coefficients in
   exact rationals) and writes it as JSON; rerunning with the same
   configuration reproduces the file byte for byte.

@@ -6,25 +6,24 @@ matrix representation.
 * rho: defined on formal S-words; S_ij^(r) maps to F_ij (-+1/2)^{r-1} with
   F_ij = E_ij - eps_ij E_{-j,-i} (upper sign: orthogonal case).
 
+Both are `WordMap`s: `pi_map` and `rho_map` build one for a target
+`GlRule`, and a check builds it once, so each distinct word is multiplied
+out once however often it occurs.
+
 The fixed-point enveloping algebra has no separate rewriting system here;
 its elements live inside the ambient enveloping algebra after F-expansion.
 """
 from __future__ import annotations
 
-from functools import reduce
-from operator import mul
-
-from .algebra import AlgebraElement, GlRule, commutator, element_sum
+from .algebra import AlgebraElement, GlRule, WordMap, commutator
 from .indices import IndexSet
 from .rationals import accumulate, rat
 
 
-def pi_apply(a: AlgebraElement, gl_rule: GlRule) -> AlgebraElement:
-    """Evaluation: T_ij^(1) -> E_ij, higher levels -> 0, then normal-order."""
-    return element_sum(gl_rule, (
-        reduce(mul, (gl_rule.element(i, j) for (_, i, j) in word),
-               gl_rule.one()) * c
-        for word, c in a.terms.items() if all(g[0] == 1 for g in word)))
+def pi_map(gl_rule: GlRule) -> WordMap:
+    """Evaluation as a word map: T_ij^(1) -> E_ij, higher levels -> 0."""
+    return WordMap(gl_rule, lambda g: gl_rule.element(g[1], g[2])
+                   if g[0] == 1 else gl_rule.zero())
 
 
 def f_element(gl_rule: GlRule, i: int, j: int) -> AlgebraElement:
@@ -33,21 +32,15 @@ def f_element(gl_rule: GlRule, i: int, j: int) -> AlgebraElement:
     return gl_rule.element(i, j) - gl_rule.element(-j, -i) * iset.eps(i, j)
 
 
-def rho_apply(w: AlgebraElement, gl_rule: GlRule) -> AlgebraElement:
-    """Substitute S_ij^(r) -> F_ij (-+1/2)^{r-1} (upper sign for the
-    orthogonal form) into a formal S-word element and normal-order."""
+def rho_map(gl_rule: GlRule) -> WordMap:
+    """rho as a word map on formal S-words: S_ij^(r) -> F_ij (-+1/2)^{r-1}
+    (upper sign for the orthogonal form)."""
     iset = gl_rule.index_set
     if iset.kind != "signed":
         raise ValueError("rho needs a signed index set with a declared form")
     half = rat(-1, 2) if iset.form == "so" else rat(1, 2)
-    idx = iset.indices()
-    f = {(i, j): f_element(gl_rule, i, j) for i in idx for j in idx}
-
-    def image(word, scal):
-        term = reduce(mul, (f[(i, j)] for (_, i, j) in word), gl_rule.one())
-        return term * (scal * half ** sum(r - 1 for (r, _, _) in word))
-
-    return element_sum(gl_rule, (image(*t) for t in w.terms.items()))
+    return WordMap(gl_rule, lambda g: f_element(gl_rule, g[1], g[2])
+                   * half ** (g[0] - 1))
 
 
 def defining_rep(e: AlgebraElement, index_set: IndexSet) -> dict:

@@ -66,10 +66,6 @@ class IndexSet:
         s = (1 if i > 0 else -1) * (1 if j > 0 else -1)
         return s
 
-    def prime_pair(self, i: int, j: int) -> tuple[int, int, int]:
-        """(E_ij)' = eps_ij E_{-j,-i}; returns (-j, -i, eps_ij)."""
-        return (-j, -i, self.eps(i, j))
-
     def same(self, other: "IndexSet") -> bool:
         return (self.kind, self.N, self.form) == (other.kind, other.N, other.form)
 

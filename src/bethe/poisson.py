@@ -669,22 +669,18 @@ def jacobian_rank(fs: list, coords, values) -> int:
     return matrix_rank(rows)
 
 
-def poisson_rank_at(point: CurrentPoint, context: PoissonContext) -> int:
-    """Rank of the antisymmetric matrix of coordinate brackets at a point."""
+def bracket_matrix(point: CurrentPoint, context: PoissonContext) -> list:
+    """The matrix of coordinate brackets {a, b} at a point.  Every entry is
+    evaluated on its own, so a bracket that is not antisymmetric gives a
+    matrix that is not."""
     coords = context.variables()
-    vals = {}
-    rows = []
-    for a in coords:
-        row = []
-        for b in coords:
-            key = (a, b)
-            if key not in vals:
-                br = context.gen_bracket(a, b).evaluate(point)
-                vals[(a, b)] = br
-                vals[(b, a)] = -br
-            row.append(vals[key])
-        rows.append(row)
-    return matrix_rank(rows)
+    return [[context.gen_bracket(a, b).evaluate(point) for b in coords]
+            for a in coords]
+
+
+def poisson_rank_at(point: CurrentPoint, context: PoissonContext) -> int:
+    """Rank of the matrix of coordinate brackets at a point."""
+    return matrix_rank(bracket_matrix(point, context))
 
 
 def certified_jacobian_rank(fs: list, coords, context: PoissonContext,

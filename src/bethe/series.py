@@ -10,8 +10,8 @@ by a running sum that copies the partial result once per term.
 
 Also provided:
 
-* RationalFactor — a quotient of u-polynomials expandable at u = infinity,
-  used for scalar normalizations like omega(u) and theta(u);
+* one_over_c_minus_2u — the expansion of 1/(c - 2u) in closed form, the
+  scalar of the normalized R-matrix factors and of theta(u);
 * BiLaurent — bivariate Laurent objects in (u, v) with bounded positive
   degrees and per-variable accuracy caps, used for the exact matrix-form
   relation checks where R-matrix factors contribute positive powers.
@@ -191,45 +191,11 @@ class TruncatedSeries:
         return TruncatedSeries(ring, t, self.trunc)
 
 
-class RationalFactor:
-    """num(u)/den(u) with deg num <= deg den, expandable at u = infinity.
-
-    Coefficient lists are ascending in u.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        num = [rat(c) for c in num]
-        den = [rat(c) for c in den]
-        while num and num[-1] == 0:
-            num.pop()
-        while den and den[-1] == 0:
-            den.pop()
-        if not den:
-            raise ValueError("zero denominator")
-        if num and len(num) > len(den):
-            raise ValueError("improper fraction: not expandable at infinity")
-        self.num = tuple(num)
-        self.den = tuple(den)
-
-    def expand(self, D: int) -> TruncatedSeries:
-        """Exact Taylor expansion at u = infinity to order D."""
-        e = len(self.den) - 1
-        # rewrite in w = 1/u:  num/u^e over den/u^e
-        p = [0] * (D + 1)
-        for i, c in enumerate(self.num):
-            if e - i <= D:
-                p[e - i] = c
-        q = [0] * (D + 1)
-        for i, c in enumerate(self.den):
-            if e - i <= D:
-                q[e - i] = c
-        t = [div(p[0], q[0])]
-        for s in range(1, D + 1):
-            t.append(div(p[s] - sum(q[r] * t[s - r] for r in range(1, s + 1)),
-                         q[0]))
-        return TruncatedSeries(RATIONAL_RING, t, D)
+def one_over_c_minus_2u(c, D: int) -> TruncatedSeries:
+    """1/(c - 2u) = -sum_{r>=1} c^(r-1) 2^-r u^-r, expanded at u = infinity
+    through order D."""
+    return TruncatedSeries(RATIONAL_RING, [0] + [
+        div(-c ** (r - 1), 2 ** r) for r in range(1, D + 1)], D)
 
 
 INF_CAP = 10 ** 9  # "exact" accuracy for polynomial data
@@ -305,12 +271,6 @@ class BiLaurent:
 
     def __rmul__(self, other):
         return self * other
-
-    def swap(self) -> "BiLaurent":
-        """The same expression with u and v exchanged."""
-        return BiLaurent(self.ring,
-                         {(b, a): c for (a, b), c in self.entries.items()},
-                         self.cap_v, self.cap_u)
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -14,13 +14,15 @@ factors, the commuting series A_k(u), the inverse-series generators, and
 the Sklyanin-determinant checks.
 
 Objects are built on the formal carrier and read through `s_expand`
-where a check needs the defining relations; `s_expand` is an algebra map,
-and every expanded generator comes from `expand_gen`.
+where a check needs the defining relations.  `s_expand` is the context's
+`WordMap`: its letters come from `expand_gen`, and each distinct S-word is
+multiplied out and normal-ordered once per context.
 
 * The reflection relation is one matrix-form residual
   R(u-v) S_1(u) R~(-u-v) S_2(v) - S_2(v) R~(-u-v) S_1(u) R(u-v) of the
   one-site series `s_series` (`reflection_residual`).  `verify_reflection`
-  reads its entries through `s_expand`, the rho check through `rho_apply`.
+  reads its entries through `s_expand`, the rho check through
+  `evalmap.rho_map`; a window with no coefficient gives no rows.
 * A_k(u) is built by `twisted_bethe_series`, one `trace_words` walk over
   the steps of the fused block S(u,k) (`fused_steps`): the formal letter
   sites S(u-p) between rational R-matrix factors.  It is read through
@@ -37,11 +39,11 @@ from functools import reduce
 from itertools import product
 from operator import mul
 
-from .algebra import AlgebraElement, FreeRule, YangianRule, element_sum
+from .algebra import AlgebraElement, FreeRule, WordMap, YangianRule
 from .indices import IndexSet, ZMatrix
 from .rationals import rat
-from .series import (RATIONAL_RING, BiLaurent, RationalFactor,
-                     TruncatedSeries, algebra_ring)
+from .series import (RATIONAL_RING, BiLaurent, TruncatedSeries,
+                     algebra_ring, one_over_c_minus_2u)
 from .tensor import (TensorElement, alternator, antisymmetrizer, bilaurent_r,
                      q_tensor, series_to_bilaurent, tensor_ring, trace_words)
 from .yangian import (centrality_rows, commutator_table, hat_identity_rows,
@@ -54,8 +56,10 @@ class TwistedContext:
     sign conventions (upper sign = orthogonal, lower = symplectic).
 
     It memoizes the expanded one-site series S(u) and its inverse hat-S(u)
-    per truncation D, and each expanded generator read from S(u);
-    multi-site blocks are never built or kept.
+    per truncation D, and, in the word map behind `s_expand`, the image of
+    every S-word it has expanded; a one-letter word's image is the
+    generator that `expand_gen` reads from S(u).  Multi-site blocks are
+    never built or kept.
     """
 
     def __init__(self, index_set: IndexSet):
@@ -66,7 +70,7 @@ class TwistedContext:
         self.s_rule = FreeRule(index_set)
         # the "upper" sign of the double-sign conventions
         self.upper = index_set.form == "so"
-        self._expand_cache: dict = {}
+        self._s_map = WordMap(self.yang_rule, self.expand_gen)
         self._s_series: dict = {}
         self._s_hat: dict = {}
 
@@ -111,22 +115,14 @@ class TwistedContext:
 
     def expand_gen(self, g: tuple) -> AlgebraElement:
         """Normal-ordered ambient form of one S generator (r, i, j)."""
-        hit = self._expand_cache.get(g)
-        if hit is not None:
-            return hit
         r, i, j = g
         s = self.s_series_expanded(max(r, 1))
-        out = s.coeffs[r].entries.get(((i,), (j,)), self.yang_rule.zero())
-        self._expand_cache[g] = out
-        return out
+        return s.coeffs[r].entries.get(((i,), (j,)), self.yang_rule.zero())
 
     def s_expand(self, w: AlgebraElement) -> AlgebraElement:
         """Substitute every S generator by its quadratic ambient expression
-        and normal-order the result."""
-        rule = self.yang_rule
-        return element_sum(rule, (
-            reduce(mul, map(self.expand_gen, word), rule.one()) * c
-            for word, c in w.terms.items()))
+        and normal-order the result, through the context's word map."""
+        return self._s_map(w)
 
 
 # -- symmetry relation ---------------------------------------------------------------
@@ -184,9 +180,13 @@ def reflection_rows(label: str, ctx: TwistedContext, D: int,
                     total_order: int, image) -> list:
     """One row "label (i,j,k,l)" per index tuple: does the algebra map
     `image` kill entry ((i,k),(j,l)) of the reflection residual at every
-    u^-r v^-s with r+s <= total_order?"""
+    u^-r v^-s with r+s <= total_order?  No rows when that window holds no
+    coefficient, as at D = 1, or at D = 2 for sp2: there the relation
+    holds on formal words and the check could not fail."""
     window = [c for (eu, ev), c in reflection_residual(ctx, D).entries.items()
               if -(eu + ev) <= total_order]
+    if not window:
+        return []
     details = []
     for i, j, k, l in product(ctx.index_set.indices(), repeat=4):
         key = ((i, k), (j, l))
@@ -221,7 +221,7 @@ def _g_factor(p: int, q: int, sites: int, iset: IndexSet,
               D: int) -> TruncatedSeries:
     """R~_pq(p+q-2u)/(p+q-2u) = id - Q_pq / (p+q-2u), as an exact series of
     rational tensors: a rational step of the fused block, never lifted."""
-    scalars = RationalFactor([1], [p + q, -2]).expand(D)
+    scalars = one_over_c_minus_2u(p + q, D)
     qpq = q_tensor(iset).embed((p, q), sites)
     tring = tensor_ring(sites, iset)
     coeffs = [tring.one]
@@ -309,7 +309,7 @@ def theta_series(ctx: TwistedContext, D: int) -> TruncatedSeries:
     if ctx.upper:
         return one
     N = ctx.index_set.N
-    return one + RationalFactor([N], [1, -2]).expand(D)
+    return one + one_over_c_minus_2u(1, D) * N
 
 
 def verify_sklyanin(ctx: TwistedContext, z: ZMatrix, D: int,

@@ -36,8 +36,9 @@ CASES = {
                             "--N", "3", "--D", "2"],
     "verify-twisted-symmetry": ["verify", "twisted-symmetry", "--kind", "so",
                                 "--n", "1", "--odd", "--D", "3"],
+    # at D = 2 the sp2 reflection window holds no coefficient
     "verify-twisted-reflection": ["verify", "twisted-reflection", "--kind",
-                                  "sp", "--n", "1", "--D", "2"],
+                                  "sp", "--n", "1", "--D", "3"],
     "verify-twisted-commute": ["verify", "twisted-commute", "--kind", "so",
                                "--n", "1", "--odd", "--budget", "3"],
     "verify-sklyanin": ["verify", "sklyanin", "--kind", "so", "--n", "1",

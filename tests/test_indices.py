@@ -26,15 +26,6 @@ def test_eps_values():
         IndexSet.plain(2).eps(1, 1)
 
 
-def test_prime_pair_is_an_involution():
-    sp = IndexSet.signed(4, "sp")
-    for i in sp.indices():
-        for j in sp.indices():
-            a, b, e = sp.prime_pair(i, j)
-            a2, b2, e2 = sp.prime_pair(a, b)
-            assert (a2, b2) == (i, j) and e * e2 == 1
-
-
 def test_diagonal_z_and_simple_spectrum():
     iset = IndexSet.plain(3)
     z = parse_z_spec("diag:1,2,3", iset)

@@ -20,7 +20,7 @@ from bethe.tensor import perm_sign
 
 def _all_ok(rows):
     bad = [item for item, ok in rows if not ok]
-    assert not bad, bad
+    assert rows and not bad, bad
 
 
 def var(ctx, r, i, j):
@@ -139,6 +139,27 @@ def test_poisson_rank_zero_point_and_ceiling():
     for seed in range(5):
         pt = CurrentPoint.random(ctx, seed=rng.randint(0, 10 ** 6))
         assert poisson_rank_at(pt, ctx) <= ceiling
+
+
+@pytest.mark.parametrize("kind, n", [("gl", "2"), ("sp", "1")])
+def test_poisson_rank_fails_for_a_bracket_that_breaks_antisymmetry(
+        monkeypatch, tmp_path, kind, n):
+    # {a, b} negated for a > b: (b, a) then equals (a, b), whose rank the
+    # old fill -{a, b} could not see
+    from bethe.cli import main
+
+    args = ["verify", "poisson-rank", "--kind", kind,
+            "--N" if kind == "gl" else "--n", n, "--M", "1",
+            "--out", str(tmp_path / "rank.json")]
+    assert main(args) == 0
+    real = PoissonContext.gen_bracket
+
+    def sign_flipped(self, a, b):
+        br = real(self, a, b)
+        return -br if a > b else br
+
+    monkeypatch.setattr(PoissonContext, "gen_bracket", sign_flipped)
+    assert main(args) == 1
 
 
 def test_slice_restriction_values():

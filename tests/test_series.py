@@ -1,8 +1,8 @@
 from hypothesis import given, settings, strategies as st
 
 from bethe.rationals import ONE, Q, ZERO
-from bethe.series import (RATIONAL_RING, BiLaurent, RationalFactor,
-                          TruncatedSeries)
+from bethe.series import (RATIONAL_RING, BiLaurent, TruncatedSeries,
+                          one_over_c_minus_2u)
 
 D = 5
 
@@ -52,11 +52,15 @@ def test_truncation_never_overstates_accuracy():
     assert (a + b).trunc == 2
 
 
-def test_rational_factor_expansion():
-    # 1/(u - 2) = u^-1 + 2 u^-2 + 4 u^-3 + ...
-    f = RationalFactor([1], [-2, 1])
-    s = f.expand(4)
-    assert list(s.coeffs) == [ZERO, ONE, Q(2), Q(4), Q(8)]
+@settings(max_examples=40, deadline=None)
+@given(rat_strategy, st.integers(0, 6))
+def test_one_over_c_minus_2u_times_c_minus_2u_is_one(c, d):
+    # (c - 2u) is not a series in u^-1, so multiply coefficientwise: the
+    # product's u^1 coefficient is -2 a_0, its u^-s one c a_s - 2 a_{s+1}
+    a = one_over_c_minus_2u(c, d + 1).coeffs
+    assert a[0] == ZERO
+    assert [c * a[s] - 2 * a[s + 1] for s in range(d + 1)] \
+        == [ONE] + [ZERO] * d
 
 
 def test_bilaurent_window_semantics():
@@ -68,15 +72,3 @@ def test_bilaurent_window_semantics():
     assert prod.cap_u == 1
     assert prod.entries == {(-1, 0): ONE}
     assert (x - x).is_zero()
-
-
-def test_bilaurent_swap_exchanges_the_variables():
-    from bethe.series import INF_CAP
-
-    x = BiLaurent(RATIONAL_RING, {(-1, 0): ONE, (0, 2): Q(3), (-2, -1): Q(5)},
-                  1, INF_CAP)
-    y = x.swap()
-    # (-2, -1) lies outside x's window; the swapped window is (INF, 1)
-    assert y.entries == {(0, -1): ONE, (2, 0): Q(3)}
-    assert (y.cap_u, y.cap_v) == (INF_CAP, 1)
-    assert y.swap().entries == x.entries
