@@ -38,7 +38,7 @@ def main():
     qd = quantum_determinant(rule, 2)
     c = commutator(qd.coeffs[1], rule.element(1, 2, 2))
     print(f"  [qdet^(1), T_12^(2)] normal-orders to: {c}")
-    show("centrality sweep", verify_centrality(rule, 3, 3))
+    show("centrality sweep", verify_centrality(rule, 3))
 
     print("\nHat-series identity (complementary-minor expansion):")
     show("hat identity", verify_hat_identity(z, rule, 3))

@@ -5,7 +5,9 @@ currents, checks involutivity of the determinant-expansion coefficients,
 and certifies by exact rational elimination that the family is of maximal
 size: the Jacobian rank at a random point and the Poisson-structure rank
 at a principal-nilpotent base point both match closed-form dimension
-counts, in the plain and twisted cases.
+counts, in the plain and twisted cases.  On the Borel slice of so_4 the
+rank is that of the Jacobian in the slice's free coordinates, at points
+that keep the base nilpotent's values on every other coordinate.
 
 Run:  python3 demos/degeneration_ranks.py
 """
@@ -23,7 +25,7 @@ def show(rows):
 
 def main():
     iset = IndexSet.plain(2)
-    ctx = PoissonContext("plain", iset, 1)
+    ctx = PoissonContext(iset, 1)
     z = parse_z_spec("diag:1,2", iset)
 
     print("Determinant-expansion family for gl_2, M = 1:")
@@ -38,14 +40,14 @@ def main():
     print("\nJacobian ranks (plain):")
     for N, M in [(2, 1), (2, 2), (3, 2)]:
         i = IndexSet.plain(N)
-        c = PoissonContext("plain", i, M)
+        c = PoissonContext(i, M)
         zz = parse_z_spec("diag:" + ",".join(str(j) for j in range(1, N + 1)), i)
         show(verify_jacobian_rank(c, bethe_family(c, zz),
                                   expected_jacobian_rank(c)))
 
     print("\nPoisson-structure ranks at the base point (twisted):")
     for form, N, M in [("sp", 2, 3), ("so", 3, 3), ("so", 4, 2)]:
-        c = PoissonContext("twisted", IndexSet.signed(N, form), M)
+        c = PoissonContext(IndexSet.signed(N, form), M)
         show(verify_poisson_rank(c, expected_poisson_rank(c)))
 
     print("\nClassical even-orthogonal slice (so_4):")

@@ -11,11 +11,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement", "CurrentPoint", "FreeRule", "GlRule", "IndexSet",
     "PoissonContext", "PoissonPoly", "Q", "TruncatedSeries",
-    "TwistedContext", "YangianRule", "ZMatrix", "bethe_family", "bethe_poly",
-    "bethe_series", "classical_det_poly", "commutator", "deserialize_element",
-    "filtration_degree", "hat_bethe_series", "jacobian_rank",
-    "normal_order", "parse_z_spec", "poisson_bracket", "poisson_rank_at",
-    "principal_nilpotent", "quantum_determinant", "restrict_to_slice",
+    "TwistedContext", "YangianRule", "ZMatrix", "bethe_family",
+    "bethe_series", "commutator", "deserialize_element", "filtration_degree",
+    "hat_bethe_series", "jacobian_rank", "normal_order", "parse_z_spec",
+    "poisson_bracket", "principal_nilpotent", "quantum_determinant",
     "serialize_element", "symbol", "twisted_bethe_series", "upper_slice",
     "verify_bethe_commutativity", "verify_sklyanin",
 ]
@@ -28,10 +27,8 @@ _SOURCES = {
                     "algebra"),
     **dict.fromkeys(("IndexSet", "ZMatrix", "parse_z_spec"), "indices"),
     **dict.fromkeys(("CurrentPoint", "PoissonContext", "PoissonPoly",
-                     "bethe_family", "bethe_poly", "classical_det_poly",
-                     "jacobian_rank", "poisson_bracket", "poisson_rank_at",
-                     "principal_nilpotent", "restrict_to_slice",
-                     "upper_slice"), "poisson"),
+                     "bethe_family", "jacobian_rank", "poisson_bracket",
+                     "principal_nilpotent", "upper_slice"), "poisson"),
     "Q": "rationals",
     "TruncatedSeries": "series",
     **dict.fromkeys(("TwistedContext", "twisted_bethe_series",

@@ -373,16 +373,15 @@ def normal_order(word, rule: CommutationRule, coeff=ONE, strategy: str = "left",
     return AlgebraElement(rule, done)
 
 
-def symbol(a: AlgebraElement, d: int, context=None):
-    """Image of a degree-<=d element in the degree-d graded component.
+def symbol(a: AlgebraElement, d: int, context):
+    """Image of a degree-<=d element in the degree-d graded component of
+    the `PoissonContext` context.
 
     Monomials of total level d map to products of commuting variables
     indexed like the generators; strictly lower monomials map to zero.
     """
-    from .poisson import PoissonContext, PoissonPoly
+    from .poisson import PoissonPoly
 
-    if context is None:
-        context = PoissonContext("plain", a.rule.index_set, max(d, 1))
     if any(monomial_degree(m) > d for m in a.terms):
         raise ValueError("filtration degree exceeds the requested grade")
     return PoissonPoly(context, accumulate({}, (

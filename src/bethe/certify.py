@@ -16,9 +16,8 @@ import random
 
 from .indices import IndexSet, ZMatrix
 from .poisson import (CurrentPoint, PoissonContext, PoissonPoly, bethe_family,
-                      bracket_matrix, certified_jacobian_rank, jacobian_rank,
-                      matrix_rank, poisson_bracket, principal_nilpotent,
-                      restrict_to_slice, upper_slice)
+                      bracket_matrix, certified_jacobian_rank, matrix_rank,
+                      poisson_bracket, principal_nilpotent, upper_slice)
 
 
 def verify_rho_homomorphy(ctx, D: int) -> list:
@@ -110,7 +109,7 @@ def verify_symbol_homomorphy(index_set: IndexSet, M: int, seed: int,
     from .algebra import YangianRule, commutator, filtration_degree, symbol
 
     rule = YangianRule(index_set)
-    context = PoissonContext("plain", index_set, M)
+    context = PoissonContext(index_set, M)
     rng = random.Random(seed)
     details = []
     for t in range(pairs):
@@ -124,27 +123,25 @@ def verify_symbol_homomorphy(index_set: IndexSet, M: int, seed: int,
     return details
 
 
-def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix, M: int,
-                               D: int | None = None) -> list:
+def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix,
+                               M: int) -> list:
     """Graded symbols of the series coefficients equal the determinant-
-    expansion polynomials, coefficient by coefficient (plain or twisted
-    per the index set)."""
+    expansion polynomials, coefficient by coefficient through order N M
+    (plain or twisted per the index set)."""
     from .algebra import YangianRule, symbol
 
     N = index_set.N
-    if D is None:
-        D = N * M
+    D = N * M
+    context = PoissonContext(index_set, M)
     details = []
     if index_set.kind == "plain":
         from .yangian import bethe_series
 
-        context = PoissonContext("plain", index_set, M)
         rule = YangianRule(index_set)
         mk = lambda k: bethe_series(k, z, rule, D)
     else:
         from .twisted import TwistedContext, twisted_bethe_series
 
-        context = PoissonContext("twisted", index_set, M)
         ctx = TwistedContext(index_set)
         mk = lambda k: twisted_bethe_series(ctx, k, z, D)
     zero = PoissonPoly.constant(context, 0)
@@ -170,9 +167,10 @@ def verify_jacobian_rank(context: PoissonContext, family: dict, expected: int,
     point has the expected rank (= the dimension of the certification
     slice)."""
     fs = bethe_family_polys(family)
-    rank, used = certified_jacobian_rank(fs, context.variables(), context,
-                                         seed=seed, expected=expected)
-    return [(f"jacobian rank {rank} (expected {expected}, seed {used})",
+    rank, t = certified_jacobian_rank(
+        fs, context.variables(),
+        lambda t: CurrentPoint.random(context, seed + t), expected)
+    return [(f"jacobian rank {rank} (expected {expected}, seed {seed + t})",
              rank == expected)]
 
 
@@ -180,12 +178,8 @@ def verify_poisson_rank(context: PoissonContext, expected: int) -> list:
     """Rank of the bracket at the principal-nilpotent base point placed at
     the top level equals the expected value (twice the slice codimension
     invariant), and the bracket matrix there is antisymmetric."""
-    iset = context.index_set
-    if iset.kind == "plain":
-        mat = {(i + 1, i): 1 for i in range(1, iset.N)}
-    else:
-        mat = principal_nilpotent(iset, variant="section4")
-    pt = CurrentPoint.from_level_matrix(context, context.M, mat)
+    pt = CurrentPoint.from_level_matrix(
+        context, context.M, principal_nilpotent(context.index_set))
     rows = bracket_matrix(pt, context)
     rank = matrix_rank(rows)
     antisymmetric = all(x == -y for row, col in zip(rows, zip(*rows))
@@ -209,22 +203,21 @@ def verify_twisted_parity(context: PoissonContext, family: dict) -> list:
 def verify_classical_slice_rank(n: int, z: ZMatrix, seed: int = 7) -> list:
     """Even-orthogonal classical family: the determinant coefficients
     restricted to the Borel slice are a complete independent set (rank
-    equals the slice dimension n^2)."""
-    iset = IndexSet.signed(2 * n, "so")
-    context = PoissonContext("twisted", iset, 1)
+    equals the slice dimension n^2), as the Jacobian in the free
+    coordinates at points that keep the base values elsewhere."""
+    context = PoissonContext(IndexSet.signed(2 * n, "so"), 1)
     fs = bethe_family_polys(bethe_family(context, z))
-    sl = upper_slice(context, variant="lemma45")
-    rest = [restrict_to_slice(f, sl) for f in fs]
+    base, free = upper_slice(context, variant="lemma45")
     expected = n * n
     rng = random.Random(seed)
-    rank = 0
-    for _ in range(5):
-        vals = {v: rng.randint(1, 9) for v in sl.free}
-        rank = max(rank, jacobian_rank(rest, sl.free, vals))
-        if rank == expected:
-            break
+
+    def point(t):
+        return CurrentPoint(context, {
+            **base, **{v: rng.randint(1, 9) for v in free}})
+
+    rank, _ = certified_jacobian_rank(fs, free, point, expected)
     return [(f"classical slice rank {rank} (expected {expected}, "
-             f"dim {len(sl.free)})", rank == expected)]
+             f"dim {len(free)})", rank == expected)]
 
 
 def verify_pi_rho_image_commutativity(index_set: IndexSet, z: ZMatrix,

@@ -27,6 +27,11 @@ run in order in one thread, and detail rows are sorted before emission.
 Start-up loads only what a run uses: ``--help`` and the usage errors the
 argument parser catches (such as an unknown check) load only `bethe.cli`,
 and each check or object imports only the modules it runs.
+
+Every report carries the orientation conventions that `reports.py`
+declares; no run searches for them.  ``verify fusion`` checks them: its
+``H_k orientation`` rows fail unless the ordered R-matrix products match
+exactly the declared orientations.
 """
 from __future__ import annotations
 
@@ -111,12 +116,11 @@ class RunConfig:
         return TwistedContext(self.index_set)
 
     def poisson_ctx(self):
-        """The `PoissonContext`: plain for kind gl, twisted for so/sp, at
-        level M."""
+        """The `PoissonContext` of the index set at level M: plain for kind
+        gl, twisted for so/sp."""
         from .poisson import PoissonContext
 
-        kind = "plain" if self.index_set.kind == "plain" else "twisted"
-        return PoissonContext(kind, self.index_set, self.M)
+        return PoissonContext(self.index_set, self.M)
 
     def params(self) -> dict:
         return {
@@ -138,13 +142,6 @@ class UsageError(Exception):
 
 
 # -- check dispatch -------------------------------------------------------------
-
-
-def scalar_list_label(xs) -> str:
-    """Exact scalars as "[Fraction(p, q), ...]", the text of the prop-3.6
-    scalar rows, written the same for ints and for every backend."""
-    return "[" + ", ".join(f"Fraction({x.numerator}, {x.denominator})"
-                           for x in xs) + "]"
 
 
 def run_check(cfg: RunConfig, name: str) -> list:
@@ -196,7 +193,7 @@ def run_check(cfg: RunConfig, name: str) -> list:
         from .algebra import YangianRule
         from .yangian import verify_centrality
 
-        return verify_centrality(YangianRule(iset), D, max_level=D)
+        return verify_centrality(YangianRule(iset), D)
 
     if name == "hat-identity":
         from .algebra import YangianRule
@@ -228,9 +225,7 @@ def run_check(cfg: RunConfig, name: str) -> list:
     if name == "prop36":
         from .twisted import verify_prop36
 
-        # the scalar relating the two forms is the constant series 1
-        return verify_prop36(cfg.twisted_ctx(), cfg.z, D,
-                             scalar_list_label([1] + [0] * D))
+        return verify_prop36(cfg.twisted_ctx(), cfg.z, D)
 
     if name == "rho-hom":
         from .certify import verify_rho_homomorphy
@@ -389,14 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def conventions(cfg: RunConfig) -> dict:
-    from .indices import IndexSet
-    from .tensor import h_k_orientation
+    """The declared orientation conventions of a report: those of H_N
+    (reports.h_orientation, the same for every N >= 3), which `verify
+    fusion` checks against the ordered R-matrix products."""
+    from .reports import h_orientation
 
-    # The orientation is read off H_3 (H_N for N < 3).  For N >= 3, S_3
-    # acts faithfully on V^{(x)3} (Schur-Weyl), so the matching arrow
-    # orientations do not depend on N and N = 3 gives the same answer.
-    iset = cfg.index_set if cfg.index_set.N <= 3 else IndexSet.plain(3)
-    return {"h_k_orientation": h_k_orientation(iset.N, iset),
+    return {"h_k_orientation": h_orientation(cfg.index_set.N),
             "s_uk_orientation": "outer=asc,inner=asc"}
 
 

@@ -1,21 +1,25 @@
 """Graded (classical) side: polynomial algebras with truncated Poisson
-brackets, determinant-expansion families, slice restrictions and exact
-rank certificates.
+brackets, determinant-expansion families and exact rank certificates.
 
 Variables v_ij^(r) (1 <= r <= M) are tagged by the same (level, row, col)
-triples as the noncommutative generators.  Two contexts exist:
+triples as the noncommutative generators.  The index set fixes one of two
+contexts:
 
-* plain -- coordinates on the truncated current space gl_N + ... +
-  gl_N t^{M-1}; bracket window r = max(1, p+q-M) .. min(p,q);
-* twisted -- coordinates on the sigma-twisted current space, subject to
-  the linear relations y_ij^(r) = eps_ij (-1)^r y_{-j,-i}^(r); every
-  polynomial is kept in a fixed fundamental-domain normal form, and the
-  bracket carries the extra eps-twisted sum with the (-1)^{p+r-1} factor.
+* plain (a plain index set) -- coordinates on the truncated current space
+  gl_N + ... + gl_N t^{M-1}; bracket window r = max(1, p+q-M) .. min(p,q);
+* twisted (a signed index set) -- coordinates on the sigma-twisted current
+  space, subject to the linear relations y_ij^(r) = eps_ij (-1)^r
+  y_{-j,-i}^(r); every polynomial is kept in a fixed fundamental-domain
+  normal form, and the bracket carries the extra eps-twisted sum with the
+  (-1)^{p+r-1} factor.
 
-Rank computations are exact over the rationals (partial derivatives
-evaluated in one gradient pass per polynomial, Bareiss fraction-free
-elimination on integer rows); random points come from a seeded generator
-so every certificate is reproducible.
+Every rank certificate evaluates at a `CurrentPoint`: partial derivatives
+in one gradient pass per polynomial, then Bareiss fraction-free
+elimination on integer rows, all exact over the rationals.  A slice
+certificate differentiates in its free coordinates at a point that keeps
+the base values on every other coordinate, which is the Jacobian of the
+restriction to the slice.  Random points come from a seeded generator, so
+every certificate is reproducible.
 """
 from __future__ import annotations
 
@@ -27,18 +31,15 @@ from .rationals import ONE, accumulate, binomial, div, rat
 
 
 class PoissonContext:
-    """Variable universe and bracket flavour ('plain' or 'twisted')."""
+    """Variable universe and bracket flavour at level M: 'plain' on a
+    plain index set, 'twisted' on a signed one."""
 
     __slots__ = ("kind", "index_set", "M", "_vars", "_bracket_cache")
 
-    def __init__(self, kind: str, index_set: IndexSet, M: int):
-        if kind not in ("plain", "twisted"):
-            raise ValueError(f"unknown context kind {kind!r}")
-        if kind == "twisted" and index_set.kind != "signed":
-            raise ValueError("twisted context needs a signed index set")
+    def __init__(self, index_set: IndexSet, M: int):
         if M < 1:
             raise ValueError("M must be >= 1")
-        self.kind = kind
+        self.kind = "twisted" if index_set.kind == "signed" else "plain"
         self.index_set = index_set
         self.M = M
         self._vars = None
@@ -46,14 +47,13 @@ class PoissonContext:
 
     def __eq__(self, other):
         return (isinstance(other, PoissonContext)
-                and (self.kind, self.index_set, self.M)
-                == (other.kind, other.index_set, other.M))
+                and (self.index_set, self.M) == (other.index_set, other.M))
 
     def __hash__(self):
-        return hash((self.kind, self.index_set, self.M))
+        return hash((self.index_set, self.M))
 
     def __repr__(self):
-        return f"PoissonContext({self.kind!r}, {self.index_set!r}, M={self.M})"
+        return f"PoissonContext({self.index_set!r}, M={self.M})"
 
     def reduce_var(self, v: tuple):
         """Normal form of a single variable: (sign, representative) or
@@ -232,10 +232,9 @@ class PoissonPoly:
             (drop_one(m), c * k) for m, c in self.terms.items()
             for k in (m.count(v),) if k)))
 
-    def evaluate(self, values):
-        """Value at a point; `values` is a CurrentPoint or a plain dict
-        keyed by variable triples."""
-        get = values.value if isinstance(values, CurrentPoint) else values.__getitem__
+    def evaluate(self, point: "CurrentPoint"):
+        """Value at a point."""
+        get = point.value
         acc = 0
         for m, c in self.terms.items():
             t = c
@@ -246,16 +245,15 @@ class PoissonPoly:
             acc += t
         return rat(acc)
 
-    def gradient(self, coords, point) -> list:
+    def gradient(self, coords, point: "CurrentPoint") -> list:
         """[df/dv at the point for v in coords] in one pass over the
         monomials: each factor's partial is the product of the other
         factors, read off prefix and suffix products of the point values.
-        Coordinates reduce as in `derivative`; `point` is as in
-        `evaluate`.  The coefficients are scaled to integers, and integral
-        point values are ints in canonical form (all random points are),
-        so the products run on Python ints; one division per entry
-        restores the exact value."""
-        get = point.value if isinstance(point, CurrentPoint) else point.__getitem__
+        Coordinates reduce as in `derivative`.  The coefficients are
+        scaled to integers, and integral point values are ints in
+        canonical form (all random points are), so the products run on
+        Python ints; one division per entry restores the exact value."""
+        get = point.value
         den = lcm(*(c.denominator for c in self.terms.values()))
         acc: dict = {}
         for m, c in self.terms.items():
@@ -272,23 +270,6 @@ class PoissonPoly:
             red = self.context.reduce_var(v)
             out.append(0 if red is None else div(acc.get(red[1], 0), den))
         return out
-
-    def substitute(self, assignments: dict) -> "PoissonPoly":
-        """Replace the listed variables by rational values."""
-
-        def substituted(m, coeff):
-            keep = []
-            for v in m:
-                if v in assignments:
-                    coeff = coeff * rat(assignments[v])
-                    if not coeff:
-                        return ()
-                else:
-                    keep.append(v)
-            return ((tuple(keep), coeff),)
-
-        return _poly(self.context, accumulate({}, (
-            t for m, c in self.terms.items() for t in substituted(m, c))))
 
 
 def _poly(context: PoissonContext, terms: dict) -> PoissonPoly:
@@ -377,10 +358,6 @@ class CurrentPoint:
         return self.values[v]
 
     @staticmethod
-    def zero(context: PoissonContext) -> "CurrentPoint":
-        return CurrentPoint(context, {})
-
-    @staticmethod
     def from_level_matrix(context: PoissonContext, level: int,
                           matrix: dict) -> "CurrentPoint":
         """Point supported at a single level; `matrix` maps (i, j) to a
@@ -389,13 +366,14 @@ class CurrentPoint:
             context, {(level, i, j): v for (i, j), v in matrix.items()})
 
     @staticmethod
-    def random(context: PoissonContext, seed: int, bound: int = 9) -> "CurrentPoint":
+    def random(context: PoissonContext, seed: int) -> "CurrentPoint":
+        """Seeded point, nonzero integers in -9..9."""
         rng = random.Random(seed)
         vals = {}
         for v in context.variables():
             x = 0
             while x == 0:
-                x = rng.randint(-bound, bound)
+                x = rng.randint(-9, 9)
             vals[v] = x
         return CurrentPoint(context, vals)
 
@@ -498,24 +476,6 @@ def bethe_family(context: PoissonContext, z: ZMatrix, *,
     return family
 
 
-def bethe_poly(k: int, z: ZMatrix, context: PoissonContext) -> list:
-    """Coefficient list [c^(0), ..., c^(kM)] of the degree-k member of the
-    determinant family: the coefficient of v^{N-k} divided by binomial(N,k),
-    read off in descending powers of u from u^{kM}.  Callers that need
-    several k should take them from one bethe_family."""
-    if not (1 <= k <= context.index_set.N):
-        raise ValueError("k out of range")
-    return bethe_family(context, z)[k]
-
-
-def classical_det_poly(z: ZMatrix, index_set: IndexSet) -> dict:
-    """M = 1 specialization det(u + V + Z v) on a Lie algebra: twisted
-    context for signed index sets, plain otherwise."""
-    kind = "twisted" if index_set.kind == "signed" else "plain"
-    context = PoissonContext(kind, index_set, 1)
-    return det_poly(context, z)
-
-
 # -- nilpotents and slices -------------------------------------------------------
 
 
@@ -567,41 +527,21 @@ def required_parity(index_set: IndexSet) -> int:
     return 1
 
 
-class Slice:
-    """Affine slice: base point plus the span of the listed free
-    coordinates; every other coordinate is frozen at the base value."""
-
-    __slots__ = ("context", "base", "free")
-
-    def __init__(self, context: PoissonContext, base: CurrentPoint,
-                 free: tuple):
-        self.context = context
-        self.base = base
-        self.free = free
-
-    def fixed_assignments(self) -> dict:
-        free = set(self.free)
-        return {v: self.base.value(v)
-                for v in self.context.variables() if v not in free}
-
-
-def upper_slice(context: PoissonContext, variant: str = "section4") -> Slice:
-    """The Borel-directed slice through the top-level nilpotent: free
-    coordinates are the upper-triangular ones at every level."""
+def upper_slice(context: PoissonContext, variant: str = "section4") -> tuple:
+    """The Borel-directed slice through the top-level nilpotent, as
+    (base, free): `base` maps every fundamental-domain variable to its
+    value at the nilpotent, and the free coordinates are the
+    upper-triangular ones at every level.  The slice is the base point
+    moved along the free coordinates only."""
     if (variant != "lemma45" and context.kind == "twisted"
             and context.M % 2 != required_parity(context.index_set)):
         raise ValueError("truncation level parity incompatible with "
                          "the base nilpotent")
     E = principal_nilpotent(context.index_set, variant)
-    base = CurrentPoint.from_level_matrix(context, context.M, E)
+    point = CurrentPoint.from_level_matrix(context, context.M, E)
+    base = {v: point.value(v) for v in context.variables()}
     free = tuple(v for v in context.variables() if v[1] <= v[2])
-    return Slice(context, base, free)
-
-
-def restrict_to_slice(p: PoissonPoly, s: Slice) -> PoissonPoly:
-    if p.context != s.context:
-        raise ValueError("polynomial and slice from different contexts")
-    return p.substitute(s.fixed_assignments())
+    return base, free
 
 
 # -- exact ranks -----------------------------------------------------------------
@@ -660,10 +600,10 @@ def _bareiss_sync(mat: list, stamp: list, r: int, col: int, d: int) -> list:
     return mat[r]
 
 
-def jacobian_rank(fs: list, coords, values) -> int:
+def jacobian_rank(fs: list, coords, point: CurrentPoint) -> int:
     """Rank of [df_a/dv_b] evaluated at the point."""
     coords = list(coords)
-    rows = [f.gradient(coords, values) for f in fs]
+    rows = [f.gradient(coords, point) for f in fs]
     if not rows:
         return 0
     return matrix_rank(rows)
@@ -678,21 +618,19 @@ def bracket_matrix(point: CurrentPoint, context: PoissonContext) -> list:
             for a in coords]
 
 
-def poisson_rank_at(point: CurrentPoint, context: PoissonContext) -> int:
-    """Rank of the matrix of coordinate brackets at a point."""
-    return matrix_rank(bracket_matrix(point, context))
+# points a certificate tries before it settles for the best rank seen
+RETRIES = 5
 
 
-def certified_jacobian_rank(fs: list, coords, context: PoissonContext,
-                            seed: int, expected: int, retries: int = 5):
-    """Max Jacobian rank over a few seeded random points; stops early when
-    the expected rank is reached.  Returns (achieved, seed_used)."""
-    best, best_seed = 0, seed
-    for t in range(retries):
-        pt = CurrentPoint.random(context, seed + t)
-        r = jacobian_rank(fs, coords, pt)
+def certified_jacobian_rank(fs: list, coords, point, expected: int):
+    """Max Jacobian rank over the points point(t), t = 0, 1, ... in order,
+    at most RETRIES of them; stops early when the expected rank is
+    reached.  Returns (achieved, t of the point that achieved it)."""
+    best, best_t = 0, 0
+    for t in range(RETRIES):
+        r = jacobian_rank(fs, coords, point(t))
         if r > best:
-            best, best_seed = r, seed + t
+            best, best_t = r, t
         if best >= expected:
             break
-    return best, best_seed
+    return best, best_t

@@ -21,6 +21,17 @@ import time
 from .rationals import format_rat
 
 
+def h_orientation(k: int) -> str:
+    """The arrow orientations ("outer=..,inner=.." joined by ";") in which
+    the ordered product of the R_pq(q-p), p < q, equals 1! 2! ... k! H_k:
+    all four at k = 2 (one factor), two from k = 3 on.  Reports declare
+    them; `verify fusion` checks them (tensor.verify_antisymmetrizers)."""
+    if k < 3:
+        return ("trivial", "outer=asc,inner=asc;outer=asc,inner=desc;"
+                "outer=desc,inner=asc;outer=desc,inner=desc")[k - 1]
+    return "outer=asc,inner=asc;outer=desc,inner=desc"
+
+
 def deterministic_mode() -> bool:
     return os.environ.get("BETHE_DETERMINISTIC", "") == "1"
 

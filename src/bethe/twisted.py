@@ -22,7 +22,7 @@ multiplied out and normal-ordered once per context.
   R(u-v) S_1(u) R~(-u-v) S_2(v) - S_2(v) R~(-u-v) S_1(u) R(u-v) of the
   one-site series `s_series` (`reflection_residual`).  `verify_reflection`
   reads its entries through `s_expand`, the rho check through
-  `evalmap.rho_map`; a window with no coefficient gives no rows.
+  `evalmap.rho_map`; an entry with no coefficient in the window has no row.
 * A_k(u) is built by `twisted_bethe_series`, one `trace_words` walk over
   the steps of the fused block S(u,k) (`fused_steps`): the formal letter
   sites S(u-p) between rational R-matrix factors.  It is read through
@@ -178,27 +178,25 @@ def reflection_residual(ctx: TwistedContext, D: int) -> BiLaurent:
 
 def reflection_rows(label: str, ctx: TwistedContext, D: int,
                     total_order: int, image) -> list:
-    """One row "label (i,j,k,l)" per index tuple: does the algebra map
-    `image` kill entry ((i,k),(j,l)) of the reflection residual at every
-    u^-r v^-s with r+s <= total_order?  No rows when that window holds no
-    coefficient, as at D = 1, or at D = 2 for sp2: there the relation
-    holds on formal words and the check could not fail."""
+    """One row "label (i,j,k,l)" per index tuple whose entry ((i,k),(j,l))
+    of the reflection residual has a coefficient at some u^-r v^-s with
+    r+s <= total_order (any other row could not fail): does the algebra
+    map `image` kill them all?  So D = 1, or D = 2 for sp2, gives none."""
     window = [c for (eu, ev), c in reflection_residual(ctx, D).entries.items()
               if -(eu + ev) <= total_order]
-    if not window:
-        return []
     details = []
     for i, j, k, l in product(ctx.index_set.indices(), repeat=4):
         key = ((i, k), (j, l))
-        details.append((f"{label} ({i},{j},{k},{l})", not any(
-            image(c.entries[key]) for c in window if key in c.entries)))
+        coeffs = [c.entries[key] for c in window if key in c.entries]
+        if coeffs:
+            details.append((f"{label} ({i},{j},{k},{l})",
+                            not any(image(x) for x in coeffs)))
     return details
 
 
 def verify_reflection(ctx: TwistedContext, D: int, total_order: int) -> list:
-    """The reflection relation, one row per index tuple (i,j,k,l), read
-    from the matrix-form residual through `s_expand` at the coefficients
-    of u^-r v^-s with r+s <= total_order."""
+    """The reflection relation, read from the matrix-form residual through
+    `s_expand` at the coefficients of u^-r v^-s with r+s <= total_order."""
     return reflection_rows("reflection", ctx, D, total_order, ctx.s_expand)
 
 
@@ -394,12 +392,19 @@ def verify_prop36_trace_form(ctx: TwistedContext, z: ZMatrix, k: int,
     return prop36_trace_form(ctx, z, k, D) == full
 
 
-def verify_prop36(ctx: TwistedContext, z: ZMatrix, D: int,
-                  one_label: str) -> list:
+def scalar_list_label(xs) -> str:
+    """Exact scalars as "[Fraction(p, q), ...]", the text of the prop-3.6
+    scalar rows, written the same for ints and for every backend."""
+    return "[" + ", ".join(f"Fraction({x.numerator}, {x.denominator})"
+                           for x in xs) + "]"
+
+
+def verify_prop36(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
     """The rows of proposition 3.6: the twisted hat identity, the trace
-    form of hat-A_k for k = 1..N at the scalar series 1 (spelled
-    `one_label` in the rows), and the exchange scalar.  Each hat-A_k is
-    built once and serves both the identity and the trace form."""
+    form of hat-A_k for k = 1..N at the scalar series 1 (spelled by
+    `scalar_list_label` in the rows), and the exchange scalar.  Each
+    hat-A_k is built once and serves both the identity and the trace form."""
+    one_label = scalar_list_label([1] + [0] * D)
     hats = {}
 
     def hat(k):

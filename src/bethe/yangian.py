@@ -221,10 +221,12 @@ def centrality_rows(label: str, x: TruncatedSeries, gen_label: str, gen,
             for i in idx for j in idx]
 
 
-def verify_centrality(rule: YangianRule, D: int, max_level: int) -> list:
+def verify_centrality(rule: YangianRule, D: int) -> list:
+    """The quantum determinant through order D commutes with the
+    generators of levels 1..D."""
     return centrality_rows("qdet", quantum_determinant(rule, D), "gen",
                            lambda s, i, j: rule.element(i, j, s),
-                           rule.index_set.indices(), max_level)
+                           rule.index_set.indices(), D)
 
 
 def commutator_table(series: dict, letter: str, budget: int, D: int) -> list:

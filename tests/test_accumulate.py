@@ -12,7 +12,7 @@ from bethe.tensor import TensorElement
 
 PLAIN2 = IndexSet.plain(2)
 RULE = YangianRule(PLAIN2)
-CONTEXT = PoissonContext("plain", PLAIN2, 2)
+CONTEXT = PoissonContext(PLAIN2, 2)
 GENS = [(r, i, j) for r in (1, 2) for i in (1, 2) for j in (1, 2)]
 
 # small magnitudes and few keys, so that sums collide and cancel

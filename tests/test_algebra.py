@@ -97,7 +97,7 @@ def test_symbol_accumulates_coinciding_free_words():
     free = FreeRule(IndexSet.plain(2))
     a = free.element(1, 2) * free.element(2, 1) \
         + free.element(2, 1) * free.element(1, 2)
-    ctx = PoissonContext("plain", free.index_set, 1)
+    ctx = PoissonContext(free.index_set, 1)
     p = symbol(a, 2, ctx)
     key = tuple(sorted(((1, 1, 2), (1, 2, 1))))
     assert p.terms == {key: Q(2)}
@@ -105,7 +105,7 @@ def test_symbol_accumulates_coinciding_free_words():
 
 def test_symbol_drops_lower_degree_and_rejects_higher():
     a = RULE.element(1, 1, 2) + RULE.element(1, 2, 1)
-    ctx = PoissonContext("plain", RULE.index_set, 2)
+    ctx = PoissonContext(RULE.index_set, 2)
     assert symbol(a, 2, ctx).terms == {((2, 1, 1),): Q(1)}
     try:
         symbol(a, 1, ctx)

@@ -94,7 +94,7 @@ def test_a_value_error_inside_a_computation_is_internal(monkeypatch, capsys):
 def test_prop36_labels_are_the_same_for_every_scalar_type():
     from fractions import Fraction
 
-    from bethe.cli import scalar_list_label
+    from bethe.twisted import scalar_list_label
 
     text = "[Fraction(1, 1), Fraction(0, 1), Fraction(-3, 2)]"
     assert scalar_list_label([1, 0, Fraction(-3, 2)]) == text
@@ -188,15 +188,26 @@ def test_determinant_guard_is_an_internal_error(monkeypatch, capsys):
     assert "unexpected degree" in capsys.readouterr().err
 
 
-def test_conventions_guard_is_an_internal_error(monkeypatch, capsys):
+def test_orientation_rows_fail_for_a_perturbed_r_matrix(monkeypatch,
+                                                        tmp_path):
+    # R_pq(q-p+1) in place of R_pq(q-p): no ordered product gives the
+    # projector, so the declared orientations are not found and exactly
+    # the H_k orientation rows at k >= 2 fail; the reported conventions
+    # are declared, not searched for, and stay as they are
     import bethe.tensor as tensor
 
-    def no_orientation(k, index_set):
-        raise AssertionError("no arrow orientation reproduces the projector")
-
-    monkeypatch.setattr(tensor, "h_k_orientation", no_orientation)
-    assert main(["verify", "rtt", "--kind", "gl", "--N", "2"]) == 3
-    assert "no arrow orientation" in capsys.readouterr().err
+    args = ["verify", "fusion", "--kind", "gl", "--N", "3", "--D", "1"]
+    assert main(args) == 0
+    declared = json.loads((tmp_path / "fusion.json").read_text())
+    real = tensor._r_factor
+    monkeypatch.setattr(tensor, "_r_factor", lambda p, q, value, k, iset:
+                        real(p, q, value + 1, k, iset))
+    assert main(args) == 1
+    data = json.loads((tmp_path / "fusion.json").read_text())
+    failed = [row["item"].split(":")[0] for row in data["details"]
+              if not row["residual_zero"]]
+    assert failed == ["H_2 orientation", "H_3 orientation"]
+    assert data["conventions"] == declared["conventions"]
 
 
 @pytest.mark.parametrize("args, D", [

@@ -9,12 +9,10 @@ from bethe.certify import (expected_jacobian_rank, expected_poisson_rank,
                            verify_symbol_homomorphy)
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.poisson import (CurrentPoint, PoissonContext, PoissonPoly,
-                           bethe_family, bethe_poly, classical_det_poly,
-                           det_poly, jacobian_rank, matrix_rank,
-                           poisson_bracket, poisson_rank_at,
-                           principal_nilpotent, restrict_to_slice,
-                           upper_slice)
-from bethe.rationals import ONE, Q
+                           bethe_family, bracket_matrix, det_poly,
+                           jacobian_rank, matrix_rank, poisson_bracket,
+                           principal_nilpotent, upper_slice)
+from bethe.rationals import ONE, Q, accumulate
 from bethe.tensor import perm_sign
 
 
@@ -27,8 +25,26 @@ def var(ctx, r, i, j):
     return PoissonPoly.variable(ctx, r, i, j)
 
 
+def test_context_kind_follows_the_index_set():
+    assert PoissonContext(IndexSet.plain(2), 1).kind == "plain"
+    for iset in (IndexSet.signed(2, "sp"), IndexSet.signed(3, "so"),
+                 IndexSet.signed(4, "so")):
+        assert PoissonContext(iset, 2).kind == "twisted"
+    with pytest.raises(ValueError):
+        PoissonContext(IndexSet.plain(2), 0)
+
+
+def test_contexts_with_equal_index_sets_and_levels_are_equal():
+    a = PoissonContext(IndexSet.signed(4, "sp"), 2)
+    b = PoissonContext(IndexSet.signed(4, "sp"), 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != PoissonContext(IndexSet.signed(4, "sp"), 3)
+    assert a != PoissonContext(IndexSet.signed(4, "so"), 2)
+    assert a != PoissonContext(IndexSet.plain(4), 2)
+
+
 def test_standard_bracket_at_level_one():
-    ctx = PoissonContext("plain", IndexSet.plain(2), 1)
+    ctx = PoissonContext(IndexSet.plain(2), 1)
     assert poisson_bracket(var(ctx, 1, 1, 1), var(ctx, 1, 1, 2)) == \
         var(ctx, 1, 1, 2)
     f = var(ctx, 1, 1, 2) * var(ctx, 1, 2, 1)
@@ -38,7 +54,7 @@ def test_standard_bracket_at_level_one():
 def test_truncation_window():
     # at M = 2 the bracket of two top-level coordinates keeps only the
     # r = 2 term of the double sum
-    ctx = PoissonContext("plain", IndexSet.plain(2), 2)
+    ctx = PoissonContext(IndexSet.plain(2), 2)
     got = poisson_bracket(var(ctx, 2, 1, 1), var(ctx, 2, 1, 2))
     expect = (var(ctx, 1, 1, 1) * var(ctx, 2, 1, 2)
               - var(ctx, 2, 1, 1) * var(ctx, 1, 1, 2))
@@ -47,7 +63,7 @@ def test_truncation_window():
 
 def test_twisted_reduction_to_fundamental_domain():
     iset = IndexSet.signed(2, "sp")
-    ctx = PoissonContext("twisted", iset, 2)
+    ctx = PoissonContext(iset, 2)
     # y_11^(1) = -y_{-1,-1}^(1);   y_{1,-1}^(2) is forced to zero
     assert var(ctx, 1, 1, 1) == -var(ctx, 1, -1, -1)
     assert var(ctx, 2, 1, -1).is_zero()
@@ -55,20 +71,21 @@ def test_twisted_reduction_to_fundamental_domain():
 
 def test_jacobi_plain_and_twisted():
     _all_ok(verify_poisson_jacobi(
-        PoissonContext("plain", IndexSet.plain(3), 2), seed=1, samples=20))
+        PoissonContext(IndexSet.plain(3), 2), seed=1, samples=20))
     _all_ok(verify_poisson_jacobi(
-        PoissonContext("twisted", IndexSet.signed(3, "so"), 2),
+        PoissonContext(IndexSet.signed(3, "so"), 2),
         seed=2, samples=20))
 
 
 def test_bethe_poly_oracle_values():
     iset = IndexSet.plain(2)
-    ctx = PoissonContext("plain", iset, 1)
+    ctx = PoissonContext(iset, 1)
     z = parse_z_spec("diag:1,2", iset)
-    b1 = bethe_poly(1, z, ctx)
+    family = bethe_family(ctx, z)
+    b1 = family[1]
     assert b1[0] == PoissonPoly.constant(ctx, Q(3, 2))
     assert b1[1] == (var(ctx, 1, 1, 1) * 2 + var(ctx, 1, 2, 2)) * Q(1, 2)
-    b2 = bethe_poly(2, z, ctx)
+    b2 = family[2]
     assert b2[1] == var(ctx, 1, 1, 1) + var(ctx, 1, 2, 2)
     assert b2[2] == (var(ctx, 1, 1, 1) * var(ctx, 1, 2, 2)
                      - var(ctx, 1, 1, 2) * var(ctx, 1, 2, 1))
@@ -76,23 +93,24 @@ def test_bethe_poly_oracle_values():
 
 def test_family_is_involutive_and_top_series_central():
     iset = IndexSet.plain(2)
-    ctx = PoissonContext("plain", iset, 2)
+    ctx = PoissonContext(iset, 2)
     z = parse_z_spec("diag:1,2", iset)
-    fam = [p for k in (1, 2) for p in bethe_poly(k, z, ctx)]
+    family = bethe_family(ctx, z)
+    fam = [p for k in (1, 2) for p in family[k]]
     for a in fam:
         for b in fam:
             assert poisson_bracket(a, b).is_zero()
-    for p in bethe_poly(2, z, ctx):
+    for p in family[2]:
         for v in ctx.variables():
             assert poisson_bracket(p, PoissonPoly.variable(ctx, *v)).is_zero()
 
 
 def test_twisted_parity_and_sign_symmetry():
     iset = IndexSet.signed(2, "sp")
-    ctx = PoissonContext("twisted", iset, 2)
+    ctx = PoissonContext(iset, 2)
     z = parse_z_spec("diag:1", iset, "prime_skew")
     for k in (1, 2):
-        for r, p in enumerate(bethe_poly(k, z, ctx)):
+        for r, p in enumerate(bethe_family(ctx, z)[k]):
             if (iset.N - k + r) % 2 == 1:
                 assert p.is_zero()
 
@@ -107,12 +125,12 @@ def test_laplace_consistency_small():
     _all_ok(verify_laplace_consistency(iset, z, 1))
     sp = IndexSet.signed(2, "sp")
     zs = parse_z_spec("diag:1", sp, "prime_skew")
-    _all_ok(verify_laplace_consistency(sp, zs, 1, D=2))
+    _all_ok(verify_laplace_consistency(sp, zs, 1))
 
 
 def test_current_point_symmetry_is_validated():
     iset = IndexSet.signed(2, "sp")
-    ctx = PoissonContext("twisted", iset, 2)
+    ctx = PoissonContext(iset, 2)
     with pytest.raises(ValueError):
         CurrentPoint(ctx, {(2, 1, -1): Q(1)})  # forced-zero coordinate
 
@@ -124,21 +142,21 @@ def test_matrix_rank_oracle():
 
 
 def test_jacobian_rank_of_constants_is_zero():
-    ctx = PoissonContext("plain", IndexSet.plain(2), 1)
+    ctx = PoissonContext(IndexSet.plain(2), 1)
     consts = [PoissonPoly.constant(ctx, Q(5))]
-    vals = {v: Q(1) for v in ctx.variables()}
-    assert jacobian_rank(consts, ctx.variables(), vals) == 0
+    pt = CurrentPoint(ctx, {v: Q(1) for v in ctx.variables()})
+    assert jacobian_rank(consts, ctx.variables(), pt) == 0
 
 
 def test_poisson_rank_zero_point_and_ceiling():
     iset = IndexSet.plain(2)
-    ctx = PoissonContext("plain", iset, 2)
-    assert poisson_rank_at(CurrentPoint.zero(ctx), ctx) == 0
+    ctx = PoissonContext(iset, 2)
+    assert matrix_rank(bracket_matrix(CurrentPoint(ctx, {}), ctx)) == 0
     ceiling = expected_poisson_rank(ctx)
     rng = random.Random(3)
     for seed in range(5):
         pt = CurrentPoint.random(ctx, seed=rng.randint(0, 10 ** 6))
-        assert poisson_rank_at(pt, ctx) <= ceiling
+        assert matrix_rank(bracket_matrix(pt, ctx)) <= ceiling
 
 
 @pytest.mark.parametrize("kind, n", [("gl", "2"), ("sp", "1")])
@@ -162,16 +180,60 @@ def test_poisson_rank_fails_for_a_bracket_that_breaks_antisymmetry(
     assert main(args) == 1
 
 
+def restricted(p: PoissonPoly, base: dict, free) -> PoissonPoly:
+    """The restriction of p to the slice: every coordinate outside `free`
+    replaced by its base value (the former `PoissonPoly.substitute`), kept
+    as the reference for the slice certificate's Jacobian at a point."""
+    free = set(free)
+    terms: dict = {}
+    for m, c in p.terms.items():
+        for v in m:
+            if v not in free:
+                c = c * base[v]
+        if c:
+            accumulate(terms, ((tuple(v for v in m if v in free), c),))
+    return PoissonPoly(p.context, terms)
+
+
 def test_slice_restriction_values():
     iset = IndexSet.plain(3)
-    ctx = PoissonContext("plain", iset, 2)
-    sl = upper_slice(ctx)
-    fixed = sl.fixed_assignments()
-    assert fixed[(2, 2, 1)] == 1      # subdiagonal at top level
-    assert fixed[(1, 3, 1)] == 0      # below the subdiagonal
+    ctx = PoissonContext(iset, 2)
+    base, free = upper_slice(ctx)
+    assert base[(2, 2, 1)] == 1      # subdiagonal at top level
+    assert base[(1, 3, 1)] == 0      # below the subdiagonal
+    assert (2, 1, 1) in free and (2, 2, 1) not in free
     p = PoissonPoly.variable(ctx, 2, 2, 1) * PoissonPoly.variable(ctx, 2, 1, 1)
-    r = restrict_to_slice(p, sl)
-    assert r == PoissonPoly.variable(ctx, 2, 1, 1)
+    assert restricted(p, base, free) == PoissonPoly.variable(ctx, 2, 1, 1)
+
+
+SLICE_CASES = {
+    "so4": (IndexSet.signed(4, "so"), 1, "lemma45", "diag:1,2"),
+    "so6": (IndexSet.signed(6, "so"), 1, "lemma45", "diag:1/2,3/2,-9/2"),
+    "so8": (IndexSet.signed(8, "so"), 1, "lemma45", "diag:1,2,3,5/2"),
+    "gl3-M2": (IndexSet.plain(3), 2, "section4", "diag:1,2,4"),
+}
+
+
+@pytest.mark.parametrize("iset, M, variant, spec", SLICE_CASES.values(),
+                         ids=SLICE_CASES)
+def test_slice_jacobian_at_the_point_equals_the_restriction(iset, M, variant,
+                                                            spec):
+    # at each seed's draw of 1..9 on the free coordinates, the Jacobian in
+    # the free coordinates at the point that keeps the base values
+    # elsewhere equals, entry by entry, the Jacobian of the restrictions
+    ctx = PoissonContext(iset, M)
+    z = parse_z_spec(spec, iset, None if iset.kind == "plain" else "prime_skew")
+    fs = [p for table in bethe_family(ctx, z).values() for p in table]
+    base, free = upper_slice(ctx, variant)
+    rest = [restricted(f, base, free) for f in fs]
+    assert any(f != r for f, r in zip(fs, rest))
+    for seed in (0, 7, 686):
+        rng = random.Random(seed)
+        draws = {v: rng.randint(1, 9) for v in free}
+        at_point = CurrentPoint(ctx, {**base, **draws})
+        on_slice = CurrentPoint(ctx, draws)
+        assert [f.gradient(free, at_point) for f in fs] == \
+            [r.gradient(free, on_slice) for r in rest]
 
 
 def test_principal_nilpotents_match_the_display():
@@ -185,7 +247,7 @@ def test_principal_nilpotents_match_the_display():
 def test_classical_det_poly_shape():
     iset = IndexSet.signed(4, "so")
     z = parse_z_spec("diag:1,2", iset, "prime_skew")
-    coeffs = classical_det_poly(z, iset)
+    coeffs = det_poly(PoissonContext(iset, 1), z)
     assert isinstance(coeffs, dict) and coeffs
 
 
@@ -265,33 +327,32 @@ DET_CASES = {"gl2": (IndexSet.plain(2), "diag:1,2"),
 def test_minor_expansion_matches_permutation_sum(iset, spec):
     tag = None if iset.kind == "plain" else "prime_skew"
     z = parse_z_spec(spec, iset, tag)
-    kind = "plain" if iset.kind == "plain" else "twisted"
     for M in (1, 2, 3):
-        ctx = PoissonContext(kind, iset, M)
+        ctx = PoissonContext(iset, M)
         got = {k: p.terms for k, p in det_poly(ctx, z).items()}
         assert got == permutation_det_poly(ctx, z)
 
 
 def test_family_members_equal_bethe_poly():
     iset = IndexSet.signed(3, "so")
-    ctx = PoissonContext("twisted", iset, 2)
+    ctx = PoissonContext(iset, 2)
     z = parse_z_spec("diag:2", iset, "prime_skew")
     family = bethe_family(ctx, z)
     assert list(family) == [1, 2, 3]
     for k, table in family.items():
-        assert table == bethe_poly(k, z, ctx)
+        assert table == bethe_family(ctx, z)[k]
         assert len(table) == k * ctx.M + 1
 
 
 def test_gradient_matches_derivatives():
     iset = IndexSet.signed(4, "sp")
-    ctx = PoissonContext("twisted", iset, 3)
+    ctx = PoissonContext(iset, 3)
     z = parse_z_spec("diag:1,3", iset, "prime_skew")
     rng = random.Random(5)
     # an integral point and one with fractional values
     points = [CurrentPoint.random(ctx, seed=4),
-              {v: Q(rng.randint(-9, 9), rng.randint(1, 4))
-               for v in ctx.variables()}]
+              CurrentPoint(ctx, {v: Q(rng.randint(-9, 9), rng.randint(1, 4))
+                                 for v in ctx.variables()})]
     # every grid coordinate, including eps-partners and forced zeros
     coords = [(r, i, j) for r in (1, 2, 3) for i in iset.indices()
               for j in iset.indices()]

@@ -46,11 +46,15 @@ def test_help_and_usage_errors_load_only_the_cli(argv, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["compute", "poisson-bethe", "--kind", "gl", "--N", "2"],
     ["verify", "poisson-rank", "--kind", "gl", "--N", "2"],
+    ["verify", "jacobian", "--kind", "sp", "--n", "1"],
 ])
 def test_poisson_ops_load_no_algebra_families(argv, tmp_path):
+    # the report conventions of a verify op are declared, not searched
+    # for in tensor
     loaded = loaded_by_cli(argv, tmp_path)
     assert "bethe.poisson" in loaded
-    assert not loaded & {"bethe.twisted", "bethe.yangian", "bethe.evalmap"}
+    assert not loaded & {"bethe.twisted", "bethe.yangian", "bethe.evalmap",
+                         "bethe.tensor", "bethe.series", "bethe.algebra"}
 
 
 def test_twisted_symmetry_loads_no_poisson_side(tmp_path):

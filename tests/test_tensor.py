@@ -97,8 +97,8 @@ def test_orientation_string_is_reported():
 
 
 def test_h3_orientation_does_not_depend_on_the_index_set():
-    # S_3 acts faithfully on V^{(x)3} once N >= 3, so the CLI may read the
-    # orientation off the smallest such space
+    # S_3 acts faithfully on V^{(x)3} once N >= 3, so reports may declare
+    # one orientation for every such space
     ref = h_k_orientation(3, IndexSet.plain(3))
     for iset in (IndexSet.plain(4), IndexSet.plain(5),
                  IndexSet.signed(5, "so"), IndexSet.signed(6, "so"),
@@ -132,7 +132,7 @@ def test_building_h_k_runs_no_orientation_search(monkeypatch):
         raise AssertionError("the ordered R-matrix product was formed")
 
     monkeypatch.setattr(tensor, "_r_factor", no_search)
-    for cache in ("_A_CACHE", "_H_CACHE", "_H_ORIENTATION"):
+    for cache in ("_A_CACHE", "_H_CACHE"):
         monkeypatch.setattr(tensor, cache, {})
     for iset in (IndexSet.plain(3), IndexSet.signed(5, "so"),
                  IndexSet.signed(4, "sp")):

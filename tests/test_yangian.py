@@ -89,7 +89,7 @@ def test_quantum_determinant_low_coefficients():
 
 
 def test_centrality_small():
-    _all_ok(verify_centrality(YangianRule(IndexSet.plain(2)), 2, 2))
+    _all_ok(verify_centrality(YangianRule(IndexSet.plain(2)), 2))
 
 
 # dense Z whose off-diagonal entries reach the index pairs a diagonal Z
