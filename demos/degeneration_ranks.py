@@ -29,8 +29,7 @@ def main():
     z = parse_z_spec("diag:1,2", iset)
 
     print("Determinant-expansion family for gl_2, M = 1:")
-    fam = [p for table in bethe_family(ctx, z).values() for p in table
-           if not p.is_zero()]
+    fam = [p for table in bethe_family(ctx, z).values() for p in table if p]
     for p in fam:
         print(f"  {p}")
     residual = max(len(poisson_bracket(a, b).terms)

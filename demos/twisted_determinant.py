@@ -1,17 +1,17 @@
 """Walkthrough: the twisted family A_k(u) and the Sklyanin determinant.
 
 Works inside the twisted algebra for sp_2: checks the symmetry and
-reflection relations that define it, builds the fused series A_k(u), and
+reflection relations that define it, builds the fused series A_k(u),
 certifies the determinant factorization A_N(u) theta(u) = b_N(u) b_N(N-u+1)
-together with the centrality of its coefficients.
+together with the centrality of its coefficients, and reads the trace form
+of the hat family from the rows of proposition 3.6.
 
 Run:  python3 demos/twisted_determinant.py
 """
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.twisted import (TwistedContext, theta_series, twisted_bethe_series,
-                           verify_prop36_trace_form, verify_reflection,
-                           verify_sklyanin, verify_symmetry,
-                           verify_twisted_commutativity)
+                           verify_prop36, verify_reflection, verify_sklyanin,
+                           verify_symmetry, verify_twisted_commutativity)
 
 
 def show(label, rows):
@@ -41,9 +41,10 @@ def main():
          verify_sklyanin(ctx, z, 3, central_levels=2))
 
     print("\nTrace form of the hat family, at the scalar series 1:")
-    for k in (1, 2):
-        ok = verify_prop36_trace_form(ctx, z, k, 3)
-        print(f"  k={k}: {'matches hat-A_k' if ok else 'FAILED'}")
+    for item, ok in verify_prop36(ctx, z, 3):
+        if item.startswith("trace-form scalar"):
+            k = item.split()[2].rstrip(":")
+            print(f"  {k}: {'matches hat-A_k' if ok else 'FAILED'}")
 
 
 if __name__ == "__main__":

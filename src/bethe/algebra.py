@@ -190,9 +190,6 @@ class AlgebraElement:
         self.rule = rule
         self.terms = {m: rat(c) for m, c in terms.items() if c}
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -322,7 +319,7 @@ def monomial_degree(m: tuple) -> int:
 
 def filtration_degree(a: AlgebraElement) -> int:
     """Max over monomials of the total generator level."""
-    if a.is_zero():
+    if not a:
         raise ValueError("the zero element has no filtration degree")
     return max(monomial_degree(m) for m in a.terms)
 

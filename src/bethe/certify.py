@@ -6,6 +6,11 @@ certificates for the shift-of-argument families.
 Every suite returns a list of (item, bool) detail rows, matching the other
 verify_* functions; the CLI wraps these into reports.
 
+A property is stated once and read through the family or the map passed
+in: `_family` picks B_k (plain index set) or the formal A_k (signed), and
+one image suite reads it through pi or rho; the rho homomorphy check is
+the twisted layer's symmetry and reflection rows read through rho.
+
 The module top imports the Poisson side only.  The suites that reach the
 algebras (`algebra`, `evalmap`, `twisted`, `yangian`) import them inside,
 so the Poisson checks load none of them.
@@ -26,55 +31,26 @@ def verify_rho_homomorphy(ctx, D: int) -> list:
     factors through the defining relations)."""
     from .algebra import GlRule
     from .evalmap import rho_map
-    from .twisted import reflection_rows, symmetry_residual_free
-
-    iset = ctx.index_set
-    rho = rho_map(GlRule(iset))
-    idx = iset.indices()
-    details = []
-    for r in range(1, D + 1):
-        for i in idx:
-            for j in idx:
-                res = rho(symmetry_residual_free(ctx, i, j, r))
-                details.append(
-                    (f"rho of symmetry residual i={i} j={j} order {r}",
-                     res.is_zero()))
-    return details + reflection_rows("rho of reflection residual", ctx, D,
-                                     D, rho)
-
-
-def pi_bethe_images(index_set: IndexSet, z: ZMatrix, D: int) -> list:
-    """Enveloping-algebra images of the B_k coefficients, all k, levels
-    1..D, as one flat list."""
-    from .algebra import GlRule, YangianRule
-    from .evalmap import pi_map
-    from .yangian import bethe_series
-
-    rule = YangianRule(index_set)
-    pi = pi_map(GlRule(index_set))
-    out = []
-    for k in range(1, index_set.N + 1):
-        b = bethe_series(k, z, rule, D)
-        for r in range(1, D + 1):
-            out.append(pi(b.coeffs[r]))
-    return out
-
-
-def rho_bethe_images(ctx, z: ZMatrix, D: int) -> list:
-    """Enveloping-algebra images of the A_k coefficients (computed on the
-    formal S-word carrier of the `TwistedContext` ctx), all k, orders
-    1..D."""
-    from .algebra import GlRule
-    from .evalmap import rho_map
-    from .twisted import twisted_bethe_series
+    from .twisted import reflection_rows, symmetry_rows
 
     rho = rho_map(GlRule(ctx.index_set))
-    out = []
-    for k in range(1, ctx.index_set.N + 1):
-        a = twisted_bethe_series(ctx, k, z, D)
-        for r in range(1, D + 1):
-            out.append(rho(a.coeffs[r]))
-    return out
+    return (symmetry_rows("rho of symmetry residual", ctx, D, rho)
+            + reflection_rows("rho of reflection residual", ctx, D, D, rho))
+
+
+def _family(index_set: IndexSet, z: ZMatrix, D: int):
+    """k -> the commuting series of index k through order D: B_k over the
+    Yangian on a plain index set, the formal A_k on a signed one."""
+    if index_set.kind == "plain":
+        from .algebra import YangianRule
+        from .yangian import bethe_series
+
+        rule = YangianRule(index_set)
+        return lambda k: bethe_series(k, z, rule, D)
+    from .twisted import TwistedContext, twisted_bethe_series
+
+    ctx = TwistedContext(index_set)
+    return lambda k: twisted_bethe_series(ctx, k, z, D)
 
 
 def verify_poisson_jacobi(context: PoissonContext, seed: int,
@@ -89,7 +65,7 @@ def verify_poisson_jacobi(context: PoissonContext, seed: int,
         res = (poisson_bracket(a, poisson_bracket(b, c))
                + poisson_bracket(b, poisson_bracket(c, a))
                + poisson_bracket(c, poisson_bracket(a, b)))
-        details.append((f"jacobi triple {t}", res.is_zero()))
+        details.append((f"jacobi triple {t}", not res))
     return details
 
 
@@ -128,22 +104,13 @@ def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix,
     """Graded symbols of the series coefficients equal the determinant-
     expansion polynomials, coefficient by coefficient through order N M
     (plain or twisted per the index set)."""
-    from .algebra import YangianRule, symbol
+    from .algebra import symbol
 
     N = index_set.N
     D = N * M
     context = PoissonContext(index_set, M)
     details = []
-    if index_set.kind == "plain":
-        from .yangian import bethe_series
-
-        rule = YangianRule(index_set)
-        mk = lambda k: bethe_series(k, z, rule, D)
-    else:
-        from .twisted import TwistedContext, twisted_bethe_series
-
-        ctx = TwistedContext(index_set)
-        mk = lambda k: twisted_bethe_series(ctx, k, z, D)
+    mk = _family(index_set, z, D)
     zero = PoissonPoly.constant(context, 0)
     family = bethe_family(context, z)
     for k in range(1, N + 1):
@@ -194,8 +161,7 @@ def verify_twisted_parity(context: PoissonContext, family: dict) -> list:
     N = context.index_set.N
     details = []
     for k, table in family.items():
-        ok = all(p.is_zero() for r, p in enumerate(table)
-                 if (N - k + r) % 2 == 1)
+        ok = not any(p for r, p in enumerate(table) if (N - k + r) % 2 == 1)
         details.append((f"parity zeros k={k}", ok))
     return details
 
@@ -225,17 +191,16 @@ def verify_pi_rho_image_commutativity(index_set: IndexSet, z: ZMatrix,
     """Pairwise commutativity of the enveloping-algebra images, in the
     algebra and in the defining representation."""
     from .algebra import GlRule
-    from .evalmap import verify_image_commutativity
+    from .evalmap import pi_map, rho_map, verify_image_commutativity
 
     gl = GlRule(index_set)
     if index_set.kind == "plain":
-        elems = pi_bethe_images(index_set, z, D)
-        tag = "pi image"
+        image, tag = pi_map(gl), "pi image"
     else:
-        from .twisted import TwistedContext
-
-        elems = rho_bethe_images(TwistedContext(index_set), z, D)
-        tag = "rho image"
+        image, tag = rho_map(gl), "rho image"
+    family = _family(index_set, z, D)
+    elems = [image(c) for k in range(1, index_set.N + 1)
+             for c in family(k).coeffs[1:]]
     rows = verify_image_commutativity(elems, gl)
     return [(f"{tag} {item}", ok) for item, ok in rows]
 

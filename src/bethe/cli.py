@@ -415,8 +415,7 @@ def main(argv=None) -> int:
                     fh.write(rep.to_text())
                 sys.stdout.write(rep.to_text())
             else:
-                with open(path, "w") as fh:
-                    fh.write(rep.to_json())
+                dump_json(rep.to_dict(), path)
                 sys.stdout.write(
                     f"{args.check}: {'pass' if rep.passed else 'fail'} "
                     f"({len(rep.details)} checks) -> {path}\n")

@@ -77,7 +77,7 @@ def verify_image_commutativity(elements: list, gl_rule: GlRule) -> list:
     details = []
     for a in range(len(elements)):
         for b in range(a + 1, len(elements)):
-            alg_ok = commutator(elements[a], elements[b]).is_zero()
+            alg_ok = not commutator(elements[a], elements[b])
             m1 = mat_mul(mats[a], mats[b])
             m2 = mat_mul(mats[b], mats[a])
             details.append((f"pair ({a},{b}) algebra", alg_ok))

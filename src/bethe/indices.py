@@ -66,11 +66,9 @@ class IndexSet:
         s = (1 if i > 0 else -1) * (1 if j > 0 else -1)
         return s
 
-    def same(self, other: "IndexSet") -> bool:
-        return (self.kind, self.N, self.form) == (other.kind, other.N, other.form)
-
     def __eq__(self, other):
-        return isinstance(other, IndexSet) and self.same(other)
+        return isinstance(other, IndexSet) and \
+            (self.kind, self.N, self.form) == (other.kind, other.N, other.form)
 
     def __hash__(self):
         return hash((self.kind, self.N, self.form))
@@ -88,7 +86,7 @@ class ZMatrix:
     "prime_skew" (Z' = -Z); the tag is checked on construction.
     """
 
-    __slots__ = ("index_set", "entries", "symmetry_tag", "simple_spectrum")
+    __slots__ = ("index_set", "entries", "symmetry_tag")
 
     def __init__(self, index_set: IndexSet, entries: dict, symmetry_tag=None):
         self.index_set = index_set
@@ -97,7 +95,6 @@ class ZMatrix:
         self.symmetry_tag = symmetry_tag
         if symmetry_tag is not None:
             self._check_tag()
-        self.simple_spectrum = self._diag_simple()
 
     def _check_tag(self):
         iset = self.index_set
@@ -112,13 +109,6 @@ class ZMatrix:
                     raise ValueError(
                         f"Z does not satisfy Z' = {'+' if sign > 0 else '-'}Z"
                     )
-
-    def _diag_simple(self):
-        iset = self.index_set
-        if any(i != j for (i, j) in self.entries):
-            return None  # non-diagonal: unknown
-        vals = [self.entry(i, i) for i in iset.indices()]
-        return len(set(vals)) == len(vals)
 
     @staticmethod
     def diagonal(index_set: IndexSet, values, symmetry_tag=None) -> "ZMatrix":

@@ -152,9 +152,6 @@ class PoissonPoly:
 
     # -- basics -------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -397,7 +394,7 @@ def det_poly(context: PoissonContext, z: ZMatrix) -> dict:
     so every coefficient is a Python int until the v^b ones are divided
     by L^b at the end."""
     iset = context.index_set
-    if not z.index_set.same(iset):
+    if z.index_set != iset:
         raise ValueError("Z lives on a different index set")
     idx = iset.indices()
     M = context.M
@@ -468,7 +465,7 @@ def bethe_family(context: PoissonContext, z: ZMatrix, *,
                     "unexpected degree in determinant expansion")
         if parity_guard and context.kind == "twisted":
             for r, p in enumerate(out):
-                if (N - k + r) % 2 != 0 and not p.is_zero():
+                if (N - k + r) % 2 != 0 and p:
                     raise AssertionError(
                         f"parity violation: coefficient {r} of the "
                         f"degree-{k} member should vanish")

@@ -68,10 +68,6 @@ class Report:
             "conventions": self.conventions,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ": "), indent=1) + "\n"
-
     def to_text(self) -> str:
         lines = [f"check: {self.check}",
                  f"result: {'pass' if self.passed else 'fail'}"]
@@ -111,6 +107,7 @@ def series_table(config: dict, series_rows: list) -> dict:
 
 
 def dump_json(data: dict, path: str) -> None:
+    """Write a report or table in the fixed JSON encoding."""
     with open(path, "w") as fh:
         fh.write(json.dumps(data, sort_keys=True, separators=(",", ": "),
                             indent=1) + "\n")

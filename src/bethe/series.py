@@ -109,8 +109,8 @@ class TruncatedSeries:
         return TruncatedSeries(ring or self.ring,
                                [f(c) for c in self.coeffs], self.trunc)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -272,13 +272,10 @@ class BiLaurent:
     def __rmul__(self, other):
         return self * other
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, BiLaurent):
             return NotImplemented
-        return (self - other).is_zero()
+        return not (self - other)

@@ -134,9 +134,6 @@ class TensorElement:
     def __hash__(self):
         return hash((self.sites, frozenset(self.entries)))
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 
@@ -247,7 +244,7 @@ def trace_words(h, steps, ring: Ring, D: int) -> TruncatedSeries:
     for i, step in enumerate(steps):
         if isinstance(step, TruncatedSeries):
             branches = {w: y for w, x in branches.items()
-                        for y in (x * step,) if not y.is_zero()}
+                        for y in (x * step,) if y}
             continue
         p, site = step
         if site.coeffs[0] != TensorElement.identity(1, iset, ring):
@@ -257,7 +254,7 @@ def trace_words(h, steps, ring: Ring, D: int) -> TruncatedSeries:
             tail = TruncatedSeries(ring, [ring.zero] + [
                 c.entries.get(((a,), (b,)), ring.zero)
                 for c in site.coeffs[1:D + 1]], D)
-            if not tail.is_zero():
+            if tail:
                 letters[(i, a, b)] = tail
                 opened.append((a, b))
         grown = dict(branches)
@@ -421,7 +418,7 @@ def bilaurent_r(kind: str, pq: tuple, coef_u: int, coef_v: int, const,
     if coef_v:
         ent[(0, 1)] = ident.scale_rat(coef_v)
     c0 = ident.scale_rat(const) - pmat
-    if not c0.is_zero():
+    if c0:
         ent[(0, 0)] = c0
     return BiLaurent(tensor_ring(sites, index_set), ent, INF_CAP, INF_CAP)
 
@@ -459,7 +456,7 @@ def verify_yang_baxter(index_set: IndexSet) -> list:
     r13 = bilaurent_r("plain", (1, 3), 1, 1, 0, 3, index_set)
     r23 = bilaurent_r("plain", (2, 3), 0, 1, 0, 3, index_set)
     res = r12 * r13 * r23 - r23 * r13 * r12
-    return [(f"Yang-Baxter N={index_set.N}", res.is_zero())]
+    return [(f"Yang-Baxter N={index_set.N}", not res)]
 
 
 def verify_mixed_yang_baxter(index_set: IndexSet) -> list:
@@ -486,7 +483,7 @@ def verify_mixed_yang_baxter(index_set: IndexSet) -> list:
     details = []
     for name, a, b, c in cases:
         res = a * b * c - c * b * a
-        details.append((f"{name} ({tag})", res.is_zero()))
+        details.append((f"{name} ({tag})", not res))
     return details
 
 

@@ -16,13 +16,18 @@ the Sklyanin-determinant checks.
 Objects are built on the formal carrier and read through `s_expand`
 where a check needs the defining relations.  `s_expand` is the context's
 `WordMap`: its letters come from `expand_gen`, and each distinct S-word is
-multiplied out and normal-ordered once per context.
+multiplied out and normal-ordered once per context.  The formal S(u) is
+`yangian.t_site_series` under the context's `s_rule`, the one builder of
+a generator series.
 
+* Each defining relation is stated once, as rows read through an algebra
+  map passed in: `symmetry_rows` and `reflection_rows`.
+  `verify_symmetry` and `verify_reflection` pass `s_expand`, and
+  `certify.verify_rho_homomorphy` passes `evalmap.rho_map`.
 * The reflection relation is one matrix-form residual
   R(u-v) S_1(u) R~(-u-v) S_2(v) - S_2(v) R~(-u-v) S_1(u) R(u-v) of the
-  one-site series `s_series` (`reflection_residual`).  `verify_reflection`
-  reads its entries through `s_expand`, the rho check through
-  `evalmap.rho_map`; an entry with no coefficient in the window has no row.
+  one-site series S(u) (`reflection_residual`); an entry with no
+  coefficient in the window has no row.
 * A_k(u) is built by `twisted_bethe_series`, one `trace_words` walk over
   the steps of the fused block S(u,k) (`fused_steps`): the formal letter
   sites S(u-p) between rational R-matrix factors.  It is read through
@@ -31,7 +36,8 @@ multiplied out and normal-ordered once per context.
   only: `hat_trace` walks the same steps reversed and inverted, with the
   letter sites hat-S(u-p), hat-S the inverse of the expanded one-site
   S(u).  No block on two or more sites with algebra coefficients is
-  formed.
+  formed.  `verify_prop36` is the one suite for the twisted hat identity,
+  the trace form and the exchange scalar.
 """
 from __future__ import annotations
 
@@ -44,8 +50,8 @@ from .indices import IndexSet, ZMatrix
 from .rationals import rat
 from .series import (RATIONAL_RING, BiLaurent, TruncatedSeries,
                      algebra_ring, one_over_c_minus_2u)
-from .tensor import (TensorElement, alternator, antisymmetrizer, bilaurent_r,
-                     q_tensor, series_to_bilaurent, tensor_ring, trace_words)
+from .tensor import (alternator, antisymmetrizer, bilaurent_r, q_tensor,
+                     series_to_bilaurent, tensor_ring, trace_words)
 from .yangian import (centrality_rows, commutator_table, hat_identity_rows,
                       quantum_determinant, t_site_series, window_rows,
                       z_product, z_site_tensor)
@@ -78,17 +84,6 @@ class TwistedContext:
         """The formal generator S_ij^(r) as a one-word element."""
         return self.s_rule.element(i, j, r)
 
-    def s_series(self, D: int) -> TruncatedSeries:
-        """S(u) on the formal carrier: the one-site tensor series whose
-        order-r coefficient has the entries S_ij^(r)."""
-        idx = self.index_set.indices()
-        tring = tensor_ring(1, self.index_set, algebra_ring(self.s_rule))
-        return TruncatedSeries(tring, [tring.one] + [
-            TensorElement(1, self.index_set, tring.one.ring,
-                          {((i,), (j,)): self.s_gen(i, j, r)
-                           for i in idx for j in idx})
-            for r in range(1, D + 1)], D)
-
     # -- expansion into the ambient algebra --------------------------------------
 
     def s_series_expanded(self, D: int) -> TruncatedSeries:
@@ -98,7 +93,7 @@ class TwistedContext:
         hit = self._s_series.get(D)
         if hit is not None:
             return hit
-        t = t_site_series(self.yang_rule, 1, 1, D)
+        t = t_site_series(self.yang_rule, D)
         t_tilde = t.map_coeffs(lambda c: c.site_prime(1))
         coeffs = [c.scale_rat((-1) ** r) for r, c in enumerate(t_tilde.coeffs)]
         t_tilde_minus = TruncatedSeries(t_tilde.ring, coeffs, D)
@@ -140,15 +135,18 @@ def symmetry_residual_free(ctx: TwistedContext, i: int, j: int, r: int) -> Algeb
     return res
 
 
-def verify_symmetry(ctx: TwistedContext, D: int) -> list:
+def symmetry_rows(label: str, ctx: TwistedContext, D: int, image) -> list:
+    """One row "label i=.. j=.. order r" per symmetry residual, r <= D:
+    does the algebra map `image` kill it?"""
     idx = ctx.index_set.indices()
-    details = []
-    for r in range(1, D + 1):
-        for i in idx:
-            for j in idx:
-                res = ctx.s_expand(symmetry_residual_free(ctx, i, j, r))
-                details.append((f"symmetry i={i} j={j} order {r}", res.is_zero()))
-    return details
+    return [(f"{label} i={i} j={j} order {r}",
+             not image(symmetry_residual_free(ctx, i, j, r)))
+            for r in range(1, D + 1) for i in idx for j in idx]
+
+
+def verify_symmetry(ctx: TwistedContext, D: int) -> list:
+    """The symmetry relation, read through `s_expand` at orders 1..D."""
+    return symmetry_rows("symmetry", ctx, D, ctx.s_expand)
 
 
 # -- reflection relation ----------------------------------------------------------------
@@ -171,7 +169,7 @@ def reflection_residual(ctx: TwistedContext, D: int) -> BiLaurent:
       + (u-v)(e_{k,-j} S_{i,-k}(u)S_{-j,l}(v) - e_{i,-l} S_{k,-i}(v)S_{-l,j}(u))
       - e_{i,-j}(S_{k,-i}(u)S_{-j,l}(v) - S_{k,-i}(v)S_{-j,l}(u)).
     """
-    s = ctx.s_series(D)
+    s = t_site_series(ctx.s_rule, D)
     return _reflection_form(series_to_bilaurent(s, 1, "u", 2),
                             series_to_bilaurent(s, 2, "v", 2), ctx.index_set)
 
@@ -204,7 +202,7 @@ def verify_mixed_rtt(ctx: TwistedContext, D: int) -> list:
     """T~_1(u) R~(u-v) T_2(v) = T_2(v) R~(u-v) T~_1(u)."""
     iset = ctx.index_set
     rule = ctx.yang_rule
-    t = t_site_series(rule, 1, 1, D)
+    t = t_site_series(rule, D)
     t_tilde = t.map_coeffs(lambda c: c.site_prime(1))
     tt1 = series_to_bilaurent(t_tilde, 1, "u", 2)
     t2 = series_to_bilaurent(t, 2, "v", 2)
@@ -257,7 +255,7 @@ def verify_z_exchange(ctx: TwistedContext, z: ZMatrix) -> list:
     res = _reflection_form(BiLaurent.constant(ring2, z_site_tensor(z, 1, 2)),
                            BiLaurent.constant(ring2, z_site_tensor(z, 2, 2)),
                            iset)
-    return [("exchange identity", res.is_zero())]
+    return [("exchange identity", not res)]
 
 
 # -- the commuting series ----------------------------------------------------------------
@@ -289,7 +287,7 @@ def twisted_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
     h = h.map_coeffs(lambda c: c * hn)
     if k < N:
         h = h.map_coeffs(lambda c: c.partial_trace(rest), tensor_ring(k, iset))
-    s = ctx.s_series(D)
+    s = t_site_series(ctx.s_rule, D)
     steps = fused_steps(lambda p: (p, s.substitute_affine(1, -p)), k, iset, D)
     return trace_words(h, steps, algebra_ring(ctx.s_rule), D)
 
@@ -367,29 +365,12 @@ def hat_twisted_series(ctx: TwistedContext, k: int, z: ZMatrix,
     return hat_trace(ctx, k, h, D)
 
 
-def verify_twisted_hat_identity(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
-    """A_k(u) = A_N(u) hat-A_{N-k}(u-k) / binomial(N,k), k = 1..N, as for
-    the plain hat identity (expanded level)."""
-    return hat_identity_rows(
-        "twisted hat identity", ctx.index_set.N,
-        lambda k: expanded_bethe_series(ctx, k, z, D),
-        lambda k: hat_twisted_series(ctx, k, z, D))
-
-
 def prop36_trace_form(ctx: TwistedContext, z: ZMatrix, k: int,
                       D: int) -> TruncatedSeries:
     """The simplified trace form tr_k x id (H_k x 1 . hat-S(u,k) .
     Z_1..Z_k x 1) through order D."""
     h = z_product(z, range(1, k + 1), k) * antisymmetrizer(k, ctx.index_set)
     return hat_trace(ctx, k, h, D)
-
-
-def verify_prop36_trace_form(ctx: TwistedContext, z: ZMatrix, k: int,
-                             D: int) -> bool:
-    """Does hat-A_k equal the simplified trace form through order D?  The
-    scalar series relating the two is the constant series 1."""
-    full = hat_twisted_series(ctx, k, z, D)
-    return prop36_trace_form(ctx, z, k, D) == full
 
 
 def scalar_list_label(xs) -> str:

@@ -11,8 +11,10 @@ sums them weighted by complementary minors of Z, and the quantum
 determinant is the minor on all N indices.  `bethe_series_tensor` is the
 independent reference for B_k, and `hat_bethe_series` gives the
 inverse-series generators hat-B_k; both are `tensor.trace_words` walks
-over one-site letter series, T(u) and T(u)^-1.  The row builders for one
-identity type each (`window_rows`, `membership_rows`, `commutator_table`,
+over one-site letter series, T(u) and T(u)^-1.  `t_site_series` is the
+one builder of a generator series: T(u) here, the formal S(u) of the
+twisted layer under its free rule.  The row builders for one identity
+type each (`window_rows`, `membership_rows`, `commutator_table`,
 `centrality_rows`, `hat_identity_rows`) serve the twisted layer too.
 """
 from __future__ import annotations
@@ -38,27 +40,27 @@ def t_entry_series(rule: YangianRule, i: int, j: int, D: int) -> TruncatedSeries
     return TruncatedSeries(aring, coeffs, D)
 
 
-def t_site_series(rule: YangianRule, sites: int, pos: int,
-                  D: int) -> TruncatedSeries:
-    """T(u) as a series of tensors living on one site of a larger tensor
-    space, identity on the other sites."""
+def t_site_series(rule, D: int) -> TruncatedSeries:
+    """The one-site series 1 + sum_r X^(r) u^-r of a rule's generators,
+    X^(r) the matrix of the X_ij^(r): T(u) under a `YangianRule`, the
+    formal S(u) under the twisted context's `FreeRule`."""
     iset = rule.index_set
     aring = algebra_ring(rule)
-    one_site_ring = tensor_ring(1, iset, aring)
+    tring = tensor_ring(1, iset, aring)
     idx = iset.indices()
-    coeffs = [one_site_ring.one]
-    for r in range(1, D + 1):
-        ent = {((i,), (j,)): rule.element(i, j, r) for i in idx for j in idx}
-        coeffs.append(TensorElement(1, iset, aring, ent))
-    s = TruncatedSeries(one_site_ring, coeffs, D)
-    big_ring = tensor_ring(sites, iset, aring)
-    return s.map_coeffs(lambda c: c.embed((pos,), sites), big_ring)
+    return TruncatedSeries(tring, [tring.one] + [
+        TensorElement(1, iset, aring, {((i,), (j,)): rule.element(i, j, r)
+                                       for i in idx for j in idx})
+        for r in range(1, D + 1)], D)
 
 
-def t_factors(rule: YangianRule, sites: int, k: int, D: int) -> list:
-    """The site factors T_p(u-p), p = 1..k."""
-    return [t_site_series(rule, sites, p, D).substitute_affine(1, -p)
-            for p in range(1, k + 1)]
+def t_factors(rule: YangianRule, k: int, D: int) -> list:
+    """The site factors T_p(u-p), p = 1..k, each T(u) embedded on site p
+    of k sites."""
+    t = t_site_series(rule, D)
+    ring = tensor_ring(k, rule.index_set, algebra_ring(rule))
+    return [t.map_coeffs(lambda c: c.embed((p,), k), ring)
+            .substitute_affine(1, -p) for p in range(1, k + 1)]
 
 
 def z_site_tensor(z: ZMatrix, pos: int, sites: int) -> TensorElement:
@@ -145,7 +147,7 @@ def bethe_series_tensor(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Trunca
     h = z_product(z, range(k + 1, N + 1), N) * antisymmetrizer(N, iset)
     if k < N:
         h = h.partial_trace(range(k + 1, N + 1))
-    t = t_site_series(rule, 1, 1, D)
+    t = t_site_series(rule, D)
     return trace_words(h, [(p, t.substitute_affine(1, -p))
                            for p in range(1, k + 1)], algebra_ring(rule), D)
 
@@ -165,7 +167,7 @@ def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Truncated
     if k == 0:
         return TruncatedSeries.one(algebra_ring(rule), D)
     h = z_product(z, range(1, k + 1), k) * antisymmetrizer(k, iset)
-    t_hat = t_site_series(rule, 1, 1, D).invert()
+    t_hat = t_site_series(rule, D).invert()
     return trace_words(h, [(p, t_hat.substitute_affine(1, -p))
                            for p in range(k, 0, -1)], algebra_ring(rule), D)
 
@@ -191,7 +193,7 @@ def membership_rows(label: str, a: TensorElement, x: TruncatedSeries) -> list:
 def verify_rtt(rule: YangianRule, D: int) -> list:
     """Residuals of R(u-v) T_1(u) T_2(v) - T_2(v) T_1(u) R(u-v)."""
     iset = rule.index_set
-    t = t_site_series(rule, 1, 1, D)
+    t = t_site_series(rule, D)
     t1 = series_to_bilaurent(t, 1, "u", 2)
     t2 = series_to_bilaurent(t, 2, "v", 2)
     r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset)
@@ -202,7 +204,7 @@ def verify_fusion(rule: YangianRule, k: int, D: int) -> list:
     """H_k (T_1..T_k) = (T_k..T_1) H_k, plus the fused-block membership
     predicate H X = H X H, coefficientwise, on A_k = k! H_k."""
     a = alternator(k, rule.index_set)
-    factors = t_factors(rule, k, k, D)
+    factors = t_factors(rule, k, D)
     fwd = reduce(mul, factors)
     lhs = fwd.map_coeffs(lambda x: a * x)
     rhs = reduce(mul, reversed(factors)).map_coeffs(lambda x: x * a)
@@ -216,7 +218,7 @@ def centrality_rows(label: str, x: TruncatedSeries, gen_label: str, gen,
     """Rows [label coeff r, gen_label(i,j)^(s)] = 0: every coefficient
     r >= 1 of x commutes with the generators gen(s, i, j), s <= levels."""
     return [(f"[{label} coeff {r}, {gen_label}({i},{j})^({s})]",
-             commutator(x.coeffs[r], gen(s, i, j)).is_zero())
+             not commutator(x.coeffs[r], gen(s, i, j)))
             for r in range(1, x.trunc + 1) for s in range(1, levels + 1)
             for i in idx for j in idx]
 
@@ -244,7 +246,7 @@ def commutator_table(series: dict, letter: str, budget: int, D: int) -> list:
                     res = commutator(series[k].coeffs[r], series[l].coeffs[s])
                     details.append(
                         (f"[{letter}_{k} coeff {r}, {letter}_{l} coeff {s}]",
-                         res.is_zero()))
+                         not res))
     return details
 
 

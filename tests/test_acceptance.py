@@ -23,11 +23,9 @@ from bethe.indices import IndexSet, parse_z_spec
 from bethe.poisson import PoissonContext, bethe_family
 from bethe.tensor import (verify_antisymmetrizers, verify_mixed_yang_baxter,
                           verify_r_identities, verify_yang_baxter)
-from bethe.twisted import (TwistedContext, verify_prop36_trace_form,
-                           verify_reflection, verify_sklyanin,
-                           verify_symmetry, verify_twisted_commutativity,
-                           verify_twisted_hat_identity,
-                           verify_z_rmatrix_scalar)
+from bethe.twisted import (TwistedContext, verify_prop36, verify_reflection,
+                           verify_sklyanin, verify_symmetry,
+                           verify_twisted_commutativity)
 from bethe.yangian import (bethe_series, bethe_series_tensor,
                            verify_bethe_commutativity, verify_centrality,
                            verify_fusion, verify_hat_identity, verify_rtt)
@@ -136,15 +134,19 @@ def test_criterion_13_sklyanin_determinant_and_centrality():
 
 
 def test_criterion_14_hat_family_trace_form():
-    _all_ok(verify_twisted_hat_identity(SP2, Z_SP, 3))
-    _all_ok(verify_twisted_hat_identity(SO3, Z_SO_SYM, 3))
-    # the trace form holds at the fixed scalar, the constant series 1
+    # the twisted hat identity, the trace form at the fixed scalar (the
+    # constant series 1) for every k, and the exchange identity, which
+    # carries one factor of u
+    one = "[Fraction(1, 1)" + ", Fraction(0, 1)" * 3 + "]"
     for ctx, z in ((SP2, Z_SP), (SO3, Z_SO_SYM)):
-        for k in range(1, ctx.index_set.N + 1):
-            assert verify_prop36_trace_form(ctx, z, k, 3), \
-                (ctx.index_set.form, k)
-        # the exchange identity carries one factor of u
-        _all_ok(verify_z_rmatrix_scalar(ctx, z))
+        rows = verify_prop36(ctx, z, 3)
+        _all_ok(rows)
+        N = ctx.index_set.N
+        items = [item for item, _ in rows]
+        assert sum(i.startswith("twisted hat identity") for i in items) == N
+        assert [f"trace-form scalar k={k}: {one}" for k in range(1, N + 1)] \
+            == [i for i in items if i.startswith("trace-form scalar")]
+        assert "exchange scalar c(u) = 1*u + 0" in items
 
 
 def test_criterion_15_rho_homomorphy():

@@ -359,13 +359,14 @@ def test_fusion_fails_for_a_doubled_site_spacing(monkeypatch):
 
     args = ["verify", "fusion", "--kind", "gl", "--N", "2", "--D", "2"]
     assert main(args) == 0
-    real = yangian.t_site_series
+    real = yangian.t_factors
 
-    def doubled_spacing(rule, sites, pos, D):
+    def doubled_spacing(rule, k, D):
         # T_p(u - 2p) in place of T_p(u - p): R(2) is not a multiple of H_2
-        return real(rule, sites, pos, D).substitute_affine(1, -pos)
+        return [f.substitute_affine(1, -p)
+                for p, f in enumerate(real(rule, k, D), 1)]
 
-    monkeypatch.setattr(yangian, "t_site_series", doubled_spacing)
+    monkeypatch.setattr(yangian, "t_factors", doubled_spacing)
     assert main(args) == 1
 
 
@@ -425,20 +426,34 @@ def test_prop36_fails_for_the_flip_in_the_exchange(monkeypatch, tmp_path):
     assert {**row, "residual_zero": False} in rows
 
 
-def test_rho_hom_fails_without_the_eps_partner(monkeypatch, tmp_path):
+def _drop_the_eps_partner(monkeypatch):
+    """F_ij = E_ij alone: rho no longer factors through the symmetry
+    relation, nor through the reflection relation."""
     from bethe import evalmap
 
+    monkeypatch.setattr(evalmap, "f_element",
+                        lambda gl_rule, i, j: gl_rule.element(i, j))
+
+
+def test_rho_hom_fails_without_the_eps_partner(monkeypatch, tmp_path):
     args = ["verify", "rho-hom", "--kind", "so", "--n", "1", "--odd",
             "--D", "2"]
     assert main(args) == 0
-    # F_ij = E_ij alone: rho no longer factors through the symmetry
-    # relation, nor through the reflection relation
-    monkeypatch.setattr(evalmap, "f_element",
-                        lambda gl_rule, i, j: gl_rule.element(i, j))
+    _drop_the_eps_partner(monkeypatch)
     assert main(args) == 1
     rows = json.loads((tmp_path / "rho-hom.json").read_text())["details"]
-    assert any(row["item"].startswith("rho of reflection residual")
-               and not row["residual_zero"] for row in rows)
+    for suite in ("rho of symmetry residual", "rho of reflection residual"):
+        assert any(row["item"].startswith(suite) and not row["residual_zero"]
+                   for row in rows), suite
+
+
+def test_image_commute_fails_without_the_eps_partner(monkeypatch):
+    # the rho images of the A_k coefficients stop commuting at so3 D = 3
+    args = ["verify", "image-commute", "--kind", "so", "--n", "1", "--odd",
+            "--D", "3"]
+    assert main(args) == 0
+    _drop_the_eps_partner(monkeypatch)
+    assert main(args) == 1
 
 
 # -- the word transfer behind every trace form -----------------------------------

@@ -26,12 +26,10 @@ def test_eps_values():
         IndexSet.plain(2).eps(1, 1)
 
 
-def test_diagonal_z_and_simple_spectrum():
+def test_diagonal_z_entries():
     iset = IndexSet.plain(3)
     z = parse_z_spec("diag:1,2,3", iset)
     assert z.entry(2, 2) == 2 and z.entry(1, 3) == 0
-    assert z.simple_spectrum
-    assert not parse_z_spec("diag:1,1,3", iset).simple_spectrum
 
 
 def test_signed_diag_fill_skew_and_symmetric():

@@ -23,7 +23,7 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     one = TruncatedSeries.one(RATIONAL_RING, D)
     assert a * one == a
-    assert (a - a).is_zero()
+    assert one and not (a - a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,4 +71,4 @@ def test_bilaurent_window_semantics():
     # multiplying by a positive-degree factor narrows the trusted window
     assert prod.cap_u == 1
     assert prod.entries == {(-1, 0): ONE}
-    assert (x - x).is_zero()
+    assert not (x - x)

@@ -15,13 +15,11 @@ from bethe.twisted import (TwistedContext, expanded_bethe_series, fused_steps,
                            fused_z, hat_trace, hat_twisted_series,
                            reflection_residual, theta_series,
                            twisted_bethe_series, verify_mixed_rtt,
-                           verify_prop36, verify_prop36_trace_form,
-                           verify_reflection,
+                           verify_prop36, verify_reflection,
                            verify_sklyanin, verify_symmetry,
-                           verify_twisted_commutativity,
-                           verify_twisted_hat_identity, verify_z_exchange,
+                           verify_twisted_commutativity, verify_z_exchange,
                            verify_z_rmatrix_scalar)
-from bethe.yangian import membership_rows, z_product
+from bethe.yangian import membership_rows, t_site_series, z_product
 
 SP2 = TwistedContext(IndexSet.signed(2, "sp"))
 SO3 = TwistedContext(IndexSet.signed(3, "so"))
@@ -43,7 +41,7 @@ def fused_s(ctx, k, D, expanded=True):
     factors: the product of the steps that `trace_words` walks, site p
     carrying S(u-p) on the formal carrier or mapped through s_expand."""
     iset = ctx.index_set
-    s = ctx.s_series(D)
+    s = t_site_series(ctx.s_rule, D)
     if expanded:
         ring = algebra_ring(ctx.yang_rule)
         s = s.map_coeffs(lambda c: c.map_coeffs(ctx.s_expand, ring),
@@ -151,14 +149,27 @@ def test_twisted_commutativity_small():
     _all_ok(verify_twisted_commutativity(SP2, Z_SP, budget=3))
 
 
+def _prop36_rows(prefix):
+    """The rows of `verify_prop36` at sp2, D = 2, whose label starts with
+    `prefix`."""
+    return [row for row in verify_prop36(SP2, Z_SP, 2)
+            if row[0].startswith(prefix)]
+
+
+# the trace-form row of hat-A_1 at D = 2, at the scalar series 1
+TRACE_FORM_K1 = ("trace-form scalar k=1: [Fraction(1, 1), Fraction(0, 1), "
+                 "Fraction(0, 1)]")
+
+
 def test_twisted_hat_identity_small():
-    rows = verify_twisted_hat_identity(SP2, Z_SP, 2)
+    rows = _prop36_rows("twisted hat identity")
+    assert len(rows) == SP2.index_set.N
     _all_ok(rows)
 
 
 def test_prop36_scalar_resolution():
     # the trace form equals hat-A_k at the fixed scalar series 1
-    assert verify_prop36_trace_form(SP2, Z_SP, 1, 2) is True
+    assert dict(verify_prop36(SP2, Z_SP, 2))[TRACE_FORM_K1] is True
     # the exchange holds at the fixed scalar c(u) = u
     assert verify_z_rmatrix_scalar(SP2, Z_SP) == [
         ("exchange scalar c(u) = 1*u + 0", True)]
@@ -174,7 +185,7 @@ def test_twisted_hat_identity_negative_control(monkeypatch, factor):
     # 1/4 = 1/binomial(2,1)**2 is the factor that the scalar binomial(2,1)
     # would absorb at k=1, had it been accepted besides 1/binomial(2,1)
     _scaled_hat(monkeypatch, factor)
-    rows = verify_twisted_hat_identity(SP2, Z_SP, 2)
+    rows = _prop36_rows("twisted hat identity")
     assert [item for item, _ in rows] == [
         "twisted hat identity k=1 (scalar 1/2)",
         "twisted hat identity k=2 (scalar 1)"]
@@ -202,7 +213,7 @@ def test_prop36_builds_each_hat_series_once(monkeypatch):
 def test_prop36_scalar_negative_control(monkeypatch):
     # hat-A_k doubled: the trace form is hat-A_k times 1/2, not times 1
     _scaled_hat(monkeypatch, Q(2))
-    assert verify_prop36_trace_form(SP2, Z_SP, 1, 2) is False
+    assert dict(verify_prop36(SP2, Z_SP, 2))[TRACE_FORM_K1] is False
 
 
 def test_twisted_constant_terms():
