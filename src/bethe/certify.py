@@ -205,6 +205,14 @@ def verify_pi_rho_image_commutativity(index_set: IndexSet, z: ZMatrix,
     return [(f"{tag} {item}", ok) for item, ok in rows]
 
 
+def rank_table_holds(index_set: IndexSet, M: int) -> bool:
+    """Whether the rank tables below hold level M: every M in the plain
+    case, odd M for odd-orthogonal and symplectic, even M for
+    even-orthogonal."""
+    even_so = index_set.form == "so" and index_set.N % 2 == 0
+    return index_set.kind == "plain" or M % 2 == (0 if even_so else 1)
+
+
 def expected_jacobian_rank(context: PoissonContext) -> int:
     """Dimension of the certification slice: MN(N+1)/2 in the plain case,
     the three-branch table in the twisted cases (odd M for odd-orthogonal

@@ -11,12 +11,13 @@ Two subcommands:
 
 Both exit with status 2 on usage errors and 3 on internal errors.  A usage
 error is bad outside input: an unknown check, a missing or out-of-range
-flag, a malformed or unreadable --Z, or an output path that cannot be
-written.  `RunConfig` turns every such input into a `UsageError` before
-any computation starts.  An internal error is a failed internal guard
-(such as the degree and parity guards of the determinant expansion) or
-any other exception raised by a computation, a `ValueError` included.
-Errors go to stderr.
+flag, an --M outside the rank tables of ``verify jacobian`` and ``verify
+poisson-rank``, a malformed or unreadable --Z, or an output path that
+cannot be written.  `RunConfig` turns every such input into a
+`UsageError` before any computation starts.  An internal error is a
+failed internal guard (such as the degree and parity guards of the
+determinant expansion) or any other exception raised by a computation, a
+`ValueError` included.  Errors go to stderr.
 ``verify jacobian`` reports the parity zeros as detail rows instead, so a
 parity violation there exits 1.
 
@@ -81,6 +82,13 @@ class RunConfig:
                              "--budget - 1 for the commutator suites)")
         if args.M < 1:
             raise UsageError("--M must be >= 1")
+        if getattr(args, "check", None) in ("jacobian", "poisson-rank"):
+            from .certify import rank_table_holds
+
+            if not rank_table_holds(self.index_set, args.M):
+                raise UsageError(f"--M {args.M} is outside the rank tables: "
+                                 "they hold odd M for sp and odd so, even M "
+                                 "for even so")
         if args.k and not 1 <= args.k <= N:
             raise UsageError("k out of range")
         self.M = args.M

@@ -221,10 +221,6 @@ class BiLaurent:
         self.cap_u = cap_u
         self.cap_v = cap_v
 
-    @staticmethod
-    def constant(ring: Ring, value, cap_u=INF_CAP, cap_v=INF_CAP) -> "BiLaurent":
-        return BiLaurent(ring, {(0, 0): value}, cap_u, cap_v)
-
     def max_deg(self) -> tuple[int, int]:
         if not self.entries:
             return (0, 0)

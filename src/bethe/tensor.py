@@ -8,37 +8,39 @@ carry tensor coefficients.  A rational tensor multiplies a ring-valued one
 from either side, and the product lives in the ring of the ring-valued
 operand: no rational tensor is lifted into an algebra ring.
 
-Provides permutation operators, the antisymmetrizer, site embeddings,
-partial traces and per-site prime transposition.  The antisymmetrizer is
-built in closed form as the integral A_k = k! H_k, and identities with
-H_k are checked on A_k; only `h_k_orientation` forms the ordered
-R-matrix product, to check the arrow orientations that reports declare.
-The R-matrices R(u) = u - P and its twisted companion R~(u) = u - Q, Q
-the one-sided prime transpose of P, have one form: `bilaurent_r` gives
-R_pq at any affine argument in (u, v) as an exact BiLaurent over the
-rational tensors, and every R-matrix identity (unitarity, Yang-Baxter,
-the mixed exchanges, RTT and reflection) is a product of such objects.
+Provides permutation operators, the alternator, site embeddings and
+per-site prime transposition.  The alternator A_k = k! H_k, H_k the
+antisymmetrizer, is built in closed form as an integral tensor, and
+identities with H_k are checked on A_k; only `h_k_orientation` forms the
+ordered R-matrix product, to check the arrow orientations that reports
+declare.  The R-matrices R(u) = u - P and its twisted companion
+R~(u) = u - Q, Q the one-sided prime transpose of P, have one form:
+`bilaurent_r` gives R_pq at any affine argument in (u, v) as an exact
+BiLaurent over the rational tensors, and every R-matrix identity
+(unitarity, Yang-Baxter, the mixed exchanges, RTT and reflection) is a
+product of such objects.
 
-Every commuting family is a trace tr(H . X(u) . F(u)) of an
-algebra-valued block X(u) between rational factors: an antisymmetrizer H,
-normalized R-matrix factors and Z sites.  Since the trace is cyclic and
-rationals commute with every coefficient, this equals tr(h(u) X(u)) with
-h(u) = F(u) H multiplied out over Q.  X(u) is a product of steps: one-site
-letter series (S, its inverse, T or its inverse) on their sites, and
-rational factors between them.  `trace_words` is the one contraction: it
-expands the product into words of letters with rational weights, so the
-block X(u) is never formed.  When X acts as the identity on some sites,
-tracing those sites out of h first shrinks the walk to the sites it lives
-on.  `series_to_bilaurent` lifts a one-site series to a bivariate object
-on several sites, for the matrix-form relation checks.
+Every commuting family is a trace tr(F(u) H_n X(u)) of an algebra-valued
+block X(u) against the antisymmetrizer H_n on n sites and rational
+factors F(u): normalized R-matrix factors id - Q_pq/(c - 2u) and Z sites.
+H_n has rank binomial(N, n): n! H_n = A_n = sum_I |w_I><w_I|, one row
+<w_I| of A_n per n-subset I (`alternator_rows`).  As the trace is cyclic
+and rationals are central, it is sum_I <w_I| X(u) F(u) |w_I> / n!.
+`rank_one_ket` applies F(u) to the |w_I> one factor at a time, and
+`trace_words`, the one contraction, walks the rows through the steps of
+X(u), one-site letter series and pair steps id - c(u) Q_pq, expanding
+the product into words of letters with rational weights: neither X(u)
+nor F(u) H_n is formed.  `series_to_bilaurent` lifts a one-site series
+to a bivariate object on several sites, for the matrix-form relation
+checks.
 """
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial, prod
 
 from .indices import IndexSet
-from .rationals import accumulate, binomial, is_rat, rat
+from .rationals import accumulate, binomial, div, is_rat, rat
 from .reports import h_orientation
 from .series import (INF_CAP, RATIONAL_RING, BiLaurent, Ring, TruncatedSeries,
                      algebra_ring, sum_terms)
@@ -171,16 +173,6 @@ class TensorElement:
                 acc[(tuple(row), tuple(col))] = v
         return TensorElement(n, self.index_set, self.ring, acc)
 
-    def partial_trace(self, traced) -> "TensorElement":
-        """Trace out the given 1-based sites, keeping the rest."""
-        traced = sorted(set(traced))
-        keep = [s for s in range(1, self.sites + 1) if s not in traced]
-        acc = sum_terms(self.ring, (
-            ((tuple(r[s - 1] for s in keep), tuple(c[s - 1] for s in keep)), v)
-            for (r, c), v in self.entries.items()
-            if all(r[s - 1] == c[s - 1] for s in traced)))
-        return TensorElement(len(keep), self.index_set, self.ring, acc)
-
     def partial_trace_all(self):
         """Full trace over all tensor sites; returns a ring element."""
         return self.ring.sum([v for (r, c), v in self.entries.items()
@@ -214,37 +206,105 @@ def tensor_ring(sites: int, index_set: IndexSet, coeff_ring: Ring = RATIONAL_RIN
                 coeff_ring.rational)
 
 
-# -- trace contraction ------------------------------------------------------------
+# -- the rank-one trace -------------------------------------------------------
 
 
-def trace_words(h, steps, ring: Ring, D: int) -> TruncatedSeries:
-    """tr(h(u) Y_1(u) ... Y_m(u)) through order D, over `ring`.
+def alternator_rows(k: int, index_set: IndexSet) -> TensorElement:
+    """The rows of A_k at ascending row keys: row I, one per k-subset I of
+    the index set, is w_I = sum_sigma sgn(sigma) e_{sigma.I}.  A_k is the
+    sum of the rank-one |w_I><w_I|: A_k = ket . bra with bra these rows
+    and ket their transpose, the columns of A_k at ascending keys."""
+    signs = [(p, perm_sign(p)) for p in permutations(range(k))]
+    return TensorElement(k, index_set, RATIONAL_RING, {
+        (rows, tuple(rows[i] for i in p)): s
+        for rows in combinations(index_set.indices(), k) for p, s in signs})
 
-    h is a rational tensor on k sites, or a series of them.  A step Y is
-    either a series of rational tensors on the k sites, or a letter site
-    (p, L): a one-site series L over `ring` with L_0 = 1, placed on site p.
-    Every series is trusted through order D.
+
+def _pair_action(x: dict, p: int, q: int, index_set: IndexSet) -> dict:
+    """x . Q_pq for vectors keyed (label, multi-index), p < q.  On sites p
+    and q, Q = sum_bd eps_bd |-b,b><-d,d| with eps_bd = sign_b sign_d: it
+    has rank one and is symmetric, so this is Q_pq . x as well."""
+    sign = {d: -1 if index_set.form == "sp" and d < 0 else 1
+            for d in index_set.indices()}
+    groups: dict = {}
+    for (lab, col), v in x.items():
+        b = col[q - 1]
+        if col[p - 1] == -b:
+            key = (lab, col[:p - 1], col[p:q - 1], col[q:])
+            groups[key] = groups.get(key, 0) + sign[b] * v
+    return {(lab, head + (-d,) + mid + (d,) + tail): sign[d] * s
+            for (lab, head, mid, tail), s in groups.items() if s
+            for d in sign}
+
+
+def pair_step(x: list, p: int, q: int, c: TruncatedSeries,
+              index_set: IndexSet) -> list:
+    """x(u) . (id - c(u) Q_pq) through the orders of x, a list of vector
+    dicts per order of u^-1, c a rational series: with c(u) = 1/(a - 2u)
+    the normalized R-matrix factor id - Q_pq/(a - 2u), in the walk of
+    `trace_words` and on the ket alike."""
+    xq = [_pair_action(xr, p, q, index_set) for xr in x]
+    return [accumulate(dict(x[s]), ((key, -ct * v) for t in range(s + 1)
+                                    for ct in (c.coeffs[t],) if ct
+                                    for key, v in xq[s - t].items()))
+            for s in range(len(x))]
+
+
+def rank_one_ket(bra: TensorElement, factors, D: int) -> list:
+    """F(u) |w_I> / k! for every row <w_I| of bra = `alternator_rows(k)`,
+    as one dict per order of u^-1 through D, keyed like bra's entries (A_k
+    is symmetric), so that tr(F H_k Y) = trace_words(bra, steps of Y,
+    ket).  F is the ordered product of `factors`, pair steps (p, q, c) and
+    Z sites (p, z), z a ZMatrix, applied right to left: no factor is
+    formed on all sites."""
+    iset, n = bra.index_set, factorial(bra.sites)
+    x = [{key: div(v, n) for key, v in bra.entries.items()}]
+    x += [{} for _ in range(D)]
+    for f in reversed(factors):
+        if len(f) == 3:
+            x = pair_step(x, *f, iset)
+        else:
+            # Z_p moves column a of site p to every b with z_ba != 0
+            p, z = f
+            x = [accumulate({}, (((lab, col[:p - 1] + (b,) + col[p:]), v * zv)
+                                 for (lab, col), v in xr.items()
+                                 for (b, a), zv in z.entries.items()
+                                 if a == col[p - 1])) for xr in x]
+    return x
+
+
+def trace_words(bra, steps, ket, ring: Ring, D: int) -> TruncatedSeries:
+    """sum_I <bra_I| Y_1(u) ... Y_m(u) |ket_I(u)> through order D, over
+    `ring`: the trace form tr(F(u) H_n Y(u)) for bra the rows of A_n and
+    ket from `rank_one_ket`.
+
+    bra is a rational tensor whose rows <bra_I| are labelled by I, and ket
+    holds the vectors ket_I(u) as one dict per order of u^-1 through D,
+    keyed like bra's entries.  A step Y is a letter site (p, L), a
+    one-site series L over `ring` with L_0 = 1 placed on site p, or a pair
+    step (p, q, c), id - c(u) Q_pq with c a rational series
+    (`pair_step`).  Every series is trusted through order D.
 
     With L = 1 + sum_ab E_ab L~_ab(u), the product expands into words: a
     word picks, at each letter site, the identity or one leg E_ab, and
-    its weight W(u) = tr(h Y'_1 ... Y'_m), with Y' the rational step or
-    the chosen leg, is a rational series.  Since rationals are central,
-    the trace is sum_words W(u) L~_1(u) ... L~_j(u), the letters in the
-    order of the steps.  The walk keeps one weight per word, keyed by its
-    letters (step index, a, b), and tracks it only to order D minus the
-    word length, since each letter L~ starts at order 1.  No tensor with
-    ring coefficients is formed: the letters' series multiply once per
-    word, along a prefix memo."""
-    if isinstance(h, TensorElement):
-        h = TruncatedSeries.constant(tensor_ring(h.sites, h.index_set), h, D)
-    tring = h.ring
-    sites, iset = tring.one.sites, tring.one.index_set
-    branches = {(): h}
+    its weight W(u) = sum_I <bra_I| Y'_1 ... Y'_m |ket_I>, with Y' the
+    pair step or the chosen leg, is a rational series.  Since rationals
+    are central, the trace is sum_words W(u) L~_1(u) ... L~_j(u), the
+    letters in the order of the steps.  The walk keeps the rows of each
+    word, keyed by its letters (step index, a, b), only to order D minus
+    the word length, since each letter L~ starts at order 1; a label
+    whose ket vector is zero at every order is dropped first.  No tensor
+    with ring coefficients is formed: the letters' series multiply once
+    per word, along a prefix memo."""
+    iset = bra.index_set
+    live = {lab for e in ket for lab, _ in e}
+    start = {key: v for key, v in bra.entries.items() if key[0] in live}
+    branches = {(): [start] + [{} for _ in range(D)]} if start else {}
     letters = {}
     for i, step in enumerate(steps):
-        if isinstance(step, TruncatedSeries):
+        if len(step) == 3:
             branches = {w: y for w, x in branches.items()
-                        for y in (x * step,) if y}
+                        for y in (pair_step(x, *step, iset),) if any(y)}
             continue
         p, site = step
         if site.coeffs[0] != TensorElement.identity(1, iset, ring):
@@ -260,17 +320,15 @@ def trace_words(h, steps, ring: Ring, D: int) -> TruncatedSeries:
         grown = dict(branches)
         for w, x in branches.items():
             # x . E_ab on site p moves column a of site p to column b
-            legs = [{} for _ in range(x.trunc)]
-            for r, leg in enumerate(legs):
-                for (row, col), v in x.coeffs[r].entries.items():
-                    leg.setdefault(col[p - 1], []).append((row, col, v))
+            legs = [{} for _ in x[1:]]
+            for leg, xr in zip(legs, x):
+                for (lab, col), v in xr.items():
+                    leg.setdefault(col[p - 1], []).append((lab, col, v))
             for a, b in opened:
-                coeffs = [TensorElement(sites, iset, RATIONAL_RING, {
-                    (row, col[:p - 1] + (b,) + col[p:]): v
-                    for row, col, v in leg.get(a, ())}) for leg in legs]
+                coeffs = [{(lab, col[:p - 1] + (b,) + col[p:]): v
+                           for lab, col, v in leg.get(a, ())} for leg in legs]
                 if any(coeffs):
-                    grown[w + ((i, a, b),)] = TruncatedSeries(
-                        tring, coeffs, x.trunc - 1)
+                    grown[w + ((i, a, b),)] = coeffs
         branches = grown
     prefix = {(): TruncatedSeries.one(ring, D)}
 
@@ -282,11 +340,13 @@ def trace_words(h, steps, ring: Ring, D: int) -> TruncatedSeries:
 
     parts = [[] for _ in range(D + 1)]
     for w, x in branches.items():
-        weight = [c.partial_trace_all() for c in x.coeffs]
+        weight = [rat(sum(v * ket[r - s][key] for s in range(r + 1)
+                          for key, v in x[s].items() if key in ket[r - s]))
+                  for r in range(len(x))]
         word = word_series(w).coeffs
         for s in range(D + 1):
             parts[s] += [word[s - r] * weight[r]
-                         for r in range(min(s, x.trunc) + 1)
+                         for r in range(min(s, len(x) - 1) + 1)
                          if weight[r] and word[s - r]]
     return TruncatedSeries(ring, [ring.sum(ps) for ps in parts], D)
 
@@ -340,16 +400,7 @@ def q_tensor(index_set: IndexSet) -> TensorElement:
     return flip(index_set).site_prime(1)
 
 
-def antisymmetrizer_oracle(k: int, index_set: IndexSet) -> TensorElement:
-    """(1/k!) sum_sigma sgn(sigma) P_sigma — the defining expression."""
-    acc = TensorElement.zero(k, index_set)
-    for sigma in permutations(range(1, k + 1)):
-        acc = acc + perm_operator(sigma, index_set).scale_rat(perm_sign(sigma))
-    return acc.scale_rat(rat(1, factorial(k)))
-
-
 _A_CACHE: dict = {}
-_H_CACHE: dict = {}
 
 
 def alternator(k: int, index_set: IndexSet) -> TensorElement:
@@ -363,17 +414,6 @@ def alternator(k: int, index_set: IndexSet) -> TensorElement:
         hit = _A_CACHE[key] = TensorElement(k, index_set, RATIONAL_RING, {
             (tuple(b[i] for i in p), b): s
             for b in permutations(index_set.indices(), k) for p, s in signs})
-    return hit
-
-
-def antisymmetrizer(k: int, index_set: IndexSet) -> TensorElement:
-    """H_k = A_k / k!, the projector that the trace forms of the commuting
-    families use; every identity with H_k is checked on A_k instead."""
-    key = (k, index_set)
-    hit = _H_CACHE.get(key)
-    if hit is None:
-        hit = _H_CACHE[key] = alternator(k, index_set).scale_rat(
-            rat(1, factorial(k)))
     return hit
 
 

@@ -8,10 +8,9 @@ The twisted generators S_ij^(r) are carried in two forms:
   S_ij(u) = sum_a eps_ja T_ia(u) T_{-j,-a}(-u), then PBW-normal-ordered —
   the carrier for all abstract-algebra identities.
 
-Built on top: the symmetry and reflection relation suites, the fused
-element Z(u,k) with its scalar normalization folded into the R-matrix
-factors, the commuting series A_k(u), the inverse-series generators, and
-the Sklyanin-determinant checks.
+Built on top: the symmetry and reflection relation suites, the commuting
+series A_k(u), the inverse-series generators, and the Sklyanin-determinant
+checks.
 
 Objects are built on the formal carrier and read through `s_expand`
 where a check needs the defining relations.  `s_expand` is the context's
@@ -28,33 +27,31 @@ a generator series.
   R(u-v) S_1(u) R~(-u-v) S_2(v) - S_2(v) R~(-u-v) S_1(u) R(u-v) of the
   one-site series S(u) (`reflection_residual`); an entry with no
   coefficient in the window has no row.
-* A_k(u) is built by `twisted_bethe_series`, one `trace_words` walk over
-  the steps of the fused block S(u,k) (`fused_steps`): the formal letter
-  sites S(u-p) between rational R-matrix factors.  It is read through
-  `expanded_bethe_series`.
+* A_k(u) is built by `twisted_bethe_series`, one `trace_words` walk of
+  the one row of A_N over the steps of the fused block S(u,k)
+  (`fused_steps`): the formal letter sites S(u-p) and the pair steps of
+  the normalized R-matrix factors id - Q_pq/(c-2u).  The connecting
+  factors and the fused Z block act on the ket only.  A_k is read
+  through `expanded_bethe_series`.
 * The hat series and the prop-3.6 trace form live on the expanded carrier
-  only: `hat_trace` walks the same steps reversed and inverted, with the
-  letter sites hat-S(u-p), hat-S the inverse of the expanded one-site
-  S(u).  No block on two or more sites with algebra coefficients is
-  formed.  `verify_prop36` is the one suite for the twisted hat identity,
-  the trace form and the exchange scalar.
+  only: `hat_trace` walks the rows of A_k over the same steps reversed
+  and inverted, with the letter sites hat-S(u-p), hat-S the inverse of
+  the expanded one-site S(u).  `verify_prop36` is the one suite for the
+  twisted hat identity, the trace form and the exchange scalar.
 """
 from __future__ import annotations
 
-from functools import reduce
 from itertools import product
-from operator import mul
 
 from .algebra import AlgebraElement, FreeRule, WordMap, YangianRule
 from .indices import IndexSet, ZMatrix
-from .rationals import rat
 from .series import (RATIONAL_RING, BiLaurent, TruncatedSeries,
                      algebra_ring, one_over_c_minus_2u)
-from .tensor import (alternator, antisymmetrizer, bilaurent_r, q_tensor,
-                     series_to_bilaurent, tensor_ring, trace_words)
+from .tensor import (alternator, alternator_rows, bilaurent_r, q_tensor,
+                     rank_one_ket, series_to_bilaurent, trace_words)
 from .yangian import (centrality_rows, commutator_table, hat_identity_rows,
                       quantum_determinant, t_site_series, window_rows,
-                      z_product, z_site_tensor)
+                      z_site_tensor)
 
 
 class TwistedContext:
@@ -213,49 +210,22 @@ def verify_mixed_rtt(ctx: TwistedContext, D: int) -> list:
 # -- fused elements -----------------------------------------------------------------------
 
 
-def _g_factor(p: int, q: int, sites: int, iset: IndexSet,
-              D: int) -> TruncatedSeries:
-    """R~_pq(p+q-2u)/(p+q-2u) = id - Q_pq / (p+q-2u), as an exact series of
-    rational tensors: a rational step of the fused block, never lifted."""
-    scalars = one_over_c_minus_2u(p + q, D)
-    qpq = q_tensor(iset).embed((p, q), sites)
-    tring = tensor_ring(sites, iset)
-    coeffs = [tring.one]
-    for r in range(1, D + 1):
-        coeffs.append(-qpq.scale_rat(scalars.coeffs[r]))
-    return TruncatedSeries(tring, coeffs, D)
+def fused_steps(site, sites, shift, D: int) -> list:
+    """The ordered factors of a fused block on the ascending `sites`: for
+    each p, site(p) followed by its normalized R-matrix factors
+    R~_pq(c-2u)/(c-2u) = id - Q_pq/(c-2u), c = p+q-shift, q > p, each as
+    the pair step (p, q, 1/(c-2u))."""
+    return [f for p in sites
+            for f in (site(p), *((p, q, one_over_c_minus_2u(p + q - shift, D))
+                                 for q in sites if q > p))]
 
 
-def fused_steps(site, k: int, iset: IndexSet, D: int) -> list:
-    """The ordered factors of a fused block on sites 1..k: for p = 1..k,
-    site(p) followed by its normalized R-matrix factors R~_pq/(p+q-2u),
-    q = p+1..k."""
-    return [f for p in range(1, k + 1)
-            for f in (site(p), *(_g_factor(p, q, k, iset, D)
-                                 for q in range(p + 1, k + 1)))]
-
-
-def fused_z(ctx: TwistedContext, z: ZMatrix, k: int, D: int) -> TruncatedSeries:
-    """Z(u,k), k >= 1: ordered product of Z_p and normalized R-matrix
-    factors."""
-    if z.symmetry_tag is None:
+def _z_block(z: ZMatrix, sites, N: int, D: int) -> list:
+    """The factors of Z(u + N/2 - s + 1, m) on the m ascending `sites`, s
+    the first: the Z_p and pair steps of 1/(p+q-N-2u)."""
+    if sites and z.symmetry_tag is None:
         raise ValueError("the fused parameter element needs a symmetry tag")
-    iset = ctx.index_set
-    tring = tensor_ring(k, iset)
-    return reduce(mul, fused_steps(
-        lambda p: TruncatedSeries.constant(tring, z_site_tensor(z, p, k), D),
-        k, iset, D))
-
-
-def verify_z_exchange(ctx: TwistedContext, z: ZMatrix) -> list:
-    """Exact exchange identity R(u-v) Z_1 R~(-u-v) Z_2 =
-    Z_2 R~(-u-v) Z_1 R(u-v)."""
-    iset = ctx.index_set
-    ring2 = tensor_ring(2, iset)
-    res = _reflection_form(BiLaurent.constant(ring2, z_site_tensor(z, 1, 2)),
-                           BiLaurent.constant(ring2, z_site_tensor(z, 2, 2)),
-                           iset)
-    return [("exchange identity", not res)]
+    return fused_steps(lambda p: (p, z), sites, N, D)
 
 
 # -- the commuting series ----------------------------------------------------------------
@@ -267,29 +237,22 @@ def twisted_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
     block on sites 1..k, the connecting normalized R-matrix factors, and
     the fused Z block on sites k+1..N shifted by N/2 - k.
 
-    The rational side h(u) = (R-factors . Z block)(u) H_N is multiplied
-    out first and sites k+1..N, where the S block is the identity, are
-    traced out of it.  `trace_words` then walks the steps of S(u,k): the
-    letter sites S(u-p) and the rational R-matrix factors."""
+    N! H_N = |w><w| has rank one, so with F(u) the R-factors and the Z
+    block this is <w| S(u,k) F(u) |w> / N!: `trace_words` walks the row
+    <w| through the steps of S(u,k) and contracts with F(u)|w>/N!."""
     iset = ctx.index_set
     N = iset.N
     if not (1 <= k <= N):
         raise ValueError("k out of range")
-    h = TruncatedSeries.one(tensor_ring(N, iset), D)
-    for p in range(1, k + 1):
-        for q in range(k + 1, N + 1):
-            h = h * _g_factor(p, q, N, iset, D)
-    if k < N:
-        rest = tuple(range(k + 1, N + 1))
-        zloc = fused_z(ctx, z, N - k, D).substitute_affine(1, rat(N, 2) - k)
-        h = h * zloc.map_coeffs(lambda c: c.embed(rest, N), h.ring)
-    hn = antisymmetrizer(N, iset)
-    h = h.map_coeffs(lambda c: c * hn)
-    if k < N:
-        h = h.map_coeffs(lambda c: c.partial_trace(rest), tensor_ring(k, iset))
+    connect = [(p, q, one_over_c_minus_2u(p + q, D))
+               for p in range(1, k + 1) for q in range(k + 1, N + 1)]
+    bra = alternator_rows(N, iset)
+    ket = rank_one_ket(bra, connect + _z_block(z, range(k + 1, N + 1), N, D),
+                       D)
     s = t_site_series(ctx.s_rule, D)
-    steps = fused_steps(lambda p: (p, s.substitute_affine(1, -p)), k, iset, D)
-    return trace_words(h, steps, algebra_ring(ctx.s_rule), D)
+    steps = fused_steps(lambda p: (p, s.substitute_affine(1, -p)),
+                        range(1, k + 1), 0, D)
+    return trace_words(bra, steps, ket, algebra_ring(ctx.s_rule), D)
 
 
 def expanded_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
@@ -338,16 +301,23 @@ def verify_twisted_commutativity(ctx: TwistedContext, z: ZMatrix,
 # -- inverse-series generators -------------------------------------------------------------
 
 
-def hat_trace(ctx: TwistedContext, k: int, h, D: int) -> TruncatedSeries:
-    """tr(h(u) . hat-S(u,k)) with expanded coefficients, hat-S(u,k) the
-    inverse series of S(u,k).  As (X_1 ... X_m)^-1 = X_m^-1 ... X_1^-1
-    over the steps of S(u,k), each R-matrix factor is inverted over Q and
-    each site S(u-p) becomes hat-S(u-p), with hat-S = S^-1 on one site."""
+def hat_trace(ctx: TwistedContext, k: int, factors, D: int) -> TruncatedSeries:
+    """tr(F(u) H_k . hat-S(u,k)) with expanded coefficients, hat-S(u,k) the
+    inverse series of S(u,k) and F(u) the product of the ket `factors`
+    (`rank_one_ket`).  As (X_1 ... X_m)^-1 = X_m^-1 ... X_1^-1 over the
+    steps of S(u,k), each site S(u-p) becomes hat-S(u-p), with hat-S =
+    S^-1 on one site, and each pair step id - c Q is inverted as
+    id - c' Q with c' = -c/(1 - N c), since Q^2 = N Q."""
+    N = ctx.index_set.N
     s_hat = ctx.s_hat_expanded(D)
-    steps = fused_steps(lambda p: (p, s_hat.substitute_affine(1, -p)), k,
-                        ctx.index_set, D)
-    return trace_words(h, [f if isinstance(f, tuple) else f.invert()
-                           for f in reversed(steps)],
+    steps = fused_steps(lambda p: (p, s_hat.substitute_affine(1, -p)),
+                        range(1, k + 1), 0, D)
+    one = TruncatedSeries.one(RATIONAL_RING, D)
+    inverted = [f if len(f) == 2 else
+                (*f[:2], -f[2] * (one - f[2] * N).invert())
+                for f in reversed(steps)]
+    bra = alternator_rows(k, ctx.index_set)
+    return trace_words(bra, inverted, rank_one_ket(bra, factors, D),
                        algebra_ring(ctx.yang_rule), D)
 
 
@@ -355,22 +325,17 @@ def hat_twisted_series(ctx: TwistedContext, k: int, z: ZMatrix,
                        D: int) -> TruncatedSeries:
     """hat-A_k(u) = tr_k x id (H_k x 1 . hat-S(u,k) . Z(u+N/2, k) x 1),
     contracted as tr(Z(u+N/2, k) H_k . hat-S(u,k)) by `hat_trace`."""
-    iset = ctx.index_set
-    N = iset.N
     if k == 0:
         return TruncatedSeries.one(algebra_ring(ctx.yang_rule), D)
-    hk = antisymmetrizer(k, iset)
-    h = fused_z(ctx, z, k, D).substitute_affine(1, rat(N, 2))\
-        .map_coeffs(lambda c: c * hk)
-    return hat_trace(ctx, k, h, D)
+    return hat_trace(ctx, k, _z_block(z, range(1, k + 1), ctx.index_set.N, D),
+                     D)
 
 
 def prop36_trace_form(ctx: TwistedContext, z: ZMatrix, k: int,
                       D: int) -> TruncatedSeries:
     """The simplified trace form tr_k x id (H_k x 1 . hat-S(u,k) .
     Z_1..Z_k x 1) through order D."""
-    h = z_product(z, range(1, k + 1), k) * antisymmetrizer(k, ctx.index_set)
-    return hat_trace(ctx, k, h, D)
+    return hat_trace(ctx, k, [(p, z) for p in range(1, k + 1)], D)
 
 
 def scalar_list_label(xs) -> str:

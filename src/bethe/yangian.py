@@ -8,12 +8,11 @@ every check reduces to "the normal form of a residual is zero".
 
 One kernel, `quantum_minor`, builds the quantum minors of T(u): B_k(u)
 sums them weighted by complementary minors of Z, and the quantum
-determinant is the minor on all N indices.  `bethe_series_tensor` is the
-independent reference for B_k, and `hat_bethe_series` gives the
-inverse-series generators hat-B_k; both are `tensor.trace_words` walks
-over one-site letter series, T(u) and T(u)^-1.  `t_site_series` is the
-one builder of a generator series: T(u) here, the formal S(u) of the
-twisted layer under its free rule.  The row builders for one identity
+determinant is the minor on all N indices.  `hat_bethe_series` gives the
+inverse-series generators hat-B_k, a `tensor.trace_words` walk of the
+rows of A_k over the letters of T(u)^-1.  `t_site_series` is the one
+builder of a generator series: T(u) here, the formal S(u) of the twisted
+layer under its free rule.  The row builders for one identity
 type each (`window_rows`, `membership_rows`, `commutator_table`,
 `centrality_rows`, `hat_identity_rows`) serve the twisted layer too.
 """
@@ -28,8 +27,9 @@ from .algebra import YangianRule, commutator
 from .indices import ZMatrix
 from .rationals import binomial, div
 from .series import RATIONAL_RING, BiLaurent, TruncatedSeries, algebra_ring
-from .tensor import (TensorElement, alternator, antisymmetrizer, bilaurent_r,
-                     perm_sign, series_to_bilaurent, tensor_ring, trace_words)
+from .tensor import (TensorElement, alternator, alternator_rows, bilaurent_r,
+                     perm_sign, rank_one_ket, series_to_bilaurent,
+                     tensor_ring, trace_words)
 
 
 def t_entry_series(rule: YangianRule, i: int, j: int, D: int) -> TruncatedSeries:
@@ -71,14 +71,6 @@ def z_site_tensor(z: ZMatrix, pos: int, sites: int) -> TensorElement:
     return one_site.embed((pos,), sites)
 
 
-def z_product(z: ZMatrix, positions, sites: int) -> TensorElement:
-    """The rational product of Z on the given sites, in ascending order."""
-    acc = TensorElement.identity(sites, z.index_set)
-    for p in positions:
-        acc = acc * z_site_tensor(z, p, sites)
-    return acc
-
-
 # -- Bethe series ----------------------------------------------------------------
 
 
@@ -115,8 +107,7 @@ def bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeri
     z_{g(k+1) h(k+1)}..z_{gN hN} collapsed: t^I_J is antisymmetric in J as
     well as in I, so the orderings of I and J sum to k! t^I_J and those of
     I' and J' to (N-k)! det Z_{I'J'}, and k!(N-k)!/N! = 1/C(N,k).  This is
-    the one construction used at run time; `bethe_series_tensor` is its
-    independent reference in the tests."""
+    the one construction of B_k."""
     iset = rule.index_set
     N = iset.N
     if not (1 <= k <= N):
@@ -137,21 +128,6 @@ def bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeri
     return acc * div(1, binomial(N, k))
 
 
-def bethe_series_tensor(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
-    """tr(H_N . T_1(u-1)..T_k(u-k) . Z_{k+1}..Z_N) as one `trace_words`
-    walk over the letter sites T(u-p): the T block acts on sites 1..k
-    only, so sites k+1..N are traced out of the rational side
-    Z_{k+1}..Z_N H_N first."""
-    iset = rule.index_set
-    N = iset.N
-    h = z_product(z, range(k + 1, N + 1), N) * antisymmetrizer(N, iset)
-    if k < N:
-        h = h.partial_trace(range(k + 1, N + 1))
-    t = t_site_series(rule, D)
-    return trace_words(h, [(p, t.substitute_affine(1, -p))
-                           for p in range(1, k + 1)], algebra_ring(rule), D)
-
-
 def quantum_determinant(rule: YangianRule, D: int) -> TruncatedSeries:
     """The quantum determinant t^{1..N}_{1..N}(u), which is B_N(u) for
     every Z."""
@@ -162,14 +138,16 @@ def quantum_determinant(rule: YangianRule, D: int) -> TruncatedSeries:
 def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
     """The inverse-series generators: trace of H_k times the descending
     product of the inverse factors hat-T_p(u-p), p = k..1, times
-    Z_1..Z_k, one `trace_words` walk with hat-T = T^-1 on one site."""
-    iset = rule.index_set
+    Z_1..Z_k, one `trace_words` walk of the rows of A_k with hat-T = T^-1
+    on one site, contracted with Z_1..Z_k applied to the columns."""
     if k == 0:
         return TruncatedSeries.one(algebra_ring(rule), D)
-    h = z_product(z, range(1, k + 1), k) * antisymmetrizer(k, iset)
+    bra = alternator_rows(k, rule.index_set)
+    ket = rank_one_ket(bra, [(p, z) for p in range(1, k + 1)], D)
     t_hat = t_site_series(rule, D).invert()
-    return trace_words(h, [(p, t_hat.substitute_affine(1, -p))
-                           for p in range(k, 0, -1)], algebra_ring(rule), D)
+    return trace_words(bra, [(p, t_hat.substitute_affine(1, -p))
+                             for p in range(k, 0, -1)], ket,
+                       algebra_ring(rule), D)
 
 
 # -- verification suites -----------------------------------------------------------

@@ -1,0 +1,128 @@
+"""Reference constructions that the package no longer runs.
+
+The package contracts every trace form tr(F(u) H_k X(u)) against the rows
+of A_k = k! H_k (`tensor.trace_words`), applying F(u) to the columns one
+factor at a time.  The references here build the rational side
+h(u) = F(u) H_k as one dense tensor on all sites, with every normalized
+R-matrix factor embedded on all sites, and trace sites out of it, as the
+package once did.  `bethe_series_tensor` is B_k as a trace form, the
+independent reference for the quantum-minor construction of B_k.
+"""
+from functools import reduce
+from itertools import permutations
+from math import factorial
+from operator import mul
+
+from bethe.rationals import rat
+from bethe.series import (INF_CAP, BiLaurent, TruncatedSeries, algebra_ring,
+                          one_over_c_minus_2u, sum_terms)
+from bethe.tensor import (TensorElement, alternator, alternator_rows,
+                          perm_operator, perm_sign, q_tensor, rank_one_ket,
+                          tensor_ring, trace_words)
+from bethe.twisted import _reflection_form
+from bethe.yangian import t_site_series, z_site_tensor
+
+
+def antisymmetrizer_oracle(k, index_set):
+    """(1/k!) sum_sigma sgn(sigma) P_sigma: the defining expression."""
+    acc = TensorElement.zero(k, index_set)
+    for sigma in permutations(range(1, k + 1)):
+        acc = acc + perm_operator(sigma, index_set).scale_rat(perm_sign(sigma))
+    return acc.scale_rat(rat(1, factorial(k)))
+
+
+def antisymmetrizer(k, index_set):
+    """H_k = A_k / k!."""
+    return alternator(k, index_set).scale_rat(rat(1, factorial(k)))
+
+
+def partial_trace(t, traced):
+    """Trace the given 1-based sites out of the tensor t."""
+    traced = sorted(set(traced))
+    keep = [s for s in range(1, t.sites + 1) if s not in traced]
+    acc = sum_terms(t.ring, (
+        ((tuple(r[s - 1] for s in keep), tuple(c[s - 1] for s in keep)), v)
+        for (r, c), v in t.entries.items()
+        if all(r[s - 1] == c[s - 1] for s in traced)))
+    return TensorElement(len(keep), t.index_set, t.ring, acc)
+
+
+def z_product(z, positions, sites):
+    """The rational product of Z on the given sites, in ascending order."""
+    acc = TensorElement.identity(sites, z.index_set)
+    for p in positions:
+        acc = acc * z_site_tensor(z, p, sites)
+    return acc
+
+
+def g_factor(p, q, c, sites, index_set, D):
+    """id - Q_pq/(c - 2u) on `sites` sites, Q_pq embedded, as a series of
+    rational tensors."""
+    qpq = q_tensor(index_set).embed((p, q), sites)
+    tring = tensor_ring(sites, index_set)
+    scalars = one_over_c_minus_2u(c, D).coeffs
+    return TruncatedSeries(tring, [tring.one] + [
+        -qpq.scale_rat(scalars[r]) for r in range(1, D + 1)], D)
+
+
+def fused_z(z, k, D):
+    """Z(u,k): Z_1 G_12 .. G_1k Z_2 G_23 .. Z_k on k sites, G_pq =
+    id - Q_pq/(p+q-2u), multiplied out."""
+    iset = z.index_set
+    tring = tensor_ring(k, iset)
+    factors = []
+    for p in range(1, k + 1):
+        factors.append(TruncatedSeries.constant(
+            tring, z_site_tensor(z, p, k), D))
+        factors += [g_factor(p, q, p + q, k, iset, D)
+                    for q in range(p + 1, k + 1)]
+    return reduce(mul, factors)
+
+
+def a_k_rational_side(z, k, D):
+    """The rational side of A_k: (G . Z block)(u) H_N, the connecting
+    factors G_pq(p+q-2u), p <= k < q, and Z(u + N/2 - k, N - k) on sites
+    k+1..N, with sites k+1..N traced out.  A_k = tr(h(u) S(u,k))."""
+    iset = z.index_set
+    N = iset.N
+    h = TruncatedSeries.one(tensor_ring(N, iset), D)
+    for p in range(1, k + 1):
+        for q in range(k + 1, N + 1):
+            h = h * g_factor(p, q, p + q, N, iset, D)
+    rest = tuple(range(k + 1, N + 1))
+    if k < N:
+        zloc = fused_z(z, N - k, D).substitute_affine(1, rat(N, 2) - k)
+        h = h * zloc.map_coeffs(lambda c: c.embed(rest, N), h.ring)
+    hn = antisymmetrizer(N, iset)
+    h = h.map_coeffs(lambda c: c * hn)
+    return h.map_coeffs(lambda c: partial_trace(c, rest), tensor_ring(k, iset))
+
+
+def hat_rational_side(z, k, D):
+    """Z(u + N/2, k) H_k, the rational side of hat-A_k."""
+    hk = antisymmetrizer(k, z.index_set)
+    return fused_z(z, k, D).substitute_affine(1, rat(z.index_set.N, 2))\
+        .map_coeffs(lambda c: c * hk)
+
+
+def verify_z_exchange(ctx, z):
+    """Exact exchange identity R(u-v) Z_1 R~(-u-v) Z_2 =
+    Z_2 R~(-u-v) Z_1 R(u-v)."""
+    iset = ctx.index_set
+    z1, z2 = (BiLaurent(tensor_ring(2, iset), {(0, 0): z_site_tensor(z, p, 2)},
+                        INF_CAP, INF_CAP) for p in (1, 2))
+    res = _reflection_form(z1, z2, iset)
+    return [("exchange identity", not res)]
+
+
+def bethe_series_tensor(k, z, rule, D):
+    """B_k(u) = tr(H_N . T_1(u-1)..T_k(u-k) . Z_{k+1}..Z_N) as a trace form:
+    one `trace_words` walk of the row of A_N over the letter sites
+    T(u-p), contracted with Z_{k+1}..Z_N applied to the column."""
+    bra = alternator_rows(rule.index_set.N, rule.index_set)
+    ket = rank_one_ket(bra, [(q, z) for q in range(k + 1, bra.sites + 1)], D)
+    t = t_site_series(rule, D)
+    return trace_words(bra, [(p, t.substitute_affine(1, -p))
+                             for p in range(1, k + 1)], ket,
+                       algebra_ring(rule), D)
+

@@ -26,9 +26,10 @@ from bethe.tensor import (verify_antisymmetrizers, verify_mixed_yang_baxter,
 from bethe.twisted import (TwistedContext, verify_prop36, verify_reflection,
                            verify_sklyanin, verify_symmetry,
                            verify_twisted_commutativity)
-from bethe.yangian import (bethe_series, bethe_series_tensor,
-                           verify_bethe_commutativity, verify_centrality,
-                           verify_fusion, verify_hat_identity, verify_rtt)
+from bethe.yangian import (bethe_series, verify_bethe_commutativity,
+                           verify_centrality, verify_fusion,
+                           verify_hat_identity, verify_rtt)
+from oracles import bethe_series_tensor
 
 SP2 = TwistedContext(IndexSet.signed(2, "sp"))
 SO3 = TwistedContext(IndexSet.signed(3, "so"))

@@ -152,10 +152,12 @@ def test_tensors_built_from_q_agree_with_canonical(dx, dy, dg, dh):
     check(g * h, g_ * h_)
     check(g - h, g_ - h_)
     check(g.scale_rat(Q(2, 2)), g_.scale_rat(1))
-    # tr(g (1 + x u^-1)) through order 1: the one-letter words read x
+    # sum_I <g_I| (1 + x u^-1) |h_I> through order 1: the one-letter
+    # words read x
     sites = tensor_ring(1, PLAIN2, ARING)
     check(*(trace_words(gg, [(1, TruncatedSeries(sites, [sites.one, xx], 1))],
-                        ARING, 1) for gg, xx in ((g, x), (g_, x_))))
+                        [hh.entries, {}], ARING, 1)
+            for gg, xx, hh in ((g, x, h), (g_, x_, h_))))
     check(g.partial_trace_all(), g_.partial_trace_all())
     check(x.partial_trace_all(), x_.partial_trace_all())
 
@@ -193,5 +195,6 @@ def test_series_built_from_q_agree_with_canonical(dr, dt, dg, shift):
           t_.substitute_affine(1, canonical(shift)))
     check(r.substitute_affine(raw((2, 1)), raw(shift)),
           r_.substitute_affine(2, canonical(shift)))
-    check(trace_words(g, [(1, t), g], ARING, D),
-          trace_words(g_, [(1, t_), g_], ARING, D))
+    check(*(trace_words(gg.coeffs[0], [(1, tt)],
+                        [c.entries for c in gg.coeffs], ARING, D)
+            for gg, tt in ((g, t), (g_, t_))))

@@ -79,6 +79,19 @@ def test_out_of_range_flags_are_usage_errors(flags):
     assert main(["verify", "rtt", *flags]) == 2
 
 
+@pytest.mark.parametrize("check, algebra, M", [
+    ("jacobian", ["--kind", "sp", "--n", "1"], 2),
+    ("poisson-rank", ["--kind", "sp", "--n", "1"], 2),
+    ("poisson-rank", ["--kind", "so", "--n", "2"], 1),
+])
+def test_an_untabulated_m_is_a_usage_error(check, algebra, M, capsys):
+    # the rank tables hold odd M for sp and odd so, even M for even so
+    args = ["verify", check, *algebra, "--M"]
+    assert main(args + [str(M)]) == 2
+    assert "outside the rank tables" in capsys.readouterr().err
+    assert main(args + [str(M + 1)]) == 0
+
+
 def test_a_value_error_inside_a_computation_is_internal(monkeypatch, capsys):
     import bethe.twisted as twisted
 
@@ -487,17 +500,24 @@ def test_trace_forms_build_no_algebra_valued_block(monkeypatch, args):
     assert bool(blocks) == (args[1] == "fusion")
 
 
-def _plant_in_trace_words(monkeypatch, old, new):
-    """Rebuild `trace_words` from its source with `old` replaced by `new`,
+def _plant(monkeypatch, module, name, old, new):
+    """Rebuild `module.name` from its source with `old` replaced by `new`,
     and install it wherever the families call it."""
     from bethe import tensor, twisted, yangian
 
-    source = textwrap.dedent(inspect.getsource(tensor.trace_words))
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1, old
-    scope = dict(vars(tensor))
-    exec(compile(source.replace(old, new), tensor.__file__, "exec"), scope)
-    for module in (tensor, twisted, yangian):
-        monkeypatch.setattr(module, "trace_words", scope["trace_words"])
+    scope = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), scope)
+    for caller in (tensor, twisted, yangian):
+        if hasattr(caller, name):
+            monkeypatch.setattr(caller, name, scope[name])
+
+
+def _plant_in_trace_words(monkeypatch, old, new):
+    from bethe import tensor
+
+    _plant(monkeypatch, tensor, "trace_words", old, new)
 
 
 PROP36_SP2 = ["verify", "prop36", "--kind", "sp", "--n", "1", "--D", "3"]
@@ -518,6 +538,34 @@ def test_trace_words_faults_fail_the_trace_forms(monkeypatch, old, new):
     assert main(PROP36_SP2) == 0 and main(SKLYANIN_SO3) == 0
     _plant_in_trace_words(monkeypatch, old, new)
     assert (main(PROP36_SP2), main(SKLYANIN_SO3)) == (1, 1)
+
+
+# prop36 at sp4 reads A_k, hat-A_k and the trace form at N = 4; sklyanin,
+# twisted-commute and prop36 at N <= 3 pass with some of the faults below
+# planted
+PROP36_SP4 = ["verify", "prop36", "--kind", "sp", "--n", "2", "--D", "2"]
+
+
+@pytest.mark.parametrize("module, name, old, new", [
+    # every pair step acts on sites 1 and q, not p and q
+    pytest.param("tensor", "pair_step", "_pair_action(xr, p, q, index_set)",
+                 "_pair_action(xr, 1, q, index_set)",
+                 id="pair-on-the-wrong-sites"),
+    # F(u) applied to the ket left to right
+    pytest.param("tensor", "rank_one_ket", "in reversed(factors)",
+                 "in factors", id="ket-factors-reversed"),
+    # (id - c Q)^-1 taken as id - c Q / (1 + N c)
+    pytest.param("twisted", "hat_trace", "(one - f[2] * N)",
+                 "(one + f[2] * N)", id="inverse-pair-sign"),
+])
+def test_rank_one_faults_fail_the_trace_forms(monkeypatch, module, name, old,
+                                              new):
+    import importlib
+
+    assert main(PROP36_SP4) == 0
+    _plant(monkeypatch, importlib.import_module(f"bethe.{module}"), name,
+           old, new)
+    assert main(PROP36_SP4) == 1
 
 
 def test_reversed_words_change_the_formal_table(monkeypatch, tmp_path):

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bethe.algebra import FreeRule, YangianRule
-from bethe.indices import IndexSet
+from bethe.indices import IndexSet, ZMatrix
 from bethe.rationals import Q, binomial
 from bethe.series import RATIONAL_RING, BiLaurent, TruncatedSeries, algebra_ring
-from bethe.tensor import (TensorElement, alternator, antisymmetrizer,
-                          antisymmetrizer_oracle, flip, h_k_orientation,
-                          perm_operator, perm_sign, q_tensor, tensor_ring,
+from bethe.tensor import (TensorElement, alternator, alternator_rows, flip,
+                          h_k_orientation, pair_step, perm_operator,
+                          perm_sign, q_tensor, rank_one_ket, tensor_ring,
                           trace_words,
                           verify_antisymmetrizers, verify_mixed_yang_baxter,
                           verify_r_identities, verify_yang_baxter)
+from bethe.yangian import z_site_tensor
+from oracles import antisymmetrizer, antisymmetrizer_oracle, partial_trace
 
 
 def _all_ok(rows):
@@ -123,6 +125,13 @@ def test_closed_form_alternator_is_k_factorial_times_the_oracle(data, iset):
     assert a == antisymmetrizer_oracle(k, iset).scale_rat(factorial(k))
     assert all(type(v) is int for v in a.entries.values())
     assert antisymmetrizer(k, iset) == antisymmetrizer_oracle(k, iset)
+    # A_k = ket . bra, the ket the transpose of the ascending rows
+    bra = alternator_rows(k, iset)
+    ket = TensorElement(k, iset, RATIONAL_RING,
+                        {(c, r): v for (r, c), v in bra.entries.items()})
+    assert ket * bra == a
+    assert all(list(r) == sorted(r) and sorted(c) == list(r)
+               for r, c in bra.entries)
 
 
 def test_building_h_k_runs_no_orientation_search(monkeypatch):
@@ -132,15 +141,16 @@ def test_building_h_k_runs_no_orientation_search(monkeypatch):
         raise AssertionError("the ordered R-matrix product was formed")
 
     monkeypatch.setattr(tensor, "_r_factor", no_search)
-    for cache in ("_A_CACHE", "_H_CACHE"):
-        monkeypatch.setattr(tensor, cache, {})
+    monkeypatch.setattr(tensor, "_A_CACHE", {})
     for iset in (IndexSet.plain(3), IndexSet.signed(5, "so"),
                  IndexSet.signed(4, "sp")):
         for k in range(1, iset.N + 1):
             # k! entries in each of the N!/(N-k)! distinct-entry columns
             nnz = factorial(iset.N) // factorial(iset.N - k) * factorial(k)
-            assert len(antisymmetrizer(k, iset).entries) == nnz
             assert len(alternator(k, iset).entries) == nnz
+            # and k! in each of the binomial(N, k) ascending rows
+            assert len(alternator_rows(k, iset).entries) == \
+                binomial(iset.N, k) * factorial(k)
     # only the orientation search forms the product
     with pytest.raises(AssertionError, match="R-matrix product"):
         h_k_orientation(2, IndexSet.plain(3))
@@ -154,24 +164,24 @@ FREE2 = FreeRule(PLAIN2)
 rational = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
 
 
-def _keys(sites):
-    multi = list(product(PLAIN2.indices(), repeat=sites))
+def _keys(sites, iset=PLAIN2):
+    multi = list(product(iset.indices(), repeat=sites))
     return [(r, c) for r in multi for c in multi]
 
 
 @st.composite
-def rational_tensor(draw, sites):
-    ent = draw(st.dictionaries(st.sampled_from(_keys(sites)), rational,
+def rational_tensor(draw, sites, iset=PLAIN2):
+    ent = draw(st.dictionaries(st.sampled_from(_keys(sites, iset)), rational,
                                max_size=6))
-    return TensorElement(sites, PLAIN2, RATIONAL_RING, ent)
+    return TensorElement(sites, iset, RATIONAL_RING, ent)
 
 
 @st.composite
 def algebra_element(draw, rule=YANG2):
+    idx = rule.index_set.indices()
     terms = draw(st.lists(st.tuples(
-        rational, st.sampled_from(PLAIN2.indices()),
-        st.sampled_from(PLAIN2.indices()), st.integers(1, 2)),
-        max_size=2))
+        rational, st.sampled_from(idx), st.sampled_from(idx),
+        st.integers(1, 2)), max_size=2))
     acc = rule.zero() + draw(rational)
     for c, i, j, r in terms:
         acc = acc + rule.element(i, j, r) * c
@@ -180,9 +190,10 @@ def algebra_element(draw, rule=YANG2):
 
 @st.composite
 def algebra_tensor(draw, sites, rule=YANG2):
-    keys = draw(st.lists(st.sampled_from(_keys(sites)), max_size=5,
+    iset = rule.index_set
+    keys = draw(st.lists(st.sampled_from(_keys(sites, iset)), max_size=5,
                          unique=True))
-    return TensorElement(sites, PLAIN2, algebra_ring(rule),
+    return TensorElement(sites, iset, algebra_ring(rule),
                          {k: draw(algebra_element(rule)) for k in keys})
 
 
@@ -244,80 +255,169 @@ def test_rational_bilaurents_multiply_ring_bilaurents_without_lifting(
         assert got.ring is x.ring
 
 
-def _series(draw, tensors, sites, ring, D):
-    return TruncatedSeries(tensor_ring(sites, PLAIN2, ring),
-                           [draw(tensors(sites)) for _ in range(D + 1)], D)
+def _series(draw, sites, iset, D):
+    return TruncatedSeries(tensor_ring(sites, iset),
+                           [draw(rational_tensor(sites, iset))
+                            for _ in range(D + 1)], D)
 
 
-def _letter_site(draw, rule, D):
+def _letter_site(draw, rule, D, iset=PLAIN2):
     """A one-site series 1 + L_1 u^-1 + ... over Fraction (rule None) or
     over the algebra of `rule`."""
     ring = algebra_ring(rule) if rule else RATIONAL_RING
-    sites = tensor_ring(1, PLAIN2, ring)
+    sites = tensor_ring(1, iset, ring)
     draw_one = (lambda: draw(algebra_tensor(1, rule))) if rule else \
-        (lambda: draw(rational_tensor(1)))
+        (lambda: draw(rational_tensor(1, iset)))
     return TruncatedSeries(sites, [sites.one] + [draw_one()
                                                  for _ in range(D)], D)
 
 
-def _full_trace(h, steps, ring, sites, D):
-    """tr(h . Y_1 ... Y_m) from the full product of the steps on all sites,
-    every rational tensor lifted into the letters' ring: the reference
-    for `trace_words`."""
-    tring = tensor_ring(sites, PLAIN2, ring)
-    x = TruncatedSeries.one(tring, D)
+def _pair_series(draw, D):
+    """A rational scalar series c(u), c_0 included."""
+    return TruncatedSeries(RATIONAL_RING, [draw(rational)
+                                           for _ in range(D + 1)], D)
+
+
+def _dense_step(step, sites, iset, ring, D):
+    """A step of `trace_words` as a series of tensors on all sites over
+    `ring`: a letter site embedded, or a pair step id - c(u) Q_pq with
+    Q_pq embedded."""
+    tring = tensor_ring(sites, iset, ring)
+    if len(step) == 2:
+        p, site = step
+        return site.map_coeffs(lambda c: c.embed((p,), sites), tring)
+    p, q, c = step
+    qpq = q_tensor(iset).embed((p, q), sites)
+    coeffs = [-qpq.scale_rat(cr) for cr in c.coeffs[:D + 1]]
+    coeffs[0] = coeffs[0] + TensorElement.identity(sites, iset)
+    return TruncatedSeries(tring, [lift_tensor(x, ring) for x in coeffs], D)
+
+
+def _transpose(t):
+    return TensorElement(t.sites, t.index_set, t.ring,
+                         {(c, r): v for (r, c), v in t.entries.items()})
+
+
+def _full_trace(bra, steps, ket, ring, D):
+    """sum_I <bra_I| Y_1 ... Y_m |ket_I> from the full product of the
+    steps on all sites, as tr(bra . Y . ket^T) with every rational tensor
+    lifted into the letters' ring: the reference for `trace_words`."""
+    sites, iset = bra.sites, bra.index_set
+    tring = tensor_ring(sites, iset, ring)
+    x = TruncatedSeries.constant(tring, lift_tensor(bra, ring), D)
     for step in steps:
-        if isinstance(step, tuple):
-            p, site = step
-            y = site.map_coeffs(lambda c: c.embed((p,), sites), tring)
-        else:
-            y = step.map_coeffs(lambda c: lift_tensor(c, ring), tring)
-        x = x * y
-    h = h.map_coeffs(lambda c: lift_tensor(c, ring), tring)
-    return (h * x).map_coeffs(lambda c: c.partial_trace_all(), ring)
+        x = x * _dense_step(step, sites, iset, ring, D)
+    x = x * ket.map_coeffs(lambda c: lift_tensor(_transpose(c), ring), tring)
+    return x.map_coeffs(lambda c: c.partial_trace_all(), ring)
+
+
+SIGNED = {iset: (YangianRule(iset), FreeRule(iset))
+          for iset in (IndexSet.signed(2, "sp"), IndexSet.signed(2, "so"),
+                       IndexSet.signed(3, "so"))}
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), sites=st.integers(1, 3), D=st.integers(0, 2),
-       rule=st.sampled_from((None, FREE2, YANG2)))
-def test_trace_words_matches_the_full_product(data, sites, D, rule):
-    # letter sites on distinct sites in any order, rational steps between
-    # them; h a series of rational tensors or a constant one
+@given(data=st.data(), iset=st.sampled_from(list(SIGNED)),
+       D=st.integers(0, 2), algebra=st.sampled_from((None, 0, 1)))
+def test_trace_words_matches_the_full_product(data, iset, D, algebra):
+    # a random bra and a random series ket keyed like it, whose labels need
+    # not match; letter sites on distinct sites in any order, pair steps on
+    # any site pair between them
     draw = data.draw
+    rule = None if algebra is None else SIGNED[iset][algebra]
     ring = algebra_ring(rule) if rule else RATIONAL_RING
+    sites = draw(st.integers(1, 3 if iset.N == 2 else 2))
+    pairs = [(p, q) for p in range(1, sites + 1)
+             for q in range(p + 1, sites + 1)]
     order = draw(st.permutations(range(1, sites + 1)))
-    order = order[:draw(st.integers(1, sites))]
     steps = []
-    for p in order:
-        steps += [_series(draw, rational_tensor, sites, RATIONAL_RING, D)
-                  for _ in range(draw(st.integers(0, 1)))]
-        steps.append((p, _letter_site(draw, rule, D)))
-    if draw(st.booleans()):
-        steps.append(_series(draw, rational_tensor, sites, RATIONAL_RING, D))
-    h = _series(draw, rational_tensor, sites, RATIONAL_RING, D)
-    assert trace_words(h, steps, ring, D) == \
-        _full_trace(h, steps, ring, sites, D)
-    const = TruncatedSeries.constant(h.ring, h.coeffs[0], D)
-    assert trace_words(h.coeffs[0], steps, ring, D) == \
-        _full_trace(const, steps, ring, sites, D)
+    for p in order[:draw(st.integers(1, sites))]:
+        if pairs:
+            steps += [(*draw(st.sampled_from(pairs)), _pair_series(draw, D))
+                      for _ in range(draw(st.integers(0, 1)))]
+        steps.append((p, _letter_site(draw, rule, D, iset)))
+    if pairs and draw(st.booleans()):
+        steps.append((*draw(st.sampled_from(pairs)), _pair_series(draw, D)))
+    bra = draw(rational_tensor(sites, iset))
+    ket = _series(draw, sites, iset, D)
+    assert trace_words(bra, steps, [c.entries for c in ket.coeffs], ring,
+                       D) == _full_trace(bra, steps, ket, ring, D)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), iset=st.sampled_from(list(SIGNED)),
+       D=st.integers(0, 2))
+def test_rank_one_ket_applies_the_factors_right_to_left(data, iset, D):
+    # F(u) |w_I> / k! from the dense product of the factors, each column
+    # of A_k / k! multiplied on the left
+    draw = data.draw
+    k = draw(st.integers(1, min(iset.N, 3)))
+    idx = iset.indices()
+    pairs = [(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        if pairs and draw(st.booleans()):
+            factors.append((*draw(st.sampled_from(pairs)),
+                            _pair_series(draw, D)))
+        else:
+            z = ZMatrix(iset, draw(st.dictionaries(
+                st.tuples(st.sampled_from(idx), st.sampled_from(idx)),
+                rational, max_size=3)))
+            factors.append((draw(st.integers(1, k)), z))
+    bra = alternator_rows(k, iset)
+    tring = tensor_ring(k, iset)
+    want = TruncatedSeries.constant(
+        tring, _transpose(bra).scale_rat(Q(1, factorial(k))), D)
+    for f in reversed(factors):
+        step = _dense_step(f, k, iset, RATIONAL_RING, D) if len(f) == 3 \
+            else TruncatedSeries.constant(tring, z_site_tensor(f[1], f[0], k),
+                                          D)
+        want = step * want
+    assert rank_one_ket(bra, factors, D) == \
+        [_transpose(c).entries for c in want.coeffs]
+
+
+def test_pair_steps_invert_through_q_squared():
+    # (id - c Q)(id - c' Q) = id at c' = -c/(1 - N c), as Q^2 = N Q
+    for iset in SIGNED:
+        N = iset.N
+        x = [TensorElement.identity(2, iset).entries, {}, {}]
+        c = TruncatedSeries(RATIONAL_RING, [0, Q(-1, 2), Q(-3, 4)], 2)
+        one = TruncatedSeries.one(RATIONAL_RING, 2)
+        inv = -(c * (one - c * N).invert())
+        assert pair_step(pair_step(x, 1, 2, c, iset), 1, 2, inv, iset) == x
+        assert pair_step(x, 1, 2, c, iset) != x
 
 
 def test_trace_words_needs_letters_that_start_at_one():
     sites = tensor_ring(1, PLAIN2)
     twice = TruncatedSeries(sites, [sites.one.scale_rat(2)], 0)
     with pytest.raises(ValueError):
-        trace_words(sites.one, [(1, twice)], RATIONAL_RING, 0)
+        trace_words(sites.one, [(1, twice)], [sites.one.entries],
+                    RATIONAL_RING, 0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), algebra=st.booleans())
 def test_identity_sites_trace_out_of_the_rational_side(data, algebra):
-    # a letter site on site 1 of 2 is the identity on site 2:
-    # tr(h L_1) = tr(tr_2(h) L)
+    # a letter site on site 1 of 2 is the identity on site 2: the site-2
+    # index of the columns joins the labels and the walk runs on site 1,
+    # and both equal tr(tr_2(ket^T bra) L)
     draw = data.draw
-    h = draw(rational_tensor(2))
+    bra = draw(rational_tensor(2))
+    ket = draw(rational_tensor(2))
     rule = YANG2 if algebra else None
     ring = algebra_ring(rule) if algebra else RATIONAL_RING
     site = _letter_site(draw, rule, 2)
-    assert trace_words(h.partial_trace([2]), [(1, site)], ring, 2) == \
-        trace_words(h, [(1, site)], ring, 2)
+
+    def traced(t):
+        return TensorElement(1, PLAIN2, RATIONAL_RING, {
+            ((r, c[1]), c[:1]): v for (r, c), v in t.entries.items()})
+
+    got = trace_words(bra, [(1, site)], [ket.entries, {}, {}], ring, 2)
+    assert got == trace_words(traced(bra), [(1, site)],
+                              [traced(ket).entries, {}, {}], ring, 2)
+    h = partial_trace(_transpose(ket) * bra, [2])
+    one = alternator_rows(1, PLAIN2)
+    assert got == _full_trace(one, [(1, site)], TruncatedSeries.constant(
+        tensor_ring(1, PLAIN2), _transpose(h), 2), ring, 2)

@@ -1,3 +1,6 @@
+import json
+import os
+import tempfile
 from functools import reduce
 from itertools import product
 from operator import mul
@@ -10,16 +13,18 @@ from bethe.indices import IndexSet, ZMatrix, parse_z_spec
 from bethe.rationals import ONE, Q
 from bethe.series import (INF_CAP, RATIONAL_RING, BiLaurent, TruncatedSeries,
                           algebra_ring)
-from bethe.tensor import alternator, antisymmetrizer, tensor_ring
-from bethe.twisted import (TwistedContext, expanded_bethe_series, fused_steps,
-                           fused_z, hat_trace, hat_twisted_series,
+from bethe.tensor import alternator, tensor_ring
+from bethe.twisted import (TwistedContext, expanded_bethe_series,
+                           hat_twisted_series, prop36_trace_form,
                            reflection_residual, theta_series,
                            twisted_bethe_series, verify_mixed_rtt,
                            verify_prop36, verify_reflection,
                            verify_sklyanin, verify_symmetry,
-                           verify_twisted_commutativity, verify_z_exchange,
+                           verify_twisted_commutativity,
                            verify_z_rmatrix_scalar)
-from bethe.yangian import membership_rows, t_site_series, z_product
+from bethe.yangian import membership_rows, t_site_series
+from oracles import (a_k_rational_side, antisymmetrizer, fused_z, g_factor,
+                     hat_rational_side, verify_z_exchange, z_product)
 
 SP2 = TwistedContext(IndexSet.signed(2, "sp"))
 SO3 = TwistedContext(IndexSet.signed(3, "so"))
@@ -38,8 +43,8 @@ def _all_ok(rows):
 def fused_s(ctx, k, D, expanded=True):
     """S(u,k) on sites 1..k, k >= 1, as one block with algebra
     coefficients, the omega(u) normalization folded into the R-matrix
-    factors: the product of the steps that `trace_words` walks, site p
-    carrying S(u-p) on the formal carrier or mapped through s_expand."""
+    factors: for p = 1..k, site p carrying S(u-p) on the formal carrier or
+    mapped through s_expand, followed by id - Q_pq/(p+q-2u), q = p+1..k."""
     iset = ctx.index_set
     s = t_site_series(ctx.s_rule, D)
     if expanded:
@@ -47,9 +52,13 @@ def fused_s(ctx, k, D, expanded=True):
         s = s.map_coeffs(lambda c: c.map_coeffs(ctx.s_expand, ring),
                          tensor_ring(1, iset, ring))
     tring = tensor_ring(k, iset, s.ring.one.ring)
-    return reduce(mul, fused_steps(
-        lambda p: s.map_coeffs(lambda c: c.embed((p,), k), tring)
-        .substitute_affine(1, -p), k, iset, D))
+    factors = []
+    for p in range(1, k + 1):
+        factors.append(s.map_coeffs(lambda c: c.embed((p,), k), tring)
+                       .substitute_affine(1, -p))
+        factors += [g_factor(p, q, p + q, k, iset, D)
+                    for q in range(p + 1, k + 1)]
+    return reduce(mul, factors)
 
 
 def block_trace(h, x):
@@ -77,7 +86,7 @@ def verify_fused_membership(ctx, k, D):
 def verify_fused_z_membership(ctx, z, k, D):
     return membership_rows(f"Z(u,{k}) membership",
                            alternator(k, ctx.index_set),
-                           fused_z(ctx, z, k, D))
+                           fused_z(z, k, D))
 
 
 def verify_fused_determinant(ctx, z, D):
@@ -228,7 +237,8 @@ def test_twisted_constant_terms():
 # -- the word transfer against the fused block ---------------------------------
 
 TRANSFER_CASES = [("sp", 2, "skew", 2), ("so", 3, "skew", 2),
-                  ("so", 3, "symmetric", 2), ("sp", 4, "skew", 2)]
+                  ("so", 3, "symmetric", 2), ("sp", 4, "skew", 2),
+                  ("so", 4, "skew", 2)]
 
 
 def _case(form, N, symmetry):
@@ -239,38 +249,31 @@ def _case(form, N, symmetry):
 
 def _check_a_k(ctx, z, D):
     """A_k, k = 1..N, is the same free-algebra element, term for term, as
-    the trace of its rational side against the formal block S(u,k)."""
-    sides = []
-    real = twisted.trace_words
-
-    def recorded(h, *rest):
-        sides.append(h)
-        return real(h, *rest)
-
-    twisted.trace_words = recorded
-    try:
-        for k in range(1, ctx.index_set.N + 1):
-            got = twisted_bethe_series(ctx, k, z, D)
-            want = block_trace(sides[-1], fused_s(ctx, k, D, expanded=False))
-            assert got.trunc == D
-            assert [c.terms for c in got.coeffs] == \
-                [c.terms for c in want.coeffs], k
-    finally:
-        twisted.trace_words = real
+    the trace of its dense rational side against the formal block
+    S(u,k)."""
+    for k in range(1, ctx.index_set.N + 1):
+        got = twisted_bethe_series(ctx, k, z, D)
+        want = block_trace(a_k_rational_side(z, k, D),
+                           fused_s(ctx, k, D, expanded=False))
+        assert got.trunc == D
+        assert [c.terms for c in got.coeffs] == \
+            [c.terms for c in want.coeffs], k
 
 
 def _check_hat(ctx, z, D):
     """hat-A_k and the prop-3.6 form, k = 1..N, against the inverse series
-    of the expanded block S(u,k)."""
-    half = Q(ctx.index_set.N, 2)
+    of the expanded block S(u,k), term for term."""
     for k in range(1, ctx.index_set.N + 1):
         inverse = fused_s(ctx, k, D).invert()
-        hk = antisymmetrizer(k, ctx.index_set)
-        full = fused_z(ctx, z, k, D).substitute_affine(1, half)\
-            .map_coeffs(lambda c: c * hk)
-        short = z_product(z, range(1, k + 1), k) * hk
-        assert hat_twisted_series(ctx, k, z, D) == block_trace(full, inverse)
-        assert hat_trace(ctx, k, short, D) == block_trace(short, inverse)
+        short = z_product(z, range(1, k + 1), k) * \
+            antisymmetrizer(k, ctx.index_set)
+        for got, want in (
+                (hat_twisted_series(ctx, k, z, D),
+                 block_trace(hat_rational_side(z, k, D), inverse)),
+                (prop36_trace_form(ctx, z, k, D),
+                 block_trace(short, inverse))):
+            assert [c.terms for c in got.coeffs] == \
+                [c.terms for c in want.coeffs], k
 
 
 @pytest.mark.parametrize("form, N, symmetry, D", TRANSFER_CASES)
@@ -281,7 +284,7 @@ def test_a_k_is_the_trace_against_the_fused_block(form, N, symmetry, D):
 @pytest.mark.parametrize("form, N, symmetry, D", TRANSFER_CASES)
 def test_hat_families_are_traces_against_the_inverse_block(form, N,
                                                            symmetry, D):
-    # sp4 runs at D = 1, where the inverse of the four-site block stays
+    # N = 4 runs at D = 1, where the inverse of the four-site block stays
     # cheap
     _check_hat(*_case(form, N, symmetry), 1 if N == 4 else D)
 
@@ -309,6 +312,33 @@ def test_trace_forms_match_the_blocks_for_a_general_z(data, case, D):
     form, N, symmetry = case
     ctx = TwistedContext(IndexSet.signed(N, form))
     z = data.draw(sign_matched_z(ctx.index_set, symmetry))
+    _check_a_k(ctx, z, D)
+    _check_hat(ctx, z, D)
+
+
+def _json_z(z, symmetry):
+    """Z written to a JSON file in the `json:` grammar of --Z and read
+    back with the symmetry tag checked."""
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump([[i, j, f"{v.numerator}/{v.denominator}"]
+                       for (i, j), v in sorted(z.entries.items())], fh)
+        return parse_z_spec(f"json:{path}", z.index_set, f"prime_{symmetry}")
+    finally:
+        os.remove(path)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), case=st.sampled_from(
+    [("sp", 2, "symmetric", 2), ("so", 3, "skew", 2), ("sp", 4, "skew", 1),
+     ("sp", 4, "symmetric", 1), ("so", 4, "skew", 1),
+     ("so", 4, "symmetric", 1)]))
+def test_trace_forms_match_the_blocks_for_a_json_z(data, case):
+    # a general sign-matched Z through the json: grammar, up to N = 4
+    form, N, symmetry, D = case
+    ctx = TwistedContext(IndexSet.signed(N, form))
+    z = _json_z(data.draw(sign_matched_z(ctx.index_set, symmetry)), symmetry)
     _check_a_k(ctx, z, D)
     _check_hat(ctx, z, D)
 

@@ -10,13 +10,13 @@ from bethe.algebra import YangianRule, commutator
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import ONE, Q
 from bethe.series import TruncatedSeries, algebra_ring
-from bethe.tensor import antisymmetrizer, tensor_ring
-from bethe.yangian import (bethe_series, bethe_series_tensor,
-                           hat_bethe_series,
+from bethe.tensor import tensor_ring
+from bethe.yangian import (bethe_series, hat_bethe_series,
                            quantum_determinant, quantum_minor,
-                           t_entry_series, t_site_series, z_product,
+                           t_entry_series, t_site_series,
                            verify_bethe_commutativity, verify_centrality,
                            verify_fusion, verify_hat_identity, verify_rtt)
+from oracles import antisymmetrizer, bethe_series_tensor, z_product
 
 
 def _all_ok(rows):
