@@ -12,18 +12,18 @@ __all__ = [
     "AlgebraElement", "CurrentPoint", "FreeRule", "GlRule", "IndexSet",
     "PoissonContext", "PoissonPoly", "Q", "TruncatedSeries",
     "TwistedContext", "YangianRule", "ZMatrix", "bethe_family",
-    "bethe_series", "commutator", "deserialize_element", "filtration_degree",
-    "hat_bethe_series", "jacobian_rank", "normal_order", "parse_z_spec",
-    "poisson_bracket", "principal_nilpotent", "quantum_determinant",
-    "serialize_element", "symbol", "twisted_bethe_series", "upper_slice",
-    "verify_bethe_commutativity", "verify_sklyanin",
+    "bethe_series", "commutator", "filtration_degree", "hat_bethe_series",
+    "jacobian_rank", "parse_z_spec", "poisson_bracket", "principal_nilpotent",
+    "quantum_determinant", "serialize_element", "symbol",
+    "twisted_bethe_series", "upper_slice", "verify_bethe_commutativity",
+    "verify_sklyanin",
 ]
 
 # exported name -> the submodule that defines it
 _SOURCES = {
     **dict.fromkeys(("AlgebraElement", "FreeRule", "GlRule", "YangianRule",
-                     "commutator", "deserialize_element", "filtration_degree",
-                     "normal_order", "serialize_element", "symbol"),
+                     "commutator", "filtration_degree", "serialize_element",
+                     "symbol"),
                     "algebra"),
     **dict.fromkeys(("IndexSet", "ZMatrix", "parse_z_spec"), "indices"),
     **dict.fromkeys(("CurrentPoint", "PoissonContext", "PoissonPoly",

@@ -3,7 +3,7 @@
 Generators are triples (level, row, col); native tuple comparison gives the
 canonical (level, row, col) lexicographic order, and signed indices order
 naturally as integers.  A pluggable commutation rule supplies the commutator
-of two generators as a normal-ordered correction; two rules are provided:
+of two generators as a normal-ordered correction; three rules are provided:
 
 * YangianRule — [T_ij^(p), T_kl^(q)] =
       sum_{r=1}^{min(p,q)} (T_kj^(r-1) T_il^(p+q-r) - T_kj^(p+q-r) T_il^(r-1)),
@@ -16,23 +16,30 @@ Elements are sparse dicts {monomial tuple: rational}; monomials of an
 element under a commuting rule are always non-decreasing tuples of
 generators.
 
+Each rule caches three kernels on normal monomials: the generator bracket
+(`bracket_terms`), monomial times generator (`mono_times_gen`, which
+`mono_times_mono` chains) and the bracket [monomial, generator]
+(`mono_bracket_gen`).  `commutator` is the derivation ad_a built on the
+last, so the leading terms that cancel in ab - ba are never formed.
+
 `WordMap` is the one algebra map from words into a rule's elements, given
 the image of each letter; it forms every distinct word's image once.  The
 expansion of formal S-words into the Yangian and the evaluation maps pi
 and rho are word maps.
 
 Coefficient types.  Rule-level structure constants (raw_bracket,
-bracket_terms, mono_times_gen, mono_times_mono) are plain Python ints:
-brackets are +-1 and normal ordering only adds and multiplies them.  Every
-coefficient stored in an AlgebraElement is an exact scalar in the
-canonical form of `rationals`: an int when integral, a Q otherwise, so
-products of integral coefficients run on ints.  The public constructor
-coerces its input through `rat` and drops zeros; results of +, -, * and
-`element_sum` are built by the trusted constructor `_from_terms`, which
-takes a dict that already holds only nonzero canonical values and stores
-it as is.  All of them, and the rule-level products, sum their terms with
-`rationals.accumulate`, which stores an integral Q as an int; a product of
-nonzero scalars is nonzero, so every value it is passed is.
+bracket_terms, mono_times_gen, mono_times_mono, mono_bracket_gen) are
+plain Python ints: brackets are +-1 and normal ordering only adds and
+multiplies them.  Every coefficient stored in an AlgebraElement is an
+exact scalar in the canonical form of `rationals`: an int when integral, a
+Q otherwise, so products of integral coefficients run on ints.  The
+public constructor coerces its input through `rat` and drops zeros;
+results of +, -, * and `element_sum` are built by the trusted constructor
+`_from_terms`, which takes a dict that already holds only nonzero
+canonical values and stores it as is.  All of them, and the rule-level
+products, sum their terms with `rationals.accumulate`, which stores an
+integral Q as an int; a product of nonzero scalars is nonzero, so every
+value it is passed is.
 """
 from __future__ import annotations
 
@@ -41,8 +48,9 @@ from .rationals import ONE, accumulate, is_rat, rat
 
 
 class CommutationRule:
-    """Base class: caches generator brackets and monomial-times-generator
-    products, which dominate the cost of normal ordering."""
+    """Base class: caches generator brackets, monomial-times-generator
+    products, which dominate the cost of normal ordering, and
+    monomial-generator brackets, which commutators are built from."""
 
     orders = True  # whether monomials get sorted (False for the free rule)
 
@@ -50,6 +58,7 @@ class CommutationRule:
         self.index_set = index_set
         self._bracket_cache: dict = {}
         self._mtg_cache: dict = {}
+        self._mbg_cache: dict = {}
 
     # -- generator construction -------------------------------------------
 
@@ -110,6 +119,27 @@ class CommutationRule:
                          for mb, cb in self.bracket_terms(a, g).items()
                          for m2, c2 in self.mono_times_mono(head, mb).items()])
         self._mtg_cache[key] = acc
+        return acc
+
+    def mono_bracket_gen(self, m: tuple, g: tuple) -> dict:
+        """Normal form of [m, g] = m*g - g*m for a normal monomial m and a
+        generator g, int coefficients."""
+        if not m:
+            return {}
+        key = (m, g)
+        hit = self._mbg_cache.get(key)
+        if hit is not None:
+            return hit
+        head, a = m[:-1], m[-1]
+        # [head*a, g] = [head, g]*a + head*[a, g]
+        mbg, mtg = self.mono_bracket_gen, self.mono_times_gen
+        acc = accumulate({}, [(m2, c1 * c2)
+                              for m1, c1 in mbg(head, g).items()
+                              for m2, c2 in mtg(m1, a).items()])
+        accumulate(acc, [(m2, cb * c2)
+                         for mb, cb in self.bracket_terms(a, g).items()
+                         for m2, c2 in self.mono_times_mono(head, mb).items()])
+        self._mbg_cache[key] = acc
         return acc
 
     def mono_times_mono(self, m1: tuple, m2: tuple) -> dict:
@@ -307,10 +337,34 @@ class WordMap:
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Normal form of ab - ba."""
+    """Normal form of ab - ba, formed as the derivation ad_a applied to b.
+
+    ad_a(g) = sum_m c_m [m, g] is formed once per distinct generator g of
+    b, and a word g_1..g_l of b contributes the Leibniz terms
+    sum_j g_1..g_{j-1} ad_a(g_j) g_{j+1}..g_l, so the leading terms that
+    cancel in ab - ba are never formed.  Free words have no bracket."""
     if a.rule is not b.rule:
         raise ValueError("elements under different commutation rules")
-    return a * b - b * a
+    rule = a.rule
+    mbg, mtm = rule.mono_bracket_gen, rule.mono_times_mono
+    ad: dict = {}  # generator g -> [a, g] as {monomial: scalar}
+    for w in b.terms:
+        for g in w:
+            if g not in ad:
+                ad[g] = accumulate({}, [(m2, c * c2)
+                                        for m, c in a.terms.items()
+                                        for m2, c2 in mbg(m, g).items()])
+    acc: dict = {}
+    for w, cw in b.terms.items():
+        for j, g in enumerate(w):
+            pre, suf = w[:j], w[j + 1:]
+            accumulate(acc, [(m2, cwc * (c1 * c2))
+                             for m, c in ad[g].items()
+                             for cwc in (cw * c,)
+                             for m1, c1 in (mtm(pre, m) if pre
+                                            else {m: 1}).items()
+                             for m2, c2 in mtm(m1, suf).items()])
+    return _from_terms(rule, acc)
 
 
 def monomial_degree(m: tuple) -> int:
@@ -322,52 +376,6 @@ def filtration_degree(a: AlgebraElement) -> int:
     if not a:
         raise ValueError("the zero element has no filtration degree")
     return max(monomial_degree(m) for m in a.terms)
-
-
-def _inversions(word: tuple) -> int:
-    return sum(
-        1 for i in range(len(word)) for j in range(i + 1, len(word))
-        if word[i] > word[j]
-    )
-
-
-def normal_order(word, rule: CommutationRule, coeff=ONE, strategy: str = "left",
-                 trace: list | None = None) -> AlgebraElement:
-    """Rewrite a word of generators into PBW normal form.
-
-    Independent of the two reduction strategies ('left' resolves the
-    leftmost adjacent inversion first, 'right' the rightmost); this is the
-    confluence property the cached engine relies on.  When `trace` is a
-    list, every rewrite step appends ((degree, inversions) before, after)
-    and the strict lexicographic decrease is asserted.
-    """
-    if strategy not in ("left", "right"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    word = tuple(word)
-    for g in word:
-        rule.gen(g[1], g[2], g[0])  # validates indices and level
-    pending = [(rat(coeff), word)]
-    done: dict = {}
-    while pending:
-        c, w = pending.pop()
-        spots = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
-        if not spots:
-            accumulate(done, ((w, c),))
-            continue
-        pos = spots[0] if strategy == "left" else spots[-1]
-        a, b = w[pos], w[pos + 1]
-        pre, suf = w[:pos], w[pos + 2:]
-        before = (monomial_degree(w), _inversions(w))
-        outs = [(c, pre + (b, a) + suf)]
-        for mb, cb in rule.bracket_terms(a, b).items():
-            outs.append((c * cb, pre + mb + suf))
-        for cc, ww in outs:
-            after = (monomial_degree(ww), _inversions(ww))
-            if trace is not None:
-                trace.append((before, after))
-                assert after < before, "rewrite step failed to decrease"
-            pending.append((cc, ww))
-    return AlgebraElement(rule, done)
 
 
 def symbol(a: AlgebraElement, d: int, context):
@@ -398,12 +406,3 @@ def serialize_element(a: AlgebraElement) -> dict:
         ]
     }
 
-
-def deserialize_element(data: dict, rule: CommutationRule) -> AlgebraElement:
-    from .rationals import parse_rat
-
-    terms = {}
-    for row in data["terms"]:
-        m = tuple((r, i, j) for (i, j, r) in row["word"])
-        terms[m] = parse_rat(row["coeff"])
-    return AlgebraElement(rule, terms)

@@ -12,12 +12,13 @@ Two subcommands:
 Both exit with status 2 on usage errors and 3 on internal errors.  A usage
 error is bad outside input: an unknown check, a missing or out-of-range
 flag, an --M outside the rank tables of ``verify jacobian`` and ``verify
-poisson-rank``, a malformed or unreadable --Z, or an output path that
-cannot be written.  `RunConfig` turns every such input into a
-`UsageError` before any computation starts.  An internal error is a
-failed internal guard (such as the degree and parity guards of the
-determinant expansion) or any other exception raised by a computation, a
-`ValueError` included.  Errors go to stderr.
+poisson-rank``, a --z-symmetry that is not sign-matched for ``verify
+prop36`` (so needs symmetric, sp skew), a malformed or unreadable --Z, or
+an output path that cannot be written.  `RunConfig` turns every such
+input into a `UsageError` before any computation starts.  An internal
+error is a failed internal guard (such as the degree and parity guards of
+the determinant expansion) or any other exception raised by a computation,
+a `ValueError` included.  Errors go to stderr.
 ``verify jacobian`` reports the parity zeros as detail rows instead, so a
 parity violation there exits 1.
 
@@ -97,6 +98,13 @@ class RunConfig:
         self.seed = args.seed
         self.format = args.format
         self.z_symmetry = args.z_symmetry
+        if getattr(args, "check", None) == "prop36" and self.kind != "gl":
+            # Proposition 3.6 holds for a sign-matched Z only
+            matched = "symmetric" if self.kind == "so" else "skew"
+            if self.z_symmetry != matched:
+                raise UsageError(f"verify prop36 --kind {self.kind} needs "
+                                 f"--z-symmetry {matched} (a sign-matched Z: "
+                                 "symmetric for so, skew for sp)")
         self.z_spec = args.Z or self._default_z()
         tag = None
         if self.kind != "gl":

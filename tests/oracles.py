@@ -7,13 +7,18 @@ h(u) = F(u) H_k as one dense tensor on all sites, with every normalized
 R-matrix factor embedded on all sites, and trace sites out of it, as the
 package once did.  `bethe_series_tensor` is B_k as a trace form, the
 independent reference for the quantum-minor construction of B_k.
+
+`normal_order` rewrites one word by adjacent swaps, the reference for the
+cached normal-ordering kernels of `algebra.CommutationRule`, and
+`deserialize_element` inverts `algebra.serialize_element`.
 """
 from functools import reduce
 from itertools import permutations
 from math import factorial
 from operator import mul
 
-from bethe.rationals import rat
+from bethe.algebra import AlgebraElement, monomial_degree
+from bethe.rationals import ONE, accumulate, parse_rat, rat
 from bethe.series import (INF_CAP, BiLaurent, TruncatedSeries, algebra_ring,
                           one_over_c_minus_2u, sum_terms)
 from bethe.tensor import (TensorElement, alternator, alternator_rows,
@@ -21,6 +26,61 @@ from bethe.tensor import (TensorElement, alternator, alternator_rows,
                           tensor_ring, trace_words)
 from bethe.twisted import _reflection_form
 from bethe.yangian import t_site_series, z_site_tensor
+
+
+def _inversions(word: tuple) -> int:
+    return sum(
+        1 for i in range(len(word)) for j in range(i + 1, len(word))
+        if word[i] > word[j]
+    )
+
+
+def normal_order(word, rule, coeff=ONE, strategy: str = "left",
+                 trace: list | None = None) -> AlgebraElement:
+    """Rewrite a word of generators into PBW normal form.
+
+    Independent of the two reduction strategies ('left' resolves the
+    leftmost adjacent inversion first, 'right' the rightmost); this is the
+    confluence property the cached engine relies on.  When `trace` is a
+    list, every rewrite step appends ((degree, inversions) before, after)
+    and the strict lexicographic decrease is asserted.
+    """
+    if strategy not in ("left", "right"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    word = tuple(word)
+    for g in word:
+        rule.gen(g[1], g[2], g[0])  # validates indices and level
+    pending = [(rat(coeff), word)]
+    done: dict = {}
+    while pending:
+        c, w = pending.pop()
+        spots = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
+        if not spots:
+            accumulate(done, ((w, c),))
+            continue
+        pos = spots[0] if strategy == "left" else spots[-1]
+        a, b = w[pos], w[pos + 1]
+        pre, suf = w[:pos], w[pos + 2:]
+        before = (monomial_degree(w), _inversions(w))
+        outs = [(c, pre + (b, a) + suf)]
+        for mb, cb in rule.bracket_terms(a, b).items():
+            outs.append((c * cb, pre + mb + suf))
+        for cc, ww in outs:
+            after = (monomial_degree(ww), _inversions(ww))
+            if trace is not None:
+                trace.append((before, after))
+                assert after < before, "rewrite step failed to decrease"
+            pending.append((cc, ww))
+    return AlgebraElement(rule, done)
+
+
+def deserialize_element(data: dict, rule) -> AlgebraElement:
+    """The element that `serialize_element` encoded as `data`."""
+    terms = {}
+    for row in data["terms"]:
+        m = tuple((r, i, j) for (i, j, r) in row["word"])
+        terms[m] = parse_rat(row["coeff"])
+    return AlgebraElement(rule, terms)
 
 
 def antisymmetrizer_oracle(k, index_set):

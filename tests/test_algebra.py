@@ -3,12 +3,13 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from bethe.algebra import (AlgebraElement, FreeRule, GlRule, YangianRule,
-                           commutator, deserialize_element, filtration_degree,
-                           monomial_degree, normal_order, serialize_element,
-                           symbol)
+                           commutator, filtration_degree, monomial_degree,
+                           serialize_element, symbol)
 from bethe.indices import IndexSet
 from bethe.poisson import PoissonContext
 from bethe.rationals import Q
+
+from oracles import deserialize_element, normal_order
 
 RULE = YangianRule(IndexSet.plain(2))
 GL = GlRule(IndexSet.plain(3))
@@ -53,6 +54,71 @@ def test_gl_commutator_relations():
     assert commutator(e12, e23) == GL.element(1, 3)
     assert commutator(e12, e21) == GL.element(1, 1) - GL.element(2, 2)
     assert commutator(e12, GL.element(3, 1))
+
+
+# (rule, word strategy) pairs for the bracket properties: the Yangian on a
+# plain and on a signed index set (levels 1..2) and U(gl_3)
+def _yangian_words(rule):
+    idx = st.sampled_from(rule.index_set.indices())
+    return st.lists(st.tuples(st.integers(1, 2), idx, idx), max_size=3)
+
+
+SIGNED = YangianRule(IndexSet.signed(3, "so"))
+BRACKETING = [(RULE, _yangian_words(RULE)), (SIGNED, _yangian_words(SIGNED)),
+              (GL, st.lists(gl_gen_strategy, max_size=4))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_commutator_is_the_product_difference(data):
+    for rule, words in BRACKETING:
+        a, b = _element(rule, data, words), _element(rule, data, words)
+        assert commutator(a, b) == a * b - b * a
+        assert commutator(b, a) == -commutator(a, b)
+        assert not commutator(a, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_monomial_bracket_is_the_product_difference(data):
+    for rule, words in BRACKETING:
+        m = tuple(sorted(data.draw(words)))
+        g = data.draw(words.filter(len))[0]
+        out = rule.mono_bracket_gen(m, g)
+        assert all(type(c) is int for c in out.values())
+        assert AlgebraElement(rule, out) == (
+            AlgebraElement(rule, rule.mono_times_gen(m, g))
+            - AlgebraElement(rule, rule.mono_times_mono((g,), m)))
+
+
+def test_yangian_brackets_match_the_rtt_formula():
+    # [T_ij^(p), T_kl^(q)] = sum_{r=1}^{min(p,q)} (T_kj^(r-1) T_il^(p+q-r)
+    #                        - T_kj^(p+q-r) T_il^(r-1)), T^(0)_ab = d_ab
+    t = RULE.element
+    # p = q = 2, (i,j,k,l) = (1,2,2,1): r = 1 gives T_11^(3) - T_22^(3),
+    # r = 2 gives T_22^(1) T_11^(2) - T_22^(2) T_11^(1), and the swap of
+    # the last word costs [T_22^(2), T_11^(1)] = 0
+    assert commutator(t(1, 2, 2), t(2, 1, 2)) == (
+        t(1, 1, 3) - t(2, 2, 3) + t(2, 2, 1) * t(1, 1, 2)
+        - t(1, 1, 1) * t(2, 2, 2))
+    # at level 1 the formula is [T_ij, T_kl] = d_kj T_il - d_il T_kj, so
+    # [T_11 T_12, T_21] = [T_11, T_21] T_12 + T_11 [T_12, T_21]
+    #                   = -T_21 T_12 + T_11 (T_11 - T_22),
+    # and T_21 T_12 = T_12 T_21 + T_22 - T_11 in normal order
+    got = commutator(t(1, 1, 1) * t(1, 2, 1), t(2, 1, 1))
+    assert got.terms == {
+        ((1, 1, 2), (1, 2, 1)): -1, ((1, 2, 2),): -1, ((1, 1, 1),): 1,
+        ((1, 1, 1), (1, 1, 1)): 1, ((1, 1, 1), (1, 2, 2)): -1}
+
+
+def test_free_elements_have_no_commutator():
+    free = FreeRule(IndexSet.plain(2))
+    try:
+        commutator(free.element(1, 2), free.element(2, 1))
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("expected the free rule to refuse a bracket")
 
 
 def test_jacobi_seeded_triples_both_rules():

@@ -92,6 +92,21 @@ def test_an_untabulated_m_is_a_usage_error(check, algebra, M, capsys):
     assert main(args + [str(M + 1)]) == 0
 
 
+@pytest.mark.parametrize("algebra, wrong, matched", [
+    (["--kind", "so", "--n", "1", "--odd"], [], "symmetric"),  # default skew
+    (["--kind", "sp", "--n", "1"], ["--z-symmetry", "symmetric"], "skew"),
+])
+def test_prop36_needs_a_sign_matched_z(algebra, wrong, matched, tmp_path,
+                                       capsys):
+    # Proposition 3.6 holds for so with a symmetric Z and sp with a skew Z
+    args = ["verify", "prop36", *algebra, "--D", "1",
+            "--out", str(tmp_path / "prop36.json")]
+    assert main(args + wrong) == 2
+    assert f"--z-symmetry {matched}" in capsys.readouterr().err
+    assert not (tmp_path / "prop36.json").exists()
+    assert main(args + ["--z-symmetry", matched]) == 0
+
+
 def test_a_value_error_inside_a_computation_is_internal(monkeypatch, capsys):
     import bethe.twisted as twisted
 
