@@ -44,7 +44,7 @@ value it is passed is.
 from __future__ import annotations
 
 from .indices import IndexSet
-from .rationals import ONE, accumulate, is_rat, rat
+from .rationals import ONE, accumulate, rat
 
 
 class CommutationRule:
@@ -174,9 +174,8 @@ class YangianRule(CommutationRule):
         return out
 
     def _pair(self, k, j, s, i, l, t, sign):
-        # T_kj^(s) T_il^(t) with T^(0)_ab = delta_ab folded in
-        if s == 0 and t == 0:
-            return [(sign, ())] if (k == j and i == l) else []
+        # T_kj^(s) T_il^(t) with T^(0)_ab = delta_ab folded in; s + t =
+        # p + q - 1 >= 1, so at most one level is 0
         if s == 0:
             return [(sign, ((t, i, l),))] if k == j else []
         if t == 0:
@@ -250,8 +249,6 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
-            if not is_rat(other):
-                return NotImplemented  # a tensor scales itself by an element
             c = rat(other)
             if c == 1:
                 return self  # elements are values: none is changed in place

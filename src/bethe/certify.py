@@ -53,13 +53,16 @@ def _family(index_set: IndexSet, z: ZMatrix, D: int):
     return lambda k: twisted_bethe_series(ctx, k, z, D)
 
 
-def verify_poisson_jacobi(context: PoissonContext, seed: int,
-                          samples: int = 20) -> list:
-    """Jacobi identity on seeded random generator triples."""
+# seeded generator triples of `verify_poisson_jacobi`
+JACOBI_TRIPLES = 20
+
+
+def verify_poisson_jacobi(context: PoissonContext, seed: int) -> list:
+    """Jacobi identity on JACOBI_TRIPLES seeded random generator triples."""
     rng = random.Random(seed)
     vs = context.variables()
     details = []
-    for t in range(samples):
+    for t in range(JACOBI_TRIPLES):
         a, b, c = (PoissonPoly.variable(context, *rng.choice(vs))
                    for _ in range(3))
         res = (poisson_bracket(a, poisson_bracket(b, c))
@@ -69,17 +72,22 @@ def verify_poisson_jacobi(context: PoissonContext, seed: int,
     return details
 
 
-def _random_quadratic(rule, rng, max_level: int):
+# the highest generator level in the quadratic elements of
+# `verify_symbol_homomorphy`
+SYMBOL_MAX_LEVEL = 3
+
+
+def _random_quadratic(rule, rng):
     idx = rule.index_set.indices()
     g1 = rule.element(rng.choice(idx), rng.choice(idx),
-                      rng.randint(1, max_level))
+                      rng.randint(1, SYMBOL_MAX_LEVEL))
     g2 = rule.element(rng.choice(idx), rng.choice(idx),
-                      rng.randint(1, max_level))
+                      rng.randint(1, SYMBOL_MAX_LEVEL))
     return g1 * g2 * rng.randint(1, 5)
 
 
 def verify_symbol_homomorphy(index_set: IndexSet, M: int, seed: int,
-                             pairs: int = 50, max_level: int = 3) -> list:
+                             pairs: int = 50) -> list:
     """symbol([X, Y]) = {symbol X, symbol Y} for seeded random pairs of
     quadratic elements, in the degree (deg X + deg Y - 1) component."""
     from .algebra import YangianRule, commutator, filtration_degree, symbol
@@ -89,8 +97,8 @@ def verify_symbol_homomorphy(index_set: IndexSet, M: int, seed: int,
     rng = random.Random(seed)
     details = []
     for t in range(pairs):
-        x = _random_quadratic(rule, rng, max_level)
-        y = _random_quadratic(rule, rng, max_level)
+        x = _random_quadratic(rule, rng)
+        y = _random_quadratic(rule, rng)
         d = filtration_degree(x) + filtration_degree(y) - 1
         lhs = symbol(commutator(x, y), d, context)
         rhs = poisson_bracket(symbol(x, filtration_degree(x), context),
@@ -173,7 +181,7 @@ def verify_classical_slice_rank(n: int, z: ZMatrix, seed: int = 7) -> list:
     coordinates at points that keep the base values elsewhere."""
     context = PoissonContext(IndexSet.signed(2 * n, "so"), 1)
     fs = bethe_family_polys(bethe_family(context, z))
-    base, free = upper_slice(context, variant="lemma45")
+    base, free = upper_slice(context)
     expected = n * n
     rng = random.Random(seed)
 

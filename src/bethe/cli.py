@@ -90,8 +90,8 @@ class RunConfig:
                 raise UsageError(f"--M {args.M} is outside the rank tables: "
                                  "they hold odd M for sp and odd so, even M "
                                  "for even so")
-        if args.k and not 1 <= args.k <= N:
-            raise UsageError("k out of range")
+        if args.k is not None and not 1 <= args.k <= N:
+            raise UsageError(f"--k must be in 1..{N}")
         self.M = args.M
         self.budget = args.budget
         self.k = args.k
@@ -308,7 +308,7 @@ def run_compute(cfg: RunConfig, name: str) -> dict:
 
     iset = cfg.index_set
     D = cfg.D
-    ks = [cfg.k] if cfg.k else list(range(1, iset.N + 1))
+    ks = [cfg.k] if cfg.k is not None else list(range(1, iset.N + 1))
     config = {k: v for k, v in cfg.params().items() if v is not None}
     config["object"] = name
 

@@ -10,6 +10,10 @@ Both are `WordMap`s: `pi_map` and `rho_map` build one for a target
 `GlRule`, and a check builds it once, so each distinct word is multiplied
 out once however often it occurs.
 
+The defining representation sends an element to an N x N rational
+matrix, a one-site rational `TensorElement`, so matrices multiply by the
+tensor product rule.
+
 The fixed-point enveloping algebra has no separate rewriting system here;
 its elements live inside the ambient enveloping algebra after F-expansion.
 """
@@ -18,6 +22,8 @@ from __future__ import annotations
 from .algebra import AlgebraElement, GlRule, WordMap, commutator
 from .indices import IndexSet
 from .rationals import accumulate, rat
+from .series import RATIONAL_RING
+from .tensor import TensorElement
 
 
 def pi_map(gl_rule: GlRule) -> WordMap:
@@ -43,10 +49,9 @@ def rho_map(gl_rule: GlRule) -> WordMap:
                    * half ** (g[0] - 1))
 
 
-def defining_rep(e: AlgebraElement, index_set: IndexSet) -> dict:
-    """Algebra map to N x N rational matrices: E_ij -> matrix unit.
-
-    Returns a sparse dict {(i, j): value}."""
+def defining_rep(e: AlgebraElement, index_set: IndexSet) -> TensorElement:
+    """Algebra map to N x N rational matrices, E_ij -> matrix unit, as
+    one-site rational tensors."""
     idx = index_set.indices()
 
     def units(word):
@@ -57,16 +62,9 @@ def defining_rep(e: AlgebraElement, index_set: IndexSet) -> dict:
             return [(word[0][1], word[-1][2])]
         return []
 
-    return accumulate({}, ((k, c) for word, c in e.terms.items()
-                           for k in units(word)))
-
-
-def mat_mul(a: dict, b: dict) -> dict:
-    by_row: dict = {}
-    for (i, j), v in b.items():
-        by_row.setdefault(i, []).append((j, v))
-    return accumulate({}, (((i, j), v1 * v2) for (i, m), v1 in a.items()
-                           for j, v2 in by_row.get(m, ())))
+    return TensorElement(1, index_set, RATIONAL_RING, accumulate({}, (
+        (((i,), (j,)), c) for word, c in e.terms.items()
+        for i, j in units(word))))
 
 
 def verify_image_commutativity(elements: list, gl_rule: GlRule) -> list:
@@ -78,8 +76,7 @@ def verify_image_commutativity(elements: list, gl_rule: GlRule) -> list:
     for a in range(len(elements)):
         for b in range(a + 1, len(elements)):
             alg_ok = not commutator(elements[a], elements[b])
-            m1 = mat_mul(mats[a], mats[b])
-            m2 = mat_mul(mats[b], mats[a])
             details.append((f"pair ({a},{b}) algebra", alg_ok))
-            details.append((f"pair ({a},{b}) matrices", m1 == m2))
+            details.append((f"pair ({a},{b}) matrices",
+                            mats[a] * mats[b] == mats[b] * mats[a]))
     return details

@@ -15,11 +15,13 @@ contexts:
 
 Every rank certificate evaluates at a `CurrentPoint`: partial derivatives
 in one gradient pass per polynomial, then Bareiss fraction-free
-elimination on integer rows, all exact over the rationals.  A slice
-certificate differentiates in its free coordinates at a point that keeps
-the base values on every other coordinate, which is the Jacobian of the
-restriction to the slice.  Random points come from a seeded generator, so
-every certificate is reproducible.
+elimination on integer rows, all exact over the rationals.  There is one
+slice, `upper_slice`, the even-orthogonal Borel slice through the
+nilpotent of Lemma 4.5; its certificate differentiates in the free
+coordinates at a point that keeps the base values on every other
+coordinate, which is the Jacobian of the restriction to the slice.
+Random points come from a seeded generator, so every certificate is
+reproducible.
 """
 from __future__ import annotations
 
@@ -96,12 +98,9 @@ class PoissonContext:
         terms: dict = {}
 
         def put(s1, v1, s2, w1, c):
-            # product var^(s1) * var^(s2) with level-0 symbols = deltas
-            if s1 == 0 and s2 == 0:
-                word = ()
-                if v1[0] != v1[1] or w1[0] != w1[1]:
-                    return
-            elif s1 == 0:
+            # product var^(s1) * var^(s2) with level-0 symbols = deltas;
+            # s1 + s2 = p + q - 1 >= 1, so at most one level is 0
+            if s1 == 0:
                 if v1[0] != v1[1]:
                     return
                 word = ((s2,) + w1,)
@@ -184,9 +183,6 @@ class PoissonPoly:
         other = self._coerce(other)
         return _poly(self.context, accumulate(
             dict(self.terms), ((m, -c) for m, c in other.terms.items())))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, PoissonPoly):
@@ -516,25 +512,14 @@ def principal_nilpotent(index_set: IndexSet, variant: str = "section4") -> dict:
     return ent
 
 
-def required_parity(index_set: IndexSet) -> int:
-    """Parity of M (as M mod 2) for which the base nilpotent level sits in
-    the twisted current space: odd for so_{2n+1}/sp_{2n}, even for so_{2n}."""
-    if index_set.form == "so" and index_set.N % 2 == 0:
-        return 0
-    return 1
-
-
-def upper_slice(context: PoissonContext, variant: str = "section4") -> tuple:
-    """The Borel-directed slice through the top-level nilpotent, as
-    (base, free): `base` maps every fundamental-domain variable to its
-    value at the nilpotent, and the free coordinates are the
-    upper-triangular ones at every level.  The slice is the base point
-    moved along the free coordinates only."""
-    if (variant != "lemma45" and context.kind == "twisted"
-            and context.M % 2 != required_parity(context.index_set)):
-        raise ValueError("truncation level parity incompatible with "
-                         "the base nilpotent")
-    E = principal_nilpotent(context.index_set, variant)
+def upper_slice(context: PoissonContext) -> tuple:
+    """The Borel-directed slice of the even-orthogonal context through the
+    nilpotent of Lemma 4.5 placed at the top level, as (base, free):
+    `base` maps every fundamental-domain variable to its value at the
+    nilpotent, and the free coordinates are the upper-triangular ones at
+    every level.  The slice is the base point moved along the free
+    coordinates only."""
+    E = principal_nilpotent(context.index_set, "lemma45")
     point = CurrentPoint.from_level_matrix(context, context.M, E)
     base = {v: point.value(v) for v in context.variables()}
     free = tuple(v for v in context.variables() if v[1] <= v[2])

@@ -29,7 +29,6 @@ __bool__ as "has a nonzero term".
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 try:
@@ -39,14 +38,6 @@ except ImportError:  # pragma: no cover
 
 ZERO = 0
 ONE = 1
-
-_RAT_TYPES = (int, Fraction, Q)
-
-
-def is_rat(x) -> bool:
-    """True for plain numeric scalars (int / Fraction / mpq)."""
-    return isinstance(x, _RAT_TYPES)
-
 
 def div(a, b):
     """The exact quotient a / b of two scalars, in canonical form."""

@@ -150,11 +150,6 @@ class TruncatedSeries:
                            for x, y in ((a[r], b[s - r]),) if x and y])
             for s in range(D + 1)], D)
 
-    def __rmul__(self, other):
-        # rational scalars only; they commute with every coefficient ring
-        c = rat(other)
-        return self.map_coeffs(lambda x: x * c)
-
     # -- the two workhorses ---------------------------------------------------
 
     def substitute_affine(self, a, b) -> "TruncatedSeries":
@@ -264,9 +259,6 @@ class BiLaurent:
             for a, b in ((a1 + a2, b1 + b2),)
             if a >= -cap_u and b >= -cap_v))
         return BiLaurent(ring, acc, cap_u, cap_v)
-
-    def __rmul__(self, other):
-        return self * other
 
     def __bool__(self) -> bool:
         return bool(self.entries)

@@ -4,17 +4,19 @@ Entries are keyed by paired multi-indices ((a_1..a_n), (b_1..b_n)); no
 dense array is ever materialized.  Coefficients live in any Ring (exact
 rationals, algebra elements, formal S-words), and the tensor spaces
 themselves are wrapped as Rings so that TruncatedSeries and BiLaurent can
-carry tensor coefficients.  A rational tensor multiplies a ring-valued one
-from either side, and the product lives in the ring of the ring-valued
-operand: no rational tensor is lifted into an algebra ring.
+carry tensor coefficients.  The product of two tensors lives in the ring
+of the ring-valued operand when the other is rational, from either side:
+no rational tensor is lifted into an algebra ring.  A scalar factor is a
+rational (`scale_rat`); no coefficient-ring element scales a tensor.
 
 Provides permutation operators, the alternator, site embeddings and
 per-site prime transposition.  The alternator A_k = k! H_k, H_k the
 antisymmetrizer, is built in closed form as an integral tensor, and
-identities with H_k are checked on A_k; only `h_k_orientation` forms the
-ordered R-matrix product, to check the arrow orientations that reports
-declare.  The R-matrices R(u) = u - P and its twisted companion
-R~(u) = u - Q, Q the one-sided prime transpose of P, have one form:
+identities with H_k are checked on A_k; only `h_k_orientation`, given
+the A_k its caller built, forms the ordered R-matrix product, to check
+the arrow orientations that reports declare.  The R-matrices
+R(u) = u - P and its twisted companion R~(u) = u - Q, Q the one-sided
+prime transpose of P, have one form:
 `bilaurent_r` gives R_pq at any affine argument in (u, v) as an exact
 BiLaurent over the rational tensors, and every R-matrix identity
 (unitarity, Yang-Baxter, the mixed exchanges, RTT and reflection) is a
@@ -40,10 +42,10 @@ from itertools import combinations, permutations, product
 from math import factorial, prod
 
 from .indices import IndexSet
-from .rationals import accumulate, binomial, div, is_rat, rat
+from .rationals import accumulate, binomial, div, rat
 from .reports import h_orientation
 from .series import (INF_CAP, RATIONAL_RING, BiLaurent, Ring, TruncatedSeries,
-                     algebra_ring, sum_terms)
+                     sum_terms)
 
 
 class TensorElement:
@@ -92,7 +94,7 @@ class TensorElement:
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
-            return self.scale_coeff(other, side="right")
+            return self.scale_rat(other)
         self._compat(other)
         # a rational factor takes the ring of its partner, from either side
         ring = other.ring if self.ring.rational else self.ring
@@ -105,27 +107,10 @@ class TensorElement:
                                for c, v2 in by_row.get(m, ())))
         return TensorElement(self.sites, self.index_set, ring, acc)
 
-    def __rmul__(self, other):
-        # rationals and ring elements acting from the left
-        return self.scale_coeff(other, side="left")
-
     def scale_rat(self, c) -> "TensorElement":
         c = rat(c)
         return TensorElement(self.sites, self.index_set, self.ring,
                              {k: v * c for k, v in self.entries.items()})
-
-    def scale_coeff(self, x, side: str = "right") -> "TensorElement":
-        """Multiply every entry by a fixed coefficient-ring element; a
-        rational tensor scaled by an algebra element lands in the algebra
-        ring."""
-        if is_rat(x):
-            return self.scale_rat(x)
-        if side == "left":
-            ent = {k: x * v for k, v in self.entries.items()}
-        else:
-            ent = {k: v * x for k, v in self.entries.items()}
-        ring = algebra_ring(x.rule) if self.ring.rational else self.ring
-        return TensorElement(self.sites, self.index_set, ring, ent)
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -400,21 +385,14 @@ def q_tensor(index_set: IndexSet) -> TensorElement:
     return flip(index_set).site_prime(1)
 
 
-_A_CACHE: dict = {}
-
-
 def alternator(k: int, index_set: IndexSet) -> TensorElement:
     """A_k = sum_sigma sgn(sigma) P_sigma = k! H_k, an integral tensor, in
     closed form: its entry at (sigma.b, b) is sgn(sigma) for every column b
     with distinct entries, and its columns with a repeated entry vanish."""
-    key = (k, index_set)
-    hit = _A_CACHE.get(key)
-    if hit is None:
-        signs = [(p, perm_sign(p)) for p in permutations(range(k))]
-        hit = _A_CACHE[key] = TensorElement(k, index_set, RATIONAL_RING, {
-            (tuple(b[i] for i in p), b): s
-            for b in permutations(index_set.indices(), k) for p, s in signs})
-    return hit
+    signs = [(p, perm_sign(p)) for p in permutations(range(k))]
+    return TensorElement(k, index_set, RATIONAL_RING, {
+        (tuple(b[i] for i in p), b): s
+        for b in permutations(index_set.indices(), k) for p, s in signs})
 
 
 def _r_factor(p: int, q: int, value, k: int, index_set: IndexSet) -> TensorElement:
@@ -423,13 +401,15 @@ def _r_factor(p: int, q: int, value, k: int, index_set: IndexSet) -> TensorEleme
     return idp - flip(index_set).embed((p, q), k)
 
 
-def h_k_orientation(k: int, index_set: IndexSet) -> str:
+def h_k_orientation(a: TensorElement) -> str:
     """The arrow orientations in which the ordered product of the R_pq(q-p),
-    p < q, equals 1! 2! ... k! H_k = 1! ... (k-1)! A_k: "outer=..,inner=.."
-    joined by ";" (empty when none does), or "trivial" at k = 1."""
+    p < q, equals 1! 2! ... k! H_k = 1! ... (k-1)! A_k, for a = A_k
+    (`alternator`): "outer=..,inner=.." joined by ";" (empty when none
+    does), or "trivial" at k = 1."""
+    k, index_set = a.sites, a.index_set
     if k == 1:
         return "trivial"
-    target = alternator(k, index_set).scale_rat(prod(map(factorial, range(k))))
+    target = a.scale_rat(prod(map(factorial, range(k))))
     order = {"asc": iter, "desc": reversed}
     matches = []
     for outer, inner in product(order, order):
@@ -542,5 +522,5 @@ def verify_antisymmetrizers(index_set: IndexSet) -> list:
                         a.partial_trace_all() == f * binomial(N, k)))
         declared = h_orientation(k)
         details.append((f"H_{k} orientation: {declared}",
-                        h_k_orientation(k, index_set) == declared))
+                        h_k_orientation(a) == declared))
     return details

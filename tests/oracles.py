@@ -12,6 +12,7 @@ independent reference for the quantum-minor construction of B_k.
 cached normal-ordering kernels of `algebra.CommutationRule`, and
 `deserialize_element` inverts `algebra.serialize_element`.
 """
+import heapq
 from functools import reduce
 from itertools import permutations
 from math import factorial
@@ -44,16 +45,29 @@ def normal_order(word, rule, coeff=ONE, strategy: str = "left",
     confluence property the cached engine relies on.  When `trace` is a
     list, every rewrite step appends ((degree, inversions) before, after)
     and the strict lexicographic decrease is asserted.
+
+    The pending words are kept once each, with their coefficients summed,
+    and the word with the largest (degree, inversions) key is rewritten
+    next.  As every step strictly lowers the key, no word can reappear
+    once it is rewritten, so each distinct word is rewritten at most once.
     """
     if strategy not in ("left", "right"):
         raise ValueError(f"unknown strategy {strategy!r}")
     word = tuple(word)
     for g in word:
         rule.gen(g[1], g[2], g[0])  # validates indices and level
-    pending = [(rat(coeff), word)]
+
+    def key(w):
+        return (monomial_degree(w), _inversions(w))
+
+    pending = {word: rat(coeff)}
+    heap = [(tuple(-x for x in key(word)), word)]
     done: dict = {}
-    while pending:
-        c, w = pending.pop()
+    while heap:
+        _, w = heapq.heappop(heap)
+        c = pending.pop(w, None)
+        if c is None:
+            continue  # pushed twice, or its coefficients cancelled
         spots = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
         if not spots:
             accumulate(done, ((w, c),))
@@ -61,16 +75,18 @@ def normal_order(word, rule, coeff=ONE, strategy: str = "left",
         pos = spots[0] if strategy == "left" else spots[-1]
         a, b = w[pos], w[pos + 1]
         pre, suf = w[:pos], w[pos + 2:]
-        before = (monomial_degree(w), _inversions(w))
+        before = key(w)
         outs = [(c, pre + (b, a) + suf)]
         for mb, cb in rule.bracket_terms(a, b).items():
             outs.append((c * cb, pre + mb + suf))
         for cc, ww in outs:
-            after = (monomial_degree(ww), _inversions(ww))
+            after = key(ww)
             if trace is not None:
                 trace.append((before, after))
                 assert after < before, "rewrite step failed to decrease"
-            pending.append((cc, ww))
+            if ww not in pending:
+                heapq.heappush(heap, (tuple(-x for x in after), ww))
+            accumulate(pending, ((ww, cc),))
     return AlgebraElement(rule, done)
 
 

@@ -255,6 +255,19 @@ def test_poisson_bethe_k_out_of_range_is_usage_error():
                  "--k", "3"]) == 2
 
 
+@pytest.mark.parametrize("k", ["0", "-1", "3"])
+def test_k_outside_one_to_n_is_a_usage_error(k, tmp_path, capsys):
+    # --k 0 is a series index out of range, not "every k"
+    out = tmp_path / "bethe.json"
+    args = ["compute", "bethe", "--kind", "gl", "--N", "2", "--D", "1",
+            "--out", str(out), "--k"]
+    assert main(args + [k]) == 2
+    assert "--k must be in 1..2" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["2"]) == 0
+    assert [row["k"] for row in json.loads(out.read_text())["series"]] == [2]
+
+
 # -- planted defects: every Poisson check must be able to fail ----------------
 
 

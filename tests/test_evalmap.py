@@ -1,10 +1,12 @@
 import pytest
 
 from bethe.algebra import GlRule, YangianRule, commutator
-from bethe.evalmap import (defining_rep, f_element, mat_mul, pi_map,
-                           rho_map, verify_image_commutativity)
+from bethe.evalmap import (defining_rep, f_element, pi_map, rho_map,
+                           verify_image_commutativity)
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import Q
+from bethe.series import RATIONAL_RING
+from bethe.tensor import TensorElement
 from bethe.twisted import TwistedContext
 from bethe.yangian import bethe_series
 
@@ -61,20 +63,21 @@ def test_rho_needs_signed_set():
 def test_defining_rep_examples():
     iset = IndexSet.plain(3)
     gl = GlRule(iset)
-    assert defining_rep(gl.one(), iset) == {(i, i): Q(1) for i in (1, 2, 3)}
-    assert defining_rep(gl.element(1, 2) * gl.element(2, 1), iset) == \
-        {(1, 1): Q(1)}
+    assert defining_rep(gl.one(), iset) == TensorElement.identity(1, iset)
+    e12, e21 = gl.element(1, 2), gl.element(2, 1)
+    assert defining_rep(e12 * e21, iset) == \
+        TensorElement(1, iset, RATIONAL_RING, {((1,), (1,)): 1})
     casimir = gl.zero()
     for i in iset.indices():
         for j in iset.indices():
             casimir = casimir + gl.element(i, j) * gl.element(j, i)
-    assert defining_rep(casimir, iset) == {(i, i): Q(3) for i in (1, 2, 3)}
-
-
-def test_mat_mul():
-    a = {(1, 2): Q(2)}
-    b = {(2, 1): Q(3), (1, 1): Q(5)}
-    assert mat_mul(a, b) == {(1, 1): Q(6)}
+    assert defining_rep(casimir, iset) == \
+        TensorElement.identity(1, iset).scale_rat(3)
+    # an algebra map: matrices of products are products of matrices
+    x = e12 * Q(2) + gl.element(1, 1) * Q(5)
+    y = e21 * Q(3) + gl.element(1, 3)
+    assert defining_rep(x * y, iset) == \
+        defining_rep(x, iset) * defining_rep(y, iset)
 
 
 def test_image_commutativity_negative_control():

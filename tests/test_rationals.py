@@ -1,6 +1,6 @@
 import pytest
 
-from bethe.rationals import (ONE, Q, ZERO, binomial, div, format_rat, is_rat,
+from bethe.rationals import (ONE, Q, ZERO, binomial, div, format_rat,
                              parse_rat, rat)
 
 
@@ -40,8 +40,3 @@ def test_rat_and_div_are_canonical():
 def test_rat_rejects_floats_and_strings(bad):
     with pytest.raises(TypeError):
         rat(bad)
-
-
-def test_is_rat():
-    assert is_rat(Q(1, 2)) and is_rat(3)
-    assert not is_rat("1/2")

@@ -97,7 +97,9 @@ def verify_fused_determinant(ctx, z, D):
     s = fused_s(ctx, N, D)
     alt = alternator(N, ctx.index_set)
     a_n = expanded_bethe_series(ctx, N, z, D)
-    return [(f"fused determinant u^{-r}", alt * s.coeffs[r] == a_r * alt)
+    ring = algebra_ring(ctx.yang_rule)
+    return [(f"fused determinant u^{-r}", alt * s.coeffs[r]
+             == alt.map_coeffs(lambda c: a_r * c, ring))
             for r, a_r in enumerate(a_n.coeffs)]
 
 
