@@ -19,8 +19,10 @@ generators.
 Each rule caches three kernels on normal monomials: the generator bracket
 (`bracket_terms`), monomial times generator (`mono_times_gen`, which
 `mono_times_mono` chains) and the bracket [monomial, generator]
-(`mono_bracket_gen`).  `commutator` is the derivation ad_a built on the
-last, so the leading terms that cancel in ab - ba are never formed.
+(`mono_bracket_gen`).  `derivation(a)` is ad_a built on the last, so the
+leading terms that cancel in ab - ba are never formed; it keeps ad_a(g)
+per generator g for every element it is applied to, and `commutator(a,
+b)` is ad_a applied to b.
 
 `WordMap` is the one algebra map from words into a rule's elements, given
 the image of each letter; it forms every distinct word's image once.  The
@@ -333,35 +335,45 @@ class WordMap:
                                        for w, c in a.terms.items()))
 
 
-def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Normal form of ab - ba, formed as the derivation ad_a applied to b.
+def derivation(a: AlgebraElement):
+    """The derivation ad_a: b -> normal form of ab - ba.
 
-    ad_a(g) = sum_m c_m [m, g] is formed once per distinct generator g of
-    b, and a word g_1..g_l of b contributes the Leibniz terms
+    ad_a(g) = sum_m c_m [m, g] is formed once per distinct generator g,
+    across every element the derivation is applied to, and a word
+    g_1..g_l of b contributes the Leibniz terms
     sum_j g_1..g_{j-1} ad_a(g_j) g_{j+1}..g_l, so the leading terms that
     cancel in ab - ba are never formed.  Free words have no bracket."""
-    if a.rule is not b.rule:
-        raise ValueError("elements under different commutation rules")
     rule = a.rule
     mbg, mtm = rule.mono_bracket_gen, rule.mono_times_mono
     ad: dict = {}  # generator g -> [a, g] as {monomial: scalar}
-    for w in b.terms:
-        for g in w:
-            if g not in ad:
-                ad[g] = accumulate({}, [(m2, c * c2)
-                                        for m, c in a.terms.items()
-                                        for m2, c2 in mbg(m, g).items()])
-    acc: dict = {}
-    for w, cw in b.terms.items():
-        for j, g in enumerate(w):
-            pre, suf = w[:j], w[j + 1:]
-            accumulate(acc, [(m2, cwc * (c1 * c2))
-                             for m, c in ad[g].items()
-                             for cwc in (cw * c,)
-                             for m1, c1 in (mtm(pre, m) if pre
-                                            else {m: 1}).items()
-                             for m2, c2 in mtm(m1, suf).items()])
-    return _from_terms(rule, acc)
+
+    def apply(b: AlgebraElement) -> AlgebraElement:
+        if b.rule is not rule:
+            raise ValueError("elements under different commutation rules")
+        for w in b.terms:
+            for g in w:
+                if g not in ad:
+                    ad[g] = accumulate({}, [(m2, c * c2)
+                                            for m, c in a.terms.items()
+                                            for m2, c2 in mbg(m, g).items()])
+        acc: dict = {}
+        for w, cw in b.terms.items():
+            for j, g in enumerate(w):
+                pre, suf = w[:j], w[j + 1:]
+                accumulate(acc, [(m2, cwc * (c1 * c2))
+                                 for m, c in ad[g].items()
+                                 for cwc in (cw * c,)
+                                 for m1, c1 in (mtm(pre, m) if pre
+                                                else {m: 1}).items()
+                                 for m2, c2 in mtm(m1, suf).items()])
+        return _from_terms(rule, acc)
+
+    return apply
+
+
+def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Normal form of ab - ba: the derivation ad_a applied to b."""
+    return derivation(a)(b)
 
 
 def monomial_degree(m: tuple) -> int:

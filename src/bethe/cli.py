@@ -13,12 +13,14 @@ Both exit with status 2 on usage errors and 3 on internal errors.  A usage
 error is bad outside input: an unknown check, a missing or out-of-range
 flag, an --M outside the rank tables of ``verify jacobian`` and ``verify
 poisson-rank``, a --z-symmetry that is not sign-matched for ``verify
-prop36`` (so needs symmetric, sp skew), a malformed or unreadable --Z, or
-an output path that cannot be written.  `RunConfig` turns every such
-input into a `UsageError` before any computation starts.  An internal
-error is a failed internal guard (such as the degree and parity guards of
-the determinant expansion) or any other exception raised by a computation,
-a `ValueError` included.  Errors go to stderr.
+prop36`` (so needs symmetric, sp skew), a --z-symmetry other than skew for
+the Poisson-side ops on so/sp that build the determinant family
+(`SKEW_Z_OPS`), a malformed or unreadable --Z, or an output path that
+cannot be written.  `RunConfig` turns every such input into a
+`UsageError` before any computation starts.  An internal error is a
+failed internal guard (such as the degree and parity guards of the
+determinant expansion) or any other exception raised by a computation, a
+`ValueError` included.  Errors go to stderr.
 ``verify jacobian`` reports the parity zeros as detail rows instead, so a
 parity violation there exits 1.
 
@@ -50,6 +52,10 @@ CHECKS = ("rtt", "fusion", "bethe-commute", "centrality", "hat-identity",
 
 OBJECTS = ("bethe", "qdet", "twisted-bethe", "poisson-bethe")
 
+# the Poisson-side ops whose determinant family needs, for kind so/sp, a
+# skew Z
+SKEW_Z_OPS = ("symbol-hom", "jacobian", "classical-so2n", "poisson-bethe")
+
 
 class RunConfig:
     """Validated run parameters shared by both subcommands.  Every check of
@@ -75,15 +81,16 @@ class RunConfig:
                               else IndexSet.signed(N, self.kind))
         except ValueError as e:
             raise UsageError(str(e)) from None
+        op = getattr(args, "check", None) or getattr(args, "object", None)
         # the commutator suites truncate at budget - 1, whatever --D says
-        self.D = (args.budget - 1 if getattr(args, "check", None)
-                  in ("bethe-commute", "twisted-commute") else args.D)
+        self.D = (args.budget - 1 if op in ("bethe-commute", "twisted-commute")
+                  else args.D)
         if self.D < 0:
             raise UsageError("the truncation order must be >= 0 (--D, or "
                              "--budget - 1 for the commutator suites)")
         if args.M < 1:
             raise UsageError("--M must be >= 1")
-        if getattr(args, "check", None) in ("jacobian", "poisson-rank"):
+        if op in ("jacobian", "poisson-rank"):
             from .certify import rank_table_holds
 
             if not rank_table_holds(self.index_set, args.M):
@@ -98,13 +105,16 @@ class RunConfig:
         self.seed = args.seed
         self.format = args.format
         self.z_symmetry = args.z_symmetry
-        if getattr(args, "check", None) == "prop36" and self.kind != "gl":
-            # Proposition 3.6 holds for a sign-matched Z only
-            matched = "symmetric" if self.kind == "so" else "skew"
-            if self.z_symmetry != matched:
-                raise UsageError(f"verify prop36 --kind {self.kind} needs "
-                                 f"--z-symmetry {matched} (a sign-matched Z: "
-                                 "symmetric for so, skew for sp)")
+        if self.kind != "gl" and (op == "prop36" or op in SKEW_Z_OPS):
+            if op == "prop36":
+                # Proposition 3.6 holds for a sign-matched Z only
+                needed = "symmetric" if self.kind == "so" else "skew"
+                why = "a sign-matched Z: symmetric for so, skew for sp"
+            else:
+                needed, why = "skew", "its determinant family needs a skew Z"
+            if self.z_symmetry != needed:
+                raise UsageError(f"{args.command} {op} --kind {self.kind} "
+                                 f"needs --z-symmetry {needed} ({why})")
         self.z_spec = args.Z or self._default_z()
         tag = None
         if self.kind != "gl":

@@ -9,6 +9,9 @@ Two index conventions are used throughout:
 
 Signed indices are ordered -n < ... < -1 < 0 < 1 < ... < n, so ordinary
 integer comparison gives the canonical order in both conventions.
+
+`perm_sign` is the sign of an ordering of distinct indices, the sign of
+every quantum minor and every row of the alternator.
 """
 from __future__ import annotations
 
@@ -158,3 +161,14 @@ def parse_z_spec(spec: str, index_set: IndexSet, symmetry_tag=None) -> ZMatrix:
         entries = {(int(i), int(j)): parse_rat(v) for i, j, v in data}
         return ZMatrix(index_set, entries, symmetry_tag)
     raise ValueError(f"unrecognized Z specification {spec!r}")
+
+
+def perm_sign(sigma) -> int:
+    """The sign of the ordering sigma of distinct comparable items: -1 to
+    the number of its inversions."""
+    s = 1
+    for i in range(len(sigma)):
+        for j in range(i + 1, len(sigma)):
+            if sigma[i] > sigma[j]:
+                s = -s
+    return s

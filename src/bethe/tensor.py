@@ -12,11 +12,13 @@ rational (`scale_rat`); no coefficient-ring element scales a tensor.
 Provides permutation operators, the alternator, site embeddings and
 per-site prime transposition.  The alternator A_k = k! H_k, H_k the
 antisymmetrizer, is built in closed form as an integral tensor, and
-identities with H_k are checked on A_k; only `h_k_orientation`, given
-the A_k its caller built, forms the ordered R-matrix product, to check
-the arrow orientations that reports declare.  The R-matrices
-R(u) = u - P and its twisted companion R~(u) = u - Q, Q the one-sided
-prime transpose of P, have one form:
+identities with H_k are checked on A_k: the rational ones on the whole
+of A_k, the algebra-valued fusion identities of `yangian.verify_fusion`
+on its rows (`alternator_rows`), A_k = ket . bra.  Only
+`h_k_orientation`, given the A_k its caller built, forms the ordered
+R-matrix product, to check the arrow orientations that reports declare.
+The R-matrices R(u) = u - P and its twisted companion R~(u) = u - Q, Q
+the one-sided prime transpose of P, have one form:
 `bilaurent_r` gives R_pq at any affine argument in (u, v) as an exact
 BiLaurent over the rational tensors, and every R-matrix identity
 (unitarity, Yang-Baxter, the mixed exchanges, RTT and reflection) is a
@@ -41,7 +43,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import factorial, prod
 
-from .indices import IndexSet
+from .indices import IndexSet, perm_sign
 from .rationals import accumulate, binomial, div, rat
 from .reports import h_orientation
 from .series import (INF_CAP, RATIONAL_RING, BiLaurent, Ring, TruncatedSeries,
@@ -352,15 +354,6 @@ def series_to_bilaurent(series: TruncatedSeries, site: int, var: str,
 
 
 # -- permutations and antisymmetrizers -----------------------------------------
-
-
-def perm_sign(sigma) -> int:
-    s = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                s = -s
-    return s
 
 
 def perm_operator(sigma, index_set: IndexSet) -> TensorElement:

@@ -12,9 +12,20 @@ determinant is the minor on all N indices.  `hat_bethe_series` gives the
 inverse-series generators hat-B_k, a `tensor.trace_words` walk of the
 rows of A_k over the letters of T(u)^-1.  `t_site_series` is the one
 builder of a generator series: T(u) here, the formal S(u) of the twisted
-layer under its free rule.  The row builders for one identity
-type each (`window_rows`, `membership_rows`, `commutator_table`,
-`centrality_rows`, `hat_identity_rows`) serve the twisted layer too.
+layer under its free rule.
+
+`verify_fusion` checks H_k T_1(u-1)..T_k(u-k) = T_k(u-k)..T_1(u-1) H_k
+and the membership predicate H X = H X H on A_k = k! H_k = ket . bra,
+bra the rows of A_k and ket their transpose (`fusion_products`): the
+factors multiply bra from the right and ket from the left, so no product
+of them on all N^k rows is formed.
+
+The row builders for one identity type each (`window_rows`,
+`commutator_table`, `centrality_rows`, `hat_identity_rows`) serve the
+twisted layer too; the commutator rows apply one `algebra.derivation`
+per coefficient.  The quantum minors need no tensor: the functions that
+build tensors import `tensor` where they run, so the ops that build only
+quantum minors do not load it.
 """
 from __future__ import annotations
 
@@ -23,13 +34,10 @@ from itertools import combinations, permutations
 from math import factorial, prod
 from operator import mul
 
-from .algebra import YangianRule, commutator
-from .indices import ZMatrix
+from .algebra import YangianRule, derivation
+from .indices import ZMatrix, perm_sign
 from .rationals import binomial, div
 from .series import RATIONAL_RING, BiLaurent, TruncatedSeries, algebra_ring
-from .tensor import (TensorElement, alternator, alternator_rows, bilaurent_r,
-                     perm_sign, rank_one_ket, series_to_bilaurent,
-                     tensor_ring, trace_words)
 
 
 def t_entry_series(rule: YangianRule, i: int, j: int, D: int) -> TruncatedSeries:
@@ -44,6 +52,8 @@ def t_site_series(rule, D: int) -> TruncatedSeries:
     """The one-site series 1 + sum_r X^(r) u^-r of a rule's generators,
     X^(r) the matrix of the X_ij^(r): T(u) under a `YangianRule`, the
     formal S(u) under the twisted context's `FreeRule`."""
+    from .tensor import TensorElement, tensor_ring
+
     iset = rule.index_set
     aring = algebra_ring(rule)
     tring = tensor_ring(1, iset, aring)
@@ -55,16 +65,21 @@ def t_site_series(rule, D: int) -> TruncatedSeries:
 
 
 def t_factors(rule: YangianRule, k: int, D: int) -> list:
-    """The site factors T_p(u-p), p = 1..k, each T(u) embedded on site p
-    of k sites."""
+    """The site factors T_p(u-p), p = 1..k: the one-site T(u-p), embedded
+    on site p of k sites."""
+    from .tensor import tensor_ring
+
     t = t_site_series(rule, D)
     ring = tensor_ring(k, rule.index_set, algebra_ring(rule))
-    return [t.map_coeffs(lambda c: c.embed((p,), k), ring)
-            .substitute_affine(1, -p) for p in range(1, k + 1)]
+    return [t.substitute_affine(1, -p).map_coeffs(lambda c: c.embed((p,), k),
+                                                  ring)
+            for p in range(1, k + 1)]
 
 
 def z_site_tensor(z: ZMatrix, pos: int, sites: int) -> TensorElement:
     """Z on site `pos` of `sites` sites, a rational tensor."""
+    from .tensor import TensorElement
+
     one_site = TensorElement(1, z.index_set, RATIONAL_RING,
                              {((i,), (j,)): v
                               for (i, j), v in z.entries.items()})
@@ -142,6 +157,8 @@ def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Truncated
     on one site, contracted with Z_1..Z_k applied to the columns."""
     if k == 0:
         return TruncatedSeries.one(algebra_ring(rule), D)
+    from .tensor import alternator_rows, rank_one_ket, trace_words
+
     bra = alternator_rows(k, rule.index_set)
     ket = rank_one_ket(bra, [(p, z) for p in range(1, k + 1)], D)
     t_hat = t_site_series(rule, D).invert()
@@ -160,16 +177,10 @@ def window_rows(label: str, res: BiLaurent) -> list:
             for ru in range(res.cap_u + 1) for rv in range(res.cap_v + 1)]
 
 
-def membership_rows(label: str, a: TensorElement, x: TruncatedSeries) -> list:
-    """One row "label u^-r" per coefficient X of the block series x: does
-    H X = H X H hold?  It is checked as k! A X = A X A, `a` = A_k = k! H_k."""
-    f = factorial(a.sites)
-    return [(f"{label} u^{-r}", ax.scale_rat(f) == ax * a)
-            for r, c in enumerate(x.coeffs) for ax in (a * c,)]
-
-
 def verify_rtt(rule: YangianRule, D: int) -> list:
     """Residuals of R(u-v) T_1(u) T_2(v) - T_2(v) T_1(u) R(u-v)."""
+    from .tensor import bilaurent_r, series_to_bilaurent
+
     iset = rule.index_set
     t = t_site_series(rule, D)
     t1 = series_to_bilaurent(t, 1, "u", 2)
@@ -178,27 +189,53 @@ def verify_rtt(rule: YangianRule, D: int) -> list:
     return window_rows("coefficient", r * t1 * t2 - t2 * t1 * r)
 
 
+def fusion_products(rule: YangianRule, k: int, D: int) -> tuple:
+    """(A X, Y A, A X A) as series of k-site tensors, for A = A_k = k! H_k,
+    X = T_1(u-1)..T_k(u-k) and Y = T_k(u-k)..T_1(u-1) (`t_factors`).
+
+    A_k = ket . bra, bra the rows <w_I| of A_k (`alternator_rows`) and ket
+    the same vectors as columns, so A X is ket . (bra . T_1 ... T_k),
+    multiplied left to right from bra, Y A is (T_k ... T_1 . ket) . bra,
+    multiplied right to left from ket, and A X A is ((A X) . ket) . bra.
+    bra and ket are constant series over the factors' ring: no product of
+    the factors is formed on all N^k rows, and A_k itself is never
+    formed."""
+    from .tensor import TensorElement, alternator_rows
+
+    bra = alternator_rows(k, rule.index_set)
+    ket = TensorElement(k, bra.index_set, RATIONAL_RING,
+                        {(c, r): v for (r, c), v in bra.entries.items()})
+    factors = t_factors(rule, k, D)
+    bra, ket = (TruncatedSeries.constant(factors[0].ring, m, D)
+                for m in (bra, ket))
+    ax = ket * reduce(mul, factors, bra)
+    ya = reduce(lambda y, f: f * y, factors, ket) * bra
+    return ax, ya, ax * ket * bra
+
+
 def verify_fusion(rule: YangianRule, k: int, D: int) -> list:
     """H_k (T_1..T_k) = (T_k..T_1) H_k, plus the fused-block membership
-    predicate H X = H X H, coefficientwise, on A_k = k! H_k."""
-    a = alternator(k, rule.index_set)
-    factors = t_factors(rule, k, D)
-    fwd = reduce(mul, factors)
-    lhs = fwd.map_coeffs(lambda x: a * x)
-    rhs = reduce(mul, reversed(factors)).map_coeffs(lambda x: x * a)
-    details = [(f"fusion coefficient u^{-r}", lhs.coeffs[r] == rhs.coeffs[r])
-               for r in range(D + 1)]
-    return details + membership_rows("membership coefficient", a, fwd)
+    predicate H X = H X H, coefficientwise, checked as A X = Y A and
+    k! A X = A X A on A_k = k! H_k (`fusion_products`)."""
+    ax, ya, axa = fusion_products(rule, k, D)
+    f = factorial(k)
+    return ([(f"fusion coefficient u^{-r}", c == ya.coeffs[r])
+             for r, c in enumerate(ax.coeffs)]
+            + [(f"membership coefficient u^{-r}",
+                c.scale_rat(f) == axa.coeffs[r])
+               for r, c in enumerate(ax.coeffs)])
 
 
 def centrality_rows(label: str, x: TruncatedSeries, gen_label: str, gen,
                     idx, levels: int) -> list:
     """Rows [label coeff r, gen_label(i,j)^(s)] = 0: every coefficient
-    r >= 1 of x commutes with the generators gen(s, i, j), s <= levels."""
+    r >= 1 of x commutes with the generators gen(s, i, j), s <= levels,
+    under one derivation per coefficient."""
     return [(f"[{label} coeff {r}, {gen_label}({i},{j})^({s})]",
-             not commutator(x.coeffs[r], gen(s, i, j)))
-            for r in range(1, x.trunc + 1) for s in range(1, levels + 1)
-            for i in idx for j in idx]
+             not ad(gen(s, i, j)))
+            for r in range(1, x.trunc + 1)
+            for ad in (derivation(x.coeffs[r]),)
+            for s in range(1, levels + 1) for i in idx for j in idx]
 
 
 def verify_centrality(rule: YangianRule, D: int) -> list:
@@ -212,8 +249,11 @@ def verify_centrality(rule: YangianRule, D: int) -> list:
 def commutator_table(series: dict, letter: str, budget: int, D: int) -> list:
     """Rows [X_k coeff r, X_l coeff s] = 0 for the family
     {k: X_k(u), k = 1..N}, k <= l, orders 1..D with r + s <= budget (r < s
-    when k = l); X is the row letter."""
+    when k = l); X is the row letter.  Each coefficient X_k coeff r has
+    one derivation, applied to every coefficient it is paired with."""
     N = len(series)
+    ads = {(k, r): derivation(series[k].coeffs[r])
+           for k in range(1, N + 1) for r in range(1, D + 1)}
     details = []
     for k in range(1, N + 1):
         for l in range(k, N + 1):
@@ -221,7 +261,7 @@ def commutator_table(series: dict, letter: str, budget: int, D: int) -> list:
                 for s in range(1, D + 1):
                     if r + s > budget or (k == l and s <= r):
                         continue
-                    res = commutator(series[k].coeffs[r], series[l].coeffs[s])
+                    res = ads[(k, r)](series[l].coeffs[s])
                     details.append(
                         (f"[{letter}_{k} coeff {r}, {letter}_{l} coeff {s}]",
                          not res))

@@ -8,6 +8,12 @@ R-matrix factor embedded on all sites, and trace sites out of it, as the
 package once did.  `bethe_series_tensor` is B_k as a trace form, the
 independent reference for the quantum-minor construction of B_k.
 
+`fusion_products_dense` multiplies the site factors T_p(u-p) on all N^k
+rows and applies the closed-form A_k to the products, the reference for
+`yangian.fusion_products`, which works on the rows of A_k; it and
+`membership_rows`, the dense membership predicate H X = H X H, are what
+`verify fusion` once ran.
+
 `normal_order` rewrites one word by adjacent swaps, the reference for the
 cached normal-ordering kernels of `algebra.CommutationRule`, and
 `deserialize_element` inverts `algebra.serialize_element`.
@@ -19,12 +25,13 @@ from math import factorial
 from operator import mul
 
 from bethe.algebra import AlgebraElement, monomial_degree
+from bethe.indices import perm_sign
 from bethe.rationals import ONE, accumulate, parse_rat, rat
 from bethe.series import (INF_CAP, BiLaurent, TruncatedSeries, algebra_ring,
                           one_over_c_minus_2u, sum_terms)
 from bethe.tensor import (TensorElement, alternator, alternator_rows,
-                          perm_operator, perm_sign, q_tensor, rank_one_ket,
-                          tensor_ring, trace_words)
+                          perm_operator, q_tensor, rank_one_ket, tensor_ring,
+                          trace_words)
 from bethe.twisted import _reflection_form
 from bethe.yangian import t_site_series, z_site_tensor
 
@@ -202,3 +209,25 @@ def bethe_series_tensor(k, z, rule, D):
                              for p in range(1, k + 1)], ket,
                        algebra_ring(rule), D)
 
+
+
+def fusion_products_dense(rule, k, D):
+    """(A X, Y A, A X A) with X = T_1(u-1)..T_k(u-k) and Y = T_k..T_1, each
+    factor T(u) embedded on site p of k sites and then shifted, both
+    products formed on all N^k rows, and A = A_k in closed form."""
+    a = alternator(k, rule.index_set)
+    t = t_site_series(rule, D)
+    ring = tensor_ring(k, rule.index_set, algebra_ring(rule))
+    factors = [t.map_coeffs(lambda c: c.embed((p,), k), ring)
+               .substitute_affine(1, -p) for p in range(1, k + 1)]
+    ax = reduce(mul, factors).map_coeffs(lambda x: a * x)
+    ya = reduce(mul, reversed(factors)).map_coeffs(lambda x: x * a)
+    return ax, ya, ax.map_coeffs(lambda x: x * a)
+
+
+def membership_rows(label, a, x):
+    """One row "label u^-r" per coefficient X of the block series x: does
+    H X = H X H hold?  It is checked as k! A X = A X A, `a` = A_k = k! H_k."""
+    f = factorial(a.sites)
+    return [(f"{label} u^{-r}", ax.scale_rat(f) == ax * a)
+            for r, c in enumerate(x.coeffs) for ax in (a * c,)]

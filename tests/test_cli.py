@@ -107,6 +107,25 @@ def test_prop36_needs_a_sign_matched_z(algebra, wrong, matched, tmp_path,
     assert main(args + ["--z-symmetry", matched]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "symbol-hom", "--kind", "so", "--n", "1", "--odd"],
+    ["verify", "symbol-hom", "--kind", "sp", "--n", "1"],
+    ["verify", "jacobian", "--kind", "so", "--n", "1", "--odd"],
+    ["verify", "jacobian", "--kind", "sp", "--n", "1"],
+    ["compute", "poisson-bethe", "--kind", "so", "--n", "1", "--odd"],
+    ["compute", "poisson-bethe", "--kind", "sp", "--n", "1"],
+    ["verify", "classical-so2n", "--kind", "so", "--n", "2"],
+])
+def test_the_determinant_family_needs_a_skew_z(argv, tmp_path, capsys):
+    # these ops build the Poisson-side determinant family, which takes a
+    # skew Z on so and sp; a symmetric one is bad outside input
+    args = [*argv, "--out", str(tmp_path / "out.json")]
+    assert main(args + ["--z-symmetry", "symmetric"]) == 2
+    assert "--z-symmetry skew" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+    assert main(args) == 0
+
+
 def test_a_value_error_inside_a_computation_is_internal(monkeypatch, capsys):
     import bethe.twisted as twisted
 

@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from bethe.certify import (expected_jacobian_rank, expected_poisson_rank,
                            verify_laplace_consistency, verify_poisson_jacobi,
                            verify_symbol_homomorphy)
-from bethe.indices import IndexSet, parse_z_spec
+from bethe.indices import IndexSet, parse_z_spec, perm_sign
 from bethe.poisson import (CurrentPoint, PoissonContext, PoissonPoly,
                            bethe_family, bracket_matrix, det_poly,
                            jacobian_rank, matrix_rank, poisson_bracket,
                            principal_nilpotent, upper_slice)
 from bethe.rationals import ONE, Q, accumulate
-from bethe.tensor import perm_sign
 
 
 def _all_ok(rows):

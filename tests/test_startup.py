@@ -57,6 +57,14 @@ def test_poisson_ops_load_no_algebra_families(argv, tmp_path):
                          "bethe.tensor", "bethe.series", "bethe.algebra"}
 
 
+def test_quantum_minor_ops_load_no_tensor(tmp_path):
+    # B_k is a sum of quantum minors, which multiply entry series only
+    loaded = loaded_by_cli(["verify", "bethe-commute", "--kind", "gl",
+                            "--N", "2"], tmp_path)
+    assert "bethe.yangian" in loaded
+    assert "bethe.tensor" not in loaded
+
+
 def test_twisted_symmetry_loads_no_poisson_side(tmp_path):
     loaded = loaded_by_cli(["verify", "twisted-symmetry", "--kind", "so",
                             "--n", "1", "--odd", "--D", "1"], tmp_path)

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bethe.algebra import FreeRule, YangianRule
-from bethe.indices import IndexSet, ZMatrix
+from bethe.indices import IndexSet, ZMatrix, perm_sign
 from bethe.rationals import Q, binomial
 from bethe.series import RATIONAL_RING, BiLaurent, TruncatedSeries, algebra_ring
 from bethe.tensor import (TensorElement, alternator, alternator_rows, flip,
                           h_k_orientation, pair_step, perm_operator,
-                          perm_sign, q_tensor, rank_one_ket, tensor_ring,
-                          trace_words,
+                          q_tensor, rank_one_ket, tensor_ring, trace_words,
                           verify_antisymmetrizers, verify_mixed_yang_baxter,
                           verify_r_identities, verify_yang_baxter)
 from bethe.yangian import z_site_tensor

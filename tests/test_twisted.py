@@ -22,9 +22,10 @@ from bethe.twisted import (TwistedContext, expanded_bethe_series,
                            verify_sklyanin, verify_symmetry,
                            verify_twisted_commutativity,
                            verify_z_rmatrix_scalar)
-from bethe.yangian import membership_rows, t_site_series
+from bethe.yangian import t_site_series
 from oracles import (a_k_rational_side, antisymmetrizer, fused_z, g_factor,
-                     hat_rational_side, verify_z_exchange, z_product)
+                     hat_rational_side, membership_rows, verify_z_exchange,
+                     z_product)
 
 SP2 = TwistedContext(IndexSet.signed(2, "sp"))
 SO3 = TwistedContext(IndexSet.signed(3, "so"))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 from functools import reduce
@@ -16,7 +17,8 @@ from bethe.yangian import (bethe_series, hat_bethe_series,
                            t_entry_series, t_site_series,
                            verify_bethe_commutativity, verify_centrality,
                            verify_fusion, verify_hat_identity, verify_rtt)
-from oracles import antisymmetrizer, bethe_series_tensor, z_product
+from oracles import (antisymmetrizer, bethe_series_tensor,
+                     fusion_products_dense, membership_rows, z_product)
 
 
 def _all_ok(rows):
@@ -53,10 +55,73 @@ def test_fusion():
     _all_ok(verify_fusion(rule, 2, 2))
 
 
+@pytest.mark.parametrize("N, D", [(2, 4), (3, 3), (4, 2)])
+def test_fusion_products_match_the_dense_products(N, D):
+    # A X, Y A and A X A on the rows of A_k, term for term against the
+    # products on all N^k rows; every order through D is compared
+    rule = YangianRule(IndexSet.plain(N))
+    for k in range(2, N + 1):
+        rows = yangian.fusion_products(rule, k, D)
+        dense = fusion_products_dense(rule, k, D)
+        for got, want in zip(rows, dense):
+            assert got.trunc == want.trunc == D
+            assert got.coeffs == want.coeffs
+
+
+def _failed_fusion_rows(N=3, D=3):
+    rule = YangianRule(IndexSet.plain(N))
+    return [item for k in range(2, N + 1)
+            for item, ok in verify_fusion(rule, k, D)
+            if item.startswith("fusion") and not ok]
+
+
+def test_fusion_fails_for_the_same_factor_order_on_both_sides(monkeypatch):
+    # Y = T_1..T_k, the order of X, in place of T_k..T_1
+    source = inspect.getsource(yangian.fusion_products)
+    right_to_left = "reduce(lambda y, f: f * y, factors, ket)"
+    assert source.count(right_to_left) == 1
+    namespace = dict(vars(yangian))
+    exec(source.replace(right_to_left,
+                        "reduce(lambda y, f: f * y, factors[::-1], ket)"),
+         namespace)
+    assert not _failed_fusion_rows()
+    monkeypatch.setattr(yangian, "fusion_products",
+                        namespace["fusion_products"])
+    assert _failed_fusion_rows()
+
+
+def test_fusion_fails_for_a_reversed_site_spacing(monkeypatch):
+    # the identity holds for every u, so a shift shared by all factors,
+    # T_p(u-p-1), passes; T_p(u+p) reverses the spacing and fails
+    real = yangian.t_factors
+
+    def shifted(by):
+        def factors(rule, k, D):
+            return [f.substitute_affine(1, by(p))
+                    for p, f in enumerate(real(rule, k, D), 1)]
+        return factors
+
+    monkeypatch.setattr(yangian, "t_factors", shifted(lambda p: -1))
+    assert not _failed_fusion_rows()
+    monkeypatch.setattr(yangian, "t_factors", shifted(lambda p: 2 * p))
+    assert _failed_fusion_rows()
+
+
+def test_fusion_fails_for_rows_without_signs(monkeypatch):
+    # sum_sigma e_{sigma.I}: the rows of the symmetrizer k! S_k
+    from bethe import tensor
+
+    real = tensor.alternator_rows
+    monkeypatch.setattr(tensor, "alternator_rows",
+                        lambda k, iset: real(k, iset).map_coeffs(abs))
+    assert _failed_fusion_rows()
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_membership_rows_controls(k):
     # P_12 H = -H = H P_12 H: the flip passes, E_11 (x) E_22 fails, with
-    # rational coefficients and with an algebra coefficient T_11^(1)
+    # rational coefficients and with an algebra coefficient T_11^(1); the
+    # predicate is the dense reference that the fused-block tests use
     from bethe.series import RATIONAL_RING, TruncatedSeries, algebra_ring
     from bethe.tensor import TensorElement, alternator, flip, tensor_ring
 
@@ -70,8 +135,8 @@ def test_membership_rows_controls(k):
         for coeff in (x, x.map_coeffs(lambda c: t11 * c, aring)):
             block = TruncatedSeries.constant(
                 tensor_ring(k, iset, coeff.ring), coeff, 0)
-            assert yangian.membership_rows("X", alternator(k, iset),
-                                           block) == [("X u^0", ok)]
+            assert membership_rows("X", alternator(k, iset),
+                                   block) == [("X u^0", ok)]
 
 
 def test_quantum_determinant_low_coefficients():
