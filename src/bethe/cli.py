@@ -35,7 +35,7 @@ and each check or object imports only the modules it runs.
 Every report carries the orientation conventions that `reports.py`
 declares; no run searches for them.  ``verify fusion`` checks them: its
 ``H_k orientation`` rows fail unless the ordered R-matrix products match
-exactly the declared orientations.
+exactly the declared orientations, in the group algebra Z[S_k] (k <= N).
 """
 from __future__ import annotations
 

@@ -25,7 +25,7 @@ def h_orientation(k: int) -> str:
     """The arrow orientations ("outer=..,inner=.." joined by ";") in which
     the ordered product of the R_pq(q-p), p < q, equals 1! 2! ... k! H_k:
     all four at k = 2 (one factor), two from k = 3 on.  Reports declare
-    them; `verify fusion` checks them (tensor.verify_antisymmetrizers)."""
+    them; `verify fusion` checks them in Z[S_k] (verify_antisymmetrizers)."""
     if k < 3:
         return ("trivial", "outer=asc,inner=asc;outer=asc,inner=desc;"
                 "outer=desc,inner=asc;outer=desc,inner=desc")[k - 1]

@@ -144,10 +144,15 @@ class TruncatedSeries:
             return self.map_coeffs(lambda x: x * c)
         D = min(self.trunc, other.trunc)
         a, b = self.coeffs, other.coeffs
-        one = other.ring.one  # a factor that is this very object is skipped
-        return TruncatedSeries(self.ring, [
-            self.ring.sum([x if y is one else x * y for r in range(s + 1)
-                           for x, y in ((a[r], b[s - r]),) if x and y])
+        # a rational factor takes the ring of its partner, from either side;
+        # a factor that is its ring's one, this very object, is skipped
+        # where the partner lies in `ring`, so no rational stands in for it
+        ring = other.ring if self.ring.rational else self.ring
+        lone, rone = (f.ring.one if g.ring.rational == ring.rational else None
+                      for f, g in ((self, other), (other, self)))
+        return TruncatedSeries(ring, [
+            ring.sum([x if y is rone else y if x is lone else x * y
+                      for x, y in zip(a[:s + 1], b[s::-1]) if x and y])
             for s in range(D + 1)], D)
 
     # -- the two workhorses ---------------------------------------------------

@@ -9,14 +9,12 @@ of the ring-valued operand when the other is rational, from either side:
 no rational tensor is lifted into an algebra ring.  A scalar factor is a
 rational (`scale_rat`); no coefficient-ring element scales a tensor.
 
-Provides permutation operators, the alternator, site embeddings and
-per-site prime transposition.  The alternator A_k = k! H_k, H_k the
-antisymmetrizer, is built in closed form as an integral tensor, and
-identities with H_k are checked on A_k: the rational ones on the whole
-of A_k, the algebra-valued fusion identities of `yangian.verify_fusion`
-on its rows (`alternator_rows`), A_k = ket . bra.  Only
-`h_k_orientation`, given the A_k its caller built, forms the ordered
-R-matrix product, to check the arrow orientations that reports declare.
+Provides the flip, site embeddings and per-site prime transposition.  The
+alternator A_k = k! H_k, H_k the antisymmetrizer, is an element of the
+group algebra Z[S_k] (`group_alternator`), where, as sigma -> P_sigma is
+injective for k <= N, its rational identities are checked on k!
+permutations, with no operator on all N^k rows; `yangian.verify_fusion`
+acts on its rows (`alternator_rows`), A_k = ket . bra.
 The R-matrices R(u) = u - P and its twisted companion R~(u) = u - Q, Q
 the one-sided prime transpose of P, have one form:
 `bilaurent_r` gives R_pq at any affine argument in (u, v) as an exact
@@ -149,21 +147,13 @@ class TensorElement:
         acc: dict = {}
         for (r, c), v in self.entries.items():
             for fill in product(idx, repeat=len(others)):
-                row = [0] * n
-                col = [0] * n
-                for s, (a, b) in zip(positions, zip(r, c)):
-                    row[s - 1] = a
-                    col[s - 1] = b
+                row, col = [0] * n, [0] * n
+                for s, a, b in zip(positions, r, c):
+                    row[s - 1], col[s - 1] = a, b
                 for s, a in zip(others, fill):
-                    row[s - 1] = a
-                    col[s - 1] = a
+                    row[s - 1] = col[s - 1] = a
                 acc[(tuple(row), tuple(col))] = v
         return TensorElement(n, self.index_set, self.ring, acc)
-
-    def partial_trace_all(self):
-        """Full trace over all tensor sites; returns a ring element."""
-        return self.ring.sum([v for (r, c), v in self.entries.items()
-                              if r == c])
 
     def site_prime(self, s: int) -> "TensorElement":
         """Prime transposition on site s: E_ab -> eps_ab E_{-b,-a}."""
@@ -201,9 +191,9 @@ def alternator_rows(k: int, index_set: IndexSet) -> TensorElement:
     the index set, is w_I = sum_sigma sgn(sigma) e_{sigma.I}.  A_k is the
     sum of the rank-one |w_I><w_I|: A_k = ket . bra with bra these rows
     and ket their transpose, the columns of A_k at ascending keys."""
-    signs = [(p, perm_sign(p)) for p in permutations(range(k))]
+    signs = group_alternator(k).items()
     return TensorElement(k, index_set, RATIONAL_RING, {
-        (rows, tuple(rows[i] for i in p)): s
+        (rows, tuple(rows[i - 1] for i in p)): s
         for rows in combinations(index_set.indices(), k) for p, s in signs})
 
 
@@ -353,24 +343,14 @@ def series_to_bilaurent(series: TruncatedSeries, site: int, var: str,
                      D if var == "v" else INF_CAP)
 
 
-# -- permutations and antisymmetrizers -----------------------------------------
-
-
-def perm_operator(sigma, index_set: IndexSet) -> TensorElement:
-    """P_sigma moving the content of site i to site sigma(i) (1-based images)."""
-    k = len(sigma)
-    idx = index_set.indices()
-    ent = {}
-    for cols in product(idx, repeat=k):
-        rows = [0] * k
-        for i, a in enumerate(cols):
-            rows[sigma[i] - 1] = a
-        ent[(tuple(rows), cols)] = 1
-    return TensorElement(k, index_set, RATIONAL_RING, ent)
+# -- the flip and the group algebra of S_k ---------------------------------------
 
 
 def flip(index_set: IndexSet) -> TensorElement:
-    return perm_operator((2, 1), index_set)
+    """P on two sites: e_a (x) e_b -> e_b (x) e_a."""
+    idx = index_set.indices()
+    return TensorElement(2, index_set, RATIONAL_RING,
+                         {((b, a), (a, b)): 1 for a in idx for b in idx})
 
 
 def q_tensor(index_set: IndexSet) -> TensorElement:
@@ -378,41 +358,63 @@ def q_tensor(index_set: IndexSet) -> TensorElement:
     return flip(index_set).site_prime(1)
 
 
-def alternator(k: int, index_set: IndexSet) -> TensorElement:
-    """A_k = sum_sigma sgn(sigma) P_sigma = k! H_k, an integral tensor, in
-    closed form: its entry at (sigma.b, b) is sgn(sigma) for every column b
-    with distinct entries, and its columns with a repeated entry vanish."""
-    signs = [(p, perm_sign(p)) for p in permutations(range(k))]
-    return TensorElement(k, index_set, RATIONAL_RING, {
-        (tuple(b[i] for i in p), b): s
-        for b in permutations(index_set.indices(), k) for p, s in signs})
+def group_alternator(k: int) -> dict:
+    """A_k = sum_sigma sgn(sigma) sigma in Z[S_k], each sigma the tuple of
+    its 1-based images, in lexicographic order."""
+    return {s: perm_sign(s) for s in permutations(range(1, k + 1))}
 
 
-def _r_factor(p: int, q: int, value, k: int, index_set: IndexSet) -> TensorElement:
-    """R_pq evaluated at a rational point: value*id - P_pq, on k sites."""
-    idp = TensorElement.identity(k, index_set).scale_rat(value)
-    return idp - flip(index_set).embed((p, q), k)
+def group_product(x: dict, y: dict) -> dict:
+    """x y in Z[S_k] with sigma tau = sigma o tau, i -> sigma(tau(i)):
+    P_sigma P_tau = P_{sigma o tau}, P_sigma moving site i to site sigma(i)."""
+    return accumulate({}, ((tuple(s[i - 1] for i in t), a * b)
+                           for s, a in x.items() for t, b in y.items()))
 
 
-def h_k_orientation(a: TensorElement) -> str:
-    """The arrow orientations in which the ordered product of the R_pq(q-p),
-    p < q, equals 1! 2! ... k! H_k = 1! ... (k-1)! A_k, for a = A_k
-    (`alternator`): "outer=..,inner=.." joined by ";" (empty when none
-    does), or "trivial" at k = 1."""
-    k, index_set = a.sites, a.index_set
+def group_trace(x: dict, N: int) -> int:
+    """tr sum_sigma x_sigma P_sigma on k sites of C^N: tr P_sigma is N to
+    the number of cycles of sigma, each counted at its least point."""
+    total = 0
+    for s, v in x.items():
+        cycles = 0
+        for i in s:
+            j = s[i - 1]
+            while j > i:
+                j = s[j - 1]
+            cycles += j == i
+        total += v * N ** cycles
+    return total
+
+
+def r_element(p: int, q: int, value, k: int) -> dict:
+    """R_pq at a rational point, value e - (p q), in Z[S_k]."""
+    e = tuple(range(1, k + 1))
+    return {e: value, e[:p - 1] + (q,) + e[p:q - 1] + (p,) + e[q:]: -1}
+
+
+def r_product(k: int, outer: str, inner: str) -> dict:
+    """The ordered product of the R_pq(q-p), p < q, in Z[S_k], p through
+    1..k-1 and q through p+1..k, each in "asc" or "desc" order."""
+    order = {"asc": iter, "desc": reversed}
+    x = {tuple(range(1, k + 1)): 1}
+    for p in order[outer](range(1, k)):
+        for q in order[inner](range(p + 1, k + 1)):
+            x = group_product(x, r_element(p, q, q - p, k))
+    return x
+
+
+def h_k_orientation(a: dict) -> str:
+    """The arrow orientations in which `r_product` equals 1! 2! ... k! H_k =
+    1! ... (k-1)! A_k, for a = A_k (`group_alternator`): "outer=..,inner=.."
+    joined by ";" (empty when none does), or "trivial" at k = 1."""
+    k = len(next(iter(a)))
     if k == 1:
         return "trivial"
-    target = a.scale_rat(prod(map(factorial, range(k))))
-    order = {"asc": iter, "desc": reversed}
-    matches = []
-    for outer, inner in product(order, order):
-        x = TensorElement.identity(k, index_set)
-        for p in order[outer](range(1, k)):
-            for q in order[inner](range(p + 1, k + 1)):
-                x = x * _r_factor(p, q, q - p, k, index_set)
-        if x == target:
-            matches.append(f"outer={outer},inner={inner}")
-    return ";".join(matches)
+    c = prod(map(factorial, range(k)))
+    target = {s: c * v for s, v in a.items()}
+    return ";".join(f"outer={outer},inner={inner}"
+                    for outer, inner in product(("asc", "desc"), repeat=2)
+                    if r_product(k, outer, inner) == target)
 
 
 # -- R-matrices as exact Laurent objects ----------------------------------------
@@ -425,15 +427,10 @@ def bilaurent_r(kind: str, pq: tuple, coef_u: int, coef_v: int, const,
     base = flip(index_set) if kind == "plain" else q_tensor(index_set)
     pmat = base.embed(pq, sites)
     ident = TensorElement.identity(sites, index_set)
-    ent: dict = {}
-    if coef_u:
-        ent[(1, 0)] = ident.scale_rat(coef_u)
-    if coef_v:
-        ent[(0, 1)] = ident.scale_rat(coef_v)
-    c0 = ident.scale_rat(const) - pmat
-    if c0:
-        ent[(0, 0)] = c0
-    return BiLaurent(tensor_ring(sites, index_set), ent, INF_CAP, INF_CAP)
+    # BiLaurent drops the terms that vanish
+    return BiLaurent(tensor_ring(sites, index_set), {
+        (1, 0): ident.scale_rat(coef_u), (0, 1): ident.scale_rat(coef_v),
+        (0, 0): ident.scale_rat(const) - pmat}, INF_CAP, INF_CAP)
 
 # -- R-matrix identity suites -----------------------------------------------------
 
@@ -493,27 +490,24 @@ def verify_mixed_yang_baxter(index_set: IndexSet) -> list:
         ("third mixed exchange",
          R((2, 3), 1, 0), Rt((1, 2), 0, 1), Rt((1, 3), 1, 1)),
     ]
-    details = []
-    for name, a, b, c in cases:
-        res = a * b * c - c * b * a
-        details.append((f"{name} ({tag})", not res))
-    return details
+    return [(f"{name} ({tag})", not a * b * c - c * b * a)
+            for name, a, b, c in cases]
 
 
 def verify_antisymmetrizers(index_set: IndexSet) -> list:
-    """H_k is an idempotent with trace binomial(N,k), checked as
-    A_k^2 = k! A_k and tr A_k = k! binomial(N,k), and the ordered R-matrix
-    product equals it in exactly the declared arrow orientations
-    (reports.h_orientation), for k = 1..N."""
+    """H_k is an idempotent with trace binomial(N,k), and the ordered
+    R-matrix product equals it in exactly the declared arrow orientations
+    (reports.h_orientation), for k = 1..N, checked in Z[S_k]: as k <= N,
+    sigma -> P_sigma is injective on Z[S_k].  The rows are A_k^2 = k! A_k,
+    tr A_k = k! binomial(N,k) (`group_trace`), and `h_k_orientation`."""
     N = index_set.N
     details = []
     for k in range(1, N + 1):
-        a = alternator(k, index_set)
-        f = factorial(k)
-        details.append((f"H_{k} idempotent (N={N})", a * a == a.scale_rat(f)))
-        details.append((f"trace H_{k} = C({N},{k})",
-                        a.partial_trace_all() == f * binomial(N, k)))
-        declared = h_orientation(k)
-        details.append((f"H_{k} orientation: {declared}",
-                        h_k_orientation(a) == declared))
+        a, f, declared = group_alternator(k), factorial(k), h_orientation(k)
+        details += [(f"H_{k} idempotent (N={N})",
+                     group_product(a, a) == {s: f * v for s, v in a.items()}),
+                    (f"trace H_{k} = C({N},{k})",
+                     group_trace(a, N) == f * binomial(N, k)),
+                    (f"H_{k} orientation: {declared}",
+                     h_k_orientation(a) == declared)]
     return details

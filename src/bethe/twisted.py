@@ -47,8 +47,8 @@ from .algebra import AlgebraElement, FreeRule, WordMap, YangianRule
 from .indices import IndexSet, ZMatrix
 from .series import (RATIONAL_RING, BiLaurent, TruncatedSeries,
                      algebra_ring, one_over_c_minus_2u)
-from .tensor import (alternator, alternator_rows, bilaurent_r, q_tensor,
-                     rank_one_ket, series_to_bilaurent, trace_words)
+from .tensor import (TensorElement, alternator_rows, bilaurent_r, flip,
+                     q_tensor, rank_one_ket, series_to_bilaurent, trace_words)
 from .yangian import (centrality_rows, commutator_table, hat_identity_rows,
                       quantum_determinant, t_site_series, window_rows,
                       z_site_tensor)
@@ -373,6 +373,7 @@ def verify_z_rmatrix_scalar(ctx: TwistedContext, z: ZMatrix) -> list:
     sign-matched Z, at the fixed scalar c(u) = u.  As R~(u) = u - Q, it
     holds exactly when Z_1 Q Z_2 H_2 = 0, checked as Z_1 Q Z_2 A_2 = 0."""
     iset = ctx.index_set
-    z2a2 = z_site_tensor(z, 2, 2) * alternator(2, iset)
+    z2a2 = z_site_tensor(z, 2, 2) * (TensorElement.identity(2, iset)
+                                     - flip(iset))
     res = z_site_tensor(z, 1, 2) * (q_tensor(iset) * z2a2)
     return [("exchange scalar c(u) = 1*u + 0", not res)]

@@ -65,15 +65,15 @@ def t_site_series(rule, D: int) -> TruncatedSeries:
 
 
 def t_factors(rule: YangianRule, k: int, D: int) -> list:
-    """The site factors T_p(u-p), p = 1..k: the one-site T(u-p), embedded
-    on site p of k sites."""
+    """The site factors T_p(u-p), p = 1..k: the one-site T(u-p) embedded on
+    site p of k sites, with the k-site ring's one as constant term."""
     from .tensor import tensor_ring
 
     t = t_site_series(rule, D)
     ring = tensor_ring(k, rule.index_set, algebra_ring(rule))
-    return [t.substitute_affine(1, -p).map_coeffs(lambda c: c.embed((p,), k),
-                                                  ring)
-            for p in range(1, k + 1)]
+    return [TruncatedSeries(ring, [ring.one] + [c.embed((p,), k)
+                                                for c in tp.coeffs[1:]], D)
+            for p in range(1, k + 1) for tp in (t.substitute_affine(1, -p),)]
 
 
 def z_site_tensor(z: ZMatrix, pos: int, sites: int) -> TensorElement:
@@ -194,20 +194,19 @@ def fusion_products(rule: YangianRule, k: int, D: int) -> tuple:
     X = T_1(u-1)..T_k(u-k) and Y = T_k(u-k)..T_1(u-1) (`t_factors`).
 
     A_k = ket . bra, bra the rows <w_I| of A_k (`alternator_rows`) and ket
-    the same vectors as columns, so A X is ket . (bra . T_1 ... T_k),
-    multiplied left to right from bra, Y A is (T_k ... T_1 . ket) . bra,
-    multiplied right to left from ket, and A X A is ((A X) . ket) . bra.
-    bra and ket are constant series over the factors' ring: no product of
-    the factors is formed on all N^k rows, and A_k itself is never
-    formed."""
-    from .tensor import TensorElement, alternator_rows
+    the same vectors as columns, constant series of rational tensors: A X
+    is ket . (bra . T_1 ... T_k), multiplied left to right from bra, Y A is
+    (T_k ... T_1 . ket) . bra, multiplied right to left from ket, and A X A
+    is ((A X) . ket) . bra.  Neither A_k nor a product of the factors on
+    all N^k rows is formed."""
+    from .tensor import TensorElement, alternator_rows, tensor_ring
 
     bra = alternator_rows(k, rule.index_set)
     ket = TensorElement(k, bra.index_set, RATIONAL_RING,
                         {(c, r): v for (r, c), v in bra.entries.items()})
+    ring = tensor_ring(k, bra.index_set)
     factors = t_factors(rule, k, D)
-    bra, ket = (TruncatedSeries.constant(factors[0].ring, m, D)
-                for m in (bra, ket))
+    bra, ket = (TruncatedSeries.constant(ring, m, D) for m in (bra, ket))
     ax = ket * reduce(mul, factors, bra)
     ya = reduce(lambda y, f: f * y, factors, ket) * bra
     return ax, ya, ax * ket * bra

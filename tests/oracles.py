@@ -14,24 +14,30 @@ rows and applies the closed-form A_k to the products, the reference for
 `membership_rows`, the dense membership predicate H X = H X H, are what
 `verify fusion` once ran.
 
+`alternator` (A_k in closed form on all N^k rows), `perm_operator`,
+`r_factor`, `r_product`, `h_k_orientation` and `trace_all` are the dense
+forms of the rational antisymmetrizer suite, which the package checks in
+the group algebra Z[S_k] (`tensor.verify_antisymmetrizers`); `group_image`
+maps an element of Z[S_k] to its operator.
+
 `normal_order` rewrites one word by adjacent swaps, the reference for the
-cached normal-ordering kernels of `algebra.CommutationRule`, and
+cached normal-ordering kernels of `algebra.CommutationRule`, keeping the
+rewrite step of each word across calls; and
 `deserialize_element` inverts `algebra.serialize_element`.
 """
 import heapq
 from functools import reduce
-from itertools import permutations
-from math import factorial
+from itertools import permutations, product
+from math import factorial, prod
 from operator import mul
 
 from bethe.algebra import AlgebraElement, monomial_degree
 from bethe.indices import perm_sign
 from bethe.rationals import ONE, accumulate, parse_rat, rat
-from bethe.series import (INF_CAP, BiLaurent, TruncatedSeries, algebra_ring,
-                          one_over_c_minus_2u, sum_terms)
-from bethe.tensor import (TensorElement, alternator, alternator_rows,
-                          perm_operator, q_tensor, rank_one_ket, tensor_ring,
-                          trace_words)
+from bethe.series import (INF_CAP, RATIONAL_RING, BiLaurent, TruncatedSeries,
+                          algebra_ring, one_over_c_minus_2u, sum_terms)
+from bethe.tensor import (TensorElement, alternator_rows, flip, q_tensor,
+                          rank_one_ket, tensor_ring, trace_words)
 from bethe.twisted import _reflection_form
 from bethe.yangian import t_site_series, z_site_tensor
 
@@ -41,6 +47,31 @@ def _inversions(word: tuple) -> int:
         1 for i in range(len(word)) for j in range(i + 1, len(word))
         if word[i] > word[j]
     )
+
+
+# One rewrite step per word, shared by every call so that the examples of
+# a property reuse what earlier examples rewrote: (rule, strategy) ->
+# {word: (its key, ((coefficient, word, key), ...))}, no words for a
+# normal word, the key being (degree, inversions).  The memo is emptied
+# once it holds more than STEP_MEMO_WORDS words, about 1 KB each.
+_STEPS: dict = {}
+STEP_MEMO_WORDS = 1 << 17
+
+
+def _key(w):
+    return (monomial_degree(w), _inversions(w))
+
+
+def _step(w, rule, strategy):
+    spots = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
+    if not spots:
+        return _key(w), ()
+    pos = spots[0] if strategy == "left" else spots[-1]
+    a, b = w[pos], w[pos + 1]
+    pre, suf = w[:pos], w[pos + 2:]
+    outs = [(ONE, pre + (b, a) + suf)] + [
+        (cb, pre + mb + suf) for mb, cb in rule.bracket_terms(a, b).items()]
+    return _key(w), tuple((cb, ww, _key(ww)) for cb, ww in outs)
 
 
 def normal_order(word, rule, coeff=ONE, strategy: str = "left",
@@ -64,36 +95,41 @@ def normal_order(word, rule, coeff=ONE, strategy: str = "left",
     for g in word:
         rule.gen(g[1], g[2], g[0])  # validates indices and level
 
-    def key(w):
-        return (monomial_degree(w), _inversions(w))
-
+    if sum(map(len, _STEPS.values())) > STEP_MEMO_WORDS:
+        _STEPS.clear()
+    steps = _STEPS.setdefault((rule, strategy), {})
+    # a max-heap on the key through negated keys; a push counter breaks
+    # ties, so that the words themselves are never compared
     pending = {word: rat(coeff)}
-    heap = [(tuple(-x for x in key(word)), word)]
+    degree, inversions = _key(word)
+    heap = [(-degree, -inversions, 0, word)]
+    pushed = 1
     done: dict = {}
     while heap:
-        _, w = heapq.heappop(heap)
+        w = heapq.heappop(heap)[3]
         c = pending.pop(w, None)
         if c is None:
             continue  # pushed twice, or its coefficients cancelled
-        spots = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
-        if not spots:
+        hit = steps.get(w)
+        if hit is None:
+            hit = steps[w] = _step(w, rule, strategy)
+        before, outs = hit
+        if not outs:
             accumulate(done, ((w, c),))
             continue
-        pos = spots[0] if strategy == "left" else spots[-1]
-        a, b = w[pos], w[pos + 1]
-        pre, suf = w[:pos], w[pos + 2:]
-        before = key(w)
-        outs = [(c, pre + (b, a) + suf)]
-        for mb, cb in rule.bracket_terms(a, b).items():
-            outs.append((c * cb, pre + mb + suf))
-        for cc, ww in outs:
-            after = key(ww)
+        for cb, ww, after in outs:
             if trace is not None:
                 trace.append((before, after))
                 assert after < before, "rewrite step failed to decrease"
-            if ww not in pending:
-                heapq.heappush(heap, (tuple(-x for x in after), ww))
-            accumulate(pending, ((ww, cc),))
+            old = pending.get(ww)
+            if old is None:
+                pending[ww] = c * cb
+                heapq.heappush(heap, (-after[0], -after[1], pushed, ww))
+                pushed += 1
+            elif old + c * cb:
+                pending[ww] = old + c * cb
+            else:
+                del pending[ww]
     return AlgebraElement(rule, done)
 
 
@@ -104,6 +140,74 @@ def deserialize_element(data: dict, rule) -> AlgebraElement:
         m = tuple((r, i, j) for (i, j, r) in row["word"])
         terms[m] = parse_rat(row["coeff"])
     return AlgebraElement(rule, terms)
+
+
+def perm_operator(sigma, index_set):
+    """P_sigma moving the content of site i to site sigma(i) (1-based
+    images), on all N^k rows."""
+    k = len(sigma)
+    ent = {}
+    for cols in product(index_set.indices(), repeat=k):
+        rows = [0] * k
+        for i, a in enumerate(cols):
+            rows[sigma[i] - 1] = a
+        ent[(tuple(rows), cols)] = 1
+    return TensorElement(k, index_set, RATIONAL_RING, ent)
+
+
+def group_image(x, k, index_set):
+    """sum_sigma x_sigma P_sigma for an element x of Z[S_k]; k is given,
+    since the zero element has no permutation to read it from."""
+    acc = TensorElement.zero(k, index_set)
+    for sigma, c in x.items():
+        acc = acc + perm_operator(sigma, index_set).scale_rat(c)
+    return acc
+
+
+def trace_all(t):
+    """The full trace of a tensor over all its sites."""
+    return t.ring.sum([v for (r, c), v in t.entries.items() if r == c])
+
+
+def alternator(k, index_set):
+    """A_k = sum_sigma sgn(sigma) P_sigma = k! H_k, an integral tensor on
+    all N^k rows, in closed form: its entry at (sigma.b, b) is sgn(sigma)
+    for every column b with distinct entries, and its columns with a
+    repeated entry vanish."""
+    signs = [(p, perm_sign(p)) for p in permutations(range(k))]
+    return TensorElement(k, index_set, RATIONAL_RING, {
+        (tuple(b[i] for i in p), b): s
+        for b in permutations(index_set.indices(), k) for p, s in signs})
+
+
+def r_factor(p, q, value, k, index_set):
+    """R_pq evaluated at a rational point, value id - P_pq, on k sites."""
+    ident = TensorElement.identity(k, index_set).scale_rat(value)
+    return ident - flip(index_set).embed((p, q), k)
+
+
+def r_product(k, outer, inner, index_set):
+    """The ordered product of the dense R_pq(q-p), p < q, on k sites, in
+    the orientation of `tensor.r_product`."""
+    order = {"asc": iter, "desc": reversed}
+    x = TensorElement.identity(k, index_set)
+    for p in order[outer](range(1, k)):
+        for q in order[inner](range(p + 1, k + 1)):
+            x = x * r_factor(p, q, q - p, k, index_set)
+    return x
+
+
+def h_k_orientation(a):
+    """The arrow orientations in which the dense `r_product` equals
+    1! ... (k-1)! A_k for a = A_k (`alternator`), in the format of
+    `tensor.h_k_orientation`."""
+    k = a.sites
+    if k == 1:
+        return "trivial"
+    target = a.scale_rat(prod(map(factorial, range(k))))
+    return ";".join(f"outer={outer},inner={inner}"
+                    for outer, inner in product(("asc", "desc"), repeat=2)
+                    if r_product(k, outer, inner, a.index_set) == target)
 
 
 def antisymmetrizer_oracle(k, index_set):

@@ -20,8 +20,9 @@ word_strategy = st.lists(gen_strategy, min_size=0, max_size=5)
 
 gl_gen_strategy = st.tuples(st.just(1), st.integers(1, 3), st.integers(1, 3))
 # (rule, word strategy) pairs for the two ordering rules; the normal_order
-# reference rewrites each distinct word once, so five-letter Yangian words
-# (ten letters once two are concatenated) stay cheap
+# reference rewrites each distinct word once per call and keeps its rewrite
+# steps across examples, yet one concatenation of two five-letter Yangian
+# words can reach 10^5 distinct words and take seconds
 ORDERING = [
     (RULE, st.lists(gen_strategy, max_size=5)),
     (GL, st.lists(gl_gen_strategy, max_size=4)),

@@ -246,9 +246,9 @@ def test_orientation_rows_fail_for_a_perturbed_r_matrix(monkeypatch,
     args = ["verify", "fusion", "--kind", "gl", "--N", "3", "--D", "1"]
     assert main(args) == 0
     declared = json.loads((tmp_path / "fusion.json").read_text())
-    real = tensor._r_factor
-    monkeypatch.setattr(tensor, "_r_factor", lambda p, q, value, k, iset:
-                        real(p, q, value + 1, k, iset))
+    real = tensor.r_element
+    monkeypatch.setattr(tensor, "r_element", lambda p, q, value, k:
+                        real(p, q, value + 1, k))
     assert main(args) == 1
     data = json.loads((tmp_path / "fusion.json").read_text())
     failed = [row["item"].split(":")[0] for row in data["details"]

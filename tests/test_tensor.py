@@ -2,19 +2,22 @@ from itertools import product
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bethe.algebra import FreeRule, YangianRule
 from bethe.indices import IndexSet, ZMatrix, perm_sign
 from bethe.rationals import Q, binomial
 from bethe.series import RATIONAL_RING, BiLaurent, TruncatedSeries, algebra_ring
-from bethe.tensor import (TensorElement, alternator, alternator_rows, flip,
-                          h_k_orientation, pair_step, perm_operator,
-                          q_tensor, rank_one_ket, tensor_ring, trace_words,
+from bethe.tensor import (TensorElement, alternator_rows, flip,
+                          group_alternator, group_product, group_trace,
+                          h_k_orientation, pair_step, q_tensor, r_product,
+                          rank_one_ket, tensor_ring, trace_words,
                           verify_antisymmetrizers, verify_mixed_yang_baxter,
                           verify_r_identities, verify_yang_baxter)
 from bethe.yangian import z_site_tensor
-from oracles import antisymmetrizer, antisymmetrizer_oracle, partial_trace
+import oracles
+from oracles import (alternator, antisymmetrizer, antisymmetrizer_oracle,
+                     group_image, partial_trace, perm_operator, trace_all)
 
 
 def _all_ok(rows):
@@ -81,7 +84,7 @@ def test_antisymmetrizer_matches_oracle_and_projects():
             h = antisymmetrizer(k, iset)
             assert h == antisymmetrizer_oracle(k, iset)
             assert h * h == h
-            assert h.partial_trace_all() == binomial(N, k)
+            assert trace_all(h) == binomial(N, k)
 
 
 def test_top_antisymmetrizer_alternates():
@@ -90,25 +93,132 @@ def test_top_antisymmetrizer_alternates():
     expect = (TensorElement.identity(2, iset)
               - perm_operator((2, 1), iset)).scale_rat(Q(1, 2))
     assert h == expect
+    assert flip(iset) == perm_operator((2, 1), iset)
 
 
 def test_orientation_string_is_reported():
-    s = h_k_orientation(alternator(2, IndexSet.plain(3)))
+    s = h_k_orientation(group_alternator(2))
     assert "outer=" in s and "inner=" in s
 
 
 def test_h3_orientation_does_not_depend_on_the_index_set():
     # S_3 acts faithfully on V^{(x)3} once N >= 3, so reports may declare
-    # one orientation for every such space
-    ref = h_k_orientation(alternator(3, IndexSet.plain(3)))
-    for iset in (IndexSet.plain(4), IndexSet.plain(5),
+    # one orientation for every such space: the dense products on each
+    # space find the orientations found in Z[S_3]
+    ref = h_k_orientation(group_alternator(3))
+    for iset in (IndexSet.plain(3), IndexSet.plain(4), IndexSet.plain(5),
                  IndexSet.signed(5, "so"), IndexSet.signed(6, "so"),
                  IndexSet.signed(4, "sp")):
-        assert h_k_orientation(alternator(3, iset)) == ref
+        assert oracles.h_k_orientation(alternator(3, iset)) == ref
 
 
 def test_antisymmetrizer_suite():
     _all_ok(verify_antisymmetrizers(IndexSet.plain(4)))
+
+
+ORIENTATIONS = list(product(("asc", "desc"), repeat=2))
+ORACLE_SETS = [IndexSet.plain(N) for N in (1, 2, 3, 4)] + [
+    IndexSet.signed(3, "so"), IndexSet.signed(2, "sp")]
+
+
+@pytest.mark.parametrize("iset", ORACLE_SETS, ids=repr)
+def test_group_algebra_rows_match_the_dense_oracle(iset):
+    # each row of the suite, in Z[S_k], against the same quantity formed
+    # on all N^k rows
+    N = iset.N
+    for k in range(1, N + 1):
+        a, dense = group_alternator(k), alternator(k, iset)
+        assert group_image(a, k, iset) == dense
+        assert group_image(group_product(a, a), k, iset) == dense * dense
+        assert group_trace(a, N) == trace_all(dense) == \
+            factorial(k) * binomial(N, k)
+        for outer, inner in ORIENTATIONS:
+            assert group_image(r_product(k, outer, inner), k, iset) == \
+                oracles.r_product(k, outer, inner, iset)
+        assert h_k_orientation(a) == oracles.h_k_orientation(dense)
+
+
+def test_group_product_composes_as_the_permutation_operators():
+    # P_sigma P_tau = P_{sigma o tau} on every pair of S_3, and the
+    # convention is not symmetric: (1 2)(2 3) != (2 3)(1 2)
+    iset = IndexSet.plain(3)
+    group = list(group_alternator(3))
+    for s in group:
+        for t in group:
+            (st,) = group_product({s: 1}, {t: 1})
+            assert perm_operator(s, iset) * perm_operator(t, iset) == \
+                perm_operator(st, iset)
+    assert group_product({(2, 1, 3): 1}, {(1, 3, 2): 1}) == {(2, 3, 1): 1}
+
+
+perm_elements = st.dictionaries(st.permutations([1, 2, 3]).map(tuple),
+                                st.integers(-3, 3).filter(bool), min_size=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm_elements, perm_elements, st.integers(1, 4))
+# a product that vanishes: x = (213)(e + (132)), so x (e - (132)) = 0
+@example({(2, 1, 3): 1, (2, 3, 1): 1}, {(1, 2, 3): 1, (1, 3, 2): -1}, 1)
+def test_group_algebra_is_the_operator_algebra(x, y, N):
+    # products and traces of arbitrary elements of Z[S_3] on (C^N)^{(x)3},
+    # for N < 3 too, where P is no longer injective
+    iset = IndexSet.plain(N)
+    assert group_image(group_product(x, y), 3, iset) == \
+        group_image(x, 3, iset) * group_image(y, 3, iset)
+    assert group_trace(x, N) == trace_all(group_image(x, 3, iset))
+
+
+def _failed_suite_rows(iset=IndexSet.plain(4)):
+    return [item.split(":")[0] for item, ok in verify_antisymmetrizers(iset)
+            if not ok]
+
+
+def test_orientation_rows_fail_for_a_wrong_orientation(monkeypatch):
+    # the q factors of each p composed in the opposite order: the products
+    # in the declared orientations are no longer 1!..(k-1)! A_k
+    from bethe import tensor
+
+    real = tensor.r_product
+    flipped = {"asc": "desc", "desc": "asc"}
+    monkeypatch.setattr(tensor, "r_product", lambda k, outer, inner:
+                        real(k, outer, flipped[inner]))
+    assert _failed_suite_rows() == ["H_3 orientation", "H_4 orientation"]
+
+
+def test_reversed_composition_is_seen_by_the_oracle_only(monkeypatch):
+    # sigma -> sigma^-1 reverses products and fixes A_k and every R_pq, so
+    # composing every product the other way round passes each row of the
+    # suite; the composition convention is pinned by the dense oracle
+    from bethe import tensor
+
+    real = tensor.group_product
+    monkeypatch.setattr(tensor, "group_product", lambda x, y: real(y, x))
+    assert not _failed_suite_rows()
+    iset = IndexSet.plain(3)
+    x, y = {(2, 1, 3): 1}, {(1, 3, 2): 1}
+    assert group_image(tensor.group_product(x, y), 3, iset) != \
+        group_image(x, 3, iset) * group_image(y, 3, iset)
+
+
+def test_suite_rows_fail_for_a_dropped_sign(monkeypatch):
+    # sgn (1 2) dropped from A_k: the trace and the orientations fail from
+    # k = 2 on, the idempotent from k = 3 on (at k = 2 it is the
+    # symmetrizer, whose square is twice itself too)
+    from bethe import tensor
+
+    real = tensor.group_alternator
+
+    def dropped(k):
+        a = real(k)
+        if k > 1:
+            a[(2, 1) + tuple(range(3, k + 1))] = 1
+        return a
+
+    monkeypatch.setattr(tensor, "group_alternator", dropped)
+    failed = _failed_suite_rows(IndexSet.plain(3))
+    assert failed == ["trace H_2 = C(3,2)", "H_2 orientation",
+                      "H_3 idempotent (N=3)", "trace H_3 = C(3,3)",
+                      "H_3 orientation"]
 
 
 SMALL_SETS = ([IndexSet.plain(N) for N in (1, 2, 3, 4)]
@@ -139,19 +249,22 @@ def test_building_h_k_runs_no_orientation_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("the ordered R-matrix product was formed")
 
-    monkeypatch.setattr(tensor, "_r_factor", no_search)
+    monkeypatch.setattr(tensor, "r_element", no_search)
     for iset in (IndexSet.plain(3), IndexSet.signed(5, "so"),
                  IndexSet.signed(4, "sp")):
         for k in range(1, iset.N + 1):
-            # k! entries in each of the N!/(N-k)! distinct-entry columns
+            # k! permutations in Z[S_k], whatever the index set, and k!
+            # entries in each of the N!/(N-k)! distinct-entry columns of
+            # the dense closed form
+            assert len(group_alternator(k)) == factorial(k)
             nnz = factorial(iset.N) // factorial(iset.N - k) * factorial(k)
             assert len(alternator(k, iset).entries) == nnz
-            # and k! in each of the binomial(N, k) ascending rows
+            # k! in each of the binomial(N, k) ascending rows
             assert len(alternator_rows(k, iset).entries) == \
                 binomial(iset.N, k) * factorial(k)
     # only the orientation search forms the product
     with pytest.raises(AssertionError, match="R-matrix product"):
-        h_k_orientation(alternator(2, IndexSet.plain(3)))
+        h_k_orientation(group_alternator(2))
 
 
 # -- trace contraction -----------------------------------------------------------
@@ -309,7 +422,7 @@ def _full_trace(bra, steps, ket, ring, D):
     for step in steps:
         x = x * _dense_step(step, sites, iset, ring, D)
     x = x * ket.map_coeffs(lambda c: lift_tensor(_transpose(c), ring), tring)
-    return x.map_coeffs(lambda c: c.partial_trace_all(), ring)
+    return x.map_coeffs(trace_all, ring)
 
 
 SIGNED = {iset: (YangianRule(iset), FreeRule(iset))

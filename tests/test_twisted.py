@@ -13,7 +13,7 @@ from bethe.indices import IndexSet, ZMatrix, parse_z_spec
 from bethe.rationals import ONE, Q
 from bethe.series import (INF_CAP, RATIONAL_RING, BiLaurent, TruncatedSeries,
                           algebra_ring)
-from bethe.tensor import alternator, tensor_ring
+from bethe.tensor import tensor_ring
 from bethe.twisted import (TwistedContext, expanded_bethe_series,
                            hat_twisted_series, prop36_trace_form,
                            reflection_residual, theta_series,
@@ -23,9 +23,9 @@ from bethe.twisted import (TwistedContext, expanded_bethe_series,
                            verify_twisted_commutativity,
                            verify_z_rmatrix_scalar)
 from bethe.yangian import t_site_series
-from oracles import (a_k_rational_side, antisymmetrizer, fused_z, g_factor,
-                     hat_rational_side, membership_rows, verify_z_exchange,
-                     z_product)
+from oracles import (a_k_rational_side, alternator, antisymmetrizer, fused_z,
+                     g_factor, hat_rational_side, membership_rows,
+                     verify_z_exchange, z_product)
 
 SP2 = TwistedContext(IndexSet.signed(2, "sp"))
 SO3 = TwistedContext(IndexSet.signed(3, "so"))

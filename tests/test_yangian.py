@@ -58,7 +58,9 @@ def test_fusion():
 @pytest.mark.parametrize("N, D", [(2, 4), (3, 3), (4, 2)])
 def test_fusion_products_match_the_dense_products(N, D):
     # A X, Y A and A X A on the rows of A_k, term for term against the
-    # products on all N^k rows; every order through D is compared
+    # products on all N^k rows; every order through D is compared, and no
+    # coefficient is a rational tensor standing in for an algebra-valued
+    # product
     rule = YangianRule(IndexSet.plain(N))
     for k in range(2, N + 1):
         rows = yangian.fusion_products(rule, k, D)
@@ -66,6 +68,8 @@ def test_fusion_products_match_the_dense_products(N, D):
         for got, want in zip(rows, dense):
             assert got.trunc == want.trunc == D
             assert got.coeffs == want.coeffs
+            assert not got.ring.rational
+            assert not any(c.ring.rational for c in got.coeffs)
 
 
 def _failed_fusion_rows(N=3, D=3):
@@ -123,7 +127,8 @@ def test_membership_rows_controls(k):
     # rational coefficients and with an algebra coefficient T_11^(1); the
     # predicate is the dense reference that the fused-block tests use
     from bethe.series import RATIONAL_RING, TruncatedSeries, algebra_ring
-    from bethe.tensor import TensorElement, alternator, flip, tensor_ring
+    from bethe.tensor import TensorElement, flip, tensor_ring
+    from oracles import alternator
 
     iset = IndexSet.plain(3)
     rule = YangianRule(iset)
