@@ -13,8 +13,9 @@ Provides the flip, site embeddings and per-site prime transposition.  The
 alternator A_k = k! H_k, H_k the antisymmetrizer, is an element of the
 group algebra Z[S_k] (`group_alternator`), where, as sigma -> P_sigma is
 injective for k <= N, its rational identities are checked on k!
-permutations, with no operator on all N^k rows; `yangian.verify_fusion`
-acts on its rows (`alternator_rows`), A_k = ket . bra.
+permutations, with no operator on all N^k rows.  Its rows
+(`alternator_rows`), A_k = ket . bra, are read in two places only:
+`trace_words` and `yangian.fusion_products`.
 The R-matrices R(u) = u - P and its twisted companion R~(u) = u - Q, Q
 the one-sided prime transpose of P, have one form:
 `bilaurent_r` gives R_pq at any affine argument in (u, v) as an exact
@@ -26,15 +27,15 @@ Every commuting family is a trace tr(F(u) H_n X(u)) of an algebra-valued
 block X(u) against the antisymmetrizer H_n on n sites and rational
 factors F(u): normalized R-matrix factors id - Q_pq/(c - 2u) and Z sites.
 H_n has rank binomial(N, n): n! H_n = A_n = sum_I |w_I><w_I|, one row
-<w_I| of A_n per n-subset I (`alternator_rows`).  As the trace is cyclic
-and rationals are central, it is sum_I <w_I| X(u) F(u) |w_I> / n!.
-`rank_one_ket` applies F(u) to the |w_I> one factor at a time, and
-`trace_words`, the one contraction, walks the rows through the steps of
-X(u), one-site letter series and pair steps id - c(u) Q_pq, expanding
-the product into words of letters with rational weights: neither X(u)
-nor F(u) H_n is formed.  `series_to_bilaurent` lifts a one-site series
-to a bivariate object on several sites, for the matrix-form relation
-checks.
+<w_I| of A_n per n-subset I.  As the trace is cyclic and rationals are
+central, it is sum_I <w_I| X(u) F(u) |w_I> / n!.  `trace_words`, the one
+contraction, takes (n, the steps of X, the factors of F): it builds the
+rows and applies F(u) to the |w_I> one factor at a time, then walks the
+rows through the steps of X(u), one-site letter series and pair steps
+id - c(u) Q_pq, expanding the product into words of letters with
+rational weights: neither X(u) nor F(u) H_n is formed.
+`series_to_bilaurent` lifts a one-site series to a bivariate object on
+several sites, for the matrix-form relation checks.
 """
 from __future__ import annotations
 
@@ -227,53 +228,46 @@ def pair_step(x: list, p: int, q: int, c: TruncatedSeries,
             for s in range(len(x))]
 
 
-def rank_one_ket(bra: TensorElement, factors, D: int) -> list:
-    """F(u) |w_I> / k! for every row <w_I| of bra = `alternator_rows(k)`,
-    as one dict per order of u^-1 through D, keyed like bra's entries (A_k
-    is symmetric), so that tr(F H_k Y) = trace_words(bra, steps of Y,
-    ket).  F is the ordered product of `factors`, pair steps (p, q, c) and
-    Z sites (p, z), z a ZMatrix, applied right to left: no factor is
-    formed on all sites."""
-    iset, n = bra.index_set, factorial(bra.sites)
-    x = [{key: div(v, n) for key, v in bra.entries.items()}]
-    x += [{} for _ in range(D)]
+def trace_words(k: int, index_set: IndexSet, steps, factors, ring: Ring,
+                D: int) -> TruncatedSeries:
+    """tr(F(u) H_k Y(u)) on k sites through order D, over `ring`, with Y the
+    ordered product of `steps` and F that of `factors`: the one trace form.
+
+    A step is a letter site (p, L), a one-site series L over `ring` with
+    L_0 = 1 placed on site p, or a pair step (p, q, c), id - c(u) Q_pq
+    with c a rational series (`pair_step`); a factor is a pair step or a Z
+    site (p, z), z a ZMatrix.  Every series is trusted through order D.
+
+    H_k has rank binomial(N, k): k! H_k = A_k = sum_I |w_I><w_I|, one row
+    <w_I| of A_k per k-subset I (`alternator_rows`).  As the trace is
+    cyclic, it is sum_I <w_I| Y(u) |ket_I(u)>, the ket F(u) |w_I> / k!
+    formed right to left one factor at a time, so F(u) H_k is not formed.
+
+    With L = 1 + sum_ab E_ab L~_ab(u), Y expands into words: a word picks,
+    at each letter site, the identity or one leg E_ab, and its weight
+    W(u) = sum_I <w_I| Y'_1 ... Y'_m |ket_I>, with Y' the pair step or the
+    chosen leg, is a rational series.  Since rationals are central, the
+    trace is sum_words W(u) L~_1(u) ... L~_j(u), the letters in the order
+    of the steps.  The walk keeps the rows of each word, keyed by its
+    letters (step index, a, b), only to order D minus the word length,
+    since each letter L~ starts at order 1; a row whose ket is zero at
+    every order is dropped first.  No tensor with ring coefficients is
+    formed: the letters' series multiply once per word of nonzero weight,
+    along a prefix memo."""
+    bra = alternator_rows(k, index_set)
+    ket = [{key: div(v, factorial(k)) for key, v in bra.entries.items()}]
+    ket += [{} for _ in range(D)]
     for f in reversed(factors):
         if len(f) == 3:
-            x = pair_step(x, *f, iset)
+            ket = pair_step(ket, *f, index_set)
         else:
             # Z_p moves column a of site p to every b with z_ba != 0
             p, z = f
-            x = [accumulate({}, (((lab, col[:p - 1] + (b,) + col[p:]), v * zv)
-                                 for (lab, col), v in xr.items()
-                                 for (b, a), zv in z.entries.items()
-                                 if a == col[p - 1])) for xr in x]
-    return x
-
-
-def trace_words(bra, steps, ket, ring: Ring, D: int) -> TruncatedSeries:
-    """sum_I <bra_I| Y_1(u) ... Y_m(u) |ket_I(u)> through order D, over
-    `ring`: the trace form tr(F(u) H_n Y(u)) for bra the rows of A_n and
-    ket from `rank_one_ket`.
-
-    bra is a rational tensor whose rows <bra_I| are labelled by I, and ket
-    holds the vectors ket_I(u) as one dict per order of u^-1 through D,
-    keyed like bra's entries.  A step Y is a letter site (p, L), a
-    one-site series L over `ring` with L_0 = 1 placed on site p, or a pair
-    step (p, q, c), id - c(u) Q_pq with c a rational series
-    (`pair_step`).  Every series is trusted through order D.
-
-    With L = 1 + sum_ab E_ab L~_ab(u), the product expands into words: a
-    word picks, at each letter site, the identity or one leg E_ab, and
-    its weight W(u) = sum_I <bra_I| Y'_1 ... Y'_m |ket_I>, with Y' the
-    pair step or the chosen leg, is a rational series.  Since rationals
-    are central, the trace is sum_words W(u) L~_1(u) ... L~_j(u), the
-    letters in the order of the steps.  The walk keeps the rows of each
-    word, keyed by its letters (step index, a, b), only to order D minus
-    the word length, since each letter L~ starts at order 1; a label
-    whose ket vector is zero at every order is dropped first.  No tensor
-    with ring coefficients is formed: the letters' series multiply once
-    per word, along a prefix memo."""
-    iset = bra.index_set
+            ket = [accumulate({}, (
+                ((lab, col[:p - 1] + (b,) + col[p:]), v * zv)
+                for (lab, col), v in xr.items()
+                for (b, a), zv in z.entries.items() if a == col[p - 1]))
+                for xr in ket]
     live = {lab for e in ket for lab, _ in e}
     start = {key: v for key, v in bra.entries.items() if key[0] in live}
     branches = {(): [start] + [{} for _ in range(D)]} if start else {}
@@ -281,13 +275,13 @@ def trace_words(bra, steps, ket, ring: Ring, D: int) -> TruncatedSeries:
     for i, step in enumerate(steps):
         if len(step) == 3:
             branches = {w: y for w, x in branches.items()
-                        for y in (pair_step(x, *step, iset),) if any(y)}
+                        for y in (pair_step(x, *step, index_set),) if any(y)}
             continue
         p, site = step
-        if site.coeffs[0] != TensorElement.identity(1, iset, ring):
+        if site.coeffs[0] != TensorElement.identity(1, index_set, ring):
             raise ValueError("a letter site needs the constant term 1")
         opened = []
-        for a, b in product(iset.indices(), repeat=2):
+        for a, b in product(index_set.indices(), repeat=2):
             tail = TruncatedSeries(ring, [ring.zero] + [
                 c.entries.get(((a,), (b,)), ring.zero)
                 for c in site.coeffs[1:D + 1]], D)
@@ -300,10 +294,12 @@ def trace_words(bra, steps, ket, ring: Ring, D: int) -> TruncatedSeries:
             legs = [{} for _ in x[1:]]
             for leg, xr in zip(legs, x):
                 for (lab, col), v in xr.items():
-                    leg.setdefault(col[p - 1], []).append((lab, col, v))
+                    leg.setdefault(col[p - 1], []).append(
+                        (lab, col[:p - 1], col[p:], v))
             for a, b in opened:
-                coeffs = [{(lab, col[:p - 1] + (b,) + col[p:]): v
-                           for lab, col, v in leg.get(a, ())} for leg in legs]
+                coeffs = [{(lab, head + (b,) + tail): v
+                           for lab, head, tail, v in leg.get(a, ())}
+                          for leg in legs]
                 if any(coeffs):
                     grown[w + ((i, a, b),)] = coeffs
         branches = grown
@@ -320,6 +316,8 @@ def trace_words(bra, steps, ket, ring: Ring, D: int) -> TruncatedSeries:
         weight = [rat(sum(v * ket[r - s][key] for s in range(r + 1)
                           for key, v in x[s].items() if key in ket[r - s]))
                   for r in range(len(x))]
+        if not any(weight):
+            continue
         word = word_series(w).coeffs
         for s in range(D + 1):
             parts[s] += [word[s - r] * weight[r]

@@ -31,8 +31,8 @@ a generator series.
   the one row of A_N over the steps of the fused block S(u,k)
   (`fused_steps`): the formal letter sites S(u-p) and the pair steps of
   the normalized R-matrix factors id - Q_pq/(c-2u).  The connecting
-  factors and the fused Z block act on the ket only.  A_k is read
-  through `expanded_bethe_series`.
+  factors and the fused Z block are the factors F(u) of the trace form.
+  A_k is read through `expanded_bethe_series`.
 * The hat series and the prop-3.6 trace form live on the expanded carrier
   only: `hat_trace` walks the rows of A_k over the same steps reversed
   and inverted, with the letter sites hat-S(u-p), hat-S the inverse of
@@ -47,8 +47,8 @@ from .algebra import AlgebraElement, FreeRule, WordMap, YangianRule
 from .indices import IndexSet, ZMatrix
 from .series import (RATIONAL_RING, BiLaurent, TruncatedSeries,
                      algebra_ring, one_over_c_minus_2u)
-from .tensor import (TensorElement, alternator_rows, bilaurent_r, flip,
-                     q_tensor, rank_one_ket, series_to_bilaurent, trace_words)
+from .tensor import (TensorElement, bilaurent_r, flip, q_tensor,
+                     series_to_bilaurent, trace_words)
 from .yangian import (centrality_rows, commutator_table, hat_identity_rows,
                       quantum_determinant, t_site_series, window_rows,
                       z_site_tensor)
@@ -238,21 +238,20 @@ def twisted_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
     the fused Z block on sites k+1..N shifted by N/2 - k.
 
     N! H_N = |w><w| has rank one, so with F(u) the R-factors and the Z
-    block this is <w| S(u,k) F(u) |w> / N!: `trace_words` walks the row
-    <w| through the steps of S(u,k) and contracts with F(u)|w>/N!."""
+    block this is <w| S(u,k) F(u) |w> / N!, one `trace_words` walk of the
+    row <w| through the steps of S(u,k)."""
     iset = ctx.index_set
     N = iset.N
     if not (1 <= k <= N):
         raise ValueError("k out of range")
     connect = [(p, q, one_over_c_minus_2u(p + q, D))
                for p in range(1, k + 1) for q in range(k + 1, N + 1)]
-    bra = alternator_rows(N, iset)
-    ket = rank_one_ket(bra, connect + _z_block(z, range(k + 1, N + 1), N, D),
-                       D)
     s = t_site_series(ctx.s_rule, D)
     steps = fused_steps(lambda p: (p, s.substitute_affine(1, -p)),
                         range(1, k + 1), 0, D)
-    return trace_words(bra, steps, ket, algebra_ring(ctx.s_rule), D)
+    return trace_words(N, iset, steps,
+                       connect + _z_block(z, range(k + 1, N + 1), N, D),
+                       algebra_ring(ctx.s_rule), D)
 
 
 def expanded_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
@@ -303,8 +302,8 @@ def verify_twisted_commutativity(ctx: TwistedContext, z: ZMatrix,
 
 def hat_trace(ctx: TwistedContext, k: int, factors, D: int) -> TruncatedSeries:
     """tr(F(u) H_k . hat-S(u,k)) with expanded coefficients, hat-S(u,k) the
-    inverse series of S(u,k) and F(u) the product of the ket `factors`
-    (`rank_one_ket`).  As (X_1 ... X_m)^-1 = X_m^-1 ... X_1^-1 over the
+    inverse series of S(u,k) and F(u) the product of `factors`
+    (`trace_words`).  As (X_1 ... X_m)^-1 = X_m^-1 ... X_1^-1 over the
     steps of S(u,k), each site S(u-p) becomes hat-S(u-p), with hat-S =
     S^-1 on one site, and each pair step id - c Q is inverted as
     id - c' Q with c' = -c/(1 - N c), since Q^2 = N Q."""
@@ -316,8 +315,7 @@ def hat_trace(ctx: TwistedContext, k: int, factors, D: int) -> TruncatedSeries:
     inverted = [f if len(f) == 2 else
                 (*f[:2], -f[2] * (one - f[2] * N).invert())
                 for f in reversed(steps)]
-    bra = alternator_rows(k, ctx.index_set)
-    return trace_words(bra, inverted, rank_one_ket(bra, factors, D),
+    return trace_words(k, ctx.index_set, inverted, factors,
                        algebra_ring(ctx.yang_rule), D)
 
 

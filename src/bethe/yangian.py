@@ -17,8 +17,9 @@ layer under its free rule.
 `verify_fusion` checks H_k T_1(u-1)..T_k(u-k) = T_k(u-k)..T_1(u-1) H_k
 and the membership predicate H X = H X H on A_k = k! H_k = ket . bra,
 bra the rows of A_k and ket their transpose (`fusion_products`): the
-factors multiply bra from the right and ket from the left, so no product
-of them on all N^k rows is formed.
+factors multiply bra from the right and ket from the left, and both
+identities are read off these products, so none is formed on all N^k
+rows.
 
 The row builders for one identity type each (`window_rows`,
 `commutator_table`, `centrality_rows`, `hat_identity_rows`) serve the
@@ -154,17 +155,16 @@ def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Truncated
     """The inverse-series generators: trace of H_k times the descending
     product of the inverse factors hat-T_p(u-p), p = k..1, times
     Z_1..Z_k, one `trace_words` walk of the rows of A_k with hat-T = T^-1
-    on one site, contracted with Z_1..Z_k applied to the columns."""
+    on one site and the factors Z_1..Z_k."""
     if k == 0:
         return TruncatedSeries.one(algebra_ring(rule), D)
-    from .tensor import alternator_rows, rank_one_ket, trace_words
+    from .tensor import trace_words
 
-    bra = alternator_rows(k, rule.index_set)
-    ket = rank_one_ket(bra, [(p, z) for p in range(1, k + 1)], D)
     t_hat = t_site_series(rule, D).invert()
-    return trace_words(bra, [(p, t_hat.substitute_affine(1, -p))
-                             for p in range(k, 0, -1)], ket,
-                       algebra_ring(rule), D)
+    return trace_words(k, rule.index_set,
+                       [(p, t_hat.substitute_affine(1, -p))
+                        for p in range(k, 0, -1)],
+                       [(p, z) for p in range(1, k + 1)], algebra_ring(rule), D)
 
 
 # -- verification suites -----------------------------------------------------------
@@ -190,15 +190,16 @@ def verify_rtt(rule: YangianRule, D: int) -> list:
 
 
 def fusion_products(rule: YangianRule, k: int, D: int) -> tuple:
-    """(A X, Y A, A X A) as series of k-site tensors, for A = A_k = k! H_k,
-    X = T_1(u-1)..T_k(u-k) and Y = T_k(u-k)..T_1(u-1) (`t_factors`).
+    """(P, C bra, Q, ket C) as series of k-site tensors, for A = A_k =
+    k! H_k, X = T_1(u-1)..T_k(u-k) and Y = T_k(u-k)..T_1(u-1) (`t_factors`).
 
     A_k = ket . bra, bra the rows <w_I| of A_k (`alternator_rows`) and ket
-    the same vectors as columns, constant series of rational tensors: A X
-    is ket . (bra . T_1 ... T_k), multiplied left to right from bra, Y A is
-    (T_k ... T_1 . ket) . bra, multiplied right to left from ket, and A X A
-    is ((A X) . ket) . bra.  Neither A_k nor a product of the factors on
-    all N^k rows is formed."""
+    the same vectors as columns, constant series of rational tensors.
+    P = bra . X is multiplied left to right from bra, Q = Y . ket right to
+    left from ket, and C = P . ket / k! has a row and a column per k-subset.
+    As bra . ket = k!, A X = ket . P equals Y A = Q . bra exactly where
+    P = C bra and Q = ket C, and k! A X = A X A = k! ket . C . bra exactly
+    where P = C bra.  Neither A_k nor a product on all N^k rows is formed."""
     from .tensor import TensorElement, alternator_rows, tensor_ring
 
     bra = alternator_rows(k, rule.index_set)
@@ -207,22 +208,22 @@ def fusion_products(rule: YangianRule, k: int, D: int) -> tuple:
     ring = tensor_ring(k, bra.index_set)
     factors = t_factors(rule, k, D)
     bra, ket = (TruncatedSeries.constant(ring, m, D) for m in (bra, ket))
-    ax = ket * reduce(mul, factors, bra)
-    ya = reduce(lambda y, f: f * y, factors, ket) * bra
-    return ax, ya, ax * ket * bra
+    p = reduce(mul, factors, bra)
+    q = reduce(lambda y, f: f * y, factors, ket)
+    c = p * ket * div(1, factorial(k))
+    return p, c * bra, q, ket * c
 
 
 def verify_fusion(rule: YangianRule, k: int, D: int) -> list:
     """H_k (T_1..T_k) = (T_k..T_1) H_k, plus the fused-block membership
     predicate H X = H X H, coefficientwise, checked as A X = Y A and
-    k! A X = A X A on A_k = k! H_k (`fusion_products`)."""
-    ax, ya, axa = fusion_products(rule, k, D)
-    f = factorial(k)
-    return ([(f"fusion coefficient u^{-r}", c == ya.coeffs[r])
-             for r, c in enumerate(ax.coeffs)]
-            + [(f"membership coefficient u^{-r}",
-                c.scale_rat(f) == axa.coeffs[r])
-               for r, c in enumerate(ax.coeffs)])
+    k! A X = A X A on A_k = k! H_k, read off the rows (`fusion_products`)."""
+    p, cb, q, kc = fusion_products(rule, k, D)
+    rows = [x == y for x, y in zip(p.coeffs, cb.coeffs)]
+    return ([(f"fusion coefficient u^{-r}", ok and q.coeffs[r] == kc.coeffs[r])
+             for r, ok in enumerate(rows)]
+            + [(f"membership coefficient u^{-r}", ok)
+               for r, ok in enumerate(rows)])
 
 
 def centrality_rows(label: str, x: TruncatedSeries, gen_label: str, gen,

@@ -36,8 +36,8 @@ from bethe.indices import perm_sign
 from bethe.rationals import ONE, accumulate, parse_rat, rat
 from bethe.series import (INF_CAP, RATIONAL_RING, BiLaurent, TruncatedSeries,
                           algebra_ring, one_over_c_minus_2u, sum_terms)
-from bethe.tensor import (TensorElement, alternator_rows, flip, q_tensor,
-                          rank_one_ket, tensor_ring, trace_words)
+from bethe.tensor import (TensorElement, flip, q_tensor, tensor_ring,
+                          trace_words)
 from bethe.twisted import _reflection_form
 from bethe.yangian import t_site_series, z_site_tensor
 
@@ -305,12 +305,13 @@ def verify_z_exchange(ctx, z):
 def bethe_series_tensor(k, z, rule, D):
     """B_k(u) = tr(H_N . T_1(u-1)..T_k(u-k) . Z_{k+1}..Z_N) as a trace form:
     one `trace_words` walk of the row of A_N over the letter sites
-    T(u-p), contracted with Z_{k+1}..Z_N applied to the column."""
-    bra = alternator_rows(rule.index_set.N, rule.index_set)
-    ket = rank_one_ket(bra, [(q, z) for q in range(k + 1, bra.sites + 1)], D)
+    T(u-p), with the factors Z_{k+1}..Z_N."""
+    N = rule.index_set.N
     t = t_site_series(rule, D)
-    return trace_words(bra, [(p, t.substitute_affine(1, -p))
-                             for p in range(1, k + 1)], ket,
+    return trace_words(N, rule.index_set,
+                       [(p, t.substitute_affine(1, -p))
+                        for p in range(1, k + 1)],
+                       [(q, z) for q in range(k + 1, N + 1)],
                        algebra_ring(rule), D)
 
 

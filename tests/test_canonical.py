@@ -13,7 +13,7 @@ import os
 from hypothesis import given, settings, strategies as st
 
 from bethe.algebra import AlgebraElement, YangianRule
-from bethe.indices import IndexSet
+from bethe.indices import IndexSet, ZMatrix
 from bethe.rationals import Q, rat
 from bethe.series import RATIONAL_RING, TruncatedSeries, algebra_ring
 from bethe.tensor import TensorElement, tensor_ring, trace_words
@@ -123,6 +123,12 @@ def rat_tensor(data, scalar):
                          {k: scalar(p) for k, p in data.items()})
 
 
+def z_matrix(t):
+    """A one-site rational tensor as a Z site, which canonicalizes it."""
+    return ZMatrix(PLAIN2, {(r[0], c[0]): v
+                            for (r, c), v in t.entries.items()})
+
+
 def both(build, data):
     return build(data, raw), build(data, canonical)
 
@@ -153,12 +159,13 @@ def test_tensors_built_from_q_agree_with_canonical(dx, dy, dg, dh):
     check(g * h, g_ * h_)
     check(g - h, g_ - h_)
     check(g.scale_rat(Q(2, 2)), g_.scale_rat(1))
-    # sum_I <g_I| (1 + x u^-1) |h_I> through order 1: the one-letter
+    # tr(h (1 + x u^-1)) through order 1, h a Z site: the one-letter
     # words read x
     sites = tensor_ring(1, PLAIN2, ARING)
-    check(*(trace_words(gg, [(1, TruncatedSeries(sites, [sites.one, xx], 1))],
-                        [hh.entries, {}], ARING, 1)
-            for gg, xx, hh in ((g, x, h), (g_, x_, h_))))
+    check(*(trace_words(1, PLAIN2,
+                        [(1, TruncatedSeries(sites, [sites.one, xx], 1))],
+                        [(1, z_matrix(hh))], ARING, 1)
+            for xx, hh in ((x, h), (x_, h_))))
     check(trace_all(g), trace_all(g_))
     check(trace_all(x), trace_all(x_))
 
@@ -196,6 +203,6 @@ def test_series_built_from_q_agree_with_canonical(dr, dt, dg, shift):
           t_.substitute_affine(1, canonical(shift)))
     check(r.substitute_affine(raw((2, 1)), raw(shift)),
           r_.substitute_affine(2, canonical(shift)))
-    check(*(trace_words(gg.coeffs[0], [(1, tt)],
-                        [c.entries for c in gg.coeffs], ARING, D)
+    check(*(trace_words(1, PLAIN2, [(1, tt)], [(1, z_matrix(gg.coeffs[0]))],
+                        ARING, D)
             for gg, tt in ((g, t), (g_, t_))))

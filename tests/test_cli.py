@@ -577,8 +577,8 @@ SKLYANIN_SO3 = ["verify", "sklyanin", "--kind", "so", "--n", "1", "--odd",
     pytest.param("grown = dict(branches)", "grown = {}",
                  id="dropped-pass-branch"),
     # E_ab of site p moves the column of site p + 1 (of site 1 from the last)
-    pytest.param("col[:p - 1] + (b,) + col[p:]",
-                 "col[:p % len(col)] + (b,) + col[p % len(col) + 1:]",
+    pytest.param("(lab, col[:p - 1], col[p:], v)",
+                 "(lab, col[:p % len(col)], col[p % len(col) + 1:], v)",
                  id="leg-on-the-wrong-site"),
 ])
 def test_trace_words_faults_fail_the_trace_forms(monkeypatch, old, new):
@@ -599,7 +599,7 @@ PROP36_SP4 = ["verify", "prop36", "--kind", "sp", "--n", "2", "--D", "2"]
                  "_pair_action(xr, 1, q, index_set)",
                  id="pair-on-the-wrong-sites"),
     # F(u) applied to the ket left to right
-    pytest.param("tensor", "rank_one_ket", "in reversed(factors)",
+    pytest.param("tensor", "trace_words", "in reversed(factors)",
                  "in factors", id="ket-factors-reversed"),
     # (id - c Q)^-1 taken as id - c Q / (1 + N c)
     pytest.param("twisted", "hat_trace", "(one - f[2] * N)",

@@ -7,14 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 from bethe.algebra import FreeRule, YangianRule
 from bethe.indices import IndexSet, ZMatrix, perm_sign
 from bethe.rationals import Q, binomial
-from bethe.series import RATIONAL_RING, BiLaurent, TruncatedSeries, algebra_ring
+from bethe.series import (RATIONAL_RING, BiLaurent, TruncatedSeries,
+                          algebra_ring, one_over_c_minus_2u)
 from bethe.tensor import (TensorElement, alternator_rows, flip,
                           group_alternator, group_product, group_trace,
                           h_k_orientation, pair_step, q_tensor, r_product,
-                          rank_one_ket, tensor_ring, trace_words,
+                          tensor_ring, trace_words,
                           verify_antisymmetrizers, verify_mixed_yang_baxter,
                           verify_r_identities, verify_yang_baxter)
-from bethe.yangian import z_site_tensor
+from bethe.yangian import t_site_series, z_site_tensor
 import oracles
 from oracles import (alternator, antisymmetrizer, antisymmetrizer_oracle,
                      group_image, partial_trace, perm_operator, trace_all)
@@ -369,12 +370,6 @@ def test_rational_bilaurents_multiply_ring_bilaurents_without_lifting(
         assert got.ring is x.ring
 
 
-def _series(draw, sites, iset, D):
-    return TruncatedSeries(tensor_ring(sites, iset),
-                           [draw(rational_tensor(sites, iset))
-                            for _ in range(D + 1)], D)
-
-
 def _letter_site(draw, rule, D, iset=PLAIN2):
     """A one-site series 1 + L_1 u^-1 + ... over Fraction (rule None) or
     over the algebra of `rule`."""
@@ -392,80 +387,9 @@ def _pair_series(draw, D):
                                            for _ in range(D + 1)], D)
 
 
-def _dense_step(step, sites, iset, ring, D):
-    """A step of `trace_words` as a series of tensors on all sites over
-    `ring`: a letter site embedded, or a pair step id - c(u) Q_pq with
-    Q_pq embedded."""
-    tring = tensor_ring(sites, iset, ring)
-    if len(step) == 2:
-        p, site = step
-        return site.map_coeffs(lambda c: c.embed((p,), sites), tring)
-    p, q, c = step
-    qpq = q_tensor(iset).embed((p, q), sites)
-    coeffs = [-qpq.scale_rat(cr) for cr in c.coeffs[:D + 1]]
-    coeffs[0] = coeffs[0] + TensorElement.identity(sites, iset)
-    return TruncatedSeries(tring, [lift_tensor(x, ring) for x in coeffs], D)
-
-
-def _transpose(t):
-    return TensorElement(t.sites, t.index_set, t.ring,
-                         {(c, r): v for (r, c), v in t.entries.items()})
-
-
-def _full_trace(bra, steps, ket, ring, D):
-    """sum_I <bra_I| Y_1 ... Y_m |ket_I> from the full product of the
-    steps on all sites, as tr(bra . Y . ket^T) with every rational tensor
-    lifted into the letters' ring: the reference for `trace_words`."""
-    sites, iset = bra.sites, bra.index_set
-    tring = tensor_ring(sites, iset, ring)
-    x = TruncatedSeries.constant(tring, lift_tensor(bra, ring), D)
-    for step in steps:
-        x = x * _dense_step(step, sites, iset, ring, D)
-    x = x * ket.map_coeffs(lambda c: lift_tensor(_transpose(c), ring), tring)
-    return x.map_coeffs(trace_all, ring)
-
-
-SIGNED = {iset: (YangianRule(iset), FreeRule(iset))
-          for iset in (IndexSet.signed(2, "sp"), IndexSet.signed(2, "so"),
-                       IndexSet.signed(3, "so"))}
-
-
-@settings(max_examples=80, deadline=None)
-@given(data=st.data(), iset=st.sampled_from(list(SIGNED)),
-       D=st.integers(0, 2), algebra=st.sampled_from((None, 0, 1)))
-def test_trace_words_matches_the_full_product(data, iset, D, algebra):
-    # a random bra and a random series ket keyed like it, whose labels need
-    # not match; letter sites on distinct sites in any order, pair steps on
-    # any site pair between them
-    draw = data.draw
-    rule = None if algebra is None else SIGNED[iset][algebra]
-    ring = algebra_ring(rule) if rule else RATIONAL_RING
-    sites = draw(st.integers(1, 3 if iset.N == 2 else 2))
-    pairs = [(p, q) for p in range(1, sites + 1)
-             for q in range(p + 1, sites + 1)]
-    order = draw(st.permutations(range(1, sites + 1)))
-    steps = []
-    for p in order[:draw(st.integers(1, sites))]:
-        if pairs:
-            steps += [(*draw(st.sampled_from(pairs)), _pair_series(draw, D))
-                      for _ in range(draw(st.integers(0, 1)))]
-        steps.append((p, _letter_site(draw, rule, D, iset)))
-    if pairs and draw(st.booleans()):
-        steps.append((*draw(st.sampled_from(pairs)), _pair_series(draw, D)))
-    bra = draw(rational_tensor(sites, iset))
-    ket = _series(draw, sites, iset, D)
-    assert trace_words(bra, steps, [c.entries for c in ket.coeffs], ring,
-                       D) == _full_trace(bra, steps, ket, ring, D)
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), iset=st.sampled_from(list(SIGNED)),
-       D=st.integers(0, 2))
-def test_rank_one_ket_applies_the_factors_right_to_left(data, iset, D):
-    # F(u) |w_I> / k! from the dense product of the factors, each column
-    # of A_k / k! multiplied on the left
-    draw = data.draw
-    k = draw(st.integers(1, min(iset.N, 3)))
+def _factors(draw, k, iset, D):
+    """Factors of F(u) in any order: pair steps on any site pair and Z
+    sites with any rational entries, Z not prime-symmetric."""
     idx = iset.indices()
     pairs = [(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
     factors = []
@@ -478,17 +402,101 @@ def test_rank_one_ket_applies_the_factors_right_to_left(data, iset, D):
                 st.tuples(st.sampled_from(idx), st.sampled_from(idx)),
                 rational, max_size=3)))
             factors.append((draw(st.integers(1, k)), z))
-    bra = alternator_rows(k, iset)
-    tring = tensor_ring(k, iset)
-    want = TruncatedSeries.constant(
-        tring, _transpose(bra).scale_rat(Q(1, factorial(k))), D)
-    for f in reversed(factors):
-        step = _dense_step(f, k, iset, RATIONAL_RING, D) if len(f) == 3 \
-            else TruncatedSeries.constant(tring, z_site_tensor(f[1], f[0], k),
-                                          D)
-        want = step * want
-    assert rank_one_ket(bra, factors, D) == \
-        [_transpose(c).entries for c in want.coeffs]
+    return factors
+
+
+def _dense_step(step, sites, iset, ring, D):
+    """A step or a factor of `trace_words` as a series of tensors on all
+    sites over `ring`: a letter site or a Z site embedded, or a pair step
+    id - c(u) Q_pq with Q_pq embedded."""
+    tring = tensor_ring(sites, iset, ring)
+    if len(step) == 2:
+        p, site = step
+        if isinstance(site, ZMatrix):
+            return TruncatedSeries.constant(
+                tring, lift_tensor(z_site_tensor(site, p, sites), ring), D)
+        return site.map_coeffs(lambda c: c.embed((p,), sites), tring)
+    p, q, c = step
+    qpq = q_tensor(iset).embed((p, q), sites)
+    coeffs = [-qpq.scale_rat(cr) for cr in c.coeffs[:D + 1]]
+    coeffs[0] = coeffs[0] + TensorElement.identity(sites, iset)
+    return TruncatedSeries(tring, [lift_tensor(x, ring) for x in coeffs], D)
+
+
+def _full_trace(k, iset, steps, factors, ring, D):
+    """tr(F H_k Y) from the full product F_1 ... F_m H_k Y_1 ... Y_n on all
+    k sites, every rational tensor lifted into the letters' ring: the
+    reference for `trace_words`."""
+    tring = tensor_ring(k, iset, ring)
+    x = TruncatedSeries.one(tring, D)
+    for f in factors:
+        x = x * _dense_step(f, k, iset, ring, D)
+    x = x * TruncatedSeries.constant(
+        tring, lift_tensor(antisymmetrizer(k, iset), ring), D)
+    for step in steps:
+        x = x * _dense_step(step, k, iset, ring, D)
+    return x.map_coeffs(trace_all, ring)
+
+
+SIGNED = {iset: (YangianRule(iset), FreeRule(iset))
+          for iset in (IndexSet.signed(2, "sp"), IndexSet.signed(2, "so"),
+                       IndexSet.signed(3, "so"))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), iset=st.sampled_from(list(SIGNED)),
+       D=st.integers(0, 2), algebra=st.sampled_from((None, 0, 1)))
+def test_trace_words_matches_the_full_product(data, iset, D, algebra):
+    # letter sites on distinct sites in any order, pair steps on any site
+    # pair between them, and random factors
+    draw = data.draw
+    rule = None if algebra is None else SIGNED[iset][algebra]
+    ring = algebra_ring(rule) if rule else RATIONAL_RING
+    k = draw(st.integers(1, iset.N))
+    pairs = [(p, q) for p in range(1, k + 1) for q in range(p + 1, k + 1)]
+    order = draw(st.permutations(range(1, k + 1)))
+    steps = []
+    for p in order[:draw(st.integers(1, k))]:
+        if pairs:
+            steps += [(*draw(st.sampled_from(pairs)), _pair_series(draw, D))
+                      for _ in range(draw(st.integers(0, 1)))]
+        steps.append((p, _letter_site(draw, rule, D, iset)))
+    if pairs and draw(st.booleans()):
+        steps.append((*draw(st.sampled_from(pairs)), _pair_series(draw, D)))
+    factors = _factors(draw, k, iset, D)
+    assert trace_words(k, iset, steps, factors, ring, D) == \
+        _full_trace(k, iset, steps, factors, ring, D)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), iset=st.sampled_from(list(SIGNED)))
+def test_trace_words_applies_the_factors_right_to_left(data, iset):
+    # one free letter 1 + S u^-1 on each of the k sites: the free words of
+    # length k read every entry of F H_k, the shorter ones its partial
+    # traces, so F H_k is compared entry by entry with the dense product
+    draw = data.draw
+    k = draw(st.integers(1, min(iset.N, 3)))
+    free = SIGNED[iset][1]
+    s = t_site_series(free, 1)
+    letter = TruncatedSeries(s.ring, s.coeffs, k)
+    factors = _factors(draw, k, iset, k)
+    steps = [(p, letter) for p in range(1, k + 1)]
+    ring = algebra_ring(free)
+    got = trace_words(k, iset, steps, factors, ring, k)
+    assert got == _full_trace(k, iset, steps, factors, ring, k)
+
+
+def test_a_weight_that_starts_past_order_0_counts():
+    # the fused shape L_1 (id - Q_12/(3 - 2u)) L_2 on the row of A_2: a
+    # two-letter word can weigh nothing at order 0 and something at order
+    # 1, through Q, which reaches the trace at order 3
+    iset = IndexSet.signed(2, "sp")
+    free = SIGNED[iset][1]
+    letter = t_site_series(free, 3)
+    steps = [(1, letter), (1, 2, one_over_c_minus_2u(3, 3)), (2, letter)]
+    ring = algebra_ring(free)
+    assert trace_words(2, iset, steps, [], ring, 3) == \
+        _full_trace(2, iset, steps, [], ring, 3)
 
 
 def test_pair_steps_invert_through_q_squared():
@@ -507,31 +515,29 @@ def test_trace_words_needs_letters_that_start_at_one():
     sites = tensor_ring(1, PLAIN2)
     twice = TruncatedSeries(sites, [sites.one.scale_rat(2)], 0)
     with pytest.raises(ValueError):
-        trace_words(sites.one, [(1, twice)], [sites.one.entries],
-                    RATIONAL_RING, 0)
+        trace_words(1, PLAIN2, [(1, twice)], [], RATIONAL_RING, 0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), algebra=st.booleans())
-def test_identity_sites_trace_out_of_the_rational_side(data, algebra):
-    # a letter site on site 1 of 2 is the identity on site 2: the site-2
-    # index of the columns joins the labels and the walk runs on site 1,
-    # and both equal tr(tr_2(ket^T bra) L)
+@given(data=st.data(), iset=st.sampled_from(list(SIGNED)),
+       algebra=st.booleans())
+def test_identity_sites_trace_out_of_the_rational_side(data, iset, algebra):
+    # a letter site on site 1 of 2 is the identity on site 2:
+    # tr(F H_2 L_1) is tr(M L), M = tr_2(F H_2) the one factor of a
+    # one-site trace form; the pair steps of F are constant here, so that
+    # M is a Z site
     draw = data.draw
-    bra = draw(rational_tensor(2))
-    ket = draw(rational_tensor(2))
-    rule = YANG2 if algebra else None
+    rule = SIGNED[iset][0] if algebra else None
     ring = algebra_ring(rule) if algebra else RATIONAL_RING
-    site = _letter_site(draw, rule, 2)
-
-    def traced(t):
-        return TensorElement(1, PLAIN2, RATIONAL_RING, {
-            ((r, c[1]), c[:1]): v for (r, c), v in t.entries.items()})
-
-    got = trace_words(bra, [(1, site)], [ket.entries, {}, {}], ring, 2)
-    assert got == trace_words(traced(bra), [(1, site)],
-                              [traced(ket).entries, {}, {}], ring, 2)
-    h = partial_trace(_transpose(ket) * bra, [2])
-    one = alternator_rows(1, PLAIN2)
-    assert got == _full_trace(one, [(1, site)], TruncatedSeries.constant(
-        tensor_ring(1, PLAIN2), _transpose(h), 2), ring, 2)
+    site = _letter_site(draw, rule, 2, iset)
+    factors = [f if len(f) == 2 else (*f[:2], TruncatedSeries(
+        RATIONAL_RING, [f[2].coeffs[0], 0, 0], 2))
+               for f in _factors(draw, 2, iset, 0)]
+    fh = antisymmetrizer(2, iset)
+    for f in factors[::-1]:
+        fh = _dense_step(f, 2, iset, RATIONAL_RING, 2).coeffs[0] * fh
+    m = partial_trace(fh, [2])
+    got = trace_words(2, iset, [(1, site)], factors, ring, 2)
+    assert got == trace_words(1, iset, [(1, site)], [(1, ZMatrix(iset, {
+        (r[0], c[0]): v for (r, c), v in m.entries.items()}))], ring, 2)
+    assert got == _full_trace(2, iset, [(1, site)], factors, ring, 2)

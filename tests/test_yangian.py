@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 from functools import reduce
+from math import factorial
 from operator import mul
 
 import pytest
@@ -10,8 +11,8 @@ from bethe import yangian
 from bethe.algebra import YangianRule, commutator
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import ONE, Q
-from bethe.series import TruncatedSeries, algebra_ring
-from bethe.tensor import tensor_ring
+from bethe.series import RATIONAL_RING, TruncatedSeries, algebra_ring
+from bethe.tensor import TensorElement, alternator_rows, tensor_ring
 from bethe.yangian import (bethe_series, hat_bethe_series,
                            quantum_determinant, quantum_minor,
                            t_entry_series, t_site_series,
@@ -57,19 +58,29 @@ def test_fusion():
 
 @pytest.mark.parametrize("N, D", [(2, 4), (3, 3), (4, 2)])
 def test_fusion_products_match_the_dense_products(N, D):
-    # A X, Y A and A X A on the rows of A_k, term for term against the
-    # products on all N^k rows; every order through D is compared, and no
+    # P = bra X, Q = Y ket and C = P ket / k! rebuild A X = ket P, Y A =
+    # Q bra and A X A = k! ket C bra, term for term against the products
+    # on all N^k rows; every order through D is compared, and no
     # coefficient is a rational tensor standing in for an algebra-valued
     # product
     rule = YangianRule(IndexSet.plain(N))
     for k in range(2, N + 1):
-        rows = yangian.fusion_products(rule, k, D)
-        dense = fusion_products_dense(rule, k, D)
-        for got, want in zip(rows, dense):
+        p, cb, q, kc = yangian.fusion_products(rule, k, D)
+        bra = alternator_rows(k, rule.index_set)
+        ket = TensorElement(k, bra.index_set, RATIONAL_RING,
+                            {(c, r): v for (r, c), v in bra.entries.items()})
+        c = p.map_coeffs(lambda x: x * ket * Q(1, factorial(k)))
+        assert cb.coeffs == tuple(x * bra for x in c.coeffs)
+        assert kc.coeffs == tuple(ket * x for x in c.coeffs)
+        rows = (p.map_coeffs(lambda x: ket * x),
+                q.map_coeffs(lambda x: x * bra),
+                c.map_coeffs(lambda x: ket * x * bra * factorial(k)))
+        for got, want in zip(rows, fusion_products_dense(rule, k, D)):
             assert got.trunc == want.trunc == D
             assert got.coeffs == want.coeffs
+        for got in (p, cb, q, kc):
             assert not got.ring.rational
-            assert not any(c.ring.rational for c in got.coeffs)
+            assert not any(x.ring.rational for x in got.coeffs)
 
 
 def _failed_fusion_rows(N=3, D=3):
