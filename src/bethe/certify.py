@@ -1,19 +1,15 @@
 """High-level certification suites combining the algebraic and Poisson
-layers: enveloping-algebra images, bracket axioms on seeded samples, graded
-symbol consistency against the determinant expansions, and the rank
-certificates for the shift-of-argument families.
+layers: bracket axioms on seeded samples, graded symbol consistency
+against the determinant expansions, and the rank certificates for the
+shift-of-argument families.
 
 Every suite returns a list of (item, bool) detail rows, matching the other
-verify_* functions; the CLI wraps these into reports.
-
-A property is stated once and read through the family or the map passed
-in: `_family` picks B_k (plain index set) or the formal A_k (signed), and
-one image suite reads it through pi or rho; the rho homomorphy check is
-the twisted layer's symmetry and reflection rows read through rho.
+verify_* functions; the CLI wraps these into reports.  The enveloping-
+algebra image suites, which need no Poisson side, are in `evalmap`.
 
 The module top imports the Poisson side only.  The suites that reach the
-algebras (`algebra`, `evalmap`, `twisted`, `yangian`) import them inside,
-so the Poisson checks load none of them.
+algebras (`algebra`, `yangian`) import them inside, so the Poisson checks
+load none of them.
 """
 from __future__ import annotations
 
@@ -23,34 +19,6 @@ from .indices import IndexSet, ZMatrix
 from .poisson import (CurrentPoint, PoissonContext, PoissonPoly, bethe_family,
                       bracket_matrix, certified_jacobian_rank, matrix_rank,
                       poisson_bracket, principal_nilpotent, upper_slice)
-
-
-def verify_rho_homomorphy(ctx, D: int) -> list:
-    """The enveloping-algebra substitution kills the symmetry and
-    reflection residual families of the `TwistedContext` ctx (it therefore
-    factors through the defining relations)."""
-    from .algebra import GlRule
-    from .evalmap import rho_map
-    from .twisted import reflection_rows, symmetry_rows
-
-    rho = rho_map(GlRule(ctx.index_set))
-    return (symmetry_rows("rho of symmetry residual", ctx, D, rho)
-            + reflection_rows("rho of reflection residual", ctx, D, D, rho))
-
-
-def _family(index_set: IndexSet, z: ZMatrix, D: int):
-    """k -> the commuting series of index k through order D: B_k over the
-    Yangian on a plain index set, the formal A_k on a signed one."""
-    if index_set.kind == "plain":
-        from .algebra import YangianRule
-        from .yangian import bethe_series
-
-        rule = YangianRule(index_set)
-        return lambda k: bethe_series(k, z, rule, D)
-    from .twisted import TwistedContext, twisted_bethe_series
-
-    ctx = TwistedContext(index_set)
-    return lambda k: twisted_bethe_series(ctx, k, z, D)
 
 
 # seeded generator triples of `verify_poisson_jacobi`
@@ -113,12 +81,13 @@ def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix,
     expansion polynomials, coefficient by coefficient through order N M
     (plain or twisted per the index set)."""
     from .algebra import symbol
+    from .yangian import commuting_family
 
     N = index_set.N
     D = N * M
     context = PoissonContext(index_set, M)
     details = []
-    mk = _family(index_set, z, D)
+    mk = commuting_family(index_set, z, D)
     zero = PoissonPoly.constant(context, 0)
     family = bethe_family(context, z)
     for k in range(1, N + 1):
@@ -192,25 +161,6 @@ def verify_classical_slice_rank(n: int, z: ZMatrix, seed: int = 7) -> list:
     rank, _ = certified_jacobian_rank(fs, free, point, expected)
     return [(f"classical slice rank {rank} (expected {expected}, "
              f"dim {len(free)})", rank == expected)]
-
-
-def verify_pi_rho_image_commutativity(index_set: IndexSet, z: ZMatrix,
-                                      D: int) -> list:
-    """Pairwise commutativity of the enveloping-algebra images, in the
-    algebra and in the defining representation."""
-    from .algebra import GlRule
-    from .evalmap import pi_map, rho_map, verify_image_commutativity
-
-    gl = GlRule(index_set)
-    if index_set.kind == "plain":
-        image, tag = pi_map(gl), "pi image"
-    else:
-        image, tag = rho_map(gl), "rho image"
-    family = _family(index_set, z, D)
-    elems = [image(c) for k in range(1, index_set.N + 1)
-             for c in family(k).coeffs[1:]]
-    rows = verify_image_commutativity(elems, gl)
-    return [(f"{tag} {item}", ok) for item, ok in rows]
 
 
 def rank_table_holds(index_set: IndexSet, M: int) -> bool:

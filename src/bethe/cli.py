@@ -254,12 +254,12 @@ def run_check(cfg: RunConfig, name: str) -> list:
         return verify_prop36(cfg.twisted_ctx(), cfg.z, D)
 
     if name == "rho-hom":
-        from .certify import verify_rho_homomorphy
+        from .evalmap import verify_rho_homomorphy
 
         return verify_rho_homomorphy(cfg.twisted_ctx(), D)
 
     if name == "image-commute":
-        from .certify import verify_pi_rho_image_commutativity
+        from .evalmap import verify_pi_rho_image_commutativity
 
         return verify_pi_rho_image_commutativity(iset, cfg.z, D)
 

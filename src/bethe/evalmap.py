@@ -16,14 +16,21 @@ tensor product rule.
 
 The fixed-point enveloping algebra has no separate rewriting system here;
 its elements live inside the ambient enveloping algebra after F-expansion.
+
+Two suites read the algebras through these maps, and neither loads the
+Poisson side: `verify_rho_homomorphy` reads the twisted symmetry and
+reflection rows through rho, and `verify_pi_rho_image_commutativity`
+checks that the pi or rho images of one commuting family
+(`yangian.commuting_family`) commute.
 """
 from __future__ import annotations
 
 from .algebra import AlgebraElement, GlRule, WordMap, commutator
-from .indices import IndexSet
+from .indices import IndexSet, ZMatrix
 from .rationals import accumulate, rat
 from .series import RATIONAL_RING
 from .tensor import TensorElement
+from .yangian import commuting_family
 
 
 def pi_map(gl_rule: GlRule) -> WordMap:
@@ -80,3 +87,30 @@ def verify_image_commutativity(elements: list, gl_rule: GlRule) -> list:
             details.append((f"pair ({a},{b}) matrices",
                             mats[a] * mats[b] == mats[b] * mats[a]))
     return details
+
+
+def verify_rho_homomorphy(ctx, D: int) -> list:
+    """The enveloping-algebra substitution kills the symmetry and
+    reflection residual families of the `TwistedContext` ctx (it therefore
+    factors through the defining relations)."""
+    from .twisted import reflection_rows, symmetry_rows
+
+    rho = rho_map(GlRule(ctx.index_set))
+    return (symmetry_rows("rho of symmetry residual", ctx, D, rho)
+            + reflection_rows("rho of reflection residual", ctx, D, D, rho))
+
+
+def verify_pi_rho_image_commutativity(index_set: IndexSet, z: ZMatrix,
+                                      D: int) -> list:
+    """Pairwise commutativity of the enveloping-algebra images, in the
+    algebra and in the defining representation."""
+    gl = GlRule(index_set)
+    if index_set.kind == "plain":
+        image, tag = pi_map(gl), "pi image"
+    else:
+        image, tag = rho_map(gl), "rho image"
+    family = commuting_family(index_set, z, D)
+    elems = [image(c) for k in range(1, index_set.N + 1)
+             for c in family(k).coeffs[1:]]
+    rows = verify_image_commutativity(elems, gl)
+    return [(f"{tag} {item}", ok) for item, ok in rows]

@@ -14,8 +14,9 @@ alternator A_k = k! H_k, H_k the antisymmetrizer, is an element of the
 group algebra Z[S_k] (`group_alternator`), where, as sigma -> P_sigma is
 injective for k <= N, its rational identities are checked on k!
 permutations, with no operator on all N^k rows.  Its rows
-(`alternator_rows`), A_k = ket . bra, are read in two places only:
-`trace_words` and `yangian.fusion_products`.
+(`alternator_rows`), A_k = ket . bra, are read by `trace_words`,
+`yangian.fusion_products` and `twisted.verify_z_rmatrix_scalar`, and
+every one-site factor acts on them through one kernel, `site_action`.
 The R-matrices R(u) = u - P and its twisted companion R~(u) = u - Q, Q
 the one-sided prime transpose of P, have one form:
 `bilaurent_r` gives R_pq at any affine argument in (u, v) as an exact
@@ -215,6 +216,22 @@ def _pair_action(x: dict, p: int, q: int, index_set: IndexSet) -> dict:
             for d in sign}
 
 
+def site_action(x: list, p: int, m: list, ring: Ring, left: bool) -> list:
+    """M_p(u) . x(u) if `left`, else x(u) . M_p(u), through the orders of x,
+    a list of vector dicts keyed (label, multi-index) per order of u^-1,
+    over `ring`; M(u) = sum_s M^(s) u^-s is given by the dicts {(a, b):
+    M^(s)_ab}, a Z site by [z.entries].  The left action moves index b of
+    site p to a with the entry on the left, the right action a to b with
+    it on the right: ring coefficients need not commute."""
+    return [sum_terms(ring, (
+        ((lab, col[:p - 1] + (a if left else b,) + col[p:]),
+         mv * v if left else v * mv)
+        for s in range(min(r + 1, len(m)))
+        for (lab, col), v in x[r - s].items()
+        for (a, b), mv in m[s].items() if (b if left else a) == col[p - 1]))
+        for r in range(len(x))]
+
+
 def pair_step(x: list, p: int, q: int, c: TruncatedSeries,
               index_set: IndexSet) -> list:
     """x(u) . (id - c(u) Q_pq) through the orders of x, a list of vector
@@ -258,16 +275,8 @@ def trace_words(k: int, index_set: IndexSet, steps, factors, ring: Ring,
     ket = [{key: div(v, factorial(k)) for key, v in bra.entries.items()}]
     ket += [{} for _ in range(D)]
     for f in reversed(factors):
-        if len(f) == 3:
-            ket = pair_step(ket, *f, index_set)
-        else:
-            # Z_p moves column a of site p to every b with z_ba != 0
-            p, z = f
-            ket = [accumulate({}, (
-                ((lab, col[:p - 1] + (b,) + col[p:]), v * zv)
-                for (lab, col), v in xr.items()
-                for (b, a), zv in z.entries.items() if a == col[p - 1]))
-                for xr in ket]
+        ket = (pair_step(ket, *f, index_set) if len(f) == 3 else
+               site_action(ket, f[0], [f[1].entries], RATIONAL_RING, True))
     live = {lab for e in ket for lab, _ in e}
     start = {key: v for key, v in bra.entries.items() if key[0] in live}
     branches = {(): [start] + [{} for _ in range(D)]} if start else {}

@@ -22,7 +22,7 @@ a generator series.
 * Each defining relation is stated once, as rows read through an algebra
   map passed in: `symmetry_rows` and `reflection_rows`.
   `verify_symmetry` and `verify_reflection` pass `s_expand`, and
-  `certify.verify_rho_homomorphy` passes `evalmap.rho_map`.
+  `evalmap.verify_rho_homomorphy` passes rho.
 * The reflection relation is one matrix-form residual
   R(u-v) S_1(u) R~(-u-v) S_2(v) - S_2(v) R~(-u-v) S_1(u) R(u-v) of the
   one-site series S(u) (`reflection_residual`); an entry with no
@@ -47,11 +47,10 @@ from .algebra import AlgebraElement, FreeRule, WordMap, YangianRule
 from .indices import IndexSet, ZMatrix
 from .series import (RATIONAL_RING, BiLaurent, TruncatedSeries,
                      algebra_ring, one_over_c_minus_2u)
-from .tensor import (TensorElement, bilaurent_r, flip, q_tensor,
-                     series_to_bilaurent, trace_words)
+from .tensor import (_pair_action, alternator_rows, bilaurent_r,
+                     series_to_bilaurent, site_action, trace_words)
 from .yangian import (centrality_rows, commutator_table, hat_identity_rows,
-                      quantum_determinant, t_site_series, window_rows,
-                      z_site_tensor)
+                      quantum_determinant, t_site_series, window_rows)
 
 
 class TwistedContext:
@@ -369,9 +368,11 @@ def verify_prop36(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
 def verify_z_rmatrix_scalar(ctx: TwistedContext, z: ZMatrix) -> list:
     """The prop-3.6 exchange Z_1 R~(u) Z_2 H_2 = c(u) Z_1 Z_2 H_2 for
     sign-matched Z, at the fixed scalar c(u) = u.  As R~(u) = u - Q, it
-    holds exactly when Z_1 Q Z_2 H_2 = 0, checked as Z_1 Q Z_2 A_2 = 0."""
+    holds exactly when Z_1 Q Z_2 A_2 = 0, A_2 = ket . bra with bra of full
+    row rank: checked as Z_1 Q Z_2 ket = 0 on the columns of A_2."""
     iset = ctx.index_set
-    z2a2 = z_site_tensor(z, 2, 2) * (TensorElement.identity(2, iset)
-                                     - flip(iset))
-    res = z_site_tensor(z, 1, 2) * (q_tensor(iset) * z2a2)
-    return [("exchange scalar c(u) = 1*u + 0", not res)]
+    ket = [alternator_rows(2, iset).entries]
+    z2 = site_action(ket, 2, [z.entries], RATIONAL_RING, True)[0]
+    res = site_action([_pair_action(z2, 1, 2, iset)], 1, [z.entries],
+                      RATIONAL_RING, True)
+    return [("exchange scalar c(u) = 1*u + 0", not any(res))]

@@ -16,10 +16,10 @@ layer under its free rule.
 
 `verify_fusion` checks H_k T_1(u-1)..T_k(u-k) = T_k(u-k)..T_1(u-1) H_k
 and the membership predicate H X = H X H on A_k = k! H_k = ket . bra,
-bra the rows of A_k and ket their transpose (`fusion_products`): the
-factors multiply bra from the right and ket from the left, and both
-identities are read off these products, so none is formed on all N^k
-rows.
+bra the rows of A_k and ket their transpose (`fusion_products`): each
+one-site T_p(u-p) acts on site p of bra from the right and of ket from
+the left (`tensor.site_action`), and both identities are read off these
+products, so no factor or product is formed on all N^k rows.
 
 The row builders for one identity type each (`window_rows`,
 `commutator_table`, `centrality_rows`, `hat_identity_rows`) serve the
@@ -30,15 +30,13 @@ quantum minors do not load it.
 """
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations, permutations
-from math import factorial, prod
-from operator import mul
+from math import prod
 
 from .algebra import YangianRule, derivation
-from .indices import ZMatrix, perm_sign
+from .indices import IndexSet, ZMatrix, perm_sign
 from .rationals import binomial, div
-from .series import RATIONAL_RING, BiLaurent, TruncatedSeries, algebra_ring
+from .series import BiLaurent, TruncatedSeries, algebra_ring
 
 
 def t_entry_series(rule: YangianRule, i: int, j: int, D: int) -> TruncatedSeries:
@@ -63,28 +61,6 @@ def t_site_series(rule, D: int) -> TruncatedSeries:
         TensorElement(1, iset, aring, {((i,), (j,)): rule.element(i, j, r)
                                        for i in idx for j in idx})
         for r in range(1, D + 1)], D)
-
-
-def t_factors(rule: YangianRule, k: int, D: int) -> list:
-    """The site factors T_p(u-p), p = 1..k: the one-site T(u-p) embedded on
-    site p of k sites, with the k-site ring's one as constant term."""
-    from .tensor import tensor_ring
-
-    t = t_site_series(rule, D)
-    ring = tensor_ring(k, rule.index_set, algebra_ring(rule))
-    return [TruncatedSeries(ring, [ring.one] + [c.embed((p,), k)
-                                                for c in tp.coeffs[1:]], D)
-            for p in range(1, k + 1) for tp in (t.substitute_affine(1, -p),)]
-
-
-def z_site_tensor(z: ZMatrix, pos: int, sites: int) -> TensorElement:
-    """Z on site `pos` of `sites` sites, a rational tensor."""
-    from .tensor import TensorElement
-
-    one_site = TensorElement(1, z.index_set, RATIONAL_RING,
-                             {((i,), (j,)): v
-                              for (i, j), v in z.entries.items()})
-    return one_site.embed((pos,), sites)
 
 
 # -- Bethe series ----------------------------------------------------------------
@@ -167,6 +143,18 @@ def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Truncated
                        [(p, z) for p in range(1, k + 1)], algebra_ring(rule), D)
 
 
+def commuting_family(index_set: IndexSet, z: ZMatrix, D: int):
+    """k -> the commuting series of index k through order D: B_k over the
+    Yangian on a plain index set, the formal A_k on a signed one."""
+    if index_set.kind == "plain":
+        rule = YangianRule(index_set)
+        return lambda k: bethe_series(k, z, rule, D)
+    from .twisted import TwistedContext, twisted_bethe_series
+
+    ctx = TwistedContext(index_set)
+    return lambda k: twisted_bethe_series(ctx, k, z, D)
+
+
 # -- verification suites -----------------------------------------------------------
 
 
@@ -190,37 +178,49 @@ def verify_rtt(rule: YangianRule, D: int) -> list:
 
 
 def fusion_products(rule: YangianRule, k: int, D: int) -> tuple:
-    """(P, C bra, Q, ket C) as series of k-site tensors, for A = A_k =
-    k! H_k, X = T_1(u-1)..T_k(u-k) and Y = T_k(u-k)..T_1(u-1) (`t_factors`).
+    """(P, E bra, Q, E^T bra) per order of u^-1 as vector dicts keyed
+    (label, multi-index), for A = A_k = k! H_k = ket . bra
+    (`alternator_rows`), X = T_1(u-1)..T_k(u-k) and Y = T_k(u-k)..T_1(u-1).
 
-    A_k = ket . bra, bra the rows <w_I| of A_k (`alternator_rows`) and ket
-    the same vectors as columns, constant series of rational tensors.
-    P = bra . X is multiplied left to right from bra, Q = Y . ket right to
-    left from ket, and C = P . ket / k! has a row and a column per k-subset.
-    As bra . ket = k!, A X = ket . P equals Y A = Q . bra exactly where
-    P = C bra and Q = ket C, and k! A X = A X A = k! ket . C . bra exactly
-    where P = C bra.  Neither A_k nor a product on all N^k rows is formed."""
-    from .tensor import TensorElement, alternator_rows, tensor_ring
+    P = bra . X takes the factors as right actions on the rows of A_k,
+    Q = Y . ket as left actions on its columns (`tensor.site_action`).  As
+    w_J is 1 at the ascending column J and 0 at the other ascending
+    columns, a row lies in the span of the w_J exactly where it is E bra,
+    E its entries at the ascending columns.  So k! A X = A X A exactly
+    where P = E bra, and then A X = ket . P equals Y A = Q . bra exactly
+    where Q = ket E, Q^T = E^T bra.  Neither A_k nor a product on all N^k
+    rows is formed."""
+    from .tensor import alternator_rows, group_alternator, site_action
 
-    bra = alternator_rows(k, rule.index_set)
-    ket = TensorElement(k, bra.index_set, RATIONAL_RING,
-                        {(c, r): v for (r, c), v in bra.entries.items()})
-    ring = tensor_ring(k, bra.index_set)
-    factors = t_factors(rule, k, D)
-    bra, ket = (TruncatedSeries.constant(ring, m, D) for m in (bra, ket))
-    p = reduce(mul, factors, bra)
-    q = reduce(lambda y, f: f * y, factors, ket)
-    c = p * ket * div(1, factorial(k))
-    return p, c * bra, q, ket * c
+    aring = algebra_ring(rule)
+    t = t_site_series(rule, D)
+    bra = alternator_rows(k, rule.index_set).entries
+    factors = {s: [{(a, b): v for ((a,), (b,)), v in c.entries.items()}
+                   for c in t.substitute_affine(1, -s).coeffs]
+               for s in range(1, k + 1)}
+    p = q = [bra] + [{} for _ in range(D)]
+    for s in range(1, k + 1):
+        p = site_action(p, s, factors[s], aring, False)
+        q = site_action(q, s, factors[s], aring, True)
+    signs = group_alternator(k).items()
+
+    def spread(swap):
+        # E bra, E_IJ w_J keyed by I, or E^T bra, E_IJ w_I keyed by J
+        return [{(a, tuple(b[i - 1] for i in g)): v * sign
+                 for (r, c), v in x.items() if (c, c) in bra
+                 for a, b in ((c, r) if swap else (r, c),)
+                 for g, sign in signs} for x in p]
+
+    return p, spread(False), q, spread(True)
 
 
 def verify_fusion(rule: YangianRule, k: int, D: int) -> list:
     """H_k (T_1..T_k) = (T_k..T_1) H_k, plus the fused-block membership
     predicate H X = H X H, coefficientwise, checked as A X = Y A and
     k! A X = A X A on A_k = k! H_k, read off the rows (`fusion_products`)."""
-    p, cb, q, kc = fusion_products(rule, k, D)
-    rows = [x == y for x, y in zip(p.coeffs, cb.coeffs)]
-    return ([(f"fusion coefficient u^{-r}", ok and q.coeffs[r] == kc.coeffs[r])
+    p, eb, q, etb = fusion_products(rule, k, D)
+    rows = [x == y for x, y in zip(p, eb)]
+    return ([(f"fusion coefficient u^{-r}", ok and q[r] == etb[r])
              for r, ok in enumerate(rows)]
             + [(f"membership coefficient u^{-r}", ok)
                for r, ok in enumerate(rows)])

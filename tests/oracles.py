@@ -14,6 +14,9 @@ rows and applies the closed-form A_k to the products, the reference for
 `membership_rows`, the dense membership predicate H X = H X H, are what
 `verify fusion` once ran.
 
+`site_action_dense` multiplies a one-site factor embedded on all k
+sites, the reference for `tensor.site_action`.
+
 `alternator` (A_k in closed form on all N^k rows), `perm_operator`,
 `r_factor`, `r_product`, `h_k_orientation` and `trace_all` are the dense
 forms of the rational antisymmetrizer suite, which the package checks in
@@ -39,7 +42,7 @@ from bethe.series import (INF_CAP, RATIONAL_RING, BiLaurent, TruncatedSeries,
 from bethe.tensor import (TensorElement, flip, q_tensor, tensor_ring,
                           trace_words)
 from bethe.twisted import _reflection_form
-from bethe.yangian import t_site_series, z_site_tensor
+from bethe.yangian import t_site_series
 
 
 def _inversions(word: tuple) -> int:
@@ -232,6 +235,33 @@ def partial_trace(t, traced):
         for (r, c), v in t.entries.items()
         if all(r[s - 1] == c[s - 1] for s in traced)))
     return TensorElement(len(keep), t.index_set, t.ring, acc)
+
+
+def z_site_tensor(z, pos, sites):
+    """Z on site `pos` of `sites` sites, a rational tensor."""
+    one_site = TensorElement(1, z.index_set, RATIONAL_RING,
+                             {((i,), (j,)): v
+                              for (i, j), v in z.entries.items()})
+    return one_site.embed((pos,), sites)
+
+
+def site_action_dense(x, p, m, ring, left, k, index_set):
+    """`tensor.site_action` as a product of tensor series on all k sites:
+    the vectors of x are the rows of one tensor per order (its columns for
+    the left action), M(u) is embedded on site p, and every coefficient is
+    lifted into `ring`."""
+    D = len(x) - 1
+    lift = (lambda v: v) if ring.rational else (lambda v: ring.one * v)
+    tring = tensor_ring(k, index_set, ring)
+    xs = TruncatedSeries(tring, [TensorElement(k, index_set, ring, {
+        (c, r) if left else (r, c): lift(v) for (r, c), v in xr.items()})
+        for xr in x], D)
+    ms = TruncatedSeries(tring, [TensorElement(1, index_set, ring, {
+        ((a,), (b,)): lift(v) for (a, b), v in ms.items()}).embed((p,), k)
+        for ms in m], D)
+    y = ms * xs if left else xs * ms
+    return [{(c, r) if left else (r, c): v for (r, c), v in yr.entries.items()}
+            for yr in y.coeffs]
 
 
 def z_product(z, positions, sites):

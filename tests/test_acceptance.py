@@ -15,10 +15,11 @@ from bethe.algebra import YangianRule
 from bethe.certify import (expected_jacobian_rank, expected_poisson_rank,
                            verify_classical_slice_rank,
                            verify_jacobian_rank, verify_laplace_consistency,
-                           verify_pi_rho_image_commutativity,
-                           verify_poisson_rank, verify_rho_homomorphy,
-                           verify_symbol_homomorphy, verify_twisted_parity)
+                           verify_poisson_rank, verify_symbol_homomorphy,
+                           verify_twisted_parity)
 from bethe.cli import main
+from bethe.evalmap import (verify_pi_rho_image_commutativity,
+                           verify_rho_homomorphy)
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.poisson import PoissonContext, bethe_family
 from bethe.tensor import (verify_antisymmetrizers, verify_mixed_yang_baxter,

@@ -419,14 +419,9 @@ def test_fusion_fails_for_a_doubled_site_spacing(monkeypatch):
 
     args = ["verify", "fusion", "--kind", "gl", "--N", "2", "--D", "2"]
     assert main(args) == 0
-    real = yangian.t_factors
-
-    def doubled_spacing(rule, k, D):
-        # T_p(u - 2p) in place of T_p(u - p): R(2) is not a multiple of H_2
-        return [f.substitute_affine(1, -p)
-                for p, f in enumerate(real(rule, k, D), 1)]
-
-    monkeypatch.setattr(yangian, "t_factors", doubled_spacing)
+    # T_p(u - 2p) in place of T_p(u - p): R(2) is not a multiple of H_2
+    _plant(monkeypatch, yangian, "fusion_products",
+           "substitute_affine(1, -s)", "substitute_affine(1, -2 * s)")
     assert main(args) == 1
 
 
@@ -474,13 +469,18 @@ def test_sklyanin_fails_without_theta(monkeypatch):
 
 def test_prop36_fails_for_the_flip_in_the_exchange(monkeypatch, tmp_path):
     # R~(u) = u - P in place of u - Q: Z_1 P Z_2 H_2 is not zero
-    from bethe import tensor, twisted
+    from bethe import twisted
+
+    def flip_action(x, p, q, index_set):
+        # x . P_pq: sites p and q of every column exchanged
+        return {(lab, col[:p - 1] + (col[q - 1],) + col[p:q - 1]
+                 + (col[p - 1],) + col[q:]): v for (lab, col), v in x.items()}
 
     args = ["verify", "prop36", "--kind", "sp", "--n", "1", "--D", "2"]
     row = {"item": "exchange scalar c(u) = 1*u + 0", "residual_zero": True}
     assert main(args) == 0
     assert row in json.loads((tmp_path / "prop36.json").read_text())["details"]
-    monkeypatch.setattr(twisted, "q_tensor", tensor.flip)
+    monkeypatch.setattr(twisted, "_pair_action", flip_action)
     assert main(args) == 1
     rows = json.loads((tmp_path / "prop36.json").read_text())["details"]
     assert {**row, "residual_zero": False} in rows
@@ -528,10 +528,12 @@ def test_image_commute_fails_without_the_eps_partner(monkeypatch):
     ["verify", "twisted-commute", "--kind", "so", "--n", "1", "--odd",
      "--budget", "3"],
     ["verify", "fusion", "--kind", "gl", "--N", "2", "--D", "1"],
+    ["verify", "rtt", "--kind", "gl", "--N", "2", "--D", "1"],
 ])
 def test_trace_forms_build_no_algebra_valued_block(monkeypatch, args):
     # no tensor on two or more sites with algebra coefficients is formed;
-    # fusion builds its blocks on purpose and shows that the guard sees one
+    # the matrix-form RTT relation lifts T(u) to two sites on purpose and
+    # shows that the guard sees one
     from bethe.tensor import TensorElement
 
     real = TensorElement.__init__
@@ -544,7 +546,7 @@ def test_trace_forms_build_no_algebra_valued_block(monkeypatch, args):
 
     monkeypatch.setattr(TensorElement, "__init__", watched)
     assert main(args) == 0
-    assert bool(blocks) == (args[1] == "fusion")
+    assert bool(blocks) == (args[1] == "rtt")
 
 
 def _plant(monkeypatch, module, name, old, new):

@@ -72,6 +72,17 @@ def test_twisted_symmetry_loads_no_poisson_side(tmp_path):
     assert not loaded & {"bethe.poisson", "bethe.certify"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "rho-hom", "--kind", "so", "--n", "1", "--odd", "--D", "1"],
+    ["verify", "image-commute", "--kind", "gl", "--N", "2", "--D", "1"],
+])
+def test_image_suites_load_no_poisson_side(argv, tmp_path):
+    # the pi and rho image suites read the algebras only
+    loaded = loaded_by_cli(argv, tmp_path)
+    assert "bethe.evalmap" in loaded
+    assert not loaded & {"bethe.poisson", "bethe.certify"}
+
+
 def test_every_exported_name_resolves(tmp_path):
     code = """
 import bethe

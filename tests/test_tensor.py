@@ -12,13 +12,14 @@ from bethe.series import (RATIONAL_RING, BiLaurent, TruncatedSeries,
 from bethe.tensor import (TensorElement, alternator_rows, flip,
                           group_alternator, group_product, group_trace,
                           h_k_orientation, pair_step, q_tensor, r_product,
-                          tensor_ring, trace_words,
+                          site_action, tensor_ring, trace_words,
                           verify_antisymmetrizers, verify_mixed_yang_baxter,
                           verify_r_identities, verify_yang_baxter)
-from bethe.yangian import t_site_series, z_site_tensor
+from bethe.yangian import t_site_series
 import oracles
 from oracles import (alternator, antisymmetrizer, antisymmetrizer_oracle,
-                     group_image, partial_trace, perm_operator, trace_all)
+                     group_image, partial_trace, perm_operator, trace_all,
+                     z_site_tensor)
 
 
 def _all_ok(rows):
@@ -421,6 +422,39 @@ def _dense_step(step, sites, iset, ring, D):
     coeffs = [-qpq.scale_rat(cr) for cr in c.coeffs[:D + 1]]
     coeffs[0] = coeffs[0] + TensorElement.identity(sites, iset)
     return TruncatedSeries(tring, [lift_tensor(x, ring) for x in coeffs], D)
+
+
+SITE_RULES = [rule for iset in (PLAIN2, IndexSet.plain(3),
+                                IndexSet.signed(2, "sp"), IndexSet.signed(3, "so"))
+              for rule in (YangianRule(iset), FreeRule(iset))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rule=st.sampled_from(SITE_RULES),
+       k=st.integers(1, 3), D=st.integers(0, 2), left=st.booleans(),
+       z_site=st.booleans(), algebra=st.booleans())
+def test_site_action_matches_the_embedded_product(data, rule, k, D, left,
+                                                   z_site, algebra):
+    # a T(u-p) series over the algebra, or a rational Z site, acting from
+    # the left or the right on vectors with rational or algebra values
+    draw = data.draw
+    iset = rule.index_set
+    idx = iset.indices()
+    p = draw(st.integers(1, k))
+    if z_site:
+        m = [ZMatrix(iset, draw(st.dictionaries(
+            st.tuples(st.sampled_from(idx), st.sampled_from(idx)),
+            rational, max_size=4))).entries]
+    else:
+        m = [{(a, b): v for ((a,), (b,)), v in c.entries.items()}
+             for c in t_site_series(rule, D).substitute_affine(1, -p).coeffs]
+    multi = st.tuples(*[st.sampled_from(idx)] * k)
+    value = (algebra_element(rule) if algebra else rational).filter(bool)
+    x = [draw(st.dictionaries(st.tuples(multi, multi), value, max_size=4))
+         for _ in range(D + 1)]
+    ring = RATIONAL_RING if z_site and not algebra else algebra_ring(rule)
+    got = site_action(x, p, m, ring, left)
+    assert got == oracles.site_action_dense(x, p, m, ring, left, k, iset)
 
 
 def _full_trace(k, iset, steps, factors, ring, D):

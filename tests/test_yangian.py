@@ -8,7 +8,7 @@ from operator import mul
 import pytest
 
 from bethe import yangian
-from bethe.algebra import YangianRule, commutator
+from bethe.algebra import AlgebraElement, YangianRule, commutator
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.rationals import ONE, Q
 from bethe.series import RATIONAL_RING, TruncatedSeries, algebra_ring
@@ -58,29 +58,37 @@ def test_fusion():
 
 @pytest.mark.parametrize("N, D", [(2, 4), (3, 3), (4, 2)])
 def test_fusion_products_match_the_dense_products(N, D):
-    # P = bra X, Q = Y ket and C = P ket / k! rebuild A X = ket P, Y A =
-    # Q bra and A X A = k! ket C bra, term for term against the products
-    # on all N^k rows; every order through D is compared, and no
-    # coefficient is a rational tensor standing in for an algebra-valued
-    # product
+    # P = bra X and Q = Y ket, stored as rows keyed (label, multi-index),
+    # with C = P ket / k! rebuild A X = ket P, Y A = Q bra and A X A =
+    # k! ket C bra, term for term against the products on all N^k rows;
+    # E bra and E^T bra are C bra and (ket C)^T; every order through D is
+    # compared, and every entry is an algebra element
     rule = YangianRule(IndexSet.plain(N))
+    iset = rule.index_set
+    aring = algebra_ring(rule)
     for k in range(2, N + 1):
-        p, cb, q, kc = yangian.fusion_products(rule, k, D)
-        bra = alternator_rows(k, rule.index_set)
-        ket = TensorElement(k, bra.index_set, RATIONAL_RING,
-                            {(c, r): v for (r, c), v in bra.entries.items()})
-        c = p.map_coeffs(lambda x: x * ket * Q(1, factorial(k)))
-        assert cb.coeffs == tuple(x * bra for x in c.coeffs)
-        assert kc.coeffs == tuple(ket * x for x in c.coeffs)
-        rows = (p.map_coeffs(lambda x: ket * x),
-                q.map_coeffs(lambda x: x * bra),
-                c.map_coeffs(lambda x: ket * x * bra * factorial(k)))
+        p, eb, q, etb = yangian.fusion_products(rule, k, D)
+        bra = alternator_rows(k, iset)
+
+        def tensor(x, ring=aring, swap=False):
+            return TensorElement(k, iset, ring, {
+                (c, r) if swap else (r, c): v for (r, c), v in x.items()})
+
+        ket = tensor(bra.entries, RATIONAL_RING, swap=True)
+        c = [tensor(x) * ket * Q(1, factorial(k)) for x in p]
+        assert eb == [(x * bra).entries for x in c]
+        assert etb == [tensor((ket * x).entries, swap=True).entries
+                       for x in c]
+        rows = ([ket * tensor(x) for x in p],
+                [tensor(x, swap=True) * bra for x in q],
+                [ket * x * bra * factorial(k) for x in c])
         for got, want in zip(rows, fusion_products_dense(rule, k, D)):
-            assert got.trunc == want.trunc == D
-            assert got.coeffs == want.coeffs
-        for got in (p, cb, q, kc):
-            assert not got.ring.rational
-            assert not any(x.ring.rational for x in got.coeffs)
+            assert want.trunc == D
+            assert got == list(want.coeffs)
+        for got in (p, eb, q, etb):
+            assert len(got) == D + 1
+            assert all(isinstance(v, AlgebraElement)
+                       for x in got for v in x.values())
 
 
 def _failed_fusion_rows(N=3, D=3):
@@ -90,35 +98,51 @@ def _failed_fusion_rows(N=3, D=3):
             if item.startswith("fusion") and not ok]
 
 
-def test_fusion_fails_for_the_same_factor_order_on_both_sides(monkeypatch):
-    # Y = T_1..T_k, the order of X, in place of T_k..T_1
-    source = inspect.getsource(yangian.fusion_products)
-    right_to_left = "reduce(lambda y, f: f * y, factors, ket)"
-    assert source.count(right_to_left) == 1
-    namespace = dict(vars(yangian))
-    exec(source.replace(right_to_left,
-                        "reduce(lambda y, f: f * y, factors[::-1], ket)"),
-         namespace)
+def _plant_in_fusion(monkeypatch, old, new, module=yangian,
+                     name="fusion_products"):
+    """Install `module.name` rebuilt from its source with `old` replaced by
+    `new`, once `verify_fusion` is seen to pass without it."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
     assert not _failed_fusion_rows()
-    monkeypatch.setattr(yangian, "fusion_products",
-                        namespace["fusion_products"])
+    monkeypatch.setattr(module, name, namespace[name])
+
+
+def test_fusion_fails_for_the_same_factor_order_on_both_sides(monkeypatch):
+    # Y = T_1..T_k, the order of X, in place of T_k..T_1: the left actions
+    # on the columns start from T_k(u-k)
+    _plant_in_fusion(monkeypatch, "site_action(q, s, factors[s],",
+                     "site_action(q, k + 1 - s, factors[k + 1 - s],")
     assert _failed_fusion_rows()
 
 
 def test_fusion_fails_for_a_reversed_site_spacing(monkeypatch):
     # the identity holds for every u, so a shift shared by all factors,
     # T_p(u-p-1), passes; T_p(u+p) reverses the spacing and fails
-    real = yangian.t_factors
-
-    def shifted(by):
-        def factors(rule, k, D):
-            return [f.substitute_affine(1, by(p))
-                    for p, f in enumerate(real(rule, k, D), 1)]
-        return factors
-
-    monkeypatch.setattr(yangian, "t_factors", shifted(lambda p: -1))
+    real = yangian.fusion_products
+    _plant_in_fusion(monkeypatch, "substitute_affine(1, -s)",
+                     "substitute_affine(1, -s - 1)")
     assert not _failed_fusion_rows()
-    monkeypatch.setattr(yangian, "t_factors", shifted(lambda p: 2 * p))
+    monkeypatch.setattr(yangian, "fusion_products", real)
+    _plant_in_fusion(monkeypatch, "substitute_affine(1, -s)",
+                     "substitute_affine(1, s)")
+    assert _failed_fusion_rows()
+
+
+@pytest.mark.parametrize("old, new", [
+    # a left action that multiplies the entry of M on the right
+    pytest.param("mv * v if left else v * mv", "v * mv",
+                 id="left-entry-on-the-right"),
+    # every entry of M read transposed, M_ab as M_ba
+    pytest.param("for (a, b), mv in m[s].items()",
+                 "for (b, a), mv in m[s].items()", id="entry-transposed"),
+])
+def test_fusion_fails_for_a_wrong_site_action(monkeypatch, old, new):
+    from bethe import tensor
+
+    _plant_in_fusion(monkeypatch, old, new, tensor, "site_action")
     assert _failed_fusion_rows()
 
 
