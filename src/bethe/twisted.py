@@ -1,21 +1,20 @@
 """Twisted (orthogonal/symplectic) layer.
 
-The twisted generators S_ij^(r) are carried in two forms:
-
-* as formal S-words (free algebra, no rewriting) — the carrier on which the
-  enveloping-algebra substitution rho is defined;
-* expanded into the ambient algebra via the quadratic expression
-  S_ij(u) = sum_a eps_ja T_ia(u) T_{-j,-a}(-u), then PBW-normal-ordered —
-  the carrier for all abstract-algebra identities.
+The twisted generators S_ij^(r) are carried as formal S-words (free
+algebra, no rewriting), the carrier on which every twisted object is
+built and on which the enveloping-algebra substitution rho is defined.
+They reach the ambient algebra only through `s_expand`, which sends each
+S_ij^(r) to its quadratic expression, the coefficient of u^-r in
+S_ij(u) = sum_a eps_ja T_ia(u) T_{-j,-a}(-u) (`expand_gen`), and
+PBW-normal-orders the result.
 
 Built on top: the symmetry and reflection relation suites, the commuting
 series A_k(u), the inverse-series generators, and the Sklyanin-determinant
 checks.
 
-Objects are built on the formal carrier and read through `s_expand`
-where a check needs the defining relations.  `s_expand` is the context's
-`WordMap`: its letters come from `expand_gen`, and each distinct S-word is
-multiplied out and normal-ordered once per context.  The formal S(u) is
+`s_expand` is the context's `WordMap`: its letters come from
+`expand_gen`, and each distinct S-word is multiplied out and
+normal-ordered once per context.  The formal S(u) is
 `yangian.t_site_series` under the context's `s_rule`, the one builder of
 a generator series.
 
@@ -33,17 +32,18 @@ a generator series.
   the normalized R-matrix factors id - Q_pq/(c-2u).  The connecting
   factors and the fused Z block are the factors F(u) of the trace form.
   A_k is read through `expanded_bethe_series`.
-* The hat series and the prop-3.6 trace form live on the expanded carrier
-  only: `hat_trace` walks the rows of A_k over the same steps reversed
-  and inverted, with the letter sites hat-S(u-p), hat-S the inverse of
-  the expanded one-site S(u).  `verify_prop36` is the one suite for the
-  twisted hat identity, the trace form and the exchange scalar.
+* The hat series and the prop-3.6 trace form: `hat_trace` walks the rows
+  of A_k over the same steps reversed and inverted, with the letter sites
+  hat-S(u-p), hat-S the inverse of the formal one-site S(u), and reads
+  the result through `s_expand`.  `verify_prop36` is the one suite for
+  the twisted hat identity, the trace form and the exchange scalar.
 """
 from __future__ import annotations
 
 from itertools import product
 
-from .algebra import AlgebraElement, FreeRule, WordMap, YangianRule
+from .algebra import (AlgebraElement, FreeRule, WordMap, YangianRule,
+                      element_sum)
 from .indices import IndexSet, ZMatrix
 from .series import (RATIONAL_RING, BiLaurent, TruncatedSeries,
                      algebra_ring, one_over_c_minus_2u)
@@ -54,14 +54,14 @@ from .yangian import (centrality_rows, commutator_table, hat_identity_rows,
 
 
 class TwistedContext:
-    """Bundles the signed index set with the two generator carriers and the
-    sign conventions (upper sign = orthogonal, lower = symplectic).
+    """Bundles the signed index set with the formal S-word carrier, its
+    expansion into the Yangian and the sign conventions (upper sign =
+    orthogonal, lower = symplectic).
 
-    It memoizes the expanded one-site series S(u) and its inverse hat-S(u)
-    per truncation D, and, in the word map behind `s_expand`, the image of
-    every S-word it has expanded; a one-letter word's image is the
-    generator that `expand_gen` reads from S(u).  Multi-site blocks are
-    never built or kept.
+    It keeps, in the word map behind `s_expand`, the image of every S-word
+    it has expanded; a one-letter word's image is the generator that
+    `expand_gen` forms.  No expanded series or multi-site block is built
+    or kept.
     """
 
     def __init__(self, index_set: IndexSet):
@@ -73,8 +73,6 @@ class TwistedContext:
         # the "upper" sign of the double-sign conventions
         self.upper = index_set.form == "so"
         self._s_map = WordMap(self.yang_rule, self.expand_gen)
-        self._s_series: dict = {}
-        self._s_hat: dict = {}
 
     def s_gen(self, i: int, j: int, r: int) -> AlgebraElement:
         """The formal generator S_ij^(r) as a one-word element."""
@@ -82,33 +80,22 @@ class TwistedContext:
 
     # -- expansion into the ambient algebra --------------------------------------
 
-    def s_series_expanded(self, D: int) -> TruncatedSeries:
-        """S(u) = T(u) T~(-u) as a single-site tensor series with
-        normal-ordered ambient coefficients: the source of `expand_gen`,
-        through which every expanded S generator is read."""
-        hit = self._s_series.get(D)
-        if hit is not None:
-            return hit
-        t = t_site_series(self.yang_rule, D)
-        t_tilde = t.map_coeffs(lambda c: c.site_prime(1))
-        coeffs = [c.scale_rat((-1) ** r) for r, c in enumerate(t_tilde.coeffs)]
-        t_tilde_minus = TruncatedSeries(t_tilde.ring, coeffs, D)
-        s = t * t_tilde_minus
-        self._s_series[D] = s
-        return s
-
-    def s_hat_expanded(self, D: int) -> TruncatedSeries:
-        """hat-S(u) = S(u)^-1 on one site, with expanded coefficients."""
-        hit = self._s_hat.get(D)
-        if hit is None:
-            hit = self._s_hat[D] = self.s_series_expanded(D).invert()
-        return hit
-
     def expand_gen(self, g: tuple) -> AlgebraElement:
-        """Normal-ordered ambient form of one S generator (r, i, j)."""
+        """Normal-ordered ambient form of one S generator (r, i, j), the
+        coefficient of u^-r in S_ij(u) = sum_a eps_ja T_ia(u) T_{-j,-a}(-u):
+        sum_a sum_{s<=r} eps_ja (-1)^(r-s) T_ia^(s) T_{-j,-a}^(r-s), with
+        T^(0) the identity."""
         r, i, j = g
-        s = self.s_series_expanded(max(r, 1))
-        return s.coeffs[r].entries.get(((i,), (j,)), self.yang_rule.zero())
+        rule, iset = self.yang_rule, self.index_set
+
+        def t(a, b, s):
+            if s:
+                return rule.element(a, b, s)
+            return rule.one() if a == b else rule.zero()
+
+        return element_sum(rule, (
+            t(i, a, s) * t(-j, -a, r - s) * (iset.eps(j, a) * (-1) ** (r - s))
+            for a in iset.indices() for s in range(r + 1)))
 
     def s_expand(self, w: AlgebraElement) -> AlgebraElement:
         """Substitute every S generator by its quadratic ambient expression
@@ -282,7 +269,7 @@ def verify_sklyanin(ctx: TwistedContext, z: ZMatrix, D: int,
     details = [(f"determinant identity u^{-r}", lhs.coeffs[r] == rhs.coeffs[r])
                for r in range(D + 1)]
     return details + centrality_rows(
-        "A_N", a_exp, "S", lambda s, i, j: ctx.expand_gen((s, i, j)),
+        "A_N", a_exp, "S", lambda s, i, j: ctx.s_expand(ctx.s_gen(i, j, s)),
         iset.indices(), central_levels)
 
 
@@ -304,10 +291,12 @@ def hat_trace(ctx: TwistedContext, k: int, factors, D: int) -> TruncatedSeries:
     inverse series of S(u,k) and F(u) the product of `factors`
     (`trace_words`).  As (X_1 ... X_m)^-1 = X_m^-1 ... X_1^-1 over the
     steps of S(u,k), each site S(u-p) becomes hat-S(u-p), with hat-S =
-    S^-1 on one site, and each pair step id - c Q is inverted as
-    id - c' Q with c' = -c/(1 - N c), since Q^2 = N Q."""
+    S^-1 the inverse of the formal one-site S(u), and each pair step
+    id - c Q is inverted as id - c' Q with c' = -c/(1 - N c), since
+    Q^2 = N Q.  The walk runs on formal S-words and is read through
+    `s_expand`."""
     N = ctx.index_set.N
-    s_hat = ctx.s_hat_expanded(D)
+    s_hat = t_site_series(ctx.s_rule, D).invert()
     steps = fused_steps(lambda p: (p, s_hat.substitute_affine(1, -p)),
                         range(1, k + 1), 0, D)
     one = TruncatedSeries.one(RATIONAL_RING, D)
@@ -315,7 +304,8 @@ def hat_trace(ctx: TwistedContext, k: int, factors, D: int) -> TruncatedSeries:
                 (*f[:2], -f[2] * (one - f[2] * N).invert())
                 for f in reversed(steps)]
     return trace_words(k, ctx.index_set, inverted, factors,
-                       algebra_ring(ctx.yang_rule), D)
+                       algebra_ring(ctx.s_rule), D).map_coeffs(
+        ctx.s_expand, algebra_ring(ctx.yang_rule))
 
 
 def hat_twisted_series(ctx: TwistedContext, k: int, z: ZMatrix,

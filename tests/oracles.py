@@ -14,6 +14,11 @@ rows and applies the closed-form A_k to the products, the reference for
 `membership_rows`, the dense membership predicate H X = H X H, are what
 `verify fusion` once ran.
 
+`s_series_tensor` is S(u) = T(u) T~(-u) as a product of one-site tensor
+series, the reference for `twisted.TwistedContext.expand_gen` and, once
+inverted, for the formal hat-S that `twisted.hat_trace` reads through
+`s_expand`.
+
 `site_action_dense` multiplies a one-site factor embedded on all k
 sites, the reference for `tensor.site_action`.
 
@@ -344,6 +349,16 @@ def bethe_series_tensor(k, z, rule, D):
                        [(q, z) for q in range(k + 1, N + 1)],
                        algebra_ring(rule), D)
 
+
+def s_series_tensor(ctx, D):
+    """S(u) = T(u) T~(-u) on one site through order D, T~ the prime
+    transpose of T (`site_prime`) and T~(-u) its coefficients scaled by
+    (-1)^r, with normal-ordered Yangian coefficients."""
+    t = t_site_series(ctx.yang_rule, D)
+    t_tilde_minus = TruncatedSeries(t.ring, [
+        c.site_prime(1).scale_rat((-1) ** r) for r, c in enumerate(t.coeffs)],
+        D)
+    return t * t_tilde_minus
 
 
 def fusion_products_dense(rule, k, D):

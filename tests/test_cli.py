@@ -617,6 +617,58 @@ def test_rank_one_faults_fail_the_trace_forms(monkeypatch, module, name, old,
     assert main(PROP36_SP4) == 1
 
 
+def _plant_in_expand_gen(monkeypatch, old, new):
+    """Rebuild `TwistedContext.expand_gen` with `old` replaced by `new`;
+    patched on the class, so every context built afterwards expands
+    through it."""
+    from bethe import twisted
+
+    source = textwrap.dedent(
+        inspect.getsource(twisted.TwistedContext.expand_gen))
+    assert source.count(old) == 1, old
+    scope = dict(vars(twisted))
+    exec(compile(source.replace(old, new), twisted.__file__, "exec"), scope)
+    monkeypatch.setattr(twisted.TwistedContext, "expand_gen",
+                        scope["expand_gen"])
+
+
+# the defining relations read every generator through expand_gen; verify
+# sklyanin so3 --D 2 passes with each of the faults below planted
+DEFINING_RELATIONS = [
+    ["verify", "twisted-symmetry", "--kind", "sp", "--n", "1", "--D", "3"],
+    ["verify", "twisted-symmetry", "--kind", "sp", "--n", "2", "--D", "2"],
+    ["verify", "twisted-reflection", "--kind", "sp", "--n", "1", "--D", "3"],
+]
+
+
+@pytest.mark.parametrize("old, new", [
+    # (-1)^s on T_ia^(s) in place of (-1)^(r-s) on T_{-j,-a}^(r-s)
+    pytest.param("(-1) ** (r - s))", "(-1) ** s)", id="sign-on-t"),
+    # T_{-a,-j} in place of T_{-j,-a}
+    pytest.param("t(-j, -a, r - s)", "t(-a, -j, r - s)",
+                 id="second-factor-transposed"),
+    pytest.param("iset.eps(j, a) * ", "", id="eps-dropped"),
+    pytest.param("t(i, a, s) * t(-j, -a, r - s)",
+                 "t(-j, -a, r - s) * t(i, a, s)", id="factors-swapped"),
+])
+def test_expand_gen_faults_fail_the_defining_relations(monkeypatch, old,
+                                                       new):
+    assert [main(args) for args in DEFINING_RELATIONS] == [0, 0, 0]
+    _plant_in_expand_gen(monkeypatch, old, new)
+    assert [main(args) for args in DEFINING_RELATIONS] == [1, 1, 1]
+
+
+def test_prop36_fails_for_an_uninverted_hat_s(monkeypatch):
+    from bethe import twisted
+
+    assert main(PROP36_SP2) == 0
+    # the letter sites walk the formal S(u), not its inverse hat-S(u)
+    _plant(monkeypatch, twisted, "hat_trace",
+           "t_site_series(ctx.s_rule, D).invert()",
+           "t_site_series(ctx.s_rule, D)")
+    assert main(PROP36_SP2) == 1
+
+
 def test_reversed_words_change_the_formal_table(monkeypatch, tmp_path):
     # Letters multiplied in reverse order leave every family unchanged
     # once expanded into the Yangian, so no verify check can see this

@@ -15,7 +15,7 @@ from bethe.series import (INF_CAP, RATIONAL_RING, BiLaurent, TruncatedSeries,
                           algebra_ring)
 from bethe.tensor import tensor_ring
 from bethe.twisted import (TwistedContext, expanded_bethe_series,
-                           hat_twisted_series, prop36_trace_form,
+                           hat_trace, hat_twisted_series, prop36_trace_form,
                            reflection_residual, theta_series,
                            twisted_bethe_series, verify_mixed_rtt,
                            verify_prop36, verify_reflection,
@@ -25,7 +25,7 @@ from bethe.twisted import (TwistedContext, expanded_bethe_series,
 from bethe.yangian import t_site_series
 from oracles import (a_k_rational_side, alternator, antisymmetrizer, fused_z,
                      g_factor, hat_rational_side, membership_rows,
-                     verify_z_exchange, z_product)
+                     s_series_tensor, verify_z_exchange, z_product)
 
 SP2 = TwistedContext(IndexSet.signed(2, "sp"))
 SO3 = TwistedContext(IndexSet.signed(3, "so"))
@@ -116,6 +116,41 @@ def test_expansion_of_first_generators():
         rule.element(1, -1, 1) * Q(2)  # eps_{1,-1} = -1 doubles the entry
     assert SP2.expand_gen((1, 1, 1)) == \
         rule.element(1, 1, 1) - rule.element(-1, -1, 1)
+
+
+def _entry_series(ctx, s, i, j):
+    """The entry (i, j) of a one-site tensor series over the Yangian."""
+    return TruncatedSeries(algebra_ring(ctx.yang_rule), [
+        c.entries.get(((i,), (j,)), ctx.yang_rule.zero()) for c in s.coeffs],
+        s.trunc)
+
+
+@pytest.mark.parametrize("N, form", [(3, "so"), (2, "sp"), (4, "so"),
+                                     (4, "sp"), (5, "so")])
+def test_expand_gen_is_the_coefficient_of_s(N, form):
+    # the defining formula against S(u) = T(u) T~(-u) multiplied out
+    D = 4
+    ctx = TwistedContext(IndexSet.signed(N, form))
+    s = s_series_tensor(ctx, D)
+    idx = ctx.index_set.indices()
+    for i, j in product(idx, repeat=2):
+        assert [ctx.expand_gen((r, i, j)) for r in range(1, D + 1)] == \
+            list(_entry_series(ctx, s, i, j).coeffs[1:]), (i, j)
+
+
+@pytest.mark.parametrize("N, form", [(3, "so"), (2, "sp")])
+def test_hat_trace_reads_the_inverse_of_s(N, form):
+    # on one site hat_trace is tr(E_ji hat-S(u-1)) = hat-S_ij(u-1) for the
+    # factor E_ji: the formal inverse, read through s_expand, against the
+    # inverse of the expanded S(u)
+    D = 3
+    ctx = TwistedContext(IndexSet.signed(N, form))
+    s_hat = s_series_tensor(ctx, D).invert().substitute_affine(1, -1)
+    idx = ctx.index_set.indices()
+    for i, j in product(idx, repeat=2):
+        unit = ZMatrix(ctx.index_set, {(j, i): 1})
+        assert hat_trace(ctx, 1, [(1, unit)], D) == \
+            _entry_series(ctx, s_hat, i, j), (i, j)
 
 
 def test_symmetry_relation():
@@ -218,8 +253,6 @@ def test_prop36_builds_each_hat_series_once(monkeypatch):
     assert ("trace-form scalar k=2: [Fraction(1, 1), Fraction(0, 1), "
             "Fraction(0, 1)]") in [item for item, _ in rows]
     assert sorted(built) == [0, 1, 2]
-    # hat-S(u) is inverted once per truncation and kept on the context
-    assert ctx.s_hat_expanded(2) is ctx.s_hat_expanded(2)
 
 
 def test_prop36_scalar_negative_control(monkeypatch):

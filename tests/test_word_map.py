@@ -121,13 +121,17 @@ def test_so_and_sp_rho_maps_keep_their_own_images():
 
 def test_reflection_multiplies_each_word_prefix_once(monkeypatch):
     # the window of twisted-reflection sp2 --D 4 holds each word prefix
-    # many times; the word map multiplies it by a letter once.  The
-    # expanded S(u) is built first, so every product of elements under
-    # the Yangian rule that the check then forms is a word map's.
+    # many times; the word map multiplies it by a letter once.  Every
+    # letter is expanded through the word map first, so every product of
+    # elements under the Yangian rule that the check then forms is a
+    # word prefix times a letter.
     D = 4
     ctx = TwistedContext(SP2)
+    idx = SP2.indices()
     for r in range(1, D + 1):
-        ctx.s_series_expanded(r)
+        for i in idx:
+            for j in idx:
+                ctx.s_expand(ctx.s_gen(i, j, r))
     window = [c for (eu, ev), c in reflection_residual(ctx, D).entries.items()
               if -(eu + ev) <= D]
     prefixes = {w[:n] for c in window for e in c.entries.values()
