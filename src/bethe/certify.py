@@ -1,7 +1,8 @@
 """High-level certification suites combining the algebraic and Poisson
 layers: bracket axioms on seeded samples, graded symbol consistency
 against the determinant expansions, and the rank certificates for the
-shift-of-argument families.
+shift-of-argument families, whose expected ranks come from one rank
+table, `rank_table`.
 
 Every suite returns a list of (item, bool) detail rows, matching the other
 verify_* functions; the CLI wraps these into reports.  The enveloping-
@@ -105,11 +106,12 @@ def bethe_family_polys(family: dict) -> list:
     return [p for table in family.values() for p in table]
 
 
-def verify_jacobian_rank(context: PoissonContext, family: dict, expected: int,
+def verify_jacobian_rank(context: PoissonContext, family: dict,
                          seed: int = 0) -> list:
     """Jacobian of the family (from bethe_family) at a certified seeded
-    point has the expected rank (= the dimension of the certification
-    slice)."""
+    point has the rank of `rank_table` (= the dimension of the
+    certification slice)."""
+    expected = _table_rank(context, 0)
     fs = bethe_family_polys(family)
     rank, t = certified_jacobian_rank(
         fs, context.variables(),
@@ -118,10 +120,12 @@ def verify_jacobian_rank(context: PoissonContext, family: dict, expected: int,
              rank == expected)]
 
 
-def verify_poisson_rank(context: PoissonContext, expected: int) -> list:
+def verify_poisson_rank(context: PoissonContext) -> list:
     """Rank of the bracket at the principal-nilpotent base point placed at
-    the top level equals the expected value (twice the slice codimension
-    invariant), and the bracket matrix there is antisymmetric."""
+    the top level equals the bracket rank of `rank_table` (twice the slice
+    codimension invariant), and the bracket matrix there is
+    antisymmetric."""
+    expected = _table_rank(context, 1)
     pt = CurrentPoint.from_level_matrix(
         context, context.M, principal_nilpotent(context.index_set))
     rows = bracket_matrix(pt, context)
@@ -163,45 +167,29 @@ def verify_classical_slice_rank(n: int, z: ZMatrix, seed: int = 7) -> list:
              f"dim {len(free)})", rank == expected)]
 
 
-def rank_table_holds(index_set: IndexSet, M: int) -> bool:
-    """Whether the rank tables below hold level M: every M in the plain
-    case, odd M for odd-orthogonal and symplectic, even M for
-    even-orthogonal."""
-    even_so = index_set.form == "so" and index_set.N % 2 == 0
-    return index_set.kind == "plain" or M % 2 == (0 if even_so else 1)
+def rank_table(index_set: IndexSet, M: int):
+    """(Jacobian rank, bracket rank) at level M where the rank tables hold,
+    None elsewhere.  The Jacobian rank is the dimension of the
+    certification slice, the bracket rank the generic rank 2D at the base
+    point.  The tables hold every M in the plain case, odd M for
+    odd-orthogonal and symplectic, even M for even-orthogonal."""
+    N = index_set.N
+    if index_set.kind == "plain":
+        return M * N * (N + 1) // 2, M * (N * N - N)
+    even_so = index_set.form == "so" and N % 2 == 0
+    if (M % 2 == 0) != even_so:
+        return None
+    # M = 2m for even so, M = 2m + 1 for odd so and sp
+    n, m = index_set.n, M // 2
+    if even_so:
+        return (2 * n + 1) * m * n, 2 * (2 * n - 1) * m * n
+    if index_set.form == "so":
+        return (2 * m * n + m + n) * (n + 1), 2 * (2 * m * n + m + n) * n
+    return (2 * m * n + m + n + 1) * n, 2 * (2 * m * n - m + n) * n
 
 
-def expected_jacobian_rank(context: PoissonContext) -> int:
-    """Dimension of the certification slice: MN(N+1)/2 in the plain case,
-    the three-branch table in the twisted cases (odd M for odd-orthogonal
-    and symplectic, even M for even-orthogonal)."""
-    iset = context.index_set
-    N, M = iset.N, context.M
-    if iset.kind == "plain":
-        return M * N * (N + 1) // 2
-    n = iset.n
-    if iset.form == "so" and N % 2 == 1:
-        m = (M - 1) // 2
-        return (2 * m * n + m + n) * (n + 1)
-    if iset.form == "sp":
-        m = (M - 1) // 2
-        return (2 * m * n + m + n + 1) * n
-    m = M // 2
-    return (2 * n + 1) * m * n
-
-
-def expected_poisson_rank(context: PoissonContext) -> int:
-    """Generic bracket rank 2D at the base point."""
-    iset = context.index_set
-    N, M = iset.N, context.M
-    if iset.kind == "plain":
-        return M * (N * N - N)
-    n = iset.n
-    if iset.form == "so" and N % 2 == 1:
-        m = (M - 1) // 2
-        return 2 * (2 * m * n + m + n) * n
-    if iset.form == "sp":
-        m = (M - 1) // 2
-        return 2 * (2 * m * n - m + n) * n
-    m = M // 2
-    return 2 * (2 * n - 1) * m * n
+def _table_rank(context: PoissonContext, which: int) -> int:
+    ranks = rank_table(context.index_set, context.M)
+    if ranks is None:
+        raise ValueError(f"M = {context.M} is outside the rank tables")
+    return ranks[which]

@@ -300,14 +300,10 @@ def poisson_bracket(f: PoissonPoly, g: PoissonPoly) -> PoissonPoly:
         raise ValueError("polynomials from different contexts")
     ctx = f.context
     acc: dict = {}
+    dgs = [(b, g.derivative(b)) for b in sorted(g.variables_used())]
     for a in sorted(f.variables_used()):
         df = f.derivative(a)
-        if not df:
-            continue
-        for b in sorted(g.variables_used()):
-            dg = g.derivative(b)
-            if not dg:
-                continue
+        for b, dg in dgs:
             br = ctx.gen_bracket(a, b)
             if br:
                 accumulate(acc, (df * dg * br).terms.items())
@@ -585,10 +581,7 @@ def _bareiss_sync(mat: list, stamp: list, r: int, col: int, d: int) -> list:
 def jacobian_rank(fs: list, coords, point: CurrentPoint) -> int:
     """Rank of [df_a/dv_b] evaluated at the point."""
     coords = list(coords)
-    rows = [f.gradient(coords, point) for f in fs]
-    if not rows:
-        return 0
-    return matrix_rank(rows)
+    return matrix_rank([f.gradient(coords, point) for f in fs])
 
 
 def bracket_matrix(point: CurrentPoint, context: PoissonContext) -> list:

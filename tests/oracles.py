@@ -28,6 +28,10 @@ forms of the rational antisymmetrizer suite, which the package checks in
 the group algebra Z[S_k] (`tensor.verify_antisymmetrizers`); `group_image`
 maps an element of Z[S_k] to its operator.
 
+`rank_table_holds`, `expected_jacobian_rank` and `expected_poisson_rank`
+state the classical rank tables as three functions, each with its own
+three-way split, the reference for `certify.rank_table`.
+
 `normal_order` rewrites one word by adjacent swaps, the reference for the
 cached normal-ordering kernels of `algebra.CommutationRule`, keeping the
 rewrite step of each word across calls; and
@@ -40,7 +44,8 @@ from math import factorial, prod
 from operator import mul
 
 from bethe.algebra import AlgebraElement, monomial_degree
-from bethe.indices import perm_sign
+from bethe.indices import IndexSet, perm_sign
+from bethe.poisson import PoissonContext
 from bethe.rationals import ONE, accumulate, parse_rat, rat
 from bethe.series import (INF_CAP, RATIONAL_RING, BiLaurent, TruncatedSeries,
                           algebra_ring, one_over_c_minus_2u, sum_terms)
@@ -381,3 +386,47 @@ def membership_rows(label, a, x):
     f = factorial(a.sites)
     return [(f"{label} u^{-r}", ax.scale_rat(f) == ax * a)
             for r, c in enumerate(x.coeffs) for ax in (a * c,)]
+
+
+def rank_table_holds(index_set: IndexSet, M: int) -> bool:
+    """Whether the rank tables below hold level M: every M in the plain
+    case, odd M for odd-orthogonal and symplectic, even M for
+    even-orthogonal."""
+    even_so = index_set.form == "so" and index_set.N % 2 == 0
+    return index_set.kind == "plain" or M % 2 == (0 if even_so else 1)
+
+
+def expected_jacobian_rank(context: PoissonContext) -> int:
+    """Dimension of the certification slice: MN(N+1)/2 in the plain case,
+    the three-branch table in the twisted cases (odd M for odd-orthogonal
+    and symplectic, even M for even-orthogonal)."""
+    iset = context.index_set
+    N, M = iset.N, context.M
+    if iset.kind == "plain":
+        return M * N * (N + 1) // 2
+    n = iset.n
+    if iset.form == "so" and N % 2 == 1:
+        m = (M - 1) // 2
+        return (2 * m * n + m + n) * (n + 1)
+    if iset.form == "sp":
+        m = (M - 1) // 2
+        return (2 * m * n + m + n + 1) * n
+    m = M // 2
+    return (2 * n + 1) * m * n
+
+
+def expected_poisson_rank(context: PoissonContext) -> int:
+    """Generic bracket rank 2D at the base point."""
+    iset = context.index_set
+    N, M = iset.N, context.M
+    if iset.kind == "plain":
+        return M * (N * N - N)
+    n = iset.n
+    if iset.form == "so" and N % 2 == 1:
+        m = (M - 1) // 2
+        return 2 * (2 * m * n + m + n) * n
+    if iset.form == "sp":
+        m = (M - 1) // 2
+        return 2 * (2 * m * n - m + n) * n
+    m = M // 2
+    return 2 * (2 * n - 1) * m * n

@@ -4,15 +4,17 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bethe.certify import (expected_jacobian_rank, expected_poisson_rank,
+from bethe.certify import (rank_table, verify_jacobian_rank,
                            verify_laplace_consistency, verify_poisson_jacobi,
-                           verify_symbol_homomorphy)
+                           verify_poisson_rank, verify_symbol_homomorphy)
 from bethe.indices import IndexSet, parse_z_spec, perm_sign
 from bethe.poisson import (CurrentPoint, PoissonContext, PoissonPoly,
                            bethe_family, bracket_matrix, det_poly,
                            jacobian_rank, matrix_rank, poisson_bracket,
                            principal_nilpotent, upper_slice)
 from bethe.rationals import ONE, Q, accumulate
+from oracles import (expected_jacobian_rank, expected_poisson_rank,
+                     rank_table_holds)
 
 
 def _all_ok(rows):
@@ -150,11 +152,37 @@ def test_poisson_rank_zero_point_and_ceiling():
     iset = IndexSet.plain(2)
     ctx = PoissonContext(iset, 2)
     assert matrix_rank(bracket_matrix(CurrentPoint(ctx, {}), ctx)) == 0
-    ceiling = expected_poisson_rank(ctx)
+    ceiling = rank_table(iset, 2)[1]
     rng = random.Random(3)
     for seed in range(5):
         pt = CurrentPoint.random(ctx, seed=rng.randint(0, 10 ** 6))
         assert matrix_rank(bracket_matrix(pt, ctx)) <= ceiling
+
+
+def test_rank_table_matches_the_three_function_reference():
+    isets = ([IndexSet.plain(N) for N in range(1, 9)]
+             + [IndexSet.signed(N, "so") for N in range(1, 9)]
+             + [IndexSet.signed(N, "sp") for N in range(2, 9, 2)])
+    tabulated = 0
+    for iset in isets:
+        for M in range(1, 7):
+            ranks = rank_table(iset, M)
+            if not rank_table_holds(iset, M):
+                assert ranks is None, (iset, M)
+                continue
+            ctx = PoissonContext(iset, M)
+            assert ranks == (expected_jacobian_rank(ctx),
+                             expected_poisson_rank(ctx)), (iset, M)
+            tabulated += 1
+    assert tabulated == 84
+
+
+def test_rank_certificates_raise_outside_the_tables():
+    ctx = PoissonContext(IndexSet.signed(4, "so"), 1)
+    with pytest.raises(ValueError, match="outside the rank tables"):
+        verify_jacobian_rank(ctx, {})
+    with pytest.raises(ValueError, match="outside the rank tables"):
+        verify_poisson_rank(ctx)
 
 
 @pytest.mark.parametrize("kind, n", [("gl", "2"), ("sp", "1")])

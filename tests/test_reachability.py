@@ -88,8 +88,11 @@ ALLOWED = {
     "tensor.TensorElement.__hash__": _PROTOCOL_HASH,
     "tensor.TensorElement.__repr__": _PROTOCOL_REPR,
     "tensor.TensorElement.map_coeffs":
-        "the test references change rings through it (`lift_tensor` in "
-        "test_tensor, the `fused_s` oracle in test_twisted)",
+        "the test references change rings or map entries through it "
+        "(`lift_tensor` and test_tensors_scale_by_rationals_only in "
+        "test_tensor, the `fused_s` oracle and `verify_fused_determinant` "
+        "in test_twisted, test_membership_rows_controls and "
+        "test_fusion_fails_for_rows_without_signs in test_yangian)",
 }
 
 
