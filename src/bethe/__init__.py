@@ -14,7 +14,7 @@ __all__ = [
     "TwistedContext", "YangianRule", "ZMatrix", "bethe_family",
     "bethe_series", "commutator", "filtration_degree", "hat_bethe_series",
     "jacobian_rank", "parse_z_spec", "poisson_bracket", "principal_nilpotent",
-    "quantum_determinant", "serialize_element", "symbol",
+    "quantum_determinant", "serialize_terms", "symbol",
     "twisted_bethe_series", "upper_slice", "verify_bethe_commutativity",
     "verify_sklyanin",
 ]
@@ -22,14 +22,14 @@ __all__ = [
 # exported name -> the submodule that defines it
 _SOURCES = {
     **dict.fromkeys(("AlgebraElement", "FreeRule", "GlRule", "YangianRule",
-                     "commutator", "filtration_degree", "serialize_element",
-                     "symbol"),
+                     "commutator", "filtration_degree", "symbol"),
                     "algebra"),
     **dict.fromkeys(("IndexSet", "ZMatrix", "parse_z_spec"), "indices"),
     **dict.fromkeys(("CurrentPoint", "PoissonContext", "PoissonPoly",
                      "bethe_family", "jacobian_rank", "poisson_bracket",
                      "principal_nilpotent", "upper_slice"), "poisson"),
     "Q": "rationals",
+    "serialize_terms": "reports",
     "TruncatedSeries": "series",
     **dict.fromkeys(("TwistedContext", "twisted_bethe_series",
                      "verify_sklyanin"), "twisted"),

@@ -402,16 +402,3 @@ def symbol(a: AlgebraElement, d: int, context):
         (tuple(sorted(m)), c) for m, c in a.terms.items()
         if monomial_degree(m) == d)))
 
-
-def serialize_element(a: AlgebraElement) -> dict:
-    """JSON-ready encoding: terms as [[row, col, level], ...] word arrays
-    with "p/q" coefficients, in sorted monomial order."""
-    from .rationals import format_rat
-
-    return {
-        "terms": [
-            {"word": [[i, j, r] for (r, i, j) in m], "coeff": format_rat(c)}
-            for m, c in sorted(a.terms.items())
-        ]
-    }
-

@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from . import __version__
 
@@ -311,7 +312,7 @@ def run_check(cfg: RunConfig, name: str) -> list:
 def run_compute(cfg: RunConfig, name: str) -> dict:
     """The coefficient table of object `name`; like `run_check`, each
     branch imports only what it runs."""
-    from .reports import serialize_poly, series_table
+    from .reports import series_table
 
     iset = cfg.index_set
     D = cfg.D
@@ -320,43 +321,30 @@ def run_compute(cfg: RunConfig, name: str) -> dict:
     config["object"] = name
 
     if name == "bethe":
-        from .algebra import YangianRule, serialize_element
+        from .algebra import YangianRule
         from .yangian import bethe_series
 
         rule = YangianRule(iset)
-        rows = [(k, [serialize_element(c)
-                     for c in bethe_series(k, cfg.z, rule, D).coeffs])
-                for k in ks]
-        return series_table(config, rows)
-
-    if name == "qdet":
-        from .algebra import YangianRule, serialize_element
+        rows = {k: bethe_series(k, cfg.z, rule, D).coeffs for k in ks}
+    elif name == "qdet":
+        from .algebra import YangianRule
         from .yangian import quantum_determinant
 
-        rule = YangianRule(iset)
-        qd = quantum_determinant(rule, D)
-        return series_table(config,
-                            [(iset.N, [serialize_element(c) for c in qd.coeffs])])
-
-    if name == "twisted-bethe":
-        from .algebra import serialize_element
+        rows = {iset.N: quantum_determinant(YangianRule(iset), D).coeffs}
+    elif name == "twisted-bethe":
         from .twisted import twisted_bethe_series
 
         ctx = cfg.twisted_ctx()
-        rows = []
-        for k in ks:
-            a = twisted_bethe_series(ctx, k, cfg.z, D)
-            rows.append((k, [serialize_element(c) for c in a.coeffs]))
-        return series_table(config, rows)
-
-    if name == "poisson-bethe":
+        rows = {k: twisted_bethe_series(ctx, k, cfg.z, D).coeffs for k in ks}
+    elif name == "poisson-bethe":
         from .poisson import bethe_family
 
         family = bethe_family(cfg.poisson_ctx(), cfg.z)
-        rows = [(k, [serialize_poly(p) for p in family[k]]) for k in ks]
-        return series_table(config, rows)
-
-    raise UsageError(f"unknown object {name!r}")
+        rows = {k: family[k] for k in ks}
+    else:
+        raise UsageError(f"unknown object {name!r}")
+    return series_table(config, rows,
+                        "monomial" if name == "poisson-bethe" else "word")
 
 
 # -- entry point ------------------------------------------------------------------
@@ -423,14 +411,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        from .reports import Report, Timer, dump_json, output_dir
+        from .reports import Report, dump_json, output_dir
 
         cfg = RunConfig(args)
         if args.command == "verify":
-            with Timer() as tm:
-                details = run_check(cfg, args.check)
-            rep = Report(args.check, cfg.params(), details, tm.ms,
-                         conventions(cfg))
+            t0 = time.monotonic()
+            details = run_check(cfg, args.check)
+            rep = Report(args.check, cfg.params(), details,
+                         int((time.monotonic() - t0) * 1000), conventions(cfg))
             path = cfg.out or os.path.join(output_dir(),
                                            f"{args.check}.json")
             if cfg.format == "text":

@@ -4,7 +4,8 @@ The JSON layout is fixed:
 
 * report: {"check", "params", "result", "details": [{"item",
   "residual_zero"}], "runtime_ms", "conventions"}
-* table:  {"config", "series": [{"k", "coeffs": [...]}]}
+* table:  {"config", "series": [{"k", "coeffs": [{"terms": [{"word" or
+  "monomial", "coeff"}]}]}]}, every coefficient by `serialize_terms`
 
 Detail rows are sorted before emission and rationals are written as "p/q"
 strings, so identical configurations reproduce identical bytes.  Because a
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 from .rationals import format_rat
 
@@ -76,38 +76,28 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-class Timer:
-    def __enter__(self):
-        self.t0 = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self.ms = int((time.monotonic() - self.t0) * 1000)
-        return False
-
-
-def serialize_poly(p) -> dict:
-    """Commutative polynomial as {"terms": [{"monomial": [[i,j,r],...],
-    "coeff": "p/q"}]} in sorted monomial order."""
-    return {
-        "terms": [
-            {"monomial": [[i, j, r] for (r, i, j) in m],
-             "coeff": format_rat(c)}
-            for m, c in sorted(p.terms.items())
-        ]
-    }
+def serialize_terms(terms: dict, key: str) -> dict:
+    """The one encoding of a term dict {monomial: coefficient}, a monomial
+    a tuple of (level, row, col): {"terms": [{key: [[row, col, level], ...],
+    "coeff": "p/q"}]} in sorted monomial order.  The key is "word" for an
+    algebra element, "monomial" for a polynomial."""
+    return {"terms": [{key: [[i, j, r] for (r, i, j) in m],
+                       "coeff": format_rat(c)}
+                      for m, c in sorted(terms.items())]}
 
 
-def series_table(config: dict, series_rows: list) -> dict:
-    """Coefficient table: series_rows is a list of (k, [payload, ...])."""
+def series_table(config: dict, rows: dict, key: str) -> dict:
+    """Coefficient table: rows maps each k to its coefficients, each
+    written through `serialize_terms` under `key`."""
     return {
         "config": config,
-        "series": [{"k": k, "coeffs": coeffs} for k, coeffs in series_rows],
+        "series": [{"k": k, "coeffs": [serialize_terms(c.terms, key)
+                                       for c in coeffs]}
+                   for k, coeffs in rows.items()],
     }
 
 
 def dump_json(data: dict, path: str) -> None:
     """Write a report or table in the fixed JSON encoding."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(data, sort_keys=True, separators=(",", ": "),
-                            indent=1) + "\n")
+        fh.write(json.dumps(data, sort_keys=True, indent=1) + "\n")

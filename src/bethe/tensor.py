@@ -222,13 +222,20 @@ def site_action(x: list, p: int, m: list, ring: Ring, left: bool) -> list:
     over `ring`; M(u) = sum_s M^(s) u^-s is given by the dicts {(a, b):
     M^(s)_ab}, a Z site by [z.entries].  The left action moves index b of
     site p to a with the entry on the left, the right action a to b with
-    it on the right: ring coefficients need not commute."""
+    it on the right: ring coefficients need not commute.  Each M^(s) is
+    grouped once by the index it moves from: b on the left, a on the right."""
+    moves = []
+    for s in range(len(m)):
+        by_source: dict = {}
+        for (a, b), mv in m[s].items():
+            by_source.setdefault(b if left else a, []).append(
+                (a if left else b, mv))
+        moves.append(by_source)
     return [sum_terms(ring, (
-        ((lab, col[:p - 1] + (a if left else b,) + col[p:]),
-         mv * v if left else v * mv)
+        ((lab, col[:p - 1] + (t,) + col[p:]), mv * v if left else v * mv)
         for s in range(min(r + 1, len(m)))
         for (lab, col), v in x[r - s].items()
-        for (a, b), mv in m[s].items() if (b if left else a) == col[p - 1]))
+        for t, mv in moves[s].get(col[p - 1], ())))
         for r in range(len(x))]
 
 

@@ -35,7 +35,7 @@ three-way split, the reference for `certify.rank_table`.
 `normal_order` rewrites one word by adjacent swaps, the reference for the
 cached normal-ordering kernels of `algebra.CommutationRule`, keeping the
 rewrite step of each word across calls; and
-`deserialize_element` inverts `algebra.serialize_element`.
+`deserialize_element` inverts `reports.serialize_terms(..., "word")`.
 """
 import heapq
 from functools import reduce
@@ -147,7 +147,8 @@ def normal_order(word, rule, coeff=ONE, strategy: str = "left",
 
 
 def deserialize_element(data: dict, rule) -> AlgebraElement:
-    """The element that `serialize_element` encoded as `data`."""
+    """The element that `serialize_terms(..., "word")` encoded as
+    `data`."""
     terms = {}
     for row in data["terms"]:
         m = tuple((r, i, j) for (i, j, r) in row["word"])

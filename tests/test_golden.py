@@ -4,7 +4,9 @@ Every `verify` check and every `compute` object runs once at small
 parameters under BETHE_DETERMINISTIC=1, and its report (without the
 `params` block) or coefficient table (without the `config` block) must
 equal the copy stored in tests/golden/.  The run parameters are left out
-because they are not results of the computation.  The prop36 row labels
+because they are not results of the computation.  The written text must
+also be the canonical layout (sorted keys, indent 1, one final newline),
+so a change of indent, separators or key order fails.  The prop36 row labels
 spell their scalars as "Fraction(p, q)" whatever the rational backend, so
 the copies hold for every backend.
 
@@ -87,7 +89,9 @@ def run_case(args: list, out_dir: str) -> dict:
     path = os.path.join(out_dir, "out.json")
     assert main(args + ["--out", path]) == 0
     with open(path) as fh:
-        data = json.load(fh)
+        text = fh.read()
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True, indent=1) + "\n"
     data.pop("params", None)
     data.pop("config", None)
     return data
