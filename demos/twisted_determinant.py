@@ -26,7 +26,7 @@ def main():
 
     print("Defining relations of the twisted algebra (sp_2):")
     show("symmetry", verify_symmetry(ctx, 3))
-    show("reflection", verify_reflection(ctx, 3, 3))
+    show("reflection", verify_reflection(ctx, 3))
 
     print("\nFused series A_k(u), Z = diag(1, -1):")
     for k in (1, 2):
@@ -38,7 +38,7 @@ def main():
     th = theta_series(ctx, 3)
     print(f"  theta(u) coefficients: {[str(c) for c in th.coeffs]}")
     show("A_N theta = b_N(u) b_N(N-u+1) + centrality",
-         verify_sklyanin(ctx, z, 3, central_levels=2))
+         verify_sklyanin(ctx, z, 3))
 
     print("\nTrace form of the hat family, at the scalar series 1:")
     for item, ok in verify_prop36(ctx, z, 3):

@@ -42,8 +42,9 @@ def verify_poisson_jacobi(context: PoissonContext, seed: int) -> list:
 
 
 # the highest generator level in the quadratic elements of
-# `verify_symbol_homomorphy`
+# `verify_symbol_homomorphy`, and the number of seeded pairs it checks
 SYMBOL_MAX_LEVEL = 3
+SYMBOL_PAIRS = 50
 
 
 def _random_quadratic(rule, rng):
@@ -55,17 +56,16 @@ def _random_quadratic(rule, rng):
     return g1 * g2 * rng.randint(1, 5)
 
 
-def verify_symbol_homomorphy(index_set: IndexSet, M: int, seed: int,
-                             pairs: int = 50) -> list:
-    """symbol([X, Y]) = {symbol X, symbol Y} for seeded random pairs of
-    quadratic elements, in the degree (deg X + deg Y - 1) component."""
+def verify_symbol_homomorphy(index_set: IndexSet, M: int, seed: int) -> list:
+    """symbol([X, Y]) = {symbol X, symbol Y} for SYMBOL_PAIRS seeded random
+    pairs of quadratic elements, in the degree (deg X + deg Y - 1) component."""
     from .algebra import YangianRule, commutator, filtration_degree, symbol
 
     rule = YangianRule(index_set)
     context = PoissonContext(index_set, M)
     rng = random.Random(seed)
     details = []
-    for t in range(pairs):
+    for t in range(SYMBOL_PAIRS):
         x = _random_quadratic(rule, rng)
         y = _random_quadratic(rule, rng)
         d = filtration_degree(x) + filtration_degree(y) - 1

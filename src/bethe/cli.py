@@ -15,12 +15,12 @@ flag, an --M outside the rank tables of ``verify jacobian`` and ``verify
 poisson-rank``, a --z-symmetry that is not sign-matched for ``verify
 prop36`` (so needs symmetric, sp skew), a --z-symmetry other than skew for
 the Poisson-side ops on so/sp that build the determinant family
-(`SKEW_Z_OPS`), a malformed or unreadable --Z, or an output path that
-cannot be written.  `RunConfig` turns every such input into a
-`UsageError` before any computation starts.  An internal error is a
-failed internal guard (such as the degree and parity guards of the
-determinant expansion) or any other exception raised by a computation, a
-`ValueError` included.  Errors go to stderr.
+(`SKEW_Z_OPS`), a --k other than N for ``compute qdet``, a malformed or
+unreadable --Z, or an output path that cannot be written.  `RunConfig`
+turns every such input into a `UsageError` before any computation starts.
+An internal error is a failed internal guard (such as the degree and
+parity guards of the determinant expansion) or any other exception raised
+by a computation, a `ValueError` included.  Errors go to stderr.
 ``verify jacobian`` reports the parity zeros as detail rows instead, so a
 parity violation there exits 1.
 
@@ -30,7 +30,10 @@ run in order in one thread, and detail rows are sorted before emission.
 
 Start-up loads only what a run uses: ``--help`` and the usage errors the
 argument parser catches (such as an unknown check) load only `bethe.cli`,
-and each check or object imports only the modules it runs.
+and each check or object imports only the modules it runs.  ``verify
+rtt`` runs the same two suites on every index set, the R-matrix
+identities (`tensor.verify_r_identities`) and the relations of T(u)
+(`yangian.verify_rtt`), so on so/sp it loads no `bethe.twisted`.
 
 Every report carries the orientation conventions that `reports.py`
 declares; no run searches for them.  ``verify fusion`` checks them: its
@@ -100,6 +103,8 @@ class RunConfig:
                                  "for even so")
         if args.k is not None and not 1 <= args.k <= N:
             raise UsageError(f"--k must be in 1..{N}")
+        if op == "qdet" and args.k not in (None, N):
+            raise UsageError(f"compute qdet has the one index k = N = {N}")
         self.M = args.M
         self.budget = args.budget
         self.k = args.k
@@ -178,25 +183,11 @@ def run_check(cfg: RunConfig, name: str) -> list:
     D = cfg.D
 
     if name == "rtt":
+        from .algebra import YangianRule
         from .tensor import verify_r_identities
         from .yangian import verify_rtt
 
-        details = verify_r_identities(iset)
-        if iset.kind == "plain":
-            from .algebra import YangianRule
-            from .tensor import verify_yang_baxter
-
-            details += verify_yang_baxter(iset)
-            details += verify_rtt(YangianRule(iset), D)
-        else:
-            from .tensor import verify_mixed_yang_baxter
-            from .twisted import verify_mixed_rtt
-
-            ctx = cfg.twisted_ctx()
-            details += verify_mixed_yang_baxter(iset)
-            details += verify_mixed_rtt(ctx, D)
-            details += verify_rtt(ctx.yang_rule, D)
-        return details
+        return verify_r_identities(iset) + verify_rtt(YangianRule(iset), D)
 
     if name == "fusion":
         from .algebra import YangianRule
@@ -236,7 +227,7 @@ def run_check(cfg: RunConfig, name: str) -> list:
     if name == "twisted-reflection":
         from .twisted import verify_reflection
 
-        return verify_reflection(cfg.twisted_ctx(), D, total_order=D)
+        return verify_reflection(cfg.twisted_ctx(), D)
 
     if name == "twisted-commute":
         from .twisted import verify_twisted_commutativity

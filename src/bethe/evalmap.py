@@ -97,7 +97,7 @@ def verify_rho_homomorphy(ctx, D: int) -> list:
 
     rho = rho_map(GlRule(ctx.index_set))
     return (symmetry_rows("rho of symmetry residual", ctx, D, rho)
-            + reflection_rows("rho of reflection residual", ctx, D, D, rho))
+            + reflection_rows("rho of reflection residual", ctx, D, rho))
 
 
 def verify_pi_rho_image_commutativity(index_set: IndexSet, z: ZMatrix,

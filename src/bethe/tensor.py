@@ -22,7 +22,8 @@ the one-sided prime transpose of P, have one form:
 `bilaurent_r` gives R_pq at any affine argument in (u, v) as an exact
 BiLaurent over the rational tensors, and every R-matrix identity
 (unitarity, Yang-Baxter, the mixed exchanges, RTT and reflection) is a
-product of such objects.
+product of such objects; `verify_r_identities` is the one suite of the
+rational ones on every index set.
 
 Every commuting family is a trace tr(F(u) H_n X(u)) of an algebra-valued
 block X(u) against the antisymmetrizer H_n on n sites and rational
@@ -450,62 +451,42 @@ def bilaurent_r(kind: str, pq: tuple, coef_u: int, coef_v: int, const,
 
 
 def verify_r_identities(index_set: IndexSet) -> list:
-    """R(u) R(-u) = (1 - u^2) id, and for signed sets additionally the
-    twisted companion R~(u) R~(N - u) = (N u - u^2) id."""
+    """R(u) R(-u) = (1 - u^2) id, then on a plain set Yang-Baxter
+    R_12(u) R_13(u+v) R_23(v) = R_23(v) R_13(u+v) R_12(u), on a signed set
+    R~(u) R~(N - u) = (N u - u^2) id and the three mixed exchanges of R
+    and R~, each exchange a b c = c b a an exact residual on three sites."""
     N = index_set.N
 
-    def R(kind, coef_u, const):
-        return bilaurent_r(kind, (1, 2), coef_u, 0, const, 2, index_set)
+    def R(kind, pq, coef_u, coef_v, const=0, sites=3):
+        return bilaurent_r(kind, pq, coef_u, coef_v, const, sites, index_set)
 
-    def scalar(coeffs):
-        # sum_d c_d u^d times the identity on two sites
+    def unitary(kind, const, coeffs):
+        # R(u) R(const - u) against sum_d c_d u^d times the identity
         ident = TensorElement.identity(2, index_set)
-        return BiLaurent(tensor_ring(2, index_set),
-                         {(d, 0): ident.scale_rat(c) for d, c in coeffs.items()},
-                         INF_CAP, INF_CAP)
+        scalar = BiLaurent(tensor_ring(2, index_set),
+                           {(d, 0): ident.scale_rat(c)
+                            for d, c in coeffs.items()}, INF_CAP, INF_CAP)
+        return (R(kind, (1, 2), 1, 0, 0, 2) * R(kind, (1, 2), -1, 0, const, 2)
+                == scalar)
 
     details = [(f"R(u)R(-u) = (1-u^2) id, N={N}",
-                R("plain", 1, 0) * R("plain", -1, 0) == scalar({0: 1, 2: -1}))]
-    if index_set.kind == "signed":
-        details.append(
-            (f"R~(u)R~(N-u) = (Nu-u^2) id, {index_set.form}_{N}",
-             R("twisted", 1, 0) * R("twisted", -1, N)
-             == scalar({1: N, 2: -1})))
-    return details
-
-
-def verify_yang_baxter(index_set: IndexSet) -> list:
-    """R_12(u) R_13(u+v) R_23(v) = R_23(v) R_13(u+v) R_12(u), exact."""
-    r12 = bilaurent_r("plain", (1, 2), 1, 0, 0, 3, index_set)
-    r13 = bilaurent_r("plain", (1, 3), 1, 1, 0, 3, index_set)
-    r23 = bilaurent_r("plain", (2, 3), 0, 1, 0, 3, index_set)
-    res = r12 * r13 * r23 - r23 * r13 * r12
-    return [(f"Yang-Baxter N={index_set.N}", not res)]
-
-
-def verify_mixed_yang_baxter(index_set: IndexSet) -> list:
-    """The three mixed exchange identities between R and its twisted
-    companion R~, exact bivariate polynomial identities."""
-    if index_set.kind != "signed":
-        raise ValueError("the mixed identities need a signed index set")
-
-    def R(pq, cu, cv):
-        return bilaurent_r("plain", pq, cu, cv, 0, 3, index_set)
-
-    def Rt(pq, cu, cv):
-        return bilaurent_r("twisted", pq, cu, cv, 0, 3, index_set)
-
-    tag = f"{index_set.form}_{index_set.N}"
-    cases = [
-        ("first mixed exchange",
-         R((1, 2), 1, 0), Rt((1, 3), 0, 1), Rt((2, 3), 1, 1)),
-        ("second mixed exchange",
-         R((1, 3), 1, 0), Rt((1, 2), 0, 1), Rt((2, 3), 1, 1)),
-        ("third mixed exchange",
-         R((2, 3), 1, 0), Rt((1, 2), 0, 1), Rt((1, 3), 1, 1)),
-    ]
-    return [(f"{name} ({tag})", not a * b * c - c * b * a)
-            for name, a, b, c in cases]
+                unitary("plain", 0, {0: 1, 2: -1}))]
+    if index_set.kind == "plain":
+        exchanges = [(f"Yang-Baxter N={N}", R("plain", (1, 2), 1, 0),
+                      R("plain", (1, 3), 1, 1), R("plain", (2, 3), 0, 1))]
+    else:
+        tag = f"{index_set.form}_{N}"
+        details.append((f"R~(u)R~(N-u) = (Nu-u^2) id, {tag}",
+                        unitary("twisted", N, {1: N, 2: -1})))
+        exchanges = [
+            (f"{name} mixed exchange ({tag})", R("plain", pq, 1, 0),
+             R("twisted", pq2, 0, 1), R("twisted", pq3, 1, 1))
+            for name, pq, pq2, pq3 in (
+                ("first", (1, 2), (1, 3), (2, 3)),
+                ("second", (1, 3), (1, 2), (2, 3)),
+                ("third", (2, 3), (1, 2), (1, 3)))]
+    return details + [(label, not a * b * c - c * b * a)
+                      for label, a, b, c in exchanges]
 
 
 def verify_antisymmetrizers(index_set: IndexSet) -> list:

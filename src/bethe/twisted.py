@@ -10,7 +10,8 @@ PBW-normal-orders the result.
 
 Built on top: the symmetry and reflection relation suites, the commuting
 series A_k(u), the inverse-series generators, and the Sklyanin-determinant
-checks.
+checks.  The mixed exchanges and the mixed relation of T(u) it rests on
+are rows of `tensor.verify_r_identities` and `yangian.verify_rtt`.
 
 `s_expand` is the context's `WordMap`: its letters come from
 `expand_gen`, and each distinct S-word is multiplied out and
@@ -50,7 +51,7 @@ from .series import (RATIONAL_RING, BiLaurent, TruncatedSeries,
 from .tensor import (_pair_action, alternator_rows, bilaurent_r,
                      series_to_bilaurent, site_action, trace_words)
 from .yangian import (centrality_rows, commutator_table, hat_identity_rows,
-                      quantum_determinant, t_site_series, window_rows)
+                      quantum_determinant, t_site_series)
 
 
 class TwistedContext:
@@ -157,14 +158,14 @@ def reflection_residual(ctx: TwistedContext, D: int) -> BiLaurent:
                             series_to_bilaurent(s, 2, "v", 2), ctx.index_set)
 
 
-def reflection_rows(label: str, ctx: TwistedContext, D: int,
-                    total_order: int, image) -> list:
+def reflection_rows(label: str, ctx: TwistedContext, D: int, image) -> list:
     """One row "label (i,j,k,l)" per index tuple whose entry ((i,k),(j,l))
     of the reflection residual has a coefficient at some u^-r v^-s with
-    r+s <= total_order (any other row could not fail): does the algebra
-    map `image` kill them all?  So D = 1, or D = 2 for sp2, gives none."""
+    r+s <= D (any other row could not fail): does the algebra map `image`
+    kill them all?  So D = 1, or D = 2 for sp2, gives none.  The trusted
+    window is r, s <= D - 2, so for D <= 4 this is all of it."""
     window = [c for (eu, ev), c in reflection_residual(ctx, D).entries.items()
-              if -(eu + ev) <= total_order]
+              if -(eu + ev) <= D]
     details = []
     for i, j, k, l in product(ctx.index_set.indices(), repeat=4):
         key = ((i, k), (j, l))
@@ -175,22 +176,10 @@ def reflection_rows(label: str, ctx: TwistedContext, D: int,
     return details
 
 
-def verify_reflection(ctx: TwistedContext, D: int, total_order: int) -> list:
+def verify_reflection(ctx: TwistedContext, D: int) -> list:
     """The reflection relation, read from the matrix-form residual through
-    `s_expand` at the coefficients of u^-r v^-s with r+s <= total_order."""
-    return reflection_rows("reflection", ctx, D, total_order, ctx.s_expand)
-
-
-def verify_mixed_rtt(ctx: TwistedContext, D: int) -> list:
-    """T~_1(u) R~(u-v) T_2(v) = T_2(v) R~(u-v) T~_1(u)."""
-    iset = ctx.index_set
-    rule = ctx.yang_rule
-    t = t_site_series(rule, D)
-    t_tilde = t.map_coeffs(lambda c: c.site_prime(1))
-    tt1 = series_to_bilaurent(t_tilde, 1, "u", 2)
-    t2 = series_to_bilaurent(t, 2, "v", 2)
-    rt = bilaurent_r("twisted", (1, 2), 1, -1, 0, 2, iset)
-    return window_rows("mixed relation", tt1 * rt * t2 - t2 * rt * tt1)
+    `s_expand` at the coefficients of u^-r v^-s with r+s <= D."""
+    return reflection_rows("reflection", ctx, D, ctx.s_expand)
 
 
 # -- fused elements -----------------------------------------------------------------------
@@ -256,10 +245,9 @@ def theta_series(ctx: TwistedContext, D: int) -> TruncatedSeries:
     return one + one_over_c_minus_2u(1, D) * N
 
 
-def verify_sklyanin(ctx: TwistedContext, z: ZMatrix, D: int,
-                    central_levels: int = 2) -> list:
+def verify_sklyanin(ctx: TwistedContext, z: ZMatrix, D: int) -> list:
     """A_N(u) theta(u) = B_N(u) B_N(N-u+1), plus centrality of the A_N
-    coefficients."""
+    coefficients against the S generators of levels 1 and 2."""
     iset = ctx.index_set
     N = iset.N
     a_exp = expanded_bethe_series(ctx, N, z, D)
@@ -270,7 +258,7 @@ def verify_sklyanin(ctx: TwistedContext, z: ZMatrix, D: int,
                for r in range(D + 1)]
     return details + centrality_rows(
         "A_N", a_exp, "S", lambda s, i, j: ctx.s_expand(ctx.s_gen(i, j, s)),
-        iset.indices(), central_levels)
+        iset.indices(), 2)
 
 
 def verify_twisted_commutativity(ctx: TwistedContext, z: ZMatrix,

@@ -1,7 +1,8 @@
 """Generating matrix T(u), commuting Bethe-type series B_k(u), the quantum
 determinant, inverse-series generators, and the associated verification
-suites (RTT self-check, fusion, centrality, commutativity, and the
-hat-series identity).
+suites (the relations of T(u), fusion, centrality, commutativity, and the
+hat-series identity).  `verify_rtt` is the one suite of the relations of
+T(u): RTT, and on so/sp the mixed relation through R~.
 
 All series coefficients are exact algebra elements in PBW normal form, so
 every check reduces to "the normal form of a residual is zero".
@@ -166,7 +167,11 @@ def window_rows(label: str, res: BiLaurent) -> list:
 
 
 def verify_rtt(rule: YangianRule, D: int) -> list:
-    """Residuals of R(u-v) T_1(u) T_2(v) - T_2(v) T_1(u) R(u-v)."""
+    """The algebra relations of T(u), one row per coefficient in the window
+    of each residual: the RTT relation R(u-v) T_1(u) T_2(v) =
+    T_2(v) T_1(u) R(u-v), and on a signed index set also the mixed relation
+    T~_1(u) R~(u-v) T_2(v) = T_2(v) R~(u-v) T~_1(u), T~ the prime transpose
+    of T (`site_prime`)."""
     from .tensor import bilaurent_r, series_to_bilaurent
 
     iset = rule.index_set
@@ -174,7 +179,14 @@ def verify_rtt(rule: YangianRule, D: int) -> list:
     t1 = series_to_bilaurent(t, 1, "u", 2)
     t2 = series_to_bilaurent(t, 2, "v", 2)
     r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset)
-    return window_rows("coefficient", r * t1 * t2 - t2 * t1 * r)
+    details = window_rows("coefficient", r * t1 * t2 - t2 * t1 * r)
+    if iset.kind == "signed":
+        tt1 = series_to_bilaurent(t.map_coeffs(lambda c: c.site_prime(1)),
+                                  1, "u", 2)
+        rt = bilaurent_r("twisted", (1, 2), 1, -1, 0, 2, iset)
+        details += window_rows("mixed relation",
+                               tt1 * rt * t2 - t2 * rt * tt1)
+    return details
 
 
 def fusion_products(rule: YangianRule, k: int, D: int) -> tuple:

@@ -21,8 +21,7 @@ from bethe.evalmap import (verify_pi_rho_image_commutativity,
                            verify_rho_homomorphy)
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.poisson import PoissonContext, bethe_family
-from bethe.tensor import (verify_antisymmetrizers, verify_mixed_yang_baxter,
-                          verify_r_identities, verify_yang_baxter)
+from bethe.tensor import verify_antisymmetrizers, verify_r_identities
 from bethe.twisted import (TwistedContext, verify_prop36, verify_reflection,
                            verify_sklyanin, verify_symmetry,
                            verify_twisted_commutativity)
@@ -62,9 +61,13 @@ def test_criterion_01_r_matrix_identities():
 
 def test_criterion_02_yang_baxter_plain_and_mixed():
     for N in (2, 3):
-        _all_ok(verify_yang_baxter(IndexSet.plain(N)))
+        rows = verify_r_identities(IndexSet.plain(N))
+        _all_ok(rows)
+        assert f"Yang-Baxter N={N}" in dict(rows)
     for iset in (SO3.index_set, SP2.index_set):
-        _all_ok(verify_mixed_yang_baxter(iset))
+        rows = verify_r_identities(iset)
+        _all_ok(rows)
+        assert sum("mixed exchange" in item for item, _ in rows) == 3
 
 
 def test_criterion_03_antisymmetrizers_with_orientation():
@@ -120,8 +123,8 @@ def test_criterion_10_twisted_symmetry():
 
 
 def test_criterion_11_reflection_relation():
-    _all_ok(verify_reflection(SP2, 4, 4))
-    _all_ok(verify_reflection(SO3, 3, 3))
+    _all_ok(verify_reflection(SP2, 4))
+    _all_ok(verify_reflection(SO3, 3))
 
 
 def test_criterion_12_twisted_commutativity():
@@ -130,8 +133,8 @@ def test_criterion_12_twisted_commutativity():
 
 
 def test_criterion_13_sklyanin_determinant_and_centrality():
-    _all_ok(verify_sklyanin(SP2, Z_SP, 4, central_levels=2))
-    _all_ok(verify_sklyanin(SO3, Z_SO, 4, central_levels=2))
+    _all_ok(verify_sklyanin(SP2, Z_SP, 4))
+    _all_ok(verify_sklyanin(SO3, Z_SO, 4))
 
 
 def test_criterion_14_hat_family_trace_form():
@@ -163,8 +166,8 @@ def test_criterion_16_image_commutativity():
 
 
 def test_criterion_17_symbol_homomorphy():
-    _all_ok(verify_symbol_homomorphy(IndexSet.plain(2), 2, seed=0, pairs=50))
-    _all_ok(verify_symbol_homomorphy(IndexSet.plain(2), 3, seed=1, pairs=50))
+    _all_ok(verify_symbol_homomorphy(IndexSet.plain(2), 2, seed=0))
+    _all_ok(verify_symbol_homomorphy(IndexSet.plain(2), 3, seed=1))
 
 
 def test_criterion_18_determinant_expansion_consistency():

@@ -287,6 +287,20 @@ def test_k_outside_one_to_n_is_a_usage_error(k, tmp_path, capsys):
     assert [row["k"] for row in json.loads(out.read_text())["series"]] == [2]
 
 
+def test_qdet_k_other_than_n_is_a_usage_error(tmp_path, capsys):
+    # the quantum determinant is the one series k = N
+    out = tmp_path / "qdet.json"
+    args = ["compute", "qdet", "--kind", "gl", "--N", "3", "--D", "1",
+            "--out", str(out), "--k"]
+    assert main(args + ["1"]) == 2
+    assert "compute qdet" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["3"]) == 0
+    table = json.loads(out.read_text())
+    assert table["config"]["k"] == 3
+    assert [row["k"] for row in table["series"]] == [3]
+
+
 # -- planted defects: every Poisson check must be able to fail ----------------
 
 

@@ -116,7 +116,7 @@ def test_twisted_parity_and_sign_symmetry():
 
 
 def test_symbol_homomorphy_seeded():
-    _all_ok(verify_symbol_homomorphy(IndexSet.plain(2), 2, seed=9, pairs=15))
+    _all_ok(verify_symbol_homomorphy(IndexSet.plain(2), 2, seed=9))
 
 
 def test_laplace_consistency_small():

@@ -72,6 +72,15 @@ def test_twisted_symmetry_loads_no_poisson_side(tmp_path):
     assert not loaded & {"bethe.poisson", "bethe.certify"}
 
 
+def test_rtt_on_so_loads_no_twisted_layer(tmp_path):
+    # the R-matrix identities and the relations of T(u) are one suite each
+    # on every index set, the mixed relation included
+    loaded = loaded_by_cli(["verify", "rtt", "--kind", "so", "--n", "1",
+                            "--odd", "--D", "1"], tmp_path)
+    assert {"bethe.tensor", "bethe.yangian"} <= loaded
+    assert "bethe.twisted" not in loaded
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "rho-hom", "--kind", "so", "--n", "1", "--odd", "--D", "1"],
     ["verify", "image-commute", "--kind", "gl", "--N", "2", "--D", "1"],

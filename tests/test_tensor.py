@@ -13,9 +13,8 @@ from bethe.tensor import (TensorElement, alternator_rows, flip,
                           group_alternator, group_product, group_trace,
                           h_k_orientation, pair_step, q_tensor, r_product,
                           site_action, tensor_ring, trace_words,
-                          verify_antisymmetrizers, verify_mixed_yang_baxter,
-                          verify_r_identities, verify_yang_baxter)
-from bethe.yangian import t_site_series
+                          verify_antisymmetrizers, verify_r_identities)
+from bethe.yangian import t_site_series, verify_rtt
 import oracles
 from oracles import (alternator, antisymmetrizer, antisymmetrizer_oracle,
                      group_image, partial_trace, perm_operator, trace_all,
@@ -56,27 +55,52 @@ def test_r_identities_all_sizes():
 def test_r_identities_fail_for_wrong_r_matrices(monkeypatch):
     from bethe import tensor
 
-    so3 = IndexSet.signed(3, "so")
-    real_q, real_flip = tensor.q_tensor, tensor.flip
-    # R~(u) = u + Q: (u + Q)(N - u + Q) = (Nu - u^2) + 2N Q
-    monkeypatch.setattr(tensor, "q_tensor", lambda *a: -real_q(*a))
-    rows = verify_r_identities(so3)
-    assert [ok for _, ok in rows] == [True, False]
-    # R(u) = u - 2P: (u - 2P)(-u - 2P) = (4 - u^2) id
+    real_flip = tensor.flip
+    # R(u) = u - 2P: (u - 2P)(-u - 2P) = (4 - u^2) id, while u - cP solves
+    # Yang-Baxter for every c, so only the unitarity row sees this fault;
+    # the faults of Q are planted in test_q_faults_fail_the_twisted_rows
     monkeypatch.setattr(tensor, "flip", lambda *a: real_flip(*a).scale_rat(2))
-    assert not any(ok for _, ok in verify_r_identities(IndexSet.plain(2)))
+    for N in (2, 3):
+        assert dict(verify_r_identities(IndexSet.plain(N))) == {
+            f"R(u)R(-u) = (1-u^2) id, N={N}": False,
+            f"Yang-Baxter N={N}": True}
+
+
+@pytest.mark.parametrize("fault", ["P", "-Q", "2Q"])
+@pytest.mark.parametrize("form, N", [("so", 3), ("sp", 2), ("so", 4)])
+def test_q_faults_fail_the_twisted_rows(monkeypatch, fault, form, N):
+    # a wrong Q in R~(u) = u - Q (for -Q: (u + Q)(N - u + Q) =
+    # (Nu - u^2) + 2N Q) fails the unitarity of R~, the three mixed
+    # exchanges and the mixed relation, and no row that reads only R
+    from bethe import tensor
+
+    real_q, real_flip = tensor.q_tensor, tensor.flip
+    monkeypatch.setattr(tensor, "q_tensor", {
+        "P": real_flip, "-Q": lambda i: -real_q(i),
+        "2Q": lambda i: real_q(i).scale_rat(2)}[fault])
+    iset = IndexSet.signed(N, form)
+    rows = dict(verify_r_identities(iset))
+    assert rows.pop(f"R(u)R(-u) = (1-u^2) id, N={N}")
+    assert set(rows) == {f"R~(u)R~(N-u) = (Nu-u^2) id, {form}_{N}"} | {
+        f"{which} mixed exchange ({form}_{N})"
+        for which in ("first", "second", "third")}
+    assert not any(rows.values()), rows
+    rtt = verify_rtt(YangianRule(iset), 2)
+    assert all(ok for item, ok in rtt if item.startswith("coefficient"))
+    assert not all(ok for item, ok in rtt if item.startswith("mixed relation"))
 
 
 def test_yang_baxter():
     for N in (2, 3):
-        _all_ok(verify_yang_baxter(IndexSet.plain(N)))
+        assert dict(verify_r_identities(IndexSet.plain(N)))[
+            f"Yang-Baxter N={N}"]
 
 
 def test_mixed_yang_baxter():
     for form, N in (("so", 3), ("sp", 2)):
-        _all_ok(verify_mixed_yang_baxter(IndexSet.signed(N, form)))
-    with pytest.raises(ValueError):
-        verify_mixed_yang_baxter(IndexSet.plain(2))
+        rows = dict(verify_r_identities(IndexSet.signed(N, form)))
+        for which in ("first", "second", "third"):
+            assert rows[f"{which} mixed exchange ({form}_{N})"]
 
 
 def test_antisymmetrizer_matches_oracle_and_projects():

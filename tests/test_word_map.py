@@ -145,7 +145,7 @@ def test_reflection_multiplies_each_word_prefix_once(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(AlgebraElement, "__mul__", counted)
-    rows = verify_reflection(ctx, D, D)
+    rows = verify_reflection(ctx, D)
     assert rows and all(ok for _, ok in rows)
     assert len(prefixes) > 100
     assert len(products) == len(prefixes)

@@ -49,6 +49,11 @@ def test_rtt_negative_control():
 
     rows = verify_rtt(Corrupted(IndexSet.plain(2)), 2)
     assert any(not ok for _, ok in rows)
+    # on so/sp the mixed relation sees the fault too
+    for iset in (IndexSet.signed(3, "so"), IndexSet.signed(2, "sp")):
+        rows = verify_rtt(Corrupted(iset), 2)
+        assert any(not ok for item, ok in rows
+                   if item.startswith("mixed relation"))
 
 
 def test_fusion():
