@@ -278,7 +278,7 @@ def run_check(cfg: RunConfig, name: str) -> list:
         # the parity zeros are reported as rows below, not raised
         family = bethe_family(context, cfg.z, parity_guard=False)
         details = verify_jacobian_rank(context, family, seed=cfg.seed)
-        if context.kind == "twisted":
+        if iset.kind == "signed":
             details += verify_twisted_parity(context, family)
         return details
 

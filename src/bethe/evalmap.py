@@ -4,7 +4,7 @@ matrix representation.
 * pi: level-1 generators map to enveloping-algebra generators E_ij, all
   higher levels to zero.
 * rho: defined on formal S-words; S_ij^(r) maps to F_ij (-+1/2)^{r-1} with
-  F_ij = E_ij - eps_ij E_{-j,-i} (upper sign: orthogonal case).
+  F_ij = E_ij - eps_ij E_{-j,-i} (upper sign `IndexSet.upper`: so).
 
 Both are `WordMap`s: `pi_map` and `rho_map` build one for a target
 `GlRule`, and a check builds it once, so each distinct word is multiplied
@@ -47,11 +47,11 @@ def f_element(gl_rule: GlRule, i: int, j: int) -> AlgebraElement:
 
 def rho_map(gl_rule: GlRule) -> WordMap:
     """rho as a word map on formal S-words: S_ij^(r) -> F_ij (-+1/2)^{r-1}
-    (upper sign for the orthogonal form)."""
+    (the upper sign `IndexSet.upper` for the orthogonal form)."""
     iset = gl_rule.index_set
     if iset.kind != "signed":
         raise ValueError("rho needs a signed index set with a declared form")
-    half = rat(-1, 2) if iset.form == "so" else rat(1, 2)
+    half = rat(-iset.upper, 2)
     return WordMap(gl_rule, lambda g: f_element(gl_rule, g[1], g[2])
                    * half ** (g[0] - 1))
 

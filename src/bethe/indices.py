@@ -4,8 +4,10 @@ Two index conventions are used throughout:
 
 * plain: indices 1..N (the general-linear case);
 * signed: indices -n..-1,1..n (N = 2n) or -n..-1,0,1..n (N = 2n + 1),
-  carrying a form type ("so" orthogonal / "sp" symplectic), the sign
-  factors eps_ij and the prime transposition E_ij' = eps_ij E_{-j,-i}.
+  carrying a form type ("so" orthogonal / "sp" symplectic) and its signs:
+  theta_i (-1 on the negative indices of sp, else 1), the sign factors
+  eps_ij = theta_i theta_j of the prime transposition E_ij' =
+  eps_ij E_{-j,-i}, and the upper sign, +1 for so and -1 for sp.
 
 Signed indices are ordered -n < ... < -1 < 0 < 1 < ... < n, so ordinary
 integer comparison gives the canonical order in both conventions.
@@ -19,7 +21,7 @@ from .rationals import parse_rat, rat
 
 
 class IndexSet:
-    __slots__ = ("kind", "N", "form", "_indices")
+    __slots__ = ("kind", "N", "form", "_indices", "theta", "upper")
 
     def __init__(self, kind: str, N: int, form: str | None = None):
         if kind not in ("plain", "signed"):
@@ -37,6 +39,10 @@ class IndexSet:
         self._indices = (tuple(range(1, N + 1)) if kind == "plain" else
                          tuple(i for i in range(-(N // 2), N // 2 + 1)
                                if i or N % 2))
+        # {i: theta_i} and the upper sign, None on a plain set
+        self.theta = ({i: -1 if form == "sp" and i < 0 else 1
+                       for i in self._indices} if form else None)
+        self.upper = {"so": 1, "sp": -1}.get(form)
 
     @staticmethod
     def plain(N: int) -> "IndexSet":
@@ -61,13 +67,10 @@ class IndexSet:
             raise ValueError(f"index {i} outside {self!r}")
 
     def eps(self, i: int, j: int) -> int:
-        """eps_ij: sgn(i)sgn(j) for sp, 1 for so; undefined on plain sets."""
-        if self.kind != "signed":
+        """eps_ij = theta_i theta_j; undefined on plain sets."""
+        if self.theta is None:
             raise ValueError("eps is only defined for signed index sets")
-        if self.form == "so":
-            return 1
-        s = (1 if i > 0 else -1) * (1 if j > 0 else -1)
-        return s
+        return self.theta[i] * self.theta[j]
 
     def __eq__(self, other):
         return isinstance(other, IndexSet) and \

@@ -2,16 +2,15 @@
 brackets, determinant-expansion families and exact rank certificates.
 
 Variables v_ij^(r) (1 <= r <= M) are tagged by the same (level, row, col)
-triples as the noncommutative generators.  The index set fixes one of two
-contexts:
+triples as the noncommutative generators.  The kind of the index set fixes
+the context, and its signs (`IndexSet.eps`) the twist:
 
-* plain (a plain index set) -- coordinates on the truncated current space
-  gl_N + ... + gl_N t^{M-1}; bracket window r = max(1, p+q-M) .. min(p,q);
-* twisted (a signed index set) -- coordinates on the sigma-twisted current
-  space, subject to the linear relations y_ij^(r) = eps_ij (-1)^r
-  y_{-j,-i}^(r); every polynomial is kept in a fixed fundamental-domain
-  normal form, and the bracket carries the extra eps-twisted sum with the
-  (-1)^{p+r-1} factor.
+* plain -- coordinates on the truncated current space gl_N + ... +
+  gl_N t^{M-1}; bracket window r = max(1, p+q-M) .. min(p,q);
+* signed -- coordinates on the sigma-twisted current space, subject to
+  the linear relations y_ij^(r) = eps_ij (-1)^r y_{-j,-i}^(r); every
+  polynomial is kept in a fixed fundamental-domain normal form, and the
+  bracket carries the extra eps-twisted sum with the (-1)^{p+r-1} factor.
 
 Every rank certificate evaluates at a `CurrentPoint`: partial derivatives
 in one gradient pass per polynomial, then Bareiss fraction-free
@@ -33,15 +32,14 @@ from .rationals import ONE, accumulate, binomial, div, rat
 
 
 class PoissonContext:
-    """Variable universe and bracket flavour at level M: 'plain' on a
-    plain index set, 'twisted' on a signed one."""
+    """Variable universe and bracket at level M, plain or twisted as the
+    index set is plain or signed."""
 
-    __slots__ = ("kind", "index_set", "M", "_vars", "_bracket_cache")
+    __slots__ = ("index_set", "M", "_vars", "_bracket_cache")
 
     def __init__(self, index_set: IndexSet, M: int):
         if M < 1:
             raise ValueError("M must be >= 1")
-        self.kind = "twisted" if index_set.kind == "signed" else "plain"
         self.index_set = index_set
         self.M = M
         self._vars = None
@@ -63,7 +61,7 @@ class PoissonContext:
         r, i, j = v
         if r > self.M:
             return None  # killed by the truncation ideal
-        if self.kind == "plain":
+        if self.index_set.kind == "plain":
             return (1, v)
         a, b = -j, -i
         s = self.index_set.eps(i, j) * (-1) ** r
@@ -117,7 +115,7 @@ class PoissonContext:
         for r in range(lo, hi + 1):
             put(r - 1, (k, j), p + q - r, (i, l), ONE)
             put(p + q - r, (k, j), r - 1, (i, l), -ONE)
-            if self.kind == "twisted":
+            if self.index_set.kind == "signed":
                 eps = self.index_set.eps
                 sgn = (-1) ** (p + r - 1)
                 put(r - 1, (i, -k), p + q - r, (-j, l), sgn * eps(k, -j))
@@ -455,7 +453,7 @@ def bethe_family(context: PoissonContext, z: ZMatrix, *,
             if dv == N - k and not (0 <= k * M - du <= k * M):
                 raise AssertionError(
                     "unexpected degree in determinant expansion")
-        if parity_guard and context.kind == "twisted":
+        if parity_guard and context.index_set.kind == "signed":
             for r, p in enumerate(out):
                 if (N - k + r) % 2 != 0 and p:
                     raise AssertionError(

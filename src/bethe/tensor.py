@@ -202,19 +202,18 @@ def alternator_rows(k: int, index_set: IndexSet) -> TensorElement:
 
 def _pair_action(x: dict, p: int, q: int, index_set: IndexSet) -> dict:
     """x . Q_pq for vectors keyed (label, multi-index), p < q.  On sites p
-    and q, Q = sum_bd eps_bd |-b,b><-d,d| with eps_bd = sign_b sign_d: it
+    and q, Q = sum_bd theta_b theta_d |-b,b><-d,d| (`IndexSet.theta`): it
     has rank one and is symmetric, so this is Q_pq . x as well."""
-    sign = {d: -1 if index_set.form == "sp" and d < 0 else 1
-            for d in index_set.indices()}
+    theta = index_set.theta
     groups: dict = {}
     for (lab, col), v in x.items():
         b = col[q - 1]
         if col[p - 1] == -b:
             key = (lab, col[:p - 1], col[p:q - 1], col[q:])
-            groups[key] = groups.get(key, 0) + sign[b] * v
-    return {(lab, head + (-d,) + mid + (d,) + tail): sign[d] * s
+            groups[key] = groups.get(key, 0) + theta[b] * v
+    return {(lab, head + (-d,) + mid + (d,) + tail): t * s
             for (lab, head, mid, tail), s in groups.items() if s
-            for d in sign}
+            for d, t in theta.items()}
 
 
 def site_action(x: list, p: int, m: list, ring: Ring, left: bool) -> list:

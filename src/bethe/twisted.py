@@ -55,9 +55,9 @@ from .yangian import (centrality_rows, commutator_table, hat_identity_rows,
 
 
 class TwistedContext:
-    """Bundles the signed index set with the formal S-word carrier, its
-    expansion into the Yangian and the sign conventions (upper sign =
-    orthogonal, lower = symplectic).
+    """Bundles the signed index set, which holds the signs (`IndexSet.eps`,
+    `IndexSet.upper`), with the formal S-word carrier and its expansion
+    into the Yangian.
 
     It keeps, in the word map behind `s_expand`, the image of every S-word
     it has expanded; a one-letter word's image is the generator that
@@ -71,8 +71,6 @@ class TwistedContext:
         self.index_set = index_set
         self.yang_rule = YangianRule(index_set)
         self.s_rule = FreeRule(index_set)
-        # the "upper" sign of the double-sign conventions
-        self.upper = index_set.form == "so"
         self._s_map = WordMap(self.yang_rule, self.expand_gen)
 
     def s_gen(self, i: int, j: int, r: int) -> AlgebraElement:
@@ -113,9 +111,7 @@ def symmetry_residual_free(ctx: TwistedContext, i: int, j: int, r: int) -> Algeb
     eps = ctx.index_set.eps(i, j)
     res = ctx.s_gen(i, j, r) - ctx.s_gen(-j, -i, r) * (eps * (-1) ** r)
     if r % 2 == 0:
-        # right-hand side is -+ S_ij^(r-1); the upper sign (so) gives minus
-        rhs_sign = -1 if ctx.upper else 1
-        res = res - ctx.s_gen(i, j, r - 1) * rhs_sign
+        res = res + ctx.s_gen(i, j, r - 1) * ctx.index_set.upper
     return res
 
 
@@ -160,12 +156,10 @@ def reflection_residual(ctx: TwistedContext, D: int) -> BiLaurent:
 
 def reflection_rows(label: str, ctx: TwistedContext, D: int, image) -> list:
     """One row "label (i,j,k,l)" per index tuple whose entry ((i,k),(j,l))
-    of the reflection residual has a coefficient at some u^-r v^-s with
-    r+s <= D (any other row could not fail): does the algebra map `image`
-    kill them all?  So D = 1, or D = 2 for sp2, gives none.  The trusted
-    window is r, s <= D - 2, so for D <= 4 this is all of it."""
-    window = [c for (eu, ev), c in reflection_residual(ctx, D).entries.items()
-              if -(eu + ev) <= D]
+    of the reflection residual has a coefficient in its window (any other
+    row could not fail): does the algebra map `image` kill them all?  So
+    D = 1, or D = 2 for sp2, gives none."""
+    window = reflection_residual(ctx, D).entries.values()
     details = []
     for i, j, k, l in product(ctx.index_set.indices(), repeat=4):
         key = ((i, k), (j, l))
@@ -178,7 +172,7 @@ def reflection_rows(label: str, ctx: TwistedContext, D: int, image) -> list:
 
 def verify_reflection(ctx: TwistedContext, D: int) -> list:
     """The reflection relation, read from the matrix-form residual through
-    `s_expand` at the coefficients of u^-r v^-s with r+s <= D."""
+    `s_expand` at every coefficient of its window."""
     return reflection_rows("reflection", ctx, D, ctx.s_expand)
 
 
@@ -237,9 +231,9 @@ def expanded_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
 
 
 def theta_series(ctx: TwistedContext, D: int) -> TruncatedSeries:
-    """theta(u) = 1 + N/(1-2u) for sp, 1 for so."""
+    """theta(u) = 1 + N/(1-2u) for sp, 1 for so (the upper sign)."""
     one = TruncatedSeries.one(RATIONAL_RING, D)
-    if ctx.upper:
+    if ctx.index_set.upper > 0:
         return one
     N = ctx.index_set.N
     return one + one_over_c_minus_2u(1, D) * N
@@ -268,7 +262,7 @@ def verify_twisted_commutativity(ctx: TwistedContext, z: ZMatrix,
     D = budget - 1
     N = ctx.index_set.N
     series = {k: expanded_bethe_series(ctx, k, z, D) for k in range(1, N + 1)}
-    return commutator_table(series, "A", budget, D)
+    return commutator_table(series, "A", budget)
 
 
 # -- inverse-series generators -------------------------------------------------------------

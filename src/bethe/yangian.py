@@ -258,12 +258,14 @@ def verify_centrality(rule: YangianRule, D: int) -> list:
                            rule.index_set.indices(), D)
 
 
-def commutator_table(series: dict, letter: str, budget: int, D: int) -> list:
+def commutator_table(series: dict, letter: str, budget: int) -> list:
     """Rows [X_k coeff r, X_l coeff s] = 0 for the family
     {k: X_k(u), k = 1..N}, k <= l, orders 1..D with r + s <= budget (r < s
-    when k = l); X is the row letter.  Each coefficient X_k coeff r has
-    one derivation, applied to every coefficient it is paired with."""
+    when k = l), D the series' truncation; X is the row letter.  Each
+    coefficient X_k coeff r has one derivation, applied to every
+    coefficient it is paired with."""
     N = len(series)
+    D = series[1].trunc
     ads = {(k, r): derivation(series[k].coeffs[r])
            for k in range(1, N + 1) for r in range(1, D + 1)}
     details = []
@@ -284,10 +286,9 @@ def verify_bethe_commutativity(z: ZMatrix, rule: YangianRule,
                                budget: int) -> list:
     """Rows [B_k coeff r, B_l coeff s] = 0 with r + s <= budget, from series
     truncated at D = budget - 1."""
-    D = budget - 1
     N = rule.index_set.N
-    series = {k: bethe_series(k, z, rule, D) for k in range(1, N + 1)}
-    return commutator_table(series, "B", budget, D)
+    series = {k: bethe_series(k, z, rule, budget - 1) for k in range(1, N + 1)}
+    return commutator_table(series, "B", budget)
 
 
 def hat_identity_rows(label: str, N: int, family, hat) -> list:

@@ -500,6 +500,42 @@ def test_prop36_fails_for_the_flip_in_the_exchange(monkeypatch, tmp_path):
     assert {**row, "residual_zero": False} in rows
 
 
+def _plant_theta(monkeypatch, theta):
+    """Every sp index set built afterwards carries the signs theta(i, t),
+    t its own theta_i; the upper sign is left as it is."""
+    from bethe.indices import IndexSet
+
+    real = IndexSet.__init__
+
+    def planted(self, kind, N, form=None):
+        real(self, kind, N, form)
+        if form == "sp":
+            self.theta = {i: theta(i, t) for i, t in self.theta.items()}
+
+    monkeypatch.setattr(IndexSet, "__init__", planted)
+
+
+# each reads eps through theta together with the upper sign
+SP_SIGN_CHECKS = [
+    ["verify", "twisted-symmetry", "--kind", "sp", "--n", "1", "--D", "3"],
+    ["verify", "sklyanin", "--kind", "sp", "--n", "1", "--D", "2"],
+    ["verify", "prop36", "--kind", "sp", "--n", "1", "--D", "2"],
+    ["verify", "rho-hom", "--kind", "sp", "--n", "1", "--D", "3"],
+    ["verify", "jacobian", "--kind", "sp", "--n", "1", "--M", "3"],
+]
+
+
+@pytest.mark.parametrize("theta, code", [
+    # the so convention on sp: eps = 1 everywhere
+    pytest.param(lambda i, t: 1, 1, id="theta-one"),
+    # -theta is no fault, as eps = theta_i theta_j does not change
+    pytest.param(lambda i, t: -t, 0, id="theta-negated"),
+])
+def test_sp_checks_see_the_wrong_theta(monkeypatch, theta, code):
+    _plant_theta(monkeypatch, theta)
+    assert [main(args) for args in SP_SIGN_CHECKS] == [code] * 5
+
+
 def _drop_the_eps_partner(monkeypatch):
     """F_ij = E_ij alone: rho no longer factors through the symmetry
     relation, nor through the reflection relation."""
@@ -683,15 +719,39 @@ def test_prop36_fails_for_an_uninverted_hat_s(monkeypatch):
     assert main(PROP36_SP2) == 1
 
 
+SKLYANIN_SO3_D4 = ["verify", "sklyanin", "--kind", "so", "--n", "1", "--odd",
+                   "--D", "4"]
+
+
 def test_reversed_words_change_the_formal_table(monkeypatch, tmp_path):
-    # Letters multiplied in reverse order leave every family unchanged
-    # once expanded into the Yangian, so no verify check can see this
-    # fault; the formal S-words of A_k can, from order 3 on.
+    # Letters multiplied in reverse order change the formal S-words of A_k
+    # from order 3 on, and sklyanin so3 from order 4 on: the determinant
+    # identity at u^-4 and the centrality of A_N coeff 4 fail.  At D <= 3
+    # every verify check passes.
     args = ["compute", "twisted-bethe", "--kind", "so", "--n", "1", "--odd",
             "--D", "3", "--out"]
     assert main(args + [str(tmp_path / "good.json")]) == 0
+    assert main(SKLYANIN_SO3_D4) == 0
     _plant_in_trace_words(monkeypatch, "word_series(w[:-1]) * letters[w[-1]]",
                           "letters[w[-1]] * word_series(w[:-1])")
     assert main(args + [str(tmp_path / "bad.json")]) == 0
+    assert (tmp_path / "good.json").read_text() != \
+        (tmp_path / "bad.json").read_text()
+    assert main(SKLYANIN_SO3_D4) == 1
+
+
+def test_steps_walked_backwards_change_the_formal_table(monkeypatch,
+                                                       tmp_path):
+    # The steps walked from the last to the first, each word's letters in
+    # that order, leave the formal tables of A_k at so3 through D = 3 and
+    # every verify check tried unchanged (sklyanin so3 through D = 5
+    # among them); the formal S-words of A_k at D = 4 see the fault.
+    args = ["compute", "twisted-bethe", "--kind", "so", "--n", "1", "--odd",
+            "--D", "4", "--out"]
+    assert main(args + [str(tmp_path / "good.json")]) == 0
+    _plant_in_trace_words(monkeypatch, "in enumerate(steps)",
+                          "in reversed(list(enumerate(steps)))")
+    assert main(args + [str(tmp_path / "bad.json")]) == 0
+    assert main(SKLYANIN_SO3_D4) == 0
     assert (tmp_path / "good.json").read_text() != \
         (tmp_path / "bad.json").read_text()

@@ -27,10 +27,17 @@ def var(ctx, r, i, j):
 
 
 def test_context_kind_follows_the_index_set():
-    assert PoissonContext(IndexSet.plain(2), 1).kind == "plain"
+    # the context is plain or twisted as its index set is plain or signed:
+    # a plain context keeps v_11^(1), a twisted one folds it into
+    # -v_{-1,-1}^(1)
+    ctx = PoissonContext(IndexSet.plain(2), 1)
+    assert ctx.index_set.kind == "plain"
+    assert ctx.reduce_var((1, 1, 1)) == (1, (1, 1, 1))
     for iset in (IndexSet.signed(2, "sp"), IndexSet.signed(3, "so"),
                  IndexSet.signed(4, "so")):
-        assert PoissonContext(iset, 2).kind == "twisted"
+        ctx = PoissonContext(iset, 2)
+        assert ctx.index_set.kind == "signed"
+        assert ctx.reduce_var((1, 1, 1)) == (-1, (1, -1, -1))
     with pytest.raises(ValueError):
         PoissonContext(IndexSet.plain(2), 0)
 

@@ -9,8 +9,8 @@ from bethe.indices import IndexSet, ZMatrix, perm_sign
 from bethe.rationals import Q, binomial
 from bethe.series import (RATIONAL_RING, BiLaurent, TruncatedSeries,
                           algebra_ring, one_over_c_minus_2u)
-from bethe.tensor import (TensorElement, alternator_rows, flip,
-                          group_alternator, group_product, group_trace,
+from bethe.tensor import (TensorElement, _pair_action, alternator_rows,
+                          flip, group_alternator, group_product, group_trace,
                           h_k_orientation, pair_step, q_tensor, r_product,
                           site_action, tensor_ring, trace_words,
                           verify_antisymmetrizers, verify_r_identities)
@@ -24,6 +24,30 @@ from oracles import (alternator, antisymmetrizer, antisymmetrizer_oracle,
 def _all_ok(rows):
     bad = [item for item, ok in rows if not ok]
     assert not bad, bad
+
+
+SIGNED = [(form, N) for form in ("so", "sp") for N in range(2, 8)
+          if form == "so" or N % 2 == 0]
+
+
+@pytest.mark.parametrize("form, N", SIGNED)
+def test_the_index_set_holds_the_signs(form, N):
+    # theta_i is -1 on the negative indices of sp and 1 otherwise, eps_ij
+    # = theta_i theta_j, and the upper sign is +1 for so and -1 for sp
+    iset = IndexSet.signed(N, form)
+    idx = iset.indices()
+    assert iset.theta == {i: -1 if form == "sp" and i < 0 else 1
+                          for i in idx}
+    assert all(iset.eps(i, j) == iset.theta[i] * iset.theta[j]
+               for i in idx for j in idx)
+    assert iset.upper == {"so": 1, "sp": -1}[form]
+    if N > 4:
+        return
+    # x . Q_pq on the basis rows of three sites gives the rows of Q_pq
+    basis = {(c, c): 1 for c in product(idx, repeat=3)}
+    for p, q in ((1, 2), (1, 3), (2, 3)):
+        assert _pair_action(basis, p, q, iset) \
+            == q_tensor(iset).embed((p, q), 3).entries
 
 
 def test_perm_sign():

@@ -164,7 +164,7 @@ def test_reflection_relation_componentwise():
 
 
 def test_reflection_matrix_form_and_mixed_rtt():
-    # total order D = 4 covers the whole trusted window r, s <= D - 2 = 2
+    # the rows read the whole trusted window r, s <= D - 2 = 2
     _all_ok(verify_reflection(SP2, 4))
     _all_ok(verify_rtt(SP2.yang_rule, 2))
     _all_ok(verify_rtt(SO3.yang_rule, 2))
@@ -457,7 +457,7 @@ def test_reflection_entry_is_minus_the_componentwise_residual(iset, D,
         rule, image = ctx.yang_rule, ctx.s_expand
         gen = lambda r, i, j: ctx.expand_gen((r, i, j))
     res = reflection_residual(ctx, D)
-    # at D <= 4, total order D covers the whole trusted window
+    # the rows read every coefficient of the residual's window
     rows = dict(twisted.reflection_rows("r", ctx, D, image))
     nonzero = False
     for i, j, k, l in product(iset.indices(), repeat=4):
@@ -494,3 +494,27 @@ def test_reflection_rows_read_entry_ik_jl():
             word in c.terms for c in res.entries.values())
     assert dict(rows) == want
     assert not all(want.values())
+
+
+@pytest.mark.parametrize("iset, D", [(IndexSet.signed(3, "so"), 5),
+                                     (IndexSet.signed(2, "sp"), 6)])
+def test_reflection_rows_read_the_corner_of_the_window(iset, D):
+    # the trusted window is r, s <= D - 2; its corner u^-(D-2) v^-(D-2) lies
+    # past total order D (u^-3 v^-3 at so3 D = 5, u^-4 v^-4 at sp2 D = 6).
+    # A probe for one word that only the corner coefficient holds must
+    # flag exactly the entries that hold it there.
+    ctx = TwistedContext(iset)
+    res = reflection_residual(ctx, D)
+    assert (res.cap_u, res.cap_v) == (D - 2, D - 2)
+    corner = (2 - D, 2 - D)
+    held = {}
+    for e, c in res.entries.items():
+        for x in c.entries.values():
+            for w in x.terms:
+                held.setdefault(w, set()).add(e)
+    word = min(w for w, es in held.items() if es == {corner})
+    rows = twisted.reflection_rows("r", ctx, D, lambda c: word in c.terms)
+    want = {f"r ({i},{j},{k},{l})"
+            for ((i, k), (j, l)), x in res.entries[corner].entries.items()
+            if word in x.terms}
+    assert want and {item for item, ok in rows if not ok} == want

@@ -132,8 +132,7 @@ def test_reflection_multiplies_each_word_prefix_once(monkeypatch):
         for i in idx:
             for j in idx:
                 ctx.s_expand(ctx.s_gen(i, j, r))
-    window = [c for (eu, ev), c in reflection_residual(ctx, D).entries.items()
-              if -(eu + ev) <= D]
+    window = reflection_residual(ctx, D).entries.values()
     prefixes = {w[:n] for c in window for e in c.entries.values()
                 for w in e.terms for n in range(2, len(w) + 1)}
     real = AlgebraElement.__mul__
