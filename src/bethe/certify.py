@@ -121,13 +121,14 @@ def verify_jacobian_rank(context: PoissonContext, family: dict,
 
 
 def verify_poisson_rank(context: PoissonContext) -> list:
-    """Rank of the bracket at the principal-nilpotent base point placed at
-    the top level equals the bracket rank of `rank_table` (twice the slice
-    codimension invariant), and the bracket matrix there is
-    antisymmetric."""
+    """Rank of the bracket at the principal nilpotent placed at the top
+    level, its partner entries completed by the context, equals the
+    bracket rank of `rank_table` (twice the slice codimension invariant),
+    and the bracket matrix there is antisymmetric."""
     expected = _table_rank(context, 1)
-    pt = CurrentPoint.from_level_matrix(
-        context, context.M, principal_nilpotent(context.index_set))
+    pt = CurrentPoint(context, {
+        (context.M, i, j): x
+        for (i, j), x in principal_nilpotent(context.index_set).items()})
     rows = bracket_matrix(pt, context)
     rank = matrix_rank(rows)
     antisymmetric = all(x == -y for row, col in zip(rows, zip(*rows))
@@ -147,15 +148,16 @@ def verify_twisted_parity(context: PoissonContext, family: dict) -> list:
     return details
 
 
-def verify_classical_slice_rank(n: int, z: ZMatrix, seed: int = 7) -> list:
-    """Even-orthogonal classical family: the determinant coefficients
-    restricted to the Borel slice are a complete independent set (rank
-    equals the slice dimension n^2), as the Jacobian in the free
-    coordinates at points that keep the base values elsewhere."""
-    context = PoissonContext(IndexSet.signed(2 * n, "so"), 1)
+def verify_classical_slice_rank(context: PoissonContext, z: ZMatrix,
+                                seed: int = 7) -> list:
+    """Even-orthogonal classical family (the context at M = 1): the
+    determinant coefficients restricted to the Borel slice are a complete
+    independent set (rank equals the slice dimension n^2), as the Jacobian
+    in the free coordinates at points that keep the base values
+    elsewhere."""
     fs = bethe_family_polys(bethe_family(context, z))
     base, free = upper_slice(context)
-    expected = n * n
+    expected = context.index_set.n ** 2
     rng = random.Random(seed)
 
     def point(t):

@@ -12,9 +12,10 @@ Two subcommands:
 Both exit with status 2 on usage errors and 3 on internal errors.  A usage
 error is bad outside input: an unknown check, a missing or out-of-range
 flag, an --M outside the rank tables of ``verify jacobian`` and ``verify
-poisson-rank``, a --z-symmetry that is not sign-matched for ``verify
-prop36`` (so needs symmetric, sp skew), a --z-symmetry other than skew for
-the Poisson-side ops on so/sp that build the determinant family
+poisson-rank``, an --M other than 1 or a kind other than so with even N
+for ``verify classical-so2n``, a --z-symmetry that is not sign-matched for
+``verify prop36`` (so needs symmetric, sp skew), a --z-symmetry other than
+skew for the Poisson-side ops on so/sp that build the determinant family
 (`SKEW_Z_OPS`), a --k other than N for ``compute qdet``, a malformed or
 unreadable --Z, or an output path that cannot be written.  `RunConfig`
 turns every such input into a `UsageError` before any computation starts.
@@ -101,6 +102,12 @@ class RunConfig:
                 raise UsageError(f"--M {args.M} is outside the rank tables: "
                                  "they hold odd M for sp and odd so, even M "
                                  "for even so")
+        if op == "classical-so2n":
+            if self.index_set.form != "so" or N % 2:
+                raise UsageError("classical-so2n needs kind so with even N")
+            if args.M != 1:
+                raise UsageError("classical-so2n is the certificate at "
+                                 "--M 1 only")
         if args.k is not None and not 1 <= args.k <= N:
             raise UsageError(f"--k must be in 1..{N}")
         if op == "qdet" and args.k not in (None, N):
@@ -288,11 +295,10 @@ def run_check(cfg: RunConfig, name: str) -> list:
         return verify_poisson_rank(cfg.poisson_ctx())
 
     if name == "classical-so2n":
-        if iset.kind != "signed" or iset.form != "so" or iset.N % 2:
-            raise UsageError("classical-so2n needs kind so with even N")
         from .certify import verify_classical_slice_rank
 
-        return verify_classical_slice_rank(iset.n, cfg.z, seed=cfg.seed)
+        return verify_classical_slice_rank(cfg.poisson_ctx(), cfg.z,
+                                           seed=cfg.seed)
 
     raise UsageError(f"unknown check {name!r}")
 
@@ -427,10 +433,7 @@ def main(argv=None) -> int:
         dump_json(table, path)
         sys.stdout.write(f"{args.object}: table written -> {path}\n")
         return 0
-    except UsageError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except OSError as e:
+    except (UsageError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except Exception as e:

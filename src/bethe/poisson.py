@@ -12,6 +12,12 @@ the context, and its signs (`IndexSet.eps`) the twist:
   polynomial is kept in a fixed fundamental-domain normal form, and the
   bracket carries the extra eps-twisted sum with the (-1)^{p+r-1} factor.
 
+`PoissonContext.reduce_var` is the one place that knows how coordinates
+are tied.  A `CurrentPoint` holds values on the fundamental domain only,
+folding every value given elsewhere through it, so a base point is given
+by one entry per tied pair (`principal_nilpotent`) and the context
+completes the partners.
+
 Every rank certificate evaluates at a `CurrentPoint`: partial derivatives
 in one gradient pass per polynomial, then Bareiss fraction-free
 elimination on integer rows, all exact over the rationals.  There is one
@@ -312,45 +318,32 @@ def poisson_bracket(f: PoissonPoly, g: PoissonPoly) -> PoissonPoly:
 
 
 class CurrentPoint:
-    """Rational value for every variable of a context, stored on the full
-    index grid; twisted values must respect the eps-symmetry."""
+    """Rational values of a context's fundamental-domain variables.  A
+    value given at any other coordinate is folded onto its representative
+    through `PoissonContext.reduce_var`, times the sign, so a point may be
+    given by the entries of a matrix on the full grid."""
 
     __slots__ = ("context", "values")
 
     def __init__(self, context: PoissonContext, values: dict):
         self.context = context
-        idx = context.index_set.indices()
-        full: dict = {}
-        for r in range(1, context.M + 1):
-            for i in idx:
-                for j in idx:
-                    v = (r, i, j)
-                    red = context.reduce_var(v)
-                    if red is None:
-                        val = 0
-                    else:
-                        s, w = red
-                        val = rat(values.get(w, 0)) * s
-                    given = values.get(v)
-                    if given is not None and rat(given) != val:
-                        raise ValueError(
-                            f"value at {v} violates the context symmetry")
-                    full[v] = val
-        self.values = full
+        folded: dict = {}
+        for v, x in values.items():
+            x = rat(x)
+            red = context.reduce_var(v)
+            if red is None:
+                ok = not x
+            else:
+                s, w = red
+                x = x * s
+                ok = folded.setdefault(w, x) == x
+            if not ok:
+                raise ValueError(f"value at {v} violates the context symmetry")
+        self.values = {v: folded.get(v, 0) for v in context.variables()}
 
     def value(self, v: tuple):
-        r, i, j = v
-        if r > self.context.M:
-            return 0
+        """The value of a fundamental-domain variable."""
         return self.values[v]
-
-    @staticmethod
-    def from_level_matrix(context: PoissonContext, level: int,
-                          matrix: dict) -> "CurrentPoint":
-        """Point supported at a single level; `matrix` maps (i, j) to a
-        rational entry."""
-        return CurrentPoint(
-            context, {(level, i, j): v for (i, j), v in matrix.items()})
 
     @staticmethod
     def random(context: PoissonContext, seed: int) -> "CurrentPoint":
@@ -466,58 +459,42 @@ def bethe_family(context: PoissonContext, z: ZMatrix, *,
 # -- nilpotents and slices -------------------------------------------------------
 
 
-def principal_nilpotent(index_set: IndexSet, variant: str = "section4") -> dict:
-    """Regular nilpotent base points, as sparse {(i, j): rational}.
+def principal_nilpotent(index_set: IndexSet) -> dict:
+    """A regular nilpotent, as sparse {(i, j): rational} with one entry per
+    tied pair of coordinates and no sign: the context that places it
+    completes each entry's partner (`CurrentPoint`).
 
     plain:   E_21 + E_32 + ... (lower subdiagonal, unit entries);
-    signed:  the standard chain E_{p+1,p} - eps-partner completed by the
-             middle term E_{1,0} - E_{0,-1} (odd orthogonal), E_{1,-1}
-             (symplectic and even orthogonal, the latter with + chain
-             signs); variant 'lemma45' (even orthogonal only) replaces
-             the middle term by E_{2,-1} - E_{1,-2}.
+    signed:  the chain E_{p+1,p} for p = 1..n-1, then the middle term
+             E_{1,0} when 0 is an index, E_{1,-1} otherwise.
     """
     if index_set.kind == "plain":
-        if variant != "section4":
-            raise ValueError("plain index sets have a single variant")
         return {(i + 1, i): ONE for i in range(1, index_set.N)}
-    form, N, n = index_set.form, index_set.N, index_set.n
-    ent: dict = {}
-    if variant == "lemma45":
-        if not (form == "so" and N % 2 == 0):
-            raise ValueError("variant 'lemma45' is specific to even "
-                             "orthogonal index sets")
-        for i in range(1, n):
-            ent[(i + 1, i)] = ONE
-            ent[(-i, -i - 1)] = -ONE
-        ent[(2, -1)] = ONE
-        ent[(1, -2)] = -ONE
-        return ent
-    if variant != "section4":
-        raise ValueError(f"unknown variant {variant!r}")
-    chain_sign = ONE if (form == "so" and N % 2 == 0) else -ONE
-    for i in range(1, n):
-        ent[(i + 1, i)] = ONE
-        ent[(-i, -i - 1)] = chain_sign
-    if form == "so" and N % 2 == 1:
-        ent[(1, 0)] = ONE
-        ent[(0, -1)] = -ONE
-    else:
-        ent[(1, -1)] = ONE
+    ent = {(p + 1, p): ONE for p in range(1, index_set.n)}
+    ent[(1, 0) if 0 in index_set else (1, -1)] = ONE
     return ent
 
 
 def upper_slice(context: PoissonContext) -> tuple:
     """The Borel-directed slice of the even-orthogonal context through the
-    nilpotent of Lemma 4.5 placed at the top level, as (base, free):
-    `base` maps every fundamental-domain variable to its value at the
-    nilpotent, and the free coordinates are the upper-triangular ones at
-    every level.  The slice is the base point moved along the free
-    coordinates only."""
-    E = principal_nilpotent(context.index_set, "lemma45")
-    point = CurrentPoint.from_level_matrix(context, context.M, E)
-    base = {v: point.value(v) for v in context.variables()}
+    nilpotent of Lemma 4.5 placed at the top level, as (base, free).  The
+    nilpotent is the principal one with its middle term E_{1,-1} replaced
+    by E_{2,-1} (none on so_2); `base` maps every fundamental-domain
+    variable to its value there, and the free coordinates are the
+    upper-triangular ones at every level.  The slice is the base point
+    moved along the free coordinates only."""
+    iset = context.index_set
+    if iset.form != "so" or iset.N % 2:
+        raise ValueError("the slice of Lemma 4.5 is specific to even "
+                         "orthogonal index sets")
+    E = principal_nilpotent(iset)
+    del E[(1, -1)]
+    if 2 in iset:
+        E[(2, -1)] = ONE
+    point = CurrentPoint(context, {(context.M, i, j): x
+                                   for (i, j), x in E.items()})
     free = tuple(v for v in context.variables() if v[1] <= v[2])
-    return base, free
+    return point.values, free
 
 
 # -- exact ranks -----------------------------------------------------------------

@@ -92,6 +92,19 @@ def test_an_untabulated_m_is_a_usage_error(check, algebra, M, capsys):
     assert main(args + [str(M + 1)]) == 0
 
 
+def test_classical_so2n_is_the_certificate_at_m_one(tmp_path, capsys):
+    # the slice certificate is stated at M = 1; another --M is refused
+    # rather than run at M = 1 under a report that names it
+    out = tmp_path / "so2n.json"
+    args = ["verify", "classical-so2n", "--kind", "so", "--n", "2",
+            "--out", str(out), "--M"]
+    assert main(args + ["3"]) == 2
+    assert "--M 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["1"]) == 0
+    assert json.loads(out.read_text())["params"]["M"] == 1
+
+
 @pytest.mark.parametrize("algebra, wrong, matched", [
     (["--kind", "so", "--n", "1", "--odd"], [], "symmetric"),  # default skew
     (["--kind", "sp", "--n", "1"], ["--z-symmetry", "symmetric"], "skew"),
@@ -329,8 +342,8 @@ def test_poisson_rank_fails_at_a_non_regular_base_point(monkeypatch):
     assert main(args) == 0
     real = certify.principal_nilpotent
 
-    def without_middle_term(index_set, variant="section4"):
-        ent = real(index_set, variant)
+    def without_middle_term(index_set):
+        ent = real(index_set)
         del ent[(1, -1)]
         return ent
 
@@ -342,6 +355,35 @@ def test_classical_so2n_fails_for_non_generic_z():
     args = ["verify", "classical-so2n", "--kind", "so", "--n", "2"]
     assert main(args + ["--Z", "diag:1,2"]) == 0
     assert main(args + ["--Z", "diag:1,1"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "poisson-rank", "--kind", "sp", "--n", "2", "--M", "3"],
+    ["verify", "poisson-rank", "--kind", "sp", "--n", "3", "--M", "3"],
+    ["verify", "poisson-rank", "--kind", "so", "--n", "2", "--odd", "--M", "3"],
+    ["verify", "poisson-rank", "--kind", "so", "--n", "1", "--odd", "--M", "1"],
+    ["verify", "poisson-rank", "--kind", "so", "--n", "2", "--M", "2"],
+    ["verify", "classical-so2n", "--kind", "so", "--n", "2"],
+    ["verify", "classical-so2n", "--kind", "so", "--n", "3"],
+])
+def test_rank_checks_fail_when_the_point_drops_the_partners(monkeypatch,
+                                                            argv):
+    # a point that keeps only the values given on the fundamental domain
+    # loses every nilpotent entry whose representative is its partner
+    from bethe.poisson import CurrentPoint
+
+    assert main(argv) == 0
+    real = CurrentPoint.__init__
+
+    def dropping(self, context, values):
+        domain = set(context.variables())
+        real(self, context, {v: x for v, x in values.items() if v in domain})
+
+    monkeypatch.setattr(CurrentPoint, "__init__", dropping)
+    assert main(argv) == 1
+    # every gl coordinate is its own representative
+    assert main(["verify", "poisson-rank", "--kind", "gl", "--N", "4",
+                 "--M", "2"]) == 0
 
 
 def test_poisson_jacobi_fails_for_a_symmetric_bracket(monkeypatch):

@@ -140,6 +140,29 @@ def test_current_point_symmetry_is_validated():
     ctx = PoissonContext(iset, 2)
     with pytest.raises(ValueError):
         CurrentPoint(ctx, {(2, 1, -1): Q(1)})  # forced-zero coordinate
+    with pytest.raises(ValueError, match="violates"):
+        CurrentPoint(ctx, {(3, 1, 1): Q(1)})  # above the level M
+    assert CurrentPoint(ctx, {(3, 1, 1): 0, (2, 1, -1): 0}).values == \
+        CurrentPoint(ctx, {}).values
+
+
+def test_current_point_folds_a_partner_onto_its_representative():
+    # y_{i+1,i}^(M) = eps (-1)^M y_{-i,-i-1}^(M): a value given at the
+    # partner reads back at the representative with that sign
+    for iset, M, sign in ((IndexSet.signed(4, "sp"), 3, -1),
+                          (IndexSet.signed(5, "so"), 3, -1),
+                          (IndexSet.signed(4, "so"), 2, 1)):
+        ctx = PoissonContext(iset, M)
+        assert ctx.reduce_var((M, 2, 1)) == (sign, (M, -1, -2))
+        pt = CurrentPoint(ctx, {(M, 2, 1): Q(5, 2)})
+        assert pt.value((M, -1, -2)) == sign * Q(5, 2)
+        assert {v: x for v, x in pt.values.items() if x} == \
+            {(M, -1, -2): sign * Q(5, 2)}
+        both = {(M, 2, 1): 5, (M, -1, -2): sign * 5}
+        assert CurrentPoint(ctx, both).values == \
+            CurrentPoint(ctx, {(M, 2, 1): 5}).values
+        with pytest.raises(ValueError, match="violates"):
+            CurrentPoint(ctx, {**both, (M, -1, -2): -sign * 5})
 
 
 def test_matrix_rank_oracle():
@@ -268,11 +291,96 @@ def test_slice_jacobian_at_the_point_equals_the_restriction(iset, spec):
 
 
 def test_principal_nilpotents_match_the_display():
+    assert principal_nilpotent(IndexSet.plain(3)) == {(2, 1): 1, (3, 2): 1}
     assert principal_nilpotent(IndexSet.signed(2, "sp")) == {(1, -1): 1}
-    so3 = principal_nilpotent(IndexSet.signed(3, "so"))
-    assert so3 == {(1, 0): 1, (0, -1): -1}
-    so4 = principal_nilpotent(IndexSet.signed(4, "so"), variant="lemma45")
-    assert so4 == {(2, 1): 1, (-1, -2): -1, (2, -1): 1, (1, -2): -1}
+    assert principal_nilpotent(IndexSet.signed(3, "so")) == {(1, 0): 1}
+    assert principal_nilpotent(IndexSet.signed(7, "so")) == \
+        {(2, 1): 1, (3, 2): 1, (1, 0): 1}
+    assert principal_nilpotent(IndexSet.signed(6, "sp")) == \
+        {(2, 1): 1, (3, 2): 1, (1, -1): 1}
+    for iset in (IndexSet.plain(4), IndexSet.signed(5, "so"),
+                 IndexSet.signed(4, "sp")):
+        with pytest.raises(ValueError, match="even orthogonal"):
+            upper_slice(PoissonContext(iset, 1))
+    # so_2 has no index 2, so its Lemma 4.5 nilpotent is zero
+    base, _ = upper_slice(PoissonContext(IndexSet.signed(2, "so"), 1))
+    assert base and not any(base.values())
+
+
+def explicit_nilpotent(index_set: IndexSet, lemma45: bool = False) -> dict:
+    """The signed nilpotents with every partner entry and its sign written
+    out from the form and the parity of N (the former
+    `principal_nilpotent`), kept as the reference for the entries the
+    context completes: the chain E_{p+1,p} + chain_sign E_{-p,-p-1}, then
+    E_{1,0} - E_{0,-1} (odd so), E_{1,-1} (sp and even so, the latter with
+    chain_sign +1), or, with `lemma45` (even so, chain_sign -1),
+    E_{2,-1} - E_{1,-2}."""
+    form, N, n = index_set.form, index_set.N, index_set.n
+    chain_sign = ONE if form == "so" and N % 2 == 0 and not lemma45 else -ONE
+    ent = {}
+    for i in range(1, n):
+        ent[(i + 1, i)] = ONE
+        ent[(-i, -i - 1)] = chain_sign
+    if lemma45:
+        ent[(2, -1)] = ONE
+        ent[(1, -2)] = -ONE
+    elif form == "so" and N % 2 == 1:
+        ent[(1, 0)] = ONE
+        ent[(0, -1)] = -ONE
+    else:
+        ent[(1, -1)] = ONE
+    return ent
+
+
+def full_grid(point: CurrentPoint) -> dict:
+    """The nonzero values of a point on the full index grid, every
+    coordinate read through its representative."""
+    ctx = point.context
+    idx = ctx.index_set.indices()
+    out = {}
+    for r in range(1, ctx.M + 1):
+        for i in idx:
+            for j in idx:
+                red = ctx.reduce_var((r, i, j))
+                x = 0 if red is None else red[0] * point.value(red[1])
+                if x:
+                    out[(r, i, j)] = x
+    return out
+
+
+def assert_matches_explicit(point: CurrentPoint, explicit: dict):
+    # the same value on every fundamental-domain variable, and the
+    # explicit partner entries are the ones the context completes
+    M = point.context.M
+    assert point.values == {v: explicit.get(v[1:], 0) if v[0] == M else 0
+                            for v in point.context.variables()}
+    assert full_grid(point) == {(M, i, j): x for (i, j), x in explicit.items()}
+
+
+NILPOTENT_SETS = ([IndexSet.signed(N, "so") for N in range(2, 9)]
+                  + [IndexSet.signed(N, "sp") for N in (2, 4, 6, 8)])
+
+
+@pytest.mark.parametrize("iset", NILPOTENT_SETS, ids=repr)
+def test_completed_nilpotent_matches_the_explicit_matrix(iset):
+    # at every M <= 5 of the rank tables, the nilpotent given by one entry
+    # per tied pair completes to the explicit signed matrix
+    levels = [M for M in range(1, 6) if rank_table(iset, M) is not None]
+    assert levels
+    for M in levels:
+        ctx = PoissonContext(iset, M)
+        point = CurrentPoint(ctx, {(M, i, j): x for (i, j), x in
+                                   principal_nilpotent(iset).items()})
+        assert_matches_explicit(point, explicit_nilpotent(iset))
+
+
+@pytest.mark.parametrize("N", [4, 6, 8])
+def test_slice_base_matches_the_explicit_lemma45_matrix(N):
+    iset = IndexSet.signed(N, "so")
+    ctx = PoissonContext(iset, 1)
+    base, _ = upper_slice(ctx)
+    assert_matches_explicit(CurrentPoint(ctx, base),
+                            explicit_nilpotent(iset, lemma45=True))
 
 
 def test_classical_det_poly_shape():
