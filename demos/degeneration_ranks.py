@@ -50,7 +50,7 @@ def main():
     print("\nClassical even-orthogonal slice (so_4):")
     so4 = IndexSet.signed(4, "so")
     z4 = parse_z_spec("diag:1,2", so4, "prime_skew")
-    show(verify_classical_slice_rank(PoissonContext(so4, 1), z4))
+    show(verify_classical_slice_rank(so4, z4))
 
 
 if __name__ == "__main__":

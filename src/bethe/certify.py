@@ -148,16 +148,17 @@ def verify_twisted_parity(context: PoissonContext, family: dict) -> list:
     return details
 
 
-def verify_classical_slice_rank(context: PoissonContext, z: ZMatrix,
+def verify_classical_slice_rank(index_set: IndexSet, z: ZMatrix,
                                 seed: int = 7) -> list:
     """Even-orthogonal classical family (the context at M = 1): the
     determinant coefficients restricted to the Borel slice are a complete
     independent set (rank equals the slice dimension n^2), as the Jacobian
     in the free coordinates at points that keep the base values
     elsewhere."""
+    context = PoissonContext(index_set, 1)
     fs = bethe_family_polys(bethe_family(context, z))
     base, free = upper_slice(context)
-    expected = context.index_set.n ** 2
+    expected = index_set.n ** 2
     rng = random.Random(seed)
 
     def point(t):

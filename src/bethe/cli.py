@@ -297,7 +297,7 @@ def run_check(cfg: RunConfig, name: str) -> list:
     if name == "classical-so2n":
         from .certify import verify_classical_slice_rank
 
-        return verify_classical_slice_rank(cfg.poisson_ctx(), cfg.z,
+        return verify_classical_slice_rank(cfg.index_set, cfg.z,
                                            seed=cfg.seed)
 
     raise UsageError(f"unknown check {name!r}")

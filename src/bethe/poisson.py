@@ -321,7 +321,8 @@ class CurrentPoint:
     """Rational values of a context's fundamental-domain variables.  A
     value given at any other coordinate is folded onto its representative
     through `PoissonContext.reduce_var`, times the sign, so a point may be
-    given by the entries of a matrix on the full grid."""
+    given by the entries of a matrix on the full grid; an index outside
+    the index set raises."""
 
     __slots__ = ("context", "values")
 
@@ -329,6 +330,8 @@ class CurrentPoint:
         self.context = context
         folded: dict = {}
         for v, x in values.items():
+            if v[1] not in context.index_set or v[2] not in context.index_set:
+                raise ValueError(f"{v} is not a coordinate of the context")
             x = rat(x)
             red = context.reduce_var(v)
             if red is None:
@@ -471,7 +474,8 @@ def principal_nilpotent(index_set: IndexSet) -> dict:
     if index_set.kind == "plain":
         return {(i + 1, i): ONE for i in range(1, index_set.N)}
     ent = {(p + 1, p): ONE for p in range(1, index_set.n)}
-    ent[(1, 0) if 0 in index_set else (1, -1)] = ONE
+    if index_set.n:
+        ent[(1, 0) if 0 in index_set else (1, -1)] = ONE
     return ent
 
 

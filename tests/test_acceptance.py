@@ -223,8 +223,7 @@ def test_criterion_23_twisted_parity():
 
 
 def test_criterion_24_classical_even_orthogonal_slice():
-    _all_ok(verify_classical_slice_rank(
-        PoissonContext(SO4.index_set, 1), Z_SO4))
+    _all_ok(verify_classical_slice_rank(SO4.index_set, Z_SO4))
 
 
 def test_criterion_25_cli_determinism(tmp_path, monkeypatch):

@@ -92,6 +92,14 @@ def test_an_untabulated_m_is_a_usage_error(check, algebra, M, capsys):
     assert main(args + [str(M + 1)]) == 0
 
 
+def test_poisson_rank_on_so1_is_the_empty_bracket(tmp_path):
+    # so_1 is in the rank tables at odd M; its bracket matrix is empty
+    out = tmp_path / "rank.json"
+    assert main(["verify", "poisson-rank", "--kind", "so", "--N", "1",
+                 "--M", "1", "--Z", "diag:0", "--out", str(out)]) == 0
+    assert "bracket rank 0" in out.read_text()
+
+
 def test_classical_so2n_is_the_certificate_at_m_one(tmp_path, capsys):
     # the slice certificate is stated at M = 1; another --M is refused
     # rather than run at M = 1 under a report that names it

@@ -142,6 +142,9 @@ def test_current_point_symmetry_is_validated():
         CurrentPoint(ctx, {(2, 1, -1): Q(1)})  # forced-zero coordinate
     with pytest.raises(ValueError, match="violates"):
         CurrentPoint(ctx, {(3, 1, 1): Q(1)})  # above the level M
+    for c in (ctx, PoissonContext(IndexSet.plain(2), 1)):
+        with pytest.raises(ValueError, match="not a coordinate"):
+            CurrentPoint(c, {(1, 3, 3): Q(5)})  # index outside the set
     assert CurrentPoint(ctx, {(3, 1, 1): 0, (2, 1, -1): 0}).values == \
         CurrentPoint(ctx, {}).values
 
@@ -294,6 +297,8 @@ def test_principal_nilpotents_match_the_display():
     assert principal_nilpotent(IndexSet.plain(3)) == {(2, 1): 1, (3, 2): 1}
     assert principal_nilpotent(IndexSet.signed(2, "sp")) == {(1, -1): 1}
     assert principal_nilpotent(IndexSet.signed(3, "so")) == {(1, 0): 1}
+    # so_1 has the single index 0 and no nilpotent but zero
+    assert principal_nilpotent(IndexSet.signed(1, "so")) == {}
     assert principal_nilpotent(IndexSet.signed(7, "so")) == \
         {(2, 1): 1, (3, 2): 1, (1, 0): 1}
     assert principal_nilpotent(IndexSet.signed(6, "sp")) == \
