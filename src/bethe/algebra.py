@@ -12,6 +12,15 @@ of two generators as a normal-ordered correction; three rules are provided:
   every generator at level 1;
 * FreeRule — no rewriting at all (plain words), used for formal S-words.
 
+A rule may carry a top level M (`top_level`, None by default).  Such a
+capped rule is the quotient by J_M, the span of the normal monomials that
+hold a generator of level > M: `element` is zero above M and
+`bracket_terms` drops the raw bracket words that hold such a generator.
+Each term of [T^(p), T^(q)] holds a generator of level >= max(p, q), so J_M
+is a two-sided ideal, and normal forms of elements whose generators lie at
+levels <= M are the full rule's with every monomial of J_M dropped.  A
+graded symbol at level M kills J_M, so it reads the same through either.
+
 Elements are sparse dicts {monomial tuple: rational}; monomials of an
 element under a commuting rule are always non-decreasing tuples of
 generators.
@@ -56,8 +65,9 @@ class CommutationRule:
 
     orders = True  # whether monomials get sorted (False for the free rule)
 
-    def __init__(self, index_set: IndexSet):
+    def __init__(self, index_set: IndexSet, top_level: int | None = None):
         self.index_set = index_set
+        self.top_level = top_level
         self._bracket_cache: dict = {}
         self._mtg_cache: dict = {}
         self._mbg_cache: dict = {}
@@ -72,7 +82,10 @@ class CommutationRule:
         return (level, row, col)
 
     def element(self, row: int, col: int, level: int = 1) -> "AlgebraElement":
-        return _from_terms(self, {(self.gen(row, col, level),): ONE})
+        g = self.gen(row, col, level)
+        if self.top_level is not None and level > self.top_level:
+            return self.zero()
+        return _from_terms(self, {(g,): ONE})
 
     def one(self) -> "AlgebraElement":
         return _from_terms(self, {(): ONE})
@@ -90,13 +103,17 @@ class CommutationRule:
     # -- normal ordering ----------------------------------------------------
 
     def bracket_terms(self, a: tuple, b: tuple) -> dict:
-        """Normal form of the commutator [a, b] as {monomial: int}."""
+        """Normal form of the commutator [a, b] as {monomial: int}; under a
+        capped rule, the words that hold a generator above the top level
+        are dropped before they are ordered."""
         key = (a, b)
         hit = self._bracket_cache.get(key)
         if hit is not None:
             return hit
+        top = self.top_level
         acc = accumulate({}, [(m, coeff * c)
                               for coeff, word in self.raw_bracket(a, b)
+                              if top is None or max(word)[0] <= top
                               for m, c in self.order_word(word).items()])
         self._bracket_cache[key] = acc
         self._bracket_cache[(b, a)] = {m: -c for m, c in acc.items()}

@@ -4,6 +4,15 @@ against the determinant expansions, and the rank certificates for the
 shift-of-argument families, whose expected ranks come from one rank
 table, `rank_table`.
 
+The graded symbols at level M kill every generator of level > M, so both
+symbol suites compute in the quotient by J_M, the span of the normal
+monomials that hold such a generator: their rules are capped at M
+(`algebra.CommutationRule`), the Yangian on gl and the formal S-words on
+so/sp.  A member X_k of a commuting family is a sum of words of at most k
+letters, so its symbols vanish in every degree r > kM: the Laplace rows
+with r > kM hold by this degree bound, keep their labels in the report,
+and nothing is built for them.
+
 Every suite returns a list of (item, bool) detail rows, matching the other
 verify_* functions; the CLI wraps these into reports.  The enveloping-
 algebra image suites, which need no Poisson side, are in `evalmap`.
@@ -49,25 +58,30 @@ SYMBOL_PAIRS = 50
 
 def _random_quadratic(rule, rng):
     idx = rule.index_set.indices()
-    g1 = rule.element(rng.choice(idx), rng.choice(idx),
-                      rng.randint(1, SYMBOL_MAX_LEVEL))
-    g2 = rule.element(rng.choice(idx), rng.choice(idx),
-                      rng.randint(1, SYMBOL_MAX_LEVEL))
+    top = min(rule.top_level, SYMBOL_MAX_LEVEL)
+    g1 = rule.element(rng.choice(idx), rng.choice(idx), rng.randint(1, top))
+    g2 = rule.element(rng.choice(idx), rng.choice(idx), rng.randint(1, top))
     return g1 * g2 * rng.randint(1, 5)
 
 
+def symbol_pairs(rule, seed: int) -> list:
+    """The SYMBOL_PAIRS seeded pairs of random quadratic elements under a
+    capped rule, their generator levels drawn from 1..min(top level,
+    SYMBOL_MAX_LEVEL): a higher level is zero in the quotient."""
+    rng = random.Random(seed)
+    return [(_random_quadratic(rule, rng), _random_quadratic(rule, rng))
+            for _ in range(SYMBOL_PAIRS)]
+
+
 def verify_symbol_homomorphy(index_set: IndexSet, M: int, seed: int) -> list:
-    """symbol([X, Y]) = {symbol X, symbol Y} for SYMBOL_PAIRS seeded random
-    pairs of quadratic elements, in the degree (deg X + deg Y - 1) component."""
+    """symbol([X, Y]) = {symbol X, symbol Y} for the seeded `symbol_pairs`
+    of the Yangian rule capped at M, in the degree (deg X + deg Y - 1)
+    component."""
     from .algebra import YangianRule, commutator, filtration_degree, symbol
 
-    rule = YangianRule(index_set)
     context = PoissonContext(index_set, M)
-    rng = random.Random(seed)
     details = []
-    for t in range(SYMBOL_PAIRS):
-        x = _random_quadratic(rule, rng)
-        y = _random_quadratic(rule, rng)
+    for t, (x, y) in enumerate(symbol_pairs(YangianRule(index_set, M), seed)):
         d = filtration_degree(x) + filtration_degree(y) - 1
         lhs = symbol(commutator(x, y), d, context)
         rhs = poisson_bracket(symbol(x, filtration_degree(x), context),
@@ -80,22 +94,23 @@ def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix,
                                M: int) -> list:
     """Graded symbols of the series coefficients equal the determinant-
     expansion polynomials, coefficient by coefficient through order N M
-    (plain or twisted per the index set)."""
+    (plain or twisted per the index set).  Member k is built through order
+    kM under the rule capped at M; a row with r > kM compares the zero
+    symbol with the table's absent entry."""
     from .algebra import symbol
     from .yangian import commuting_family
 
     N = index_set.N
-    D = N * M
     context = PoissonContext(index_set, M)
     details = []
-    mk = commuting_family(index_set, z, D)
+    mk = commuting_family(index_set, z, top_level=M)
     zero = PoissonPoly.constant(context, 0)
     family = bethe_family(context, z)
     for k in range(1, N + 1):
-        series = mk(k)
+        series = mk(k, k * M)
         table = family[k]
-        for r in range(0, D + 1):
-            lhs = symbol(series.coeffs[r], r, context)
+        for r in range(0, N * M + 1):
+            lhs = symbol(series.coeffs[r], r, context) if r <= k * M else zero
             rhs = table[r] if r < len(table) else zero
             details.append((f"k={k} coefficient r={r}", lhs == rhs))
     return details

@@ -109,8 +109,8 @@ def verify_pi_rho_image_commutativity(index_set: IndexSet, z: ZMatrix,
         image, tag = pi_map(gl), "pi image"
     else:
         image, tag = rho_map(gl), "rho image"
-    family = commuting_family(index_set, z, D)
+    family = commuting_family(index_set, z)
     elems = [image(c) for k in range(1, index_set.N + 1)
-             for c in family(k).coeffs[1:]]
+             for c in family(k, D).coeffs[1:]]
     rows = verify_image_commutativity(elems, gl)
     return [(f"{tag} {item}", ok) for item, ok in rows]

@@ -63,14 +63,19 @@ class TwistedContext:
     it has expanded; a one-letter word's image is the generator that
     `expand_gen` forms.  No expanded series or multi-site block is built
     or kept.
+
+    With `top_level` M the S-word rule is capped at M: its words are read
+    modulo the letters of level > M, which a level-M symbol kills.  The
+    expansion does not factor through that quotient, so only formal
+    families are read from such a context.
     """
 
-    def __init__(self, index_set: IndexSet):
+    def __init__(self, index_set: IndexSet, top_level: int | None = None):
         if index_set.kind != "signed":
             raise ValueError("twisted layer needs a signed index set")
         self.index_set = index_set
         self.yang_rule = YangianRule(index_set)
-        self.s_rule = FreeRule(index_set)
+        self.s_rule = FreeRule(index_set, top_level)
         self._s_map = WordMap(self.yang_rule, self.expand_gen)
 
     def s_gen(self, i: int, j: int, r: int) -> AlgebraElement:

@@ -275,3 +275,47 @@ def test_free_products_concatenate(w1, w2, c1, c2):
     a = AlgebraElement(free, {tuple(w1): c1})
     b = AlgebraElement(free, {tuple(w2): c2})
     assert (a * b).terms == {tuple(w1 + w2): Q(c1 * c2)}
+
+
+# (full rule, rule capped at M, M) on gl2 and gl3 at M = 1, 2
+CAPPED = [(YangianRule(IndexSet.plain(N)), YangianRule(IndexSet.plain(N), M), M)
+          for N in (2, 3) for M in (1, 2)]
+
+
+def _above_dropped(a: AlgebraElement, M: int) -> dict:
+    """a's terms without the monomials that hold a generator above M."""
+    return {m: c for m, c in a.terms.items() if all(g[0] <= M for g in m)}
+
+
+def _word_element(rule, words: dict) -> AlgebraElement:
+    """sum_w c_w * (product of rule.element over the letters of w)."""
+    acc = rule.zero()
+    for w, c in words.items():
+        x = rule.one()
+        for level, i, j in w:
+            x = x * rule.element(i, j, level)
+        acc = acc + x * c
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_capped_rule_is_the_full_rule_modulo_the_levels_above_the_top(data):
+    # words and commutators of elements with levels <= M: the capped normal
+    # form is the full one with every monomial above M dropped
+    for full, capped, M in CAPPED:
+        N = full.index_set.N
+        letters = st.tuples(st.integers(1, M), st.integers(1, N),
+                            st.integers(1, N))
+        elements = st.dictionaries(st.lists(letters, max_size=3).map(tuple),
+                                   st.integers(-3, 3), max_size=2)
+        xs, ys = data.draw(elements), data.draw(elements)
+        for w in list(xs) + list(ys):
+            assert capped.order_word(w) == _above_dropped(
+                AlgebraElement(full, full.order_word(w)), M)
+        x, y = _word_element(full, xs), _word_element(full, ys)
+        xc, yc = _word_element(capped, xs), _word_element(capped, ys)
+        assert xc.terms == _above_dropped(x, M)
+        assert (xc * yc).terms == _above_dropped(x * y, M)
+        assert commutator(xc, yc).terms == _above_dropped(commutator(x, y), M)
+        assert not capped.element(1, 1, M + 1)

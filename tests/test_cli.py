@@ -424,6 +424,41 @@ def test_symbol_hom_fails_for_a_doubled_bracket(monkeypatch):
     assert main(args) == 1
 
 
+def test_symbol_hom_draws_only_pairs_its_symbols_read(monkeypatch, tmp_path):
+    # the quadratics are drawn at levels <= M, so no symbol is zero; the
+    # bracket of two of them may vanish (11 of the 50 pairs at gl2 M=1)
+    from bethe.algebra import YangianRule, filtration_degree, symbol
+    from bethe.certify import symbol_pairs
+    from bethe.indices import IndexSet
+    from bethe.poisson import PoissonContext
+
+    for N in (2, 3):
+        for M in (1, 2, 3):
+            iset = IndexSet.plain(N)
+            ctx = PoissonContext(iset, M)
+            for pair in symbol_pairs(YangianRule(iset, M), 0):
+                for x in pair:
+                    assert symbol(x, filtration_degree(x), ctx)
+    # negative control, the bracket negated at two level-1 coordinates: a
+    # pair holding a generator above M has zero symbols on both sides and
+    # cannot see it, so the rows fail only because each pair can
+    args = ["verify", "symbol-hom", "--kind", "gl", "--N", "3"]
+    assert main(args) == 0
+    real = PoissonContext.gen_bracket
+    negated = {(1, 1, 2), (1, 2, 3)}
+
+    def sign_flipped(self, a, b):
+        br = real(self, a, b)
+        return -br if a in negated or b in negated else br
+
+    monkeypatch.setattr(PoissonContext, "gen_bracket", sign_flipped)
+    assert main(args) == 1
+    rows = json.loads((tmp_path / "symbol-hom.json").read_text())["details"]
+    failed = [r["item"] for r in rows if not r["residual_zero"]]
+    assert len(failed) == 32
+    assert all(item.startswith("symbol pair ") for item in failed)
+
+
 def test_jacobian_reports_a_parity_violation(monkeypatch, tmp_path):
     import bethe.poisson as poisson
 

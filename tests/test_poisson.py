@@ -135,6 +135,30 @@ def test_laplace_consistency_small():
     _all_ok(verify_laplace_consistency(sp, zs, 1))
 
 
+@pytest.mark.parametrize("iset,spec,tag,M", [
+    (IndexSet.plain(2), "diag:1,2", None, 2),
+    (IndexSet.plain(3), "diag:1,2,3", None, 1),
+    (IndexSet.signed(2, "sp"), "diag:1", "prime_skew", 2),
+    (IndexSet.signed(3, "so"), "diag:1", "prime_skew", 1)])
+def test_capped_family_has_the_symbols_of_the_full_family(iset, spec, tag, M):
+    # member k built through order kM under the rule capped at M has the
+    # symbols of the uncapped member through order NM, and these vanish
+    # beyond kM: what verify_laplace_consistency builds loses no symbol
+    from bethe.algebra import symbol
+    from bethe.yangian import commuting_family
+
+    z = parse_z_spec(spec, iset, tag)
+    ctx = PoissonContext(iset, M)
+    N = iset.N
+    full, capped = commuting_family(iset, z), commuting_family(iset, z, M)
+    for k in range(1, N + 1):
+        xs, cs = full(k, N * M), capped(k, k * M)
+        syms = [symbol(x, r, ctx) for r, x in enumerate(xs.coeffs)]
+        assert any(syms)
+        for r, sym in enumerate(syms):
+            assert sym == (symbol(cs.coeffs[r], r, ctx) if r <= k * M else 0)
+
+
 def test_current_point_symmetry_is_validated():
     iset = IndexSet.signed(2, "sp")
     ctx = PoissonContext(iset, 2)
