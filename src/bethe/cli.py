@@ -21,9 +21,10 @@ unreadable --Z, or an output path that cannot be written.  `RunConfig`
 turns every such input into a `UsageError` before any computation starts.
 An internal error is a failed internal guard (such as the degree and
 parity guards of the determinant expansion) or any other exception raised
-by a computation, a `ValueError` included.  Errors go to stderr.
-``verify jacobian`` reports the parity zeros as detail rows instead, so a
-parity violation there exits 1.
+by a computation, a `ValueError` included; exhausted memory exits 3 with a
+message formed in advance.  Errors go to stderr.  ``verify jacobian``
+reports the parity zeros as detail rows instead, so a parity violation
+there exits 1.
 
 The default output directory is taken from the BETHE_OUTPUT_DIR
 environment variable (falling back to the working directory).  Sub-checks
@@ -436,6 +437,9 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except MemoryError:
+        sys.stderr.write("internal error: MemoryError: out of memory\n")
+        return 3
     except Exception as e:
         import traceback  # only this path needs it; loading it slows start-up
 

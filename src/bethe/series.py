@@ -109,9 +109,6 @@ class TruncatedSeries:
         return TruncatedSeries(ring or self.ring,
                                [f(c) for c in self.coeffs], self.trunc)
 
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

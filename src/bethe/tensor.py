@@ -33,9 +33,9 @@ H_n has rank binomial(N, n): n! H_n = A_n = sum_I |w_I><w_I|, one row
 central, it is sum_I <w_I| X(u) F(u) |w_I> / n!.  `trace_words`, the one
 contraction, takes (n, the steps of X, the factors of F): it builds the
 rows and applies F(u) to the |w_I> one factor at a time, then walks the
-rows through the steps of X(u), one-site letter series and pair steps
-id - c(u) Q_pq, expanding the product into words of letters with
-rational weights: neither X(u) nor F(u) H_n is formed.
+rows depth first through the steps of X(u), letter sites and pair steps
+id - c(u) Q_pq, one word of letters at a time: neither X(u) nor F(u) H_n
+is formed, memory is one path of rows, and no prefix memo is kept.
 `series_to_bilaurent` lifts a one-site series to a bivariate object on
 several sites, for the matrix-form relation checks.
 """
@@ -272,73 +272,71 @@ def trace_words(k: int, index_set: IndexSet, steps, factors, ring: Ring,
     W(u) = sum_I <w_I| Y'_1 ... Y'_m |ket_I>, with Y' the pair step or the
     chosen leg, is a rational series.  Since rationals are central, the
     trace is sum_words W(u) L~_1(u) ... L~_j(u), the letters in the order
-    of the steps.  The walk keeps the rows of each word, keyed by its
-    letters (step index, a, b), only to order D minus the word length,
-    since each letter L~ starts at order 1; a row whose ket is zero at
-    every order is dropped first.  No tensor with ring coefficients is
-    formed: the letters' series multiply once per word of nonzero weight,
-    along a prefix memo."""
+    of the steps.  The walk is depth first: it keeps one path of rows,
+    each to order D minus the word length, as each letter L~ starts at
+    order 1, and drops first a row whose ket is zero at every order.  No
+    ring-valued tensor and no prefix memo is kept: a prefix's letters
+    multiply once, when a word through it first has a nonzero weight."""
     bra = alternator_rows(k, index_set)
     ket = [{key: div(v, factorial(k)) for key, v in bra.entries.items()}]
     ket += [{} for _ in range(D)]
     for f in reversed(factors):
         ket = (pair_step(ket, *f, index_set) if len(f) == 3 else
                site_action(ket, f[0], [f[1].entries], RATIONAL_RING, True))
+    walked = []
+    for step in steps:
+        if len(step) == 2:
+            p, site = step
+            if site.coeffs[0] != TensorElement.identity(1, index_set, ring):
+                raise ValueError("a letter site needs the constant term 1")
+            step = (p, [(a, b, TruncatedSeries(ring, tail, D))
+                        for a, b in product(index_set.indices(), repeat=2)
+                        for tail in ([ring.zero] + [
+                            c.entries.get(((a,), (b,)), ring.zero)
+                            for c in site.coeffs[1:D + 1]],) if any(tail)])
+        walked.append(step)
+    parts = [[] for _ in range(D + 1)]
+    products = [TruncatedSeries.one(ring, D)]
+
+    def walk(i, x, path):
+        while i < len(walked) and len(walked[i]) == 3:
+            x = pair_step(x, *walked[i], index_set)
+            i += 1
+        if i == len(walked):
+            weight = [rat(sum(v * ket[r - s][key] for s in range(r + 1)
+                              for key, v in x[s].items() if key in ket[r - s]))
+                      for r in range(len(x))]
+            if not any(weight):
+                return
+            for tail in path[len(products) - 1:]:
+                products.append(products[-1] * tail)
+            word = products[-1].coeffs
+            for s in range(D + 1):
+                parts[s] += [word[s - r] * weight[r]
+                             for r in range(min(s, len(x) - 1) + 1)
+                             if weight[r] and word[s - r]]
+            return
+        p, legs = walked[i]
+        # the identity part first: pair steps only read x, as the legs need
+        walk(i + 1, x, path)
+        # x . E_ab on site p moves column a of site p to column b
+        columns = [{} for _ in x[1:]]
+        for column, xr in zip(columns, x):
+            for (lab, col), v in xr.items():
+                column.setdefault(col[p - 1], []).append(
+                    (lab, col[:p - 1], col[p:], v))
+        for a, b, tail in legs:
+            y = [{(lab, head + (b,) + rest): v
+                  for lab, head, rest, v in column.get(a, ())}
+                 for column in columns]
+            if any(y):
+                walk(i + 1, y, path + (tail,))
+                del products[len(path) + 1:]
+
     live = {lab for e in ket for lab, _ in e}
     start = {key: v for key, v in bra.entries.items() if key[0] in live}
-    branches = {(): [start] + [{} for _ in range(D)]} if start else {}
-    letters = {}
-    for i, step in enumerate(steps):
-        if len(step) == 3:
-            branches = {w: y for w, x in branches.items()
-                        for y in (pair_step(x, *step, index_set),) if any(y)}
-            continue
-        p, site = step
-        if site.coeffs[0] != TensorElement.identity(1, index_set, ring):
-            raise ValueError("a letter site needs the constant term 1")
-        opened = []
-        for a, b in product(index_set.indices(), repeat=2):
-            tail = TruncatedSeries(ring, [ring.zero] + [
-                c.entries.get(((a,), (b,)), ring.zero)
-                for c in site.coeffs[1:D + 1]], D)
-            if tail:
-                letters[(i, a, b)] = tail
-                opened.append((a, b))
-        grown = dict(branches)
-        for w, x in branches.items():
-            # x . E_ab on site p moves column a of site p to column b
-            legs = [{} for _ in x[1:]]
-            for leg, xr in zip(legs, x):
-                for (lab, col), v in xr.items():
-                    leg.setdefault(col[p - 1], []).append(
-                        (lab, col[:p - 1], col[p:], v))
-            for a, b in opened:
-                coeffs = [{(lab, head + (b,) + tail): v
-                           for lab, head, tail, v in leg.get(a, ())}
-                          for leg in legs]
-                if any(coeffs):
-                    grown[w + ((i, a, b),)] = coeffs
-        branches = grown
-    prefix = {(): TruncatedSeries.one(ring, D)}
-
-    def word_series(w):
-        hit = prefix.get(w)
-        if hit is None:
-            hit = prefix[w] = word_series(w[:-1]) * letters[w[-1]]
-        return hit
-
-    parts = [[] for _ in range(D + 1)]
-    for w, x in branches.items():
-        weight = [rat(sum(v * ket[r - s][key] for s in range(r + 1)
-                          for key, v in x[s].items() if key in ket[r - s]))
-                  for r in range(len(x))]
-        if not any(weight):
-            continue
-        word = word_series(w).coeffs
-        for s in range(D + 1):
-            parts[s] += [word[s - r] * weight[r]
-                         for r in range(min(s, len(x) - 1) + 1)
-                         if weight[r] and word[s - r]]
+    walk(0, [start] + [{} for _ in range(D)], ())
+    del walk  # it refers to itself: free its rows now, not at the next gc
     return TruncatedSeries(ring, [ring.sum(ps) for ps in parts], D)
 
 

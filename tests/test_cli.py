@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import sys
 import textwrap
 
 import pytest
@@ -157,6 +158,22 @@ def test_a_value_error_inside_a_computation_is_internal(monkeypatch, capsys):
     assert main(["verify", "sklyanin", "--kind", "so", "--n", "1", "--odd",
                  "--D", "1"]) == 3
     assert "internal error: ValueError: planted" in capsys.readouterr().err
+
+
+def test_exhausted_memory_is_internal(monkeypatch, capsys):
+    import bethe.twisted as twisted
+
+    def exhausted(ctx, z, D):
+        raise MemoryError
+
+    monkeypatch.setattr(twisted, "verify_sklyanin", exhausted)
+    # the handler imports nothing: with memory gone, an import can fail
+    # and escape main with Python's own exit code
+    monkeypatch.setitem(sys.modules, "traceback", None)
+    assert main(["verify", "sklyanin", "--kind", "so", "--n", "1", "--odd",
+                 "--D", "1"]) == 3
+    assert capsys.readouterr().err == \
+        "internal error: MemoryError: out of memory\n"
 
 
 def test_prop36_labels_are_the_same_for_every_scalar_type():
@@ -711,12 +728,16 @@ SKLYANIN_SO3 = ["verify", "sklyanin", "--kind", "so", "--n", "1", "--odd",
 
 @pytest.mark.parametrize("old, new", [
     # the identity part of every letter site is lost
-    pytest.param("grown = dict(branches)", "grown = {}",
-                 id="dropped-pass-branch"),
+    pytest.param("walk(i + 1, x, path)", "None", id="dropped-pass-branch"),
     # E_ab of site p moves the column of site p + 1 (of site 1 from the last)
     pytest.param("(lab, col[:p - 1], col[p:], v)",
                  "(lab, col[:p % len(col)], col[p % len(col) + 1:], v)",
                  id="leg-on-the-wrong-site"),
+    # the identity part of a letter site also walks the rows of each leg
+    pytest.param("                del products[len(path) + 1:]\n",
+                 "                del products[len(path) + 1:]\n"
+                 "                walk(i + 1, y, path)\n",
+                 id="pass-branch-walks-a-leg"),
 ])
 def test_trace_words_faults_fail_the_trace_forms(monkeypatch, old, new):
     assert main(PROP36_SP2) == 0 and main(SKLYANIN_SO3) == 0
@@ -817,8 +838,8 @@ def test_reversed_words_change_the_formal_table(monkeypatch, tmp_path):
             "--D", "3", "--out"]
     assert main(args + [str(tmp_path / "good.json")]) == 0
     assert main(SKLYANIN_SO3_D4) == 0
-    _plant_in_trace_words(monkeypatch, "word_series(w[:-1]) * letters[w[-1]]",
-                          "letters[w[-1]] * word_series(w[:-1])")
+    _plant_in_trace_words(monkeypatch, "products[-1] * tail",
+                          "tail * products[-1]")
     assert main(args + [str(tmp_path / "bad.json")]) == 0
     assert (tmp_path / "good.json").read_text() != \
         (tmp_path / "bad.json").read_text()
@@ -834,8 +855,8 @@ def test_steps_walked_backwards_change_the_formal_table(monkeypatch,
     args = ["compute", "twisted-bethe", "--kind", "so", "--n", "1", "--odd",
             "--D", "4", "--out"]
     assert main(args + [str(tmp_path / "good.json")]) == 0
-    _plant_in_trace_words(monkeypatch, "in enumerate(steps)",
-                          "in reversed(list(enumerate(steps)))")
+    _plant_in_trace_words(monkeypatch, "for step in steps:",
+                          "for step in reversed(list(steps)):")
     assert main(args + [str(tmp_path / "bad.json")]) == 0
     assert main(SKLYANIN_SO3_D4) == 0
     assert (tmp_path / "good.json").read_text() != \
