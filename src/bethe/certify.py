@@ -7,19 +7,20 @@ table, `rank_table`.
 The graded symbols at level M kill every generator of level > M, so both
 symbol suites compute in the quotient by J_M, the span of the normal
 monomials that hold such a generator: their rules are capped at M
-(`algebra.CommutationRule`), the Yangian on gl and the formal S-words on
-so/sp.  A member X_k of a commuting family is a sum of words of at most k
-letters, so its symbols vanish in every degree r > kM: the Laplace rows
-with r > kM hold by this degree bound, keep their labels in the report,
-and nothing is built for them.
+(`algebra.CommutationRule`).  A member X_k of a commuting family is a sum
+of words of at most k letters, so its symbols vanish in every degree
+r > kM: the Laplace rows with r > kM hold by this degree bound, keep their
+labels in the report, and nothing is built for them.  On so/sp a symbol
+reads each word of A_k at order-0 weight, where pair steps are the
+identity, and each letter S(u-p) at its top part, that of S(u), so these
+rows build the graded member (`twisted.graded_bethe_series`).
 
 Every suite returns a list of (item, bool) detail rows, matching the other
 verify_* functions; the CLI wraps these into reports.  The enveloping-
 algebra image suites, which need no Poisson side, are in `evalmap`.
 
 The module top imports the Poisson side only.  The suites that reach the
-algebras (`algebra`, `yangian`) import them inside, so the Poisson checks
-load none of them.
+algebras import them inside, so the Poisson checks load none of them.
 """
 from __future__ import annotations
 
@@ -93,23 +94,24 @@ def verify_symbol_homomorphy(index_set: IndexSet, M: int, seed: int) -> list:
 def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix,
                                M: int) -> list:
     """Graded symbols of the series coefficients equal the determinant-
-    expansion polynomials, coefficient by coefficient through order N M
-    (plain or twisted per the index set).  Member k is built through order
-    kM under the rule capped at M; a row with r > kM compares the zero
-    symbol with the table's absent entry."""
-    from .algebra import symbol
-    from .yangian import commuting_family
+    expansion polynomials, coefficient by coefficient through order N M.
+    Member k, B_k on gl or the graded member of A_k on so/sp, is built
+    through order kM under the rule capped at M; a row with r > kM compares
+    the zero symbol with the table's absent entry."""
+    from .algebra import FreeRule, YangianRule, symbol
 
-    N = index_set.N
+    if index_set.kind == "plain":
+        from .yangian import bethe_series as member
+        rule = YangianRule(index_set, M)
+    else:
+        from .twisted import graded_bethe_series as member
+        rule = FreeRule(index_set, M)
     context = PoissonContext(index_set, M)
-    details = []
-    mk = commuting_family(index_set, z, top_level=M)
     zero = PoissonPoly.constant(context, 0)
-    family = bethe_family(context, z)
-    for k in range(1, N + 1):
-        series = mk(k, k * M)
-        table = family[k]
-        for r in range(0, N * M + 1):
+    details = []
+    for k, table in bethe_family(context, z).items():
+        series = member(k, z, rule, k * M)
+        for r in range(index_set.N * M + 1):
             lhs = symbol(series.coeffs[r], r, context) if r <= k * M else zero
             rhs = table[r] if r < len(table) else zero
             details.append((f"k={k} coefficient r={r}", lhs == rhs))

@@ -63,19 +63,14 @@ class TwistedContext:
     it has expanded; a one-letter word's image is the generator that
     `expand_gen` forms.  No expanded series or multi-site block is built
     or kept.
-
-    With `top_level` M the S-word rule is capped at M: its words are read
-    modulo the letters of level > M, which a level-M symbol kills.  The
-    expansion does not factor through that quotient, so only formal
-    families are read from such a context.
     """
 
-    def __init__(self, index_set: IndexSet, top_level: int | None = None):
+    def __init__(self, index_set: IndexSet):
         if index_set.kind != "signed":
             raise ValueError("twisted layer needs a signed index set")
         self.index_set = index_set
         self.yang_rule = YangianRule(index_set)
-        self.s_rule = FreeRule(index_set, top_level)
+        self.s_rule = FreeRule(index_set)
         self._s_map = WordMap(self.yang_rule, self.expand_gen)
 
     def s_gen(self, i: int, j: int, r: int) -> AlgebraElement:
@@ -226,6 +221,17 @@ def twisted_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
     return trace_words(N, iset, steps,
                        connect + _z_block(z, range(k + 1, N + 1), N, D),
                        algebra_ring(ctx.s_rule), D)
+
+
+def graded_bethe_series(k: int, z: ZMatrix, rule: FreeRule,
+                        D: int) -> TruncatedSeries:
+    """The graded member tr(H_N S_1(u)..S_k(u) Z_{k+1}..Z_N) of A_k on the
+    formal S-words of `rule`, which has A_k's symbols (`certify`)."""
+    N = rule.index_set.N
+    s = t_site_series(rule, D)
+    return trace_words(N, rule.index_set, [(p, s) for p in range(1, k + 1)],
+                       [(p, z) for p in range(k + 1, N + 1)],
+                       algebra_ring(rule), D)
 
 
 def expanded_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,

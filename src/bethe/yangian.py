@@ -144,18 +144,15 @@ def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Truncated
                        [(p, z) for p in range(1, k + 1)], algebra_ring(rule), D)
 
 
-def commuting_family(index_set: IndexSet, z: ZMatrix,
-                     top_level: int | None = None):
+def commuting_family(index_set: IndexSet, z: ZMatrix):
     """(k, D) -> the commuting series of index k through order D: B_k over
-    the Yangian on a plain index set, the formal A_k on a signed one.  The
-    members share one rule, capped at `top_level` when it is given
-    (`algebra.CommutationRule`)."""
+    the Yangian on a plain index set, the formal A_k on a signed one."""
     if index_set.kind == "plain":
-        rule = YangianRule(index_set, top_level)
+        rule = YangianRule(index_set)
         return lambda k, D: bethe_series(k, z, rule, D)
     from .twisted import TwistedContext, twisted_bethe_series
 
-    ctx = TwistedContext(index_set, top_level)
+    ctx = TwistedContext(index_set)
     return lambda k, D: twisted_bethe_series(ctx, k, z, D)
 
 

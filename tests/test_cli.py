@@ -814,6 +814,45 @@ def test_expand_gen_faults_fail_the_defining_relations(monkeypatch, old,
     assert [main(args) for args in DEFINING_RELATIONS] == [1, 1, 1]
 
 
+# the Laplace rows of symbol-hom on so/sp read the graded member; its
+# letters transposed (S(u)^t for S(u)) leave these reports unchanged
+SYMBOL_HOM_TWISTED = [
+    ["verify", "symbol-hom", "--kind", "sp", "--n", "1", "--M", "2"],
+    ["verify", "symbol-hom", "--kind", "so", "--n", "1", "--odd", "--M", "2"],
+    ["verify", "symbol-hom", "--kind", "sp", "--n", "2", "--M", "1"],
+]
+
+
+@pytest.mark.parametrize("old, new", [
+    pytest.param("range(k + 1, N + 1)", "range(k + 2, N + 1)",
+                 id="z-site-dropped"),
+    pytest.param("for p in range(k + 1, N + 1)", "for p in range(1, k + 1)",
+                 id="z-on-the-letter-sites"),
+])
+def test_graded_member_faults_fail_the_laplace_rows(monkeypatch, old, new):
+    from bethe import twisted
+
+    assert [main(args) for args in SYMBOL_HOM_TWISTED] == [0, 0, 0]
+    _plant(monkeypatch, twisted, "graded_bethe_series", old, new)
+    assert [main(args) for args in SYMBOL_HOM_TWISTED] == [1, 1, 1]
+
+
+SKLYANIN_SP2_D3 = ["verify", "sklyanin", "--kind", "sp", "--n", "1", "--D",
+                   "3"]
+
+
+def test_pair_step_that_writes_its_input_fails_sklyanin(monkeypatch):
+    # a pair step that writes into the rows it reads changes the rows from
+    # which a letter's legs open after its identity branch has walked them;
+    # prop36 sp2 --D 3 and sklyanin so3 --D 2 pass under this fault
+    from bethe import tensor
+
+    assert main(SKLYANIN_SP2_D3) == 0
+    _plant(monkeypatch, tensor, "pair_step", "accumulate(dict(x[s]),",
+           "accumulate(x[s],")
+    assert main(SKLYANIN_SP2_D3) == 1
+
+
 def test_prop36_fails_for_an_uninverted_hat_s(monkeypatch):
     from bethe import twisted
 

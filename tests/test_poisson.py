@@ -139,20 +139,30 @@ def test_laplace_consistency_small():
     (IndexSet.plain(2), "diag:1,2", None, 2),
     (IndexSet.plain(3), "diag:1,2,3", None, 1),
     (IndexSet.signed(2, "sp"), "diag:1", "prime_skew", 2),
-    (IndexSet.signed(3, "so"), "diag:1", "prime_skew", 1)])
+    (IndexSet.signed(3, "so"), "diag:1", "prime_skew", 1),
+    (IndexSet.signed(2, "sp"), "diag:1", "prime_skew", 3),
+    (IndexSet.signed(3, "so"), "diag:1", "prime_skew", 3),
+    (IndexSet.signed(4, "sp"), "diag:1,2", "prime_skew", 1),
+    (IndexSet.signed(4, "so"), "diag:1,2", "prime_skew", 1)])
 def test_capped_family_has_the_symbols_of_the_full_family(iset, spec, tag, M):
-    # member k built through order kM under the rule capped at M has the
-    # symbols of the uncapped member through order NM, and these vanish
-    # beyond kM: what verify_laplace_consistency builds loses no symbol
-    from bethe.algebra import symbol
-    from bethe.yangian import commuting_family
+    # member k as verify_laplace_consistency builds it, through order kM
+    # under the rule capped at M (B_k on gl, the graded member of A_k on
+    # so/sp), has the symbols of the uncapped B_k or A_k through order NM,
+    # and these vanish beyond kM: the Laplace rows lose no symbol
+    from bethe.algebra import FreeRule, YangianRule, symbol
+    from bethe.twisted import graded_bethe_series
+    from bethe.yangian import bethe_series, commuting_family
 
     z = parse_z_spec(spec, iset, tag)
     ctx = PoissonContext(iset, M)
     N = iset.N
-    full, capped = commuting_family(iset, z), commuting_family(iset, z, M)
+    full = commuting_family(iset, z)
+    if iset.kind == "plain":
+        member, rule = bethe_series, YangianRule(iset, M)
+    else:
+        member, rule = graded_bethe_series, FreeRule(iset, M)
     for k in range(1, N + 1):
-        xs, cs = full(k, N * M), capped(k, k * M)
+        xs, cs = full(k, N * M), member(k, z, rule, k * M)
         syms = [symbol(x, r, ctx) for r, x in enumerate(xs.coeffs)]
         assert any(syms)
         for r, sym in enumerate(syms):
