@@ -13,7 +13,7 @@ __all__ = [
     "PoissonContext", "PoissonPoly", "Q", "TruncatedSeries",
     "TwistedContext", "YangianRule", "ZMatrix", "bethe_family",
     "bethe_series", "commutator", "filtration_degree", "hat_bethe_series",
-    "jacobian_rank", "parse_z_spec", "poisson_bracket", "principal_nilpotent",
+    "parse_z_spec", "poisson_bracket", "principal_nilpotent",
     "quantum_determinant", "serialize_terms", "symbol",
     "twisted_bethe_series", "upper_slice", "verify_bethe_commutativity",
     "verify_sklyanin",
@@ -26,7 +26,7 @@ _SOURCES = {
                     "algebra"),
     **dict.fromkeys(("IndexSet", "ZMatrix", "parse_z_spec"), "indices"),
     **dict.fromkeys(("CurrentPoint", "PoissonContext", "PoissonPoly",
-                     "bethe_family", "jacobian_rank", "poisson_bracket",
+                     "bethe_family", "poisson_bracket",
                      "principal_nilpotent", "upper_slice"), "poisson"),
     "Q": "rationals",
     "serialize_terms": "reports",

@@ -15,6 +15,13 @@ reads each word of A_k at order-0 weight, where pair steps are the
 identity, and each letter S(u-p) at its top part, that of S(u), so these
 rows build the graded member (`twisted.graded_bethe_series`).
 
+The rank and parity suites expand no determinant and form no bracket
+polynomial.  The Jacobian rows are first-order jets at the point
+(`poisson.jacobian_rows`), the bracket matrix is its formula evaluated
+at the point (`poisson.bracket_matrix`), and the parity zeros of the
+twisted family follow from a symmetry of the entries, checked exactly on
+them (`verify_twisted_parity`).
+
 Every suite returns a list of (item, bool) detail rows, matching the other
 verify_* functions; the CLI wraps these into reports.  The enveloping-
 algebra image suites, which need no Poisson side, are in `evalmap`.
@@ -28,8 +35,10 @@ import random
 
 from .indices import IndexSet, ZMatrix
 from .poisson import (CurrentPoint, PoissonContext, PoissonPoly, bethe_family,
-                      bracket_matrix, certified_jacobian_rank, matrix_rank,
-                      poisson_bracket, principal_nilpotent, upper_slice)
+                      bracket_matrix, certified_rank, det_entries,
+                      jacobian_rows, matrix_rank, poisson_bracket,
+                      principal_nilpotent, upper_slice)
+from .rationals import accumulate
 
 
 # seeded generator triples of `verify_poisson_jacobi`
@@ -118,21 +127,16 @@ def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix,
     return details
 
 
-def bethe_family_polys(family: dict) -> list:
-    """All coefficients of a bethe_family, flattened over k and r."""
-    return [p for table in family.values() for p in table]
-
-
-def verify_jacobian_rank(context: PoissonContext, family: dict,
+def verify_jacobian_rank(context: PoissonContext, z: ZMatrix,
                          seed: int = 0) -> list:
-    """Jacobian of the family (from bethe_family) at a certified seeded
-    point has the rank of `rank_table` (= the dimension of the
-    certification slice)."""
+    """The Jacobian of the determinant family (`bethe_family`) at a
+    certified seeded point has the rank of `rank_table` (= the dimension
+    of the certification slice).  Its rows are first-order jets at the
+    point (`poisson.jacobian_rows`): no member polynomial is expanded."""
     expected = _table_rank(context, 0)
-    fs = bethe_family_polys(family)
-    rank, t = certified_jacobian_rank(
-        fs, context.variables(),
-        lambda t: CurrentPoint.random(context, seed + t), expected)
+    coords = context.variables()
+    rank, t = certified_rank(lambda t: jacobian_rows(
+        context, z, CurrentPoint.random(context, seed + t), coords), expected)
     return [(f"jacobian rank {rank} (expected {expected}, seed {seed + t})",
              rank == expected)]
 
@@ -141,7 +145,8 @@ def verify_poisson_rank(context: PoissonContext) -> list:
     """Rank of the bracket at the principal nilpotent placed at the top
     level, its partner entries completed by the context, equals the
     bracket rank of `rank_table` (twice the slice codimension invariant),
-    and the bracket matrix there is antisymmetric."""
+    and the bracket matrix there is antisymmetric.  The matrix is the
+    bracket formula evaluated at the point (`poisson.bracket_matrix`)."""
     expected = _table_rank(context, 1)
     pt = CurrentPoint(context, {
         (context.M, i, j): x
@@ -154,15 +159,38 @@ def verify_poisson_rank(context: PoissonContext) -> list:
              rank == expected and antisymmetric)]
 
 
-def verify_twisted_parity(context: PoissonContext, family: dict) -> list:
-    """a_k^(r) = 0 exactly when N - k + r is odd, for the members of a
-    bethe_family."""
-    N = context.index_set.N
-    details = []
-    for k, table in family.items():
-        ok = not any(p for r, p in enumerate(table) if (N - k + r) % 2 == 1)
-        details.append((f"parity zeros k={k}", ok))
-    return details
+def verify_twisted_parity(context: PoissonContext, z: ZMatrix) -> list:
+    """a_k^(r) = 0 whenever N - k + r is odd, for every member of the
+    determinant family, certified from its entries with nothing expanded.
+
+    Lemma.  For a skew Z every entry of A(u, v) = u^M + V(u) + Z v
+    satisfies A_ij(-u, v) = (-1)^M eps_ij A_{-j,-i}(u, -(-1)^M v): the
+    term u^M as eps_ii = 1, the coordinate term y_ij^(r) u^{M-r} by the
+    tie y_ij^(r) = eps_ij (-1)^r y_{-j,-i}^(r), and z_ij v as z_ij =
+    -eps_ij z_{-j,-i}.  The twisted transpose (A_ij) -> (eps_ij A_{-j,-i})
+    keeps the determinant, so det A(-u, v) = (-1)^{MN} det A(u, -(-1)^M v).
+    On the coefficient of u^{kM-r} v^{N-k} the two sides differ by the
+    sign (-1)^{N-k+r}, so that coefficient vanishes when N - k + r is odd.
+
+    The identity is checked exactly, term by term, on the entries as
+    `det_entries` builds them, reduced variables and signs included; each
+    row "parity zeros k=.." holds when it does."""
+    iset, M = context.index_set, context.M
+    rows, _ = det_entries(context, z)
+    idx = iset.indices()
+    entry = {(i, j): rows[a][b] for a, i in enumerate(idx)
+             for b, j in enumerate(idx)}
+
+    def scaled(terms, sign_u, sign_v, c0=1):
+        # c0 * A(sign_u u, sign_v v) as {(degrees, variable): coeff}
+        return accumulate({}, (((d, w), c0 * c * sign_u ** d[0]
+                                * sign_v ** d[1]) for d, c, w in terms))
+
+    ok = all(scaled(entry[(i, j)], -1, 1)
+             == scaled(entry[(-j, -i)], 1, -(-1) ** M,
+                       (-1) ** M * iset.eps(i, j))
+             for i, j in entry)
+    return [(f"parity zeros k={k}", ok) for k in range(1, iset.N + 1)]
 
 
 def verify_classical_slice_rank(index_set: IndexSet, z: ZMatrix,
@@ -171,18 +199,18 @@ def verify_classical_slice_rank(index_set: IndexSet, z: ZMatrix,
     determinant coefficients restricted to the Borel slice are a complete
     independent set (rank equals the slice dimension n^2), as the Jacobian
     in the free coordinates at points that keep the base values
-    elsewhere."""
+    elsewhere, read from first-order jets (`poisson.jacobian_rows`)."""
     context = PoissonContext(index_set, 1)
-    fs = bethe_family_polys(bethe_family(context, z))
     base, free = upper_slice(context)
     expected = index_set.n ** 2
     rng = random.Random(seed)
 
-    def point(t):
-        return CurrentPoint(context, {
+    def rows(t):
+        point = CurrentPoint(context, {
             **base, **{v: rng.randint(1, 9) for v in free}})
+        return jacobian_rows(context, z, point, free)
 
-    rank, _ = certified_jacobian_rank(fs, free, point, expected)
+    rank, _ = certified_rank(rows, expected)
     return [(f"classical slice rank {rank} (expected {expected}, "
              f"dim {len(free)})", rank == expected)]
 

@@ -23,8 +23,9 @@ An internal error is a failed internal guard (such as the degree and
 parity guards of the determinant expansion) or any other exception raised
 by a computation, a `ValueError` included; exhausted memory exits 3 with a
 message formed in advance.  Errors go to stderr.  ``verify jacobian``
-reports the parity zeros as detail rows instead, so a parity violation
-there exits 1.
+expands no determinant: it certifies the parity zeros from the entries
+(`certify.verify_twisted_parity`) and reports them as detail rows, so a
+parity violation there exits 1.
 
 The default output directory is taken from the BETHE_OUTPUT_DIR
 environment variable (falling back to the working directory).  Sub-checks
@@ -280,14 +281,11 @@ def run_check(cfg: RunConfig, name: str) -> list:
 
     if name == "jacobian":
         from .certify import verify_jacobian_rank, verify_twisted_parity
-        from .poisson import bethe_family
 
         context = cfg.poisson_ctx()
-        # the parity zeros are reported as rows below, not raised
-        family = bethe_family(context, cfg.z, parity_guard=False)
-        details = verify_jacobian_rank(context, family, seed=cfg.seed)
+        details = verify_jacobian_rank(context, cfg.z, seed=cfg.seed)
         if iset.kind == "signed":
-            details += verify_twisted_parity(context, family)
+            details += verify_twisted_parity(context, cfg.z)
         return details
 
     if name == "poisson-rank":

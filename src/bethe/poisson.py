@@ -18,13 +18,22 @@ folding every value given elsewhere through it, so a base point is given
 by one entry per tied pair (`principal_nilpotent`) and the context
 completes the partners.
 
-Every rank certificate evaluates at a `CurrentPoint`: partial derivatives
-in one gradient pass per polynomial, then Bareiss fraction-free
-elimination on integer rows, all exact over the rationals.  There is one
-slice, `upper_slice`, the even-orthogonal Borel slice through the
-nilpotent of Lemma 4.5; its certificate differentiates in the free
-coordinates at a point that keeps the base values on every other
-coordinate, which is the Jacobian of the restriction to the slice.
+The determinant det(u^M + V(u) + Z v) is one Laplace walk over the
+entries of `det_entries` with two coefficient arithmetics (`_laplace`):
+term dicts, whose result `det_poly` and `bethe_family` expand, and
+first-order jets at a point, a value with its integer gradient, which
+give the Jacobian rows of the family (`jacobian_rows`) with no
+polynomial formed.  The bracket is one formula, `bracket_terms`, that
+`gen_bracket` forms into polynomials and `bracket_matrix` evaluates at a
+point.
+
+Every rank certificate evaluates at a `CurrentPoint` and expands
+nothing: jets or the bracket formula at the point, then Bareiss
+fraction-free elimination on integer rows, all exact over the
+rationals.  There is one slice, `upper_slice`, the even-orthogonal Borel
+slice through the nilpotent of Lemma 4.5; its certificate reads the jets
+in the free coordinates at a point that keeps the base values on every
+other coordinate, which is the Jacobian of the restriction to the slice.
 Random points come from a seeded generator, so every certificate is
 reproducible.
 """
@@ -93,42 +102,38 @@ class PoissonContext:
 
     # -- bracket on generators ---------------------------------------------
 
-    def gen_bracket(self, a: tuple, b: tuple) -> "PoissonPoly":
-        key = (a, b)
-        hit = self._bracket_cache.get(key)
-        if hit is not None:
-            return hit
+    def bracket_terms(self, a: tuple, b: tuple) -> list:
+        """The truncated bracket of two generators as the terms of its
+        formula, [(coeff, x, y)] for the products x*y of two coordinates,
+        unreduced, a coordinate at level 0 standing for the Kronecker
+        delta: {v_ij^(p), v_kl^(q)} is the sum over r = max(1, p+q-M) ..
+        min(p, q) of v_kj^(r-1) v_il^(p+q-r) - v_kj^(p+q-r) v_il^(r-1),
+        plus on a signed set the eps-twisted sum with the (-1)^{p+r-1}
+        factor.  `gen_bracket` and `bracket_matrix` both read it."""
         (p, i, j), (q, k, l) = a, b
-        terms: dict = {}
-
-        def put(s1, v1, s2, w1, c):
-            # product var^(s1) * var^(s2) with level-0 symbols = deltas;
-            # s1 + s2 = p + q - 1 >= 1, so at most one level is 0
-            if s1 == 0:
-                if v1[0] != v1[1]:
-                    return
-                word = ((s2,) + w1,)
-            elif s2 == 0:
-                if w1[0] != w1[1]:
-                    return
-                word = ((s1,) + v1,)
-            else:
-                word = ((s1,) + v1, (s2,) + w1)
-            accumulate(terms, ((tuple(sorted(word)), c),))
-
-        lo = max(1, p + q - self.M)
-        hi = min(p, q)
-        for r in range(lo, hi + 1):
-            put(r - 1, (k, j), p + q - r, (i, l), ONE)
-            put(p + q - r, (k, j), r - 1, (i, l), -ONE)
+        out = []
+        for r in range(max(1, p + q - self.M), min(p, q) + 1):
+            s = p + q - r
+            out.append((1, (r - 1, k, j), (s, i, l)))
+            out.append((-1, (s, k, j), (r - 1, i, l)))
             if self.index_set.kind == "signed":
                 eps = self.index_set.eps
                 sgn = (-1) ** (p + r - 1)
-                put(r - 1, (i, -k), p + q - r, (-j, l), sgn * eps(k, -j))
-                put(p + q - r, (k, -i), r - 1, (-l, j), -sgn * eps(i, -l))
-        res = PoissonPoly(self, terms)
-        self._bracket_cache[key] = res
-        return res
+                out.append((sgn * eps(k, -j), (r - 1, i, -k), (s, -j, l)))
+                out.append((-sgn * eps(i, -l), (s, k, -i), (r - 1, -l, j)))
+        return out
+
+    def gen_bracket(self, a: tuple, b: tuple) -> "PoissonPoly":
+        key = (a, b)
+        hit = self._bracket_cache.get(key)
+        if hit is None:
+            terms: dict = {}
+            for c, *word in self.bracket_terms(a, b):
+                # the two levels sum to p + q - 1 >= 1: at most one is 0
+                if all(v[0] or v[1] == v[2] for v in word):
+                    accumulate(terms, ((tuple(v for v in word if v[0]), c),))
+            hit = self._bracket_cache[key] = PoissonPoly(self, terms)
+        return hit
 
 
 class PoissonPoly:
@@ -229,45 +234,6 @@ class PoissonPoly:
             (drop_one(m), c * k) for m, c in self.terms.items()
             for k in (m.count(v),) if k)))
 
-    def evaluate(self, point: "CurrentPoint"):
-        """Value at a point."""
-        get = point.value
-        acc = 0
-        for m, c in self.terms.items():
-            t = c
-            for v in m:
-                t = t * get(v)
-                if not t:
-                    break
-            acc += t
-        return rat(acc)
-
-    def gradient(self, coords, point: "CurrentPoint") -> list:
-        """[df/dv at the point for v in coords] in one pass over the
-        monomials: each factor's partial is the product of the other
-        factors, read off prefix and suffix products of the point values.
-        Coordinates reduce as in `derivative`.  The coefficients are
-        scaled to integers, and integral point values are ints in
-        canonical form (all random points are), so the products run on
-        Python ints; one division per entry restores the exact value."""
-        get = point.value
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        acc: dict = {}
-        for m, c in self.terms.items():
-            vals = list(map(get, m))
-            suffix = [1]
-            for x in reversed(vals[1:]):
-                suffix.append(x * suffix[-1])
-            pre = c.numerator * (den // c.denominator)
-            for v, x, post in zip(m, vals, reversed(suffix)):
-                acc[v] = acc.get(v, 0) + pre * post
-                pre = pre * x
-        out = []
-        for v in coords:
-            red = self.context.reduce_var(v)
-            out.append(0 if red is None else div(acc.get(red[1], 0), den))
-        return out
-
 
 def _poly(context: PoissonContext, terms: dict) -> PoissonPoly:
     """Trusted constructor: `terms` holds only nonzero canonical
@@ -344,10 +310,6 @@ class CurrentPoint:
                 raise ValueError(f"value at {v} violates the context symmetry")
         self.values = {v: folded.get(v, 0) for v in context.variables()}
 
-    def value(self, v: tuple):
-        """The value of a fundamental-domain variable."""
-        return self.values[v]
-
     @staticmethod
     def random(context: PoissonContext, seed: int) -> "CurrentPoint":
         """Seeded point, nonzero integers in -9..9."""
@@ -364,21 +326,14 @@ class CurrentPoint:
 # -- determinant families --------------------------------------------------------
 
 
-def det_poly(context: PoissonContext, z: ZMatrix) -> dict:
-    """Coefficients of det(u^M + V(u) + Z v) as {(deg_u, deg_v): poly},
-    with V(u) the matrix of degree-staggered coordinate polynomials
-    v_ij^(1) u^{M-1} + ... + v_ij^(M).
-
-    Column-by-column Laplace expansion, memoized over the set of rows
-    already used: `layer[mask]` is the signed sum over all placements of
-    the rows in `mask` into the first popcount(mask) columns, as
-    {(deg_u, deg_v): {monomial: coeff}}.  Placing row i after the rows in
-    `mask` contributes (-1)^popcount(mask >> (i+1)).  This visits
-    N 2^(N-1) (mask, row) pairs instead of N! products of N entries.
-
-    Z v is expanded as (L Z)(v / L), L the lcm of the denominators of Z,
-    so every coefficient is a Python int until the v^b ones are divided
-    by L^b at the end."""
+def det_entries(context: PoissonContext, z: ZMatrix) -> tuple:
+    """The entries of u^M + V(u) + Z v, V(u) the matrix of degree-staggered
+    coordinate polynomials v_ij^(1) u^{M-1} + ... + v_ij^(M), as (rows, L):
+    rows[a][b] lists the terms ((deg_u, deg_v), int coeff, variable or
+    None) of the entry at the a-th and b-th index, each variable reduced
+    to the fundamental domain with its sign in the coefficient.  Z v
+    enters as (L Z)(v / L), L the lcm of the denominators of Z, so every
+    coefficient is an int."""
     iset = context.index_set
     if z.index_set != iset:
         raise ValueError("Z lives on a different index set")
@@ -387,8 +342,6 @@ def det_poly(context: PoissonContext, z: ZMatrix) -> dict:
     zq = {(i, j): z.entry(i, j) for i in idx for j in idx}
     L = lcm(*(x.denominator for x in zq.values()))
 
-    # entry (i, j) as [((deg_u, deg_v), int coeff, variable or None)], the
-    # variable already reduced to the fundamental domain
     def entry(i, j):
         e = []
         if i == j:
@@ -402,11 +355,27 @@ def det_poly(context: PoissonContext, z: ZMatrix) -> dict:
                 e.append(((M - r, 0), red[0], red[1]))
         return e
 
-    rows = [[entry(i, j) for j in idx] for i in idx]
-    layer = {0: {(0, 0): {(): 1}}}
-    for col in range(len(idx)):
+    return [[entry(i, j) for j in idx] for i in idx], L
+
+
+def _laplace(rows: list, unit: dict, times) -> dict:
+    """The determinant of the entries `rows` (as `det_entries` gives them)
+    as {(deg_u, deg_v): coefficient}, each coefficient a dict summed by
+    `accumulate`: `unit` is the coefficient 1, and times(coeff, c, w)
+    yields the (key, value) pairs of coeff times the entry term c*w (w
+    None for a constant c).  Term dicts give the polynomials of
+    `det_poly`, first-order jets the rows of `jacobian_rows`.
+
+    Column-by-column Laplace expansion, memoized over the set of rows
+    already used: `layer[mask]` is the signed sum over all placements of
+    the rows in `mask` into the first popcount(mask) columns.  Placing
+    row i after the rows in `mask` contributes (-1)^popcount(mask >>
+    (i+1)).  This visits N 2^(N-1) (mask, row) pairs instead of N!
+    products of N entries."""
+    layer = {0: {(0, 0): unit}}
+    for col in range(len(rows)):
         nxt: dict = {}
-        for mask, polys in layer.items():
+        for mask, coeffs in layer.items():
             for i, row in enumerate(rows):
                 if mask >> i & 1 or not row[col]:
                     continue
@@ -415,48 +384,101 @@ def det_poly(context: PoissonContext, z: ZMatrix) -> dict:
                 for (a2, b2), c2, w in row[col]:
                     if odd:
                         c2 = -c2
-                    for (a1, b1), terms in polys.items():
-                        accumulate(tgt.setdefault((a1 + a2, b1 + b2), {}), (
-                            (m if w is None else tuple(sorted(m + (w,))),
-                             c1 * c2) for m, c1 in terms.items()))
+                    for (a1, b1), coeff in coeffs.items():
+                        accumulate(tgt.setdefault((a1 + a2, b1 + b2), {}),
+                                   times(coeff, c2, w))
         layer = nxt
+    return {key: coeff for key, coeff in
+            layer.get((1 << len(rows)) - 1, {}).items() if coeff}
+
+
+def _term_times(terms: dict, c: int, w):
+    """Polynomial arithmetic of `_laplace`: terms {monomial: int}."""
+    if w is None:
+        return ((m, x * c) for m, x in terms.items())
+    return ((tuple(sorted(m + (w,))), x * c) for m, x in terms.items())
+
+
+def _jet_times(values: dict, coords: set):
+    """Jet arithmetic of `_laplace` at the point `values`: a first-order
+    jet {None: value, v: partial} holds its partials in the coordinates
+    `coords` only, and the entry term c*x_w maps the jet (a, g) to
+    (a c x_w, g c x_w + a c e_w), the last term only for w in `coords`."""
+    def times(jet: dict, c: int, w):
+        if w is None:
+            return ((k, x * c) for k, x in jet.items())
+        cx = c * values[w]
+        out = [(k, x * cx) for k, x in jet.items()] if cx else []
+        a = jet.get(None)
+        if a and w in coords:
+            out.append((w, a * c))
+        return out
+
+    return times
+
+
+def _members(full: dict, N: int, M: int, zero) -> dict:
+    """{k: [the coefficient of u^{kM-r} v^{N-k} in the expansion `full`,
+    or `zero`, for r = 0..kM]} for k = 1..N; nothing of a v^{N-k} slice
+    may fall outside the degrees 0..kM in u."""
+    for du, dv in full:
+        if 0 <= dv < N and not 0 <= du <= (N - dv) * M:
+            raise AssertionError("unexpected degree in determinant expansion")
+    return {k: [full.get((k * M - r, N - k), zero) for r in range(k * M + 1)]
+            for k in range(1, N + 1)}
+
+
+def det_poly(context: PoissonContext, z: ZMatrix) -> dict:
+    """Coefficients of det(u^M + V(u) + Z v) as {(deg_u, deg_v): poly}:
+    the entries of `det_entries` expanded by `_laplace` on term dicts of
+    Python ints, the v^b coefficients divided by L^b at the end."""
+    rows, L = det_entries(context, z)
     return {(du, dv): _poly(context, {m: rat(c, L ** dv)
                                       for m, c in terms.items()})
-            for (du, dv), terms in layer.get((1 << len(idx)) - 1, {}).items()
-            if terms}
+            for (du, dv), terms in _laplace(rows, {(): 1},
+                                            _term_times).items()}
 
 
-def bethe_family(context: PoissonContext, z: ZMatrix, *,
-                 parity_guard: bool = True) -> dict:
+def bethe_family(context: PoissonContext, z: ZMatrix) -> dict:
     """The determinant family from one expansion: {k: [c^(0), ..., c^(kM)]}
     for k = 1..N, where c^(r) is the coefficient of u^{kM-r} v^{N-k}
     divided by binomial(N,k).
 
-    In the twisted case c^(r) vanishes when N - k + r is odd; a nonzero one
-    raises, unless parity_guard is off for a caller that reports the
-    parity zeros itself (certify.verify_twisted_parity)."""
-    full = det_poly(context, z)
+    In the twisted case c^(r) vanishes when N - k + r is odd (the lemma of
+    `certify.verify_twisted_parity`); a nonzero one raises."""
     N = context.index_set.N
-    M = context.M
-    zero = PoissonPoly(context, {})
-    family = {}
-    for k in range(1, N + 1):
+    family = _members(det_poly(context, z), N, context.M,
+                      PoissonPoly(context, {}))
+    for k, table in family.items():
         inv = div(1, binomial(N, k))
-        out = [full.get((k * M - r, N - k), zero) * inv
-               for r in range(0, k * M + 1)]
-        # nothing of the v^{N-k} slice may fall outside degrees 0..kM
-        for (du, dv) in full:
-            if dv == N - k and not (0 <= k * M - du <= k * M):
-                raise AssertionError(
-                    "unexpected degree in determinant expansion")
-        if parity_guard and context.index_set.kind == "signed":
-            for r, p in enumerate(out):
+        family[k] = [p * inv for p in table]
+        if context.index_set.kind == "signed":
+            for r, p in enumerate(table):
                 if (N - k + r) % 2 != 0 and p:
                     raise AssertionError(
                         f"parity violation: coefficient {r} of the "
                         f"degree-{k} member should vanish")
-        family[k] = out
     return family
+
+
+def jacobian_rows(context: PoissonContext, z: ZMatrix, point: "CurrentPoint",
+                  coords) -> list:
+    """The Jacobian of the family of `bethe_family` at the point, in the
+    fundamental-domain coordinates `coords`: one row per coefficient c^(r)
+    of member k, in the order k = 1..N, r = 0..kM.  The Laplace walk of
+    `det_poly` runs on first-order jets at the point, so no polynomial is
+    formed; each jet is divided once, at the end, by binomial(N, k)
+    L^(N-k)."""
+    coords = tuple(coords)
+    N = context.index_set.N
+    rows, L = det_entries(context, z)
+    full = _laplace(rows, {None: 1}, _jet_times(point.values, set(coords)))
+    out = []
+    for k, table in _members(full, N, context.M, {}).items():
+        den = binomial(N, k) * L ** (N - k)
+        out += [[div(jet[v], den) if v in jet else 0 for v in coords]
+                for jet in table]
+    return out
 
 
 # -- nilpotents and slices -------------------------------------------------------
@@ -557,32 +579,38 @@ def _bareiss_sync(mat: list, stamp: list, r: int, col: int, d: int) -> list:
     return mat[r]
 
 
-def jacobian_rank(fs: list, coords, point: CurrentPoint) -> int:
-    """Rank of [df_a/dv_b] evaluated at the point."""
-    coords = list(coords)
-    return matrix_rank([f.gradient(coords, point) for f in fs])
-
-
 def bracket_matrix(point: CurrentPoint, context: PoissonContext) -> list:
-    """The matrix of coordinate brackets {a, b} at a point.  Every entry is
-    evaluated on its own, so a bracket that is not antisymmetric gives a
-    matrix that is not."""
+    """The matrix of coordinate brackets {a, b} at a point: each entry is
+    the formula `PoissonContext.bracket_terms` evaluated at the point,
+    with no polynomial formed.  Every entry is evaluated on its own, so a
+    bracket that is not antisymmetric gives a matrix that is not."""
+    idx = context.index_set.indices()
+    at = {}
+    for i in idx:
+        for j in idx:
+            at[(0, i, j)] = int(i == j)
+            for s in range(1, 2 * context.M):
+                red = context.reduce_var((s, i, j))
+                at[(s, i, j)] = 0 if red is None else \
+                    red[0] * point.values[red[1]]
+    terms = context.bracket_terms
     coords = context.variables()
-    return [[context.gen_bracket(a, b).evaluate(point) for b in coords]
-            for a in coords]
+    return [[rat(sum(c * at[x] * at[y] for c, x, y in terms(a, b)))
+             for b in coords] for a in coords]
 
 
 # points a certificate tries before it settles for the best rank seen
 RETRIES = 5
 
 
-def certified_jacobian_rank(fs: list, coords, point, expected: int):
-    """Max Jacobian rank over the points point(t), t = 0, 1, ... in order,
-    at most RETRIES of them; stops early when the expected rank is
-    reached.  Returns (achieved, t of the point that achieved it)."""
+def certified_rank(rows, expected: int):
+    """Max rank of the matrices rows(t), t = 0, 1, ... in order, at most
+    RETRIES of them, each read at its own point; stops early when the
+    expected rank is reached.  Returns (achieved, t of the matrix that
+    achieved it)."""
     best, best_t = 0, 0
     for t in range(RETRIES):
-        r = jacobian_rank(fs, coords, point(t))
+        r = matrix_rank(rows(t))
         if r > best:
             best, best_t = r, t
         if best >= expected:

@@ -15,10 +15,14 @@ same convention reproducible builds use for timestamps).
 """
 from __future__ import annotations
 
-import json
 import os
 
 from .rationals import format_rat
+
+try:  # the C string encoder, without loading the rest of `json`
+    from _json import encode_basestring_ascii
+except ImportError:  # pragma: no cover
+    from json.encoder import encode_basestring_ascii
 
 
 def h_orientation(k: int) -> str:
@@ -98,6 +102,33 @@ def series_table(config: dict, rows: dict, key: str) -> dict:
 
 
 def dump_json(data: dict, path: str) -> None:
-    """Write a report or table in the fixed JSON encoding."""
+    """Write a report or table in the fixed JSON encoding, the bytes of
+    json.dumps(data, sort_keys=True, indent=1) and a final newline."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(data, sort_keys=True, indent=1) + "\n")
+        fh.write(json_text(data) + "\n")
+
+
+def json_text(x, nl: str = "\n") -> str:
+    """`x` (nested dicts with str keys, lists, str, int, bool and None) as
+    json.dumps(x, sort_keys=True, indent=1) encodes it, `nl` the newline
+    and indent of its nesting.  With an indent set that encoder runs in
+    pure Python; this one only joins strings, each quoted by the C
+    encoder of `json`."""
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is list or t is dict:
+        if not x:
+            return "[]" if t is list else "{}"
+        inner = nl + " "
+        if t is list:
+            return "[" + inner + ("," + inner).join(
+                [json_text(v, inner) for v in x]) + nl + "]"
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + json_text(x[k], inner)
+             for k in sorted(x)]) + nl + "}"
+    if x is None or t is bool:
+        return "null" if x is None else "true" if x else "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

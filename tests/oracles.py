@@ -30,7 +30,12 @@ maps an element of Z[S_k] to its operator.
 
 `rank_table_holds`, `expected_jacobian_rank` and `expected_poisson_rank`
 state the classical rank tables as three functions, each with its own
-three-way split, the reference for `certify.rank_table`.
+three-way split, the reference for `certify.rank_table`.  `evaluate` is
+the value of a polynomial at a point (the former `PoissonPoly.evaluate`),
+the reference for the Jacobian rows (`poisson.jacobian_rows`, through the
+derivatives of the expanded family) and the bracket matrix
+(`poisson.bracket_matrix`, through `gen_bracket`) that the package reads
+at the point.
 
 `normal_order` rewrites one word by adjacent swaps, the reference for the
 cached normal-ordering kernels of `algebra.CommutationRule`, keeping the
@@ -431,3 +436,11 @@ def expected_poisson_rank(context: PoissonContext) -> int:
         return 2 * (2 * m * n - m + n) * n
     m = M // 2
     return 2 * (2 * n - 1) * m * n
+
+
+def evaluate(p, point):
+    """The value of the polynomial p at the point."""
+    acc = 0
+    for m, c in p.terms.items():
+        acc += c * prod(point.values[v] for v in m)
+    return rat(acc)

@@ -345,18 +345,66 @@ def test_qdet_k_other_than_n_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("algebra", [["--kind", "gl", "--N", "2"],
                                      ["--kind", "sp", "--n", "1"]])
 def test_jacobian_fails_without_last_family_polynomial(monkeypatch, algebra):
-    import bethe.poisson as poisson
+    # the jet row of the last coefficient of the top member dropped
+    import bethe.certify as certify
 
     args = ["verify", "jacobian", *algebra, "--M", "1"]
     assert main(args) == 0
-    real = poisson.bethe_family
+    real = certify.jacobian_rows
 
-    def short_family(context, z, **kwargs):
-        family = real(context, z, **kwargs)
-        family[max(family)] = family[max(family)][:-1]
-        return family
+    def short_family(*args):
+        return real(*args)[:-1]
 
-    monkeypatch.setattr(poisson, "bethe_family", short_family)
+    monkeypatch.setattr(certify, "jacobian_rows", short_family)
+    assert main(args) == 1
+
+
+class Partner(tuple):
+    """A variable marked as read at its partner entry."""
+
+
+def partner_entries(real):
+    """`det_entries` with the variable of every partner entry, one whose
+    representative is another coordinate, marked as a `Partner`."""
+    def marked(context, z):
+        rows, L = real(context, z)
+        idx = context.index_set.indices()
+        for i, row in zip(idx, rows):
+            for j, entry in zip(idx, row):
+                entry[:] = [(d, c, w if w is None or w[1:] == (i, j)
+                             else Partner(w)) for d, c, w in entry]
+        return rows, L
+
+    return marked
+
+
+@pytest.mark.parametrize("algebra", [
+    ["--kind", "sp", "--n", "1", "--M", "3"],
+    ["--kind", "so", "--n", "1", "--odd", "--M", "3"],
+    ["--kind", "sp", "--n", "2", "--M", "3"],
+    ["--kind", "so", "--n", "2", "--odd", "--M", "3"],
+])
+def test_jacobian_fails_without_the_partner_jet_term(monkeypatch, algebra):
+    # the term a*s*e_w of the jet product dropped for the entries whose
+    # variable is tied to the partner coordinate: the rows are no longer
+    # a Jacobian, and the members that vanish identically get nonzero
+    # rows, so the rank exceeds the table (at so3 and sp2 M = 1 the rank
+    # stays 2, which the fault does not reach)
+    import bethe.poisson as poisson
+
+    args = ["verify", "jacobian", *algebra]
+    assert main(args) == 0
+    monkeypatch.setattr(poisson, "det_entries",
+                        partner_entries(poisson.det_entries))
+    assert main(args) == 0  # the marks alone change nothing
+    real = poisson._jet_times
+
+    def dropping(values, coords):
+        times, constant = real(values, coords), real(values, set())
+        return lambda jet, c, w: (constant if type(w) is Partner
+                                  else times)(jet, c, w)
+
+    monkeypatch.setattr(poisson, "_jet_times", dropping)
     assert main(args) == 1
 
 
@@ -477,25 +525,84 @@ def test_symbol_hom_draws_only_pairs_its_symbols_read(monkeypatch, tmp_path):
 
 
 def test_jacobian_reports_a_parity_violation(monkeypatch, tmp_path):
+    # one entry's reduced variable without its sign: the entry identity,
+    # and with it every parity row, fails at sp2 M = 1, so5 and sp4 M = 3
+    import bethe.certify as certify
     import bethe.poisson as poisson
 
-    args = ["verify", "jacobian", "--kind", "sp", "--n", "1", "--M", "1"]
-    assert main(args) == 0
-    real = poisson.det_poly
+    cases = [["--kind", "sp", "--n", "1", "--M", "1"],
+             ["--kind", "so", "--n", "2", "--odd", "--M", "3"],
+             ["--kind", "sp", "--n", "2", "--M", "3"]]
+    for algebra in cases:
+        assert main(["verify", "jacobian", *algebra]) == 0
+    real = poisson.det_entries
 
-    def odd_coefficient(context, z):
-        # sp2, M=1: c^(0) of the k=1 member (u^1 v^1) must vanish
-        full = real(context, z)
-        full[(1, 1)] = poisson.PoissonPoly.constant(context, 1)
-        return full
+    def unsigned(context, z):
+        rows, L = real(context, z)
+        entry = next(e for row in rows for e in row
+                     if any(c == -1 and w for _, c, w in e))
+        t = next(t for t, (_, c, w) in enumerate(entry) if c == -1 and w)
+        entry[t] = (entry[t][0], 1, entry[t][2])
+        return rows, L
 
-    monkeypatch.setattr(poisson, "det_poly", odd_coefficient)
-    assert main(args) == 1
-    rows = json.loads((tmp_path / "jacobian.json").read_text())["details"]
+    monkeypatch.setattr(poisson, "det_entries", unsigned)
+    monkeypatch.setattr(certify, "det_entries", unsigned)
+    for algebra in cases:
+        assert main(["verify", "jacobian", *algebra]) == 1
+        rows = json.loads((tmp_path / "jacobian.json").read_text())["details"]
+        parity = [r for r in rows if r["item"].startswith("parity zeros")]
+        assert parity and not any(r["residual_zero"] for r in parity)
     assert {"item": "parity zeros k=1", "residual_zero": False} in rows
     # the other callers keep the guard
     assert main(["compute", "poisson-bethe", "--kind", "sp", "--n", "1",
                  "--M", "1"]) == 3
+
+
+@pytest.mark.parametrize("algebra", [["--kind", "so", "--n", "1", "--odd"],
+                                     ["--kind", "sp", "--n", "1"]])
+def test_jacobian_expands_no_determinant(monkeypatch, algebra):
+    import bethe.poisson as poisson
+
+    def expansion(context, z):
+        raise AssertionError("det_poly called")
+
+    monkeypatch.setattr(poisson, "det_poly", expansion)
+    for M in ("1", "3"):
+        assert main(["verify", "jacobian", *algebra, "--M", M]) == 0
+    assert main(["compute", "poisson-bethe", *algebra]) == 3
+
+
+def test_poisson_rank_and_jacobi_read_one_bracket_formula(monkeypatch,
+                                                         tmp_path):
+    # poisson-rank evaluates the terms of the formula at the point and
+    # poisson-jacobi reads them through gen_bracket: the eps-twisted half
+    # negated changes the rank at the base point of sp4, though the matrix
+    # stays antisymmetric, and {a, b} negated for a > b fails the Jacobi
+    # rows
+    from bethe.poisson import PoissonContext
+
+    rank = ["verify", "poisson-rank", "--kind", "sp", "--n", "2", "--M", "3"]
+    jacobi = ["verify", "poisson-jacobi", "--kind", "gl", "--N", "2"]
+    assert main(rank) == 0 and main(jacobi) == 0
+    real = PoissonContext.bracket_terms
+
+    def twist_negated(self, a, b):
+        # on a signed set the terms come in fours per r, the last two
+        # from the eps-twisted sum
+        return [(-c if t % 4 > 1 else c, x, y)
+                for t, (c, x, y) in enumerate(real(self, a, b))]
+
+    monkeypatch.setattr(PoissonContext, "bracket_terms", twist_negated)
+    assert main(rank) == 1
+    [row] = json.loads((tmp_path / "poisson-rank.json").read_text())["details"]
+    assert not row["item"].startswith("bracket rank 20 ")
+
+    def sign_flipped(self, a, b):
+        terms = real(self, a, b)
+        return [(-c, x, y) for c, x, y in terms] if a > b else terms
+
+    monkeypatch.setattr(PoissonContext, "bracket_terms", sign_flipped)
+    assert main(jacobi) == 1
 
 
 # -- planted defects in the plain Yangian checks -----------------------------------

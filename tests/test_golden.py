@@ -21,8 +21,10 @@ import sys
 import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bethe.cli import main
+from bethe.reports import json_text
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -95,6 +97,23 @@ def run_case(args: list, out_dir: str) -> dict:
     data.pop("params", None)
     data.pop("config", None)
     return data
+
+
+# JSON values of the shapes reports and tables hold: nested dicts with
+# str keys, lists, str (non-ASCII and control characters included), int
+# and bool, and None as the params block holds it
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_writer_matches_the_library_encoder(data):
+    assert json_text(data) == json.dumps(data, sort_keys=True, indent=1)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from bethe.certify import (rank_table, verify_jacobian_rank,
                            verify_laplace_consistency, verify_poisson_jacobi,
-                           verify_poisson_rank, verify_symbol_homomorphy)
+                           verify_poisson_rank, verify_symbol_homomorphy,
+                           verify_twisted_parity)
 from bethe.indices import IndexSet, parse_z_spec, perm_sign
 from bethe.poisson import (CurrentPoint, PoissonContext, PoissonPoly,
                            bethe_family, bracket_matrix, det_poly,
-                           jacobian_rank, matrix_rank, poisson_bracket,
+                           jacobian_rows, matrix_rank, poisson_bracket,
                            principal_nilpotent, upper_slice)
 from bethe.rationals import ONE, Q, accumulate
-from oracles import (expected_jacobian_rank, expected_poisson_rank,
+from oracles import (evaluate, expected_jacobian_rank, expected_poisson_rank,
                      rank_table_holds)
 
 
@@ -192,7 +193,7 @@ def test_current_point_folds_a_partner_onto_its_representative():
         ctx = PoissonContext(iset, M)
         assert ctx.reduce_var((M, 2, 1)) == (sign, (M, -1, -2))
         pt = CurrentPoint(ctx, {(M, 2, 1): Q(5, 2)})
-        assert pt.value((M, -1, -2)) == sign * Q(5, 2)
+        assert pt.values[(M, -1, -2)] == sign * Q(5, 2)
         assert {v: x for v, x in pt.values.items() if x} == \
             {(M, -1, -2): sign * Q(5, 2)}
         both = {(M, 2, 1): 5, (M, -1, -2): sign * 5}
@@ -209,10 +210,16 @@ def test_matrix_rank_oracle():
 
 
 def test_jacobian_rank_of_constants_is_zero():
-    ctx = PoissonContext(IndexSet.plain(2), 1)
-    consts = [PoissonPoly.constant(ctx, Q(5))]
+    # c_k^(0), the constant of each member, has a zero jet row; the rows
+    # of the whole family do not vanish
+    iset = IndexSet.plain(2)
+    ctx = PoissonContext(iset, 1)
+    z = parse_z_spec("diag:1,2", iset)
     pt = CurrentPoint(ctx, {v: Q(1) for v in ctx.variables()})
-    assert jacobian_rank(consts, ctx.variables(), pt) == 0
+    rows = jacobian_rows(ctx, z, pt, ctx.variables())
+    assert len(rows) == 2 + 3
+    assert matrix_rank([rows[0], rows[2]]) == 0
+    assert matrix_rank(rows) == 3
 
 
 def test_poisson_rank_zero_point_and_ceiling():
@@ -252,6 +259,24 @@ def test_rank_certificates_raise_outside_the_tables():
         verify_poisson_rank(ctx)
 
 
+@pytest.mark.parametrize("iset,M", [
+    (IndexSet.plain(3), 2), (IndexSet.signed(3, "so"), 3),
+    (IndexSet.signed(4, "sp"), 3), (IndexSet.signed(4, "so"), 2),
+    (IndexSet.signed(5, "so"), 3)], ids=repr)
+def test_bracket_matrix_is_the_brackets_evaluated_at_the_point(iset, M):
+    # the formula evaluated at the point equals, entry by entry, the
+    # value there of the polynomial gen_bracket forms from it, at the base
+    # point and at a random one
+    ctx = PoissonContext(iset, M)
+    coords = ctx.variables()
+    base = CurrentPoint(ctx, {(M, i, j): x for (i, j), x in
+                              principal_nilpotent(iset).items()})
+    for pt in (base, CurrentPoint.random(ctx, seed=3)):
+        assert bracket_matrix(pt, ctx) == \
+            [[evaluate(ctx.gen_bracket(a, b), pt) for b in coords]
+             for a in coords]
+
+
 @pytest.mark.parametrize("kind, n", [("gl", "2"), ("sp", "1")])
 def test_poisson_rank_fails_for_a_bracket_that_breaks_antisymmetry(
         monkeypatch, tmp_path, kind, n):
@@ -263,13 +288,13 @@ def test_poisson_rank_fails_for_a_bracket_that_breaks_antisymmetry(
             "--N" if kind == "gl" else "--n", n, "--M", "1",
             "--out", str(tmp_path / "rank.json")]
     assert main(args) == 0
-    real = PoissonContext.gen_bracket
+    real = PoissonContext.bracket_terms
 
     def sign_flipped(self, a, b):
-        br = real(self, a, b)
-        return -br if a > b else br
+        terms = real(self, a, b)
+        return [(-c, x, y) for c, x, y in terms] if a > b else terms
 
-    monkeypatch.setattr(PoissonContext, "gen_bracket", sign_flipped)
+    monkeypatch.setattr(PoissonContext, "bracket_terms", sign_flipped)
     assert main(args) == 1
 
 
@@ -309,9 +334,9 @@ SLICE_CASES = {
 
 @pytest.mark.parametrize("iset, spec", SLICE_CASES.values(), ids=SLICE_CASES)
 def test_slice_jacobian_at_the_point_equals_the_restriction(iset, spec):
-    # at each seed's draw of 1..9 on the free coordinates, the Jacobian in
+    # at each seed's draw of 1..9 on the free coordinates, the jet rows in
     # the free coordinates at the point that keeps the base values
-    # elsewhere equals, entry by entry, the Jacobian of the restrictions
+    # elsewhere equal, entry by entry, the Jacobian of the restrictions
     ctx = PoissonContext(iset, 1)
     z = parse_z_spec(spec, iset, "prime_skew")
     fs = [p for table in bethe_family(ctx, z).values() for p in table]
@@ -323,8 +348,9 @@ def test_slice_jacobian_at_the_point_equals_the_restriction(iset, spec):
         draws = {v: rng.randint(1, 9) for v in free}
         at_point = CurrentPoint(ctx, {**base, **draws})
         on_slice = CurrentPoint(ctx, draws)
-        assert [f.gradient(free, at_point) for f in fs] == \
-            [r.gradient(free, on_slice) for r in rest]
+        assert jacobian_rows(ctx, z, at_point, free) == \
+            [[evaluate(r.derivative(v), on_slice) for v in free]
+             for r in rest]
 
 
 def test_principal_nilpotents_match_the_display():
@@ -381,7 +407,7 @@ def full_grid(point: CurrentPoint) -> dict:
         for i in idx:
             for j in idx:
                 red = ctx.reduce_var((r, i, j))
-                x = 0 if red is None else red[0] * point.value(red[1])
+                x = 0 if red is None else red[0] * point.values[red[1]]
                 if x:
                     out[(r, i, j)] = x
     return out
@@ -522,23 +548,56 @@ def test_family_members_equal_bethe_poly():
         assert len(table) == k * ctx.M + 1
 
 
-def test_gradient_matches_derivatives():
-    iset = IndexSet.signed(4, "sp")
-    ctx = PoissonContext(iset, 3)
-    z = parse_z_spec("diag:1,3", iset, "prime_skew")
+JET_CASES = {"gl2": (IndexSet.plain(2), "diag:1,2", (1, 2, 3)),
+             "gl3": (IndexSet.plain(3), "diag:1,2,4", (1, 2, 3)),
+             "gl4": (IndexSet.plain(4), "diag:1,-2,3,5/2", (1, 2, 3)),
+             "so3": (IndexSet.signed(3, "so"), "diag:3/2", (1, 3)),
+             "sp2": (IndexSet.signed(2, "sp"), "diag:2", (1, 3)),
+             "so4": (IndexSet.signed(4, "so"), "diag:1,3", (2,)),
+             "sp4": (IndexSet.signed(4, "sp"), "diag:1/2,-2/3", (1, 3)),
+             "so5": (IndexSet.signed(5, "so"), "diag:7/2,-1/2", (1, 3))}
+
+
+@pytest.mark.parametrize("iset,spec,levels", JET_CASES.values(),
+                         ids=JET_CASES)
+def test_jet_rows_match_derivatives(iset, spec, levels):
+    # the Jacobian read from jets at the point equals, row for row, the
+    # derivatives of the expanded family evaluated there, at an integral
+    # point and at one with fractional values
+    z = parse_z_spec(spec, iset, None if iset.kind == "plain" else
+                     "prime_skew")
     rng = random.Random(5)
-    # an integral point and one with fractional values
-    points = [CurrentPoint.random(ctx, seed=4),
-              CurrentPoint(ctx, {v: Q(rng.randint(-9, 9), rng.randint(1, 4))
-                                 for v in ctx.variables()})]
-    # every grid coordinate, including eps-partners and forced zeros
-    coords = [(r, i, j) for r in (1, 2, 3) for i in iset.indices()
-              for j in iset.indices()]
-    for table in bethe_family(ctx, z).values():
-        for f in table:
-            for pt in points:
-                assert f.gradient(coords, pt) == \
-                    [f.derivative(v).evaluate(pt) for v in coords]
+    for M in levels:
+        assert rank_table(iset, M) is not None
+        ctx = PoissonContext(iset, M)
+        coords = ctx.variables()
+        fs = [p for table in bethe_family(ctx, z).values() for p in table]
+        for pt in (CurrentPoint.random(ctx, seed=4),
+                   CurrentPoint(ctx, {v: Q(rng.randint(-9, 9),
+                                           rng.randint(1, 4))
+                                      for v in coords})):
+            assert jacobian_rows(ctx, z, pt, coords) == \
+                [[evaluate(f.derivative(v), pt) for v in coords] for f in fs]
+
+
+@pytest.mark.parametrize("iset,spec,levels",
+                         [c for c in JET_CASES.values()
+                          if c[0].kind == "signed"],
+                         ids=[k for k, c in JET_CASES.items()
+                              if c[0].kind == "signed"])
+def test_entry_identity_holds_and_the_expansion_has_its_parity_zeros(
+        iset, spec, levels):
+    # the entries satisfy A_ij(-u, v) = (-1)^M eps_ij A_{-j,-i}(u, -(-1)^M v),
+    # and every nonzero coefficient of u^a v^b in the expansion has
+    # a + b + M (N + b) even, that is N - k + r even for c_k^(r)
+    z = parse_z_spec(spec, iset, "prime_skew")
+    N = iset.N
+    for M in levels:
+        ctx = PoissonContext(iset, M)
+        _all_ok(verify_twisted_parity(ctx, z))
+        full = det_poly(ctx, z)
+        for du, dv in full:
+            assert (du + dv + M * (N + dv)) % 2 == 0, (M, du, dv)
 
 
 rational = st.builds(Q, st.integers(-4, 4), st.integers(1, 5))
