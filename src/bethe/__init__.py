@@ -9,7 +9,7 @@ and the `bethe` command import only the modules they use."""
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement", "CurrentPoint", "FreeRule", "GlRule", "IndexSet",
+    "AlgebraElement", "CurrentPoint", "FreeRule", "IndexSet",
     "PoissonContext", "PoissonPoly", "Q", "TruncatedSeries",
     "TwistedContext", "YangianRule", "ZMatrix", "bethe_family",
     "bethe_series", "commutator", "filtration_degree", "hat_bethe_series",
@@ -21,7 +21,7 @@ __all__ = [
 
 # exported name -> the submodule that defines it
 _SOURCES = {
-    **dict.fromkeys(("AlgebraElement", "FreeRule", "GlRule", "YangianRule",
+    **dict.fromkeys(("AlgebraElement", "FreeRule", "YangianRule",
                      "commutator", "filtration_degree", "symbol"),
                     "algebra"),
     **dict.fromkeys(("IndexSet", "ZMatrix", "parse_z_spec"), "indices"),

@@ -3,13 +3,11 @@
 Generators are triples (level, row, col); native tuple comparison gives the
 canonical (level, row, col) lexicographic order, and signed indices order
 naturally as integers.  A pluggable commutation rule supplies the commutator
-of two generators as a normal-ordered correction; three rules are provided:
+of two generators as a normal-ordered correction; two rules are provided:
 
 * YangianRule — [T_ij^(p), T_kl^(q)] =
       sum_{r=1}^{min(p,q)} (T_kj^(r-1) T_il^(p+q-r) - T_kj^(p+q-r) T_il^(r-1)),
   with the level-0 symbol T^(0)_ab = delta_ab folded into scalars;
-* GlRule — enveloping algebra of gl, [E_ij, E_kl] = d_jk E_il - d_li E_kj,
-  every generator at level 1;
 * FreeRule — no rewriting at all (plain words), used for formal S-words.
 
 A rule may carry a top level M (`top_level`, None by default).  Such a
@@ -20,6 +18,9 @@ Each term of [T^(p), T^(q)] holds a generator of level >= max(p, q), so J_M
 is a two-sided ideal, and normal forms of elements whose generators lie at
 levels <= M are the full rule's with every monomial of J_M dropped.  A
 graded symbol at level M kills J_M, so it reads the same through either.
+The Yangian capped at level 1 is the enveloping algebra U(gl_N): its
+bracket there is [T_ij, T_kl] = d_kj T_il - d_il T_kj, and the evaluation
+map T_ij^(r) -> d_r1 E_ij is the quotient by J_1.
 
 Elements are sparse dicts {monomial tuple: rational}; monomials of an
 element under a commuting rule are always non-decreasing tuples of
@@ -200,24 +201,6 @@ class YangianRule(CommutationRule):
         if t == 0:
             return [(sign, ((s, k, j),))] if i == l else []
         return [(sign, ((s, k, j), (t, i, l)))]
-
-
-class GlRule(CommutationRule):
-    """Enveloping algebra of gl: [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
-
-    def gen(self, row, col, level=1):
-        if level != 1:
-            raise ValueError("gl generators live at level 1")
-        return super().gen(row, col, 1)
-
-    def raw_bracket(self, a, b):
-        (_, i, j), (_, k, l) = a, b
-        out = []
-        if j == k:
-            out.append((1, ((1, i, l),)))
-        if l == i:
-            out.append((-1, ((1, k, j),)))
-        return out
 
 
 class FreeRule(CommutationRule):

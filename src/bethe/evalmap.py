@@ -1,14 +1,17 @@
 """Evaluation substitutions into enveloping algebras, and the defining
 matrix representation.
 
-* pi: level-1 generators map to enveloping-algebra generators E_ij, all
-  higher levels to zero.
+The enveloping algebra U(gl_N) is the Yangian rule capped at level 1,
+`YangianRule(index_set, 1)`, whose generator (1, i, j) is E_ij.
+
+* pi: the quotient map onto it: level-1 generators map to E_ij, and the
+  capped rule sends every higher level to zero.
 * rho: defined on formal S-words; S_ij^(r) maps to F_ij (-+1/2)^{r-1} with
   F_ij = E_ij - eps_ij E_{-j,-i} (upper sign `IndexSet.upper`: so).
 
-Both are `WordMap`s: `pi_map` and `rho_map` build one for a target
-`GlRule`, and a check builds it once, so each distinct word is multiplied
-out once however often it occurs.
+Both are `WordMap`s: `pi_map` and `rho_map` build one for a target rule
+capped at level 1, and a check builds it once, so each distinct word is
+multiplied out once however often it occurs.
 
 The defining representation sends an element to an N x N rational
 matrix, a one-site rational `TensorElement`, so matrices multiply by the
@@ -25,7 +28,7 @@ checks that the pi or rho images of one commuting family
 """
 from __future__ import annotations
 
-from .algebra import AlgebraElement, GlRule, WordMap, commutator
+from .algebra import AlgebraElement, WordMap, YangianRule, commutator
 from .indices import IndexSet, ZMatrix
 from .rationals import accumulate, rat
 from .series import RATIONAL_RING
@@ -33,26 +36,27 @@ from .tensor import TensorElement
 from .yangian import commuting_family
 
 
-def pi_map(gl_rule: GlRule) -> WordMap:
-    """Evaluation as a word map: T_ij^(1) -> E_ij, higher levels -> 0."""
-    return WordMap(gl_rule, lambda g: gl_rule.element(g[1], g[2])
-                   if g[0] == 1 else gl_rule.zero())
+def pi_map(rule: YangianRule) -> WordMap:
+    """Evaluation as a word map into the Yangian `rule` capped at level 1:
+    the quotient map, T_ij^(1) -> E_ij, higher levels -> 0."""
+    return WordMap(rule, lambda g: rule.element(g[1], g[2], g[0]))
 
 
-def f_element(gl_rule: GlRule, i: int, j: int) -> AlgebraElement:
+def f_element(rule: YangianRule, i: int, j: int) -> AlgebraElement:
     """F_ij = E_ij - eps_ij E_{-j,-i} inside the ambient enveloping algebra."""
-    iset = gl_rule.index_set
-    return gl_rule.element(i, j) - gl_rule.element(-j, -i) * iset.eps(i, j)
+    iset = rule.index_set
+    return rule.element(i, j) - rule.element(-j, -i) * iset.eps(i, j)
 
 
-def rho_map(gl_rule: GlRule) -> WordMap:
-    """rho as a word map on formal S-words: S_ij^(r) -> F_ij (-+1/2)^{r-1}
-    (the upper sign `IndexSet.upper` for the orthogonal form)."""
-    iset = gl_rule.index_set
+def rho_map(rule: YangianRule) -> WordMap:
+    """rho as a word map on formal S-words into the Yangian `rule` capped
+    at level 1: S_ij^(r) -> F_ij (-+1/2)^{r-1} (the upper sign
+    `IndexSet.upper` for the orthogonal form)."""
+    iset = rule.index_set
     if iset.kind != "signed":
         raise ValueError("rho needs a signed index set with a declared form")
     half = rat(-iset.upper, 2)
-    return WordMap(gl_rule, lambda g: f_element(gl_rule, g[1], g[2])
+    return WordMap(rule, lambda g: f_element(rule, g[1], g[2])
                    * half ** (g[0] - 1))
 
 
@@ -74,11 +78,10 @@ def defining_rep(e: AlgebraElement, index_set: IndexSet) -> TensorElement:
         for i, j in units(word))))
 
 
-def verify_image_commutativity(elements: list, gl_rule: GlRule) -> list:
+def verify_image_commutativity(elements: list, index_set: IndexSet) -> list:
     """Pairwise commutators vanish both in the enveloping algebra and in
     the defining matrix representation."""
-    iset = gl_rule.index_set
-    mats = [defining_rep(e, iset) for e in elements]
+    mats = [defining_rep(e, index_set) for e in elements]
     details = []
     for a in range(len(elements)):
         for b in range(a + 1, len(elements)):
@@ -95,7 +98,7 @@ def verify_rho_homomorphy(ctx, D: int) -> list:
     factors through the defining relations)."""
     from .twisted import reflection_rows, symmetry_rows
 
-    rho = rho_map(GlRule(ctx.index_set))
+    rho = rho_map(YangianRule(ctx.index_set, 1))
     return (symmetry_rows("rho of symmetry residual", ctx, D, rho)
             + reflection_rows("rho of reflection residual", ctx, D, rho))
 
@@ -104,7 +107,7 @@ def verify_pi_rho_image_commutativity(index_set: IndexSet, z: ZMatrix,
                                       D: int) -> list:
     """Pairwise commutativity of the enveloping-algebra images, in the
     algebra and in the defining representation."""
-    gl = GlRule(index_set)
+    gl = YangianRule(index_set, 1)
     if index_set.kind == "plain":
         image, tag = pi_map(gl), "pi image"
     else:
@@ -112,5 +115,5 @@ def verify_pi_rho_image_commutativity(index_set: IndexSet, z: ZMatrix,
     family = commuting_family(index_set, z)
     elems = [image(c) for k in range(1, index_set.N + 1)
              for c in family(k, D).coeffs[1:]]
-    rows = verify_image_commutativity(elems, gl)
+    rows = verify_image_commutativity(elems, index_set)
     return [(f"{tag} {item}", ok) for item, ok in rows]

@@ -20,12 +20,13 @@ completes the partners.
 
 The determinant det(u^M + V(u) + Z v) is one Laplace walk over the
 entries of `det_entries` with two coefficient arithmetics (`_laplace`):
-term dicts, whose result `det_poly` and `bethe_family` expand, and
+term dicts, which give the expanded family (`bethe_family`), and
 first-order jets at a point, a value with its integer gradient, which
 give the Jacobian rows of the family (`jacobian_rows`) with no
-polynomial formed.  The bracket is one formula, `bracket_terms`, that
-`gen_bracket` forms into polynomials and `bracket_matrix` evaluates at a
-point.
+polynomial formed.  Both read the family's members through one helper,
+`_family`, which divides each coefficient once.  The bracket is one
+formula, `bracket_terms`, that `gen_bracket` forms into polynomials and
+`bracket_matrix` evaluates at a point.
 
 Every rank certificate evaluates at a `CurrentPoint` and expands
 nothing: jets or the bracket formula at the point, then Bareiss
@@ -364,7 +365,7 @@ def _laplace(rows: list, unit: dict, times) -> dict:
     `accumulate`: `unit` is the coefficient 1, and times(coeff, c, w)
     yields the (key, value) pairs of coeff times the entry term c*w (w
     None for a constant c).  Term dicts give the polynomials of
-    `det_poly`, first-order jets the rows of `jacobian_rows`.
+    `bethe_family`, first-order jets the rows of `jacobian_rows`.
 
     Column-by-column Laplace expansion, memoized over the set of rows
     already used: `layer[mask]` is the signed sum over all placements of
@@ -417,44 +418,40 @@ def _jet_times(values: dict, coords: set):
     return times
 
 
-def _members(full: dict, N: int, M: int, zero) -> dict:
-    """{k: [the coefficient of u^{kM-r} v^{N-k} in the expansion `full`,
-    or `zero`, for r = 0..kM]} for k = 1..N; nothing of a v^{N-k} slice
-    may fall outside the degrees 0..kM in u."""
+def _family(context: PoissonContext, z: ZMatrix, unit: dict, times) -> dict:
+    """{k: [c^(0), ..., c^(kM)]} for k = 1..N, c^(r) the coefficient of
+    u^{kM-r} v^{N-k} in det(u^M + V(u) + Z v) divided by binomial(N, k),
+    or {} when it is zero: the entries of `det_entries` expanded by
+    `_laplace` in the coefficient arithmetic (unit, times), each value
+    divided once, at the end, by binomial(N, k) L^(N-k).  Nothing of a
+    v^{N-k} slice may fall outside the degrees 0..kM in u."""
+    N, M = context.index_set.N, context.M
+    rows, L = det_entries(context, z)
+    full = _laplace(rows, unit, times)
     for du, dv in full:
         if 0 <= dv < N and not 0 <= du <= (N - dv) * M:
             raise AssertionError("unexpected degree in determinant expansion")
-    return {k: [full.get((k * M - r, N - k), zero) for r in range(k * M + 1)]
-            for k in range(1, N + 1)}
-
-
-def det_poly(context: PoissonContext, z: ZMatrix) -> dict:
-    """Coefficients of det(u^M + V(u) + Z v) as {(deg_u, deg_v): poly}:
-    the entries of `det_entries` expanded by `_laplace` on term dicts of
-    Python ints, the v^b coefficients divided by L^b at the end."""
-    rows, L = det_entries(context, z)
-    return {(du, dv): _poly(context, {m: rat(c, L ** dv)
-                                      for m, c in terms.items()})
-            for (du, dv), terms in _laplace(rows, {(): 1},
-                                            _term_times).items()}
+    return {k: [{key: div(x, den) for key, x in
+                 full.get((k * M - r, N - k), {}).items()}
+                for r in range(k * M + 1)]
+            for k in range(1, N + 1)
+            for den in (binomial(N, k) * L ** (N - k),)}
 
 
 def bethe_family(context: PoissonContext, z: ZMatrix) -> dict:
     """The determinant family from one expansion: {k: [c^(0), ..., c^(kM)]}
     for k = 1..N, where c^(r) is the coefficient of u^{kM-r} v^{N-k}
-    divided by binomial(N,k).
+    divided by binomial(N,k), expanded on term dicts of Python ints.
 
     In the twisted case c^(r) vanishes when N - k + r is odd (the lemma of
     `certify.verify_twisted_parity`); a nonzero one raises."""
     N = context.index_set.N
-    family = _members(det_poly(context, z), N, context.M,
-                      PoissonPoly(context, {}))
+    family = _family(context, z, {(): 1}, _term_times)
     for k, table in family.items():
-        inv = div(1, binomial(N, k))
-        family[k] = [p * inv for p in table]
+        family[k] = [_poly(context, terms) for terms in table]
         if context.index_set.kind == "signed":
-            for r, p in enumerate(table):
-                if (N - k + r) % 2 != 0 and p:
+            for r, terms in enumerate(table):
+                if (N - k + r) % 2 != 0 and terms:
                     raise AssertionError(
                         f"parity violation: coefficient {r} of the "
                         f"degree-{k} member should vanish")
@@ -465,20 +462,13 @@ def jacobian_rows(context: PoissonContext, z: ZMatrix, point: "CurrentPoint",
                   coords) -> list:
     """The Jacobian of the family of `bethe_family` at the point, in the
     fundamental-domain coordinates `coords`: one row per coefficient c^(r)
-    of member k, in the order k = 1..N, r = 0..kM.  The Laplace walk of
-    `det_poly` runs on first-order jets at the point, so no polynomial is
-    formed; each jet is divided once, at the end, by binomial(N, k)
-    L^(N-k)."""
+    of member k, in the order k = 1..N, r = 0..kM.  The family is read on
+    first-order jets at the point, so no polynomial is formed."""
     coords = tuple(coords)
-    N = context.index_set.N
-    rows, L = det_entries(context, z)
-    full = _laplace(rows, {None: 1}, _jet_times(point.values, set(coords)))
-    out = []
-    for k, table in _members(full, N, context.M, {}).items():
-        den = binomial(N, k) * L ** (N - k)
-        out += [[div(jet[v], den) if v in jet else 0 for v in coords]
-                for jet in table]
-    return out
+    family = _family(context, z, {None: 1},
+                     _jet_times(point.values, set(coords)))
+    return [[jet.get(v, 0) for v in coords]
+            for table in family.values() for jet in table]
 
 
 # -- nilpotents and slices -------------------------------------------------------

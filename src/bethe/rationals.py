@@ -40,7 +40,12 @@ ZERO = 0
 ONE = 1
 
 def div(a, b):
-    """The exact quotient a / b of two scalars, in canonical form."""
+    """The exact quotient a / b of two scalars, in canonical form; an
+    integral quotient of two ints is formed without a `Q`."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
     x = Q(a, b)
     return x.numerator if x.denominator == 1 else x
 

@@ -1,8 +1,10 @@
 import random
+from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from bethe.algebra import (AlgebraElement, FreeRule, GlRule, YangianRule,
+from bethe.algebra import (AlgebraElement, FreeRule, YangianRule,
                            commutator, filtration_degree, monomial_degree,
                            symbol)
 from bethe.indices import IndexSet
@@ -13,7 +15,7 @@ from bethe.reports import serialize_terms
 from oracles import deserialize_element, normal_order
 
 RULE = YangianRule(IndexSet.plain(2))
-GL = GlRule(IndexSet.plain(3))
+GL = YangianRule(IndexSet.plain(3), 1)
 
 gen_strategy = st.tuples(st.integers(1, 2), st.integers(1, 2),
                          st.integers(1, 2))
@@ -122,6 +124,24 @@ def test_free_elements_have_no_commutator():
         pass
     else:
         raise AssertionError("expected the free rule to refuse a bracket")
+
+
+@pytest.mark.parametrize("iset", [IndexSet.plain(3), IndexSet.signed(3, "so"),
+                                  IndexSet.signed(4, "sp")],
+                         ids=["gl3", "so3", "sp4"])
+def test_yangian_at_level_one_is_the_gl_bracket(iset):
+    # the Yangian capped at level 1 is U(gl_N):
+    # [E_ij, E_kl] = d_jk E_il - d_li E_kj on every pair of generators
+    gl = YangianRule(iset, 1)
+    e = gl.element
+    idx = iset.indices()
+    for i, j, k, l in product(idx, repeat=4):
+        want = gl.zero()
+        if j == k:
+            want = want + e(i, l)
+        if l == i:
+            want = want - e(k, j)
+        assert commutator(e(i, j), e(k, l)) == want, (i, j, k, l)
 
 
 def test_jacobi_seeded_triples_both_rules():

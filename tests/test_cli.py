@@ -261,14 +261,14 @@ def test_internal_error_exit_three(monkeypatch, capsys):
 def test_determinant_guard_is_an_internal_error(monkeypatch, capsys):
     import bethe.poisson as poisson
 
-    real = poisson.det_poly
+    real = poisson._laplace
 
-    def stray_degree(context, z):
-        full = real(context, z)
-        full[(99, 0)] = poisson.PoissonPoly.constant(context, 1)
+    def stray_degree(rows, unit, times):
+        full = real(rows, unit, times)
+        full[(99, 0)] = unit
         return full
 
-    monkeypatch.setattr(poisson, "det_poly", stray_degree)
+    monkeypatch.setattr(poisson, "_laplace", stray_degree)
     assert main(["compute", "poisson-bethe", "--kind", "gl", "--N", "2"]) == 3
     assert "unexpected degree" in capsys.readouterr().err
 
@@ -563,10 +563,10 @@ def test_jacobian_reports_a_parity_violation(monkeypatch, tmp_path):
 def test_jacobian_expands_no_determinant(monkeypatch, algebra):
     import bethe.poisson as poisson
 
-    def expansion(context, z):
-        raise AssertionError("det_poly called")
+    def expansion(terms, c, w):
+        raise AssertionError("polynomial expansion called")
 
-    monkeypatch.setattr(poisson, "det_poly", expansion)
+    monkeypatch.setattr(poisson, "_term_times", expansion)
     for M in ("1", "3"):
         assert main(["verify", "jacobian", *algebra, "--M", M]) == 0
     assert main(["compute", "poisson-bethe", *algebra]) == 3
@@ -751,7 +751,7 @@ def _drop_the_eps_partner(monkeypatch):
     from bethe import evalmap
 
     monkeypatch.setattr(evalmap, "f_element",
-                        lambda gl_rule, i, j: gl_rule.element(i, j))
+                        lambda rule, i, j: rule.element(i, j))
 
 
 def test_rho_hom_fails_without_the_eps_partner(monkeypatch, tmp_path):

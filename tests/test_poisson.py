@@ -10,10 +10,9 @@ from bethe.certify import (rank_table, verify_jacobian_rank,
                            verify_twisted_parity)
 from bethe.indices import IndexSet, parse_z_spec, perm_sign
 from bethe.poisson import (CurrentPoint, PoissonContext, PoissonPoly,
-                           bethe_family, bracket_matrix, det_poly,
-                           jacobian_rows, matrix_rank, poisson_bracket,
+                           bethe_family, bracket_matrix, jacobian_rows, matrix_rank, poisson_bracket,
                            principal_nilpotent, upper_slice)
-from bethe.rationals import ONE, Q, accumulate
+from bethe.rationals import ONE, Q, accumulate, binomial, div
 from oracles import (evaluate, expected_jacobian_rank, expected_poisson_rank,
                      rank_table_holds)
 
@@ -448,11 +447,12 @@ def test_slice_base_matches_the_explicit_lemma45_matrix(N):
                             explicit_nilpotent(iset, lemma45=True))
 
 
-def test_classical_det_poly_shape():
+def test_classical_family_shape():
     iset = IndexSet.signed(4, "so")
     z = parse_z_spec("diag:1,2", iset, "prime_skew")
-    coeffs = det_poly(PoissonContext(iset, 1), z)
-    assert isinstance(coeffs, dict) and coeffs
+    family = bethe_family(PoissonContext(iset, 1), z)
+    assert list(family) == [1, 2, 3, 4] and any(any(t) for t in
+                                                  family.values())
 
 
 # -- reference implementations -------------------------------------------------
@@ -485,9 +485,10 @@ def gauss_jordan_rank(rows: list) -> int:
     return rank
 
 
-def permutation_det_poly(context: PoissonContext, z) -> dict:
+def permutation_det(context: PoissonContext, z) -> dict:
     """det(u^M + V(u) + Z v) as a sum over all N! permutations of the
-    products of N entries (the former det_poly), as {key: terms}."""
+    products of N entries (the expansion before the Laplace walk), as
+    {key: terms}."""
     idx = context.index_set.indices()
     M = context.M
     entry = {}
@@ -531,10 +532,21 @@ DET_CASES = {"gl2": (IndexSet.plain(2), "diag:1,2"),
 def test_minor_expansion_matches_permutation_sum(iset, spec):
     tag = None if iset.kind == "plain" else "prime_skew"
     z = parse_z_spec(spec, iset, tag)
+    # the members of the family are the coefficients of u^{kM-r} v^{N-k},
+    # divided by binomial(N, k); the only other coefficient is det(Z) v^N
+    N = iset.N
     for M in (1, 2, 3):
         ctx = PoissonContext(iset, M)
-        got = {k: p.terms for k, p in det_poly(ctx, z).items()}
-        assert got == permutation_det_poly(ctx, z)
+        want = permutation_det(ctx, z)
+        assert set(want) - {(0, N)} <= {(k * M - r, N - k)
+                                         for k in range(1, N + 1)
+                                         for r in range(k * M + 1)}
+        got = {(k * M - r, N - k): p.terms
+               for k, table in bethe_family(ctx, z).items()
+               for r, p in enumerate(table) if p}
+        assert got == {(du, dv): {m: div(c, binomial(N, N - dv))
+                                  for m, c in terms.items()}
+                       for (du, dv), terms in want.items() if dv < N}
 
 
 def test_family_members_equal_bethe_poly():
@@ -595,9 +607,10 @@ def test_entry_identity_holds_and_the_expansion_has_its_parity_zeros(
     for M in levels:
         ctx = PoissonContext(iset, M)
         _all_ok(verify_twisted_parity(ctx, z))
-        full = det_poly(ctx, z)
-        for du, dv in full:
-            assert (du + dv + M * (N + dv)) % 2 == 0, (M, du, dv)
+        for k, table in bethe_family(ctx, z).items():
+            for r, p in enumerate(table):
+                du, dv = k * M - r, N - k
+                assert not p or (du + dv + M * (N + dv)) % 2 == 0, (M, k, r)
 
 
 rational = st.builds(Q, st.integers(-4, 4), st.integers(1, 5))

@@ -32,6 +32,10 @@ def test_rat_and_div_are_canonical():
     assert rat(3, 6) == Q(1, 2) and type(rat(3, 6)) is Q
     assert type(div(Q(1, 2), Q(1, 4))) is int
     assert div(1, 3) == Q(1, 3) and div(Q(3, 4), 3) == Q(1, 4)
+    # two ints, with either sign
+    assert [div(a, b) for a, b in ((-6, 3), (6, -3), (-6, -3), (7, -2))] \
+        == [-2, -2, 2, Q(-7, 2)]
+    assert [type(div(a, 3)) for a in (-6, 0, 7)] == [int, int, Q]
     with pytest.raises(ZeroDivisionError):
         div(1, 0)
 

@@ -5,8 +5,7 @@ from operator import mul
 
 from hypothesis import given, settings, strategies as st
 
-from bethe.algebra import (AlgebraElement, GlRule, YangianRule,
-                           element_sum)
+from bethe.algebra import AlgebraElement, YangianRule, element_sum
 from bethe.evalmap import f_element, pi_map, rho_map
 from bethe.indices import IndexSet
 from bethe.rationals import Q, rat
@@ -63,7 +62,7 @@ SO3 = IndexSet.signed(3, "so")
 GL2 = IndexSet.plain(2)
 # contexts and maps reused across examples, so their memos fill up
 CONTEXTS = {SP2: TwistedContext(SP2), SO3: TwistedContext(SO3)}
-GLS = {iset: GlRule(iset) for iset in (SP2, SO3, GL2)}
+GLS = {iset: YangianRule(iset, 1) for iset in (SP2, SO3, GL2)}
 RHOS = {iset: rho_map(GLS[iset]) for iset in (SP2, SO3)}
 PI = pi_map(GLS[GL2])
 
@@ -106,7 +105,7 @@ def test_so_and_sp_rho_maps_keep_their_own_images():
     maps = {}
     for form in ("so", "sp"):
         iset = IndexSet.signed(4, form)
-        maps[form] = (TwistedContext(iset), GlRule(iset))
+        maps[form] = (TwistedContext(iset), YangianRule(iset, 1))
         maps[form] += (rho_map(maps[form][1]),)
     word = ((2, 1, 1), (1, 1, -2), (3, -2, 2))
     images = {}
