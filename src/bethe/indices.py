@@ -63,8 +63,10 @@ class IndexSet:
         return i in self._indices
 
     def check(self, i: int) -> None:
-        if i not in self:
-            raise ValueError(f"index {i} outside {self!r}")
+        """Raise ValueError unless i is an int index of the set (a bool,
+        float or string equal to one is not)."""
+        if type(i) is not int or i not in self:
+            raise ValueError(f"index {i!r} outside {self!r}")
 
     def eps(self, i: int, j: int) -> int:
         """eps_ij = theta_i theta_j; undefined on plain sets."""
@@ -89,12 +91,16 @@ class ZMatrix:
     """Exact-rational parameter matrix over an index set.
 
     symmetry_tag is one of None, "prime_symmetric" (Z' = Z) or
-    "prime_skew" (Z' = -Z); the tag is checked on construction.
+    "prime_skew" (Z' = -Z); the tag and every index of `entries` are
+    checked on construction.
     """
 
     __slots__ = ("index_set", "entries", "symmetry_tag")
 
     def __init__(self, index_set: IndexSet, entries: dict, symmetry_tag=None):
+        for i, j in entries:
+            index_set.check(i)
+            index_set.check(j)
         self.index_set = index_set
         self.entries = {k: c for k, v in entries.items()
                         for c in (rat(v),) if c}
@@ -134,10 +140,13 @@ def parse_z_spec(spec: str, index_set: IndexSet, symmetry_tag=None) -> ZMatrix:
 
     For signed index sets the diagonal grammar lists values for indices
     1..n only; z_{-i} is filled as -z_i (prime_skew) or z_i
-    (prime_symmetric), and z_0 = 0 is forced for odd N with prime_skew.
+    (prime_symmetric), and z_0 = 0 is forced for odd N with prime_skew
+    (so `diag:` with no value is the Z of so_1), z_0 = z_1 set with
+    prime_symmetric.  A JSON file lists entries [i, j, value], each (i, j)
+    once, with i and j JSON integers of the index set.
     """
     if spec.startswith("diag:"):
-        vals = [parse_rat(v) for v in spec[5:].split(",")]
+        vals = [parse_rat(v) for v in spec[5:].split(",")] if spec[5:] else []
         if index_set.kind == "plain":
             return ZMatrix.diagonal(index_set, vals, symmetry_tag)
         n = index_set.n
@@ -150,6 +159,9 @@ def parse_z_spec(spec: str, index_set: IndexSet, symmetry_tag=None) -> ZMatrix:
                 f"(or all {index_set.N} in index order)"
             )
         if symmetry_tag == "prime_symmetric":
+            if not vals:
+                raise ValueError("a prime-symmetric Z on so_1 needs its one "
+                                 "value z_0: diag:z0")
             neg = list(reversed(vals))
             mid = [vals[0]] if index_set.N % 2 else []
         else:
@@ -161,7 +173,11 @@ def parse_z_spec(spec: str, index_set: IndexSet, symmetry_tag=None) -> ZMatrix:
 
         with open(spec[5:]) as fh:
             data = json.load(fh)
-        entries = {(int(i), int(j)): parse_rat(v) for i, j, v in data}
+        entries = {}
+        for i, j, v in data:
+            if (i, j) in entries:
+                raise ValueError(f"the entry ({i}, {j}) is given twice")
+            entries[i, j] = parse_rat(v)
         return ZMatrix(index_set, entries, symmetry_tag)
     raise ValueError(f"unrecognized Z specification {spec!r}")
 

@@ -9,8 +9,6 @@ identically (or the certified rank matches the closed-form dimension).
 """
 import json
 
-import pytest
-
 from bethe.algebra import YangianRule
 from bethe.certify import (rank_table, verify_classical_slice_rank,
                            verify_jacobian_rank, verify_laplace_consistency,

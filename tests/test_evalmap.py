@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from bethe.algebra import AlgebraElement, YangianRule, commutator
+from bethe.algebra import AlgebraElement, YangianRule
 from bethe.evalmap import (defining_rep, f_element, pi_map, rho_map,
                            verify_image_commutativity)
 from bethe.indices import IndexSet, parse_z_spec

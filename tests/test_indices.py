@@ -48,6 +48,10 @@ def test_symmetry_tag_is_checked():
     with pytest.raises(ValueError):
         ZMatrix.diagonal(sp, [Q(1), Q(1)], "prime_skew")
     ZMatrix.diagonal(sp, [Q(-1), Q(1)], "prime_skew")  # fine
+    # and so is every index, an int of the index set
+    for i in (5, True, 1.0):
+        with pytest.raises(ValueError, match="outside"):
+            ZMatrix(IndexSet.plain(2), {(1, i): 1})
 
 
 def test_json_z_spec(tmp_path):

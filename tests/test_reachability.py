@@ -91,8 +91,8 @@ ALLOWED = {
         "the test references change rings or map entries through it "
         "(`lift_tensor` and test_tensors_scale_by_rationals_only in "
         "test_tensor, the `fused_s` oracle and `verify_fused_determinant` "
-        "in test_twisted, test_membership_rows_controls and "
-        "test_fusion_fails_for_rows_without_signs in test_yangian)",
+        "in test_twisted, test_membership_rows_controls in test_yangian, "
+        "and the fault `rows-without-signs` of faults.py)",
 }
 
 

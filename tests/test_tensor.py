@@ -14,8 +14,9 @@ from bethe.tensor import (TensorElement, _pair_action, alternator_rows,
                           h_k_orientation, pair_step, q_tensor, r_product,
                           site_action, tensor_ring, trace_words,
                           verify_antisymmetrizers, verify_r_identities)
-from bethe.yangian import t_site_series, verify_rtt
+from bethe.yangian import t_site_series
 import oracles
+from faults import control, controls
 from oracles import (alternator, antisymmetrizer, antisymmetrizer_oracle,
                      group_image, partial_trace, perm_operator, trace_all,
                      z_site_tensor)
@@ -74,44 +75,6 @@ def test_r_identities_all_sizes():
         _all_ok(verify_r_identities(IndexSet.plain(N)))
     for form, N in (("so", 3), ("so", 4), ("sp", 2), ("sp", 4)):
         _all_ok(verify_r_identities(IndexSet.signed(N, form)))
-
-
-def test_r_identities_fail_for_wrong_r_matrices(monkeypatch):
-    from bethe import tensor
-
-    real_flip = tensor.flip
-    # R(u) = u - 2P: (u - 2P)(-u - 2P) = (4 - u^2) id, while u - cP solves
-    # Yang-Baxter for every c, so only the unitarity row sees this fault;
-    # the faults of Q are planted in test_q_faults_fail_the_twisted_rows
-    monkeypatch.setattr(tensor, "flip", lambda *a: real_flip(*a).scale_rat(2))
-    for N in (2, 3):
-        assert dict(verify_r_identities(IndexSet.plain(N))) == {
-            f"R(u)R(-u) = (1-u^2) id, N={N}": False,
-            f"Yang-Baxter N={N}": True}
-
-
-@pytest.mark.parametrize("fault", ["P", "-Q", "2Q"])
-@pytest.mark.parametrize("form, N", [("so", 3), ("sp", 2), ("so", 4)])
-def test_q_faults_fail_the_twisted_rows(monkeypatch, fault, form, N):
-    # a wrong Q in R~(u) = u - Q (for -Q: (u + Q)(N - u + Q) =
-    # (Nu - u^2) + 2N Q) fails the unitarity of R~, the three mixed
-    # exchanges and the mixed relation, and no row that reads only R
-    from bethe import tensor
-
-    real_q, real_flip = tensor.q_tensor, tensor.flip
-    monkeypatch.setattr(tensor, "q_tensor", {
-        "P": real_flip, "-Q": lambda i: -real_q(i),
-        "2Q": lambda i: real_q(i).scale_rat(2)}[fault])
-    iset = IndexSet.signed(N, form)
-    rows = dict(verify_r_identities(iset))
-    assert rows.pop(f"R(u)R(-u) = (1-u^2) id, N={N}")
-    assert set(rows) == {f"R~(u)R~(N-u) = (Nu-u^2) id, {form}_{N}"} | {
-        f"{which} mixed exchange ({form}_{N})"
-        for which in ("first", "second", "third")}
-    assert not any(rows.values()), rows
-    rtt = verify_rtt(YangianRule(iset), 2)
-    assert all(ok for item, ok in rtt if item.startswith("coefficient"))
-    assert not all(ok for item, ok in rtt if item.startswith("mixed relation"))
 
 
 def test_yang_baxter():
@@ -216,59 +179,6 @@ def test_group_algebra_is_the_operator_algebra(x, y, N):
     assert group_image(group_product(x, y), 3, iset) == \
         group_image(x, 3, iset) * group_image(y, 3, iset)
     assert group_trace(x, N) == trace_all(group_image(x, 3, iset))
-
-
-def _failed_suite_rows(iset=IndexSet.plain(4)):
-    return [item.split(":")[0] for item, ok in verify_antisymmetrizers(iset)
-            if not ok]
-
-
-def test_orientation_rows_fail_for_a_wrong_orientation(monkeypatch):
-    # the q factors of each p composed in the opposite order: the products
-    # in the declared orientations are no longer 1!..(k-1)! A_k
-    from bethe import tensor
-
-    real = tensor.r_product
-    flipped = {"asc": "desc", "desc": "asc"}
-    monkeypatch.setattr(tensor, "r_product", lambda k, outer, inner:
-                        real(k, outer, flipped[inner]))
-    assert _failed_suite_rows() == ["H_3 orientation", "H_4 orientation"]
-
-
-def test_reversed_composition_is_seen_by_the_oracle_only(monkeypatch):
-    # sigma -> sigma^-1 reverses products and fixes A_k and every R_pq, so
-    # composing every product the other way round passes each row of the
-    # suite; the composition convention is pinned by the dense oracle
-    from bethe import tensor
-
-    real = tensor.group_product
-    monkeypatch.setattr(tensor, "group_product", lambda x, y: real(y, x))
-    assert not _failed_suite_rows()
-    iset = IndexSet.plain(3)
-    x, y = {(2, 1, 3): 1}, {(1, 3, 2): 1}
-    assert group_image(tensor.group_product(x, y), 3, iset) != \
-        group_image(x, 3, iset) * group_image(y, 3, iset)
-
-
-def test_suite_rows_fail_for_a_dropped_sign(monkeypatch):
-    # sgn (1 2) dropped from A_k: the trace and the orientations fail from
-    # k = 2 on, the idempotent from k = 3 on (at k = 2 it is the
-    # symmetrizer, whose square is twice itself too)
-    from bethe import tensor
-
-    real = tensor.group_alternator
-
-    def dropped(k):
-        a = real(k)
-        if k > 1:
-            a[(2, 1) + tuple(range(3, k + 1))] = 1
-        return a
-
-    monkeypatch.setattr(tensor, "group_alternator", dropped)
-    failed = _failed_suite_rows(IndexSet.plain(3))
-    assert failed == ["trace H_2 = C(3,2)", "H_2 orientation",
-                      "H_3 idempotent (N=3)", "trace H_3 = C(3,3)",
-                      "H_3 orientation"]
 
 
 SMALL_SETS = ([IndexSet.plain(N) for N in (1, 2, 3, 4)]
@@ -623,3 +533,17 @@ def test_identity_sites_trace_out_of_the_rational_side(data, iset, algebra):
     assert got == trace_words(1, iset, [(1, site)], [(1, ZMatrix(iset, {
         (r[0], c[0]): v for (r, c), v in m.entries.items()}))], ring, 2)
     assert got == _full_trace(2, iset, [(1, site)], factors, ring, 2)
+
+
+# -- planted defects, kept under their names: rows of the table in faults.py --
+test_r_identities_fail_for_wrong_r_matrices = control("flip-doubled")
+test_q_faults_fail_the_twisted_rows = controls({
+    f"{form}-{N}-{q}": ([fault_id], f"--kind {form} --N {N} ")
+    for q, fault_id in (("P", "q-is-the-flip"), ("-Q", "q-negated"),
+                        ("2Q", "q-doubled"))
+    for form, N in (("so", 3), ("sp", 2), ("so", 4))})
+test_orientation_rows_fail_for_a_wrong_orientation = control(
+    "orientation-reversed")
+test_reversed_composition_is_seen_by_the_oracle_only = control(
+    "composition-reversed")
+test_suite_rows_fail_for_a_dropped_sign = control("alternator-sign-dropped")

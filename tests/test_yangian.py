@@ -1,4 +1,3 @@
-import inspect
 import json
 import os
 from functools import reduce
@@ -8,9 +7,9 @@ from operator import mul
 import pytest
 
 from bethe import yangian
-from bethe.algebra import AlgebraElement, YangianRule, commutator
+from bethe.algebra import AlgebraElement, YangianRule
 from bethe.indices import IndexSet, parse_z_spec
-from bethe.rationals import ONE, Q
+from bethe.rationals import Q
 from bethe.series import RATIONAL_RING, TruncatedSeries, algebra_ring
 from bethe.tensor import TensorElement, alternator_rows, tensor_ring
 from bethe.yangian import (bethe_series, hat_bethe_series,
@@ -18,6 +17,7 @@ from bethe.yangian import (bethe_series, hat_bethe_series,
                            t_entry_series, t_site_series,
                            verify_bethe_commutativity, verify_centrality,
                            verify_fusion, verify_hat_identity, verify_rtt)
+from faults import control, controls
 from oracles import (antisymmetrizer, bethe_series_tensor,
                      fusion_products_dense, membership_rows, z_product)
 
@@ -38,22 +38,6 @@ def test_generating_series_layout():
 
 def test_rtt_residuals_vanish():
     _all_ok(verify_rtt(YangianRule(IndexSet.plain(2)), 2))
-
-
-def test_rtt_negative_control():
-    class Corrupted(YangianRule):
-        def raw_bracket(self, a, b):
-            out = YangianRule.raw_bracket(self, a, b)
-            # flip the sign of every correction term
-            return [(-c, w) for c, w in out]
-
-    rows = verify_rtt(Corrupted(IndexSet.plain(2)), 2)
-    assert any(not ok for _, ok in rows)
-    # on so/sp the mixed relation sees the fault too
-    for iset in (IndexSet.signed(3, "so"), IndexSet.signed(2, "sp")):
-        rows = verify_rtt(Corrupted(iset), 2)
-        assert any(not ok for item, ok in rows
-                   if item.startswith("mixed relation"))
 
 
 def test_fusion():
@@ -94,71 +78,6 @@ def test_fusion_products_match_the_dense_products(N, D):
             assert len(got) == D + 1
             assert all(isinstance(v, AlgebraElement)
                        for x in got for v in x.values())
-
-
-def _failed_fusion_rows(N=3, D=3):
-    rule = YangianRule(IndexSet.plain(N))
-    return [item for k in range(2, N + 1)
-            for item, ok in verify_fusion(rule, k, D)
-            if item.startswith("fusion") and not ok]
-
-
-def _plant_in_fusion(monkeypatch, old, new, module=yangian,
-                     name="fusion_products"):
-    """Install `module.name` rebuilt from its source with `old` replaced by
-    `new`, once `verify_fusion` is seen to pass without it."""
-    source = inspect.getsource(getattr(module, name))
-    assert source.count(old) == 1, old
-    namespace = dict(vars(module))
-    exec(source.replace(old, new), namespace)
-    assert not _failed_fusion_rows()
-    monkeypatch.setattr(module, name, namespace[name])
-
-
-def test_fusion_fails_for_the_same_factor_order_on_both_sides(monkeypatch):
-    # Y = T_1..T_k, the order of X, in place of T_k..T_1: the left actions
-    # on the columns start from T_k(u-k)
-    _plant_in_fusion(monkeypatch, "site_action(q, s, factors[s],",
-                     "site_action(q, k + 1 - s, factors[k + 1 - s],")
-    assert _failed_fusion_rows()
-
-
-def test_fusion_fails_for_a_reversed_site_spacing(monkeypatch):
-    # the identity holds for every u, so a shift shared by all factors,
-    # T_p(u-p-1), passes; T_p(u+p) reverses the spacing and fails
-    real = yangian.fusion_products
-    _plant_in_fusion(monkeypatch, "substitute_affine(1, -s)",
-                     "substitute_affine(1, -s - 1)")
-    assert not _failed_fusion_rows()
-    monkeypatch.setattr(yangian, "fusion_products", real)
-    _plant_in_fusion(monkeypatch, "substitute_affine(1, -s)",
-                     "substitute_affine(1, s)")
-    assert _failed_fusion_rows()
-
-
-@pytest.mark.parametrize("old, new", [
-    # a left action that multiplies the entry of M on the right
-    pytest.param("mv * v if left else v * mv", "v * mv",
-                 id="left-entry-on-the-right"),
-    # every entry of M read transposed, M_ab as M_ba
-    pytest.param("for (a, b), mv in m[s].items()",
-                 "for (b, a), mv in m[s].items()", id="entry-transposed"),
-])
-def test_fusion_fails_for_a_wrong_site_action(monkeypatch, old, new):
-    from bethe import tensor
-
-    _plant_in_fusion(monkeypatch, old, new, tensor, "site_action")
-    assert _failed_fusion_rows()
-
-
-def test_fusion_fails_for_rows_without_signs(monkeypatch):
-    # sum_sigma e_{sigma.I}: the rows of the symmetrizer k! S_k
-    from bethe import tensor
-
-    real = tensor.alternator_rows
-    monkeypatch.setattr(tensor, "alternator_rows",
-                        lambda k, iset: real(k, iset).map_coeffs(abs))
-    assert _failed_fusion_rows()
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -293,20 +212,6 @@ def test_hat_identity_scalar_is_reciprocal_binomial():
     assert "scalar 1/2" in rows[0][0]
 
 
-@pytest.mark.parametrize("factor", [Q(2), Q(1, 4)])
-def test_hat_identity_negative_control(monkeypatch, factor):
-    # 1/4 = 1/binomial(2,1)**2 is the factor that the scalar binomial(2,1)
-    # would absorb at k=1, had it been accepted besides 1/binomial(2,1)
-    iset = IndexSet.plain(2)
-    z = parse_z_spec("diag:1,2", iset)
-    monkeypatch.setattr(yangian, "hat_bethe_series",
-                        lambda *a: hat_bethe_series(*a) * factor)
-    rows = verify_hat_identity(z, YangianRule(iset), 2)
-    assert [item for item, _ in rows] == ["hat identity k=1 (scalar 1/2)",
-                                          "hat identity k=2 (scalar 1)"]
-    assert not any(ok for _, ok in rows)
-
-
 def test_hat_series_starts_at_elementary_symmetric():
     iset = IndexSet.plain(2)
     rule = YangianRule(iset)
@@ -352,3 +257,16 @@ def test_hat_series_is_the_descending_product_trace(N, D, tmp_path):
             assert got == _descending_hat_trace(k, z, rule, D), \
                 (N, z.entries, k)
             assert got.trunc == D
+
+
+# -- planted defects, kept under their names: rows of the table in faults.py --
+test_rtt_negative_control = control("bracket-corrections-negated")
+test_fusion_fails_for_the_same_factor_order_on_both_sides = control(
+    "same-factor-order-on-both-sides")
+test_fusion_fails_for_a_reversed_site_spacing = control(
+    "site-spacing-shifted", "site-spacing-reversed")
+test_fusion_fails_for_a_wrong_site_action = controls([
+    "left-entry-on-the-right", "entry-transposed"])
+test_fusion_fails_for_rows_without_signs = control("rows-without-signs")
+test_hat_identity_negative_control = controls({
+    "factor0": (["hat-b-doubled"], ""), "factor1": (["hat-b-quartered"], "")})
