@@ -2,8 +2,7 @@
 planted change and the ops it must break (see `Fault` and `Expect`).  An op
 is a `bethe` command line, run in-process under BETHE_DETERMINISTIC=1, or a
 name in `CALLS`.  `PYTHONPATH=src python tests/faults.py` prints the
-fault x op matrix as JSON, with its run time (on stderr, and in the JSON
-unless BETHE_DETERMINISTIC=1)."""
+fault x op matrix as JSON, and its run time on stderr."""
 import importlib
 import inspect
 import io
@@ -58,8 +57,8 @@ def guard(err: str) -> Expect:
 @dataclass(frozen=True)
 class Fault:
     """A target, a change (exact-once `old -> new` in its source, or a
-    replacement of the real callable) and the ops it breaks, if not
-    `harmless`, a change that no check may flag."""
+    replacement of the real callable) and its outcome on each op; a row
+    whose outcomes are all 0 is a change that no check may flag."""
     id: str
     target: str                      # "module.name" or "module.Class.name"
     ops: dict                        # op -> Expect or a bare code
@@ -67,7 +66,6 @@ class Fault:
     new: str | None = None
     replace: Callable | None = None  # the real callable -> the planted one
     base: str | None = None          # a row planted first, under this one
-    harmless: bool = False
 
 
 # -- replacements built from the real callable --------------------------------
@@ -269,7 +267,7 @@ FAULTS = {f.id: f for f in [
     # the variables of the partner entries marked: the marks alone change
     # nothing
     Fault("partner-marks", "poisson.det_entries", replace=_partner_entries,
-          ops=dict.fromkeys(PARTNER_JACOBIANS, 0), harmless=True),
+          ops=dict.fromkeys(PARTNER_JACOBIANS, 0)),
     # the term a*s*e_w of the jet product dropped for the entries whose
     # variable is tied to the partner coordinate: the rows are no longer a
     # Jacobian, and the members that vanish identically get nonzero rows,
@@ -369,7 +367,7 @@ FAULTS = {f.id: f for f in [
     # T_p(u-p-1), passes; T_p(u+p) reverses the spacing and fails
     Fault("site-spacing-shifted", "yangian.fusion_products",
           old="substitute_affine(1, -s)", new="substitute_affine(1, -s - 1)",
-          ops={FUSION_GL3_D3: 0}, harmless=True),
+          ops={FUSION_GL3_D3: 0}),
     Fault("site-spacing-reversed", "yangian.fusion_products",
           old="substitute_affine(1, -s)", new="substitute_affine(1, s)",
           ops={FUSION_GL3_D3: fails({"fusion": ANY})}),
@@ -489,7 +487,7 @@ FAULTS = {f.id: f for f in [
     # -theta is no fault, as eps = theta_i theta_j does not change
     Fault("theta-negated", "indices.IndexSet.__init__",
           replace=_theta(lambda i, t: -t),
-          ops=dict.fromkeys(SP_SIGN_CHECKS, 0), harmless=True),
+          ops=dict.fromkeys(SP_SIGN_CHECKS, 0)),
     # F_ij = E_ij alone: rho no longer factors through the symmetry
     # relation, nor through the reflection relation, and the rho images of
     # the A_k coefficients stop commuting at so3 D = 3
@@ -670,10 +668,11 @@ def _misses(expect: Expect, rows) -> list:
     """The ways in which `rows` miss the failed rows `expect` names."""
     misses = []
     for prefix, want in expect.failed.items():
+        # every prefix named, also with a count of 0, must have rows
         oks = [ok for item, ok in rows if item.startswith(prefix)]
         n = oks.count(False)
-        if not (n >= 1 if want == ANY else oks and n == len(oks)
-                if want == ALL else n == want):
+        if not (oks and (n >= 1 if want == ANY else n == len(oks)
+                         if want == ALL else n == want)):
             misses.append(f"{n} of {len(oks)} rows {prefix!r} fail, "
                           f"expected {want}")
     if expect.only:
@@ -682,15 +681,11 @@ def _misses(expect: Expect, rows) -> list:
     return misses
 
 
-def check(fault_id: str, on: str = "") -> None:
-    """Assert the outcomes of fault `fault_id` on its ops whose command line
-    holds `on`, each having passed unplanted (both runs kept per process)."""
+def check(fault_id: str) -> None:
+    """Assert the outcomes of fault `fault_id` on its ops, each having
+    passed unplanted (both runs kept per process)."""
     fault = FAULTS[fault_id]
-    if not fault.harmless:
-        assert any(_expect(e).code != 0 for e in fault.ops.values()), \
-            f"{fault_id} breaks no op and is not marked harmless"
-    ops = [op for op in fault.ops if on in op]
-    assert ops, (fault_id, on)
+    ops = list(fault.ops)
     for op in ops:
         assert unplanted(op).code == 0, (op, unplanted(op).err)
     with planted(fault):
@@ -704,34 +699,41 @@ def check(fault_id: str, on: str = "") -> None:
         assert expect.err in result.err, (fault_id, op, result.err[-2000:])
         assert not _misses(expect, result.rows), \
             (fault_id, op, _misses(expect, result.rows))
-        if '"conventions"' in result.text:
-            # a report's conventions are declared, whatever the fault
-            assert json.loads(result.text)["conventions"] == \
-                json.loads(unplanted(op).text)["conventions"]
+        if op in CALLS or not result.text:
+            continue
+        out = json.loads(result.text)
+        if op.startswith("verify"):
+            # the written report's verdict is the exit code's
+            assert out["result"] == ("pass", "fail")[result.code], \
+                (fault_id, op, out["result"])
+        # a report's conventions are declared, whatever the fault
+        assert out.get("conventions") == \
+            json.loads(unplanted(op).text).get("conventions")
 
 
-def control(*fault_ids: str, on: str = ""):
-    """A test that checks the rows `fault_ids` on their ops whose command
-    line holds `on`: a former control test, kept under its name."""
+def control(*fault_ids: str):
+    """A test that checks the rows `fault_ids`: a former control test, kept
+    under its name."""
     def test():
         for fault_id in fault_ids:
-            check(fault_id, on)
+            check(fault_id)
 
     return test
 
 
 def controls(cases):
-    """A test parametrized by id over cases {id: (fault_ids, on)}, or over
-    fault ids, each its own case."""
+    """A test parametrized by id over cases {id: fault ids}, or over fault
+    ids, each its own case: a former parametrized control, kept under its
+    name and case ids."""
     import pytest
 
     if not isinstance(cases, dict):
-        cases = {f: ([f], "") for f in cases}
+        cases = {f: [f] for f in cases}
 
-    @pytest.mark.parametrize("fault_ids, on", list(cases.values()),
+    @pytest.mark.parametrize("fault_ids", list(cases.values()),
                              ids=list(cases))
-    def test(fault_ids, on):
-        control(*fault_ids, on=on)()
+    def test(fault_ids):
+        control(*fault_ids)()
 
     return test
 
@@ -762,7 +764,5 @@ if __name__ == "__main__":
     seconds = round(time.monotonic() - start, 1)
     sys.stderr.write(f"{len(result['faults'])} faults x {len(result['ops'])} "
                      f"ops in {seconds} s\n")
-    deterministic = os.environ.get("BETHE_DETERMINISTIC") == "1"
-    result["seconds"] = 0 if deterministic else seconds
     json.dump(result, sys.stdout, indent=1)
     sys.stdout.write("\n")

@@ -5,8 +5,7 @@ import pytest
 
 from bethe.cli import main
 from bethe.reports import Report
-from faults import (PARTNER_JACOBIANS, RANK_CHECKS, SO3, SP2, check, control,
-                    controls)
+from faults import PARTNER_JACOBIANS, RANK_CHECKS, check, control, controls
 
 
 @pytest.fixture(autouse=True)
@@ -368,40 +367,34 @@ test_determinant_guard_is_an_internal_error = control("laplace-stray-degree")
 test_orientation_rows_fail_for_a_perturbed_r_matrix = control(
     "r-matrix-shifted")
 test_jacobian_fails_without_last_family_polynomial = controls({
-    f"algebra{i}": (["jacobian-row-dropped"], a)
-    for i, a in enumerate(["--kind gl --N 2", SP2])})
+    f"algebra{i}": ["jacobian-row-dropped"] for i in range(2)})
 test_jacobian_fails_without_the_partner_jet_term = controls({
-    f"algebra{i}": (["partner-marks", "partner-jet-term-dropped"], op)
-    for i, op in enumerate(PARTNER_JACOBIANS)})
+    f"algebra{i}": ["partner-marks", "partner-jet-term-dropped"]
+    for i in range(len(PARTNER_JACOBIANS))})
 test_poisson_rank_fails_at_a_non_regular_base_point = control(
     "nilpotent-middle-term-dropped")
 test_rank_checks_fail_when_the_point_drops_the_partners = controls({
-    f"argv{i}": (["point-drops-the-partners"], op)
-    for i, op in enumerate(RANK_CHECKS)})
+    f"argv{i}": ["point-drops-the-partners"] for i in range(len(RANK_CHECKS))})
 test_poisson_jacobi_fails_for_a_symmetric_bracket = control(
     "bracket-symmetric")
 test_symbol_hom_fails_for_a_doubled_bracket = control("bracket-doubled")
 test_jacobian_reports_a_parity_violation = control("entry-sign-dropped")
 test_jacobian_expands_no_determinant = controls({
-    f"algebra{i}": (["term-times-raises"], a)
-    for i, a in enumerate([SO3, SP2])})
+    f"algebra{i}": ["term-times-raises"] for i in range(2)})
 test_poisson_rank_and_jacobi_read_one_bracket_formula = control(
     "bracket-twist-negated", "bracket-terms-antisymmetry-broken")
 test_bethe_commute_fails_for_a_perturbed_z = control("b1-off-the-family")
 test_centrality_fails_for_the_permanent = control("permanent")
 test_fusion_fails_for_a_doubled_site_spacing = control("site-spacing-doubled")
 test_twisted_checks_fail_for_a_wrong_expansion = controls({
-    f"args{i}": (["s11-level-2-doubled"], op)
-    for i, op in enumerate(["reflection", "sklyanin", "commute",
-                            "twisted-symmetry"])})
+    f"args{i}": ["s11-level-2-doubled"] for i in range(4)})
 test_sklyanin_fails_without_theta = control("theta-series-one")
 test_prop36_fails_for_the_flip_in_the_exchange = control(
     "flip-in-the-exchange")
 test_sp_checks_see_the_wrong_theta = controls(["theta-one", "theta-negated"])
-test_rho_hom_fails_without_the_eps_partner = control(
-    "eps-partner-dropped", on="rho-hom")
+test_rho_hom_fails_without_the_eps_partner = control("eps-partner-dropped")
 test_image_commute_fails_without_the_eps_partner = control(
-    "eps-partner-dropped", on="image-commute")
+    "eps-partner-dropped")
 test_trace_words_faults_fail_the_trace_forms = controls([
     "dropped-pass-branch", "leg-on-the-wrong-site", "pass-branch-walks-a-leg"])
 test_rank_one_faults_fail_the_trace_forms = controls([

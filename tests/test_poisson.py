@@ -621,5 +621,5 @@ def test_fraction_free_rank_matches_gauss_jordan(rows):
 # {a, b} negated for a > b: (b, a) then equals (a, b), whose rank the old
 # fill -{a, b} could not see
 test_poisson_rank_fails_for_a_bracket_that_breaks_antisymmetry = controls({
-    "gl-2": (["bracket-terms-antisymmetry-broken"], "--kind gl --N 2 --M 1"),
-    "sp-1": (["bracket-terms-antisymmetry-broken"], "--kind sp --n 1 --M 1")})
+    "gl-2": ["bracket-terms-antisymmetry-broken"],
+    "sp-1": ["bracket-terms-antisymmetry-broken"]})

@@ -538,7 +538,7 @@ def test_identity_sites_trace_out_of_the_rational_side(data, iset, algebra):
 # -- planted defects, kept under their names: rows of the table in faults.py --
 test_r_identities_fail_for_wrong_r_matrices = control("flip-doubled")
 test_q_faults_fail_the_twisted_rows = controls({
-    f"{form}-{N}-{q}": ([fault_id], f"--kind {form} --N {N} ")
+    f"{form}-{N}-{q}": [fault_id]
     for q, fault_id in (("P", "q-is-the-flip"), ("-Q", "q-negated"),
                         ("2Q", "q-doubled"))
     for form, N in (("so", 3), ("sp", 2), ("so", 4))})

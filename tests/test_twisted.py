@@ -494,5 +494,5 @@ def test_reflection_rows_read_the_corner_of_the_window(iset, D):
 
 # -- planted defects, kept under their names: rows of the table in faults.py --
 test_twisted_hat_identity_negative_control = controls({
-    "factor0": (["hat-a-doubled"], ""), "factor1": (["hat-a-quartered"], "")})
+    "factor0": ["hat-a-doubled"], "factor1": ["hat-a-quartered"]})
 test_prop36_scalar_negative_control = control("hat-a-doubled")

@@ -269,4 +269,4 @@ test_fusion_fails_for_a_wrong_site_action = controls([
     "left-entry-on-the-right", "entry-transposed"])
 test_fusion_fails_for_rows_without_signs = control("rows-without-signs")
 test_hat_identity_negative_control = controls({
-    "factor0": (["hat-b-doubled"], ""), "factor1": (["hat-b-quartered"], "")})
+    "factor0": ["hat-b-doubled"], "factor1": ["hat-b-quartered"]})
