@@ -83,6 +83,11 @@ CASES = {
                                  "--n", "1", "--odd", "--D", "3"],
     "compute-poisson-bethe": ["compute", "poisson-bethe", "--kind", "sp",
                               "--n", "1", "--M", "1"],
+    # the tie signs eps_ij (-1)^r of the signed context at level 2
+    "compute-poisson-bethe-so3": ["compute", "poisson-bethe", "--kind", "so",
+                                  "--n", "1", "--odd", "--M", "2"],
+    "verify-symbol-hom-so3": ["verify", "symbol-hom", "--kind", "so",
+                              "--n", "1", "--odd", "--M", "2"],
 }
 
 
