@@ -10,24 +10,23 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement", "CurrentPoint", "FreeRule", "IndexSet",
-    "PoissonContext", "PoissonPoly", "Q", "TruncatedSeries",
-    "TwistedContext", "YangianRule", "ZMatrix", "bethe_family",
-    "bethe_series", "commutator", "filtration_degree", "hat_bethe_series",
-    "parse_z_spec", "poisson_bracket", "principal_nilpotent",
-    "quantum_determinant", "serialize_terms", "symbol",
-    "twisted_bethe_series", "upper_slice", "verify_bethe_commutativity",
-    "verify_sklyanin",
+    "PoissonContext", "Q", "TruncatedSeries", "TwistedContext", "YangianRule",
+    "ZMatrix", "bethe_family", "bethe_series", "commutator",
+    "filtration_degree", "hat_bethe_series", "parse_z_spec",
+    "poisson_bracket", "principal_nilpotent", "quantum_determinant",
+    "serialize_terms", "symbol", "twisted_bethe_series", "upper_slice",
+    "verify_bethe_commutativity", "verify_sklyanin",
 ]
 
 # exported name -> the submodule that defines it
 _SOURCES = {
-    **dict.fromkeys(("AlgebraElement", "FreeRule", "YangianRule",
-                     "commutator", "filtration_degree", "symbol"),
-                    "algebra"),
+    **dict.fromkeys(("FreeRule", "YangianRule", "commutator",
+                     "filtration_degree", "symbol"), "algebra"),
+    "AlgebraElement": "element",
     **dict.fromkeys(("IndexSet", "ZMatrix", "parse_z_spec"), "indices"),
-    **dict.fromkeys(("CurrentPoint", "PoissonContext", "PoissonPoly",
-                     "bethe_family", "poisson_bracket",
-                     "principal_nilpotent", "upper_slice"), "poisson"),
+    **dict.fromkeys(("CurrentPoint", "PoissonContext", "bethe_family",
+                     "poisson_bracket", "principal_nilpotent",
+                     "upper_slice"), "poisson"),
     "Q": "rationals",
     "serialize_terms": "reports",
     "TruncatedSeries": "series",

@@ -22,10 +22,6 @@ The Yangian capped at level 1 is the enveloping algebra U(gl_N): its
 bracket there is [T_ij, T_kl] = d_kj T_il - d_il T_kj, and the evaluation
 map T_ij^(r) -> d_r1 E_ij is the quotient by J_1.
 
-Elements are sparse dicts {monomial tuple: rational}; monomials of an
-element under a commuting rule are always non-decreasing tuples of
-generators.
-
 Each rule caches three kernels on normal monomials: the generator bracket
 (`bracket_terms`), monomial times generator (`mono_times_gen`, which
 `mono_times_mono` chains) and the bracket [monomial, generator]
@@ -39,24 +35,20 @@ the image of each letter; it forms every distinct word's image once.  The
 expansion of formal S-words into the Yangian and the evaluation maps pi
 and rho are word maps.
 
-Coefficient types.  Rule-level structure constants (raw_bracket,
-bracket_terms, mono_times_gen, mono_times_mono, mono_bracket_gen) are
-plain Python ints: brackets are +-1 and normal ordering only adds and
-multiplies them.  Every coefficient stored in an AlgebraElement is an
-exact scalar in the canonical form of `rationals`: an int when integral, a
-Q otherwise, so products of integral coefficients run on ints.  The
-public constructor coerces its input through `rat` and drops zeros;
-results of +, -, * and `element_sum` are built by the trusted constructor
-`_from_terms`, which takes a dict that already holds only nonzero
-canonical values and stores it as is.  All of them, and the rule-level
-products, sum their terms with `rationals.accumulate`, which stores an
-integral Q as an int; a product of nonzero scalars is nonzero, so every
-value it is passed is.
+Elements are `element.AlgebraElement`s whose rule is the commutation
+rule: sparse dicts {monomial tuple: rational}, multiplied through
+`mono_times_mono`; monomials of an element under a commuting rule are
+always non-decreasing tuples of generators.  Rule-level structure
+constants (raw_bracket, bracket_terms, mono_times_gen, mono_times_mono,
+mono_bracket_gen) are plain Python ints: brackets are +-1 and normal
+ordering only adds and multiplies them.  The rule-level products sum
+their terms with `rationals.accumulate`.
 """
 from __future__ import annotations
 
+from .element import AlgebraElement, _from_terms, element_sum
 from .indices import IndexSet
-from .rationals import ONE, accumulate, rat
+from .rationals import ONE, accumulate
 
 
 class CommutationRule:
@@ -212,101 +204,6 @@ class FreeRule(CommutationRule):
         raise ValueError("the free rule has no commutation data")
 
 
-class AlgebraElement:
-    """Noncommutative polynomial in PBW normal form: {monomial: rational}."""
-
-    __slots__ = ("rule", "terms")
-
-    def __init__(self, rule: CommutationRule, terms: dict):
-        self.rule = rule
-        self.terms = {m: rat(c) for m, c in terms.items() if c}
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _coerce(self, other) -> "AlgebraElement":
-        if not isinstance(other, AlgebraElement):
-            return AlgebraElement(self.rule, {(): other})
-        if self.rule is not other.rule:
-            raise ValueError("elements under different commutation rules")
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return _from_terms(self.rule,
-                           accumulate(dict(self.terms), other.terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _from_terms(self.rule, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return _from_terms(self.rule, accumulate(
-            dict(self.terms), ((m, -c) for m, c in other.terms.items())))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, AlgebraElement):
-            c = rat(other)
-            if c == 1:
-                return self  # elements are values: none is changed in place
-            return _from_terms(self.rule, accumulate(
-                {}, ((m, v * c) for m, v in self.terms.items())) if c else {})
-        other = self._coerce(other)
-        mtm = self.rule.mono_times_mono
-        # c1 * c2 is folded to an int when integral, so that the products
-        # with the int structure constants stay on ints
-        return _from_terms(self.rule, accumulate({}, [
-            (m, c12 if c == 1 else c12 * c)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items()
-            for c12 in (rat(c1 * c2),)
-            for m, c in mtm(m1, m2).items()]))
-
-    def __rmul__(self, other):
-        # scalars commute with everything
-        return self * other
-
-    def __eq__(self, other):
-        if isinstance(other, AlgebraElement):
-            return self.rule is other.rule and self.terms == other.terms
-        return self.terms == ({(): rat(other)} if other else {})
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms):
-            word = "*".join(f"g[{r},{i},{j}]" for (r, i, j) in m) or "1"
-            bits.append(f"({self.terms[m]})*{word}")
-        return " + ".join(bits)
-
-
-def _from_terms(rule: CommutationRule, terms: dict) -> AlgebraElement:
-    """Trusted constructor: `terms` holds only nonzero canonical
-    coefficients."""
-    out = AlgebraElement.__new__(AlgebraElement)
-    out.rule = rule
-    out.terms = terms
-    return out
-
-
-def element_sum(rule: CommutationRule, elements) -> AlgebraElement:
-    """The sum of elements under `rule`, accumulated into one term dict
-    rather than a running sum that copies it once per summand."""
-    acc: dict = {}
-    for e in elements:
-        accumulate(acc, e.terms.items())
-    return _from_terms(rule, acc)
-
-
 class WordMap:
     """The algebra map into elements under `rule` that sends a generator g
     to letter(g): a word goes to the product of its letters' images, an
@@ -387,18 +284,17 @@ def filtration_degree(a: AlgebraElement) -> int:
     return max(monomial_degree(m) for m in a.terms)
 
 
-def symbol(a: AlgebraElement, d: int, context):
+def symbol(a: AlgebraElement, d: int, context) -> AlgebraElement:
     """Image of a degree-<=d element in the degree-d graded component of
-    the `PoissonContext` context.
+    the `PoissonContext` context, read through `context.reduced`.
 
     Monomials of total level d map to products of commuting variables
     indexed like the generators; strictly lower monomials map to zero.
     """
-    from .poisson import PoissonPoly
-
     if any(monomial_degree(m) > d for m in a.terms):
         raise ValueError("filtration degree exceeds the requested grade")
-    return PoissonPoly(context, accumulate({}, (
+    # words that differ only in order share a monomial: sum them before
+    # the variables are reduced
+    return context.reduced(accumulate({}, (
         (tuple(sorted(m)), c) for m, c in a.terms.items()
         if monomial_degree(m) == d)))
-

@@ -26,7 +26,9 @@ Every suite returns a list of (item, bool) detail rows, matching the other
 verify_* functions; the CLI wraps these into reports.  The enveloping-
 algebra image suites, which need no Poisson side, are in `evalmap`.
 
-The module top imports the Poisson side only.  The suites that reach the
+The module top imports the Poisson side only, whose polynomials are
+`element.AlgebraElement`s with their `PoissonContext` as rule, built by
+`context.element` and `context.zero()`.  The suites that reach the
 algebras import them inside, so the Poisson checks load none of them.
 """
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import random
 
 from .indices import IndexSet, ZMatrix
-from .poisson import (CurrentPoint, PoissonContext, PoissonPoly, bethe_family,
+from .poisson import (CurrentPoint, PoissonContext, bethe_family,
                       bracket_matrix, certified_rank, det_entries,
                       jacobian_rows, matrix_rank, poisson_bracket,
                       principal_nilpotent, upper_slice)
@@ -51,8 +53,8 @@ def verify_poisson_jacobi(context: PoissonContext, seed: int) -> list:
     vs = context.variables()
     details = []
     for t in range(JACOBI_TRIPLES):
-        a, b, c = (PoissonPoly.variable(context, *rng.choice(vs))
-                   for _ in range(3))
+        a, b, c = (context.element(i, j, r)
+                   for r, i, j in (rng.choice(vs) for _ in range(3)))
         res = (poisson_bracket(a, poisson_bracket(b, c))
                + poisson_bracket(b, poisson_bracket(c, a))
                + poisson_bracket(c, poisson_bracket(a, b)))
@@ -116,7 +118,7 @@ def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix,
         from .twisted import graded_bethe_series as member
         rule = FreeRule(index_set, M)
     context = PoissonContext(index_set, M)
-    zero = PoissonPoly.constant(context, 0)
+    zero = context.zero()
     details = []
     for k, table in bethe_family(context, z).items():
         series = member(k, z, rule, k * M)

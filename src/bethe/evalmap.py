@@ -24,7 +24,8 @@ Two suites read the algebras through these maps, and neither loads the
 Poisson side: `verify_rho_homomorphy` reads the twisted symmetry and
 reflection rows through rho, and `verify_pi_rho_image_commutativity`
 checks that the pi or rho images of one commuting family
-(`yangian.commuting_family`) commute.
+(`commuting_family`) commute.  The twisted layer is imported only where a
+signed index set needs it, so the gl suites do not load it.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .indices import IndexSet, ZMatrix
 from .rationals import accumulate, rat
 from .series import RATIONAL_RING
 from .tensor import TensorElement
-from .yangian import commuting_family
+from .yangian import bethe_series
 
 
 def pi_map(rule: YangianRule) -> WordMap:
@@ -76,6 +77,18 @@ def defining_rep(e: AlgebraElement, index_set: IndexSet) -> TensorElement:
     return TensorElement(1, index_set, RATIONAL_RING, accumulate({}, (
         (((i,), (j,)), c) for word, c in e.terms.items()
         for i, j in units(word))))
+
+
+def commuting_family(index_set: IndexSet, z: ZMatrix):
+    """(k, D) -> the commuting series of index k through order D: B_k over
+    the Yangian on a plain index set, the formal A_k on a signed one."""
+    if index_set.kind == "plain":
+        rule = YangianRule(index_set)
+        return lambda k, D: bethe_series(k, z, rule, D)
+    from .twisted import TwistedContext, twisted_bethe_series
+
+    ctx = TwistedContext(index_set)
+    return lambda k, D: twisted_bethe_series(ctx, k, z, D)
 
 
 def verify_image_commutativity(elements: list, index_set: IndexSet) -> list:

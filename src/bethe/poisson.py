@@ -12,6 +12,11 @@ the context, and its signs (`IndexSet.eps`) the twist:
   polynomial is kept in a fixed fundamental-domain normal form, and the
   bracket carries the extra eps-twisted sum with the (-1)^{p+r-1} factor.
 
+A polynomial is an `element.AlgebraElement` whose rule is its
+`PoissonContext`, the one sparse polynomial type of the package: the
+context multiplies monomials by sorted concatenation
+(`mono_times_mono`), and builds polynomials through `reduced`, which
+folds each variable onto the fundamental domain, and `element`.
 `PoissonContext.reduce_var` is the one place that knows how coordinates
 are tied.  A `CurrentPoint` holds values on the fundamental domain only,
 folding every value given elsewhere through it, so a base point is given
@@ -41,8 +46,9 @@ reproducible.
 from __future__ import annotations
 
 import random
-from math import lcm
+from math import lcm, prod
 
+from .element import AlgebraElement, _from_terms
 from .indices import IndexSet, ZMatrix
 from .rationals import ONE, accumulate, binomial, div, rat
 
@@ -101,6 +107,34 @@ class PoissonContext:
             self._vars = tuple(out)
         return self._vars
 
+    # -- the polynomial algebra ---------------------------------------------
+
+    def mono_times_mono(self, m1: tuple, m2: tuple) -> dict:
+        """The product of two monomials: their sorted concatenation."""
+        return {tuple(sorted(m1 + m2)): 1}
+
+    def reduced(self, terms: dict) -> AlgebraElement:
+        """The polynomial with the terms {monomial: rational}, each variable
+        folded onto the fundamental domain through `reduce_var` with its
+        sign; a monomial that holds a zero variable is dropped."""
+        out = []
+        for mono, c in terms.items():
+            c = rat(c)
+            vs = [self.reduce_var(v) for v in mono]
+            if c and None not in vs:
+                out.append((tuple(sorted(w for _, w in vs)),
+                            c if prod(s for s, _ in vs) == 1 else -c))
+        return _from_terms(self, accumulate({}, out))
+
+    def element(self, row: int, col: int, level: int = 1) -> AlgebraElement:
+        """The variable v_{row,col}^(level), reduced."""
+        self.index_set.check(row)
+        self.index_set.check(col)
+        return self.reduced({((level, row, col),): 1})
+
+    def zero(self) -> AlgebraElement:
+        return _from_terms(self, {})
+
     # -- bracket on generators ---------------------------------------------
 
     def bracket_terms(self, a: tuple, b: tuple) -> list:
@@ -124,7 +158,7 @@ class PoissonContext:
                 out.append((-sgn * eps(i, -l), (s, k, -i), (r - 1, -l, j)))
         return out
 
-    def gen_bracket(self, a: tuple, b: tuple) -> "PoissonPoly":
+    def gen_bracket(self, a: tuple, b: tuple) -> AlgebraElement:
         key = (a, b)
         hit = self._bracket_cache.get(key)
         if hit is None:
@@ -133,152 +167,33 @@ class PoissonContext:
                 # the two levels sum to p + q - 1 >= 1: at most one is 0
                 if all(v[0] or v[1] == v[2] for v in word):
                     accumulate(terms, ((tuple(v for v in word if v[0]), c),))
-            hit = self._bracket_cache[key] = PoissonPoly(self, terms)
+            hit = self._bracket_cache[key] = self.reduced(terms)
         return hit
 
 
-class PoissonPoly:
-    """Sparse commutative polynomial; monomials are sorted tuples of
-    variable triples, normalized to the context's fundamental domain."""
-
-    __slots__ = ("context", "terms")
-
-    def __init__(self, context: PoissonContext, terms: dict):
-        self.context = context
-        self.terms = accumulate({}, _reduced_terms(context, terms))
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def constant(context: PoissonContext, c) -> "PoissonPoly":
-        return PoissonPoly(context, {(): c})
-
-    @staticmethod
-    def variable(context: PoissonContext, r: int, i: int, j: int) -> "PoissonPoly":
-        context.index_set.check(i)
-        context.index_set.check(j)
-        return PoissonPoly(context, {((r, i, j),): ONE})
-
-    # -- basics -------------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _coerce(self, other) -> "PoissonPoly":
-        if not isinstance(other, PoissonPoly):
-            return PoissonPoly.constant(self.context, other)
-        if self.context != other.context:
-            raise ValueError("polynomials from different contexts")
-        return other
-
-    def __eq__(self, other):
-        if isinstance(other, PoissonPoly):
-            return self.context == other.context and self.terms == other.terms
-        return self.terms == ({(): rat(other)} if other else {})
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return _poly(self.context,
-                     accumulate(dict(self.terms), other.terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _poly(self.context, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return _poly(self.context, accumulate(
-            dict(self.terms), ((m, -c) for m, c in other.terms.items())))
-
-    def __mul__(self, other):
-        if not isinstance(other, PoissonPoly):
-            c = rat(other)
-            return _poly(self.context, accumulate(
-                {}, ((m, v * c) for m, v in self.terms.items())) if c else {})
-        other = self._coerce(other)
-        return _poly(self.context, accumulate({}, (
-            (tuple(sorted(m1 + m2)), c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items())))
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms):
-            word = "*".join(f"v[{r},{i},{j}]" for (r, i, j) in m) or "1"
-            bits.append(f"({self.terms[m]})*{word}")
-        return " + ".join(bits)
-
-    # -- calculus -----------------------------------------------------------
-
-    def variables_used(self) -> set:
-        return {v for m in self.terms for v in m}
-
-    def derivative(self, v: tuple) -> "PoissonPoly":
-        red = self.context.reduce_var(v)
-        if red is None:
-            return _poly(self.context, {})
-        _, v = red
-
-        def drop_one(m):
-            i = m.index(v)
-            return m[:i] + m[i + 1:]
-
-        return _poly(self.context, accumulate({}, (
-            (drop_one(m), c * k) for m, c in self.terms.items()
-            for k in (m.count(v),) if k)))
+def derivative(f: AlgebraElement, v: tuple) -> AlgebraElement:
+    """The partial derivative of the polynomial f in the fundamental-domain
+    variable v."""
+    return _from_terms(f.rule, accumulate({}, (
+        (m[:i] + m[i + 1:], c * k) for m, c in f.terms.items()
+        for k in (m.count(v),) if k for i in (m.index(v),))))
 
 
-def _poly(context: PoissonContext, terms: dict) -> PoissonPoly:
-    """Trusted constructor: `terms` holds only nonzero canonical
-    coefficients on sorted fundamental-domain monomials."""
-    out = PoissonPoly.__new__(PoissonPoly)
-    out.context = context
-    out.terms = terms
-    return out
-
-
-def _reduced_terms(context: PoissonContext, terms: dict):
-    """(sorted fundamental-domain monomial, nonzero canonical coefficient)
-    for every term that survives the context's reduction."""
-    for mono, c in terms.items():
-        c = rat(c)
-        if not c:
-            continue
-        out = []
-        for v in mono:
-            red = context.reduce_var(v)
-            if red is None:
-                break
-            s, w = red
-            if s != 1:
-                c = c * s
-            out.append(w)
-        else:
-            yield tuple(sorted(out)), c
-
-
-def poisson_bracket(f: PoissonPoly, g: PoissonPoly) -> PoissonPoly:
+def poisson_bracket(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     """Bilinear Leibniz extension of the truncated generator bracket."""
-    if f.context != g.context:
+    ctx = f.rule
+    if ctx != g.rule:
         raise ValueError("polynomials from different contexts")
-    ctx = f.context
     acc: dict = {}
-    dgs = [(b, g.derivative(b)) for b in sorted(g.variables_used())]
-    for a in sorted(f.variables_used()):
-        df = f.derivative(a)
+    dgs = [(b, derivative(g, b)) for b in sorted({v for m in g.terms
+                                                   for v in m})]
+    for a in sorted({v for m in f.terms for v in m}):
+        df = derivative(f, a)
         for b, dg in dgs:
             br = ctx.gen_bracket(a, b)
             if br:
                 accumulate(acc, (df * dg * br).terms.items())
-    return _poly(ctx, acc)
+    return _from_terms(ctx, acc)
 
 
 # -- points ---------------------------------------------------------------------
@@ -448,7 +363,7 @@ def bethe_family(context: PoissonContext, z: ZMatrix) -> dict:
     N = context.index_set.N
     family = _family(context, z, {(): 1}, _term_times)
     for k, table in family.items():
-        family[k] = [_poly(context, terms) for terms in table]
+        family[k] = [_from_terms(context, terms) for terms in table]
         if context.index_set.kind == "signed":
             for r, terms in enumerate(table):
                 if (N - k + r) % 2 != 0 and terms:

@@ -37,7 +37,8 @@ rows depth first through the steps of X(u), letter sites and pair steps
 id - c(u) Q_pq, one word of letters at a time: neither X(u) nor F(u) H_n
 is formed, memory is one path of rows, and no prefix memo is kept.
 `series_to_bilaurent` lifts a one-site series to a bivariate object on
-several sites, for the matrix-form relation checks.
+two sites, in u on site 1 and in v on site 2, for the matrix-form
+relation checks.
 """
 from __future__ import annotations
 
@@ -340,19 +341,16 @@ def trace_words(k: int, index_set: IndexSet, steps, factors, ring: Ring,
     return TruncatedSeries(ring, [ring.sum(ps) for ps in parts], D)
 
 
-def series_to_bilaurent(series: TruncatedSeries, site: int, var: str,
-                        sites: int) -> BiLaurent:
-    """A series of one-site tensors, placed on `site` of `sites` sites, as a
-    bivariate object in u (var "u") or v (var "v"), trusted to the
+def series_to_bilaurent(series: TruncatedSeries, site: int) -> BiLaurent:
+    """A series of one-site tensors, placed on `site` of two sites, as a
+    bivariate object in u on site 1 and in v on site 2, trusted to the
     series' own truncation in that variable."""
     D = series.trunc
-    ring = tensor_ring(sites, series.ring.one.index_set, series.ring.one.ring)
-    ent = {}
-    for r, c in enumerate(series.coeffs):
-        ent[(-r, 0) if var == "u" else (0, -r)] = c.embed((site,), sites)
-    return BiLaurent(ring, ent,
-                     D if var == "u" else INF_CAP,
-                     D if var == "v" else INF_CAP)
+    ring = tensor_ring(2, series.ring.one.index_set, series.ring.one.ring)
+    ent = {(-r, 0) if site == 1 else (0, -r): c.embed((site,), 2)
+           for r, c in enumerate(series.coeffs)}
+    return BiLaurent(ring, ent, D if site == 1 else INF_CAP,
+                     D if site == 2 else INF_CAP)
 
 
 # -- the flip and the group algebra of S_k ---------------------------------------

@@ -150,8 +150,8 @@ def reflection_residual(ctx: TwistedContext, D: int) -> BiLaurent:
       - e_{i,-j}(S_{k,-i}(u)S_{-j,l}(v) - S_{k,-i}(v)S_{-j,l}(u)).
     """
     s = t_site_series(ctx.s_rule, D)
-    return _reflection_form(series_to_bilaurent(s, 1, "u", 2),
-                            series_to_bilaurent(s, 2, "v", 2), ctx.index_set)
+    return _reflection_form(series_to_bilaurent(s, 1),
+                            series_to_bilaurent(s, 2), ctx.index_set)
 
 
 def reflection_rows(label: str, ctx: TwistedContext, D: int, image) -> list:

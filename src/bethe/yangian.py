@@ -35,7 +35,7 @@ from itertools import combinations, permutations
 from math import prod
 
 from .algebra import YangianRule, derivation
-from .indices import IndexSet, ZMatrix, perm_sign
+from .indices import ZMatrix, perm_sign
 from .rationals import binomial, div
 from .series import BiLaurent, TruncatedSeries, algebra_ring
 
@@ -144,18 +144,6 @@ def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> Truncated
                        [(p, z) for p in range(1, k + 1)], algebra_ring(rule), D)
 
 
-def commuting_family(index_set: IndexSet, z: ZMatrix):
-    """(k, D) -> the commuting series of index k through order D: B_k over
-    the Yangian on a plain index set, the formal A_k on a signed one."""
-    if index_set.kind == "plain":
-        rule = YangianRule(index_set)
-        return lambda k, D: bethe_series(k, z, rule, D)
-    from .twisted import TwistedContext, twisted_bethe_series
-
-    ctx = TwistedContext(index_set)
-    return lambda k, D: twisted_bethe_series(ctx, k, z, D)
-
-
 # -- verification suites -----------------------------------------------------------
 
 
@@ -176,13 +164,12 @@ def verify_rtt(rule: YangianRule, D: int) -> list:
 
     iset = rule.index_set
     t = t_site_series(rule, D)
-    t1 = series_to_bilaurent(t, 1, "u", 2)
-    t2 = series_to_bilaurent(t, 2, "v", 2)
+    t1 = series_to_bilaurent(t, 1)
+    t2 = series_to_bilaurent(t, 2)
     r = bilaurent_r("plain", (1, 2), 1, -1, 0, 2, iset)
     details = window_rows("coefficient", r * t1 * t2 - t2 * t1 * r)
     if iset.kind == "signed":
-        tt1 = series_to_bilaurent(t.map_coeffs(lambda c: c.site_prime(1)),
-                                  1, "u", 2)
+        tt1 = series_to_bilaurent(t.map_coeffs(lambda c: c.site_prime(1)), 1)
         rt = bilaurent_r("twisted", (1, 2), 1, -1, 0, 2, iset)
         details += window_rows("mixed relation",
                                tt1 * rt * t2 - t2 * rt * tt1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bethe.algebra import AlgebraElement, YangianRule
 from bethe.indices import IndexSet
-from bethe.poisson import PoissonContext, PoissonPoly
+from bethe.poisson import PoissonContext
 from bethe.rationals import Q, accumulate
 from bethe.series import INF_CAP, RATIONAL_RING, BiLaurent, TruncatedSeries
 from bethe.tensor import TensorElement
@@ -50,7 +50,7 @@ def bilaurents(draw):
 @st.composite
 def poisson_polys(draw):
     monos = st.lists(st.sampled_from(GENS), max_size=2).map(tuple)
-    return PoissonPoly(CONTEXT, draw(_sparse(monos)))
+    return CONTEXT.reduced(draw(_sparse(monos)))
 
 
 ELEMENTS = st.one_of(algebra_elements(), tensors(), bilaurents(),

@@ -9,9 +9,10 @@ from bethe.certify import (rank_table, verify_jacobian_rank,
                            verify_poisson_rank, verify_symbol_homomorphy,
                            verify_twisted_parity)
 from bethe.indices import IndexSet, parse_z_spec, perm_sign
-from bethe.poisson import (CurrentPoint, PoissonContext, PoissonPoly,
-                           bethe_family, bracket_matrix, jacobian_rows, matrix_rank, poisson_bracket,
-                           principal_nilpotent, upper_slice)
+from bethe.poisson import (CurrentPoint, PoissonContext, bethe_family,
+                           bracket_matrix, derivative, jacobian_rows,
+                           matrix_rank, poisson_bracket, principal_nilpotent,
+                           upper_slice)
 from bethe.rationals import ONE, Q, accumulate, binomial, div
 from faults import controls
 from oracles import (evaluate, expected_jacobian_rank, expected_poisson_rank,
@@ -24,7 +25,7 @@ def _all_ok(rows):
 
 
 def var(ctx, r, i, j):
-    return PoissonPoly.variable(ctx, r, i, j)
+    return ctx.element(i, j, r)
 
 
 def test_context_kind_follows_the_index_set():
@@ -78,6 +79,83 @@ def test_twisted_reduction_to_fundamental_domain():
     assert not var(ctx, 2, 1, -1)
 
 
+SIGNED_CONTEXTS = [PoissonContext(iset, M)
+                   for iset in (IndexSet.signed(3, "so"),
+                                IndexSet.signed(2, "sp"),
+                                IndexSet.signed(4, "so"))
+                   for M in (1, 2)]
+
+
+@st.composite
+def signed_terms(draw, ctx):
+    """Term dicts of up to three monomials of up to three coordinates
+    anywhere on the grid, levels up to M + 1, so that ties, forced zeros
+    and the truncation all occur."""
+    idx = ctx.index_set.indices()
+    coord = st.tuples(st.integers(1, ctx.M + 1), st.sampled_from(idx),
+                      st.sampled_from(idx))
+    coeff = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    return draw(st.dictionaries(st.lists(coord, max_size=3).map(tuple),
+                                coeff, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_polynomials_of_a_signed_context(data):
+    # the polynomial algebra of a signed context: reduced variables carry
+    # the tie sign eps_ij (-1)^r, products are the reduced sorted
+    # concatenations and commute and associate, and the derivative is a
+    # derivation
+    ctx = data.draw(st.sampled_from(SIGNED_CONTEXTS), label="context")
+    eps = ctx.index_set.eps
+    r, i, j = data.draw(st.sampled_from(
+        [(r, i, j) for r in range(1, ctx.M + 1)
+         for i in ctx.index_set.indices() for j in ctx.index_set.indices()]))
+    rep = min((i, j), (-j, -i))
+    sign = eps(i, j) * (-1) ** r
+    got = ctx.reduced({((r, i, j),): 1})
+    if (i, j) == (-j, -i):
+        assert got == (ctx.element(i, j, r) if sign == 1 else 0)
+        assert bool(got) is (sign == 1)
+    elif rep == (i, j):
+        assert got.terms == {((r, i, j),): 1}
+    else:
+        assert got == ctx.element(rep[0], rep[1], r) * sign
+        assert got.terms == {((r, *rep),): sign}
+    assert not ctx.reduced({((ctx.M + 1, i, j),): 1})
+
+    ta, tb, tc = (data.draw(signed_terms(ctx)) for _ in range(3))
+    a, b, c = ctx.reduced(ta), ctx.reduced(tb), ctx.reduced(tc)
+    product: dict = {}
+    for m1, c1 in ta.items():
+        for m2, c2 in tb.items():
+            m = tuple(sorted(m1 + m2))
+            product[m] = product.get(m, 0) + c1 * c2
+    assert a * b == ctx.reduced(product)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    for v in ctx.variables():
+        assert derivative(a * b, v) == \
+            derivative(a, v) * b + a * derivative(b, v)
+
+
+def test_elements_of_different_rules_do_not_mix():
+    from bethe.algebra import YangianRule
+
+    iset = IndexSet.signed(3, "so")
+    x = PoissonContext(iset, 2).element(1, 0, 1)
+    y = YangianRule(iset).element(1, 0, 1)
+    assert x
+    for left, right in ((x, y), (y, x)):
+        with pytest.raises(ValueError, match="different rules"):
+            left + right
+        with pytest.raises(ValueError, match="different rules"):
+            left * right
+        assert left != right
+    # contexts on equal index sets and levels are equal rules
+    assert x + PoissonContext(iset, 2).element(1, 0, 1) == x * 2
+
+
 def test_jacobi_plain_and_twisted():
     _all_ok(verify_poisson_jacobi(PoissonContext(IndexSet.plain(3), 2),
                                   seed=1))
@@ -91,7 +169,7 @@ def test_bethe_poly_oracle_values():
     z = parse_z_spec("diag:1,2", iset)
     family = bethe_family(ctx, z)
     b1 = family[1]
-    assert b1[0] == PoissonPoly.constant(ctx, Q(3, 2))
+    assert b1[0] == ctx.zero() + Q(3, 2)
     assert b1[1] == (var(ctx, 1, 1, 1) * 2 + var(ctx, 1, 2, 2)) * Q(1, 2)
     b2 = family[2]
     assert b2[1] == var(ctx, 1, 1, 1) + var(ctx, 1, 2, 2)
@@ -110,7 +188,7 @@ def test_family_is_involutive_and_top_series_central():
             assert not poisson_bracket(a, b)
     for p in family[2]:
         for v in ctx.variables():
-            assert not poisson_bracket(p, PoissonPoly.variable(ctx, *v))
+            assert not poisson_bracket(p, var(ctx, *v))
 
 
 def test_twisted_parity_and_sign_symmetry():
@@ -152,7 +230,8 @@ def test_capped_family_has_the_symbols_of_the_full_family(iset, spec, tag, M):
     # and these vanish beyond kM: the Laplace rows lose no symbol
     from bethe.algebra import FreeRule, YangianRule, symbol
     from bethe.twisted import graded_bethe_series
-    from bethe.yangian import bethe_series, commuting_family
+    from bethe.evalmap import commuting_family
+    from bethe.yangian import bethe_series
 
     z = parse_z_spec(spec, iset, tag)
     ctx = PoissonContext(iset, M)
@@ -277,7 +356,7 @@ def test_bracket_matrix_is_the_brackets_evaluated_at_the_point(iset, M):
              for a in coords]
 
 
-def restricted(p: PoissonPoly, base: dict, free) -> PoissonPoly:
+def restricted(p, base: dict, free):
     """The restriction of p to the slice: every coordinate outside `free`
     replaced by its base value (the former `PoissonPoly.substitute`), kept
     as the reference for the slice certificate's Jacobian at a point."""
@@ -289,7 +368,7 @@ def restricted(p: PoissonPoly, base: dict, free) -> PoissonPoly:
                 c = c * base[v]
         if c:
             accumulate(terms, ((tuple(v for v in m if v in free), c),))
-    return PoissonPoly(p.context, terms)
+    return p.rule.reduced(terms)
 
 
 def test_slice_restriction_values():
@@ -328,7 +407,7 @@ def test_slice_jacobian_at_the_point_equals_the_restriction(iset, spec):
         at_point = CurrentPoint(ctx, {**base, **draws})
         on_slice = CurrentPoint(ctx, draws)
         assert jacobian_rows(ctx, z, at_point, free) == \
-            [[evaluate(r.derivative(v), on_slice) for v in free]
+            [[evaluate(derivative(r, v), on_slice) for v in free]
              for r in rest]
 
 
@@ -476,26 +555,26 @@ def permutation_det(context: PoissonContext, z) -> dict:
         for j in idx:
             e: dict = {}
             if i == j:
-                e[(M, 0)] = PoissonPoly.constant(context, ONE)
+                e[(M, 0)] = context.zero() + ONE
             if z.entry(i, j):
-                e[(0, 1)] = PoissonPoly.constant(context, z.entry(i, j))
+                e[(0, 1)] = context.zero() + z.entry(i, j)
             for r in range(1, M + 1):
                 key = (M - r, 0)
-                e[key] = e.get(key, PoissonPoly(context, {})) + \
-                    PoissonPoly.variable(context, r, i, j)
+                e[key] = e.get(key, context.zero()) + \
+                    context.element(i, j, r)
             entry[(i, j)] = e
     acc: dict = {}
     for g in permutations(idx):
-        prod = {(0, 0): PoissonPoly.constant(context, Q(perm_sign(g)))}
+        prod = {(0, 0): context.zero() + Q(perm_sign(g))}
         for pos, j in enumerate(idx):
             nxt: dict = {}
             for (a1, b1), p1 in prod.items():
                 for (a2, b2), p2 in entry[(g[pos], j)].items():
                     k = (a1 + a2, b1 + b2)
-                    nxt[k] = nxt.get(k, PoissonPoly(context, {})) + p1 * p2
+                    nxt[k] = nxt.get(k, context.zero()) + p1 * p2
             prod = nxt
         for k, p in prod.items():
-            acc[k] = acc.get(k, PoissonPoly(context, {})) + p
+            acc[k] = acc.get(k, context.zero()) + p
     return {k: p.terms for k, p in acc.items() if p}
 
 
@@ -569,7 +648,7 @@ def test_jet_rows_match_derivatives(iset, spec, levels):
                                            rng.randint(1, 4))
                                       for v in coords})):
             assert jacobian_rows(ctx, z, pt, coords) == \
-                [[evaluate(f.derivative(v), pt) for v in coords] for f in fs]
+                [[evaluate(derivative(f, v), pt) for v in coords] for f in fs]
 
 
 @pytest.mark.parametrize("iset,spec,levels",
