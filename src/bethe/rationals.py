@@ -1,15 +1,14 @@
 """Exact scalars in one canonical form, and the one accumulation kernel
 shared across the package.
 
-All arithmetic in this library is exact.  `Q` is the backend rational
-type: gmpy2.mpq when available (identical semantics to
-fractions.Fraction, much faster), with Fraction as fallback.
+All arithmetic in this library is exact.  `Q` is the rational type,
+`fractions.Fraction`.
 
-Canonical form.  An exact scalar is a plain `int` when it is integral (the
-backend's integer type under gmpy2) and a `Q` only when its denominator
-exceeds 1.  Most coefficients of the algebra are integral, and an int
-multiplies and adds dozens of times faster than a Fraction.  An int and a
-`Q` of equal value compare and hash equal, and `format_rat` reads
+Canonical form.  An exact scalar is a plain `int` when it is integral
+and a `Q` only when its denominator exceeds 1.  Most coefficients of the
+algebra are integral, and an int multiplies and adds dozens of times
+faster than a Fraction.  An int and a `Q` of equal value compare and
+hash equal, and `format_rat` reads
 `.numerator`/`.denominator` on both, so the form never shows in a result
 or a report.
 
@@ -29,12 +28,8 @@ __bool__ as "has a nonzero term".
 """
 from __future__ import annotations
 
+from fractions import Fraction as Q
 from math import comb
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
 
 ZERO = 0
 ONE = 1

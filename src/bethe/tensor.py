@@ -25,12 +25,13 @@ BiLaurent over the rational tensors, and every R-matrix identity
 product of such objects; `verify_r_identities` is the one suite of the
 rational ones on every index set.
 
-Every commuting family is a trace tr(F(u) H_n X(u)) of an algebra-valued
-block X(u) against the antisymmetrizer H_n on n sites and rational
-factors F(u): normalized R-matrix factors id - Q_pq/(c - 2u) and Z sites.
-H_n has rank binomial(N, n): n! H_n = A_n = sum_I |w_I><w_I|, one row
-<w_I| of A_n per n-subset I.  As the trace is cyclic and rationals are
-central, it is sum_I <w_I| X(u) F(u) |w_I> / n!.  `trace_words`, the one
+Every twisted family (A_k, hat-A_k, the prop-3.6 form, the graded
+member) is a trace tr(F(u) H_n X(u)) of an algebra-valued block X(u)
+against the antisymmetrizer H_n on n sites and rational factors F(u):
+normalized R-matrix factors id - Q_pq/(c - 2u) and Z sites.  H_n has
+rank binomial(N, n): n! H_n = A_n = sum_I |w_I><w_I|, one row <w_I| of
+A_n per n-subset I.  As the trace is cyclic and rationals are central,
+it is sum_I <w_I| X(u) F(u) |w_I> / n!.  `trace_words`, the one
 contraction, takes (n, the steps of X, the factors of F): it builds the
 rows and applies F(u) to the |w_I> one factor at a time, then walks the
 rows depth first through the steps of X(u), letter sites and pair steps

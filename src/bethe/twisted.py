@@ -320,7 +320,7 @@ def prop36_trace_form(ctx: TwistedContext, z: ZMatrix, k: int,
 
 def scalar_list_label(xs) -> str:
     """Exact scalars as "[Fraction(p, q), ...]", the text of the prop-3.6
-    scalar rows, written the same for ints and for every backend."""
+    scalar rows, written the same for ints and for fractions."""
     return "[" + ", ".join(f"Fraction({x.numerator}, {x.denominator})"
                            for x in xs) + "]"
 

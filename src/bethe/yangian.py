@@ -7,13 +7,12 @@ T(u): RTT, and on so/sp the mixed relation through R~.
 All series coefficients are exact algebra elements in PBW normal form, so
 every check reduces to "the normal form of a residual is zero".
 
-One kernel, `quantum_minor`, builds the quantum minors of T(u): B_k(u)
-sums them weighted by complementary minors of Z, and the quantum
-determinant is the minor on all N indices.  `hat_bethe_series` gives the
-inverse-series generators hat-B_k, a `tensor.trace_words` walk of the
-rows of A_k over the letters of T(u)^-1.  `t_site_series` is the one
-builder of a generator series: T(u) here, the formal S(u) of the twisted
-layer under its free rule.
+The gl families are minor sums.  One kernel, `quantum_minor`, builds
+the quantum minors of T(u) and of T(u)^-1, and one Z-weighted double sum,
+`minor_sum`, adds them: B_k(u) and hat-B_k(u) alike, and the quantum
+determinant is the minor of T(u) on all N indices.  `t_site_series` is
+the one builder of a generator series: T(u) here, the formal S(u) of the
+twisted layer under its free rule.
 
 `verify_fusion` checks H_k T_1(u-1)..T_k(u-k) = T_k(u-k)..T_1(u-1) H_k
 and the membership predicate H X = H X H on A_k = k! H_k = ket . bra,
@@ -25,14 +24,16 @@ products, so no factor or product is formed on all N^k rows.
 The row builders for one identity type each (`window_rows`,
 `commutator_table`, `centrality_rows`, `hat_identity_rows`) serve the
 twisted layer too; the commutator rows apply one `algebra.derivation`
-per coefficient.  The quantum minors need no tensor: the functions that
-build tensors import `tensor` where they run, so the ops that build only
-quantum minors do not load it.
+per coefficient.  The quantum minors of T(u) need no tensor: the
+functions that build tensors (T(u)^-1 among them) import `tensor` where
+they run, so the ops that build only minors of T(u) do not load it.
 """
 from __future__ import annotations
 
+from functools import cache, reduce
 from itertools import combinations, permutations
 from math import prod
+from operator import add, mul
 
 from .algebra import YangianRule, derivation
 from .indices import ZMatrix, perm_sign
@@ -67,25 +68,34 @@ def t_site_series(rule, D: int) -> TruncatedSeries:
 # -- Bethe series ----------------------------------------------------------------
 
 
-def quantum_minor(rule: YangianRule, rows, cols, D: int,
-                  shifted: dict) -> TruncatedSeries:
-    """The quantum minor of T(u) on rows I and columns J,
+def quantum_minor(entry, rows, cols, sites) -> TruncatedSeries:
+    """sum_{s in S_k} sgn(s) prod_{p in sites} X_{I_s(p) J_p}(u-p), the
+    factors in the order of `sites` (ascending for the minors t^I_J of
+    T(u), descending for hat-t^I_J of T(u)^-1), X given by its entry
+    source `entry(a, b, p)` = X_ab(u-p); antisymmetric in I and in J."""
+    return reduce(add, (
+        reduce(mul, [entry(rows[s[p - 1]], cols[p - 1], p) for p in sites])
+        * perm_sign(s) for s in permutations(range(len(rows)))))
 
-        t^I_J(u) = sum_{s in S_k} sgn(s) T_{I_s1 J_1}(u-1)..T_{I_sk J_k}(u-k),
 
-    antisymmetric in I and in J.  `shifted` memoizes T_ab(u-p) by
-    (a, b, p) across the minors of one family."""
-    acc = TruncatedSeries.zero(algebra_ring(rule), D)
-    for sigma in permutations(range(len(rows))):
-        term = None
-        for p, (s, b) in enumerate(zip(sigma, cols), 1):
-            key = (rows[s], b, p)
-            if key not in shifted:
-                shifted[key] = t_entry_series(rule, rows[s], b, D)\
-                    .substitute_affine(1, -p)
-            term = shifted[key] if term is None else term * shifted[key]
-        acc = acc + term * perm_sign(sigma)
-    return acc
+def z_minor(z: ZMatrix, rows, cols):
+    """det Z_{rows, cols} as a Leibniz sum; 1 on no rows."""
+    return sum(perm_sign(s) * prod(map(z.entry, rows, s))
+               for s in permutations(cols))
+
+
+def minor_sum(weight, series, sites, rule: YangianRule,
+              D: int) -> TruncatedSeries:
+    """sum_{I,J} weight(I, J) x^I_J(u) over ascending k-tuples I, J,
+    k = len(sites), x^I_J the `quantum_minor` of the matrix series given
+    entrywise by `series(a, b)`, whose shifted entries are formed once; a
+    minor of weight zero is skipped (a diagonal Z keeps only I = J)."""
+    entry = cache(lambda a, b, p: series(a, b).substitute_affine(1, -p))
+    subsets = list(combinations(rule.index_set.indices(), len(sites)))
+    return sum((quantum_minor(entry, rows, cols, sites) * w
+                for rows in subsets for cols in subsets
+                for w in (weight(rows, cols),) if w),
+               TruncatedSeries.zero(algebra_ring(rule), D))
 
 
 def bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
@@ -93,55 +103,48 @@ def bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeri
 
         C(N,k)^-1 sum_{I,J} sgn(I I') sgn(J J') det Z_{I'J'} t^I_J(u),
 
-    over ascending k-tuples I, J with ascending complements I', J'; det is
-    a Leibniz sum, and a minor whose Z cofactor is zero is skipped (a
-    diagonal Z keeps only I = J).  This is the defining double sum
+    over ascending k-tuples I, J with ascending complements I', J'.  This
+    is the defining double sum
     (1/N!) sum_{g,h in S_N} sgn(g) sgn(h) T_{g1 h1}(u-1)..T_{gk hk}(u-k)
     z_{g(k+1) h(k+1)}..z_{gN hN} collapsed: t^I_J is antisymmetric in J as
     well as in I, so the orderings of I and J sum to k! t^I_J and those of
-    I' and J' to (N-k)! det Z_{I'J'}, and k!(N-k)!/N! = 1/C(N,k).  This is
-    the one construction of B_k."""
-    iset = rule.index_set
-    N = iset.N
+    I' and J' to (N-k)! det Z_{I'J'}, and k!(N-k)!/N! = 1/C(N,k)."""
+    N = rule.index_set.N
     if not (1 <= k <= N):
         raise ValueError("k out of range")
-    idx = iset.indices()
-    shifted = {}
-    acc = TruncatedSeries.zero(algebra_ring(rule), D)
-    for rows in combinations(idx, k):
-        rows_c = tuple(i for i in idx if i not in rows)
-        for cols in combinations(idx, k):
-            cols_c = tuple(j for j in idx if j not in cols)
-            zdet = sum(perm_sign(s) * prod(map(z.entry, rows_c, s))
-                       for s in permutations(cols_c))
-            if zdet:
-                sign = perm_sign(rows + rows_c) * perm_sign(cols + cols_c)
-                acc = acc + quantum_minor(rule, rows, cols, D, shifted) \
-                    * (sign * zdet)
-    return acc * div(1, binomial(N, k))
+    idx = rule.index_set.indices()
+
+    def weight(rows, cols):
+        rows_c, cols_c = (tuple(i for i in idx if i not in x)
+                          for x in (rows, cols))
+        return (perm_sign(rows + rows_c) * perm_sign(cols + cols_c)
+                * z_minor(z, rows_c, cols_c))
+
+    return minor_sum(weight, lambda a, b: t_entry_series(rule, a, b, D),
+                     range(1, k + 1), rule, D) * div(1, binomial(N, k))
 
 
 def quantum_determinant(rule: YangianRule, D: int) -> TruncatedSeries:
     """The quantum determinant t^{1..N}_{1..N}(u), which is B_N(u) for
     every Z."""
-    idx = rule.index_set.indices()
-    return quantum_minor(rule, idx, idx, D, {})
+    return minor_sum(lambda rows, cols: 1,
+                     lambda a, b: t_entry_series(rule, a, b, D),
+                     range(1, rule.index_set.N + 1), rule, D)
 
 
 def hat_bethe_series(k: int, z: ZMatrix, rule: YangianRule, D: int) -> TruncatedSeries:
-    """The inverse-series generators: trace of H_k times the descending
-    product of the inverse factors hat-T_p(u-p), p = k..1, times
-    Z_1..Z_k, one `trace_words` walk of the rows of A_k with hat-T = T^-1
-    on one site and the factors Z_1..Z_k."""
+    """The inverse-series generators tr(Z_1..Z_k H_k X), X =
+    hat-T_k(u-k)..hat-T_1(u-1), hat-T = T^-1, as sum_{I,J} det Z_{J,I}
+    hat-t^I_J(u): H_k X = X H_k, so over the rows w_I of A_k the trace is
+    sum_{I,J} <w_I|X|w_J> <w_J|Z_1..Z_k|w_I> / k!^2."""
+    aring = algebra_ring(rule)
     if k == 0:
-        return TruncatedSeries.one(algebra_ring(rule), D)
-    from .tensor import trace_words
-
+        return TruncatedSeries.one(aring, D)
     t_hat = t_site_series(rule, D).invert()
-    return trace_words(k, rule.index_set,
-                       [(p, t_hat.substitute_affine(1, -p))
-                        for p in range(k, 0, -1)],
-                       [(p, z) for p in range(1, k + 1)], algebra_ring(rule), D)
+    return minor_sum(lambda rows, cols: z_minor(z, cols, rows),
+                     lambda a, b: t_hat.map_coeffs(lambda c: c.entries.get(
+                         ((a,), (b,)), aring.zero), aring),
+                     range(k, 0, -1), rule, D)
 
 
 # -- verification suites -----------------------------------------------------------

@@ -399,6 +399,14 @@ FAULTS = {f.id: f for f in [
                 {"hat identity k=1 (scalar 1/2)": 1,
                  "hat identity k=2 (scalar 1)": 1}, only=True)})
       for name, factor in (("doubled", 2), ("quartered", Q(1, 4)))],
+    # the factors of the minors of T(u)^-1 multiplied in ascending site
+    # order: hat-B_1 has one factor, so gl2 passes, and gl3 fails at
+    # k = 1, which reads hat-B_2
+    Fault("hat-factors-ascending", "yangian.hat_bethe_series",
+          old="range(k, 0, -1)", new="range(1, k + 1)",
+          ops={"verify hat-identity --kind gl --N 2 --D 2": 0,
+               "verify hat-identity --kind gl --N 3 --D 3": fails(
+                   {"hat identity k=1": 1}, only=True)}),
 
     # -- the R-matrices and the antisymmetrizers
     # R_pq(q-p+1) in place of R_pq(q-p): no ordered product gives the

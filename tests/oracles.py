@@ -6,7 +6,9 @@ factor at a time.  The references here build the rational side
 h(u) = F(u) H_k as one dense tensor on all sites, with every normalized
 R-matrix factor embedded on all sites, and trace sites out of it, as the
 package once did.  `bethe_series_tensor` is B_k as a trace form, the
-independent reference for the quantum-minor construction of B_k.
+independent reference for the quantum-minor construction of B_k, and
+`hat_bethe_series_walk` is hat-B_k as a trace form, the walk the package
+once ran, the reference for the minors of T(u)^-1 that build it now.
 
 `fusion_products_dense` multiplies the site factors T_p(u-p) on all N^k
 rows and applies the closed-form A_k to the products, the reference for
@@ -359,6 +361,21 @@ def bethe_series_tensor(k, z, rule, D):
                         for p in range(1, k + 1)],
                        [(q, z) for q in range(k + 1, N + 1)],
                        algebra_ring(rule), D)
+
+
+def hat_bethe_series_walk(k, z, rule, D):
+    """hat-B_k(u) = tr(Z_1..Z_k H_k . hat-T_k(u-k) .. hat-T_1(u-1)) as a
+    trace form: one `trace_words` walk of the rows of A_k over the letter
+    sites hat-T(u-p), p = k..1, hat-T = T^-1 on one site, with the factors
+    Z_1..Z_k."""
+    if k == 0:
+        return TruncatedSeries.one(algebra_ring(rule), D)
+    t_hat = t_site_series(rule, D).invert()
+    return trace_words(k, rule.index_set,
+                       [(p, t_hat.substitute_affine(1, -p))
+                        for p in range(k, 0, -1)],
+                       [(p, z) for p in range(1, k + 1)], algebra_ring(rule),
+                       D)
 
 
 def s_series_tensor(ctx, D):

@@ -7,8 +7,7 @@ equal the copy stored in tests/golden/.  The run parameters are left out
 because they are not results of the computation.  The written text must
 also be the canonical layout (sorted keys, indent 1, one final newline),
 so a change of indent, separators or key order fails.  The prop36 row labels
-spell their scalars as "Fraction(p, q)" whatever the rational backend, so
-the copies hold for every backend.
+spell their scalars as "Fraction(p, q)", for ints as for fractions.
 
 To re-record the stored copies after a change that alters outputs on
 purpose, run from the repository root:

@@ -19,7 +19,8 @@ from bethe.yangian import (bethe_series, hat_bethe_series,
                            verify_fusion, verify_hat_identity, verify_rtt)
 from faults import control, controls
 from oracles import (antisymmetrizer, bethe_series_tensor,
-                     fusion_products_dense, membership_rows, z_product)
+                     fusion_products_dense, hat_bethe_series_walk,
+                     membership_rows, z_product)
 
 
 def _all_ok(rows):
@@ -177,8 +178,10 @@ def test_quantum_determinant_is_the_top_bethe_series(N, tmp_path):
 
 def test_quantum_minor_alternates_in_the_columns():
     rule = YangianRule(IndexSet.plain(3))
-    shifted = {}
-    minor = lambda rows, cols: quantum_minor(rule, rows, cols, 3, shifted)
+    entry = lambda a, b, p: t_entry_series(rule, a, b, 3).substitute_affine(
+        1, -p)
+    minor = lambda rows, cols: quantum_minor(entry, rows, cols,
+                                             range(1, len(rows) + 1))
     for rows in ((1, 2), (2, 3), (1, 2, 3)):
         cols = rows[::-1] if len(rows) == 2 else (1, 3, 2)
         assert any(minor(rows, rows).coeffs)
@@ -257,6 +260,26 @@ def test_hat_series_is_the_descending_product_trace(N, D, tmp_path):
             assert got == _descending_hat_trace(k, z, rule, D), \
                 (N, z.entries, k)
             assert got.trunc == D
+
+
+HAT_CASES = [(2, 4, "diag:1,2"), (3, 3, "diag:1,2,3"), (4, 2, "diag:1,2,3,4"),
+             (2, 4, "dense"), (3, 3, "dense"), (4, 2, "dense"),
+             (3, 3, "golden"), (3, 3, "diag:1,1,2"), (3, 3, "diag:0,1,2")]
+
+
+@pytest.mark.parametrize("N, D, zname", HAT_CASES)
+def test_hat_minor_sum_is_the_walk(N, D, zname, tmp_path):
+    # the minors of T(u)^-1 against the trace_words walk they replaced, for
+    # k = 0..N: diagonal Z (with a repeated and with a zero eigenvalue, so
+    # some det Z_{J,I} vanish on I = J), dense Z and the golden dense Z
+    iset = IndexSet.plain(N)
+    rule = YangianRule(iset)
+    z = (_json_z(tmp_path, "dense", DENSE_Z[N], iset) if zname == "dense"
+         else parse_z_spec(f"json:{GOLDEN_Z}" if zname == "golden" else zname,
+                           iset))
+    for k in range(N + 1):
+        assert hat_bethe_series(k, z, rule, D) == \
+            hat_bethe_series_walk(k, z, rule, D), k
 
 
 # -- planted defects, kept under their names: rows of the table in faults.py --
