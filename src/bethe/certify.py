@@ -4,16 +4,21 @@ against the determinant expansions, and the rank certificates for the
 shift-of-argument families, whose expected ranks come from one rank
 table, `rank_table`.
 
-The graded symbols at level M kill every generator of level > M, so both
-symbol suites compute in the quotient by J_M, the span of the normal
-monomials that hold such a generator: their rules are capped at M
-(`algebra.CommutationRule`).  A member X_k of a commuting family is a sum
-of words of at most k letters, so its symbols vanish in every degree
-r > kM: the Laplace rows with r > kM hold by this degree bound, keep their
-labels in the report, and nothing is built for them.  On so/sp a symbol
-reads each word of A_k at order-0 weight, where pair steps are the
-identity, and each letter S(u-p) at its top part, that of S(u), so these
-rows build the graded member (`twisted.graded_bethe_series`).
+The graded symbols at level M kill every generator of level > M.  The
+symbol homomorphy suite computes in the quotient by J_M, the span of the
+normal monomials that hold such a generator: its Yangian rule is capped
+at M (`algebra.CommutationRule`).  The symbol is a ring map onto the
+commutative graded algebra, so the Laplace rows build each member there
+from the start, with the `PoissonContext` itself as its rule: no word is
+formed or normal-ordered, a variable above M is zero, and `symbol` drops
+the lower-degree terms that the letter shifts leave on gl.  A member X_k
+of a commuting family is a sum of words of at most k letters, so its
+symbols vanish in every degree r > kM: the Laplace rows with r > kM hold
+by this degree bound, keep their labels in the report, and nothing is
+built for them.  On so/sp a symbol reads each word of A_k at order-0
+weight, where pair steps are the identity, and each letter S(u-p) at its
+top part, that of S(u), so these rows build the graded member
+(`twisted.graded_bethe_series`).
 
 The rank and parity suites expand no determinant and form no bracket
 polynomial.  The Jacobian rows are first-order jets at the point
@@ -107,21 +112,19 @@ def verify_laplace_consistency(index_set: IndexSet, z: ZMatrix,
     """Graded symbols of the series coefficients equal the determinant-
     expansion polynomials, coefficient by coefficient through order N M.
     Member k, B_k on gl or the graded member of A_k on so/sp, is built
-    through order kM under the rule capped at M; a row with r > kM compares
-    the zero symbol with the table's absent entry."""
-    from .algebra import FreeRule, YangianRule, symbol
+    through order kM with the context as its rule, as a polynomial; a row
+    with r > kM compares the zero symbol with the table's absent entry."""
+    from .algebra import symbol
 
     if index_set.kind == "plain":
         from .yangian import bethe_series as member
-        rule = YangianRule(index_set, M)
     else:
         from .twisted import graded_bethe_series as member
-        rule = FreeRule(index_set, M)
     context = PoissonContext(index_set, M)
     zero = context.zero()
     details = []
     for k, table in bethe_family(context, z).items():
-        series = member(k, z, rule, k * M)
+        series = member(k, z, context, k * M)
         for r in range(index_set.N * M + 1):
             lhs = symbol(series.coeffs[r], r, context) if r <= k * M else zero
             rhs = table[r] if r < len(table) else zero

@@ -16,7 +16,10 @@ A polynomial is an `element.AlgebraElement` whose rule is its
 `PoissonContext`, the one sparse polynomial type of the package: the
 context multiplies monomials by sorted concatenation
 (`mono_times_mono`), and builds polynomials through `reduced`, which
-folds each variable onto the fundamental domain, and `element`.
+folds each variable onto the fundamental domain, and `element`.  With
+its `zero` and `one` the context is a rule the series layer builds over
+(`series.algebra_ring`), so a member of a commuting family can be built
+as a polynomial (`certify.verify_laplace_consistency`).
 `PoissonContext.reduce_var` is the one place that knows how coordinates
 are tied.  A `CurrentPoint` holds values on the fundamental domain only,
 folding every value given elsewhere through it, so a base point is given
@@ -131,6 +134,9 @@ class PoissonContext:
         self.index_set.check(row)
         self.index_set.check(col)
         return self.reduced({((level, row, col),): 1})
+
+    def one(self) -> AlgebraElement:
+        return _from_terms(self, {(): ONE})
 
     def zero(self) -> AlgebraElement:
         return _from_terms(self, {})

@@ -225,8 +225,10 @@ def twisted_bethe_series(ctx: TwistedContext, k: int, z: ZMatrix,
 
 def graded_bethe_series(k: int, z: ZMatrix, rule: FreeRule,
                         D: int) -> TruncatedSeries:
-    """The graded member tr(H_N S_1(u)..S_k(u) Z_{k+1}..Z_N) of A_k on the
-    formal S-words of `rule`, which has A_k's symbols (`certify`)."""
+    """The graded member tr(H_N S_1(u)..S_k(u) Z_{k+1}..Z_N) of A_k, which
+    has A_k's symbols (`certify`), over `rule`: on formal S-words under a
+    `FreeRule`, or as a polynomial when `rule` is a `PoissonContext`, whose
+    variables stand for the letters, as the Laplace rows build it."""
     N = rule.index_set.N
     s = t_site_series(rule, D)
     return trace_words(N, rule.index_set, [(p, s) for p in range(1, k + 1)],

@@ -52,7 +52,8 @@ def t_entry_series(rule: YangianRule, i: int, j: int, D: int) -> TruncatedSeries
 def t_site_series(rule, D: int) -> TruncatedSeries:
     """The one-site series 1 + sum_r X^(r) u^-r of a rule's generators,
     X^(r) the matrix of the X_ij^(r): T(u) under a `YangianRule`, the
-    formal S(u) under the twisted context's `FreeRule`."""
+    formal S(u) under the twisted context's `FreeRule`, and 1 + sum_r
+    V^(r) u^-r in the variables v_ij^(r) under a `PoissonContext`."""
     from .tensor import TensorElement, tensor_ring
 
     iset = rule.index_set

@@ -294,6 +294,15 @@ FAULTS = {f.id: f for f in [
           replace=around(lambda real, self, a, b:
                          real(self, a, b) * (2 if a < b else 1)),
           ops={"verify symbol-hom --kind gl --N 2": 1}),
+    # the unit of the context as 2: the Laplace rows build their members
+    # over the context, whose constant terms then miss the determinant's;
+    # the symbol pairs form no unit
+    Fault("context-one-doubled", "poisson.PoissonContext.one",
+          old="{(): ONE}", new="{(): 2}",
+          ops={op: fails({"k=": ANY}, only=True)
+               for op in ("verify symbol-hom --kind gl --N 2",
+                          "verify symbol-hom --kind gl --N 3",
+                          *SYMBOL_HOM_TWISTED)}),
     # the bracket negated at two level-1 coordinates: a pair holding a
     # generator above M has zero symbols on both sides and cannot see it,
     # so the rows fail only because each pair can

@@ -223,12 +223,12 @@ def test_laplace_consistency_small():
     (IndexSet.signed(3, "so"), "diag:1", "prime_skew", 3),
     (IndexSet.signed(4, "sp"), "diag:1,2", "prime_skew", 1),
     (IndexSet.signed(4, "so"), "diag:1,2", "prime_skew", 1)])
-def test_capped_family_has_the_symbols_of_the_full_family(iset, spec, tag, M):
+def test_context_member_has_the_symbols_of_the_full_family(iset, spec, tag, M):
     # member k as verify_laplace_consistency builds it, through order kM
-    # under the rule capped at M (B_k on gl, the graded member of A_k on
-    # so/sp), has the symbols of the uncapped B_k or A_k through order NM,
-    # and these vanish beyond kM: the Laplace rows lose no symbol
-    from bethe.algebra import FreeRule, YangianRule, symbol
+    # with the PoissonContext as its rule (B_k on gl, the graded member of
+    # A_k on so/sp), has the symbols of the full B_k or A_k through order
+    # NM, and these vanish beyond kM: the Laplace rows lose no symbol
+    from bethe.algebra import symbol
     from bethe.twisted import graded_bethe_series
     from bethe.evalmap import commuting_family
     from bethe.yangian import bethe_series
@@ -237,12 +237,9 @@ def test_capped_family_has_the_symbols_of_the_full_family(iset, spec, tag, M):
     ctx = PoissonContext(iset, M)
     N = iset.N
     full = commuting_family(iset, z)
-    if iset.kind == "plain":
-        member, rule = bethe_series, YangianRule(iset, M)
-    else:
-        member, rule = graded_bethe_series, FreeRule(iset, M)
+    member = bethe_series if iset.kind == "plain" else graded_bethe_series
     for k in range(1, N + 1):
-        xs, cs = full(k, N * M), member(k, z, rule, k * M)
+        xs, cs = full(k, N * M), member(k, z, ctx, k * M)
         syms = [symbol(x, r, ctx) for r, x in enumerate(xs.coeffs)]
         assert any(syms)
         for r, sym in enumerate(syms):
