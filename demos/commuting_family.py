@@ -6,7 +6,8 @@ and the centrality of the quantum determinant by exact normal ordering.
 
 Run:  python3 demos/commuting_family.py
 """
-from bethe.algebra import YangianRule, commutator
+from bethe.algebra import YangianRule
+from bethe.element import commutator
 from bethe.indices import IndexSet, parse_z_spec
 from bethe.yangian import (bethe_series, quantum_determinant,
                            verify_bethe_commutativity, verify_centrality,

@@ -20,9 +20,9 @@ __all__ = [
 
 # exported name -> the submodule that defines it
 _SOURCES = {
-    **dict.fromkeys(("FreeRule", "YangianRule", "commutator",
-                     "filtration_degree", "symbol"), "algebra"),
-    "AlgebraElement": "element",
+    **dict.fromkeys(("FreeRule", "YangianRule", "filtration_degree",
+                     "symbol"), "algebra"),
+    **dict.fromkeys(("AlgebraElement", "commutator"), "element"),
     **dict.fromkeys(("IndexSet", "ZMatrix", "parse_z_spec"), "indices"),
     **dict.fromkeys(("CurrentPoint", "PoissonContext", "bethe_family",
                      "poisson_bracket", "principal_nilpotent",

@@ -25,10 +25,10 @@ map T_ij^(r) -> d_r1 E_ij is the quotient by J_1.
 Each rule caches three kernels on normal monomials: the generator bracket
 (`bracket_terms`), monomial times generator (`mono_times_gen`, which
 `mono_times_mono` chains) and the bracket [monomial, generator]
-(`mono_bracket_gen`).  `derivation(a)` is ad_a built on the last, so the
-leading terms that cancel in ab - ba are never formed; it keeps ad_a(g)
-per generator g for every element it is applied to, and `commutator(a,
-b)` is ad_a applied to b.
+(`mono_bracket_gen`).  The last two are the rule's side of the contract
+of `element`: its one derivation, `element.derivation(a)`, builds ad_a
+on `mono_bracket_gen` and multiplies out the Leibniz terms through
+`mono_times_mono`, and `element.commutator(a, b)` is ad_a applied to b.
 
 `WordMap` is the one algebra map from words into a rule's elements, given
 the image of each letter; it forms every distinct word's image once.  The
@@ -230,47 +230,6 @@ class WordMap:
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         return element_sum(self.rule, (self.word(w) * c
                                        for w, c in a.terms.items()))
-
-
-def derivation(a: AlgebraElement):
-    """The derivation ad_a: b -> normal form of ab - ba.
-
-    ad_a(g) = sum_m c_m [m, g] is formed once per distinct generator g,
-    across every element the derivation is applied to, and a word
-    g_1..g_l of b contributes the Leibniz terms
-    sum_j g_1..g_{j-1} ad_a(g_j) g_{j+1}..g_l, so the leading terms that
-    cancel in ab - ba are never formed.  Free words have no bracket."""
-    rule = a.rule
-    mbg, mtm = rule.mono_bracket_gen, rule.mono_times_mono
-    ad: dict = {}  # generator g -> [a, g] as {monomial: scalar}
-
-    def apply(b: AlgebraElement) -> AlgebraElement:
-        if b.rule is not rule:
-            raise ValueError("elements under different commutation rules")
-        for w in b.terms:
-            for g in w:
-                if g not in ad:
-                    ad[g] = accumulate({}, [(m2, c * c2)
-                                            for m, c in a.terms.items()
-                                            for m2, c2 in mbg(m, g).items()])
-        acc: dict = {}
-        for w, cw in b.terms.items():
-            for j, g in enumerate(w):
-                pre, suf = w[:j], w[j + 1:]
-                accumulate(acc, [(m2, cwc * (c1 * c2))
-                                 for m, c in ad[g].items()
-                                 for cwc in (cw * c,)
-                                 for m1, c1 in (mtm(pre, m) if pre
-                                                else {m: 1}).items()
-                                 for m2, c2 in mtm(m1, suf).items()])
-        return _from_terms(rule, acc)
-
-    return apply
-
-
-def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Normal form of ab - ba: the derivation ad_a applied to b."""
-    return derivation(a)(b)
 
 
 def monomial_degree(m: tuple) -> int:

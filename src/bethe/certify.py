@@ -94,7 +94,8 @@ def verify_symbol_homomorphy(index_set: IndexSet, M: int, seed: int) -> list:
     """symbol([X, Y]) = {symbol X, symbol Y} for the seeded `symbol_pairs`
     of the Yangian rule capped at M, in the degree (deg X + deg Y - 1)
     component."""
-    from .algebra import YangianRule, commutator, filtration_degree, symbol
+    from .algebra import YangianRule, filtration_degree, symbol
+    from .element import commutator
 
     context = PoissonContext(index_set, M)
     details = []

@@ -15,8 +15,12 @@ the context, and its signs (`IndexSet.eps`) the twist:
 A polynomial is an `element.AlgebraElement` whose rule is its
 `PoissonContext`, the one sparse polynomial type of the package: the
 context multiplies monomials by sorted concatenation
-(`mono_times_mono`), and builds polynomials through `reduced`, which
-folds each variable onto the fundamental domain, and `element`.  With
+(`mono_times_mono`), brackets a monomial with a variable by the Leibniz
+rule over its letters (`mono_bracket_gen`), and builds polynomials
+through `reduced`, which folds each variable onto the fundamental
+domain, and `element`.  So the Poisson bracket, `poisson_bracket`, is
+the derivation of `element` over the context, the same that forms the
+commutators of the algebras.  With
 its `zero` and `one` the context is a rule the series layer builds over
 (`series.algebra_ring`), so a member of a commuting family can be built
 as a polynomial (`certify.verify_laplace_consistency`).
@@ -51,7 +55,7 @@ from __future__ import annotations
 import random
 from math import lcm, prod
 
-from .element import AlgebraElement, _from_terms
+from .element import AlgebraElement, _from_terms, derivation
 from .indices import IndexSet, ZMatrix
 from .rationals import ONE, accumulate, binomial, div, rat
 
@@ -60,7 +64,7 @@ class PoissonContext:
     """Variable universe and bracket at level M, plain or twisted as the
     index set is plain or signed."""
 
-    __slots__ = ("index_set", "M", "_vars", "_bracket_cache")
+    __slots__ = ("index_set", "M", "_vars", "_bracket_cache", "_mbg_cache")
 
     def __init__(self, index_set: IndexSet, M: int):
         if M < 1:
@@ -69,6 +73,7 @@ class PoissonContext:
         self.M = M
         self._vars = None
         self._bracket_cache: dict = {}
+        self._mbg_cache: dict = {}
 
     def __eq__(self, other):
         return (isinstance(other, PoissonContext)
@@ -176,30 +181,25 @@ class PoissonContext:
             hit = self._bracket_cache[key] = self.reduced(terms)
         return hit
 
-
-def derivative(f: AlgebraElement, v: tuple) -> AlgebraElement:
-    """The partial derivative of the polynomial f in the fundamental-domain
-    variable v."""
-    return _from_terms(f.rule, accumulate({}, (
-        (m[:i] + m[i + 1:], c * k) for m, c in f.terms.items()
-        for k in (m.count(v),) if k for i in (m.index(v),))))
+    def mono_bracket_gen(self, m: tuple, g: tuple) -> dict:
+        """{m, g} for a monomial m and a variable g, int coefficients: the
+        Leibniz rule over the letters of m, the sum over i of m without
+        m_i times {m_i, g}."""
+        key = (m, g)
+        hit = self._mbg_cache.get(key)
+        if hit is None:
+            hit = self._mbg_cache[key] = accumulate({}, [
+                (tuple(sorted(m[:i] + m[i + 1:] + mb)), c)
+                for i, a in enumerate(m)
+                for mb, c in self.gen_bracket(a, g).terms.items()])
+        return hit
 
 
 def poisson_bracket(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    """Bilinear Leibniz extension of the truncated generator bracket."""
-    ctx = f.rule
-    if ctx != g.rule:
-        raise ValueError("polynomials from different contexts")
-    acc: dict = {}
-    dgs = [(b, derivative(g, b)) for b in sorted({v for m in g.terms
-                                                   for v in m})]
-    for a in sorted({v for m in f.terms for v in m}):
-        df = derivative(f, a)
-        for b, dg in dgs:
-            br = ctx.gen_bracket(a, b)
-            if br:
-                accumulate(acc, (df * dg * br).terms.items())
-    return _from_terms(ctx, acc)
+    """{f, g}: the derivation ad_f of `element` over the context, which
+    extends the truncated generator bracket by the Leibniz rule in both
+    arguments."""
+    return derivation(f)(g)
 
 
 # -- points ---------------------------------------------------------------------

@@ -23,7 +23,7 @@ products, so no factor or product is formed on all N^k rows.
 
 The row builders for one identity type each (`window_rows`,
 `commutator_table`, `centrality_rows`, `hat_identity_rows`) serve the
-twisted layer too; the commutator rows apply one `algebra.derivation`
+twisted layer too; the commutator rows apply one `element.derivation`
 per coefficient.  The quantum minors of T(u) need no tensor: the
 functions that build tensors (T(u)^-1 among them) import `tensor` where
 they run, so the ops that build only minors of T(u) do not load it.
@@ -35,7 +35,8 @@ from itertools import combinations, permutations
 from math import prod
 from operator import add, mul
 
-from .algebra import YangianRule, derivation
+from .algebra import YangianRule
+from .element import derivation
 from .indices import ZMatrix, perm_sign
 from .rationals import binomial, div
 from .series import BiLaurent, TruncatedSeries, algebra_ring

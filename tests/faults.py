@@ -347,6 +347,47 @@ FAULTS = {f.id: f for f in [
           ops={"verify poisson-jacobi --kind gl --N 2": 1,
                "verify poisson-rank --kind gl --N 2 --M 1": 1,
                f"verify poisson-rank {SP2} --M 1": 1}),
+    # {m, g} from the first letter of m only: a symbol pair brackets
+    # quadratic monomials and fails, while poisson-jacobi brackets
+    # generators, whose brackets have one-letter monomials, so its
+    # triples see no fault
+    Fault("bracket-leibniz-first-letter-only",
+          "poisson.PoissonContext.mono_bracket_gen",
+          old="enumerate(m)", new="enumerate(m[:1])",
+          ops={"verify symbol-hom --kind gl --N 2":
+               fails({"symbol pair ": 39}, only=True),
+               "verify symbol-hom --kind gl --N 3":
+               fails({"symbol pair ": 43}, only=True),
+               "verify poisson-jacobi --kind gl --N 2": 0}),
+    # a tied coordinate folded without its sign eps_ij (-1)^r: the
+    # family loses its parity zeros, and the bracket rank drops where the
+    # signed sum matters
+    Fault("tie-sign-dropped", "poisson.PoissonContext.reduce_var",
+          old="return (s, (r, a, b))", new="return (1, (r, a, b))",
+          ops={**{f"verify jacobian {a} --M {M}":
+                  fails({"parity zeros": ANY})
+                  for a, M in ((SO5, 3), (SP4, 3), (SP2, 1), (SO3, 3))},
+               **{f"verify poisson-rank {a} --M 3":
+                  fails({"bracket rank": 1}, only=True) for a in (SP4, SO5)},
+               **dict.fromkeys(SYMBOL_HOM_TWISTED,
+                               guard("parity violation"))}),
+    # the letters of level M killed with the truncation: the Jacobian rank
+    # drops, and a base point at the top level has a value at a zero
+    # coordinate; the twisted symbol-hom rows pass, as both sides of each
+    # row live in the same smaller quotient
+    Fault("level-m-letter-killed", "poisson.PoissonContext.reduce_var",
+          old="if r > self.M", new="if r >= self.M",
+          ops={**{op: fails({"jacobian rank": 1}, only=True)
+                  for op in (*PARTNER_JACOBIANS,
+                             "verify jacobian --kind gl --N 2 --M 1",
+                             f"verify jacobian {SO3} --M 1",
+                             f"verify jacobian {SP2} --M 1")},
+               **{op: guard("violates the context symmetry")
+                  for op in (*RANK_CHECKS,
+                             "verify poisson-rank --kind gl --N 2 --M 1",
+                             "verify poisson-rank --kind gl --N 4 --M 2",
+                             f"verify poisson-rank {SP2} --M 1")},
+               **dict.fromkeys(SYMBOL_HOM_TWISTED, 0)}),
 
     # -- the plain Yangian
     # the sign of every correction term of the bracket flipped; on so/sp

@@ -37,7 +37,12 @@ the value of a polynomial at a point (the former `PoissonPoly.evaluate`),
 the reference for the Jacobian rows (`poisson.jacobian_rows`, through the
 derivatives of the expanded family) and the bracket matrix
 (`poisson.bracket_matrix`, through `gen_bracket`) that the package reads
-at the point.
+at the point.  `derivative` is the partial derivative of a polynomial
+in one variable, the reference for those jets, and
+`poisson_bracket_double_sum`, the double sum
+sum_{a,b} d_a f d_b g {a, b} over it, is the bracket the package once
+formed, the reference for `poisson.poisson_bracket`, which is the
+derivation of `element` over the context.
 
 `normal_order` rewrites one word by adjacent swaps, the reference for the
 cached normal-ordering kernels of `algebra.CommutationRule`, keeping the
@@ -51,6 +56,7 @@ from math import factorial, prod
 from operator import mul
 
 from bethe.algebra import AlgebraElement, monomial_degree
+from bethe.element import _from_terms
 from bethe.indices import IndexSet, perm_sign
 from bethe.poisson import PoissonContext
 from bethe.rationals import ONE, accumulate, parse_rat, rat
@@ -461,3 +467,29 @@ def evaluate(p, point):
     for m, c in p.terms.items():
         acc += c * prod(point.values[v] for v in m)
     return rat(acc)
+
+
+def derivative(f, v):
+    """The partial derivative of the polynomial f in the fundamental-domain
+    variable v."""
+    return _from_terms(f.rule, accumulate({}, (
+        (m[:i] + m[i + 1:], c * k) for m, c in f.terms.items()
+        for k in (m.count(v),) if k for i in (m.index(v),))))
+
+
+def poisson_bracket_double_sum(f, g):
+    """{f, g} as the double sum over the variables a of f and b of g of
+    d_a f * d_b g * {a, b}."""
+    ctx = f.rule
+    if ctx != g.rule:
+        raise ValueError("polynomials from different contexts")
+    acc: dict = {}
+    dgs = [(b, derivative(g, b)) for b in sorted({v for m in g.terms
+                                                   for v in m})]
+    for a in sorted({v for m in f.terms for v in m}):
+        df = derivative(f, a)
+        for b, dg in dgs:
+            br = ctx.gen_bracket(a, b)
+            if br:
+                accumulate(acc, (df * dg * br).terms.items())
+    return _from_terms(ctx, acc)

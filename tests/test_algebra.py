@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bethe.algebra import (AlgebraElement, FreeRule, YangianRule,
-                           commutator, filtration_degree, monomial_degree,
-                           symbol)
+                           filtration_degree, monomial_degree, symbol)
+from bethe.element import commutator
 from bethe.indices import IndexSet
 from bethe.poisson import PoissonContext
 from bethe.rationals import Q

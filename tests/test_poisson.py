@@ -10,12 +10,13 @@ from bethe.certify import (rank_table, verify_jacobian_rank,
                            verify_twisted_parity)
 from bethe.indices import IndexSet, parse_z_spec, perm_sign
 from bethe.poisson import (CurrentPoint, PoissonContext, bethe_family,
-                           bracket_matrix, derivative, jacobian_rows,
+                           bracket_matrix, jacobian_rows,
                            matrix_rank, poisson_bracket, principal_nilpotent,
                            upper_slice)
 from bethe.rationals import ONE, Q, accumulate, binomial, div
 from faults import controls
-from oracles import (evaluate, expected_jacobian_rank, expected_poisson_rank,
+from oracles import (derivative, evaluate, expected_jacobian_rank,
+                     expected_poisson_rank, poisson_bracket_double_sum,
                      rank_table_holds)
 
 
@@ -104,8 +105,8 @@ def signed_terms(draw, ctx):
 def test_polynomials_of_a_signed_context(data):
     # the polynomial algebra of a signed context: reduced variables carry
     # the tie sign eps_ij (-1)^r, products are the reduced sorted
-    # concatenations and commute and associate, and the derivative is a
-    # derivation
+    # concatenations and commute and associate, and the reference
+    # derivative of the oracles is a derivation
     ctx = data.draw(st.sampled_from(SIGNED_CONTEXTS), label="context")
     eps = ctx.index_set.eps
     r, i, j = data.draw(st.sampled_from(
@@ -140,6 +141,8 @@ def test_polynomials_of_a_signed_context(data):
 
 
 def test_elements_of_different_rules_do_not_mix():
+    # nor does the derivation of `element` mix them, whose bracket takes an
+    # element under any rule equal to its own
     from bethe.algebra import YangianRule
 
     iset = IndexSet.signed(3, "so")
@@ -151,9 +154,32 @@ def test_elements_of_different_rules_do_not_mix():
             left + right
         with pytest.raises(ValueError, match="different rules"):
             left * right
+        with pytest.raises(ValueError, match="elements under different rules"):
+            poisson_bracket(left, right)
         assert left != right
     # contexts on equal index sets and levels are equal rules
-    assert x + PoissonContext(iset, 2).element(1, 0, 1) == x * 2
+    one, other = PoissonContext(iset, 2), PoissonContext(iset, 2)
+    assert x + other.element(1, 0, 1) == x * 2
+    for a, b in (((1, 1, 0), (2, 0, -1)), ((2, 1, 1), (2, 1, -1))):
+        got = poisson_bracket(var(one, *a), var(other, *b))
+        assert got and got == poisson_bracket(var(one, *a), var(one, *b))
+
+
+BRACKET_CONTEXTS = [PoissonContext(IndexSet.plain(N), M)
+                    for N in (2, 3) for M in (1, 2)] + SIGNED_CONTEXTS
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bracket_is_the_double_sum(data):
+    # the derivation over the context equals the double sum
+    # sum_{a,b} d_a f d_b g {a, b}, and is antisymmetric, on polynomials
+    # of degree <= 3; `signed_terms` draws on a plain grid as well
+    ctx = data.draw(st.sampled_from(BRACKET_CONTEXTS), label="context")
+    f, g = (ctx.reduced(data.draw(signed_terms(ctx))) for _ in range(2))
+    got = poisson_bracket(f, g)
+    assert got == poisson_bracket_double_sum(f, g)
+    assert poisson_bracket(g, f) == -got
 
 
 def test_jacobi_plain_and_twisted():
